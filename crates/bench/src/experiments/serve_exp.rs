@@ -15,7 +15,7 @@ use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::registry::ModelRegistry;
-use nbsmt_serve::sim::{simulate, simulate_pool, ArrivalProcess, ServiceModel, SimOutcome};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome, ServiceModel};
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_workloads::synthnet::{train_synthnet, SynthTaskConfig};
 
@@ -59,7 +59,7 @@ impl ServeRow {
         arrival: &'static str,
         offered: f64,
         requests: u64,
-        outcome: &SimOutcome,
+        outcome: &PoolSimOutcome,
     ) -> ServeRow {
         let m = &outcome.metrics;
         ServeRow {
@@ -231,6 +231,7 @@ pub fn serve_sweep_with(
     rows
 }
 
+/// One single-session cell: a one-replica pool pinned to `session`.
 fn run_cell(
     session: &nbsmt_serve::session::Session,
     ctx: &nbsmt_tensor::exec::ExecContext,
@@ -238,8 +239,14 @@ fn run_cell(
     arrivals: &ArrivalProcess,
     scheduler: SchedulerConfig,
     service: ServiceModel,
-) -> SimOutcome {
-    simulate(session, ctx, inputs, arrivals, scheduler, service).expect("simulation succeeds")
+) -> PoolSimOutcome {
+    let pool = PoolConfig {
+        replicas: 1,
+        route: RoutePolicy::RoundRobin,
+        scheduler,
+        adaptive: AdaptivePolicy::pinned(),
+    };
+    simulate_pool(&[session], ctx, inputs, arrivals, pool, service).expect("simulation succeeds")
 }
 
 /// Converts sweep rows into the `BENCH_serve.json` summary.

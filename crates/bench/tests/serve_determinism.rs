@@ -22,8 +22,8 @@ use nbsmt_serve::pool::{PoolSnapshot, ReplicaPool};
 use nbsmt_serve::registry::ModelRegistry;
 use nbsmt_serve::session::Session;
 use nbsmt_serve::sim::{
-    simulate, simulate_pool, simulate_pool_controlled, simulate_pool_faulted, simulate_pool_traced,
-    ArrivalProcess, PoolSimOutcome, ServiceModel, SimOutcome,
+    simulate_pool, simulate_pool_controlled, simulate_pool_controlled_stats, simulate_pool_faulted,
+    simulate_pool_stats, simulate_pool_traced, ArrivalProcess, PoolSimOutcome, ServiceModel,
 };
 use nbsmt_serve::traffic::{SizeModel, TrafficModel};
 use nbsmt_serve::TraceRecorder;
@@ -61,17 +61,24 @@ fn run(
     smt: SmtConfig,
     ctx: &ExecContext,
     arrivals: &ArrivalProcess,
-) -> SimOutcome {
+) -> PoolSimOutcome {
     let session = fixture
         .registry
         .compile("synthnet", smt)
         .expect("session compiles");
-    simulate(
-        &session,
+    // The single-session simulator: a one-replica pool pinned to `session`.
+    let pool = PoolConfig {
+        replicas: 1,
+        route: RoutePolicy::RoundRobin,
+        scheduler: scheduler(),
+        adaptive: AdaptivePolicy::pinned(),
+    };
+    simulate_pool(
+        &[session],
         ctx,
         &fixture.inputs,
         arrivals,
-        scheduler(),
+        pool,
         ServiceModel::default(),
     )
     .expect("simulation succeeds")
@@ -79,7 +86,7 @@ fn run(
 
 /// Logits as raw bit patterns: `f32` equality is too weak a check for the
 /// contract — the serving path promises *bit*-identical outputs.
-fn logit_bits(outcome: &SimOutcome) -> Vec<(u64, Vec<u32>)> {
+fn logit_bits(outcome: &PoolSimOutcome) -> Vec<(u64, Vec<u32>)> {
     outcome
         .responses
         .iter()
@@ -1104,6 +1111,150 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
                     sim.metrics.stolen_requests,
                 ),
                 "{label}: control counters"
+            );
+        }
+    }
+}
+
+/// The statistics paths promise the full path's batches, virtual latencies,
+/// and metrics bit for bit, with model outputs left uncomputed. One seeded
+/// MMPP trace with bounded-Pareto sizes and a generated fault plan runs
+/// through both paths, with and without a controller that autoscales and
+/// steals.
+#[test]
+fn stats_path_matches_the_full_path() {
+    let fixture = fixture(107);
+    let replicas = 4;
+    let config = pool_config(replicas, RoutePolicy::Hashed);
+    let arrivals = ArrivalProcess::Generated {
+        model: TrafficModel::Mmpp {
+            calm_mrps: 8_000_000,
+            burst_mrps: 60_000_000,
+            mean_calm_ns: 600_000,
+            mean_burst_ns: 300_000,
+        },
+        seed: 505,
+        n: 240,
+    };
+    let service = ServiceModel {
+        size: SizeModel::BoundedPareto {
+            seed: 707,
+            alpha_x1024: 1_536,
+            min_x1024: 1_024,
+            max_x1024: 8_192,
+        },
+        ..ServiceModel::default()
+    };
+    let faults = FaultConfig {
+        seed: 13,
+        horizon_batches: 24,
+        crash_per_mille: 20,
+        stall_per_mille: 60,
+        stall_ns: 500_000,
+        straggle_per_mille: 60,
+        straggle_factor_x1024: 3072,
+        straggle_window_batches: 3,
+        close_per_mille: 10,
+    };
+    let plan = FaultPlan::generate(&faults, replicas).expect("valid fault config");
+    let control = ControlConfig {
+        alpha_x1024: 512,
+        window_ns: 100_000,
+        predictive: None,
+        autoscale: Some(AutoscaleConfig {
+            min_replicas: 1,
+            max_replicas: replicas,
+            util_high_x1024: 700,
+            util_low_x1024: 200,
+        }),
+        steal: Some(StealConfig {
+            imbalance_threshold: 2,
+            max_steal: 2,
+        }),
+    };
+    let ladder = ladder(&fixture);
+    let ctx = ExecContext::sequential();
+    let inputs = &fixture.inputs;
+    let runs = [
+        (
+            "controlled",
+            simulate_pool_controlled(
+                &ladder,
+                &ctx,
+                inputs,
+                &arrivals,
+                config,
+                service,
+                control,
+                Some(&plan),
+                None,
+            ),
+            simulate_pool_controlled_stats(
+                &ladder,
+                inputs,
+                &arrivals,
+                config,
+                service,
+                control,
+                Some(&plan),
+                None,
+            ),
+        ),
+        (
+            "faulted",
+            simulate_pool_faulted(
+                &ladder,
+                &ctx,
+                inputs,
+                &arrivals,
+                config,
+                service,
+                Some(&plan),
+            ),
+            simulate_pool_stats(
+                &ladder,
+                inputs,
+                &arrivals,
+                config,
+                service,
+                Some(&plan),
+                None,
+            ),
+        ),
+    ];
+    for (label, full, stats) in runs {
+        let full = full.expect("full-path simulation succeeds");
+        let stats = stats.expect("stats-path simulation succeeds");
+        assert!(full.metrics.completed > 0, "{label}: nothing completed");
+        assert!(
+            full.metrics.crashes + full.metrics.stalls > 0,
+            "{label}: the fault plan must fire"
+        );
+        assert_eq!(stats.batches, full.batches, "{label}: batches");
+        assert_eq!(stats.transitions, full.transitions, "{label}: transitions");
+        assert_eq!(stats.handoffs, full.handoffs, "{label}: handoffs");
+        assert_eq!(
+            stats.control_events, full.control_events,
+            "{label}: control events"
+        );
+        assert_eq!(stats.per_replica, full.per_replica, "{label}: per replica");
+        assert_eq!(stats.metrics, full.metrics, "{label}: metrics");
+        assert_eq!(stats.makespan_ns, full.makespan_ns, "{label}: makespan");
+        assert_eq!(stats.replica_ns, full.replica_ns, "{label}: replica-ns");
+        assert!(
+            stats.responses.is_empty(),
+            "{label}: stats computes nothing"
+        );
+        assert_eq!(
+            stats.dropped_responses, stats.metrics.completed,
+            "{label}: every completion is accounted for"
+        );
+        if label == "controlled" {
+            let steals = full.metrics.steals;
+            let scales = full.metrics.scale_ups + full.metrics.scale_downs;
+            assert!(
+                steals > 0 && scales > 0,
+                "the trace must steal and scale ({steals} steals, {scales} scale events)"
             );
         }
     }

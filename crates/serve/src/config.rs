@@ -120,13 +120,12 @@ impl Default for BatchPolicy {
 
 /// Why a serving-side configuration is invalid.
 ///
-/// Every scheduler entry point — [`crate::server::Server::start`],
-/// [`crate::pool::ReplicaPool::start`], [`crate::sim::simulate`] and
-/// [`crate::sim::simulate_pool`] — validates its configuration through
-/// [`Validate`] and rejects bad values with one of these variants, so the
-/// threaded drivers and the virtual-clock simulator refuse exactly the same
-/// configs (there is no clamping path a bad value can sneak through on one
-/// driver but not the other).
+/// Every scheduler entry point — the [`crate::pool::ReplicaPool`]
+/// constructors and the [`crate::sim::simulate_pool`] family — validates
+/// its configuration through [`Validate`] and rejects bad values with one
+/// of these variants, so the threaded pool and the virtual-clock simulator
+/// refuse exactly the same configs (there is no clamping path a bad value
+/// can sneak through on one driver but not the other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `BatchPolicy::max_batch` is zero — a batch must hold a request.
@@ -425,7 +424,7 @@ pub fn route_hash(key: u64) -> u64 {
 /// determinism contract: the latency feeding the p95 trigger goes through a
 /// clock abstraction — the virtual [`crate::sim::ServiceModel`] clock in the
 /// simulator *and* in the threaded pool's lockstep mode
-/// (`ReplicaPool::start_lockstep`), where the coordination gate records
+/// (`ReplicaPool::start_lockstep`), where the shared scheduling core records
 /// virtual latencies into the same fixed-bucket histogram. Only the
 /// free-running threaded pool (`start`/`start_paused`) measures p95 on the
 /// wall clock, so only that driver's p95 trigger timing is outside the
@@ -514,14 +513,14 @@ pub const BATCH_LOG_CAP: usize = 65_536;
 /// [`AdaptiveState::dropped_transitions`].
 pub const TRANSITION_LOG_CAP: usize = 16_384;
 
-/// Capacity cap on the per-run response log kept by the simulators
-/// (`SimOutcome::responses` / `PoolSimOutcome::responses`). Completions past
-/// the cap still feed metrics and traces — only the retained `(id, logits)`
-/// pairs are bounded, with the overflow counted in a `dropped_responses`
-/// counter, so 10^6–10^7-request sweeps stay constant-memory.
+/// Capacity cap on the per-run response log kept by the simulator
+/// (`PoolSimOutcome::responses`). Completions past the cap still feed
+/// metrics and traces — only the retained `(id, logits)` pairs are bounded,
+/// with the overflow counted in a `dropped_responses` counter, so
+/// 10^6–10^7-request sweeps stay constant-memory.
 pub const RESPONSE_LOG_CAP: usize = 65_536;
 
-/// Capacity cap on the per-run rejected-id log kept by the simulators.
+/// Capacity cap on the per-run rejected-id log kept by the simulator.
 /// Rejections past the cap still count in [`crate::metrics::ServeMetrics`];
 /// only the retained id list is bounded, with the overflow counted in a
 /// `dropped_rejections` counter.

@@ -30,8 +30,8 @@
 //! configuration): windows roll on arrival timestamps, utilization is
 //! integer arithmetic over the [`crate::sim::ServiceModel`]'s per-rung
 //! service costs, and steal targets derive from queue depths with explicit
-//! tie-breaks. Both drivers — the discrete-event simulator and the threaded
-//! lockstep pool — call the controller at the same lifecycle points, so
+//! tie-breaks. The controller lives inside the scheduling core that both
+//! the discrete-event simulator and the threaded lockstep pool drive, so
 //! autoscale events, steal events, and predictive transitions are part of
 //! the extended lockstep bit-identical contract (`serve_determinism.rs`).
 
@@ -304,14 +304,13 @@ pub enum ControlEventKind {
     },
 }
 
-/// The deterministic pool-level controller both drivers share.
+/// The deterministic pool-level controller of the scheduling core.
 ///
 /// Construction derives per-rung request cost from the same
 /// [`crate::sim::ServiceModel`] the virtual clock runs on; thereafter the
-/// drivers call [`Self::on_arrival`] at every admission (before routing)
-/// and [`Self::steal_check`] after every batch launch, and apply the
-/// returned events mechanically. All state transitions happen inside the
-/// controller, so the two drivers cannot diverge.
+/// core calls [`Self::on_arrival`] at every admission (before routing) and
+/// [`Self::steal_check`] after every batch launch, and applies the returned
+/// events mechanically. All state transitions happen inside the controller.
 #[derive(Debug, Clone)]
 pub struct PoolController {
     cfg: ControlConfig,

@@ -25,9 +25,8 @@ use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
 use crate::config::{ConfigError, RoutePolicy};
-use crate::pool::PoolClient;
+use crate::pool::{PoolClient, RequestResult};
 use crate::queue::{Cancelled, TryWait};
-use crate::server::RequestResult;
 
 /// What goes wrong when a [`FaultEvent`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,7 +337,7 @@ pub struct HandoffRecord {
     pub from_replica: usize,
     /// The crashed replica's 1-based batch count at the moment of death.
     pub at_batch: u64,
-    /// The request's key (threaded pool) / id (simulator).
+    /// The request's router key.
     pub key: u64,
     /// The surviving replica that took the request, or `None` when every
     /// survivor was dead, closed, or full and the request was shed.

@@ -15,11 +15,12 @@
 //!   policy). Requests pick their configuration by picking their session.
 //! * [`queue::BoundedQueue`] is the admission-control point: `submit` never
 //!   blocks and rejects with a typed [`config::SubmitError`] under overload.
-//! * The scheduler (threaded [`server::Server`], or the deterministic
-//!   virtual-clock [`sim::simulate`]) coalesces queued requests under a
+//! * The scheduler (the threaded [`pool::ReplicaPool`], or the deterministic
+//!   virtual-clock [`sim::simulate_pool`]) coalesces queued requests under a
 //!   `max_batch`/`max_wait` [`config::BatchPolicy`], executes the batch on an
 //!   `ExecContext`, and completes per-request
-//!   [`queue::ResponseHandle`]s.
+//!   [`queue::ResponseHandle`]s. A one-replica pool with a pinned ladder is
+//!   the single-session server.
 //! * [`metrics::ServeMetrics`] records throughput, a fixed-bucket latency
 //!   histogram (p50/p95/p99), the batch-size distribution, queue depth, and
 //!   — for pools — per-mode batch counts and mode transitions.
@@ -28,7 +29,9 @@
 //!   and each replica's [`config::AdaptiveState`] walks a ladder of
 //!   [`config::SmtConfig`] design points (dense → 2T → 4T) under queue-depth
 //!   or p95 pressure, shedding *accuracy* instead of *requests* under
-//!   overload. [`sim::simulate_pool`] is its virtual-clock mirror.
+//!   overload. [`sim::simulate_pool`] and the pool's lockstep mode drive
+//!   one sans-IO scheduling core (`sched`), so the two agree by
+//!   construction.
 //! * [`faults`] injects seeded, deterministic failure schedules
 //!   ([`faults::FaultPlan`]: crashes, stalls, straggler windows, queue
 //!   closes) identically into the threaded pool and the simulator, and
@@ -42,7 +45,7 @@
 //! [`sim::ServiceModel`] instead of the wall clock, making batch
 //! compositions, virtual latencies, and metrics bit-reproducible for a
 //! seeded arrival trace — `repro serve` and the scheduler tests run on this
-//! mode, the threaded server serves real traffic with the same policy code.
+//! mode, the threaded pool serves real traffic with the same policy code.
 //!
 //! ```
 //! use nbsmt_serve::prelude::*;
@@ -71,7 +74,7 @@ pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod registry;
-pub mod server;
+mod sched;
 pub mod session;
 pub mod sim;
 pub mod trace;
@@ -91,13 +94,10 @@ pub use faults::{
     HedgePolicy, ReplicaFaults, RetryPolicy,
 };
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
-pub use pool::{PoolBatchLog, PoolClient, PoolSnapshot, ReplicaPool};
+pub use pool::{PoolBatchLog, PoolClient, PoolSnapshot, ReplicaPool, RequestResult};
 pub use registry::ModelRegistry;
-pub use server::{Client, RequestResult, Server};
 pub use session::{Inference, Session};
-pub use sim::{
-    ArrivalProcess, BatchRecord, PoolBatchRecord, PoolSimOutcome, ServiceModel, SimOutcome,
-};
+pub use sim::{ArrivalProcess, PoolBatchRecord, PoolSimOutcome, ServiceModel};
 pub use trace::{
     layer_intervals, Clock, LayerKernel, TraceEvent, TraceRecorder, TraceSnapshot, TraceStage,
     DEFAULT_TRACE_CAPACITY,
@@ -120,12 +120,11 @@ pub mod prelude {
     pub use crate::metrics::MetricsSnapshot;
     pub use crate::pool::{PoolClient, PoolSnapshot, ReplicaPool};
     pub use crate::registry::ModelRegistry;
-    pub use crate::server::Server;
     pub use crate::session::{Inference, Session};
     pub use crate::sim::{
-        simulate, simulate_pool, simulate_pool_controlled, simulate_pool_controlled_stats,
+        simulate_pool, simulate_pool_controlled, simulate_pool_controlled_stats,
         simulate_pool_faulted, simulate_pool_stats, simulate_pool_traced, ArrivalProcess,
-        PoolSimOutcome, ServiceModel, SimOutcome,
+        PoolSimOutcome, ServiceModel,
     };
     pub use crate::trace::{Clock, TraceRecorder, TraceSnapshot, TraceStage};
     pub use crate::traffic::{GeneratedArrival, SizeModel, TrafficModel};

@@ -271,7 +271,7 @@ impl ServeMetrics {
     }
 
     /// Freezes a snapshot, deriving throughput from `elapsed_ns` (wall clock
-    /// for the threaded server, virtual makespan for the simulator).
+    /// for the threaded pool, virtual makespan for the simulator).
     pub fn snapshot(&self, elapsed_ns: u64) -> MetricsSnapshot {
         MetricsSnapshot {
             completed: self.completed,

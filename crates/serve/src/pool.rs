@@ -1,10 +1,11 @@
 //! Multi-replica sharded serving: a deterministic router in front of N
 //! scheduler workers, each owning its own [`BoundedQueue`], its own
 //! [`ExecContext`], and an SLO-aware [`AdaptiveState`] that walks the
-//! session ladder (dense → 2T → 4T) under pressure.
+//! session ladder (dense → 2T → 4T) under pressure. A one-replica pool with
+//! [`crate::config::AdaptivePolicy::pinned`] is the single-session server.
 //!
 //! The pool is the threaded half of the sharded serving layer; the
-//! discrete-event half is [`crate::sim::simulate_pool`]. Both drive the same
+//! discrete-event half is [`crate::sim::simulate_pool`]. Both use the same
 //! router arithmetic ([`RoutePolicy`], [`crate::config::route_hash`]) and
 //! the same adaptive state machine, which yields the **lockstep determinism
 //! contract**: when every request is submitted before the workers start (a
@@ -17,27 +18,30 @@
 //!
 //! Routing is decided at submission time from the submission sequence and
 //! the per-replica queue depths alone, so a single-threaded submitter drives
-//! all three policies deterministically.
+//! all four policies deterministically.
 //!
-//! The pool runs in one of three modes:
+//! The pool runs in one of two modes:
 //!
-//! - **Free-running** ([`ReplicaPool::start`] / [`ReplicaPool::start_paused`]):
-//!   each worker drains its own queue on the wall clock. The p95 adaptive
-//!   trigger observes real tail latency here, so its *timing* is outside the
-//!   lockstep contract (batch composition and routing still replay).
-//! - **Lockstep** ([`ReplicaPool::start_lockstep`]): a coordination gate owns
-//!   a virtual clock ([`ServiceModel`]) and grants batch launches in exactly
-//!   the simulator's event order, while the granted GEMMs still execute on
-//!   real threads in parallel. Latencies are recorded in virtual time, so
-//!   **both** adaptive triggers — depth *and* p95 — replay bit-identically
-//!   against [`crate::sim::simulate_pool_faulted`], as do fault schedules,
-//!   crash handoffs, and every quantile of the latency histogram.
-//! - **Live-faulted** ([`ReplicaPool::start_with_faults`]): the free-running
-//!   loop with a [`FaultPlan`] injected — crashes kill workers for real
-//!   (queues drain through the shared handoff rule), stalls sleep, and
-//!   stragglers pad service time. This is the mode the availability bench
-//!   drives with retrying/hedging clients.
+//! - **Free-running** ([`ReplicaPool::start`] / [`ReplicaPool::start_paused`]
+//!   / [`ReplicaPool::start_with_faults`]): each worker drains its own queue
+//!   on the wall clock. The p95 adaptive trigger observes real tail latency
+//!   here, so its *timing* is outside the lockstep contract (batch
+//!   composition and routing still replay). A [`FaultPlan`] applies for
+//!   real: crashes kill workers (queues drain through the shared handoff
+//!   rule), stalls sleep, and stragglers pad service time. This is the mode
+//!   the availability bench drives with retrying/hedging clients.
+//! - **Lockstep** ([`ReplicaPool::start_lockstep`]): the workers share the
+//!   simulator's `sched` scheduling core behind a mutex. It owns a virtual
+//!   clock ([`ServiceModel`]) and grants batch launches in the simulator's
+//!   event order, while the granted GEMMs still execute on real threads in
+//!   parallel. Latencies are
+//!   recorded in virtual time, so **both** adaptive triggers — depth *and*
+//!   p95 — replay bit-identically against
+//!   [`crate::sim::simulate_pool_faulted`], as do fault schedules, crash
+//!   handoffs, controller decisions, and every quantile of the latency
+//!   histogram.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -47,18 +51,20 @@ use nbsmt_tensor::exec::{ExecConfig, ExecContext};
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
-use crate::config::ServeError;
 use crate::config::{
-    AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, SubmitError, BATCH_LOG_CAP,
+    AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, ServeError, SubmitError, BATCH_LOG_CAP,
 };
-use crate::control::{ControlConfig, ControlEvent, ControlEventKind, PoolController};
+use crate::control::{ControlConfig, ControlEvent};
 use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::queue::{response_channel, BoundedQueue, ResponseHandle, ResponseSlot};
-use crate::server::RequestResult;
-use crate::session::Session;
+use crate::sched::{Launch, Queued, SchedCore};
+use crate::session::{Inference, Session};
 use crate::sim::ServiceModel;
-use crate::trace::{layer_intervals, BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
+use crate::trace::{BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
+
+/// Result delivered to each request's [`ResponseHandle`].
+pub type RequestResult = Result<Inference, ServeError>;
 
 struct PooledRequest {
     key: u64,
@@ -92,8 +98,9 @@ pub struct PoolSnapshot {
     pub per_replica: Vec<MetricsSnapshot>,
     /// Every adaptive mode switch, grouped by replica in replica order.
     pub transitions: Vec<ModeTransition>,
-    /// Per-batch log (replica order, launch order within a replica); only
-    /// recorded when the pool was started with recording enabled.
+    /// Per-batch log (replica order, launch order within a replica, for
+    /// free-running pools; launch order in lockstep mode); only recorded
+    /// when the pool was started with recording enabled.
     pub batch_log: Vec<PoolBatchLog>,
     /// Every crash handoff decision, in crash order then queue order —
     /// empty without fault injection. Part of the extended lockstep
@@ -136,18 +143,18 @@ struct RouterCore {
 }
 
 impl RouterCore {
+    /// Whether replica `i` is alive and admitting.
+    fn eligible(&self, i: usize) -> bool {
+        self.alive[i].load(Ordering::Acquire) && !self.queues[i].is_admissions_closed()
+    }
+
     /// Routes a key among the alive, admitting replicas through the shared
     /// [`pick_replica`] arithmetic (with every replica eligible this is
     /// exactly the fault-free router), or `None` when none is eligible.
     fn pick(&self, key: u64) -> Option<usize> {
-        let eligible: Vec<(usize, usize)> = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(i, queue)| {
-                self.alive[*i].load(Ordering::Acquire) && !queue.is_admissions_closed()
-            })
-            .map(|(i, queue)| (i, queue.len()))
+        let eligible: Vec<(usize, usize)> = (0..self.queues.len())
+            .filter(|&i| self.eligible(i))
+            .map(|i| (i, self.queues[i].len()))
             .collect();
         // The round-robin counter ticks per routed submission regardless of
         // the eligible-set size — the same clock the simulator advances.
@@ -206,28 +213,16 @@ impl PoolClient {
     }
 }
 
+/// What a free-running worker hands back at shutdown (lockstep workers
+/// return it empty: their state lives in the scheduling core).
+#[derive(Default)]
 struct ReplicaOutcome {
     metrics: ServeMetrics,
     transitions: Vec<ModeTransition>,
-    log: Vec<PoolBatchLog>,
-    handoffs: Vec<HandoffRecord>,
-    dropped_batches: u64,
     dropped_transitions: u64,
-}
-
-impl ReplicaOutcome {
-    /// The placeholder a lockstep worker returns — all deterministic state
-    /// lives in the gate and is pulled from there at shutdown.
-    fn empty() -> ReplicaOutcome {
-        ReplicaOutcome {
-            metrics: ServeMetrics::new(),
-            transitions: Vec::new(),
-            log: Vec::new(),
-            handoffs: Vec::new(),
-            dropped_batches: 0,
-            dropped_transitions: 0,
-        }
-    }
+    log: Vec<PoolBatchLog>,
+    dropped_batches: u64,
+    handoffs: Vec<HandoffRecord>,
 }
 
 struct Replica {
@@ -236,16 +231,15 @@ struct Replica {
 }
 
 /// How the pool's workers consume their queues (see the module docs).
-enum FaultMode {
-    /// Free-running wall-clock workers, no fault machinery.
-    None,
-    /// Free-running workers with a [`FaultPlan`] injected for real.
-    Live {
-        faults: Vec<ReplicaFaults>,
+enum Driver {
+    /// Wall-clock workers, each applying its slice of the plan for real
+    /// (an empty plan injects nothing).
+    FreeRunning {
+        plan: FaultPlan,
         service: ServiceModel,
     },
-    /// Virtual-clock coordination gate; workers only execute granted GEMMs.
-    Lockstep { gate: Arc<LockstepGate> },
+    /// Workers granted batches by the shared scheduling core.
+    Lockstep(Arc<LockstepGate>),
 }
 
 /// A running sharded serving instance: router → N replica workers, each
@@ -258,7 +252,7 @@ pub struct ReplicaPool {
     config: PoolConfig,
     exec: ExecConfig,
     record_log: bool,
-    mode: FaultMode,
+    driver: Driver,
     recorder: Option<Arc<TraceRecorder>>,
     started: Instant,
     running: bool,
@@ -271,7 +265,7 @@ impl ReplicaPool {
     ///
     /// # Errors
     ///
-    /// Rejects an empty ladder as [`ServeError::BadRequest`].
+    /// Same as [`Self::start_paused`].
     pub fn start(
         sessions: Vec<Arc<Session>>,
         config: PoolConfig,
@@ -288,7 +282,8 @@ impl ReplicaPool {
     /// mode — with the whole trace queued up front, batch formation is a
     /// pure function of queue contents and the run is bit-comparable to
     /// [`crate::sim::simulate_pool`]. `record_log` additionally captures the
-    /// per-batch composition log (unbounded memory — test/replay use only).
+    /// per-batch composition log, capped at [`BATCH_LOG_CAP`] entries with
+    /// the overflow counted in [`PoolSnapshot::dropped_batches`].
     ///
     /// # Errors
     ///
@@ -329,7 +324,10 @@ impl ReplicaPool {
             config,
             exec,
             record_log,
-            mode: FaultMode::None,
+            driver: Driver::FreeRunning {
+                plan: FaultPlan::none(),
+                service: ServiceModel::default(),
+            },
             recorder: None,
             started: Instant::now(),
             running: false,
@@ -365,10 +363,8 @@ impl ReplicaPool {
         service: ServiceModel,
     ) -> Result<ReplicaPool, ServeError> {
         let mut pool = Self::start_paused(sessions, config, exec, false)?;
-        pool.mode = FaultMode::Live {
-            faults: (0..pool.replicas.len())
-                .map(|r| plan.for_replica(r))
-                .collect(),
+        pool.driver = Driver::FreeRunning {
+            plan: plan.clone(),
             service,
         };
         pool.resume();
@@ -376,10 +372,10 @@ impl ReplicaPool {
     }
 
     /// Builds the pool in **lockstep** mode, paused: submissions accumulate
-    /// in the real queues; [`Self::resume`] then hands the whole burst to a
-    /// virtual-clock coordination gate that grants batch launches in the
+    /// in the real queues; [`Self::resume`] then hands the whole burst to
+    /// the shared scheduling core, which grants batch launches in the
     /// simulator's exact event order (GEMMs still run on real threads, in
-    /// parallel, outside the gate's lock). Latencies enter the histograms
+    /// parallel, outside the core's lock). Latencies enter the histograms
     /// in virtual [`ServiceModel`] time, so depth *and* p95 adaptive
     /// triggers, straggle factors, stalls, crash handoffs, and every
     /// latency quantile replay bit-identically against
@@ -397,45 +393,12 @@ impl ReplicaPool {
         plan: &FaultPlan,
     ) -> Result<ReplicaPool, ServeError> {
         let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
-        let n = pool.replicas.len();
-        let ladder = pool.sessions.len();
-        let gate = LockstepGate {
-            state: Mutex::new(GateState {
-                queues: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-                pending: std::collections::VecDeque::new(),
-                rr: 0,
-                t_free: vec![0; n],
-                batches: vec![0; n],
-                crashed: vec![false; n],
-                closed: vec![false; n],
-                adaptive: (0..n)
-                    .map(|r| AdaptiveState::new(pool.config.adaptive, r, ladder))
-                    .collect(),
-                faults: (0..n).map(|r| plan.for_replica(r)).collect(),
-                metrics: (0..n).map(|_| ServeMetrics::new()).collect(),
-                log: Vec::new(),
-                dropped_batches: 0,
-                handoffs: Vec::new(),
-                recorder: None,
-                controller: None,
-            }),
-            cv: Condvar::new(),
-            max_batch: pool.config.scheduler.batch.max_batch,
-            max_wait_ns: pool.config.scheduler.batch.max_wait_ns,
-            capacity: pool.config.scheduler.queue_capacity,
-            route: pool.config.route,
-            service,
-            record_log,
-        };
-        pool.mode = FaultMode::Lockstep {
-            gate: Arc::new(gate),
-        };
+        pool.lockstep(service, plan, None)?;
         Ok(pool)
     }
 
-    /// [`Self::start_lockstep`] plus a pool-level [`PoolController`]: the
-    /// gate calls the controller at the simulator's exact lifecycle points
-    /// (arrival admission, batch launch, post-batch steal check), so
+    /// [`Self::start_lockstep`] plus a pool-level
+    /// [`crate::control::PoolController`] inside the scheduling core, so
     /// autoscale events, steal events, and predictive mode transitions
     /// replay bit-identically against
     /// [`crate::sim::simulate_pool_controlled`] on the same timed trace.
@@ -454,114 +417,96 @@ impl ReplicaPool {
         plan: &FaultPlan,
         control: ControlConfig,
     ) -> Result<ReplicaPool, ServeError> {
-        let pool = Self::start_lockstep(sessions, config, exec, record_log, service, plan)?;
-        let rung_work_ns: Vec<u64> = pool.sessions.iter().map(|s| service.single_ns(s)).collect();
-        let controller = PoolController::new(control, rung_work_ns, pool.replicas.len())?;
-        let FaultMode::Lockstep { gate } = &pool.mode else {
-            unreachable!("start_lockstep always yields a lockstep pool");
-        };
-        gate.state.lock().expect("gate lock").controller = Some(controller);
+        let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
+        pool.lockstep(service, plan, Some(control))?;
         Ok(pool)
     }
 
+    /// Switches a paused pool to lockstep mode over a fresh scheduling
+    /// core.
+    fn lockstep(
+        &mut self,
+        service: ServiceModel,
+        plan: &FaultPlan,
+        control: Option<ControlConfig>,
+    ) -> Result<(), ServeError> {
+        let core = SchedCore::new(
+            &self.sessions,
+            &self.config,
+            self.config.scheduler.queue_capacity,
+            service,
+            Some(plan),
+            control,
+            self.record_log,
+        )?;
+        self.driver = Driver::Lockstep(Arc::new(LockstepGate {
+            state: Mutex::new(GateState {
+                core,
+                pending: VecDeque::new(),
+                recorder: None,
+            }),
+            cv: Condvar::new(),
+        }));
+        Ok(())
+    }
+
     /// Spawns the replica workers (idempotent). In lockstep mode this is
-    /// the burst boundary: every queued submission is handed to the gate
-    /// (submission order preserved, virtual arrival time 0) and the real
-    /// queues close, so late submissions get [`SubmitError::Closed`] —
-    /// exactly the "all requests precede the first launch" precondition of
-    /// the determinism contract.
+    /// the burst boundary: every queued submission is handed to the
+    /// scheduling core (submission order preserved, virtual arrival time 0)
+    /// and the real queues close, so late submissions get
+    /// [`SubmitError::Closed`] — exactly the "all requests precede the
+    /// first launch" precondition of the determinism contract.
     pub fn resume(&mut self) {
         if self.running {
             return;
         }
         self.running = true;
-        enum Spawn {
-            Normal,
-            Live(Vec<ReplicaFaults>, ServiceModel),
-            Lockstep(Arc<LockstepGate>),
-        }
-        let plan = match &self.mode {
-            FaultMode::None => Spawn::Normal,
-            FaultMode::Live { faults, service } => Spawn::Live(faults.clone(), *service),
-            FaultMode::Lockstep { gate } => Spawn::Lockstep(Arc::clone(gate)),
-        };
-        if let Spawn::Lockstep(gate) = &plan {
+        if let Driver::Lockstep(gate) = &self.driver {
             let mut state = gate.state.lock().expect("gate lock");
             state.recorder = self.recorder.clone();
             for (index, replica) in self.replicas.iter().enumerate() {
                 for req in replica.queue.drain_up_to(usize::MAX) {
                     // The burst arrives at virtual t = 0 on the replica the
-                    // router already picked — the same submit instant the
-                    // simulator records for an all-at-zero arrival trace.
-                    if let Some(rec) = &self.recorder {
-                        rec.record(
-                            TraceEvent::new(TraceStage::Submit, index, 0, 0).request(req.key),
-                        );
-                    }
-                    state.queues[index].push_back(GateRequest {
-                        req,
-                        ready_v: 0,
-                        submit_v: 0,
-                    });
+                    // router already picked — the simulator's submit instant
+                    // for an all-at-zero arrival trace.
+                    let item = Queued {
+                        id: req.key,
+                        key: req.key,
+                        submit_ns: 0,
+                        ready_ns: 0,
+                        payload: req,
+                    };
+                    state.core.enqueue(index, item, self.recorder.as_deref());
                 }
                 replica.queue.close();
             }
         }
         for (index, replica) in self.replicas.iter_mut().enumerate() {
-            let queue = Arc::clone(&replica.queue);
             let sessions = Arc::clone(&self.sessions);
-            let scheduler = self.config.scheduler;
-            let adaptive = self.config.adaptive;
             let exec = self.exec;
-            let record_log = self.record_log;
-            let router = Arc::clone(&self.router);
             let recorder = self.recorder.clone();
-            let worker = match &plan {
-                Spawn::Normal => std::thread::Builder::new()
-                    .name(format!("nbsmt-pool-{index}"))
-                    .spawn(move || {
-                        let ctx = ExecContext::new(exec);
-                        replica_loop(
-                            index,
-                            &queue,
-                            &sessions,
-                            &scheduler,
-                            adaptive,
-                            &ctx,
-                            record_log,
-                            recorder.as_deref(),
-                        )
-                    }),
-                Spawn::Live(faults, service) => {
-                    let faults = faults[index].clone();
-                    let service = *service;
-                    std::thread::Builder::new()
-                        .name(format!("nbsmt-pool-{index}"))
-                        .spawn(move || {
-                            let ctx = ExecContext::new(exec);
-                            replica_loop_faulted(
-                                index,
-                                &queue,
-                                &sessions,
-                                &scheduler,
-                                adaptive,
-                                &ctx,
-                                record_log,
-                                &router,
-                                &faults,
-                                service,
-                                recorder.as_deref(),
-                            )
-                        })
+            let thread = std::thread::Builder::new().name(format!("nbsmt-pool-{index}"));
+            let worker = match &self.driver {
+                Driver::FreeRunning { plan, service } => {
+                    let worker = ReplicaWorker {
+                        index,
+                        queue: Arc::clone(&replica.queue),
+                        router: Arc::clone(&self.router),
+                        sessions,
+                        config: self.config,
+                        record_log: self.record_log,
+                        faults: plan.for_replica(index),
+                        service: *service,
+                        recorder,
+                    };
+                    thread.spawn(move || worker.run(&ExecContext::new(exec)))
                 }
-                Spawn::Lockstep(gate) => {
+                Driver::Lockstep(gate) => {
                     let gate = Arc::clone(gate);
-                    std::thread::Builder::new()
-                        .name(format!("nbsmt-pool-{index}"))
-                        .spawn(move || {
-                            let ctx = ExecContext::new(exec);
-                            lockstep_loop(index, &gate, &sessions, &ctx, recorder.as_deref())
-                        })
+                    thread.spawn(move || {
+                        let ctx = ExecContext::new(exec);
+                        lockstep_loop(index, &gate, &sessions, &ctx, recorder.as_deref())
+                    })
                 }
             }
             .expect("spawning a replica worker succeeds");
@@ -582,18 +527,18 @@ impl ReplicaPool {
     }
 
     /// Queues a **virtual-time** submission on a paused lockstep pool: the
-    /// request arrives at virtual `at_ns` and is routed *inside* the gate at
-    /// that instant — admission interleaves with launches exactly as the
-    /// simulator's event loop does, so a timed trace (e.g. a seeded MMPP
-    /// burst from [`crate::traffic::TrafficModel`]) replays bit-identically
-    /// against [`crate::sim::simulate_pool`] with the matching
-    /// [`crate::sim::ArrivalProcess`]. `key` is the router/affinity key and
-    /// the [`crate::traffic::SizeModel`] input, so per-request sizes are
-    /// recomputed identically on both sides.
+    /// request arrives at virtual `at_ns` and is routed *inside* the
+    /// scheduling core at that instant — admission interleaves with
+    /// launches exactly as in the simulator, so a timed trace (e.g. a
+    /// seeded MMPP burst from [`crate::traffic::TrafficModel`]) replays
+    /// bit-identically against [`crate::sim::simulate_pool`] with the
+    /// matching [`crate::sim::ArrivalProcess`]. `key` is the router/affinity
+    /// key and the [`crate::traffic::SizeModel`] input, so per-request
+    /// sizes are recomputed identically on both sides.
     ///
     /// Submissions must be issued in non-decreasing `at_ns` order, before
-    /// [`Self::resume`]. A request shed by gate admission control cancels
-    /// its handle (the wait returns `None`), mirroring the simulator's
+    /// [`Self::resume`]. A request shed by admission control cancels its
+    /// handle (the wait returns `None`), mirroring the simulator's
     /// rejected-id accounting.
     ///
     /// # Errors
@@ -607,7 +552,7 @@ impl ReplicaPool {
         key: u64,
         input: Tensor<f32>,
     ) -> Result<ResponseHandle<RequestResult>, SubmitError> {
-        let FaultMode::Lockstep { gate } = &self.mode else {
+        let Driver::Lockstep(gate) = &self.driver else {
             return Err(SubmitError::Closed);
         };
         if self.running {
@@ -644,89 +589,74 @@ impl ReplicaPool {
             replica.queue.close();
         }
         let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let mut total = ServeMetrics::new();
-        let mut per_replica = Vec::new();
-        let mut transitions = Vec::new();
-        let mut batch_log = Vec::new();
-        let mut handoffs = Vec::new();
-        let mut dropped_batches = 0u64;
-        let mut dropped_transitions = 0u64;
-        let mut control_events = Vec::new();
-        let mut dropped_control_events = 0u64;
-        let mut replica_ns = (self.replicas.len() as u64).saturating_mul(elapsed);
-        let mut outcomes = Vec::new();
-        for replica in self.replicas.iter_mut() {
-            outcomes.push(
+        let outcomes: Vec<ReplicaOutcome> = self
+            .replicas
+            .iter_mut()
+            .map(|replica| {
                 replica
                     .worker
                     .take()
                     .expect("worker present until shutdown")
                     .join()
-                    .expect("replica worker exits cleanly"),
-            );
-        }
-        if let FaultMode::Lockstep { gate } = &self.mode {
-            // The deterministic state lives in the gate, not the worker
-            // outcomes (which are empty placeholders in lockstep mode).
-            let mut state = gate.state.lock().expect("gate lock");
-            outcomes = state
-                .metrics
-                .drain(..)
-                .map(|metrics| ReplicaOutcome {
-                    metrics,
-                    transitions: Vec::new(),
-                    log: Vec::new(),
-                    handoffs: Vec::new(),
-                    dropped_batches: 0,
-                    dropped_transitions: 0,
-                })
-                .collect();
-            for adaptive in state.adaptive.drain(..) {
-                dropped_transitions += adaptive.dropped_transitions();
-                transitions.extend(adaptive.into_transitions());
+                    .expect("replica worker exits cleanly")
+            })
+            .collect();
+        let mut snapshot = PoolSnapshot {
+            total: ServeMetrics::new().snapshot(elapsed),
+            per_replica: Vec::new(),
+            transitions: Vec::new(),
+            batch_log: Vec::new(),
+            handoffs: Vec::new(),
+            dropped_batches: 0,
+            dropped_transitions: 0,
+            control_events: Vec::new(),
+            dropped_control_events: 0,
+            replica_ns: (self.replicas.len() as u64).saturating_mul(elapsed),
+        };
+        let mut metrics = Vec::new();
+        match &self.driver {
+            Driver::Lockstep(gate) => {
+                // Lockstep workers only ran GEMMs: every deterministic
+                // count, and the virtual replica-ns, come from the core.
+                let out = gate.state.lock().expect("gate lock").core.finish();
+                metrics = out.metrics;
+                snapshot.transitions = out.transitions;
+                snapshot.dropped_transitions = out.dropped_transitions;
+                snapshot.batch_log = out
+                    .batches
+                    .into_iter()
+                    .map(|b| PoolBatchLog {
+                        replica: b.replica,
+                        mode: b.mode,
+                        keys: b.request_ids,
+                        queue_depth_after: b.queue_depth_after,
+                    })
+                    .collect();
+                snapshot.dropped_batches = out.dropped_batches;
+                snapshot.handoffs = out.handoffs;
+                snapshot.control_events = out.control_events;
+                snapshot.dropped_control_events = out.dropped_control_events;
+                snapshot.replica_ns = out.replica_ns;
             }
-            batch_log = std::mem::take(&mut state.log);
-            dropped_batches += state.dropped_batches;
-            handoffs = std::mem::take(&mut state.handoffs);
-            // Lockstep accounting is virtual: replica-seconds integrate over
-            // the virtual makespan (max finish time), exactly as the
-            // simulator's outcome does — the controller refines that with
-            // its scale-event log.
-            let makespan = state.t_free.iter().copied().max().unwrap_or(0);
-            match state.controller.take() {
-                Some(mut ctrl) => {
-                    replica_ns = ctrl.finalize_replica_ns(makespan);
-                    let (events, dropped) = ctrl.into_events();
-                    control_events = events;
-                    dropped_control_events = dropped;
-                }
-                None => {
-                    replica_ns = (self.replicas.len() as u64).saturating_mul(makespan);
+            Driver::FreeRunning { .. } => {
+                for outcome in outcomes {
+                    metrics.push(outcome.metrics);
+                    snapshot.transitions.extend(outcome.transitions);
+                    snapshot.dropped_transitions += outcome.dropped_transitions;
+                    snapshot.batch_log.extend(outcome.log);
+                    snapshot.dropped_batches += outcome.dropped_batches;
+                    snapshot.handoffs.extend(outcome.handoffs);
                 }
             }
         }
-        for (index, mut outcome) in outcomes.into_iter().enumerate() {
-            outcome.metrics.rejected += self.router.rejected[index].load(Ordering::Relaxed);
-            total.merge(&outcome.metrics);
-            per_replica.push(outcome.metrics.snapshot(elapsed));
-            transitions.extend(outcome.transitions);
-            batch_log.extend(outcome.log);
-            handoffs.extend(outcome.handoffs);
-            dropped_batches += outcome.dropped_batches;
-            dropped_transitions += outcome.dropped_transitions;
+        let mut total = ServeMetrics::new();
+        for (replica, rejected) in metrics.iter_mut().zip(&self.router.rejected) {
+            replica.rejected += rejected.load(Ordering::Relaxed);
+            total.merge(replica);
         }
-        PoolSnapshot {
-            total: total.snapshot(elapsed),
-            per_replica,
-            transitions,
-            batch_log,
-            handoffs,
-            dropped_batches,
-            dropped_transitions,
-            control_events,
-            dropped_control_events,
-            replica_ns,
-        }
+        snapshot.total = total.snapshot(elapsed);
+        snapshot.per_replica = metrics.iter().map(|m| m.snapshot(elapsed)).collect();
+        snapshot
     }
 }
 
@@ -743,637 +673,266 @@ impl Drop for ReplicaPool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replica_loop(
+/// One free-running replica worker: drains its queue on the wall clock and
+/// applies its slice of the fault plan for real.
+struct ReplicaWorker {
     index: usize,
-    queue: &BoundedQueue<PooledRequest>,
-    sessions: &[Arc<Session>],
-    scheduler: &crate::config::SchedulerConfig,
-    adaptive: crate::config::AdaptivePolicy,
-    ctx: &ExecContext,
+    queue: Arc<BoundedQueue<PooledRequest>>,
+    router: Arc<RouterCore>,
+    sessions: Arc<Vec<Arc<Session>>>,
+    config: PoolConfig,
     record_log: bool,
-    recorder: Option<&TraceRecorder>,
-) -> ReplicaOutcome {
-    let mut metrics = ServeMetrics::new();
-    let mut state = AdaptiveState::new(adaptive, index, sessions.len());
-    let mut log = Vec::new();
-    let mut dropped_batches = 0u64;
-    let mut batch_index = 0u64;
-    let max_batch = scheduler.batch.max_batch;
-    let max_wait = Duration::from_nanos(scheduler.batch.max_wait_ns);
-    while let Some(first) = queue.pop_blocking() {
-        let deadline = first.submitted + max_wait;
-        let batch = queue.collect_batch(first, max_batch, deadline);
-        let depth_after = queue.len();
-        let mode = state.mode();
-        metrics.record_batch(batch.len(), depth_after);
-        metrics.record_mode_batch(mode);
-        batch_index += 1;
-        if record_log {
-            if log.len() < BATCH_LOG_CAP {
-                log.push(PoolBatchLog {
-                    replica: index,
-                    mode,
-                    keys: batch.iter().map(|r| r.key).collect(),
-                    queue_depth_after: depth_after,
-                });
-            } else {
-                dropped_batches += 1;
-            }
-        }
-        let trace = recorder.map(|rec| BatchTraceCtx {
-            recorder: rec,
-            replica: index,
-            batch_index,
-            mode,
-        });
-        crate::server::execute_batch(&sessions[mode], ctx, batch, &mut metrics, trace.as_ref());
-        // Policy evaluation runs after the batch's latencies landed in the
-        // histogram; a switch applies from the next batch on.
-        let p95 = metrics.latency.quantile(0.95);
-        if state.observe_batch(depth_after, p95).is_some() {
-            metrics.record_transition();
-        }
-    }
-    ReplicaOutcome {
-        metrics,
-        dropped_transitions: state.dropped_transitions(),
-        transitions: state.into_transitions(),
-        log,
-        handoffs: Vec::new(),
-        dropped_batches,
-    }
-}
-
-/// The free-running worker loop with a fault schedule injected for real:
-/// identical to [`replica_loop`] batch-for-batch, plus the replica-local
-/// 1-based batch clock the [`ReplicaFaults`] cursor consumes. Straggle
-/// windows sleep out the extra service time the factor implies, stalls
-/// sleep, a queue close half-closes admissions (queued work still drains),
-/// and a crash kills the worker: it un-registers from the router *first*,
-/// closes its queue, then drains and re-routes every orphan through the
-/// shared [`pick_handoff_target`] rule — or sheds it (dropping the slot
-/// cancels the request, so no client ever hangs on a dead replica).
-#[allow(clippy::too_many_arguments)]
-fn replica_loop_faulted(
-    index: usize,
-    queue: &BoundedQueue<PooledRequest>,
-    sessions: &[Arc<Session>],
-    scheduler: &crate::config::SchedulerConfig,
-    adaptive: crate::config::AdaptivePolicy,
-    ctx: &ExecContext,
-    record_log: bool,
-    router: &RouterCore,
-    faults: &ReplicaFaults,
+    faults: ReplicaFaults,
     service: ServiceModel,
-    recorder: Option<&TraceRecorder>,
-) -> ReplicaOutcome {
-    let mut metrics = ServeMetrics::new();
-    let mut state = AdaptiveState::new(adaptive, index, sessions.len());
-    let mut log = Vec::new();
-    let mut dropped_batches = 0u64;
-    let mut handoffs = Vec::new();
-    let mut batch_index = 0u64;
-    let max_batch = scheduler.batch.max_batch;
-    let max_wait = Duration::from_nanos(scheduler.batch.max_wait_ns);
-    while let Some(first) = queue.pop_blocking() {
-        batch_index += 1;
-        let deadline = first.submitted + max_wait;
-        let batch = queue.collect_batch(first, max_batch, deadline);
-        let depth_after = queue.len();
-        let mode = state.mode();
-        let batch_len = batch.len();
-        let batch_keys: Vec<u64> = batch.iter().map(|r| r.key).collect();
-        metrics.record_batch(batch_len, depth_after);
-        metrics.record_mode_batch(mode);
-        if record_log {
-            if log.len() < BATCH_LOG_CAP {
-                log.push(PoolBatchLog {
-                    replica: index,
-                    mode,
-                    keys: batch.iter().map(|r| r.key).collect(),
-                    queue_depth_after: depth_after,
-                });
-            } else {
-                dropped_batches += 1;
+    recorder: Option<Arc<TraceRecorder>>,
+}
+
+impl ReplicaWorker {
+    /// The worker loop. A batch opens at the first queued request and
+    /// closes when it fills or that request's wait budget is spent; the
+    /// 1-based batch count is the fault plan's clock. A straggle window
+    /// sleeps out the extra service time its factor implies, a stall
+    /// sleeps, a queue close half-closes admissions (queued work still
+    /// drains), and a crash ends the loop after handing the queue off.
+    fn run(self, ctx: &ExecContext) -> ReplicaOutcome {
+        let mut out = ReplicaOutcome::default();
+        let mut adaptive =
+            AdaptiveState::new(self.config.adaptive, self.index, self.sessions.len());
+        let max_batch = self.config.scheduler.batch.max_batch;
+        let max_wait = Duration::from_nanos(self.config.scheduler.batch.max_wait_ns);
+        let mut batch_index = 0u64;
+        while let Some(first) = self.queue.pop_blocking() {
+            batch_index += 1;
+            let deadline = first.submitted + max_wait;
+            let batch = self.queue.collect_batch(first, max_batch, deadline);
+            let depth_after = self.queue.len();
+            let mode = adaptive.mode();
+            out.metrics.record_batch(batch.len(), depth_after);
+            out.metrics.record_mode_batch(mode);
+            if self.record_log {
+                if out.log.len() < BATCH_LOG_CAP {
+                    out.log.push(PoolBatchLog {
+                        replica: self.index,
+                        mode,
+                        keys: batch.iter().map(|r| r.key).collect(),
+                        queue_depth_after: depth_after,
+                    });
+                } else {
+                    out.dropped_batches += 1;
+                }
             }
-        }
-        let trace = recorder.map(|rec| BatchTraceCtx {
-            recorder: rec,
-            replica: index,
-            batch_index,
-            mode,
-        });
-        crate::server::execute_batch(&sessions[mode], ctx, batch, &mut metrics, trace.as_ref());
-        let factor = faults.service_factor_x1024(batch_index);
-        if factor > 1024 {
-            // The straggler pads the batch with the *extra* time the factor
+            // The straggler pads the batch with the *extra* time its factor
             // implies over the service model's size-aware nominal cost.
-            let extra = (service.batch_ns(&sessions[mode], batch_keys.iter().copied()) as u128
-                * (factor - 1024) as u128
-                / 1024)
-                .min(u128::from(u64::MAX)) as u64;
-            std::thread::sleep(Duration::from_nanos(extra));
-        }
-        let p95 = metrics.latency.quantile(0.95);
-        if state.observe_batch(depth_after, p95).is_some() {
-            metrics.record_transition();
-        }
-        let post = faults.after_batch(batch_index);
-        if post.stall_ns > 0 {
-            metrics.record_stall();
-            std::thread::sleep(Duration::from_nanos(post.stall_ns));
-        }
-        if post.close_queue {
-            queue.close_admissions();
-        }
-        if post.crashed {
-            // Order matters: leave the routing set before closing, so no
-            // submission races into a queue about to drain.
-            router.alive[index].store(false, Ordering::Release);
-            queue.close_admissions();
-            metrics.record_crash();
-            let orphans = queue.drain_up_to(usize::MAX);
-            let mut cursor = (index + 1) % router.queues.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = router
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        (
-                            router.alive[i].load(Ordering::Acquire) && !q.is_admissions_closed(),
-                            q.len(),
-                        )
-                    })
-                    .collect();
-                let key = orphan.key;
-                let target = pick_handoff_target(index, &mut cursor, &states, queue.capacity());
-                let to_replica = match target {
-                    Some(t) => {
-                        if router.queues[t].try_push(orphan).is_ok() {
-                            metrics.record_handoff();
-                            Some(t)
-                        } else {
-                            // Raced to full/closed: the drop cancels it.
-                            metrics.record_handoff_shed();
-                            None
-                        }
-                    }
-                    None => {
-                        metrics.record_handoff_shed();
-                        None
-                    }
-                };
-                handoffs.push(HandoffRecord {
-                    from_replica: index,
-                    at_batch: batch_index,
-                    key,
-                    to_replica,
-                });
+            let factor = self.faults.service_factor_x1024(batch_index);
+            let straggle_ns = if factor > 1024 {
+                let nominal = self
+                    .service
+                    .batch_ns(&self.sessions[mode], batch.iter().map(|r| r.key));
+                (nominal as u128 * (factor - 1024) as u128 / 1024).min(u128::from(u64::MAX)) as u64
+            } else {
+                0
+            };
+            self.execute(ctx, batch, batch_index, mode, &mut out.metrics);
+            if straggle_ns > 0 {
+                std::thread::sleep(Duration::from_nanos(straggle_ns));
             }
-            break;
+            // Policy evaluation runs after the batch's latencies landed in
+            // the histogram; a switch applies from the next batch on.
+            let p95 = out.metrics.latency.quantile(0.95);
+            if adaptive.observe_batch(depth_after, p95).is_some() {
+                out.metrics.record_transition();
+            }
+            let post = self.faults.after_batch(batch_index);
+            if post.stall_ns > 0 {
+                out.metrics.record_stall();
+                std::thread::sleep(Duration::from_nanos(post.stall_ns));
+            }
+            if post.close_queue {
+                self.queue.close_admissions();
+            }
+            if post.crashed {
+                self.crash(batch_index, &mut out);
+                break;
+            }
+        }
+        out.dropped_transitions = adaptive.dropped_transitions();
+        out.transitions = adaptive.into_transitions();
+        out
+    }
+
+    /// Executes one batch, records its wall-clock latencies (and, with a
+    /// recorder, its span chain), and answers every request. A failing
+    /// batch answers each of its requests with the error; the worker keeps
+    /// serving.
+    fn execute(
+        &self,
+        ctx: &ExecContext,
+        batch: Vec<PooledRequest>,
+        batch_index: u64,
+        mode: usize,
+        metrics: &mut ServeMetrics,
+    ) {
+        let inputs: Vec<&Tensor<f32>> = batch.iter().map(|r| &r.input).collect();
+        let mut kernels = Vec::new();
+        let exec_start = Instant::now();
+        let result = self.sessions[mode].infer_batch_inner(
+            ctx,
+            &inputs,
+            self.recorder.as_ref().map(|_| &mut kernels),
+        );
+        let responses = match result {
+            Ok(responses) => responses,
+            Err(e) => {
+                for request in batch {
+                    request.slot.complete(Err(e.clone()));
+                }
+                return;
+            }
+        };
+        let done = Instant::now();
+        if let Some(rec) = &self.recorder {
+            let clock = rec.clock();
+            let start_ns = clock.instant_ns(exec_start);
+            let dur_ns = clock.instant_ns(done).saturating_sub(start_ns);
+            let submits = || batch.iter().map(|r| (r.key, clock.instant_ns(r.submitted)));
+            for (key, submit_ns) in submits() {
+                rec.record(
+                    TraceEvent::new(TraceStage::Submit, self.index, submit_ns, 0).request(key),
+                );
+            }
+            let trace = BatchTraceCtx {
+                recorder: rec,
+                replica: self.index,
+                batch_index,
+                mode,
+            };
+            trace.record_batch(start_ns, dur_ns, submits());
+            trace.record_kernels(start_ns, dur_ns, &kernels);
+        }
+        let nanos = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let service_ns = nanos(done.saturating_duration_since(exec_start));
+        for (request, response) in batch.into_iter().zip(responses) {
+            let wait_ns = nanos(exec_start.saturating_duration_since(request.submitted));
+            metrics.record_stage_split(wait_ns, service_ns);
+            metrics.record_latency(nanos(done.saturating_duration_since(request.submitted)));
+            request.slot.complete(Ok(response));
         }
     }
-    ReplicaOutcome {
-        metrics,
-        dropped_transitions: state.dropped_transitions(),
-        transitions: state.into_transitions(),
-        log,
-        handoffs,
-        dropped_batches,
+
+    /// A crash kills the worker: it leaves the routing set *first*, so no
+    /// submission races into a queue about to drain, closes admissions,
+    /// then hands every orphan to a survivor through the shared
+    /// [`pick_handoff_target`] rule — or sheds it (dropping the slot cancels
+    /// the request, so no client ever hangs on a dead replica).
+    fn crash(&self, batch_index: u64, out: &mut ReplicaOutcome) {
+        let router = &self.router;
+        router.alive[self.index].store(false, Ordering::Release);
+        self.queue.close_admissions();
+        out.metrics.record_crash();
+        let mut cursor = (self.index + 1) % router.queues.len();
+        for orphan in self.queue.drain_up_to(usize::MAX) {
+            let states: Vec<(bool, usize)> = (0..router.queues.len())
+                .map(|i| (router.eligible(i), router.queues[i].len()))
+                .collect();
+            let key = orphan.key;
+            // A push that raced to a full or closed queue sheds too.
+            let to_replica =
+                pick_handoff_target(self.index, &mut cursor, &states, self.queue.capacity())
+                    .filter(|&t| router.queues[t].try_push(orphan).is_ok());
+            match to_replica {
+                Some(_) => out.metrics.record_handoff(),
+                None => out.metrics.record_handoff_shed(),
+            }
+            out.handoffs.push(HandoffRecord {
+                from_replica: self.index,
+                at_batch: batch_index,
+                key,
+                to_replica,
+            });
+        }
     }
 }
 
-/// One request as the lockstep gate holds it: virtual arrival/ready times
-/// replace the wall-clock `submitted` instant (a burst submits everything
-/// at virtual t = 0; a crash handoff re-readies the request at the crash
-/// instant while its latency stays anchored at submission).
-struct GateRequest {
-    req: PooledRequest,
-    ready_v: u64,
-    submit_v: u64,
-}
-
-/// A virtual-time submission waiting to be routed by the lockstep gate —
-/// the threaded counterpart of the simulator's pending-arrival queue.
+/// A virtual-time submission the lockstep core has not admitted yet.
 struct PendingSubmission {
     at_ns: u64,
     req: PooledRequest,
 }
 
-/// All deterministic pool state in lockstep mode, owned by one mutex so a
-/// launch grant commits atomically in virtual-time order.
+/// The lockstep pool's shared state: the scheduling core plus the timed
+/// submissions it has not reached yet, under one mutex so each grant
+/// commits atomically in virtual-time order.
 struct GateState {
-    queues: Vec<std::collections::VecDeque<GateRequest>>,
+    core: SchedCore<PooledRequest>,
     /// Timed arrivals from [`ReplicaPool::submit_virtual`], ascending by
-    /// `at_ns`; routed inside the gate at their virtual arrival instant
-    /// (admission precedes any launch at or after that instant, exactly the
-    /// simulator's event interleaving).
-    pending: std::collections::VecDeque<PendingSubmission>,
-    /// Round-robin tick for gate-side routing — the virtual twin of
-    /// [`RouterCore`]'s counter.
-    rr: u64,
-    t_free: Vec<u64>,
-    batches: Vec<u64>,
-    crashed: Vec<bool>,
-    closed: Vec<bool>,
-    adaptive: Vec<AdaptiveState>,
-    faults: Vec<ReplicaFaults>,
-    metrics: Vec<ServeMetrics>,
-    log: Vec<PoolBatchLog>,
-    dropped_batches: u64,
-    handoffs: Vec<HandoffRecord>,
+    /// `at_ns`; each is admitted once no launch precedes it.
+    pending: VecDeque<PendingSubmission>,
     recorder: Option<Arc<TraceRecorder>>,
-    /// Pool-level controller (autoscaling, stealing, predictive mode) —
-    /// present only for [`ReplicaPool::start_lockstep_controlled`], hooked
-    /// at the same lifecycle points as the simulator's.
-    controller: Option<PoolController>,
 }
 
-/// Everything a lockstep worker needs after its batch was committed: the
-/// drained requests, the rung to execute at, and the virtual-time window the
-/// gate assigned (so the worker can emit kernel spans inside it).
-struct GrantedBatch {
-    batch: Vec<GateRequest>,
-    mode: usize,
-    batch_index: u64,
-    launch: u64,
-    service_ns: u64,
-}
-
-/// The virtual-clock coordinator of [`ReplicaPool::start_lockstep`]: grants
-/// batch launches in exactly the discrete-event simulator's order. A worker
-/// asks the gate for its next batch; the gate blocks it until its replica
-/// owns the *earliest* launchable batch pool-wide, then commits the batch
-/// (drain, metrics with virtual latencies, adaptive evaluation, post-batch
-/// fault effects, crash handoffs) under the lock and releases the worker to
-/// run the GEMM outside it — so determinism costs no parallelism.
+/// The coordinator of [`ReplicaPool::start_lockstep`]. A worker asks for
+/// its next batch and blocks until its replica owns the earliest launch
+/// pool-wide; the core commits the launch under the lock and the worker
+/// runs the GEMM outside it — so determinism costs no parallelism.
 struct LockstepGate {
     state: Mutex<GateState>,
     cv: Condvar,
-    max_batch: usize,
-    max_wait_ns: u64,
-    capacity: usize,
-    route: RoutePolicy,
-    service: ServiceModel,
-    record_log: bool,
 }
 
 impl LockstepGate {
     /// Blocks until replica `r` owns the earliest launch (ties break to the
     /// lowest replica index, as in the simulator), commits it, and returns
-    /// the granted batch and its ladder rung — or `None` when `r` has
-    /// crashed or the pool has fully drained.
-    fn acquire(&self, r: usize, sessions: &[Arc<Session>]) -> Option<GrantedBatch> {
-        let mut state = self.state.lock().expect("gate lock");
+    /// the batch — or `None` when `r` has crashed or the pool has fully
+    /// drained.
+    fn acquire(&self, r: usize) -> Option<(Vec<Queued<PooledRequest>>, Launch)> {
+        let mut guard = self.state.lock().expect("gate lock");
         loop {
-            if state.crashed[r] {
+            let state = &mut *guard;
+            if state.core.is_crashed(r) {
                 return None;
             }
-            if state.queues.iter().all(|q| q.is_empty()) && state.pending.is_empty() {
+            let rec = state.recorder.as_deref();
+            let next = state.core.next_launch();
+            // Timed arrivals at or before the next launch are admitted
+            // first — the simulator's event interleaving.
+            if state
+                .pending
+                .front()
+                .is_some_and(|p| next.is_none_or(|(at, _)| p.at_ns <= at))
+            {
+                let sub = state.pending.pop_front().expect("front checked");
+                let key = sub.req.key;
+                // A shed request's dropped slot cancels its handle.
+                let _ = state.core.admit(key, key, sub.at_ns, sub.req, rec);
+                // Admission may change which replica owns the earliest
+                // launch: wake everyone to recompute.
+                self.cv.notify_all();
+                continue;
+            }
+            match next {
                 // Fully drained: release every parked worker so the pool
                 // shuts down instead of deadlocking on the last notify.
-                self.cv.notify_all();
-                return None;
-            }
-            // Earliest launch any live replica could perform — the exact
-            // arithmetic of the simulator's next-launch scan.
-            let mut best: Option<(u64, usize)> = None;
-            for i in 0..state.queues.len() {
-                if state.crashed[i] || state.queues[i].is_empty() {
-                    continue;
-                }
-                let launch = if state.queues[i].len() >= self.max_batch {
-                    state.t_free[i].max(state.queues[i][self.max_batch - 1].ready_v)
-                } else {
-                    state.t_free[i].max(state.queues[i][0].ready_v.saturating_add(self.max_wait_ns))
-                };
-                if best.is_none_or(|(b, _)| launch < b) {
-                    best = Some((launch, i));
-                }
-            }
-            // Timed arrivals at or before that launch are routed and
-            // admitted first — the simulator's exact event interleaving,
-            // with the same [`pick_replica`] arithmetic over the gate's
-            // virtual queue depths.
-            if let Some(front_t) = state.pending.front().map(|p| p.at_ns) {
-                if best.is_none_or(|(launch, _)| front_t <= launch) {
-                    let sub = state.pending.pop_front().expect("front checked");
-                    // The controller observes every admitted arrival before
-                    // routing — the simulator's exact hook point — and its
-                    // decisions (scale up/down, predictive shifts) apply to
-                    // this very arrival's eligible set.
-                    let (events, live_after) = match state.controller.as_mut() {
-                        Some(ctrl) => {
-                            let events = ctrl.on_arrival(sub.at_ns);
-                            (events, ctrl.live())
-                        }
-                        None => (Vec::new(), 0),
-                    };
-                    for event in events {
-                        gate_apply_scale_event(&mut state, event, live_after, self.capacity);
-                    }
-                    let live = state
-                        .controller
-                        .as_ref()
-                        .map_or(state.queues.len(), PoolController::live);
-                    let eligible: Vec<(usize, usize)> = (0..state.queues.len())
-                        .filter(|&i| i < live && !state.crashed[i] && !state.closed[i])
-                        .map(|i| (i, state.queues[i].len()))
-                        .collect();
-                    let tick = state.rr;
-                    if self.route == RoutePolicy::RoundRobin {
-                        state.rr += 1;
-                    }
-                    match pick_replica(self.route, sub.req.key, tick, &eligible) {
-                        Some(target) => {
-                            if state.queues[target].len() < self.capacity {
-                                if let Some(rec) = state.recorder.clone() {
-                                    rec.record(
-                                        TraceEvent::new(TraceStage::Submit, target, sub.at_ns, 0)
-                                            .request(sub.req.key),
-                                    );
-                                }
-                                state.queues[target].push_back(GateRequest {
-                                    req: sub.req,
-                                    ready_v: sub.at_ns,
-                                    submit_v: sub.at_ns,
-                                });
-                            } else {
-                                // Shed: dropping the slot cancels the
-                                // client's handle, mirroring the
-                                // simulator's rejected-id accounting.
-                                state.metrics[target].record_rejected();
-                            }
-                        }
-                        None => {
-                            // Every replica dead or closed — attribute the
-                            // shed to replica 0, as the simulator does.
-                            state.metrics[0].record_rejected();
-                        }
-                    }
-                    // Admission may have changed which replica owns the
-                    // earliest launch: wake everyone to recompute.
+                None => {
                     self.cv.notify_all();
-                    continue;
+                    return None;
                 }
-            }
-            let Some((launch, winner)) = best else {
-                // Only crashed replicas hold work — unreachable because a
-                // crash drains its queue, but parking is the safe answer.
-                state = self.cv.wait(state).expect("gate lock");
-                continue;
-            };
-            if winner != r {
-                state = self.cv.wait(state).expect("gate lock");
-                continue;
-            }
-            let granted = self.commit(&mut state, r, launch, sessions);
-            self.cv.notify_all();
-            return Some(granted);
-        }
-    }
-
-    /// Commits replica `r`'s batch at virtual time `launch` — the mirror,
-    /// statement for statement, of the simulator's launch arm (latencies →
-    /// adaptive evaluation → post-batch fault effects → crash handoff).
-    fn commit(
-        &self,
-        state: &mut GateState,
-        r: usize,
-        launch: u64,
-        sessions: &[Arc<Session>],
-    ) -> GrantedBatch {
-        let batch_index = state.batches[r] + 1;
-        let take = state.queues[r].len().min(self.max_batch);
-        let batch: Vec<GateRequest> = state.queues[r].drain(..take).collect();
-        let reactive_mode = state.adaptive[r].mode();
-        let mode = state
-            .controller
-            .as_ref()
-            .map_or(reactive_mode, |c| c.effective_mode(reactive_mode));
-        let factor = state.faults[r].service_factor_x1024(batch_index);
-        // Size-aware virtual cost, recomputed from the submitted keys — the
-        // same pure function of (size seed, key) the simulator evaluates, so
-        // heterogeneous request sizes stay inside the lockstep contract.
-        let base_ns = self
-            .service
-            .batch_ns(&sessions[mode], batch.iter().map(|g| g.req.key));
-        let service_ns = (base_ns as u128 * factor as u128 / 1024).min(u128::from(u64::MAX)) as u64;
-        let finish = launch.saturating_add(service_ns);
-        let depth_after = state.queues[r].len();
-        state.metrics[r].record_batch(batch.len(), depth_after);
-        state.metrics[r].record_mode_batch(mode);
-        for item in &batch {
-            state.metrics[r].record_stage_split(launch.saturating_sub(item.submit_v), service_ns);
-            state.metrics[r].record_latency(finish.saturating_sub(item.submit_v));
-        }
-        if let Some(rec) = state.recorder.clone() {
-            // Identical arithmetic and fields to the simulator's launch arm
-            // — the canonical snapshot order makes the byte-identical trace
-            // contract hold even though workers interleave.
-            rec.record(
-                TraceEvent::new(TraceStage::Batch, r, launch, service_ns)
-                    .batch(batch_index)
-                    .mode(mode)
-                    .batch_size(batch.len()),
-            );
-            for item in &batch {
-                rec.record(
-                    TraceEvent::new(
-                        TraceStage::QueueWait,
-                        r,
-                        item.submit_v,
-                        launch.saturating_sub(item.submit_v),
-                    )
-                    .request(item.req.key)
-                    .batch(batch_index),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Service, r, launch, service_ns)
-                        .request(item.req.key)
-                        .batch(batch_index)
-                        .mode(mode),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Respond, r, finish, 0)
-                        .request(item.req.key)
-                        .batch(batch_index),
-                );
-            }
-        }
-        if self.record_log {
-            if state.log.len() < BATCH_LOG_CAP {
-                state.log.push(PoolBatchLog {
-                    replica: r,
-                    mode,
-                    keys: batch.iter().map(|g| g.req.key).collect(),
-                    queue_depth_after: depth_after,
-                });
-            } else {
-                state.dropped_batches += 1;
-            }
-        }
-        state.t_free[r] = finish;
-        // Both adaptive triggers read virtual state here: depth from the
-        // drain, p95 from the virtual-latency histogram.
-        let p95 = state.metrics[r].latency.quantile(0.95);
-        if state.adaptive[r].observe_batch(depth_after, p95).is_some() {
-            state.metrics[r].record_transition();
-        }
-        state.batches[r] = batch_index;
-        let post = state.faults[r].after_batch(batch_index);
-        if post.stall_ns > 0 {
-            state.t_free[r] = state.t_free[r].saturating_add(post.stall_ns);
-            state.metrics[r].record_stall();
-        }
-        if post.close_queue {
-            state.closed[r] = true;
-        }
-        if post.crashed {
-            state.crashed[r] = true;
-            state.closed[r] = true;
-            state.metrics[r].record_crash();
-            let crash_time = state.t_free[r];
-            let orphans: Vec<GateRequest> = state.queues[r].drain(..).collect();
-            let mut cursor = (r + 1) % state.queues.len();
-            let live = state
-                .controller
-                .as_ref()
-                .map_or(state.queues.len(), PoolController::live);
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = state
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| (i < live && !state.crashed[i] && !state.closed[i], q.len()))
-                    .collect();
-                let target = pick_handoff_target(r, &mut cursor, &states, self.capacity);
-                state.handoffs.push(HandoffRecord {
-                    from_replica: r,
-                    at_batch: batch_index,
-                    key: orphan.req.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        state.queues[t].push_back(GateRequest {
-                            ready_v: crash_time,
-                            ..orphan
-                        });
-                        state.metrics[r].record_handoff();
-                    }
-                    None => {
-                        // The drop cancels the orphan's response handle.
-                        state.metrics[r].record_handoff_shed();
-                    }
+                Some((at, winner)) if winner == r => {
+                    let mut batch = Vec::new();
+                    let launch = state.core.launch(r, at, &mut batch, rec);
+                    self.cv.notify_all();
+                    return Some((batch, launch));
                 }
+                Some(_) => guard = self.cv.wait(guard).expect("gate lock"),
             }
-        }
-        // Work stealing runs strictly after post-batch fault effects — the
-        // simulator's exact hook point at the end of its launch arm.
-        if state.controller.is_some() {
-            let live = state
-                .controller
-                .as_ref()
-                .map_or(state.queues.len(), PoolController::live);
-            let depths: Vec<(usize, usize)> = (0..state.queues.len())
-                .take(live)
-                .filter(|&i| !state.crashed[i] && !state.closed[i])
-                .map(|i| (i, state.queues[i].len()))
-                .collect();
-            let event = state
-                .controller
-                .as_mut()
-                .and_then(|ctrl| ctrl.steal_check(launch, &depths, self.capacity));
-            if let Some(event) = event {
-                if let ControlEventKind::Steal { from, to, moved } = event.kind {
-                    let split = state.queues[from].len() - moved;
-                    let stolen: Vec<GateRequest> = state.queues[from].split_off(split).into();
-                    for item in stolen {
-                        let ready_v = item.ready_v.max(event.at_ns);
-                        state.queues[to].push_back(GateRequest { ready_v, ..item });
-                    }
-                    state.metrics[0].record_steal(moved);
-                    if let Some(rec) = state.recorder.clone() {
-                        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-                    }
-                }
-            }
-        }
-        GrantedBatch {
-            batch,
-            mode,
-            batch_index,
-            launch,
-            service_ns,
         }
     }
 }
 
-/// Applies one controller decision to the gate — the mirror, statement for
-/// statement, of the simulator's `apply_scale_event`: an instant `Control`
-/// trace mark, the pool-level counter on replica 0, and for a scale-down
-/// the deactivated replica's queue drained through the shared
-/// [`pick_handoff_target`] rule onto the surviving live set (or shed — the
-/// dropped slot cancels the request).
-fn gate_apply_scale_event(
-    state: &mut GateState,
-    event: ControlEvent,
-    live_after: usize,
-    capacity: usize,
-) {
-    if let Some(rec) = state.recorder.clone() {
-        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-    }
-    match event.kind {
-        ControlEventKind::PredictiveShift { .. } => state.metrics[0].record_predictive_shift(),
-        ControlEventKind::ScaleUp { .. } => state.metrics[0].record_scale_up(),
-        ControlEventKind::ScaleDown { to: deact, .. } => {
-            state.metrics[0].record_scale_down();
-            let at_batch = state.batches[deact];
-            let orphans: Vec<GateRequest> = state.queues[deact].drain(..).collect();
-            let mut cursor = (deact + 1) % state.queues.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = state
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        (
-                            i < live_after && !state.crashed[i] && !state.closed[i],
-                            q.len(),
-                        )
-                    })
-                    .collect();
-                let target = pick_handoff_target(deact, &mut cursor, &states, capacity);
-                state.handoffs.push(HandoffRecord {
-                    from_replica: deact,
-                    at_batch,
-                    key: orphan.req.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        let ready_v = orphan.ready_v.max(event.at_ns);
-                        state.queues[t].push_back(GateRequest { ready_v, ..orphan });
-                        state.metrics[deact].record_handoff();
-                    }
-                    None => state.metrics[deact].record_handoff_shed(),
-                }
-            }
-        }
-        // Steals are emitted only by the post-batch steal check, never by
-        // the arrival hook.
-        ControlEventKind::Steal { .. } => {}
-    }
-}
-
-/// The lockstep worker loop: every scheduling decision already committed in
-/// the gate; the worker only executes the granted GEMM and completes the
+/// The lockstep worker loop: the core already made every scheduling
+/// decision; the worker only executes the granted batch and completes the
 /// response slots. Logits are computed for real, so they are comparable to
-/// the simulator's bit for bit.
+/// the simulator's bit for bit; kernel spans are recorded outside the lock,
+/// and the snapshot's canonical order makes their interleaving invisible.
 fn lockstep_loop(
     index: usize,
     gate: &LockstepGate,
@@ -1381,76 +940,39 @@ fn lockstep_loop(
     ctx: &ExecContext,
     recorder: Option<&TraceRecorder>,
 ) -> ReplicaOutcome {
-    while let Some(grant) = gate.acquire(index, sessions) {
-        let GrantedBatch {
-            batch,
-            mode,
-            batch_index,
-            launch,
-            service_ns,
-        } = grant;
-        let inputs: Vec<&Tensor<f32>> = batch.iter().map(|g| &g.req.input).collect();
-        let result = match recorder {
-            Some(_) => sessions[mode].infer_batch_traced(ctx, &inputs),
-            None => sessions[mode]
-                .infer_batch_refs(ctx, &inputs)
-                .map(|out| (out, Vec::new())),
-        };
+    while let Some((batch, launch)) = gate.acquire(index) {
+        let inputs: Vec<&Tensor<f32>> = batch.iter().map(|q| &q.payload.input).collect();
+        let mut kernels = Vec::new();
+        let result =
+            sessions[launch.mode].infer_batch_inner(ctx, &inputs, recorder.map(|_| &mut kernels));
         match result {
-            Ok((responses, kernels)) => {
+            Ok(responses) => {
                 if let Some(rec) = recorder {
-                    // Kernel spans are recorded outside the gate lock —
-                    // insertion order races across workers, but the
-                    // snapshot's canonical sort restores the simulator's
-                    // exact order.
-                    let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
-                    for (kernel, (span_start, span_dur)) in kernels
-                        .iter()
-                        .zip(layer_intervals(launch, service_ns, &weights))
-                    {
-                        rec.record(
-                            TraceEvent::new(TraceStage::Kernel, index, span_start, span_dur)
-                                .batch(batch_index)
-                                .mode(mode)
-                                .layer(kernel.layer)
-                                .stats(kernel.stats),
-                        );
-                    }
+                    launch
+                        .trace(rec)
+                        .record_kernels(launch.launch_ns, launch.service_ns, &kernels);
                 }
-                for (item, response) in batch.into_iter().zip(responses) {
-                    item.req.slot.complete(Ok(response));
+                for (q, response) in batch.into_iter().zip(responses) {
+                    q.payload.slot.complete(Ok(response));
                 }
             }
             Err(e) => {
-                for item in batch {
-                    item.req.slot.complete(Err(e.clone()));
+                for q in batch {
+                    q.payload.slot.complete(Err(e.clone()));
                 }
             }
         }
     }
-    ReplicaOutcome::empty()
-}
-
-impl crate::server::BatchItem for PooledRequest {
-    fn key(&self) -> u64 {
-        self.key
-    }
-    fn input(&self) -> &Tensor<f32> {
-        &self.input
-    }
-    fn submitted(&self) -> Instant {
-        self.submitted
-    }
-    fn into_slot(self) -> ResponseSlot<RequestResult> {
-        self.slot
-    }
+    ReplicaOutcome::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdaptivePolicy, BatchPolicy, SchedulerConfig, SmtConfig};
+    use crate::config::{AdaptivePolicy, BatchPolicy, ConfigError, SchedulerConfig, SmtConfig};
+    use crate::faults::{FaultEvent, FaultKind};
     use crate::registry::ModelRegistry;
+    use crate::sim::{simulate_pool, ArrivalProcess};
     use nbsmt_workloads::synthnet::quick_synthnet;
 
     fn ladder_fixture() -> (Vec<Arc<Session>>, Vec<Tensor<f32>>) {
@@ -1653,5 +1175,117 @@ mod tests {
             ReplicaPool::start(Vec::new(), PoolConfig::default(), ExecConfig::default()),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_before_spawning() {
+        let (ladder, inputs) = ladder_fixture();
+        let config = PoolConfig {
+            scheduler: SchedulerConfig {
+                batch: BatchPolicy {
+                    max_batch: 0,
+                    max_wait_ns: 0,
+                },
+                queue_capacity: 8,
+            },
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        };
+        // The threaded pool and the simulator refuse the same config with
+        // the same typed error.
+        assert!(matches!(
+            ReplicaPool::start_paused(ladder.clone(), config, ExecConfig::default(), false)
+                .map(|_| ()),
+            Err(ServeError::Config(ConfigError::ZeroBatch))
+        ));
+        let arrivals = ArrivalProcess::Open {
+            arrivals_ns: vec![0],
+        };
+        assert!(matches!(
+            simulate_pool(
+                &ladder,
+                &ExecContext::sequential(),
+                &inputs,
+                &arrivals,
+                config,
+                ServiceModel::default(),
+            )
+            .map(|_| ()),
+            Err(ServeError::Config(ConfigError::ZeroBatch))
+        ));
+    }
+
+    #[test]
+    fn crash_plan_sheds_orphans_and_cancels_handles() {
+        let (ladder, inputs) = ladder_fixture();
+        // The only replica dies after its second batch; with no survivor,
+        // everything still queued must shed by cancelling its handle — no
+        // caller hangs.
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            replica: 0,
+            at_batch: 2,
+            kind: FaultKind::Crash,
+        }]);
+        let config = PoolConfig {
+            scheduler: SchedulerConfig {
+                batch: BatchPolicy {
+                    max_batch: 2,
+                    max_wait_ns: 1_000_000,
+                },
+                queue_capacity: 32,
+            },
+            adaptive: AdaptivePolicy::pinned(),
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        };
+        let pool = ReplicaPool::start_with_faults(
+            ladder,
+            config,
+            ExecConfig::default(),
+            &plan,
+            ServiceModel::default(),
+        )
+        .expect("config is valid");
+        let client = pool.client();
+        let handles: Vec<_> = inputs[..16]
+            .iter()
+            .enumerate()
+            .map(|(i, input)| client.submit(i as u64, input.clone()).expect("room"))
+            .collect();
+        let mut completed = 0u64;
+        let mut cancelled = 0u64;
+        for handle in handles {
+            match handle.wait() {
+                Ok(result) => {
+                    result.expect("no model error");
+                    completed += 1;
+                }
+                Err(_) => cancelled += 1,
+            }
+        }
+        let snapshot = pool.shutdown();
+        assert_eq!(snapshot.total.crashes, 1, "the planned crash fires once");
+        assert_eq!(snapshot.total.completed, completed);
+        assert_eq!(snapshot.total.handoff_shed, cancelled, "every orphan sheds");
+        assert_eq!(completed + cancelled, 16, "no request is lost track of");
+        assert!(
+            completed >= 2,
+            "both pre-crash batches complete (got {completed})"
+        );
+    }
+
+    #[test]
+    fn submit_after_shutdown_is_closed() {
+        let (ladder, inputs) = ladder_fixture();
+        let pool = ReplicaPool::start(
+            ladder,
+            pool_config(1, RoutePolicy::RoundRobin),
+            ExecConfig::default(),
+        )
+        .expect("config is valid");
+        let client = pool.client();
+        let _ = pool.shutdown();
+        assert_eq!(
+            client.submit(0, inputs[0].clone()).map(|_| ()),
+            Err(SubmitError::Closed)
+        );
     }
 }

@@ -208,7 +208,10 @@ impl Session {
         Ok((inferences, kernels))
     }
 
-    fn infer_batch_inner(
+    /// The serving drivers' entry point: [`Self::infer_batch_refs`], plus
+    /// the [`Self::infer_batch_traced`] kernel records when `kernels` is
+    /// given.
+    pub(crate) fn infer_batch_inner(
         &self,
         ctx: &ExecContext,
         inputs: &[&Tensor<f32>],

@@ -1,13 +1,15 @@
-//! Deterministic virtual-clock serving simulator.
+//! Deterministic virtual-clock pool simulator.
 //!
-//! Replays the exact micro-batching policy of the threaded server —
-//! bounded-queue admission, `max_batch`/`max_wait` coalescing, serial batch
-//! execution — as a discrete-event simulation over integer nanoseconds. The
-//! model outputs are computed for real on an [`ExecContext`] (bit-identical
-//! across host thread counts by the execution layer's contract), while
-//! *time* comes from a [`ServiceModel`] instead of the wall clock, so two
-//! runs of the same seeded trace produce identical batch compositions,
-//! latencies, and metrics — on any machine, at any host thread count.
+//! Drives the `sched` scheduling core — routing, bounded-queue
+//! admission, `max_batch`/`max_wait` coalescing, the adaptive ladder,
+//! faults, and the pool controller — as a discrete-event simulation over
+//! integer nanoseconds. The model outputs are computed for real on an
+//! [`ExecContext`] (bit-identical across host thread counts by the
+//! execution layer's contract), while *time* comes from a [`ServiceModel`]
+//! instead of the wall clock, so two runs of the same seeded trace produce
+//! identical batch compositions, latencies, and metrics — on any machine,
+//! at any host thread count. The lockstep [`crate::pool::ReplicaPool`]
+//! drives the same core, which is what makes the two agree.
 //!
 //! Three arrival models are supported, matching the `nbsmt-bench` load
 //! generator: **open loop** (a pre-generated arrival trace, e.g. Poisson),
@@ -25,15 +27,13 @@ use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
-use crate::config::{
-    AdaptivePolicy, AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, SchedulerConfig,
-    ServeError, BATCH_LOG_CAP, REJECTION_LOG_CAP, RESPONSE_LOG_CAP,
-};
-use crate::control::{ControlConfig, ControlEvent, ControlEventKind, PoolController};
-use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
+use crate::config::{ModeTransition, PoolConfig, ServeError, REJECTION_LOG_CAP, RESPONSE_LOG_CAP};
+use crate::control::{ControlConfig, ControlEvent};
+use crate::faults::{FaultPlan, HandoffRecord};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::sched::SchedCore;
 use crate::session::{Inference, Session};
-use crate::trace::{layer_intervals, LayerKernel, TraceEvent, TraceRecorder, TraceStage};
+use crate::trace::TraceRecorder;
 use crate::traffic::{GeneratedArrivals, SizeModel, TrafficModel};
 
 /// Deterministic service-time model for the virtual clock.
@@ -68,6 +68,22 @@ impl Default for ServiceModel {
     }
 }
 
+/// What the service model needs to know about one ladder rung.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RungCost {
+    macs_per_sample: u64,
+    speedup: u64,
+}
+
+impl RungCost {
+    pub(crate) fn of(session: &Session) -> RungCost {
+        RungCost {
+            macs_per_sample: session.macs_per_sample(),
+            speedup: session.smt().speedup(),
+        }
+    }
+}
+
 impl ServiceModel {
     /// Virtual service time of a batch of `batch` unit-size requests on
     /// `session` (the historical model; ignores [`ServiceModel::size`]).
@@ -83,17 +99,27 @@ impl ServiceModel {
     /// 1024/1024 and the result is bit-identical to
     /// [`ServiceModel::service_ns`] of the same batch length — the first
     /// `/ 1024` is exact — so unit-size runs are unchanged by construction.
-    /// Used identically by the simulators and the threaded pool's lockstep
-    /// gate, keeping heterogeneous sizes inside the determinism contract.
+    /// The scheduling core prices every launch with it, and the live pool
+    /// sizes straggler padding with it.
     pub fn batch_ns<I: IntoIterator<Item = u64>>(&self, session: &Session, keys: I) -> u64 {
+        self.rung_batch_ns(RungCost::of(session), keys)
+    }
+
+    /// [`Self::batch_ns`] for a rung whose session is already reduced to
+    /// its cost inputs.
+    pub(crate) fn rung_batch_ns<I: IntoIterator<Item = u64>>(
+        &self,
+        rung: RungCost,
+        keys: I,
+    ) -> u64 {
         let total_x1024: u128 = keys
             .into_iter()
             .map(|k| self.size.size_x1024(k) as u128)
             .sum();
-        let work = session.macs_per_sample() as u128 * total_x1024 * self.ns_per_mac_x1024 as u128
+        let work = rung.macs_per_sample as u128 * total_x1024 * self.ns_per_mac_x1024 as u128
             / 1024
             / 1024
-            / session.smt().speedup() as u128;
+            / rung.speedup as u128;
         self.batch_overhead_ns + work.min(u128::from(u64::MAX)) as u64
     }
 
@@ -104,7 +130,7 @@ impl ServiceModel {
     }
 }
 
-/// How requests arrive at the simulated server.
+/// How requests arrive at the simulated pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Open loop: a fixed trace of arrival times (ns, ascending). Request
@@ -143,126 +169,129 @@ pub enum ArrivalProcess {
     },
 }
 
-/// One launched batch in the simulated schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRecord {
-    /// Virtual launch time [ns].
-    pub launch_ns: u64,
-    /// Virtual completion time [ns].
-    pub finish_ns: u64,
-    /// Request ids coalesced into this batch, in queue order.
-    pub request_ids: Vec<u64>,
-    /// Queue depth left behind after the batch was drained.
-    pub queue_depth_after: usize,
-}
-
-/// The full, deterministic outcome of a simulated run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimOutcome {
-    /// `(request id, inference)` for every completed request, in completion
-    /// order.
-    pub responses: Vec<(u64, Inference)>,
-    /// Ids shed by admission control, in arrival order.
-    pub rejected_ids: Vec<u64>,
-    /// Every launched batch, in launch order.
-    pub batches: Vec<BatchRecord>,
-    /// Metrics snapshot over the virtual makespan.
-    pub metrics: MetricsSnapshot,
-    /// Completions not retained in `responses` past
-    /// [`RESPONSE_LOG_CAP`] (or not computed at all on the
-    /// [`simulate_pool_stats`] path) — `metrics.completed` still counts
-    /// them, closing the accounting.
-    pub dropped_responses: u64,
-    /// Sheds not retained in `rejected_ids` past [`REJECTION_LOG_CAP`] —
-    /// `metrics.rejected` still counts them.
-    pub dropped_rejections: u64,
-    /// Virtual time at which the last batch finished [ns].
-    pub makespan_ns: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
-struct PendingArrival {
+struct Arrival {
     id: u64,
     /// Router/affinity key: equal to `id` for open and closed loops, the
     /// stream key (e.g. the session's user id) for generated arrivals.
-    /// Feeds [`pick_replica`] and the [`SizeModel`].
     key: u64,
     time_ns: u64,
-    /// Earliest virtual time the request may launch. Equal to `time_ns` for
-    /// a fresh arrival; a crash handoff re-enqueues the request with
-    /// `ready_ns` at the crash instant (it cannot launch on the survivor
-    /// before it exists there), while `time_ns` keeps anchoring its latency.
-    ready_ns: u64,
+    item: SimItem,
+}
+
+/// The simulator's request payload inside the scheduling core.
+#[derive(Debug, Clone, Copy)]
+struct SimItem {
     input_index: usize,
+    /// The closed-loop client that issued the request (0 for open loops).
     client: usize,
 }
 
-/// Runs the single-session simulation: `inputs` is the request-input pool,
-/// `arrivals` the arrival process, `scheduler` the batching/admission
-/// policy, and `service` the virtual-clock cost model. Model outputs are
-/// computed for real on `ctx`.
-///
-/// This is the single-replica specialization of [`simulate_pool`]: one
-/// replica, a pinned single-rung ladder, and the pool outcome projected
-/// down to [`SimOutcome`] — one event loop owns the scheduling semantics,
-/// so the single and sharded simulators cannot drift apart.
-///
-/// # Errors
-///
-/// Propagates session-execution failures; rejects an empty input pool or an
-/// unsorted open-loop trace as [`ServeError::BadRequest`].
-pub fn simulate(
-    session: &Session,
-    ctx: &ExecContext,
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    scheduler: SchedulerConfig,
-    service: ServiceModel,
-) -> Result<SimOutcome, ServeError> {
-    let pool = PoolConfig {
-        replicas: 1,
-        route: RoutePolicy::RoundRobin,
-        scheduler,
-        adaptive: AdaptivePolicy::pinned(),
-    };
-    let outcome = simulate_pool(
-        std::slice::from_ref(&session),
-        ctx,
-        inputs,
-        arrivals,
-        pool,
-        service,
-    )?;
-    Ok(SimOutcome {
-        responses: outcome.responses,
-        rejected_ids: outcome.rejected_ids,
-        batches: outcome
-            .batches
-            .into_iter()
-            .map(|b| BatchRecord {
-                launch_ns: b.launch_ns,
-                finish_ns: b.finish_ns,
-                request_ids: b.request_ids,
-                queue_depth_after: b.queue_depth_after,
-            })
-            .collect(),
-        metrics: outcome.metrics,
-        dropped_responses: outcome.dropped_responses,
-        dropped_rejections: outcome.dropped_rejections,
-        makespan_ns: outcome.makespan_ns,
-    })
-}
-
-struct ArrivalPlan {
+/// The arrival stream of one run, in `(time, id)` order: the open loop
+/// prefills the whole trace, the closed loop seeds one submission per
+/// client and grows on completions, and the generated loop pulls from a
+/// lazy stream one arrival at a time.
+struct Arrivals {
     /// Pending arrivals, always sorted by `(time, id)`.
-    pending: VecDeque<PendingArrival>,
-    /// Lazy arrival stream for [`ArrivalProcess::Generated`]: `pending` is
-    /// refilled one arrival at a time from here, so the trace never
-    /// materializes.
+    pending: VecDeque<Arrival>,
     generator: Option<GeneratedArrivals>,
     next_id: u64,
     remaining_closed: usize,
     think_ns: u64,
+    inputs_len: usize,
+}
+
+impl Arrivals {
+    fn new(arrivals: &ArrivalProcess, inputs_len: usize) -> Result<Arrivals, ServeError> {
+        let mut stream = Arrivals {
+            pending: VecDeque::new(),
+            generator: None,
+            next_id: 0,
+            remaining_closed: 0,
+            think_ns: 0,
+            inputs_len,
+        };
+        match arrivals {
+            ArrivalProcess::Open { arrivals_ns } => {
+                if arrivals_ns.windows(2).any(|w| w[0] > w[1]) {
+                    return Err(ServeError::BadRequest(
+                        "open-loop arrival trace must be ascending".into(),
+                    ));
+                }
+                for &t in arrivals_ns {
+                    stream.push_new(None, t, 0);
+                }
+            }
+            ArrivalProcess::Closed {
+                clients,
+                think_ns,
+                total_requests,
+            } => {
+                let clients = (*clients).max(1).min(*total_requests);
+                stream.remaining_closed = total_requests.saturating_sub(clients);
+                stream.think_ns = *think_ns;
+                for c in 0..clients {
+                    stream.push_new(None, 0, c);
+                }
+            }
+            ArrivalProcess::Generated { model, seed, n } => {
+                model.check().map_err(ServeError::BadRequest)?;
+                stream.generator = Some(model.generate(*seed, *n));
+            }
+        }
+        Ok(stream)
+    }
+
+    /// A fresh arrival with the next id, keyed by `key` (or its id), kept
+    /// in `(time, id)` order. Closed-loop respawns share one finish time,
+    /// so a linear scan from the back is cheap.
+    fn push_new(&mut self, key: Option<u64>, time_ns: u64, client: usize) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let arrival = Arrival {
+            id,
+            key: key.unwrap_or(id),
+            time_ns,
+            item: SimItem {
+                input_index: id as usize % self.inputs_len,
+                client,
+            },
+        };
+        let pos = self
+            .pending
+            .iter()
+            .rposition(|p| (p.time_ns, p.id) <= (time_ns, id))
+            .map_or(0, |p| p + 1);
+        self.pending.insert(pos, arrival);
+    }
+
+    /// The next arrival, without consuming it. Generated arrivals stream in
+    /// one at a time: the stream is monotone, so a one-element prefix is
+    /// equivalent to the materialized trace (admission only ever peeks the
+    /// front), while 10^7 arrivals never exist at once.
+    fn peek(&mut self) -> Option<Arrival> {
+        if self.pending.is_empty() {
+            if let Some(arrival) = self.generator.as_mut().and_then(Iterator::next) {
+                self.push_new(Some(arrival.key), arrival.time_ns, 0);
+            }
+        }
+        self.pending.front().copied()
+    }
+
+    /// Closed loop: each client whose request finished at `finish_ns`
+    /// thinks for `think_ns` and submits again — a fresh arrival routed
+    /// like any other — until `remaining_closed` runs out. A respawn is
+    /// strictly later than the launch, so it never joins the batch that
+    /// produced it, and it touches nothing in the scheduling core.
+    fn respawn(&mut self, clients: impl Iterator<Item = usize>, finish_ns: u64) {
+        for client in clients {
+            if self.remaining_closed == 0 {
+                break;
+            }
+            self.remaining_closed -= 1;
+            self.push_new(None, finish_ns.saturating_add(self.think_ns), client);
+        }
+    }
 }
 
 /// The client population a closed loop needs admitted (0 for open loops) —
@@ -272,117 +301,6 @@ fn closed_population(arrivals: &ArrivalProcess) -> usize {
         ArrivalProcess::Open { .. } | ArrivalProcess::Generated { .. } => 0,
         ArrivalProcess::Closed { clients, .. } => *clients,
     }
-}
-
-/// Expands an arrival process into the initial pending set: the open loop
-/// prefills the whole trace; the closed loop seeds one submission per client
-/// and grows on completions; the generated loop installs a lazy stream the
-/// event loop pulls from one arrival at a time.
-fn expand_arrivals(
-    arrivals: &ArrivalProcess,
-    inputs_len: usize,
-) -> Result<ArrivalPlan, ServeError> {
-    let mut pending: VecDeque<PendingArrival> = VecDeque::new();
-    let mut generator = None;
-    let mut next_id = 0u64;
-    let mut remaining_closed = 0usize;
-    let think_ns = match arrivals {
-        ArrivalProcess::Open { arrivals_ns } => {
-            if arrivals_ns.windows(2).any(|w| w[0] > w[1]) {
-                return Err(ServeError::BadRequest(
-                    "open-loop arrival trace must be ascending".into(),
-                ));
-            }
-            for &t in arrivals_ns {
-                pending.push_back(PendingArrival {
-                    id: next_id,
-                    key: next_id,
-                    time_ns: t,
-                    ready_ns: t,
-                    input_index: next_id as usize % inputs_len,
-                    client: 0,
-                });
-                next_id += 1;
-            }
-            0
-        }
-        ArrivalProcess::Closed {
-            clients,
-            think_ns,
-            total_requests,
-        } => {
-            let clients = (*clients).max(1).min(*total_requests);
-            remaining_closed = total_requests.saturating_sub(clients);
-            for c in 0..clients {
-                pending.push_back(PendingArrival {
-                    id: next_id,
-                    key: next_id,
-                    time_ns: 0,
-                    ready_ns: 0,
-                    input_index: next_id as usize % inputs_len,
-                    client: c,
-                });
-                next_id += 1;
-            }
-            *think_ns
-        }
-        ArrivalProcess::Generated { model, seed, n } => {
-            model.check().map_err(ServeError::BadRequest)?;
-            generator = Some(model.generate(*seed, *n));
-            0
-        }
-    };
-    Ok(ArrivalPlan {
-        pending,
-        generator,
-        next_id,
-        remaining_closed,
-        think_ns,
-    })
-}
-
-/// Closed loop: each client completed in `batch` thinks for `think_ns` and
-/// submits again (as a fresh pending arrival routed like any other), until
-/// `remaining_closed` runs out. Completions are strictly after the batch's
-/// launch, so a respawned arrival can never belong to the batch that
-/// produced it. Shared by [`simulate`] and [`simulate_pool`] so the two
-/// closed-loop semantics cannot drift apart.
-fn respawn_closed(
-    pending: &mut VecDeque<PendingArrival>,
-    remaining_closed: &mut usize,
-    next_id: &mut u64,
-    batch: &[PendingArrival],
-    finish: u64,
-    think_ns: u64,
-    inputs_len: usize,
-) {
-    for request in batch {
-        if *remaining_closed == 0 {
-            break;
-        }
-        *remaining_closed -= 1;
-        let arrival = PendingArrival {
-            id: *next_id,
-            key: *next_id,
-            time_ns: finish.saturating_add(think_ns),
-            ready_ns: finish.saturating_add(think_ns),
-            input_index: *next_id as usize % inputs_len,
-            client: request.client,
-        };
-        *next_id += 1;
-        insert_sorted(pending, arrival);
-    }
-}
-
-/// Keeps `pending` sorted by `(time, id)`; completions share one finish
-/// time so a linear scan from the back is cheap.
-fn insert_sorted(pending: &mut VecDeque<PendingArrival>, arrival: PendingArrival) {
-    let pos = pending
-        .iter()
-        .rposition(|p| (p.time_ns, p.id) <= (arrival.time_ns, arrival.id))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    pending.insert(pos, arrival);
 }
 
 /// One launched batch in a simulated replica pool.
@@ -426,7 +344,7 @@ pub struct PoolSimOutcome {
     /// contract (mirrors [`crate::pool::PoolSnapshot::handoffs`]).
     pub handoffs: Vec<HandoffRecord>,
     /// Batches launched but *not* retained in `batches` because the log hit
-    /// [`BATCH_LOG_CAP`] — the log is constant-memory, this counter closes
+    /// [`crate::config::BATCH_LOG_CAP`] — the log is constant-memory, this counter closes
     /// the accounting.
     pub dropped_batches: u64,
     /// Mode transitions applied but not retained in `transitions` past
@@ -456,25 +374,14 @@ pub struct PoolSimOutcome {
     pub makespan_ns: u64,
 }
 
-struct ReplicaSim {
-    queue: VecDeque<PendingArrival>,
-    t_free: u64,
-    state: AdaptiveState,
-    metrics: ServeMetrics,
-    faults: ReplicaFaults,
-    /// Launched batches so far (the fault plan's 1-based batch clock).
-    batches: u64,
-    crashed: bool,
-    /// Admissions closed by a [`crate::faults::FaultKind::CloseQueue`]
-    /// event (a crash closes admissions too).
-    closed: bool,
-}
-
 /// Simulates a sharded replica pool: N virtual-clock replicas behind a
 /// deterministic router, each switching between the `sessions` ladder rungs
-/// under the pool's [`crate::config::AdaptivePolicy`]. The mirror of
-/// [`crate::pool::ReplicaPool`] — same router arithmetic, same adaptive
-/// state machine, virtual time instead of the wall clock.
+/// under the pool's [`crate::config::AdaptivePolicy`]. The virtual-clock
+/// driver of the scheduling core the lockstep [`crate::pool::ReplicaPool`]
+/// also drives — same router arithmetic, same adaptive state machine,
+/// virtual time instead of the wall clock. A one-replica pool with
+/// [`crate::config::AdaptivePolicy::pinned`] is the single-session
+/// simulator.
 ///
 /// Events are processed chronologically; an arrival that coincides with a
 /// launch is admitted (and routed) first, and simultaneous launches resolve
@@ -484,8 +391,8 @@ struct ReplicaSim {
 /// # Errors
 ///
 /// Rejects an empty ladder, an empty input pool, or an unsorted open-loop
-/// trace as [`ServeError::BadRequest`]; propagates session-execution
-/// failures.
+/// trace as [`ServeError::BadRequest`], and an invalid `pool` as
+/// [`ServeError::Config`]; propagates session-execution failures.
 pub fn simulate_pool<S: Borrow<Session>>(
     sessions: &[S],
     ctx: &ExecContext,
@@ -501,14 +408,15 @@ pub fn simulate_pool<S: Borrow<Session>>(
 /// its slice of the plan at the same batch-lifecycle points as the threaded
 /// pool's lockstep mode — straggle factors scale the service time at
 /// launch; stalls, queue closes, and crashes apply after the batch's
-/// latencies, closed-loop respawns, and adaptive evaluation. A crash drains
-/// the replica's queue through the shared handoff rule
-/// ([`pick_handoff_target`]): each orphan re-enqueues on the first eligible
-/// survivor with its `ready` time at the crash instant (latency still
-/// anchored at arrival), or is shed when none qualifies. The router skips
-/// crashed and closed replicas via [`pick_replica`]; with every replica
-/// eligible the arithmetic is exactly the fault-free router's. `None`
-/// faults make this identical to [`simulate_pool`].
+/// latencies and adaptive evaluation. A crash drains the replica's queue
+/// through the shared handoff rule
+/// ([`crate::faults::pick_handoff_target`]): each orphan re-enqueues on the
+/// first eligible survivor with its `ready` time at the crash instant
+/// (latency still anchored at arrival), or is shed when none qualifies. The
+/// router skips crashed and closed replicas via
+/// [`crate::faults::pick_replica`]; with every replica eligible the
+/// arithmetic is exactly the fault-free router's. `None` faults make this
+/// identical to [`simulate_pool`].
 ///
 /// # Errors
 ///
@@ -529,11 +437,12 @@ pub fn simulate_pool_faulted<S: Borrow<Session>>(
 /// recorder is supplied every request leaves a submit → queue-wait →
 /// service → respond span chain, and every launched batch a batch span plus
 /// per-layer kernel spans (service time partitioned proportionally to each
-/// layer's [`nbsmt_core::pe::PeStats`] cycles via [`layer_intervals`], with
-/// the stats attached). All timestamps are virtual nanoseconds, so the
-/// emitted trace is bit-identical across runs, host thread counts, and
-/// backends — and byte-identical to the lockstep
-/// [`crate::pool::ReplicaPool`]'s trace of the same seeded burst.
+/// layer's [`nbsmt_core::pe::PeStats`] cycles via
+/// [`crate::trace::layer_intervals`], with the stats attached). All
+/// timestamps are virtual nanoseconds, so the emitted trace is
+/// bit-identical across runs, host thread counts, and backends — and
+/// byte-identical to the lockstep [`crate::pool::ReplicaPool`]'s trace of
+/// the same seeded burst.
 ///
 /// # Errors
 ///
@@ -550,18 +459,26 @@ pub fn simulate_pool_traced<S: Borrow<Session>>(
     recorder: Option<&TraceRecorder>,
 ) -> Result<PoolSimOutcome, ServeError> {
     simulate_pool_inner(
-        sessions, ctx, inputs, arrivals, pool, service, None, faults, recorder, true,
+        sessions,
+        Some(ctx),
+        inputs,
+        arrivals,
+        pool,
+        service,
+        None,
+        faults,
+        recorder,
     )
 }
 
-/// [`simulate_pool_traced`] with a [`PoolController`] in the loop: the
-/// controller observes every admitted arrival (rolling its EWMA windows and
-/// emitting predictive-shift / autoscale events at window boundaries) and
-/// evaluates work stealing after every batch launch. Scale-down drains the
-/// deactivated replica's queue through the crash-handoff rule, the router
-/// only considers live replicas, and every batch executes at
-/// `max(reactive mode, predictive floor)`. All decisions are pure functions
-/// of (arrival trace, config), so the event stream in
+/// [`simulate_pool_traced`] with a [`crate::control::PoolController`] in
+/// the loop: the controller observes every admitted arrival (rolling its
+/// EWMA windows and emitting predictive-shift / autoscale events at window
+/// boundaries) and evaluates work stealing after every batch launch.
+/// Scale-down drains the deactivated replica's queue through the
+/// crash-handoff rule, the router only considers live replicas, and every
+/// batch executes at `max(reactive mode, predictive floor)`. All decisions
+/// are pure functions of (arrival trace, config), so the event stream in
 /// [`PoolSimOutcome::control_events`] is bit-identical to the threaded
 /// lockstep pool's on the same seeded burst.
 ///
@@ -582,7 +499,7 @@ pub fn simulate_pool_controlled<S: Borrow<Session>>(
 ) -> Result<PoolSimOutcome, ServeError> {
     simulate_pool_inner(
         sessions,
-        ctx,
+        Some(ctx),
         inputs,
         arrivals,
         pool,
@@ -590,7 +507,6 @@ pub fn simulate_pool_controlled<S: Borrow<Session>>(
         Some(control),
         faults,
         recorder,
-        true,
     )
 }
 
@@ -613,10 +529,9 @@ pub fn simulate_pool_controlled_stats<S: Borrow<Session>>(
     faults: Option<&FaultPlan>,
     recorder: Option<&TraceRecorder>,
 ) -> Result<PoolSimOutcome, ServeError> {
-    let ctx = ExecContext::sequential();
     simulate_pool_inner(
         sessions,
-        &ctx,
+        None,
         inputs,
         arrivals,
         pool,
@@ -624,7 +539,6 @@ pub fn simulate_pool_controlled_stats<S: Borrow<Session>>(
         Some(control),
         faults,
         recorder,
-        false,
     )
 }
 
@@ -651,16 +565,18 @@ pub fn simulate_pool_stats<S: Borrow<Session>>(
     faults: Option<&FaultPlan>,
     recorder: Option<&TraceRecorder>,
 ) -> Result<PoolSimOutcome, ServeError> {
-    let ctx = ExecContext::sequential();
     simulate_pool_inner(
-        sessions, &ctx, inputs, arrivals, pool, service, None, faults, recorder, false,
+        sessions, None, inputs, arrivals, pool, service, None, faults, recorder,
     )
 }
 
+/// The event loop every entry point shares: the scheduling core plus the
+/// arrival stream, with each launched batch executed inline on `ctx` (or,
+/// with `ctx == None`, not executed at all — the statistics path).
 #[allow(clippy::too_many_arguments)]
 fn simulate_pool_inner<S: Borrow<Session>>(
     sessions: &[S],
-    ctx: &ExecContext,
+    ctx: Option<&ExecContext>,
     inputs: &[Tensor<f32>],
     arrivals: &ArrivalProcess,
     pool: PoolConfig,
@@ -668,7 +584,6 @@ fn simulate_pool_inner<S: Borrow<Session>>(
     control: Option<ControlConfig>,
     faults: Option<&FaultPlan>,
     recorder: Option<&TraceRecorder>,
-    compute_outputs: bool,
 ) -> Result<PoolSimOutcome, ServeError> {
     if sessions.is_empty() {
         return Err(ServeError::BadRequest(
@@ -679,223 +594,62 @@ fn simulate_pool_inner<S: Borrow<Session>>(
         return Err(ServeError::BadRequest("empty request-input pool".into()));
     }
     pool.validate()?;
-    // The controller's utilization forecast is denominated in the same
-    // virtual per-rung request cost the clock runs on.
-    let mut controller = control
-        .map(|cfg| {
-            let rung_work_ns = sessions
-                .iter()
-                .map(|s| service.single_ns(s.borrow()))
-                .collect();
-            PoolController::new(cfg, rung_work_ns, pool.replicas)
-        })
-        .transpose()?;
-    let max_batch = pool.scheduler.batch.max_batch;
-    let max_wait = pool.scheduler.batch.max_wait_ns;
-    // Same closed-loop floor as the single-replica simulator, per replica:
-    // hashed routing can land an entire client population on one queue.
+    // Hashed routing can land an entire closed-loop client population on
+    // one queue, so every queue holds at least the population.
     let capacity = pool
         .scheduler
         .queue_capacity
         .max(closed_population(arrivals));
-
-    let ArrivalPlan {
-        mut pending,
-        mut generator,
-        mut next_id,
-        mut remaining_closed,
-        think_ns,
-    } = expand_arrivals(arrivals, inputs.len())?;
-
-    let mut replicas: Vec<ReplicaSim> = (0..pool.replicas)
-        .map(|r| ReplicaSim {
-            queue: VecDeque::new(),
-            t_free: 0,
-            state: AdaptiveState::new(pool.adaptive, r, sessions.len()),
-            metrics: ServeMetrics::new(),
-            faults: faults.map(|p| p.for_replica(r)).unwrap_or_default(),
-            batches: 0,
-            crashed: false,
-            closed: false,
-        })
-        .collect();
-    let mut rr_counter = 0u64;
+    let mut core = SchedCore::new(sessions, &pool, capacity, service, faults, control, true)?;
+    let mut stream = Arrivals::new(arrivals, inputs.len())?;
     let mut responses = Vec::new();
     let mut rejected_ids = Vec::new();
-    let mut batches = Vec::new();
-    let mut dropped_batches = 0u64;
     let mut dropped_responses = 0u64;
     let mut dropped_rejections = 0u64;
-    let mut handoffs: Vec<HandoffRecord> = Vec::new();
-    let reject = |ids: &mut Vec<u64>, dropped: &mut u64, id: u64| {
-        if ids.len() < REJECTION_LOG_CAP {
-            ids.push(id);
-        } else {
-            *dropped += 1;
-        }
-    };
-
+    let mut batch = Vec::new();
     loop {
-        // Generated arrivals stream in lazily, one at a time: the stream is
-        // monotone, so a single-element prefix of `pending` is
-        // bit-equivalent to the fully materialized trace (admission only
-        // ever peeks the front) while 10^7 arrivals never exist at once.
-        if pending.is_empty() {
-            if let Some(arrival) = generator.as_mut().and_then(Iterator::next) {
-                pending.push_back(PendingArrival {
-                    id: next_id,
-                    key: arrival.key,
-                    time_ns: arrival.time_ns,
-                    ready_ns: arrival.time_ns,
-                    input_index: next_id as usize % inputs.len(),
-                    client: 0,
-                });
-                next_id += 1;
-            }
-        }
-        // Earliest launch any live replica could perform from its current
-        // queue: a full batch launches once the worker is free and its
-        // max_batch-th request is ready; a partial batch waits out the
-        // oldest request's budget.
-        let mut next_launch: Option<(u64, usize)> = None;
-        for (r, replica) in replicas.iter().enumerate() {
-            if replica.crashed {
-                continue;
-            }
-            let Some(oldest) = replica.queue.front() else {
-                continue;
-            };
-            let launch = if replica.queue.len() >= max_batch {
-                replica.t_free.max(replica.queue[max_batch - 1].ready_ns)
-            } else {
-                replica.t_free.max(oldest.ready_ns.saturating_add(max_wait))
-            };
-            if next_launch.is_none_or(|(best, _)| launch < best) {
-                next_launch = Some((launch, r));
-            }
-        }
-
-        // Arrivals at or before that launch are routed and admitted first
-        // (mirrors the threaded pool, where submission precedes the drain).
-        // Crashed and admission-closed replicas are not routable; with no
-        // faults the eligible set is every replica and the arithmetic is
-        // the original router's.
-        if let Some(arrival) = pending.front().copied() {
-            if next_launch.is_none_or(|(launch, _)| arrival.time_ns <= launch) {
-                pending.pop_front();
-                // The controller observes every admitted arrival before it
-                // is routed: estimator windows roll here, and any
-                // predictive-shift / autoscale decisions apply before the
-                // routing decision — the threaded lockstep gate calls the
-                // controller at the identical point.
-                if let Some(ctrl) = controller.as_mut() {
-                    for event in ctrl.on_arrival(arrival.time_ns) {
-                        let live_after = ctrl.live();
-                        apply_scale_event(
-                            event,
-                            live_after,
-                            &mut replicas,
-                            &mut handoffs,
-                            recorder,
-                            capacity,
-                        );
-                    }
-                }
-                let live = controller
-                    .as_ref()
-                    .map_or(replicas.len(), PoolController::live);
-                let eligible: Vec<(usize, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, rep)| *i < live && !rep.crashed && !rep.closed)
-                    .map(|(i, rep)| (i, rep.queue.len()))
-                    .collect();
-                let tick = rr_counter;
-                if pool.route == RoutePolicy::RoundRobin {
-                    rr_counter += 1;
-                }
-                match pick_replica(pool.route, arrival.key, tick, &eligible) {
-                    Some(target) => {
-                        let replica = &mut replicas[target];
-                        if replica.queue.len() < capacity {
-                            if let Some(rec) = recorder {
-                                rec.record(
-                                    TraceEvent::new(TraceStage::Submit, target, arrival.time_ns, 0)
-                                        .request(arrival.id),
-                                );
-                            }
-                            replica.queue.push_back(arrival);
-                        } else {
-                            reject(&mut rejected_ids, &mut dropped_rejections, arrival.id);
-                            replica.metrics.record_rejected();
-                        }
-                    }
-                    None => {
-                        // Every replica dead or closed: the submission is
-                        // shed; attribute it to replica 0's counters (the
-                        // pool-level aggregate is what fault benches read).
-                        reject(&mut rejected_ids, &mut dropped_rejections, arrival.id);
-                        replicas[0].metrics.record_rejected();
+        let next = core.next_launch();
+        // Arrivals at or before the next launch are routed and admitted
+        // first: submission precedes the drain.
+        if let Some(arrival) = stream.peek() {
+            if next.is_none_or(|(at, _)| arrival.time_ns <= at) {
+                stream.pending.pop_front();
+                let (id, key, at_ns) = (arrival.id, arrival.key, arrival.time_ns);
+                if core.admit(id, key, at_ns, arrival.item, recorder).is_err() {
+                    if rejected_ids.len() < REJECTION_LOG_CAP {
+                        rejected_ids.push(id);
+                    } else {
+                        dropped_rejections += 1;
                     }
                 }
                 continue;
             }
         }
-
-        let Some((launch, r)) = next_launch else {
+        let Some((at, r)) = next else {
             break; // no queued work and no pending arrivals
         };
-
-        // Launch on replica `r`. An active straggle window scales the
-        // service time; the batch index is the replica's 1-based fault
-        // clock.
-        let batch_index = replicas[r].batches + 1;
-        let take = replicas[r].queue.len().min(max_batch);
-        let batch: Vec<PendingArrival> = replicas[r].queue.drain(..take).collect();
-        // The predictive floor raises the reactive rung; the reactive state
-        // machine itself keeps observing unmodified, staying the fallback.
-        let reactive_mode = replicas[r].state.mode();
-        let mode = controller
-            .as_ref()
-            .map_or(reactive_mode, |c| c.effective_mode(reactive_mode));
-        let session: &Session = sessions[mode].borrow();
-        let (outputs, kernels): (Option<Vec<Inference>>, Vec<LayerKernel>) = if compute_outputs {
-            let batch_inputs: Vec<&Tensor<f32>> =
-                batch.iter().map(|req| &inputs[req.input_index]).collect();
-            match recorder {
-                Some(_) => {
-                    let (outs, kernels) = session.infer_batch_traced(ctx, &batch_inputs)?;
-                    (Some(outs), kernels)
+        batch.clear();
+        let launch = core.launch(r, at, &mut batch, recorder);
+        match ctx {
+            Some(ctx) => {
+                let batch_inputs: Vec<&Tensor<f32>> = batch
+                    .iter()
+                    .map(|q| &inputs[q.payload.input_index])
+                    .collect();
+                let mut kernels = Vec::new();
+                let outputs = sessions[launch.mode].borrow().infer_batch_inner(
+                    ctx,
+                    &batch_inputs,
+                    recorder.map(|_| &mut kernels),
+                )?;
+                if let Some(rec) = recorder {
+                    launch
+                        .trace(rec)
+                        .record_kernels(launch.launch_ns, launch.service_ns, &kernels);
                 }
-                None => (
-                    Some(session.infer_batch_refs(ctx, &batch_inputs)?),
-                    Vec::new(),
-                ),
-            }
-        } else {
-            (None, Vec::new())
-        };
-        let factor = replicas[r].faults.service_factor_x1024(batch_index);
-        let base_ns = service.batch_ns(session, batch.iter().map(|req| req.key));
-        let service_ns = (base_ns as u128 * factor as u128 / 1024).min(u128::from(u64::MAX)) as u64;
-        let finish = launch.saturating_add(service_ns);
-        let depth_after = replicas[r].queue.len();
-        let replica = &mut replicas[r];
-        replica.metrics.record_batch(batch.len(), depth_after);
-        replica.metrics.record_mode_batch(mode);
-        for request in &batch {
-            replica
-                .metrics
-                .record_stage_split(launch.saturating_sub(request.time_ns), service_ns);
-            replica
-                .metrics
-                .record_latency(finish.saturating_sub(request.time_ns));
-        }
-        match outputs {
-            Some(outs) => {
-                for (request, inference) in batch.iter().zip(outs) {
+                for (q, inference) in batch.iter().zip(outputs) {
                     if responses.len() < RESPONSE_LOG_CAP {
-                        responses.push((request.id, inference));
+                        responses.push((q.id, inference));
                     } else {
                         dropped_responses += 1;
                     }
@@ -903,275 +657,41 @@ fn simulate_pool_inner<S: Borrow<Session>>(
             }
             None => dropped_responses += batch.len() as u64,
         }
-        if let Some(rec) = recorder {
-            rec.record(
-                TraceEvent::new(TraceStage::Batch, r, launch, service_ns)
-                    .batch(batch_index)
-                    .mode(mode)
-                    .batch_size(batch.len()),
-            );
-            let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
-            for (kernel, (span_start, span_dur)) in kernels
-                .iter()
-                .zip(layer_intervals(launch, service_ns, &weights))
-            {
-                rec.record(
-                    TraceEvent::new(TraceStage::Kernel, r, span_start, span_dur)
-                        .batch(batch_index)
-                        .mode(mode)
-                        .layer(kernel.layer)
-                        .stats(kernel.stats),
-                );
-            }
-            for request in &batch {
-                rec.record(
-                    TraceEvent::new(
-                        TraceStage::QueueWait,
-                        r,
-                        request.time_ns,
-                        launch.saturating_sub(request.time_ns),
-                    )
-                    .request(request.id)
-                    .batch(batch_index),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Service, r, launch, service_ns)
-                        .request(request.id)
-                        .batch(batch_index)
-                        .mode(mode),
-                );
-                rec.record(
-                    TraceEvent::new(TraceStage::Respond, r, finish, 0)
-                        .request(request.id)
-                        .batch(batch_index),
-                );
-            }
-        }
-        if batches.len() < BATCH_LOG_CAP {
-            batches.push(PoolBatchRecord {
-                replica: r,
-                mode,
-                launch_ns: launch,
-                finish_ns: finish,
-                request_ids: batch.iter().map(|req| req.id).collect(),
-                queue_depth_after: depth_after,
-            });
-        } else {
-            dropped_batches += 1;
-        }
-        replica.t_free = finish;
-
-        // Closed loop: completed clients think, then re-submit through the
-        // router like any other arrival.
-        respawn_closed(
-            &mut pending,
-            &mut remaining_closed,
-            &mut next_id,
-            &batch,
-            finish,
-            think_ns,
-            inputs.len(),
-        );
-
-        // Adaptive evaluation after the batch's latencies landed — the
-        // switch, if any, applies from the replica's next batch on.
-        let p95 = replica.metrics.latency.quantile(0.95);
-        if replica.state.observe_batch(depth_after, p95).is_some() {
-            replica.metrics.record_transition();
-        }
-
-        // Post-batch fault effects, strictly after the adaptive evaluation
-        // (the threaded lockstep gate applies the identical order).
-        replica.batches = batch_index;
-        let post = replica.faults.after_batch(batch_index);
-        if post.stall_ns > 0 {
-            replica.t_free = replica.t_free.saturating_add(post.stall_ns);
-            replica.metrics.record_stall();
-        }
-        if post.close_queue {
-            replica.closed = true;
-        }
-        if post.crashed {
-            replica.crashed = true;
-            replica.closed = true;
-            replica.metrics.record_crash();
-            let crash_time = replica.t_free;
-            let orphans: Vec<PendingArrival> = replica.queue.drain(..).collect();
-            let mut cursor = (r + 1) % replicas.len();
-            let live = controller
-                .as_ref()
-                .map_or(replicas.len(), PoolController::live);
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rep)| (i < live && !rep.crashed && !rep.closed, rep.queue.len()))
-                    .collect();
-                let target = pick_handoff_target(r, &mut cursor, &states, capacity);
-                handoffs.push(HandoffRecord {
-                    from_replica: r,
-                    at_batch: batch_index,
-                    key: orphan.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        replicas[t].queue.push_back(PendingArrival {
-                            ready_ns: crash_time,
-                            ..orphan
-                        });
-                        replicas[r].metrics.record_handoff();
-                    }
-                    None => replicas[r].metrics.record_handoff_shed(),
-                }
-            }
-        }
-
-        // Controller steal pass, strictly after the batch's fault effects:
-        // up to `max_steal` not-yet-batched requests move from the deepest
-        // to the shallowest live queue (the lockstep gate runs the identical
-        // pass at the identical point).
-        if let Some(ctrl) = controller.as_mut() {
-            let depths: Vec<(usize, usize)> = replicas
-                .iter()
-                .enumerate()
-                .take(ctrl.live())
-                .filter(|(_, rep)| !rep.crashed && !rep.closed)
-                .map(|(i, rep)| (i, rep.queue.len()))
-                .collect();
-            if let Some(event) = ctrl.steal_check(launch, &depths, capacity) {
-                if let ControlEventKind::Steal { from, to, moved } = event.kind {
-                    let split = replicas[from].queue.len() - moved;
-                    let stolen = replicas[from].queue.split_off(split);
-                    for request in stolen {
-                        // A stolen request cannot launch on the thief before
-                        // the steal instant; latency stays anchored at its
-                        // arrival.
-                        replicas[to].queue.push_back(PendingArrival {
-                            ready_ns: request.ready_ns.max(event.at_ns),
-                            ..request
-                        });
-                    }
-                    replicas[0].metrics.record_steal(moved);
-                    if let Some(rec) = recorder {
-                        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-                    }
-                }
-            }
-        }
+        stream.respawn(batch.iter().map(|q| q.payload.client), launch.finish_ns);
     }
 
-    let makespan_ns = replicas.iter().map(|r| r.t_free).max().unwrap_or(0);
-    let (control_events, dropped_control_events, replica_ns) = match controller {
-        Some(mut ctrl) => {
-            let replica_ns = ctrl.finalize_replica_ns(makespan_ns);
-            let (events, dropped) = ctrl.into_events();
-            (events, dropped, replica_ns)
-        }
-        None => (
-            Vec::new(),
-            0,
-            (pool.replicas as u64).saturating_mul(makespan_ns),
-        ),
-    };
+    let out = core.finish();
     let mut total = ServeMetrics::new();
-    let mut per_replica = Vec::new();
-    let mut transitions = Vec::new();
-    let mut dropped_transitions = 0u64;
-    for replica in replicas {
-        total.merge(&replica.metrics);
-        per_replica.push(replica.metrics.snapshot(makespan_ns));
-        dropped_transitions += replica.state.dropped_transitions();
-        transitions.extend(replica.state.into_transitions());
+    for metrics in &out.metrics {
+        total.merge(metrics);
     }
     Ok(PoolSimOutcome {
         responses,
         rejected_ids,
-        batches,
-        transitions,
-        per_replica,
-        metrics: total.snapshot(makespan_ns),
-        handoffs,
-        dropped_batches,
-        dropped_transitions,
+        batches: out.batches,
+        transitions: out.transitions,
+        per_replica: out
+            .metrics
+            .iter()
+            .map(|m| m.snapshot(out.makespan_ns))
+            .collect(),
+        metrics: total.snapshot(out.makespan_ns),
+        handoffs: out.handoffs,
+        dropped_batches: out.dropped_batches,
+        dropped_transitions: out.dropped_transitions,
         dropped_responses,
         dropped_rejections,
-        control_events,
-        dropped_control_events,
-        replica_ns,
-        makespan_ns,
+        control_events: out.control_events,
+        dropped_control_events: out.dropped_control_events,
+        replica_ns: out.replica_ns,
+        makespan_ns: out.makespan_ns,
     })
-}
-
-/// Applies one predictive-shift or scale decision inside the event loop:
-/// counters land on replica 0 (the pool-level aggregate is what control
-/// benches read), an instant [`TraceStage::Control`] span marks the
-/// decision, and a scale-down drains the deactivated replica's queue
-/// through the crash-handoff rule — each orphan re-enqueues on the first
-/// eligible live survivor with its `ready` time at the decision instant, or
-/// is shed when none qualifies, so permits reconcile exactly as they do for
-/// crashes. Steal events never reach here; they are applied at the launch
-/// site where the queue depths were sampled.
-fn apply_scale_event(
-    event: ControlEvent,
-    live_after: usize,
-    replicas: &mut [ReplicaSim],
-    handoffs: &mut Vec<HandoffRecord>,
-    recorder: Option<&TraceRecorder>,
-    capacity: usize,
-) {
-    if let Some(rec) = recorder {
-        rec.record(TraceEvent::new(TraceStage::Control, 0, event.at_ns, 0));
-    }
-    match event.kind {
-        ControlEventKind::PredictiveShift { .. } => {
-            replicas[0].metrics.record_predictive_shift();
-        }
-        ControlEventKind::ScaleUp { .. } => replicas[0].metrics.record_scale_up(),
-        ControlEventKind::ScaleDown { to: deact, .. } => {
-            replicas[0].metrics.record_scale_down();
-            let at_batch = replicas[deact].batches;
-            let orphans: Vec<PendingArrival> = replicas[deact].queue.drain(..).collect();
-            let mut cursor = (deact + 1) % replicas.len();
-            for orphan in orphans {
-                let states: Vec<(bool, usize)> = replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rep)| {
-                        (
-                            i < live_after && !rep.crashed && !rep.closed,
-                            rep.queue.len(),
-                        )
-                    })
-                    .collect();
-                let target = pick_handoff_target(deact, &mut cursor, &states, capacity);
-                handoffs.push(HandoffRecord {
-                    from_replica: deact,
-                    at_batch,
-                    key: orphan.key,
-                    to_replica: target,
-                });
-                match target {
-                    Some(t) => {
-                        replicas[t].queue.push_back(PendingArrival {
-                            ready_ns: orphan.ready_ns.max(event.at_ns),
-                            ..orphan
-                        });
-                        replicas[deact].metrics.record_handoff();
-                    }
-                    None => replicas[deact].metrics.record_handoff_shed(),
-                }
-            }
-        }
-        // `on_arrival` only emits shift and scale decisions.
-        ControlEventKind::Steal { .. } => {}
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{route_hash, BatchPolicy, SmtConfig};
+    use crate::config::{route_hash, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig};
     use crate::session::compile_session;
     use nbsmt_workloads::synthnet::quick_synthnet;
     use std::sync::Arc;
@@ -1202,6 +722,19 @@ mod tests {
         }
     }
 
+    /// The single-session simulator: a one-replica pool pinned to `session`.
+    fn simulate_one(
+        session: &Session,
+        ctx: &ExecContext,
+        inputs: &[Tensor<f32>],
+        arrivals: &ArrivalProcess,
+        scheduler: SchedulerConfig,
+        service: ServiceModel,
+    ) -> Result<PoolSimOutcome, ServeError> {
+        let pool = pool_cfg(1, RoutePolicy::RoundRobin, scheduler);
+        simulate_pool(&[session], ctx, inputs, arrivals, pool, service)
+    }
+
     #[test]
     fn widely_spaced_arrivals_run_unbatched() {
         let (session, inputs) = test_setup();
@@ -1211,7 +744,7 @@ mod tests {
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..6).map(|i| i * gap).collect(),
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1232,7 +765,7 @@ mod tests {
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0; 8],
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1254,7 +787,7 @@ mod tests {
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0, 2_000],
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1273,7 +806,7 @@ mod tests {
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0, 500],
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1299,7 +832,7 @@ mod tests {
             arrivals_ns: (0..n).map(|i| i * 10).collect(),
         };
         let service = ServiceModel::default(); // far slower than arrivals
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1330,7 +863,7 @@ mod tests {
             think_ns: 1_000,
             total_requests: 48,
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1352,7 +885,7 @@ mod tests {
             think_ns: 1_000,
             total_requests: 12,
         };
-        let out = simulate(
+        let out = simulate_one(
             &session,
             &ctx,
             &inputs,
@@ -1396,60 +929,6 @@ mod tests {
             route,
             scheduler,
             adaptive: crate::config::AdaptivePolicy::pinned(),
-        }
-    }
-
-    #[test]
-    fn pool_of_one_matches_the_single_replica_simulator() {
-        // A 1-replica pinned pool must be behaviourally identical to the
-        // original single-session simulator: same launches, same batches,
-        // same latencies, same sheds.
-        let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
-        let scheduler = policy(3, 40_000, 4);
-        for arrivals in [
-            ArrivalProcess::Open {
-                arrivals_ns: (0..24).map(|i| i * 17_000).collect(),
-            },
-            ArrivalProcess::Open {
-                arrivals_ns: vec![0; 16],
-            },
-            ArrivalProcess::Closed {
-                clients: 5,
-                think_ns: 30_000,
-                total_requests: 20,
-            },
-        ] {
-            let single = simulate(
-                &session,
-                &ctx,
-                &inputs,
-                &arrivals,
-                scheduler,
-                ServiceModel::default(),
-            )
-            .unwrap();
-            let pooled = simulate_pool(
-                &[Arc::new(session.clone())],
-                &ctx,
-                &inputs,
-                &arrivals,
-                pool_cfg(1, RoutePolicy::RoundRobin, scheduler),
-                ServiceModel::default(),
-            )
-            .unwrap();
-            assert_eq!(pooled.batches.len(), single.batches.len());
-            for (p, s) in pooled.batches.iter().zip(single.batches.iter()) {
-                assert_eq!(p.request_ids, s.request_ids);
-                assert_eq!(p.launch_ns, s.launch_ns);
-                assert_eq!(p.finish_ns, s.finish_ns);
-                assert_eq!(p.queue_depth_after, s.queue_depth_after);
-                assert_eq!((p.replica, p.mode), (0, 0));
-            }
-            assert_eq!(pooled.responses, single.responses);
-            assert_eq!(pooled.rejected_ids, single.rejected_ids);
-            assert_eq!(pooled.makespan_ns, single.makespan_ns);
-            assert!(pooled.transitions.is_empty(), "pinned pool never switches");
         }
     }
 
@@ -1611,7 +1090,7 @@ mod tests {
             arrivals_ns: (0..16).map(|i| i * 50_000).collect(),
         };
         let run = || {
-            simulate(
+            simulate_one(
                 &session,
                 &ctx,
                 &inputs,

@@ -414,14 +414,73 @@ pub fn layer_intervals(start_ns: u64, dur_ns: u64, weights: &[u64]) -> Vec<(u64,
     out
 }
 
-/// Everything [`crate::server::execute_batch`] needs to emit wall-clock
-/// trace events for one batch: the shared recorder plus the batch's
-/// identity on its replica.
+/// One batch's identity on a trace: the shared recorder plus the batch's
+/// replica, 1-based index, and rung. Every driver emits a batch's spans
+/// through it, on the virtual clock and on the wall clock alike.
 pub(crate) struct BatchTraceCtx<'a> {
     pub recorder: &'a TraceRecorder,
     pub replica: usize,
     pub batch_index: u64,
     pub mode: usize,
+}
+
+impl BatchTraceCtx<'_> {
+    /// Records the batch span over `[start_ns, start_ns + dur_ns)` and, for
+    /// each request `(id, submit_ns)`, its queue-wait, service, and respond
+    /// spans.
+    pub(crate) fn record_batch<I>(&self, start_ns: u64, dur_ns: u64, requests: I)
+    where
+        I: ExactSizeIterator<Item = (u64, u64)>,
+    {
+        let end_ns = start_ns.saturating_add(dur_ns);
+        self.recorder.record(
+            TraceEvent::new(TraceStage::Batch, self.replica, start_ns, dur_ns)
+                .batch(self.batch_index)
+                .mode(self.mode)
+                .batch_size(requests.len()),
+        );
+        for (id, submit_ns) in requests {
+            self.recorder.record(
+                TraceEvent::new(
+                    TraceStage::QueueWait,
+                    self.replica,
+                    submit_ns,
+                    start_ns.saturating_sub(submit_ns),
+                )
+                .request(id)
+                .batch(self.batch_index),
+            );
+            self.recorder.record(
+                TraceEvent::new(TraceStage::Service, self.replica, start_ns, dur_ns)
+                    .request(id)
+                    .batch(self.batch_index)
+                    .mode(self.mode),
+            );
+            self.recorder.record(
+                TraceEvent::new(TraceStage::Respond, self.replica, end_ns, 0)
+                    .request(id)
+                    .batch(self.batch_index),
+            );
+        }
+    }
+
+    /// Records one kernel span per layer, splitting the batch's service
+    /// interval by the layers' PE cycles ([`layer_intervals`]).
+    pub(crate) fn record_kernels(&self, start_ns: u64, dur_ns: u64, kernels: &[LayerKernel]) {
+        let weights: Vec<u64> = kernels.iter().map(|k| k.stats.cycles).collect();
+        for (kernel, (span_start, span_dur)) in kernels
+            .iter()
+            .zip(layer_intervals(start_ns, dur_ns, &weights))
+        {
+            self.recorder.record(
+                TraceEvent::new(TraceStage::Kernel, self.replica, span_start, span_dur)
+                    .batch(self.batch_index)
+                    .mode(self.mode)
+                    .layer(kernel.layer)
+                    .stats(kernel.stats),
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -45,10 +45,9 @@ pub mod prelude {
     };
     pub use nbsmt_serve::pool::{PoolClient, PoolSnapshot, ReplicaPool};
     pub use nbsmt_serve::registry::ModelRegistry;
-    pub use nbsmt_serve::server::Server;
     pub use nbsmt_serve::session::{Inference, Session};
     pub use nbsmt_serve::sim::{
-        simulate, simulate_pool, simulate_pool_stats, ArrivalProcess, PoolSimOutcome, ServiceModel,
+        simulate_pool, simulate_pool_stats, ArrivalProcess, PoolSimOutcome, ServiceModel,
     };
     pub use nbsmt_serve::traffic::{SizeModel, TrafficModel};
     pub use nbsmt_sparsity::stats::UtilizationBreakdown;
