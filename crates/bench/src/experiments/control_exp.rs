@@ -19,23 +19,23 @@
 //! [`simulate_pool_controlled_stats`] (the statistics-only virtual-clock
 //! path), so each cell is bit-reproducible and the four variants differ only
 //! in controller policy. Cells land in `BENCH_control.json` (merge-by-name),
-//! and the committed file is held to the dominance criterion below:
-//! `predictive-autoscale` must beat `reactive` on at least one of
-//! {shed rate, p99, replica-seconds} on every traffic model at 1.5× load.
+//! and the committed file is held to the dominance criterion
+//! [`ControlRecord::dominates_on_one_axis`]: `predictive-autoscale` must
+//! beat `reactive` on at least one of {shed rate, p99, replica-seconds} on
+//! every traffic model at 1.5× load.
 
 use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
 use nbsmt_serve::sim::{
-    simulate_pool_controlled_stats, simulate_pool_stats, ArrivalProcess, PoolSimOutcome,
-    ServiceModel,
+    simulate_pool_controlled_stats, simulate_pool_stats, ArrivalProcess, ServiceModel,
 };
 
 use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::{diurnal, mmpp, pareto_sizes};
 use crate::scale::Scale;
-use crate::summary::{ControlRecord, ControlSummary};
+use crate::summary::ControlRecord;
 
 /// The offered-load grid every (arrival × variant × replicas) curve samples.
 /// The 1.5× overload point is where the dominance criterion is judged.
@@ -60,99 +60,6 @@ pub const VARIANTS: [&str; 4] = [
 pub struct ControlKnobs {
     /// Traffic-model filter: `mmpp`, `diurnal`, or `all`.
     pub arrival: String,
-}
-
-/// One cell of the controller sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlRow {
-    /// Traffic-model label (`mmpp`, `diurnal`).
-    pub arrival: &'static str,
-    /// Controller-variant label (one of [`VARIANTS`]).
-    pub variant: &'static str,
-    /// Allocated replica count of the pool (the autoscale ceiling).
-    pub replicas: usize,
-    /// Offered load as a multiple of the size-adjusted aggregate dense rate.
-    pub offered: f64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests shed by admission control.
-    pub rejected: u64,
-    /// Completed requests per second of virtual time.
-    pub throughput_rps: f64,
-    /// Median latency [ms].
-    pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
-    pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
-    pub p99_ms: f64,
-    /// Integrated live-replica time over the run [s].
-    pub replica_seconds: f64,
-    /// Autoscale up events.
-    pub scale_ups: u64,
-    /// Autoscale down events.
-    pub scale_downs: u64,
-    /// Predictive ladder-floor changes.
-    pub predictive_shifts: u64,
-    /// Work-stealing events.
-    pub steals: u64,
-    /// Requests moved by stealing.
-    pub stolen_requests: u64,
-    /// Reactive adaptive mode switches over the run.
-    pub mode_transitions: u64,
-}
-
-impl ControlRow {
-    fn from_outcome(
-        arrival: &'static str,
-        variant: &'static str,
-        replicas: usize,
-        offered: f64,
-        requests: u64,
-        outcome: &PoolSimOutcome,
-    ) -> ControlRow {
-        let m = &outcome.metrics;
-        ControlRow {
-            arrival,
-            variant,
-            replicas,
-            offered,
-            requests,
-            completed: m.completed,
-            rejected: m.rejected,
-            throughput_rps: m.throughput_rps,
-            p50_ms: m.p50_ns as f64 / 1e6,
-            p95_ms: m.p95_ns as f64 / 1e6,
-            p99_ms: m.p99_ns as f64 / 1e6,
-            replica_seconds: outcome.replica_ns as f64 / 1e9,
-            scale_ups: m.scale_ups,
-            scale_downs: m.scale_downs,
-            predictive_shifts: m.predictive_shifts,
-            steals: m.steals,
-            stolen_requests: m.stolen_requests,
-            mode_transitions: m.mode_transitions,
-        }
-    }
-
-    /// Shed fraction of the offered trace.
-    pub fn shed_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.requests as f64
-        }
-    }
-
-    /// The record id used in `BENCH_control.json` (merge key across runs).
-    /// Includes the trace length so a CI smoke run merges in beside the
-    /// tracked full-length curves instead of replacing them.
-    pub fn record_name(&self) -> String {
-        format!(
-            "control_synthnet_{}_{}_r{}_x{:.1}_n{}",
-            self.arrival, self.variant, self.replicas, self.offered, self.requests
-        )
-    }
 }
 
 /// The seeded arrival trace for one cell: `n` arrivals at a long-run mean of
@@ -222,7 +129,7 @@ pub fn control_sweep_with(
     replica_counts: &[usize],
     seed: u64,
     knobs: &ControlKnobs,
-) -> Vec<ControlRow> {
+) -> Vec<ControlRecord> {
     let fixture = SweepFixture::prepare(scale, requests, seed);
     let ladder = fixture
         .registry
@@ -311,14 +218,34 @@ pub fn control_sweep_with(
                         ),
                     }
                     .expect("pool simulation succeeds");
-                    rows.push(ControlRow::from_outcome(
-                        arrival,
-                        variant,
-                        replicas,
-                        load_x,
-                        requests as u64,
-                        &outcome,
-                    ));
+                    let m = &outcome.metrics;
+                    // The record id is the merge key across runs. It
+                    // includes the trace length so a CI smoke run merges in
+                    // beside the tracked full-length curves instead of
+                    // replacing them.
+                    rows.push(ControlRecord {
+                        name: format!(
+                            "control_synthnet_{arrival}_{variant}_r{replicas}_x{load_x:.1}_n{requests}"
+                        ),
+                        controller: variant.to_string(),
+                        arrival: arrival.to_string(),
+                        offered: load_x,
+                        requests: requests as u64,
+                        completed: m.completed,
+                        rejected: m.rejected,
+                        throughput_rps: m.throughput_rps,
+                        p50_ms: m.p50_ns as f64 / 1e6,
+                        p95_ms: m.p95_ns as f64 / 1e6,
+                        p99_ms: m.p99_ns as f64 / 1e6,
+                        replicas: replicas as u64,
+                        replica_seconds: outcome.replica_ns as f64 / 1e9,
+                        scale_ups: m.scale_ups,
+                        scale_downs: m.scale_downs,
+                        predictive_shifts: m.predictive_shifts,
+                        steals: m.steals,
+                        stolen_requests: m.stolen_requests,
+                        mode_transitions: m.mode_transitions,
+                    });
                 }
             }
         }
@@ -326,48 +253,10 @@ pub fn control_sweep_with(
     rows
 }
 
-/// Whether `candidate` dominates `baseline` on at least one of the three
-/// axes the controller optimizes: shed rate, p99 latency, replica-seconds.
-/// (A small relative margin keeps rounding noise from counting as a win.)
-pub fn dominates_on_one_axis(candidate: &ControlRow, baseline: &ControlRow) -> bool {
-    let better = |c: f64, b: f64| c < b * 0.999;
-    better(candidate.shed_rate(), baseline.shed_rate())
-        || better(candidate.p99_ms, baseline.p99_ms)
-        || better(candidate.replica_seconds, baseline.replica_seconds)
-}
-
-/// Converts controller-sweep rows into the `BENCH_control.json` summary.
-pub fn control_summary(rows: &[ControlRow]) -> ControlSummary {
-    let mut summary = ControlSummary::new();
-    for row in rows {
-        summary.push(ControlRecord {
-            name: row.record_name(),
-            controller: row.variant.to_string(),
-            arrival: row.arrival.to_string(),
-            offered: row.offered,
-            requests: row.requests,
-            completed: row.completed,
-            rejected: row.rejected,
-            throughput_rps: row.throughput_rps,
-            p50_ms: row.p50_ms,
-            p95_ms: row.p95_ms,
-            p99_ms: row.p99_ms,
-            replicas: row.replicas as u64,
-            replica_seconds: row.replica_seconds,
-            scale_ups: row.scale_ups,
-            scale_downs: row.scale_downs,
-            predictive_shifts: row.predictive_shifts,
-            steals: row.steals,
-            stolen_requests: row.stolen_requests,
-            mode_transitions: row.mode_transitions,
-        });
-    }
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::Summary;
 
     fn knobs() -> ControlKnobs {
         ControlKnobs {
@@ -376,13 +265,13 @@ mod tests {
     }
 
     fn cell<'a>(
-        rows: &'a [ControlRow],
+        rows: &'a [ControlRecord],
         arrival: &str,
-        variant: &str,
+        controller: &str,
         offered: f64,
-    ) -> &'a ControlRow {
+    ) -> &'a ControlRecord {
         rows.iter()
-            .find(|r| r.arrival == arrival && r.variant == variant && r.offered == offered)
+            .find(|r| r.arrival == arrival && r.controller == controller && r.offered == offered)
             .expect("cell exists")
     }
 
@@ -397,7 +286,7 @@ mod tests {
             assert!(row.replica_seconds > 0.0);
         }
         // Record names are unique (the merge key must not collide).
-        let mut names: Vec<String> = rows.iter().map(ControlRow::record_name).collect();
+        let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
@@ -437,7 +326,7 @@ mod tests {
             assert!(auto.replica_seconds <= reactive.replica_seconds * 1.001);
             // The acceptance criterion on the committed curves.
             assert!(
-                dominates_on_one_axis(auto, reactive),
+                auto.dominates_on_one_axis(reactive),
                 "{arrival}: predictive-autoscale must beat reactive on one \
                  of shed/p99/replica-seconds (auto: shed {:.4} p99 {:.3} rs {:.3}; \
                  reactive: shed {:.4} p99 {:.3} rs {:.3})",
@@ -452,7 +341,7 @@ mod tests {
         // The steal variant moves work when hashing skews queues.
         let stole: u64 = rows
             .iter()
-            .filter(|r| r.variant == "predictive-steal")
+            .filter(|r| r.controller == "predictive-steal")
             .map(|r| r.stolen_requests)
             .sum();
         assert!(stole > 0, "stealing never rebalanced a queue");
@@ -462,14 +351,14 @@ mod tests {
     fn control_summary_round_trips_records() {
         let mut only = knobs();
         only.arrival = "mmpp".to_string();
-        let rows = control_sweep_with(Scale::Quick, 48, &[2], 13, &only);
-        let summary = control_summary(&rows);
-        assert_eq!(summary.runs.len(), rows.len());
-        let parsed = ControlSummary::parse(&summary.to_json()).expect("summary parses");
-        let again = ControlSummary::parse(&parsed.to_json()).expect("re-render parses");
-        assert_eq!(again, parsed);
+        let summary = Summary {
+            records: control_sweep_with(Scale::Quick, 48, &[2], 13, &only),
+        };
+        let parsed = Summary::<ControlRecord>::parse(&summary.to_json()).expect("summary parses");
+        assert_eq!(parsed.to_json(), summary.to_json());
+        assert_eq!(parsed.records.len(), summary.records.len());
         assert!(parsed
-            .runs
+            .records
             .iter()
             .all(|r| r.name.starts_with("control_synthnet_mmpp_")));
     }

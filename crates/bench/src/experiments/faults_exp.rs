@@ -7,8 +7,9 @@
 //!   0×/1×/2×/4× the spec's per-mille failure rates, a [`FaultPlan`] is
 //!   generated per intensity, and each plan replays through the
 //!   deterministic virtual-clock simulator with the design point pinned
-//!   dense and with the adaptive dense→2T→4T ladder. These rows — and the
-//!   `BENCH_faults.json` records they feed — are bit-reproducible: they show
+//!   dense and with the adaptive dense→2T→4T ladder. These rows — the
+//!   sweep returns them as the `BENCH_faults.json` records — are
+//!   bit-reproducible: they show
 //!   availability, shed rate, and tail latency degrading with failure
 //!   intensity, and how much of it the adaptive ladder buys back.
 //!
@@ -42,7 +43,7 @@ use nbsmt_tensor::tensor::Tensor;
 use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::open_poisson;
 use crate::scale::{ExecSettings, Scale};
-use crate::summary::{FaultRecord, FaultSummary};
+use crate::summary::FaultRecord;
 
 /// Replica count of every cell: the committed chaos corpus is authored for
 /// two replicas (crash + survivor), and the intensity sweep uses the same
@@ -67,54 +68,6 @@ pub struct FaultKnobs {
     pub hedging: bool,
 }
 
-/// One row of the faults sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRow {
-    /// Schedule id: a [`chaos_corpus`] name or `gen-x<intensity>`.
-    pub schedule: String,
-    /// Execution family: `sim` (virtual clock, bit-reproducible) or `live`
-    /// (threaded pool, wall clock).
-    pub mode: &'static str,
-    /// Design-point selection: `pinned` (dense rung 0) or `adaptive`.
-    pub policy: &'static str,
-    /// Client countermeasures: `none`, `retry`, or `retry+hedge` (`-` for
-    /// sim rows, which have no client loop).
-    pub cm: &'static str,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests that received a response.
-    pub completed: u64,
-    /// Requests lost: shed by admission control, cancelled by a crash, or
-    /// abandoned by the client after its retry budget.
-    pub failed: u64,
-    /// completed / requests.
-    pub availability: f64,
-    /// 95th-percentile latency [ms] (virtual for sim, wall for live).
-    pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
-    pub p99_ms: f64,
-    /// Injected replica crashes.
-    pub crashes: u64,
-    /// Requests handed off from crashed replicas to survivors.
-    pub handoffs: u64,
-    /// Client re-submissions (live rows).
-    pub retries: u64,
-    /// Hedge duplicates submitted (live rows).
-    pub hedges: u64,
-    /// Calls won by the hedge leg (live rows).
-    pub hedge_wins: u64,
-}
-
-impl FaultRow {
-    /// The record id used in `BENCH_faults.json` (merge key across runs).
-    pub fn record_name(&self) -> String {
-        format!(
-            "faults_{}_{}_{}_{}_n{}",
-            self.schedule, self.mode, self.policy, self.cm, self.requests
-        )
-    }
-}
-
 /// The faults sweep at the given scale and host-execution settings: the
 /// deterministic intensity family plus the live countermeasure A/B over the
 /// committed chaos corpus.
@@ -124,7 +77,7 @@ pub fn faults_sweep_with(
     requests: usize,
     seed: u64,
     knobs: FaultKnobs,
-) -> Vec<FaultRow> {
+) -> Vec<FaultRecord> {
     let fixture = SweepFixture::prepare(scale, requests, seed);
     let ladder = fixture
         .registry
@@ -182,7 +135,7 @@ fn intensity_rows(
     requests: usize,
     seed: u64,
     knobs: FaultKnobs,
-) -> Vec<FaultRow> {
+) -> Vec<FaultRecord> {
     let ctx = exec.context();
     // 1.2× the aggregate dense rate: loaded enough that stalls and
     // stragglers push on the tail, not so overloaded that the no-fault
@@ -216,11 +169,14 @@ fn intensity_rows(
             )
             .expect("pool simulation succeeds");
             let m = &outcome.metrics;
-            rows.push(FaultRow {
+            // Record ids (the merge key across runs) read
+            // `faults_<schedule>_<mode>_<policy>_<cm>_n<requests>`.
+            rows.push(FaultRecord {
+                name: format!("faults_gen-x{intensity}_sim_{policy_label}_-_n{requests}"),
                 schedule: format!("gen-x{intensity}"),
-                mode: "sim",
-                policy: policy_label,
-                cm: "-",
+                mode: "sim".to_string(),
+                policy: policy_label.to_string(),
+                cm: "-".to_string(),
                 requests: requests as u64,
                 completed: m.completed,
                 failed: requests as u64 - m.completed,
@@ -246,7 +202,7 @@ fn corpus_rows(
     exec: &ExecSettings,
     requests: usize,
     knobs: FaultKnobs,
-) -> Vec<FaultRow> {
+) -> Vec<FaultRecord> {
     let cm_label: &'static str = if knobs.hedging {
         "retry+hedge"
     } else {
@@ -318,7 +274,7 @@ fn corpus_rows(
 }
 
 /// Runs one live pool under `plan` with `clients` closed-loop fault-client
-/// threads and folds the client and pool views into a row.
+/// threads and folds the client and pool views into a record.
 #[allow(clippy::too_many_arguments)]
 fn live_cell(
     fixture: &SweepFixture,
@@ -327,10 +283,10 @@ fn live_cell(
     requests: usize,
     schedule: &str,
     plan: &FaultPlan,
-    cm: &'static str,
+    cm: &str,
     retry: RetryPolicy,
     hedge: Option<HedgePolicy>,
-) -> FaultRow {
+) -> FaultRecord {
     let pool = ReplicaPool::start_with_faults(
         ladder.to_vec(),
         pool_config(adaptive_policy()),
@@ -366,11 +322,12 @@ fn live_cell(
 
     let completed: u64 = stats.iter().map(|s| s.completed).sum();
     let failed: u64 = stats.iter().map(|s| s.failed).sum();
-    FaultRow {
+    FaultRecord {
+        name: format!("faults_{schedule}_live_adaptive_{cm}_n{requests}"),
         schedule: schedule.to_string(),
-        mode: "live",
-        policy: "adaptive",
-        cm,
+        mode: "live".to_string(),
+        policy: "adaptive".to_string(),
+        cm: cm.to_string(),
         requests: requests as u64,
         completed,
         failed,
@@ -383,32 +340,6 @@ fn live_cell(
         hedges: stats.iter().map(|s| s.hedges).sum(),
         hedge_wins: stats.iter().map(|s| s.hedge_wins).sum(),
     }
-}
-
-/// Converts sweep rows into the `BENCH_faults.json` summary.
-pub fn faults_summary(rows: &[FaultRow]) -> FaultSummary {
-    let mut summary = FaultSummary::new();
-    for row in rows {
-        summary.push(FaultRecord {
-            name: row.record_name(),
-            schedule: row.schedule.clone(),
-            mode: row.mode.to_string(),
-            policy: row.policy.to_string(),
-            cm: row.cm.to_string(),
-            requests: row.requests,
-            completed: row.completed,
-            failed: row.failed,
-            availability: row.availability,
-            p95_ms: row.p95_ms,
-            p99_ms: row.p99_ms,
-            crashes: row.crashes,
-            handoffs: row.handoffs,
-            retries: row.retries,
-            hedges: row.hedges,
-            hedge_wins: row.hedge_wins,
-        });
-    }
-    summary
 }
 
 #[cfg(test)]
@@ -456,7 +387,7 @@ mod tests {
         let again = intensity_rows(&fixture, &ladder, &exec, 48, 2024, knobs());
         assert_eq!(rows, again);
         // Record names are unique merge keys.
-        let mut names: Vec<String> = rows.iter().map(FaultRow::record_name).collect();
+        let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
@@ -466,7 +397,7 @@ mod tests {
     fn countermeasures_recover_at_least_the_bare_client_on_every_schedule() {
         let exec = ExecSettings::sequential();
         let rows = faults_sweep_with(Scale::Quick, &exec, 48, 2024, knobs());
-        let live: Vec<&FaultRow> = rows.iter().filter(|r| r.mode == "live").collect();
+        let live: Vec<&FaultRecord> = rows.iter().filter(|r| r.mode == "live").collect();
         // The fault-free reference cell plus 6 corpus schedules ×
         // {none, retry+hedge}.
         assert_eq!(live.len(), 13);

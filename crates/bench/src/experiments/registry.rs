@@ -34,20 +34,18 @@ use crate::experiments::accuracy::{
     fig10_pruning, fig7_robustness, mlperf_mobilenet, table3_policies, table4_comparison,
     table5_slowdown, AccuracyBench,
 };
-use crate::experiments::control_exp::{control_summary, control_sweep_with, ControlKnobs};
-use crate::experiments::faults_exp::{faults_summary, faults_sweep_with, FaultKnobs};
+use crate::experiments::control_exp::{control_sweep_with, ControlKnobs};
+use crate::experiments::faults_exp::{faults_sweep_with, FaultKnobs};
 use crate::experiments::hw_exp::table2_rows;
 use crate::experiments::obs_exp::ObsBench;
-use crate::experiments::scale_exp::{scale_summary, scale_sweep_with, ScaleKnobs, ANCHOR_REQUESTS};
-use crate::experiments::serve_exp::{
-    serve_summary, serve_sweep_with, shard_summary, shard_sweep_with,
-};
+use crate::experiments::scale_exp::{scale_sweep_with, ScaleKnobs, ANCHOR_REQUESTS};
+use crate::experiments::serve_exp::{serve_sweep_with, shard_sweep_with, ShardRow};
 use crate::experiments::zoo_exp::{
     energy_savings_with, fig1_utilization, fig8_mse_vs_sparsity_with, fig9_utilization_gain_with,
     table1_inventory,
 };
 use crate::spec::{ParamKey, RunSpec, SpecError};
-use crate::summary::BenchSummary;
+use crate::summary::{BenchRecord, Record, Summary};
 use crate::trace_export::{render_chrome_trace, stage_summary};
 
 /// Writes a line into the sink, ignoring the (infallible in both sink
@@ -130,6 +128,28 @@ impl RunReport {
             experiment: experiment.to_string(),
             ..RunReport::default()
         }
+    }
+
+    /// The report of an experiment whose cells are `records`: when the sink
+    /// persists, writes them into the file the experiment declares in
+    /// [`ExperimentInfo::writes`], merging by record name.
+    fn recorded<R: Record>(
+        experiment: &dyn Experiment,
+        sink: &mut SummarySink,
+        records: Vec<R>,
+    ) -> Result<RunReport, ExperimentError> {
+        let mut report = RunReport::new(experiment.name());
+        report.cells = records.len();
+        if sink.persists() {
+            let file = experiment.describe().writes;
+            let path = Path::new(file.expect("a recording experiment declares its file"));
+            Summary { records }
+                .write(path)
+                .map_err(|e| ExperimentError::io(path, &e))?;
+            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
+            report.summaries.push(path.to_path_buf());
+        }
+        Ok(report)
     }
 }
 
@@ -1037,7 +1057,7 @@ impl Experiment for GemmBench {
             crate::Scale::Quick => 5,
             crate::Scale::Full => 10,
         };
-        let mut summary = BenchSummary::new();
+        let mut records = Vec::new();
 
         // Integer GEMM: one square problem per backend, plus the requested
         // thread count for the parallel backend.
@@ -1111,7 +1131,7 @@ impl Experiment for GemmBench {
             "threads"
         );
         for (name, ctx) in &runs {
-            let record = summary.measure(
+            let record = BenchRecord::measure(
                 name,
                 ctx.threads(),
                 ctx.config().backend.name(),
@@ -1129,6 +1149,7 @@ impl Experiment for GemmBench {
                 record.gmacs_per_s(),
                 record.threads
             );
+            records.push(record);
         }
 
         // NB-SMT layer emulation at 2T and 4T through the configured context.
@@ -1170,7 +1191,7 @@ impl Experiment for GemmBench {
             let oracle_name = format!("nbsmt_{label}_layer_{m}x{k}x{n}_{}t", ctx.threads());
             let fast_name = format!("nbsmt_fast_{label}_layer_{m}x{k}x{n}_{}t", ctx.threads());
             for (name, fast) in [(&oracle_name, false), (&fast_name, true)] {
-                let record = summary.measure(
+                let record = BenchRecord::measure(
                     name,
                     ctx.threads(),
                     ctx.config().backend.name(),
@@ -1193,20 +1214,10 @@ impl Experiment for GemmBench {
                     record.gmacs_per_s(),
                     record.threads
                 );
+                records.push(record);
             }
         }
-
-        let mut report = RunReport::new(self.name());
-        report.cells = summary.records.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_baseline.json");
-            summary
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {}\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        RunReport::recorded(self, sink, records)
     }
 }
 
@@ -1284,17 +1295,7 @@ impl Experiment for Serve {
                 row.max_queue_depth
             );
         }
-        let mut report = RunReport::new(self.name());
-        report.cells = rows.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_serve.json");
-            serve_summary(&rows)
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        RunReport::recorded(self, sink, rows)
     }
 }
 
@@ -1358,13 +1359,17 @@ impl Experiment for Shard {
             "Trans",
             "Batches/mode"
         );
-        for row in &rows {
+        for ShardRow {
+            record: row,
+            batches_per_mode,
+        } in &rows
+        {
             out!(
                 sink,
                 "{:<4} {:<6} {:<9} {:>7.1}x {:>6} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>7.2} {:>6} {:>14}",
                 row.replicas,
                 row.route,
-                row.policy,
+                row.smt,
                 row.offered,
                 row.completed,
                 row.rejected,
@@ -1373,20 +1378,11 @@ impl Experiment for Shard {
                 row.p99_ms,
                 row.mean_batch,
                 row.mode_transitions,
-                format!("{:?}", row.batches_per_mode),
+                format!("{batches_per_mode:?}"),
             );
         }
-        let mut report = RunReport::new(self.name());
-        report.cells = rows.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_serve.json");
-            shard_summary(&rows)
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        let records = rows.into_iter().map(|row| row.record).collect();
+        RunReport::recorded(self, sink, records)
     }
 }
 
@@ -1500,17 +1496,7 @@ impl Experiment for Faults {
                 row.hedge_wins
             );
         }
-        let mut report = RunReport::new(self.name());
-        report.cells = rows.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_faults.json");
-            faults_summary(&rows)
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        RunReport::recorded(self, sink, rows)
     }
 }
 
@@ -1562,31 +1548,27 @@ impl Experiment for Obs {
         // cell eats the cold-start cost and the overhead number is noise.
         bench.run_off();
         bench.run_traced();
-        let mut summary = BenchSummary::new();
-        let off_ns = summary
-            .measure(
-                &format!("obs_recorder_off_n{requests}"),
-                spec.exec.threads,
-                backend,
-                0,
-                iters,
-                || {
-                    bench.run_off();
-                },
-            )
-            .mean_ns;
-        let on_ns = summary
-            .measure(
-                &format!("obs_recorder_on_n{requests}"),
-                spec.exec.threads,
-                backend,
-                0,
-                iters,
-                || {
-                    bench.run_traced();
-                },
-            )
-            .mean_ns;
+        let off = BenchRecord::measure(
+            &format!("obs_recorder_off_n{requests}"),
+            spec.exec.threads,
+            backend,
+            0,
+            iters,
+            || {
+                bench.run_off();
+            },
+        );
+        let on = BenchRecord::measure(
+            &format!("obs_recorder_on_n{requests}"),
+            spec.exec.threads,
+            backend,
+            0,
+            iters,
+            || {
+                bench.run_traced();
+            },
+        );
+        let (off_ns, on_ns) = (off.mean_ns, on.mean_ns);
         let overhead = (on_ns - off_ns) / off_ns * 100.0;
         out!(
             sink,
@@ -1613,26 +1595,16 @@ impl Experiment for Obs {
             outcome.metrics.completed
         );
         out!(sink, "{}", stage_summary(&snapshot).trim_end());
-        let mut report = RunReport::new(self.name());
-        report.cells = 2;
-        if sink.persists() {
-            if let Some(trace_path) = &spec.trace {
-                let path = Path::new(trace_path);
-                std::fs::write(path, &rendered).map_err(|e| ExperimentError::io(path, &e))?;
-                out!(
-                    sink,
-                    "\nwrote {} (Chrome trace-event format)",
-                    path.display()
-                );
-            }
-            let path = Path::new("BENCH_obs.json");
-            summary
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)", path.display());
-            report.summaries.push(path.to_path_buf());
+        if let Some(trace_path) = spec.trace.as_ref().filter(|_| sink.persists()) {
+            let path = Path::new(trace_path);
+            std::fs::write(path, &rendered).map_err(|e| ExperimentError::io(path, &e))?;
+            out!(
+                sink,
+                "\nwrote {} (Chrome trace-event format)",
+                path.display()
+            );
         }
-        Ok(report)
+        RunReport::recorded(self, sink, vec![off, on])
     }
 }
 
@@ -1733,7 +1705,7 @@ impl Experiment for ScaleExp {
                 sink,
                 "{:<8} {:<9} {:>4} {:>7.1}x {:>9} {:>8} {:>10.1} {:>9.2} {:>9.2} {:>9.2} {:>7.2} {:>6}",
                 row.arrival,
-                row.policy,
+                row.smt,
                 row.replicas,
                 row.offered,
                 row.completed,
@@ -1746,17 +1718,7 @@ impl Experiment for ScaleExp {
                 row.mode_transitions
             );
         }
-        let mut report = RunReport::new(self.name());
-        report.cells = rows.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_scale.json");
-            scale_summary(&rows)
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        RunReport::recorded(self, sink, rows)
     }
 }
 
@@ -1835,7 +1797,7 @@ impl Experiment for Control {
                 sink,
                 "{:<8} {:<21} {:>4} {:>7.1}x {:>9} {:>8} {:>9.2} {:>9.2} {:>10.2} {:>5} {:>5} {:>6} {:>6}",
                 row.arrival,
-                row.variant,
+                row.controller,
                 row.replicas,
                 row.offered,
                 row.completed,
@@ -1849,17 +1811,7 @@ impl Experiment for Control {
                 row.stolen_requests
             );
         }
-        let mut report = RunReport::new(self.name());
-        report.cells = rows.len();
-        if sink.persists() {
-            let path = Path::new("BENCH_control.json");
-            control_summary(&rows)
-                .write(path)
-                .map_err(|e| ExperimentError::io(path, &e))?;
-            out!(sink, "\nwrote {} (merged by record name)\n", path.display());
-            report.summaries.push(path.to_path_buf());
-        }
-        Ok(report)
+        RunReport::recorded(self, sink, rows)
     }
 }
 

@@ -22,12 +22,12 @@
 use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
 };
-use nbsmt_serve::sim::{simulate_pool_stats, ArrivalProcess, PoolSimOutcome, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool_stats, ArrivalProcess, ServiceModel};
 
 use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::{diurnal, lazy_poisson, mmpp, pareto_sizes};
 use crate::scale::Scale;
-use crate::summary::{ServeRecord, ServeSummary};
+use crate::summary::ServeRecord;
 
 /// Requests in the million-request anchor cell.
 pub const ANCHOR_REQUESTS: u64 = 1_000_000;
@@ -52,79 +52,6 @@ pub struct ScaleKnobs {
     /// Length of the anchor cell ([`ANCHOR_REQUESTS`] in the registry;
     /// tests shrink it so the quick suites stay quick).
     pub anchor_requests: u64,
-}
-
-/// One cell of the scale sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleRow {
-    /// Traffic-model label (`poisson`, `mmpp`, `diurnal`).
-    pub arrival: &'static str,
-    /// Mode-selection label (`dense` pinned, or `adaptive`).
-    pub policy: &'static str,
-    /// Replica count of the pool.
-    pub replicas: usize,
-    /// Offered load as a multiple of the size-adjusted aggregate dense rate.
-    pub offered: f64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests shed by admission control.
-    pub rejected: u64,
-    /// Completed requests per second of virtual time.
-    pub throughput_rps: f64,
-    /// Median latency [ms].
-    pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
-    pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
-    pub p99_ms: f64,
-    /// Mean launched batch size.
-    pub mean_batch: f64,
-    /// Deepest per-replica queue observed.
-    pub max_queue_depth: u64,
-    /// Adaptive mode switches over the run.
-    pub mode_transitions: u64,
-}
-
-impl ScaleRow {
-    fn from_outcome(
-        arrival: &'static str,
-        policy: &'static str,
-        replicas: usize,
-        offered: f64,
-        requests: u64,
-        outcome: &PoolSimOutcome,
-    ) -> ScaleRow {
-        let m = &outcome.metrics;
-        ScaleRow {
-            arrival,
-            policy,
-            replicas,
-            offered,
-            requests,
-            completed: m.completed,
-            rejected: m.rejected,
-            throughput_rps: m.throughput_rps,
-            p50_ms: m.p50_ns as f64 / 1e6,
-            p95_ms: m.p95_ns as f64 / 1e6,
-            p99_ms: m.p99_ns as f64 / 1e6,
-            mean_batch: m.mean_batch_size,
-            max_queue_depth: m.max_queue_depth as u64,
-            mode_transitions: m.mode_transitions,
-        }
-    }
-
-    /// The record id used in `BENCH_scale.json` (merge key across runs).
-    /// Includes the trace length so a CI smoke run at a few thousand
-    /// requests merges in beside the tracked full-length curves instead of
-    /// replacing them.
-    pub fn record_name(&self) -> String {
-        format!(
-            "scale_synthnet_{}_{}_r{}_x{:.1}_n{}",
-            self.arrival, self.policy, self.replicas, self.offered, self.requests
-        )
-    }
 }
 
 /// Builds the lazily generated [`ArrivalProcess`] for one cell: `n`
@@ -163,13 +90,18 @@ fn arrivals_for(arrival: &str, seed: u64, rate_rps: f64, n: u64) -> ArrivalProce
 /// `knobs.anchor_requests`-long anchor cell ([`ANCHOR_REQUESTS`] from the
 /// registry) when `mmpp` is selected. Deterministic per
 /// `(scale, requests, replicas, seed, knobs)`.
+///
+/// The records share `BENCH_serve.json`'s schema, in their own file so the
+/// regime curves never crowd the real-inference records: `smt` holds the
+/// mode policy, `arrival` the traffic model, and every cell routes by key
+/// hash.
 pub fn scale_sweep_with(
     scale: Scale,
     requests: usize,
     replica_counts: &[usize],
     seed: u64,
     knobs: &ScaleKnobs,
-) -> Vec<ScaleRow> {
+) -> Vec<ServeRecord> {
     let fixture = SweepFixture::prepare(scale, requests, seed);
     let ladder = fixture
         .registry
@@ -253,14 +185,22 @@ pub fn scale_sweep_with(
                 None,
             )
             .expect("pool simulation succeeds");
-            rows.push(ScaleRow::from_outcome(
-                arrival,
-                policy_label,
-                replicas,
-                load_x,
-                n,
-                &outcome,
-            ));
+            // The record id is the merge key across runs. It includes the
+            // trace length so a CI smoke run at a few thousand requests
+            // merges in beside the tracked full-length curves instead of
+            // replacing them.
+            rows.push(ServeRecord {
+                name: format!(
+                    "scale_synthnet_{arrival}_{policy_label}_r{replicas}_x{load_x:.1}_n{n}"
+                ),
+                smt: policy_label.to_string(),
+                arrival: arrival.to_string(),
+                offered: load_x,
+                requests: n,
+                replicas: replicas as u64,
+                route: "hash".to_string(),
+                ..ServeRecord::from_metrics(&outcome.metrics)
+            });
         };
 
     for &arrival in &selected {
@@ -282,37 +222,10 @@ pub fn scale_sweep_with(
     rows
 }
 
-/// Converts scale-sweep rows into the `BENCH_scale.json` summary (the same
-/// [`ServeSummary`] schema as `BENCH_serve.json`, in its own file so the
-/// regime curves never crowd the real-inference records).
-pub fn scale_summary(rows: &[ScaleRow]) -> ServeSummary {
-    let mut summary = ServeSummary::new();
-    for row in rows {
-        summary.push(ServeRecord {
-            name: row.record_name(),
-            smt: row.policy.to_string(),
-            arrival: row.arrival.to_string(),
-            offered: row.offered,
-            requests: row.requests,
-            completed: row.completed,
-            rejected: row.rejected,
-            throughput_rps: row.throughput_rps,
-            p50_ms: row.p50_ms,
-            p95_ms: row.p95_ms,
-            p99_ms: row.p99_ms,
-            mean_batch: row.mean_batch,
-            max_queue_depth: row.max_queue_depth,
-            replicas: row.replicas as u64,
-            route: "hash".to_string(),
-            mode_transitions: row.mode_transitions,
-        });
-    }
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::Summary;
 
     fn knobs() -> ScaleKnobs {
         ScaleKnobs {
@@ -335,11 +248,15 @@ mod tests {
         }
         let anchor = rows.last().expect("anchor is last");
         assert_eq!(
-            (anchor.arrival, anchor.policy, anchor.requests),
+            (
+                anchor.arrival.as_str(),
+                anchor.smt.as_str(),
+                anchor.requests
+            ),
             ("mmpp", "adaptive", 2_000)
         );
         // Record names are unique (the merge key must not collide).
-        let mut names: Vec<String> = rows.iter().map(ScaleRow::record_name).collect();
+        let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
@@ -366,7 +283,7 @@ mod tests {
                     rows.iter()
                         .find(|r| {
                             r.arrival == arrival
-                                && r.policy == policy
+                                && r.smt == policy
                                 && r.offered == load
                                 && r.requests == 512
                         })
@@ -386,7 +303,7 @@ mod tests {
                 rows.iter()
                     .find(|r| {
                         r.arrival == arrival
-                            && r.policy == policy
+                            && r.smt == policy
                             && r.offered == 1.5
                             && r.requests == 512
                     })
@@ -403,15 +320,15 @@ mod tests {
     fn scale_summary_round_trips_records() {
         let mut only = knobs();
         only.arrival = "poisson".to_string();
-        let rows = scale_sweep_with(Scale::Quick, 48, &[2], 13, &only);
-        let summary = scale_summary(&rows);
-        assert_eq!(summary.runs.len(), rows.len());
-        let parsed = ServeSummary::parse(&summary.to_json()).expect("summary parses");
-        let again = ServeSummary::parse(&parsed.to_json()).expect("re-render parses");
-        assert_eq!(again, parsed);
-        assert!(parsed.runs.iter().all(|r| r.route == "hash"));
+        let summary = Summary {
+            records: scale_sweep_with(Scale::Quick, 48, &[2], 13, &only),
+        };
+        let parsed = Summary::<ServeRecord>::parse(&summary.to_json()).expect("summary parses");
+        assert_eq!(parsed.to_json(), summary.to_json());
+        assert_eq!(parsed.records.len(), summary.records.len());
+        assert!(parsed.records.iter().all(|r| r.route == "hash"));
         assert!(parsed
-            .runs
+            .records
             .iter()
             .all(|r| r.name.starts_with("scale_synthnet_poisson_")));
     }

@@ -14,6 +14,7 @@
 use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
 };
+use nbsmt_serve::metrics::MetricsSnapshot;
 use nbsmt_serve::registry::ModelRegistry;
 use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome, ServiceModel};
 use nbsmt_tensor::tensor::Tensor;
@@ -21,52 +22,19 @@ use nbsmt_workloads::synthnet::{train_synthnet, SynthTaskConfig};
 
 use crate::loadgen::{closed_loop, open_poisson};
 use crate::scale::{ExecSettings, Scale};
-use crate::summary::{ServeRecord, ServeSummary};
+use crate::summary::ServeRecord;
 
-/// One row of the serving sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRow {
-    /// NB-SMT design point label (`dense`, `2t`, `4t`).
-    pub smt: &'static str,
-    /// Arrival model label (`open_poisson`, `closed_loop`).
-    pub arrival: &'static str,
-    /// Offered load: for open loop, the multiplier of the dense session's
-    /// single-request service rate; for closed loop, the client count.
-    pub offered: f64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests shed by admission control.
-    pub rejected: u64,
-    /// Completed requests per second of virtual time.
-    pub throughput_rps: f64,
-    /// Median latency [ms].
-    pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
-    pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
-    pub p99_ms: f64,
-    /// Mean launched batch size.
-    pub mean_batch: f64,
-    /// Deepest queue observed.
-    pub max_queue_depth: u64,
-}
-
-impl ServeRow {
-    fn from_outcome(
-        smt: &'static str,
-        arrival: &'static str,
-        offered: f64,
-        requests: u64,
-        outcome: &PoolSimOutcome,
-    ) -> ServeRow {
-        let m = &outcome.metrics;
-        ServeRow {
-            smt,
-            arrival,
-            offered,
-            requests,
+impl ServeRecord {
+    /// The metric columns of a serving cell's record. The caller names the
+    /// cell and fills the label fields (`name`, `smt`, `arrival`,
+    /// `offered`, `requests`, `replicas`, `route`).
+    pub(crate) fn from_metrics(m: &MetricsSnapshot) -> ServeRecord {
+        ServeRecord {
+            name: String::new(),
+            smt: String::new(),
+            arrival: String::new(),
+            offered: 0.0,
+            requests: 0,
             completed: m.completed,
             rejected: m.rejected,
             throughput_rps: m.throughput_rps,
@@ -75,24 +43,9 @@ impl ServeRow {
             p99_ms: m.p99_ns as f64 / 1e6,
             mean_batch: m.mean_batch_size,
             max_queue_depth: m.max_queue_depth as u64,
-        }
-    }
-
-    /// The record id used in `BENCH_serve.json` (merge key across runs).
-    /// Includes the trace length so a short smoke run (e.g. CI's
-    /// `--requests 64`) merges in as its own records instead of replacing
-    /// the tracked full-length baseline under the same names.
-    pub fn record_name(&self) -> String {
-        if self.arrival == "closed_loop" {
-            format!(
-                "serve_synthnet_{}_closed_{}c_n{}",
-                self.smt, self.offered as u64, self.requests
-            )
-        } else {
-            format!(
-                "serve_synthnet_{}_open_x{:.1}_n{}",
-                self.smt, self.offered, self.requests
-            )
+            replicas: 0,
+            route: String::new(),
+            mode_transitions: m.mode_transitions,
         }
     }
 }
@@ -156,15 +109,16 @@ impl SweepFixture {
 /// The serving sweep at the given scale and host-execution settings.
 ///
 /// `requests` is the open-loop trace length (closed-loop cells issue the
-/// same total). Returns the table rows; offered open-loop load is expressed
-/// as a multiple of one dense session's single-request service rate, so the
-/// sweep stresses the same relative operating points at every scale.
+/// same total). Returns one record per cell; offered open-loop load is
+/// expressed as a multiple of one dense session's single-request service
+/// rate, so the sweep stresses the same relative operating points at every
+/// scale.
 pub fn serve_sweep_with(
     scale: Scale,
     exec: &ExecSettings,
     requests: usize,
     seed: u64,
-) -> Vec<ServeRow> {
+) -> Vec<ServeRecord> {
     let SweepFixture {
         registry,
         inputs,
@@ -193,6 +147,30 @@ pub fn serve_sweep_with(
     // cell to the same dense rate is what makes the 2T/4T columns
     // comparable against the baseline.
     let base_rate = 1e9 / dense_single_ns as f64;
+    // The record id is the merge key across runs. It includes the trace
+    // length so a short smoke run (e.g. CI's `--requests 64`) merges in as
+    // its own records instead of replacing the tracked full-length
+    // baseline under the same names.
+    let record = |smt: &str, arrival: &str, offered: f64, outcome: &PoolSimOutcome| {
+        let name = if arrival == "closed_loop" {
+            format!(
+                "serve_synthnet_{smt}_closed_{}c_n{requests}",
+                offered as u64
+            )
+        } else {
+            format!("serve_synthnet_{smt}_open_x{offered:.1}_n{requests}")
+        };
+        ServeRecord {
+            name,
+            smt: smt.to_string(),
+            arrival: arrival.to_string(),
+            offered,
+            requests: requests as u64,
+            replicas: 1,
+            route: "-".to_string(),
+            ..ServeRecord::from_metrics(&outcome.metrics)
+        }
+    };
 
     let mut rows = Vec::new();
     for (label, smt) in configs {
@@ -201,13 +179,7 @@ pub fn serve_sweep_with(
             let rate = base_rate * load_x;
             let arrivals = open_poisson(seed.wrapping_add((load_x * 10.0) as u64), rate, requests);
             let outcome = run_cell(&session, &ctx, &inputs, &arrivals, scheduler, service);
-            rows.push(ServeRow::from_outcome(
-                label,
-                "open_poisson",
-                load_x,
-                requests as u64,
-                &outcome,
-            ));
+            rows.push(record(label, "open_poisson", load_x, &outcome));
         }
     }
 
@@ -220,13 +192,7 @@ pub fn serve_sweep_with(
     for clients in [4usize, 16] {
         let arrivals = closed_loop(clients, think_ns, requests);
         let outcome = run_cell(&session, &ctx, &inputs, &arrivals, scheduler, service);
-        rows.push(ServeRow::from_outcome(
-            "2t",
-            "closed_loop",
-            clients as f64,
-            requests as u64,
-            &outcome,
-        ));
+        rows.push(record("2t", "closed_loop", clients as f64, &outcome));
     }
     rows
 }
@@ -249,77 +215,16 @@ fn run_cell(
     simulate_pool(&[session], ctx, inputs, arrivals, pool, service).expect("simulation succeeds")
 }
 
-/// Converts sweep rows into the `BENCH_serve.json` summary.
-pub fn serve_summary(rows: &[ServeRow]) -> ServeSummary {
-    let mut summary = ServeSummary::new();
-    for row in rows {
-        summary.push(ServeRecord {
-            name: row.record_name(),
-            smt: row.smt.to_string(),
-            arrival: row.arrival.to_string(),
-            offered: row.offered,
-            requests: row.requests,
-            completed: row.completed,
-            rejected: row.rejected,
-            throughput_rps: row.throughput_rps,
-            p50_ms: row.p50_ms,
-            p95_ms: row.p95_ms,
-            p99_ms: row.p99_ms,
-            mean_batch: row.mean_batch,
-            max_queue_depth: row.max_queue_depth,
-            replicas: 1,
-            route: "-".to_string(),
-            mode_transitions: 0,
-        });
-    }
-    summary
-}
-
-/// One row of the sharded serving sweep (`repro shard`).
+/// One cell of the sharded serving sweep (`repro shard`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRow {
-    /// Replica count of the pool.
-    pub replicas: usize,
-    /// Route policy label (`rr`, `lo`, `hash`).
-    pub route: &'static str,
-    /// Mode-selection label: `dense` (pinned rung 0) or `adaptive`
-    /// (dense → 2T → 4T ladder under the depth policy).
-    pub policy: &'static str,
-    /// Offered open-loop load as a multiple of the pool's *aggregate* dense
-    /// service rate (replicas × one dense session's single-request rate).
-    pub offered: f64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests shed by admission control.
-    pub rejected: u64,
-    /// Completed requests per second of virtual time.
-    pub throughput_rps: f64,
-    /// Median latency [ms].
-    pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
-    pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
-    pub p99_ms: f64,
-    /// Mean launched batch size.
-    pub mean_batch: f64,
-    /// Deepest per-replica queue observed.
-    pub max_queue_depth: u64,
-    /// Adaptive mode switches over the run.
-    pub mode_transitions: u64,
+    /// The cell's `BENCH_serve.json` record: `smt` holds the mode policy,
+    /// `dense` (pinned rung 0) or `adaptive` (dense → 2T → 4T ladder under
+    /// the depth policy), and `offered` is a multiple of the pool's
+    /// *aggregate* dense service rate.
+    pub record: ServeRecord,
     /// Batches executed per ladder rung.
     pub batches_per_mode: Vec<u64>,
-}
-
-impl ShardRow {
-    /// The record id used in `BENCH_serve.json` (merge key across runs).
-    pub fn record_name(&self) -> String {
-        format!(
-            "shard_synthnet_r{}_{}_{}_x{:.1}_n{}",
-            self.replicas, self.route, self.policy, self.offered, self.requests
-        )
-    }
 }
 
 /// The sharded serving sweep: replicas × route policy × {pinned dense,
@@ -413,23 +318,22 @@ pub fn shard_sweep_with(
                         service,
                     )
                     .expect("pool simulation succeeds");
-                    let m = &outcome.metrics;
-                    rows.push(ShardRow {
-                        replicas,
-                        route: route.label(),
-                        policy: policy_label,
+                    let record = ServeRecord {
+                        name: format!(
+                            "shard_synthnet_r{replicas}_{}_{policy_label}_x{load_x:.1}_n{requests}",
+                            route.label()
+                        ),
+                        smt: policy_label.to_string(),
+                        arrival: "open_poisson".to_string(),
                         offered: load_x,
                         requests: requests as u64,
-                        completed: m.completed,
-                        rejected: m.rejected,
-                        throughput_rps: m.throughput_rps,
-                        p50_ms: m.p50_ns as f64 / 1e6,
-                        p95_ms: m.p95_ns as f64 / 1e6,
-                        p99_ms: m.p99_ns as f64 / 1e6,
-                        mean_batch: m.mean_batch_size,
-                        max_queue_depth: m.max_queue_depth as u64,
-                        mode_transitions: m.mode_transitions,
-                        batches_per_mode: m.batches_per_mode.clone(),
+                        replicas: replicas as u64,
+                        route: route.label().to_string(),
+                        ..ServeRecord::from_metrics(&outcome.metrics)
+                    };
+                    rows.push(ShardRow {
+                        record,
+                        batches_per_mode: outcome.metrics.batches_per_mode,
                     });
                 }
             }
@@ -438,36 +342,10 @@ pub fn shard_sweep_with(
     rows
 }
 
-/// Converts shard-sweep rows into the `BENCH_serve.json` summary (same
-/// merge-by-name file as the unsharded sweep).
-pub fn shard_summary(rows: &[ShardRow]) -> ServeSummary {
-    let mut summary = ServeSummary::new();
-    for row in rows {
-        summary.push(ServeRecord {
-            name: row.record_name(),
-            smt: row.policy.to_string(),
-            arrival: "open_poisson".to_string(),
-            offered: row.offered,
-            requests: row.requests,
-            completed: row.completed,
-            rejected: row.rejected,
-            throughput_rps: row.throughput_rps,
-            p50_ms: row.p50_ms,
-            p95_ms: row.p95_ms,
-            p99_ms: row.p99_ms,
-            mean_batch: row.mean_batch,
-            max_queue_depth: row.max_queue_depth,
-            replicas: row.replicas as u64,
-            route: row.route.to_string(),
-            mode_transitions: row.mode_transitions,
-        });
-    }
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::Summary;
 
     #[test]
     fn sweep_covers_the_full_grid_and_is_deterministic() {
@@ -504,13 +382,13 @@ mod tests {
         // Per replica count: rr × {dense, adaptive} × {0.5, 2.0} + (lo,
         // hash) × {dense, adaptive} × {2.0} = 8 cells.
         assert_eq!(rows.len(), 16);
-        for row in &rows {
+        for ShardRow { record: row, .. } in &rows {
             assert_eq!(row.completed + row.rejected, row.requests);
             assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
-            assert!(!row.record_name().is_empty());
+            assert!(!row.name.is_empty());
         }
         // Record names are unique (the merge key must not collide).
-        let mut names: Vec<String> = rows.iter().map(ShardRow::record_name).collect();
+        let mut names: Vec<&str> = rows.iter().map(|r| r.record.name.as_str()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
@@ -526,20 +404,21 @@ mod tests {
         // rungs) for requests, on every route policy and replica count.
         let exec = ExecSettings::sequential();
         let rows = shard_sweep_with(Scale::Quick, &exec, 192, &[1, 2], 7);
-        let cell = |replicas: usize, route: &str, policy: &str, load: f64| {
+        let cell = |replicas: u64, route: &str, policy: &str, load: f64| {
             rows.iter()
                 .find(|r| {
-                    r.replicas == replicas
-                        && r.route == route
-                        && r.policy == policy
-                        && r.offered == load
+                    r.record.replicas == replicas
+                        && r.record.route == route
+                        && r.record.smt == policy
+                        && r.record.offered == load
                 })
                 .expect("cell exists")
         };
-        for replicas in [1usize, 2] {
+        for replicas in [1u64, 2] {
             for route in ["rr", "lo", "hash"] {
-                let dense = cell(replicas, route, "dense", 2.0);
-                let adaptive = cell(replicas, route, "adaptive", 2.0);
+                let dense = &cell(replicas, route, "dense", 2.0).record;
+                let adaptive_row = cell(replicas, route, "adaptive", 2.0);
+                let adaptive = &adaptive_row.record;
                 assert!(
                     dense.rejected > 0,
                     "dense-only must shed at 2x ({replicas} replicas, {route})"
@@ -554,36 +433,36 @@ mod tests {
                     adaptive.mode_transitions > 0,
                     "overload must drive mode switches ({replicas} replicas, {route})"
                 );
-                assert!(adaptive.batches_per_mode.iter().skip(1).sum::<u64>() > 0);
+                assert!(adaptive_row.batches_per_mode.iter().skip(1).sum::<u64>() > 0);
             }
         }
         // At the comfortable 0.5x point the adaptive pool stays (almost)
         // dense: no sheds either way.
         let easy = cell(2, "rr", "adaptive", 0.5);
-        assert_eq!(easy.rejected, 0);
+        assert_eq!(easy.record.rejected, 0);
     }
 
     #[test]
     fn shard_summary_round_trips_records() {
         let exec = ExecSettings::sequential();
         let rows = shard_sweep_with(Scale::Quick, &exec, 32, &[2], 11);
-        let summary = shard_summary(&rows);
-        assert_eq!(summary.runs.len(), rows.len());
+        let summary = Summary {
+            records: rows.into_iter().map(|r| r.record).collect(),
+        };
         // The writer rounds floats to 3 decimals, so one render→parse pass
         // is lossy by design; after that, the round trip must be exact.
-        let parsed = ServeSummary::parse(&summary.to_json()).expect("summary parses");
-        let again = ServeSummary::parse(&parsed.to_json()).expect("re-render parses");
-        assert_eq!(again, parsed);
-        for (a, b) in parsed.runs.iter().zip(summary.runs.iter()) {
+        let parsed = Summary::<ServeRecord>::parse(&summary.to_json()).expect("summary parses");
+        assert_eq!(parsed.to_json(), summary.to_json());
+        for (a, b) in parsed.records.iter().zip(&summary.records) {
             assert_eq!(a.name, b.name);
             assert_eq!(
                 (a.completed, a.rejected, a.mode_transitions),
                 (b.completed, b.rejected, b.mode_transitions)
             );
         }
-        assert!(parsed.runs.iter().all(|r| r.replicas == 2));
+        assert!(parsed.records.iter().all(|r| r.replicas == 2));
         assert!(parsed
-            .runs
+            .records
             .iter()
             .any(|r| r.smt == "adaptive" && r.route == "rr"));
     }

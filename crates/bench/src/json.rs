@@ -4,7 +4,7 @@
 //! summaries emit JSON by hand. This module centralizes that: string
 //! escaping, number formatting, pretty rendering, and a small
 //! recursive-descent parser — one place instead of ad-hoc `format!` calls
-//! per summary file. Both `BENCH_baseline.json` and `BENCH_serve.json` go
+//! per summary file. Every `BENCH_*.json` file and every run spec goes
 //! through it, and the parser is what lets summaries *merge* into an
 //! existing file instead of silently overwriting it.
 
@@ -55,11 +55,14 @@ impl Json {
         }
     }
 
-    /// The numeric value as u64 (truncating), if this is a non-negative
-    /// number.
+    /// The numeric value as u64, if this is an integer from 0 to 2^53−1 —
+    /// the range an f64 holds exactly. Fractions, negatives and larger
+    /// numbers are `None`, never truncated or saturated.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 => Some(*v as u64),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < (1u64 << 53) as f64 => {
+                Some(*v as u64)
+            }
             _ => None,
         }
     }
@@ -485,6 +488,16 @@ mod tests {
         );
         assert!(doc.get("missing").is_none());
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+        // Only exact integers in 0..=2^53−1: no truncation, no saturation.
+        assert_eq!(Json::Num(0.0).as_u64(), Some(0));
+        assert_eq!(Json::Num(2.7).as_u64(), None);
+        assert_eq!(Json::Num(1e30).as_u64(), None);
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None);
+        assert_eq!(Json::Str("7".into()).as_u64(), None);
     }
 
     #[test]

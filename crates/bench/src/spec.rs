@@ -544,16 +544,9 @@ impl RunSpec {
 }
 
 fn parse_int(value: &Json, field: &str) -> Result<u64, SpecError> {
-    let v = value
-        .as_f64()
-        .ok_or_else(|| SpecError::bad(field, "expected a number"))?;
-    if v < 0.0 || v.fract() != 0.0 || v > MAX_SPEC_INT as f64 {
-        return Err(SpecError::bad(
-            field,
-            format!("{v} is not a non-negative integer ≤ 2^53−1"),
-        ));
-    }
-    Ok(v as u64)
+    value
+        .as_u64()
+        .ok_or_else(|| SpecError::bad(field, "expected a non-negative integer ≤ 2^53−1"))
 }
 
 impl Validate for RunSpec {

@@ -1,15 +1,23 @@
-//! Machine-readable benchmark summaries.
+//! Machine-readable benchmark record files.
 //!
-//! Two summary files track the repository's performance trajectory commit
-//! over commit: `BENCH_baseline.json` (`repro -- gemmbench`: timed GEMM
-//! backends and NB-SMT layers) and `BENCH_serve.json` (`repro -- serve`:
-//! serving throughput and latency per NB-SMT configuration and offered
-//! load). All JSON goes through [`crate::json`] — escaping, number
-//! formatting, and parsing live in one place — and writes **merge by record
-//! name** into an existing file instead of silently overwriting it, so
-//! re-running one experiment never discards the other experiments' records.
+//! Six `BENCH_*.json` files track the repository's evidence commit over
+//! commit. Each is one [`Summary`] of one [`Record`] type:
+//!
+//! | File | Record | Written by |
+//! |---|---|---|
+//! | `BENCH_baseline.json` | [`BenchRecord`] | `repro gemmbench`: timed GEMM backends and NB-SMT layers |
+//! | `BENCH_obs.json` | [`BenchRecord`] | `repro obs`: tracing overhead, recorder on vs off |
+//! | `BENCH_serve.json` | [`ServeRecord`] | `repro serve` and `repro shard`: serving cells |
+//! | `BENCH_scale.json` | [`ServeRecord`] | `repro scale`: the scale-regime curves |
+//! | `BENCH_faults.json` | [`FaultRecord`] | `repro faults`: availability under failure |
+//! | `BENCH_control.json` | [`ControlRecord`] | `repro control`: pool-controller cells |
+//!
+//! All JSON goes through [`crate::json`]. [`Summary::write`] **merges by
+//! record name** into an existing file instead of overwriting it, so
+//! re-running one experiment never discards another experiment's records.
+//! A record renders its floats at the precision the file keeps, so
+//! parse → render of a written file gives back the same bytes.
 
-use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
@@ -17,7 +25,118 @@ use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
-/// One timed benchmark entry.
+/// One row of a `BENCH_*.json` file.
+pub trait Record: Clone {
+    /// The key of the document's record array (`records` or `runs`).
+    const KEY: &'static str;
+
+    /// The merge key: a written record replaces the file's record of the
+    /// same name.
+    fn name(&self) -> &str;
+
+    /// The record as one JSON object, fields in file order, floats rounded
+    /// to the precision the file keeps.
+    fn to_json(&self) -> Json;
+
+    /// Reads a record back; `None` when a required field is missing or has
+    /// the wrong type (a count must be an integer, see [`Json::as_u64`]).
+    fn from_json(value: &Json) -> Option<Self>;
+}
+
+/// A `BENCH_*.json` document: records of one type, in file order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Summary<R> {
+    /// The records, in file order.
+    pub records: Vec<R>,
+}
+
+impl<R: Record> Summary<R> {
+    /// Renders the document, one record per line.
+    pub fn to_json(&self) -> String {
+        Json::obj([(
+            R::KEY,
+            Json::Arr(self.records.iter().map(R::to_json).collect()),
+        )])
+        .render()
+    }
+
+    /// Parses a document previously written by [`Self::write`]. Returns
+    /// `None` when the document *or any single record* fails to convert —
+    /// a partially-understood file must take the merging write's `.bak`
+    /// path rather than silently losing the records we couldn't read.
+    pub fn parse(text: &str) -> Option<Summary<R>> {
+        let doc = Json::parse(text).ok()?;
+        let records = doc
+            .get(R::KEY)?
+            .as_arr()?
+            .iter()
+            .map(R::from_json)
+            .collect::<Option<Vec<_>>>()?;
+        Some(Summary { records })
+    }
+
+    /// Writes the summary to `path`, **merging** into an existing file:
+    /// records already present keep their position and are replaced when a
+    /// new record shares their name; new names append. An existing file
+    /// that fails to parse is preserved next to the new one as
+    /// `<path>.bak` rather than silently discarded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        let mut merged = read_existing::<R>(path)?.map_or_else(Vec::new, |s| s.records);
+        for record in &self.records {
+            match merged.iter().position(|r| r.name() == record.name()) {
+                Some(i) => merged[i] = record.clone(),
+                None => merged.push(record.clone()),
+            }
+        }
+        std::fs::write(path, Summary { records: merged }.to_json())
+    }
+}
+
+/// Reads and parses an existing summary file. A present-but-unparsable file
+/// is moved aside to `<path>.bak` (returning `None`) so the caller's fresh
+/// write never destroys the only copy of unknown content.
+fn read_existing<R: Record>(path: &Path) -> std::io::Result<Option<Summary<R>>> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => match Summary::parse(&text) {
+            Some(parsed) => Ok(Some(parsed)),
+            None => {
+                // Pick the first free backup name (`.bak`, `.bak1`, …) so a
+                // repeated corrupt-file event never overwrites an earlier
+                // backup.
+                let mut n = 0u32;
+                let backup = loop {
+                    let suffix = if n == 0 {
+                        ".bak".to_string()
+                    } else {
+                        format!(".bak{n}")
+                    };
+                    let mut candidate = path.as_os_str().to_owned();
+                    candidate.push(&suffix);
+                    let candidate = std::path::PathBuf::from(candidate);
+                    if !candidate.exists() {
+                        break candidate;
+                    }
+                    n += 1;
+                };
+                std::fs::rename(path, &backup)?;
+                Ok(None)
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Rounds to the three decimals the serving, fault and control files keep.
+fn r3(v: f64) -> f64 {
+    (v * 1e3).round() / 1e3
+}
+
+/// One timed benchmark entry (`BENCH_baseline.json`, `BENCH_obs.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
     /// Benchmark id, e.g. `gemm_i32_512_parallel_8t`.
@@ -35,6 +154,32 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
+    /// Times `f` for `iters` iterations (after one untimed warm-up call)
+    /// and returns the record of the mean.
+    pub fn measure<F: FnMut()>(
+        name: &str,
+        threads: usize,
+        backend: &str,
+        mac_ops: u64,
+        iters: u64,
+        mut f: F,
+    ) -> BenchRecord {
+        let iters = iters.max(1);
+        f(); // warm-up
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        BenchRecord {
+            name: name.to_string(),
+            mean_ns: start.elapsed().as_nanos() as f64 / iters as f64,
+            iters,
+            threads,
+            backend: backend.to_string(),
+            mac_ops,
+        }
+    }
+
     /// Giga-MACs per second, or 0 when no work metric was recorded.
     pub fn gmacs_per_s(&self) -> f64 {
         if self.mean_ns <= 0.0 {
@@ -43,18 +188,32 @@ impl BenchRecord {
             self.mac_ops as f64 / self.mean_ns
         }
     }
+}
+
+impl Record for BenchRecord {
+    const KEY: &'static str = "records";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
 
     fn to_json(&self) -> Json {
+        // GMAC/s derives from the mean the file keeps, so a record read
+        // back from the file renders to the same bytes.
+        let kept = BenchRecord {
+            mean_ns: (self.mean_ns * 10.0).round() / 10.0,
+            ..self.clone()
+        };
         Json::obj([
             ("name", Json::str(&self.name)),
-            ("mean_ns", Json::Num((self.mean_ns * 10.0).round() / 10.0)),
+            ("mean_ns", Json::Num(kept.mean_ns)),
             ("iters", Json::Num(self.iters as f64)),
             ("threads", Json::Num(self.threads as f64)),
             ("backend", Json::str(&self.backend)),
             ("mac_ops", Json::Num(self.mac_ops as f64)),
             (
                 "gmacs_per_s",
-                Json::Num((self.gmacs_per_s() * 1e4).round() / 1e4),
+                Json::Num((kept.gmacs_per_s() * 1e4).round() / 1e4),
             ),
         ])
     }
@@ -71,106 +230,22 @@ impl BenchRecord {
     }
 }
 
-/// A collection of benchmark records with a merging JSON writer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BenchSummary {
-    /// The recorded entries, in insertion order.
-    pub records: Vec<BenchRecord>,
-}
-
-impl BenchSummary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        BenchSummary::default()
-    }
-
-    /// Times `f` for `iters` iterations (after one untimed warm-up call)
-    /// and records the mean, returning a reference to the new record.
-    pub fn measure<F: FnMut()>(
-        &mut self,
-        name: &str,
-        threads: usize,
-        backend: &str,
-        mac_ops: u64,
-        iters: u64,
-        mut f: F,
-    ) -> &BenchRecord {
-        let iters = iters.max(1);
-        f(); // warm-up
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let mean_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-        self.records.push(BenchRecord {
-            name: name.to_string(),
-            mean_ns,
-            iters,
-            threads,
-            backend: backend.to_string(),
-            mac_ops,
-        });
-        self.records.last().expect("record just pushed")
-    }
-
-    /// Renders the summary as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj([(
-            "records",
-            Json::Arr(self.records.iter().map(BenchRecord::to_json).collect()),
-        )])
-        .render()
-    }
-
-    /// Parses a summary previously written by [`Self::write`]. Returns
-    /// `None` when the document *or any single record* fails to convert —
-    /// a partially-understood file must take the merging write's `.bak`
-    /// path rather than silently losing the records we couldn't read.
-    pub fn parse(text: &str) -> Option<BenchSummary> {
-        let doc = Json::parse(text).ok()?;
-        let records = doc
-            .get("records")?
-            .as_arr()?
-            .iter()
-            .map(BenchRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(BenchSummary { records })
-    }
-
-    /// Writes the summary to `path`, **merging** into an existing file:
-    /// records already present keep their position and are replaced when a
-    /// new record shares their name; new names append. An existing file
-    /// that fails to parse is preserved next to the new one as
-    /// `<path>.bak` rather than silently discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let merged = merge_by_name(
-            read_existing(path, BenchSummary::parse)?.map(|s| s.records),
-            self.records.clone(),
-            |r| r.name.clone(),
-        );
-        let body = BenchSummary { records: merged }.to_json();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(body.as_bytes())
-    }
-}
-
-/// One serving-sweep entry: a (session configuration, arrival process,
-/// offered load) cell of the `repro serve` experiment.
+/// One serving cell (`BENCH_serve.json`, `BENCH_scale.json`): a (session
+/// configuration or mode policy, arrival process, replicas, offered load)
+/// cell of the `serve`, `shard` or `scale` sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeRecord {
-    /// Record id, e.g. `serve_synthnet_2t_open_x2.0`.
+    /// Record id, e.g. `serve_synthnet_2t_open_x2.0_n256`.
     pub name: String,
-    /// NB-SMT design point (`dense`, `2t`, `4t`).
+    /// NB-SMT design point (`dense`, `2t`, `4t`) for `serve`; the mode
+    /// policy (`dense` pinned or `adaptive`) for `shard` and `scale`.
     pub smt: String,
-    /// Arrival process (`open_poisson` or `closed_loop`).
+    /// Arrival process (`open_poisson`, `closed_loop`, or a traffic model:
+    /// `poisson`, `mmpp`, `diurnal`).
     pub arrival: String,
-    /// Offered load: for open loop, the multiplier of the dense session's
-    /// single-request service rate (e.g. `2.0` = twice that rate); for
-    /// closed loop, the client count.
+    /// Offered load: for open loop, the multiplier of the (aggregate,
+    /// size-adjusted for `scale`) dense service rate; for closed loop, the
+    /// client count.
     pub offered: f64,
     /// Requests issued.
     pub requests: u64,
@@ -188,7 +263,7 @@ pub struct ServeRecord {
     pub p99_ms: f64,
     /// Mean launched batch size.
     pub mean_batch: f64,
-    /// Deepest queue observed.
+    /// Deepest per-replica queue observed.
     pub max_queue_depth: u64,
     /// Replica count the cell ran with (1 for the unsharded sweep).
     pub replicas: u64,
@@ -198,9 +273,14 @@ pub struct ServeRecord {
     pub mode_transitions: u64,
 }
 
-impl ServeRecord {
+impl Record for ServeRecord {
+    const KEY: &'static str = "runs";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
     fn to_json(&self) -> Json {
-        let r3 = |v: f64| (v * 1e3).round() / 1e3;
         Json::obj([
             ("name", Json::str(&self.name)),
             ("smt", Json::str(&self.smt)),
@@ -253,90 +333,33 @@ impl ServeRecord {
     }
 }
 
-/// The `BENCH_serve.json` summary: serving records with the same
-/// merge-by-name write semantics as [`BenchSummary`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServeSummary {
-    /// The recorded serving runs, in insertion order.
-    pub runs: Vec<ServeRecord>,
-}
-
-impl ServeSummary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        ServeSummary::default()
-    }
-
-    /// Appends a run record.
-    pub fn push(&mut self, record: ServeRecord) {
-        self.runs.push(record);
-    }
-
-    /// Renders the summary as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj([(
-            "runs",
-            Json::Arr(self.runs.iter().map(ServeRecord::to_json).collect()),
-        )])
-        .render()
-    }
-
-    /// Parses a summary previously written by [`Self::write`]. Like
-    /// [`BenchSummary::parse`], any unconvertible record fails the whole
-    /// parse so the merging write backs the file up instead of dropping it.
-    pub fn parse(text: &str) -> Option<ServeSummary> {
-        let doc = Json::parse(text).ok()?;
-        let runs = doc
-            .get("runs")?
-            .as_arr()?
-            .iter()
-            .map(ServeRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(ServeSummary { runs })
-    }
-
-    /// Writes the summary to `path` with merge-by-name semantics (see
-    /// [`BenchSummary::write`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let merged = merge_by_name(
-            read_existing(path, ServeSummary::parse)?.map(|s| s.runs),
-            self.runs.clone(),
-            |r| r.name.clone(),
-        );
-        let body = ServeSummary { runs: merged }.to_json();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(body.as_bytes())
-    }
-}
-
-/// One availability-under-failure entry: a (fault schedule, execution mode,
-/// design-point policy, countermeasure) cell of the `repro faults`
-/// experiment.
+/// One availability-under-failure entry (`BENCH_faults.json`): a (fault
+/// schedule, execution mode, design-point policy, countermeasure) cell of
+/// the `repro faults` experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultRecord {
     /// Record id, e.g. `faults_crash-during-drain_live_adaptive_retry+hedge_n64`.
     pub name: String,
     /// Fault schedule: a chaos-corpus name or `gen-x<intensity>`.
     pub schedule: String,
-    /// `sim` (virtual clock, bit-reproducible) or `live` (threaded pool).
+    /// `sim` (virtual clock, bit-reproducible) or `live` (threaded pool,
+    /// wall clock).
     pub mode: String,
-    /// Design-point selection (`pinned` or `adaptive`).
+    /// Design-point selection (`pinned` dense rung 0, or `adaptive`).
     pub policy: String,
-    /// Client countermeasures (`none`, `retry`, `retry+hedge`, or `-`).
+    /// Client countermeasures (`none`, `retry`, `retry+hedge`; `-` for sim
+    /// rows, which have no client loop).
     pub cm: String,
     /// Requests issued.
     pub requests: u64,
     /// Requests that received a response.
     pub completed: u64,
-    /// Requests lost to shedding, crash cancellation, or retry exhaustion.
+    /// Requests lost: shed by admission control, cancelled by a crash, or
+    /// abandoned by the client after its retry budget.
     pub failed: u64,
     /// completed / requests.
     pub availability: f64,
-    /// 95th-percentile latency [ms].
+    /// 95th-percentile latency [ms] (virtual for sim, wall for live).
     pub p95_ms: f64,
     /// 99th-percentile latency [ms].
     pub p99_ms: f64,
@@ -344,17 +367,22 @@ pub struct FaultRecord {
     pub crashes: u64,
     /// Requests handed off from crashed replicas to survivors.
     pub handoffs: u64,
-    /// Client re-submissions.
+    /// Client re-submissions (live rows).
     pub retries: u64,
-    /// Hedge duplicates submitted.
+    /// Hedge duplicates submitted (live rows).
     pub hedges: u64,
-    /// Calls won by the hedge leg.
+    /// Calls won by the hedge leg (live rows).
     pub hedge_wins: u64,
 }
 
-impl FaultRecord {
+impl Record for FaultRecord {
+    const KEY: &'static str = "runs";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
     fn to_json(&self) -> Json {
-        let r3 = |v: f64| (v * 1e3).round() / 1e3;
         Json::obj([
             ("name", Json::str(&self.name)),
             ("schedule", Json::str(&self.schedule)),
@@ -397,68 +425,9 @@ impl FaultRecord {
     }
 }
 
-/// The `BENCH_faults.json` summary: availability-under-failure records with
-/// the same merge-by-name write semantics as [`BenchSummary`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultSummary {
-    /// The recorded fault-sweep runs, in insertion order.
-    pub runs: Vec<FaultRecord>,
-}
-
-impl FaultSummary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        FaultSummary::default()
-    }
-
-    /// Appends a run record.
-    pub fn push(&mut self, record: FaultRecord) {
-        self.runs.push(record);
-    }
-
-    /// Renders the summary as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj([(
-            "runs",
-            Json::Arr(self.runs.iter().map(FaultRecord::to_json).collect()),
-        )])
-        .render()
-    }
-
-    /// Parses a summary previously written by [`Self::write`]. Like
-    /// [`BenchSummary::parse`], any unconvertible record fails the whole
-    /// parse so the merging write backs the file up instead of dropping it.
-    pub fn parse(text: &str) -> Option<FaultSummary> {
-        let doc = Json::parse(text).ok()?;
-        let runs = doc
-            .get("runs")?
-            .as_arr()?
-            .iter()
-            .map(FaultRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(FaultSummary { runs })
-    }
-
-    /// Writes the summary to `path` with merge-by-name semantics (see
-    /// [`BenchSummary::write`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let merged = merge_by_name(
-            read_existing(path, FaultSummary::parse)?.map(|s| s.runs),
-            self.runs.clone(),
-            |r| r.name.clone(),
-        );
-        let body = FaultSummary { runs: merged }.to_json();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(body.as_bytes())
-    }
-}
-
-/// One pool-controller entry: a (controller variant, traffic model, replica
-/// count, offered load) cell of the `repro control` experiment.
+/// One pool-controller entry (`BENCH_control.json`): a (controller variant,
+/// traffic model, replica count, offered load) cell of the `repro control`
+/// experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControlRecord {
     /// Record id, e.g. `control_synthnet_mmpp_predictive-autoscale_r8_x1.5_n20000`.
@@ -505,8 +474,35 @@ pub struct ControlRecord {
 }
 
 impl ControlRecord {
+    /// Shed fraction of the offered trace.
+    pub fn shed_rate(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.rejected as f64 / self.requests as f64
+        }
+    }
+
+    /// Whether this cell dominates `baseline` on at least one of the three
+    /// axes the controller optimizes: shed rate, p99 latency,
+    /// replica-seconds. (A small relative margin keeps rounding noise from
+    /// counting as a win.)
+    pub fn dominates_on_one_axis(&self, baseline: &ControlRecord) -> bool {
+        let better = |c: f64, b: f64| c < b * 0.999;
+        better(self.shed_rate(), baseline.shed_rate())
+            || better(self.p99_ms, baseline.p99_ms)
+            || better(self.replica_seconds, baseline.replica_seconds)
+    }
+}
+
+impl Record for ControlRecord {
+    const KEY: &'static str = "runs";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
     fn to_json(&self) -> Json {
-        let r3 = |v: f64| (v * 1e3).round() / 1e3;
         Json::obj([
             ("name", Json::str(&self.name)),
             ("controller", Json::str(&self.controller)),
@@ -558,135 +554,26 @@ impl ControlRecord {
     }
 }
 
-/// The `BENCH_control.json` summary: pool-controller records with the same
-/// merge-by-name write semantics as [`BenchSummary`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ControlSummary {
-    /// The recorded controller runs, in insertion order.
-    pub runs: Vec<ControlRecord>,
-}
-
-impl ControlSummary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        ControlSummary::default()
-    }
-
-    /// Appends a run record.
-    pub fn push(&mut self, record: ControlRecord) {
-        self.runs.push(record);
-    }
-
-    /// Renders the summary as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        Json::obj([(
-            "runs",
-            Json::Arr(self.runs.iter().map(ControlRecord::to_json).collect()),
-        )])
-        .render()
-    }
-
-    /// Parses a summary previously written by [`Self::write`]. Like
-    /// [`BenchSummary::parse`], any unconvertible record fails the whole
-    /// parse so the merging write backs the file up instead of dropping it.
-    pub fn parse(text: &str) -> Option<ControlSummary> {
-        let doc = Json::parse(text).ok()?;
-        let runs = doc
-            .get("runs")?
-            .as_arr()?
-            .iter()
-            .map(ControlRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(ControlSummary { runs })
-    }
-
-    /// Writes the summary to `path` with merge-by-name semantics (see
-    /// [`BenchSummary::write`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let merged = merge_by_name(
-            read_existing(path, ControlSummary::parse)?.map(|s| s.runs),
-            self.runs.clone(),
-            |r| r.name.clone(),
-        );
-        let body = ControlSummary { runs: merged }.to_json();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(body.as_bytes())
-    }
-}
-
-/// Reads and parses an existing summary file. A present-but-unparsable file
-/// is moved aside to `<path>.bak` (returning `None`) so the caller's fresh
-/// write never destroys the only copy of unknown content.
-fn read_existing<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> std::io::Result<Option<T>> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => match parse(&text) {
-            Some(parsed) => Ok(Some(parsed)),
-            None => {
-                // Pick the first free backup name (`.bak`, `.bak1`, …) so a
-                // repeated corrupt-file event never overwrites an earlier
-                // backup.
-                let mut n = 0u32;
-                let backup = loop {
-                    let suffix = if n == 0 {
-                        ".bak".to_string()
-                    } else {
-                        format!(".bak{n}")
-                    };
-                    let mut candidate = path.as_os_str().to_owned();
-                    candidate.push(&suffix);
-                    let candidate = std::path::PathBuf::from(candidate);
-                    if !candidate.exists() {
-                        break candidate;
-                    }
-                    n += 1;
-                };
-                std::fs::rename(path, &backup)?;
-                Ok(None)
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Merges `new` into `existing`: same-name records are replaced in place,
-/// new names append in their own order.
-fn merge_by_name<T>(existing: Option<Vec<T>>, new: Vec<T>, name: impl Fn(&T) -> String) -> Vec<T> {
-    let mut merged = existing.unwrap_or_default();
-    for record in new {
-        let key = name(&record);
-        match merged.iter().position(|r| name(r) == key) {
-            Some(i) => merged[i] = record,
-            None => merged.push(record),
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn measure_records_and_json_is_well_formed() {
-        let mut summary = BenchSummary::new();
         let mut counter = 0u64;
-        summary.measure("noop", 2, "parallel", 100, 3, || {
+        let record = BenchRecord::measure("noop", 2, "parallel", 100, 3, || {
             counter += 1;
         });
         // 3 timed iterations + 1 warm-up.
         assert_eq!(counter, 4);
-        assert_eq!(summary.records.len(), 1);
-        let r = &summary.records[0];
-        assert_eq!(r.iters, 3);
-        assert_eq!(r.threads, 2);
-        assert!(r.mean_ns >= 0.0);
-        assert!(r.gmacs_per_s() >= 0.0);
-        let json = summary.to_json();
+        assert_eq!(record.iters, 3);
+        assert_eq!(record.threads, 2);
+        assert!(record.mean_ns >= 0.0);
+        assert!(record.gmacs_per_s() >= 0.0);
+        let json = Summary {
+            records: vec![record],
+        }
+        .to_json();
         assert!(json.contains("\"name\": \"noop\""));
         assert!(json.contains("\"backend\": \"parallel\""));
         // Balanced braces/brackets as a cheap well-formedness check.
@@ -694,16 +581,12 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
-    #[test]
-    fn bench_summary_round_trips() {
-        let mut summary = BenchSummary::new();
-        summary.measure("a", 1, "naive", 64, 1, || {});
-        summary.measure("b", 8, "parallel", 128, 1, || {});
-        let parsed = BenchSummary::parse(&summary.to_json()).unwrap();
-        assert_eq!(parsed.records.len(), 2);
-        assert_eq!(parsed.records[0].name, "a");
-        assert_eq!(parsed.records[1].threads, 8);
-        assert_eq!(parsed.records[1].mac_ops, 128);
+    fn measured(names: &[&str]) -> Summary<BenchRecord> {
+        let records = names
+            .iter()
+            .map(|name| BenchRecord::measure(name, 1, "naive", 0, 1, || {}))
+            .collect();
+        Summary { records }
     }
 
     #[test]
@@ -711,17 +594,13 @@ mod tests {
         let path = std::env::temp_dir().join("nbsmt_bench_summary_merge_test.json");
         let _ = std::fs::remove_file(&path);
 
-        let mut first = BenchSummary::new();
-        first.measure("keep_me", 1, "naive", 0, 1, || {});
-        first.measure("replace_me", 1, "naive", 0, 1, || {});
-        first.write(&path).unwrap();
-
-        let mut second = BenchSummary::new();
-        second.measure("replace_me", 4, "parallel", 0, 1, || {});
-        second.measure("new_record", 2, "blocked", 0, 1, || {});
+        measured(&["keep_me", "replace_me"]).write(&path).unwrap();
+        let mut second = measured(&["replace_me", "new_record"]);
+        second.records[0].threads = 4;
         second.write(&path).unwrap();
 
-        let merged = BenchSummary::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let merged =
+            Summary::<BenchRecord>::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let names: Vec<&str> = merged.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["keep_me", "replace_me", "new_record"]);
         assert_eq!(merged.records[1].threads, 4, "replaced in place");
@@ -736,8 +615,7 @@ mod tests {
         let _ = std::fs::remove_file(&backup);
         std::fs::write(&path, "this is not json").unwrap();
 
-        let mut summary = BenchSummary::new();
-        summary.measure("x", 1, "naive", 0, 1, || {});
+        let summary = measured(&["x"]);
         summary.write(&path).unwrap();
 
         assert_eq!(
@@ -745,7 +623,7 @@ mod tests {
             "this is not json"
         );
         assert!(
-            BenchSummary::parse(&std::fs::read_to_string(&path).unwrap())
+            Summary::<BenchRecord>::parse(&std::fs::read_to_string(&path).unwrap())
                 .unwrap()
                 .records
                 .iter()
@@ -777,19 +655,101 @@ mod tests {
             {"name": "ok", "mean_ns": 1.0, "iters": 1, "threads": 1, "backend": "naive", "mac_ops": 0},
             {"name": "from_the_future", "wall_ps": 17}
         ]}"#;
-        assert!(BenchSummary::parse(body).is_none());
+        assert!(Summary::<BenchRecord>::parse(body).is_none());
 
         let path = std::env::temp_dir().join("nbsmt_bench_summary_drift_test.json");
         let backup = std::env::temp_dir().join("nbsmt_bench_summary_drift_test.json.bak");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&backup);
         std::fs::write(&path, body).unwrap();
-        let mut summary = BenchSummary::new();
-        summary.measure("x", 1, "naive", 0, 1, || {});
-        summary.write(&path).unwrap();
+        measured(&["x"]).write(&path).unwrap();
         assert_eq!(std::fs::read_to_string(&backup).unwrap(), body);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&backup);
+    }
+
+    /// A pre-shard `BENCH_serve.json` record, with `requests` as given.
+    fn legacy_serve_doc(requests: &str) -> String {
+        format!(
+            r#"{{"runs": [
+            {{"name": "serve_old", "smt": "2t", "arrival": "open_poisson",
+             "offered": 2.0, "requests": {requests}, "completed": 9, "rejected": 1,
+             "throughput_rps": 5.0, "p50_ms": 1.0, "p95_ms": 2.0,
+             "p99_ms": 3.0, "mean_batch": 2.5, "max_queue_depth": 4}}
+        ]}}"#
+        )
+    }
+
+    #[test]
+    fn serve_records_without_shard_fields_parse_with_defaults() {
+        // A record written before the shard sweep existed: the new fields
+        // fall back to unsharded defaults instead of failing the document.
+        let parsed =
+            Summary::<ServeRecord>::parse(&legacy_serve_doc("10")).expect("legacy schema parses");
+        assert_eq!(parsed.records.len(), 1);
+        assert_eq!(parsed.records[0].replicas, 1);
+        assert_eq!(parsed.records[0].route, "-");
+        assert_eq!(parsed.records[0].mode_transitions, 0);
+        // A record missing a *required* field still fails the whole parse.
+        let broken = r#"{"runs": [{"name": "x", "smt": "2t"}]}"#;
+        assert!(Summary::<ServeRecord>::parse(broken).is_none());
+    }
+
+    #[test]
+    fn a_fractional_or_out_of_range_count_fails_the_whole_parse() {
+        // A count that is not an exact integer must not be truncated or
+        // saturated into a plausible record: the document takes the `.bak`
+        // path instead.
+        for requests in ["10.5", "-1", "1e30", "9007199254740992"] {
+            assert!(
+                Summary::<ServeRecord>::parse(&legacy_serve_doc(requests)).is_none(),
+                "requests {requests} must fail the parse"
+            );
+        }
+    }
+
+    /// Render → parse is exact for a record at file precision; a merging
+    /// write replaces the same-name record in place and appends a new name;
+    /// and a record missing a required field fails the whole parse (→ .bak).
+    fn round_trips_and_merges<R: Record + PartialEq + std::fmt::Debug>(a: R, changed: R, b: R) {
+        let summary = Summary {
+            records: vec![a.clone()],
+        };
+        assert_eq!(Summary::parse(&summary.to_json()), Some(summary.clone()));
+
+        let path = std::env::temp_dir().join(format!("nbsmt_summary_{}_test.json", a.name()));
+        let _ = std::fs::remove_file(&path);
+        summary.write(&path).unwrap();
+        let update = Summary {
+            records: vec![changed.clone(), b.clone()],
+        };
+        update.write(&path).unwrap();
+        let merged = Summary::<R>::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(merged, update, "replaced in place, new name appended");
+        let _ = std::fs::remove_file(&path);
+
+        let broken = format!(r#"{{"{}": [{{"name": "x"}}]}}"#, R::KEY);
+        assert!(Summary::<R>::parse(&broken).is_none());
+    }
+
+    fn bench_record(name: &str) -> BenchRecord {
+        BenchRecord {
+            name: name.to_string(),
+            mean_ns: 1234.5,
+            iters: 5,
+            threads: 8,
+            backend: "parallel".to_string(),
+            mac_ops: 128,
+        }
+    }
+
+    #[test]
+    fn bench_summary_round_trips() {
+        let changed = BenchRecord {
+            threads: 1,
+            ..bench_record("bench_a")
+        };
+        round_trips_and_merges(bench_record("bench_a"), changed, bench_record("bench_b"));
     }
 
     fn serve_record(name: &str) -> ServeRecord {
@@ -814,23 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_records_without_shard_fields_parse_with_defaults() {
-        // A record written before the shard sweep existed: the new fields
-        // fall back to unsharded defaults instead of failing the document.
-        let legacy = r#"{"runs": [
-            {"name": "serve_old", "smt": "2t", "arrival": "open_poisson",
-             "offered": 2.0, "requests": 10, "completed": 9, "rejected": 1,
-             "throughput_rps": 5.0, "p50_ms": 1.0, "p95_ms": 2.0,
-             "p99_ms": 3.0, "mean_batch": 2.5, "max_queue_depth": 4}
-        ]}"#;
-        let parsed = ServeSummary::parse(legacy).expect("legacy schema parses");
-        assert_eq!(parsed.runs.len(), 1);
-        assert_eq!(parsed.runs[0].replicas, 1);
-        assert_eq!(parsed.runs[0].route, "-");
-        assert_eq!(parsed.runs[0].mode_transitions, 0);
-        // A record missing a *required* field still fails the whole parse.
-        let broken = r#"{"runs": [{"name": "x", "smt": "2t"}]}"#;
-        assert!(ServeSummary::parse(broken).is_none());
+    fn serve_summary_round_trips_and_merges() {
+        let changed = ServeRecord {
+            completed: 999,
+            ..serve_record("serve_a")
+        };
+        round_trips_and_merges(serve_record("serve_a"), changed, serve_record("serve_b"));
     }
 
     fn fault_record(name: &str) -> FaultRecord {
@@ -856,29 +805,12 @@ mod tests {
 
     #[test]
     fn fault_summary_round_trips_and_merges() {
-        let mut summary = FaultSummary::new();
-        summary.push(fault_record("faults_a"));
-        let parsed = FaultSummary::parse(&summary.to_json()).unwrap();
-        assert_eq!(parsed, summary);
-
-        let path = std::env::temp_dir().join("nbsmt_fault_summary_test.json");
-        let _ = std::fs::remove_file(&path);
-        summary.write(&path).unwrap();
-        let mut update = FaultSummary::new();
-        let mut changed = fault_record("faults_a");
-        changed.completed = 63;
-        changed.failed = 1;
-        update.push(changed);
-        update.push(fault_record("faults_b"));
-        update.write(&path).unwrap();
-        let merged = FaultSummary::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(merged.runs.len(), 2);
-        assert_eq!(merged.runs[0].completed, 63);
-        assert_eq!(merged.runs[1].name, "faults_b");
-        let _ = std::fs::remove_file(&path);
-        // A record missing a required field fails the whole parse (→ .bak).
-        let broken = r#"{"runs": [{"name": "x", "schedule": "s"}]}"#;
-        assert!(FaultSummary::parse(broken).is_none());
+        let changed = FaultRecord {
+            completed: 63,
+            failed: 1,
+            ..fault_record("faults_a")
+        };
+        round_trips_and_merges(fault_record("faults_a"), changed, fault_record("faults_b"));
     }
 
     fn control_record(name: &str) -> ControlRecord {
@@ -907,50 +839,14 @@ mod tests {
 
     #[test]
     fn control_summary_round_trips_and_merges() {
-        let mut summary = ControlSummary::new();
-        summary.push(control_record("control_a"));
-        let parsed = ControlSummary::parse(&summary.to_json()).unwrap();
-        assert_eq!(parsed, summary);
-
-        let path = std::env::temp_dir().join("nbsmt_control_summary_test.json");
-        let _ = std::fs::remove_file(&path);
-        summary.write(&path).unwrap();
-        let mut update = ControlSummary::new();
-        let mut changed = control_record("control_a");
-        changed.scale_downs = 7;
-        update.push(changed);
-        update.push(control_record("control_b"));
-        update.write(&path).unwrap();
-        let merged = ControlSummary::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(merged.runs.len(), 2);
-        assert_eq!(merged.runs[0].scale_downs, 7);
-        assert_eq!(merged.runs[1].name, "control_b");
-        let _ = std::fs::remove_file(&path);
-        // A record missing a required field fails the whole parse (→ .bak).
-        let broken = r#"{"runs": [{"name": "x", "controller": "reactive"}]}"#;
-        assert!(ControlSummary::parse(broken).is_none());
-    }
-
-    #[test]
-    fn serve_summary_round_trips_and_merges() {
-        let mut summary = ServeSummary::new();
-        summary.push(serve_record("serve_a"));
-        let parsed = ServeSummary::parse(&summary.to_json()).unwrap();
-        assert_eq!(parsed, summary);
-
-        let path = std::env::temp_dir().join("nbsmt_serve_summary_test.json");
-        let _ = std::fs::remove_file(&path);
-        summary.write(&path).unwrap();
-        let mut update = ServeSummary::new();
-        let mut changed = serve_record("serve_a");
-        changed.completed = 999;
-        update.push(changed);
-        update.push(serve_record("serve_b"));
-        update.write(&path).unwrap();
-        let merged = ServeSummary::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(merged.runs.len(), 2);
-        assert_eq!(merged.runs[0].completed, 999);
-        assert_eq!(merged.runs[1].name, "serve_b");
-        let _ = std::fs::remove_file(&path);
+        let changed = ControlRecord {
+            scale_downs: 7,
+            ..control_record("control_a")
+        };
+        round_trips_and_merges(
+            control_record("control_a"),
+            changed,
+            control_record("control_b"),
+        );
     }
 }

@@ -4,34 +4,32 @@
 //!
 //! The committed file is regenerated by `repro -- control` (or `--spec
 //! examples/specs/control_small.json` for the CI smoke cell); this test
-//! keeps it honest: every record parses under the `ControlSummary` schema,
+//! keeps it honest: every record parses as a `ControlRecord`,
 //! the full arrival × controller × replicas × offered-load grid is present,
 //! the paper-style headline holds on the committed curves —
 //! predictive+autoscale beats plain reactive on at least one axis per
-//! traffic model at 1.5× offered load — and re-running at a different scale
-//! *merges by record name* instead of clobbering the committed curves.
+//! traffic model at 1.5× offered load, judged by the same
+//! `ControlRecord::dominates_on_one_axis` rule as the sweep's unit test —
+//! and re-running at a different scale *merges by record name* instead of
+//! clobbering the committed curves.
 
-use nbsmt_bench::{ControlRecord, ControlSummary};
+use nbsmt_bench::{ControlRecord, Summary};
 
-fn committed() -> ControlSummary {
+fn committed() -> Summary<ControlRecord> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_control.json");
     let text = std::fs::read_to_string(&path).expect("BENCH_control.json is committed");
-    ControlSummary::parse(&text).expect("BENCH_control.json parses as a ControlSummary")
-}
-
-fn shed_rate(r: &ControlRecord) -> f64 {
-    r.rejected as f64 / r.requests.max(1) as f64
+    Summary::parse(&text).expect("BENCH_control.json parses as ControlRecords")
 }
 
 #[test]
 fn committed_control_summary_has_the_required_schema() {
     let summary = committed();
     assert!(
-        summary.runs.len() >= 32,
+        summary.records.len() >= 32,
         "expected the full 32-cell grid, found {}",
-        summary.runs.len()
+        summary.records.len()
     );
-    for run in &summary.runs {
+    for run in &summary.records {
         assert!(
             run.name.starts_with("control_synthnet_"),
             "{}: control record naming",
@@ -115,7 +113,7 @@ fn committed_control_summary_has_the_required_schema() {
 fn committed_grid_covers_every_cell() {
     let summary = committed();
     let names: std::collections::HashSet<&str> =
-        summary.runs.iter().map(|r| r.name.as_str()).collect();
+        summary.records.iter().map(|r| r.name.as_str()).collect();
     // The default sweep: 2 arrivals × 4 controllers × {8, 64} replicas ×
     // {1.0, 1.5}× offered load at 20k requests/cell.
     for arrival in ["mmpp", "diurnal"] {
@@ -140,14 +138,13 @@ fn committed_grid_covers_every_cell() {
 #[test]
 fn predictive_autoscale_dominates_reactive_at_overload_in_the_committed_curves() {
     let summary = committed();
-    let better = |c: f64, b: f64| c < b * 0.999;
     for arrival in ["mmpp", "diurnal"] {
         for replicas in [8u64, 64] {
             let cell = |controller: &str| {
                 let name =
                     format!("control_synthnet_{arrival}_{controller}_r{replicas}_x1.5_n20000");
                 summary
-                    .runs
+                    .records
                     .iter()
                     .find(|r| r.name == name)
                     .unwrap_or_else(|| panic!("missing {name}"))
@@ -159,10 +156,15 @@ fn predictive_autoscale_dominates_reactive_at_overload_in_the_committed_curves()
             // shed rate, p99 latency, or replica-seconds — per traffic
             // model, at every committed pool size.
             assert!(
-                better(shed_rate(auto), shed_rate(reactive))
-                    || better(auto.p99_ms, reactive.p99_ms)
-                    || better(auto.replica_seconds, reactive.replica_seconds),
-                "{arrival}/r{replicas}: predictive-autoscale dominates reactive on no axis"
+                auto.dominates_on_one_axis(reactive),
+                "{arrival}/r{replicas}: predictive-autoscale dominates reactive on no axis \
+                 (auto: shed {:.4} p99 {:.3} rs {:.3}; reactive: shed {:.4} p99 {:.3} rs {:.3})",
+                auto.shed_rate(),
+                auto.p99_ms,
+                auto.replica_seconds,
+                reactive.shed_rate(),
+                reactive.p99_ms,
+                reactive.replica_seconds,
             );
             // And it intervened: the win comes from actual control actions,
             // not noise.
@@ -190,28 +192,32 @@ fn rewriting_at_a_different_scale_merges_by_name() {
 
     // Re-run at a different per-cell scale: new record names (the request
     // count is part of the name) plus one regenerated existing cell.
-    let mut rerun = ControlSummary::new();
-    rerun.push(ControlRecord {
-        name: "control_synthnet_mmpp_reactive_r8_x1.0_n500".into(),
-        requests: 500,
-        completed: 500,
-        rejected: 0,
-        ..committed.runs[0].clone()
-    });
-    let regenerated = committed.runs[0].clone();
-    rerun.push(regenerated.clone());
+    let regenerated = committed.records[0].clone();
+    let rerun = Summary {
+        records: vec![
+            ControlRecord {
+                name: "control_synthnet_mmpp_reactive_r8_x1.0_n500".into(),
+                requests: 500,
+                completed: 500,
+                rejected: 0,
+                ..regenerated.clone()
+            },
+            regenerated.clone(),
+        ],
+    };
     rerun.write(&path).expect("merging write");
 
     let merged =
-        ControlSummary::parse(&std::fs::read_to_string(&path).expect("read back")).expect("parses");
+        Summary::<ControlRecord>::parse(&std::fs::read_to_string(&path).expect("read back"))
+            .expect("parses");
     assert_eq!(
-        merged.runs.len(),
-        committed.runs.len() + 1,
+        merged.records.len(),
+        committed.records.len() + 1,
         "old records stay, the new scale's record appends"
     );
-    for old in &committed.runs {
+    for old in &committed.records {
         assert!(
-            merged.runs.iter().any(|r| r.name == old.name),
+            merged.records.iter().any(|r| r.name == old.name),
             "record {} lost in the merge",
             old.name
         );
@@ -219,14 +225,14 @@ fn rewriting_at_a_different_scale_merges_by_name() {
     // The overlapping record was replaced in place, not duplicated.
     assert_eq!(
         merged
-            .runs
+            .records
             .iter()
             .filter(|r| r.name == regenerated.name)
             .count(),
         1
     );
     assert!(merged
-        .runs
+        .records
         .iter()
         .any(|r| r.name == "control_synthnet_mmpp_reactive_r8_x1.0_n500"));
 

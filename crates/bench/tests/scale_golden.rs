@@ -3,29 +3,29 @@
 //!
 //! The committed file is regenerated by `repro -- scale` (or `--spec
 //! examples/specs/scale_small.json` for the CI smoke cell); this test keeps
-//! it honest: every record parses under the `ServeSummary` schema with the
+//! it honest: every record parses as a `ServeRecord` with the
 //! fields the scale curves need, the full arrival × policy × replicas ×
 //! offered-load grid is present, the 10^6-request anchor cell exists, and
 //! re-running at a different scale *merges by record name* instead of
 //! clobbering the committed curves.
 
-use nbsmt_bench::{ServeRecord, ServeSummary};
+use nbsmt_bench::{ServeRecord, Summary};
 
-fn committed() -> ServeSummary {
+fn committed() -> Summary<ServeRecord> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json");
     let text = std::fs::read_to_string(&path).expect("BENCH_scale.json is committed");
-    ServeSummary::parse(&text).expect("BENCH_scale.json parses as a ServeSummary")
+    Summary::parse(&text).expect("BENCH_scale.json parses as ServeRecords")
 }
 
 #[test]
 fn committed_scale_summary_has_the_required_schema() {
     let summary = committed();
     assert!(
-        summary.runs.len() >= 36,
+        summary.records.len() >= 36,
         "expected the full 36-cell grid plus the anchor, found {}",
-        summary.runs.len()
+        summary.records.len()
     );
-    for run in &summary.runs {
+    for run in &summary.records {
         assert!(
             run.name.starts_with("scale_synthnet_"),
             "{}: scale record naming",
@@ -79,7 +79,7 @@ fn committed_scale_summary_has_the_required_schema() {
 fn committed_grid_covers_every_cell_and_the_million_request_anchor() {
     let summary = committed();
     let names: std::collections::HashSet<&str> =
-        summary.runs.iter().map(|r| r.name.as_str()).collect();
+        summary.records.iter().map(|r| r.name.as_str()).collect();
     // The default sweep: 3 arrivals × 2 policies × {8, 64} replicas ×
     // {0.6, 1.0, 1.5}× offered load at 20k requests/cell.
     for arrival in ["poisson", "mmpp", "diurnal"] {
@@ -97,7 +97,7 @@ fn committed_grid_covers_every_cell_and_the_million_request_anchor() {
     // scale regime actually sheds accuracy (adaptive transitions), not
     // requests wholesale.
     let anchor = summary
-        .runs
+        .records
         .iter()
         .find(|r| r.requests >= 1_000_000 && r.replicas >= 8)
         .expect("a committed >= 10^6-request cell at >= 8 replicas");
@@ -124,31 +124,31 @@ fn rewriting_at_a_different_scale_merges_by_name() {
 
     // Re-run at a different per-cell scale: new record names (the request
     // count is part of the name) plus one regenerated existing cell.
-    let mut rerun = ServeSummary::new();
-    rerun.push(ServeRecord {
-        name: "scale_synthnet_mmpp_adaptive_r8_x1.0_n500".into(),
-        requests: 500,
-        completed: 500,
-        rejected: 0,
-        ..committed.runs[0].clone()
-    });
-    let regenerated = ServeRecord {
-        completed: committed.runs[0].completed,
-        ..committed.runs[0].clone()
+    let regenerated = committed.records[0].clone();
+    let rerun = Summary {
+        records: vec![
+            ServeRecord {
+                name: "scale_synthnet_mmpp_adaptive_r8_x1.0_n500".into(),
+                requests: 500,
+                completed: 500,
+                rejected: 0,
+                ..regenerated.clone()
+            },
+            regenerated.clone(),
+        ],
     };
-    rerun.push(regenerated.clone());
     rerun.write(&path).expect("merging write");
 
-    let merged =
-        ServeSummary::parse(&std::fs::read_to_string(&path).expect("read back")).expect("parses");
+    let merged = Summary::<ServeRecord>::parse(&std::fs::read_to_string(&path).expect("read back"))
+        .expect("parses");
     assert_eq!(
-        merged.runs.len(),
-        committed.runs.len() + 1,
+        merged.records.len(),
+        committed.records.len() + 1,
         "old records stay, the new scale's record appends"
     );
-    for old in &committed.runs {
+    for old in &committed.records {
         assert!(
-            merged.runs.iter().any(|r| r.name == old.name),
+            merged.records.iter().any(|r| r.name == old.name),
             "record {} lost in the merge",
             old.name
         );
@@ -156,14 +156,14 @@ fn rewriting_at_a_different_scale_merges_by_name() {
     // The overlapping record was replaced in place, not duplicated.
     assert_eq!(
         merged
-            .runs
+            .records
             .iter()
             .filter(|r| r.name == regenerated.name)
             .count(),
         1
     );
     assert!(merged
-        .runs
+        .records
         .iter()
         .any(|r| r.name == "scale_synthnet_mmpp_adaptive_r8_x1.0_n500"));
 
