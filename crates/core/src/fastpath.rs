@@ -45,6 +45,7 @@
 //! keeping sides that already fit a nibble exact.
 
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
+use nbsmt_quant::quantize::dequantize_accumulators;
 use nbsmt_quant::reduce::{
     fits_nibble_signed, fits_nibble_unsigned, round_to_nibble_signed, round_to_nibble_unsigned,
 };
@@ -194,11 +195,7 @@ pub(crate) fn rows_fast(
         }
     }
 
-    for r in 0..nrows {
-        for j in 0..n {
-            out[r * n + j] = acc[r * n + j] as f32 * x.scale() * w.scale(j);
-        }
-    }
+    dequantize_accumulators(&acc, x.scale(), w.scales(), out);
     stats
 }
 

@@ -13,10 +13,11 @@
 use nbsmt_quant::observer::MinMaxObserver;
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
 use nbsmt_quant::quantize::{
-    quantize_activations, quantize_weights, quantized_matmul_with, reduce_activation_matrix,
+    quantize_activation, quantize_weights, quantized_matmul_with, reduce_activation_matrix,
     reduce_weight_matrix,
 };
 use nbsmt_quant::scheme::{OperatingPoint, QuantScheme};
+use nbsmt_tensor::error::TensorError;
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::ops::{self, Conv2dParams};
 use nbsmt_tensor::tensor::{Matrix, Tensor};
@@ -87,27 +88,37 @@ impl GemmEngine for ReducedPrecisionEngine {
     }
 }
 
-/// Calibration data for one compute layer.
-#[derive(Debug, Clone, PartialEq)]
-struct LayerCalibration {
-    /// Averaged (min, max) of the layer's input activations.
-    input_range: (f32, f32),
+/// The frozen operands of one compute layer, fixed at calibration: the
+/// weights are static (SySMT preloads them, §III–IV) and so is the
+/// calibrated activation range, so neither is re-derived per forward pass.
+#[derive(Debug, Clone)]
+struct LayerPlan {
+    /// Activation scale: `scale_for_range` of the averaged (min, max) of
+    /// the layer's calibration inputs.
+    input_scale: f32,
+    /// The weights quantized once, in the GEMM layout (`filters_to_matrix`
+    /// of group 0 for a conv layer, the weight matrix for a linear one).
+    weights: QuantWeightMatrix,
+    /// The conv geometry, `None` for a linear layer.
+    conv: Option<Conv2dParams>,
 }
 
 /// A quantized view of a trained model, ready to execute with any
-/// [`GemmEngine`].
+/// [`GemmEngine`]: the model's frozen execution plan.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
     model: Model,
-    calibrations: Vec<LayerCalibration>,
+    /// One plan per compute layer, in model order.
+    plans: Vec<LayerPlan>,
     activation_scheme: QuantScheme,
-    weight_scheme: QuantScheme,
 }
 
 impl QuantizedModel {
     /// Calibrates a trained model on a batch of representative inputs: the
     /// paper's "quick statistics gathering run" (averaged min/max per layer,
     /// batch-norm recalibration happens on the float model beforehand).
+    /// Each compute layer's weights and activation scale are quantized and
+    /// fixed here, once.
     ///
     /// # Errors
     ///
@@ -134,17 +145,33 @@ impl QuantizedModel {
                 }
             }
         }
-        let calibrations = observers
+        let activation_scheme = QuantScheme::activation_a8();
+        let weight_scheme = QuantScheme::weight_w8();
+        let compute_layers = model.layers().iter().filter(|l| l.is_compute_layer());
+        let plans = observers
             .iter()
-            .map(|o| LayerCalibration {
-                input_range: o.averaged_range(),
+            .zip(compute_layers)
+            .map(|(observer, layer)| {
+                let (lo, hi) = observer.averaged_range();
+                let (wmat, conv) = match layer {
+                    Layer::Conv2d(conv) => (
+                        ops::filters_to_matrix(&conv.weight, &conv.params, 0)?,
+                        Some(conv.params),
+                    ),
+                    Layer::Linear(lin) => (lin.weight.clone(), None),
+                    _ => unreachable!("is_compute_layer guarantees conv or linear"),
+                };
+                Ok(LayerPlan {
+                    input_scale: activation_scheme.scale_for_range(lo, hi),
+                    weights: quantize_weights(&wmat.try_into()?, &weight_scheme),
+                    conv,
+                })
             })
-            .collect();
+            .collect::<Result<_, NnError>>()?;
         Ok(QuantizedModel {
             model: model.clone(),
-            calibrations,
-            activation_scheme: QuantScheme::activation_a8(),
-            weight_scheme: QuantScheme::weight_w8(),
+            plans,
+            activation_scheme,
         })
     }
 
@@ -155,11 +182,12 @@ impl QuantizedModel {
 
     /// Number of quantized compute layers.
     pub fn compute_layer_count(&self) -> usize {
-        self.calibrations.len()
+        self.plans.len()
     }
 
-    /// Quantizes the weights of compute layer `index` (0-based over compute
-    /// layers) into the GEMM layout, returning `(weights, conv_geometry)`.
+    /// The weights of compute layer `index` (0-based over compute layers) in
+    /// the GEMM layout, as quantized at calibration, returned as
+    /// `(weights, conv_geometry)`.
     ///
     /// # Errors
     ///
@@ -168,31 +196,10 @@ impl QuantizedModel {
         &self,
         index: usize,
     ) -> Result<(QuantWeightMatrix, Option<Conv2dParams>), NnError> {
-        let mut compute_idx = 0usize;
-        for layer in self.model.layers() {
-            if !layer.is_compute_layer() {
-                continue;
-            }
-            if compute_idx == index {
-                return match layer {
-                    Layer::Conv2d(conv) => {
-                        let wmat = ops::filters_to_matrix(&conv.weight, &conv.params, 0)?;
-                        let w = quantize_weights(&wmat.try_into()?, &self.weight_scheme);
-                        Ok((w, Some(conv.params)))
-                    }
-                    Layer::Linear(lin) => {
-                        let w =
-                            quantize_weights(&lin.weight.clone().try_into()?, &self.weight_scheme);
-                        Ok((w, None))
-                    }
-                    _ => unreachable!("is_compute_layer guarantees conv or linear"),
-                };
-            }
-            compute_idx += 1;
-        }
-        Err(NnError::InvalidConfig(format!(
-            "compute layer index {index} out of range"
-        )))
+        let plan = self.plans.get(index).ok_or_else(|| {
+            NnError::InvalidConfig(format!("compute layer index {index} out of range"))
+        })?;
+        Ok((plan.weights.clone(), plan.conv))
     }
 
     /// Executes the quantized model on a batch of inputs with the given GEMM
@@ -288,7 +295,9 @@ impl QuantizedModel {
 
     /// Collects the quantized `(X, W)` GEMM operands of every compute layer
     /// for one input batch. This is the layer-trace interface used by the
-    /// per-layer MSE and utilization experiments (Figs. 8 and 9).
+    /// per-layer MSE and utilization experiments (Figs. 8 and 9). The
+    /// activations are lowered exactly as the forward pass lowers them, and
+    /// the weights are the ones fixed at calibration.
     ///
     /// # Errors
     ///
@@ -303,14 +312,16 @@ impl QuantizedModel {
         for layer in self.model.layers() {
             match layer {
                 Layer::Conv2d(conv) => {
-                    let (qx, qw) = self.conv_operands(conv, &x, compute_idx)?;
-                    traces.push((qx, qw));
+                    let plan = &self.plans[compute_idx];
+                    let qx = self.conv_activations(conv, plan.input_scale, &x)?;
+                    traces.push((qx, plan.weights.clone()));
                     x = conv.forward(&x)?;
                     compute_idx += 1;
                 }
                 Layer::Linear(lin) => {
-                    let (qx, qw) = self.linear_operands(lin, &x, compute_idx)?;
-                    traces.push((qx, qw));
+                    let plan = &self.plans[compute_idx];
+                    let qx = self.linear_activations(plan.input_scale, &x)?;
+                    traces.push((qx, plan.weights.clone()));
                     x = lin.forward(&x)?;
                     compute_idx += 1;
                 }
@@ -322,34 +333,35 @@ impl QuantizedModel {
         Ok(traces)
     }
 
-    fn conv_operands(
-        &self,
-        conv: &Conv2d,
-        input: &Tensor<f32>,
-        compute_idx: usize,
-    ) -> Result<(QuantMatrix, QuantWeightMatrix), NnError> {
-        let cols = ops::im2col(input, &conv.params, 0)?;
-        let range = self.calibrations[compute_idx].input_range;
-        let qx = quantize_activations(&cols.try_into()?, &self.activation_scheme, Some(range));
-        let wmat = ops::filters_to_matrix(&conv.weight, &conv.params, 0)?;
-        let qw = quantize_weights(&wmat.try_into()?, &self.weight_scheme);
-        Ok((qx, qw))
+    /// Quantizes every element of `input` at `scale` with the shared
+    /// per-element rule.
+    fn quantize_input(&self, input: &Tensor<f32>, scale: f32) -> Tensor<u8> {
+        let q_max = self.activation_scheme.q_max();
+        input.map(|&v| quantize_activation(v, scale, q_max))
     }
 
-    fn linear_operands(
+    /// A conv layer's GEMM activations: the NCHW input quantized once, then
+    /// lowered (group 0) as bytes. Quantization is element-wise and maps the
+    /// padding value 0.0 to 0, so this equals lowering in f32 and then
+    /// quantizing the im2col matrix, with each input element quantized once
+    /// instead of once per kernel window that covers it.
+    fn conv_activations(
         &self,
-        lin: &Linear,
+        conv: &Conv2d,
+        scale: f32,
         input: &Tensor<f32>,
-        compute_idx: usize,
-    ) -> Result<(QuantMatrix, QuantWeightMatrix), NnError> {
-        let range = self.calibrations[compute_idx].input_range;
-        let qx = quantize_activations(
-            &input.clone().try_into()?,
-            &self.activation_scheme,
-            Some(range),
-        );
-        let qw = quantize_weights(&lin.weight.clone().try_into()?, &self.weight_scheme);
-        Ok((qx, qw))
+    ) -> Result<QuantMatrix, NnError> {
+        let cols = ops::im2col(&self.quantize_input(input, scale), &conv.params, 0)?;
+        Ok(QuantMatrix::new(cols.try_into()?, scale))
+    }
+
+    /// A linear layer's GEMM activations: the `[N, F]` input quantized
+    /// directly.
+    fn linear_activations(&self, scale: f32, input: &Tensor<f32>) -> Result<QuantMatrix, NnError> {
+        Ok(QuantMatrix::new(
+            self.quantize_input(input, scale).try_into()?,
+            scale,
+        ))
     }
 
     fn run_conv<E: GemmEngine>(
@@ -365,24 +377,39 @@ impl QuantizedModel {
             // likewise runs MobileNet's depthwise convolutions at one thread.
             return conv.forward(input);
         }
+        let plan = &self.plans[compute_idx];
+        let qx = self.conv_activations(conv, plan.input_scale, input)?;
+        let gemm = engine.gemm(ctx, compute_idx, &qx, &plan.weights)?;
         let dims = input.shape().dims();
         let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let oh = conv.params.output_size(h);
-        let ow = conv.params.output_size(w);
-        let (qx, qw) = self.conv_operands(conv, input, compute_idx)?;
-        let gemm = engine.gemm(ctx, compute_idx, &qx, &qw)?;
-        let mut gemm_t: Tensor<f32> = gemm.into();
-        // Add bias per output channel.
-        {
-            let oc = conv.params.out_channels;
-            let s = gemm_t.as_mut_slice();
-            for r in 0..n * oh * ow {
-                for c in 0..oc {
-                    s[r * oc + c] += conv.bias[c];
+        let (oc, oh, ow) = (
+            conv.params.out_channels,
+            conv.params.output_size(h),
+            conv.params.output_size(w),
+        );
+        let plane = oh * ow;
+        let expected = n * plane * oc;
+        if gemm.as_slice().len() != expected {
+            return Err(TensorError::ShapeDataMismatch {
+                expected,
+                actual: gemm.as_slice().len(),
+            }
+            .into());
+        }
+        // One pass: add each output channel's bias while scattering the
+        // `[N*OH*OW, OC]` GEMM rows into NCHW (the same float additions as
+        // a bias pass followed by `ops::col2im`).
+        let src = gemm.as_slice();
+        let mut out = vec![0.0_f32; expected];
+        for img in 0..n {
+            for pix in 0..plane {
+                let row = &src[(img * plane + pix) * oc..][..oc];
+                for (o, (&v, &b)) in row.iter().zip(&conv.bias).enumerate() {
+                    out[(img * oc + o) * plane + pix] = v + b;
                 }
             }
         }
-        Ok(ops::col2im(&gemm_t, n, conv.params.out_channels, oh, ow)?)
+        Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
     }
 
     fn run_linear<E: GemmEngine>(
@@ -393,8 +420,9 @@ impl QuantizedModel {
         compute_idx: usize,
         engine: &mut E,
     ) -> Result<Tensor<f32>, NnError> {
-        let (qx, qw) = self.linear_operands(lin, input, compute_idx)?;
-        let gemm = engine.gemm(ctx, compute_idx, &qx, &qw)?;
+        let plan = &self.plans[compute_idx];
+        let qx = self.linear_activations(plan.input_scale, input)?;
+        let gemm = engine.gemm(ctx, compute_idx, &qx, &plan.weights)?;
         let mut out: Tensor<f32> = gemm.into();
         let s = out.as_mut_slice();
         let n = input.shape().dim(0);
@@ -411,6 +439,7 @@ impl QuantizedModel {
 mod tests {
     use super::*;
     use crate::layers::{Flatten, MaxPool2, Relu};
+    use nbsmt_quant::quantize::quantize_activations;
     use nbsmt_tensor::random::{SynthesisConfig, TensorSynthesizer};
 
     fn small_model(seed: u64) -> Model {
@@ -560,6 +589,200 @@ mod tests {
         assert_eq!(w1.cols(), 3);
         assert!(none.is_none());
         assert!(q.quantized_weights(2).is_err());
+        // The weights stored at calibration are the ones a fresh
+        // quantization of the float model gives.
+        let scheme = QuantScheme::weight_w8();
+        let Layer::Conv2d(conv) = &m.layers()[0] else {
+            panic!("layer 0 is the conv layer");
+        };
+        let wmat = ops::filters_to_matrix(&conv.weight, &conv.params, 0).unwrap();
+        assert_eq!(w0, quantize_weights(&wmat.try_into().unwrap(), &scheme));
+        let Layer::Linear(lin) = &m.layers()[4] else {
+            panic!("layer 4 is the linear layer");
+        };
+        assert_eq!(
+            w1,
+            quantize_weights(&lin.weight.clone().try_into().unwrap(), &scheme)
+        );
+    }
+
+    /// Models spanning kernels 1/3/5, strides 1/2, padding 0/1/2 and input
+    /// channels 1/3/8, each ending in a linear layer; the second keeps a
+    /// grouped (depthwise) conv, which runs in float. Every bias is nonzero
+    /// and differs per channel. Returns each model with its per-sample
+    /// input dims.
+    fn lowering_models() -> Vec<(Model, [usize; 3])> {
+        let mut synth = TensorSynthesizer::new(41);
+        let mut conv = |params: Conv2dParams| Layer::Conv2d(Conv2d::new(params, &mut synth));
+        let mut a = Model::new("k3-k5");
+        a.push(conv(Conv2dParams::new(1, 8, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::new(8, 6, 5, 2, 2)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::Flatten(Flatten));
+        let mut b = Model::new("k1-k3-depthwise");
+        b.push(conv(Conv2dParams::new(3, 8, 1, 1, 0)))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::new(8, 4, 3, 2, 0)))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::depthwise(4, 3, 1, 1)))
+            .push(Layer::Flatten(Flatten));
+        let mut c = Model::new("k5-k1-k3");
+        c.push(conv(Conv2dParams::new(8, 4, 5, 1, 0)))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::new(4, 3, 1, 2, 1)))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::new(3, 2, 3, 2, 2)))
+            .push(Layer::Flatten(Flatten));
+        // Flattened feature counts: 6·5·5, 4·3·3 and 2·3·3.
+        a.push(Layer::Linear(Linear::new(150, 3, &mut synth)));
+        b.push(Layer::Linear(Linear::new(36, 5, &mut synth)));
+        c.push(Layer::Linear(Linear::new(18, 2, &mut synth)));
+        let mut models = vec![(a, [1, 9, 9]), (b, [3, 8, 8]), (c, [8, 7, 7])];
+        for (m, _) in &mut models {
+            for layer in m.layers_mut() {
+                let bias = match layer {
+                    Layer::Conv2d(conv) => &mut conv.bias,
+                    Layer::Linear(lin) => &mut lin.bias,
+                    _ => continue,
+                };
+                for (i, b) in bias.iter_mut().enumerate() {
+                    *b = 0.07 * i as f32 - 0.1;
+                }
+            }
+        }
+        models
+    }
+
+    /// The calibrated activation range of every compute layer, gathered as
+    /// `calibrate` gathers it.
+    fn calibrated_ranges(m: &Model, calib: &Tensor<f32>) -> Vec<(f32, f32)> {
+        let (layer_inputs, _) = m.forward_collect(calib).unwrap();
+        m.layers()
+            .iter()
+            .zip(&layer_inputs)
+            .filter(|(layer, _)| layer.is_compute_layer())
+            .map(|(_, input)| {
+                let mut observer = MinMaxObserver::new();
+                observer.observe(input.as_slice());
+                observer.averaged_range()
+            })
+            .collect()
+    }
+
+    /// One compute layer's operands built straight from the float model:
+    /// lower in f32, quantize the im2col matrix, and quantize freshly
+    /// derived weights.
+    fn oracle_operands(
+        layer: &Layer,
+        x: &Tensor<f32>,
+        range: (f32, f32),
+    ) -> (QuantMatrix, QuantWeightMatrix) {
+        let (cols, wmat) = match layer {
+            Layer::Conv2d(conv) => (
+                ops::im2col(x, &conv.params, 0).unwrap(),
+                ops::filters_to_matrix(&conv.weight, &conv.params, 0).unwrap(),
+            ),
+            Layer::Linear(lin) => (x.clone(), lin.weight.clone()),
+            _ => unreachable!("compute layers only"),
+        };
+        let a8 = QuantScheme::activation_a8();
+        (
+            quantize_activations(&cols.try_into().unwrap(), &a8, Some(range)),
+            quantize_weights(&wmat.try_into().unwrap(), &QuantScheme::weight_w8()),
+        )
+    }
+
+    /// The quantized forward pass built from the oracle operands: the seed
+    /// integer kernel, an element-wise dequantization, a bias pass, then
+    /// `ops::col2im` for conv layers; grouped convs in float.
+    fn oracle_forward(m: &Model, ranges: &[(f32, f32)], input: &Tensor<f32>) -> Tensor<f32> {
+        let mut x = input.clone();
+        let mut compute_idx = 0usize;
+        for layer in m.layers() {
+            x = match layer {
+                Layer::Conv2d(conv) if conv.params.groups != 1 => {
+                    compute_idx += 1;
+                    conv.forward(&x).unwrap()
+                }
+                Layer::Conv2d(_) | Layer::Linear(_) => {
+                    let (qx, qw) = oracle_operands(layer, &x, ranges[compute_idx]);
+                    compute_idx += 1;
+                    let (rows, k, oc) = (qx.rows(), qx.cols(), qw.cols());
+                    let mut acc = vec![0_i64; rows * oc];
+                    let (a, b) = (qx.values().as_slice(), qw.values().as_slice());
+                    ExecContext::sequential().gemm_u8i8(rows, k, oc, a, b, &mut acc);
+                    let bias = match layer {
+                        Layer::Conv2d(conv) => &conv.bias,
+                        Layer::Linear(lin) => &lin.bias,
+                        _ => unreachable!(),
+                    };
+                    let dequantized = acc
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| v as f32 * qx.scale() * qw.scale(i % oc) + bias[i % oc])
+                        .collect();
+                    let y = Tensor::from_vec(dequantized, &[rows, oc]).unwrap();
+                    match layer {
+                        Layer::Conv2d(conv) => {
+                            let dims = x.shape().dims();
+                            let (oh, ow) = (
+                                conv.params.output_size(dims[2]),
+                                conv.params.output_size(dims[3]),
+                            );
+                            ops::col2im(&y, dims[0], oc, oh, ow).unwrap()
+                        }
+                        _ => y,
+                    }
+                }
+                other => forward_layer(other, &x).unwrap(),
+            };
+        }
+        x
+    }
+
+    fn bits(t: &Tensor<f32>) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn frozen_plan_matches_the_float_lowering_oracle() {
+        for (seed, (m, [c, h, w])) in (50u64..).zip(lowering_models()) {
+            let mut synth = TensorSynthesizer::new(seed);
+            let config = SynthesisConfig::activation(1.0, 0.3);
+            let calib = synth.tensor(&config, &[6, c, h, w]);
+            let test = synth.tensor(&config, &[3, c, h, w]);
+            let q = QuantizedModel::calibrate(&m, std::slice::from_ref(&calib)).unwrap();
+            let ranges = calibrated_ranges(&m, &calib);
+
+            // Operands: layer_traces walks the float model, so the oracle
+            // lowers each compute layer's float input.
+            let (layer_inputs, _) = m.forward_collect(&test).unwrap();
+            let expected: Vec<_> = m
+                .layers()
+                .iter()
+                .zip(&layer_inputs)
+                .filter(|(layer, _)| layer.is_compute_layer())
+                .zip(&ranges)
+                .map(|((layer, x), &range)| oracle_operands(layer, x, range))
+                .collect();
+            let traces = q.layer_traces(&test).unwrap();
+            assert_eq!(traces.len(), expected.len(), "{}", m.name);
+            for (i, (got, want)) in traces.iter().zip(&expected).enumerate() {
+                assert_eq!(got.0, want.0, "{} layer {i} activations", m.name);
+                assert_eq!(got.1, want.1, "{} layer {i} weights", m.name);
+                assert_eq!(got.1, q.quantized_weights(i).unwrap().0);
+            }
+
+            // Logits, on the sequential context and the default one.
+            let want = bits(&oracle_forward(&m, &ranges, &test));
+            for ctx in [ExecContext::sequential(), ExecContext::default()] {
+                let got = q
+                    .forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
+                    .unwrap();
+                assert_eq!(bits(&got), want, "{} logits on {:?}", m.name, ctx.config());
+            }
+        }
     }
 
     #[test]

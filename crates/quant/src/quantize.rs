@@ -30,16 +30,25 @@ pub fn quantize_activations(
     let data: Vec<u8> = x
         .as_slice()
         .iter()
-        .map(|&v| {
-            let q = (v / scale).round().clamp(0.0, q_max);
-            q as u8
-        })
+        .map(|&v| quantize_activation(v, scale, q_max))
         .collect();
     let values = Matrix::from_vec(data, x.rows(), x.cols())
         .expect("quantized buffer has same dimensions as input");
     // Scale is expressed relative to the 8-bit grid so that integer values of
     // reduced-precision schemes still dequantize correctly.
     QuantMatrix::new(values, scale)
+}
+
+/// Quantizes one activation value onto the unsigned grid `0..=q_max` at
+/// `scale`: the per-element rounding rule of [`quantize_activations`].
+///
+/// Callers that quantize a tensor before lowering it (the quantized model's
+/// conv layers) use this same function, so their bytes match the matrix
+/// path's by construction. `0.0` always maps to `0`, which is what lets a
+/// lowering pad with zero bytes instead of quantized zeros.
+#[inline]
+pub fn quantize_activation(v: f32, scale: f32, q_max: f32) -> u8 {
+    (v / scale).round().clamp(0.0, q_max) as u8
 }
 
 /// Quantizes a weight matrix using the paper's per-kernel signed symmetric
@@ -85,14 +94,47 @@ pub fn dequantize_activations(q: &QuantMatrix) -> Matrix<f32> {
 /// Dequantizes a weight matrix back to floating point.
 pub fn dequantize_weights(q: &QuantWeightMatrix) -> Matrix<f32> {
     let cols = q.cols();
-    let data: Vec<f32> = q
-        .values()
-        .as_slice()
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v as f32 * q.scale(i % cols))
-        .collect();
+    let mut data = vec![0.0_f32; q.rows() * cols];
+    if cols > 0 {
+        let rows = q.values().as_slice().chunks_exact(cols);
+        for (out, row) in data.chunks_exact_mut(cols).zip(rows) {
+            for ((o, &v), &s) in out.iter_mut().zip(row).zip(q.scales()) {
+                *o = v as f32 * s;
+            }
+        }
+    }
     Matrix::from_vec(data, q.rows(), cols).expect("same dimensions")
+}
+
+/// Dequantizes a row-major block of integer GEMM accumulators into `out`:
+/// element `(r, j)` becomes `(acc[r, j] as f32 * x_scale) * w_scales[j]`,
+/// in that order, the column count being `w_scales.len()`. Rows are walked
+/// zipped with the per-kernel scales.
+///
+/// # Panics
+///
+/// Panics when `acc` and `out` differ in length or are not a whole number
+/// of `w_scales.len()`-wide rows.
+pub fn dequantize_accumulators(acc: &[i64], x_scale: f32, w_scales: &[f32], out: &mut [f32]) {
+    let n = w_scales.len();
+    assert_eq!(
+        acc.len(),
+        out.len(),
+        "dequantize: accumulator/output length"
+    );
+    if n == 0 {
+        assert!(
+            acc.is_empty(),
+            "dequantize: rows of zero width hold no values"
+        );
+        return;
+    }
+    assert_eq!(acc.len() % n, 0, "dequantize: partial accumulator row");
+    for (orow, arow) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)) {
+        for ((o, &v), &s) in orow.iter_mut().zip(arow).zip(w_scales) {
+            *o = v as f32 * x_scale * s;
+        }
+    }
 }
 
 /// Computes the dequantized product of a quantized activation matrix and a
@@ -144,11 +186,8 @@ pub fn quantized_matmul_with(
         w.values().as_slice(),
         &mut acc,
     );
-    let out: Vec<f32> = acc
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v as f32 * x.scale() * w.scale(i % n))
-        .collect();
+    let mut out = vec![0.0_f32; m * n];
+    dequantize_accumulators(&acc, x.scale(), w.scales(), &mut out);
     Matrix::from_vec(out, m, n)
 }
 
@@ -179,11 +218,8 @@ pub fn quantized_matmul_prepacked(
     let (m, n) = (x.rows(), w.cols());
     let mut acc = vec![0_i64; m * n];
     ctx.gemm_u8i8_prepacked(m, x.values().as_slice(), pack, &mut acc);
-    let out: Vec<f32> = acc
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v as f32 * x.scale() * w.scale(i % n))
-        .collect();
+    let mut out = vec![0.0_f32; m * n];
+    dequantize_accumulators(&acc, x.scale(), w.scales(), &mut out);
     Matrix::from_vec(out, m, n)
 }
 

@@ -61,9 +61,9 @@ pub struct Session {
 }
 
 /// One `OnceLock` slot per compute layer, behind an `Arc` so session clones
-/// share the cache. Layer weights are re-quantized deterministically from
-/// the same calibrated model on every forward pass, so a pack built on any
-/// batch stays valid for the session's lifetime.
+/// share the cache. Each layer's weights are quantized once, when the model
+/// is calibrated, and never change, so a pack built on any batch stays
+/// valid for the session's lifetime.
 #[derive(Debug, Clone)]
 struct PackCache {
     layers: Arc<Vec<OnceLock<PackedRhs<i8>>>>,

@@ -8,7 +8,8 @@
 //!
 //! * **Kernel choice** ([`GemmBackend`]): [`Naive`] (the seed scalar loop),
 //!   [`Blocked`] (cache-tiled over row and reduction blocks), [`Parallel`]
-//!   (row-tile fan-out of the blocked kernel over the pool), [`Simd`]
+//!   (row-tile fan-out over the pool: [`Simd`]'s u8×i8 kernel, the blocked
+//!   kernel for f32 and i32), [`Simd`]
 //!   (runtime-detected AVX2 intrinsics with a portable unrolled fallback),
 //!   or [`Packed`] (B packed into column panels + register-blocked
 //!   microkernel; see [`PackedRhs`] for the reusable-pack entry point).
@@ -53,7 +54,8 @@ pub enum GemmBackendKind {
     Naive,
     /// Cache-tiled kernel: row blocks × reduction blocks, ascending.
     Blocked,
-    /// Row-tile fan-out of the blocked kernel over the worker pool.
+    /// Row-tile fan-out over the worker pool: [`Simd`]'s bit-exact u8×i8
+    /// kernel for the quantized GEMM, the blocked kernel for f32 and i32.
     #[default]
     Parallel,
     /// Runtime-detected AVX2 kernels (bit-exact integers, fast-f32 tier)
@@ -695,7 +697,9 @@ impl GemmBackend for Blocked {
     }
 }
 
-/// Row-tile fan-out of the blocked kernel over the context's worker pool.
+/// Row-tile fan-out over the context's worker pool. The quantized u8×i8
+/// GEMM runs [`Simd`]'s bit-exact kernel on each tile; f32 and i32 run the
+/// blocked kernel ([`Simd`] f32 is not bit-exact, and i32 is not served).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Parallel;
 
@@ -737,7 +741,17 @@ impl GemmBackend for Parallel {
         b: &[i8],
         out: &mut [i64],
     ) {
-        parallel_gemm::<U8I8Gemm>(ctx, m, k, n, a, b, out);
+        // The served quantized GEMM: `Simd`'s bit-exact integer kernel on
+        // each row tile (on the whole matrix at one thread), which beats the
+        // blocked scalar kernel at every served shape.
+        if ctx.threads() <= 1 {
+            Simd.gemm_u8i8(ctx, m, k, n, a, b, out);
+            return;
+        }
+        ctx.for_each_row_tile(out, m, n, |_tile, row_start, nrows, chunk| {
+            let rows = &a[row_start * k..(row_start + nrows) * k];
+            Simd.gemm_u8i8(ctx, nrows, k, n, rows, b, chunk);
+        });
     }
 }
 
@@ -779,10 +793,11 @@ fn unrolled_rows<E: GemmElems>(
     }
 }
 
-/// AVX2 kernels behind the [`Simd`] backend. Only compiled on x86_64; the
-/// caller checks `is_x86_feature_detected!("avx2")` (and `"fma"` for the
-/// fused f32 path) before entering, which is the entire safety obligation of
-/// the `unsafe` functions here.
+/// AVX2 kernels behind the [`Simd`] backend. Only compiled on x86_64. Each
+/// safe `try_` entry checks `is_x86_feature_detected!("avx2")` (and `"fma"`
+/// for the fused f32 path) and that the slice lengths match the dimensions
+/// before entering, which is the entire safety obligation of the `unsafe`
+/// functions here: they read `b` through raw pointers within `k × n`.
 ///
 /// Integer kernels broadcast one `a` element per reduction step and run a
 /// strip of output columns in 64-bit lanes: `_mm256_cvtepi32_epi64` /
@@ -811,7 +826,9 @@ mod avx2 {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return false;
         }
-        // SAFETY: avx2 verified at runtime just above.
+        super::check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
+        // SAFETY: avx2 verified at runtime and slice lengths checked just
+        // above.
         unsafe { gemm_i32(m, k, n, a, b, out) };
         true
     }
@@ -828,7 +845,9 @@ mod avx2 {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return false;
         }
-        // SAFETY: avx2 verified at runtime just above.
+        super::check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
+        // SAFETY: avx2 verified at runtime and slice lengths checked just
+        // above.
         unsafe { gemm_u8i8(m, k, n, a, b, out) };
         true
     }
@@ -846,11 +865,14 @@ mod avx2 {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return false;
         }
+        super::check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
         if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: avx2 + fma verified at runtime just above.
+            // SAFETY: avx2 + fma verified at runtime and slice lengths
+            // checked just above.
             unsafe { gemm_f32_fma(m, k, n, a, b, out) };
         } else {
-            // SAFETY: avx2 verified at runtime just above.
+            // SAFETY: avx2 verified at runtime and slice lengths checked
+            // just above.
             unsafe { gemm_f32(m, k, n, a, b, out) };
         }
         true
@@ -905,6 +927,8 @@ mod avx2 {
         }
     }
 
+    /// Strips of 16, then 8, then 4 output columns, each kept in 64-bit
+    /// lanes across the whole reduction; the strip width follows `n`.
     #[target_feature(enable = "avx2")]
     unsafe fn gemm_u8i8(m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
         for i in 0..m {
@@ -912,44 +936,65 @@ mod avx2 {
             let orow = &mut out[i * n..(i + 1) * n];
             let mut j = 0usize;
             while j + 16 <= n {
-                let mut acc0 = _mm256_setzero_si256();
-                let mut acc1 = _mm256_setzero_si256();
-                let mut acc2 = _mm256_setzero_si256();
-                let mut acc3 = _mm256_setzero_si256();
-                for (p, &aval) in arow.iter().enumerate() {
-                    if aval == 0 {
-                        continue;
-                    }
-                    // u8 broadcast is non-negative, so the signed low-32
-                    // multiply below is exact for it.
-                    let va = _mm256_set1_epi64x(aval as i64);
-                    let bytes = _mm_loadu_si128(b.as_ptr().add(p * n + j) as *const __m128i);
-                    let vb0 = _mm256_cvtepi8_epi64(bytes);
-                    let vb1 = _mm256_cvtepi8_epi64(_mm_srli_si128::<4>(bytes));
-                    let vb2 = _mm256_cvtepi8_epi64(_mm_srli_si128::<8>(bytes));
-                    let vb3 = _mm256_cvtepi8_epi64(_mm_srli_si128::<12>(bytes));
-                    acc0 = _mm256_add_epi64(acc0, _mm256_mul_epi32(va, vb0));
-                    acc1 = _mm256_add_epi64(acc1, _mm256_mul_epi32(va, vb1));
-                    acc2 = _mm256_add_epi64(acc2, _mm256_mul_epi32(va, vb2));
-                    acc3 = _mm256_add_epi64(acc3, _mm256_mul_epi32(va, vb3));
-                }
-                let op = orow.as_mut_ptr().add(j);
-                _mm256_storeu_si256(op as *mut __m256i, acc0);
-                _mm256_storeu_si256(op.add(4) as *mut __m256i, acc1);
-                _mm256_storeu_si256(op.add(8) as *mut __m256i, acc2);
-                _mm256_storeu_si256(op.add(12) as *mut __m256i, acc3);
+                u8i8_strip::<4>(arow, b, n, j, orow.as_mut_ptr().add(j));
                 j += 16;
             }
-            for jj in j..n {
-                let mut acc = 0i64;
+            if j + 8 <= n {
+                u8i8_strip::<2>(arow, b, n, j, orow.as_mut_ptr().add(j));
+                j += 8;
+            }
+            if j + 4 <= n {
+                u8i8_strip::<1>(arow, b, n, j, orow.as_mut_ptr().add(j));
+                j += 4;
+            }
+            // Fewer than 4 columns left: one pass down the reduction, row by
+            // row of `b`, with the same ascending-k, zero-skip order per
+            // element.
+            let tail = &mut orow[j..];
+            if !tail.is_empty() {
+                let mut acc = [0i64; 3];
                 for (p, &aval) in arow.iter().enumerate() {
                     if aval == 0 {
                         continue;
                     }
-                    acc += aval as i64 * b[p * n + jj] as i64;
+                    let brow = &b[p * n + j..(p + 1) * n];
+                    for (acc, &bval) in acc.iter_mut().zip(brow) {
+                        *acc += aval as i64 * bval as i64;
+                    }
                 }
-                orow[jj] = acc;
+                tail.copy_from_slice(&acc[..tail.len()]);
             }
+        }
+    }
+
+    /// One strip of `4 * L` output columns starting at column `j` of one
+    /// output row: `L` accumulators of four 64-bit lanes. Each step sign-
+    /// extends 4 weight bytes per accumulator (`_mm256_cvtepi8_epi64`) and
+    /// multiplies them by the broadcast activation with the signed low-32 ×
+    /// low-32 → 64 multiply, which is exact because the u8 activation is
+    /// non-negative. Inlined into the `#[target_feature]` caller.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `b` must hold `arow.len() × n` elements with
+    /// `j + 4 * L <= n`, and `out` must be valid for `4 * L` writes.
+    #[inline(always)]
+    unsafe fn u8i8_strip<const L: usize>(arow: &[u8], b: &[i8], n: usize, j: usize, out: *mut i64) {
+        let mut acc = [_mm256_setzero_si256(); L];
+        for (p, &aval) in arow.iter().enumerate() {
+            if aval == 0 {
+                continue;
+            }
+            let va = _mm256_set1_epi64x(aval as i64);
+            let bp = b.as_ptr().add(p * n + j);
+            for (l, acc) in acc.iter_mut().enumerate() {
+                let word = (bp.add(4 * l) as *const i32).read_unaligned();
+                let vb = _mm256_cvtepi8_epi64(_mm_cvtsi32_si128(word));
+                *acc = _mm256_add_epi64(*acc, _mm256_mul_epi32(va, vb));
+            }
+        }
+        for (l, acc) in acc.iter().enumerate() {
+            _mm256_storeu_si256(out.add(4 * l) as *mut __m256i, *acc);
         }
     }
 
@@ -1429,20 +1474,65 @@ mod tests {
         }
     }
 
+    /// `(m, k, n)` shapes on every boundary of the AVX2 u8×i8 column strips:
+    /// n below, at and past 4, 8 and 16, and remainders of 1–3 columns after
+    /// each strip width.
+    const STRIP_SHAPES: [(usize, usize, usize); 14] = [
+        (1, 1, 1),
+        (6, 40, 5),
+        (3, 9, 3),
+        (5, 7, 4),
+        (2, 13, 7),
+        (4, 9, 8),
+        (3, 5, 12),
+        (6, 40, 15),
+        (2, 3, 16),
+        (7, 11, 23),
+        (3, 17, 28),
+        (5, 9, 31),
+        (1, 33, 47),
+        (4, 72, 48),
+    ];
+
+    /// u8 activations over the whole `0..=255` grid (a fifth of them zero)
+    /// and i8 weights in `-127..=127`.
+    fn sample_u8i8(m: usize, k: usize, n: usize, seed: u64) -> (Vec<u8>, Vec<i8>) {
+        let a = sample_i32(m, k, seed)
+            .iter()
+            .map(|&v| if v == 0 { 0 } else { (v + 128) as u8 })
+            .collect();
+        let b = sample_i32(k, n, seed + 1)
+            .iter()
+            .map(|&v| v as i8)
+            .collect();
+        (a, b)
+    }
+
     #[test]
     fn u8i8_gemm_identical_across_backends_and_threads() {
-        let (m, k, n) = (6, 40, 5);
-        let a: Vec<u8> = sample_i32(m, k, 5)
-            .iter()
-            .map(|&v| v.unsigned_abs() as u8)
-            .collect();
-        let b: Vec<i8> = sample_i32(k, n, 6).iter().map(|&v| v as i8).collect();
-        let mut reference = vec![0_i64; m * n];
-        ExecContext::sequential().gemm_u8i8(m, k, n, &a, &b, &mut reference);
-        for ctx in all_contexts() {
+        for (seed, (m, k, n)) in (5u64..).step_by(2).zip(STRIP_SHAPES) {
+            let (a, b) = sample_u8i8(m, k, n, seed);
+            let mut reference = vec![0_i64; m * n];
+            ExecContext::sequential().gemm_u8i8(m, k, n, &a, &b, &mut reference);
+            for ctx in all_contexts() {
+                let mut out = vec![0_i64; m * n];
+                ctx.gemm_u8i8(m, k, n, &a, &b, &mut out);
+                assert_eq!(out, reference, "{m}x{k}x{n} ctx {:?}", ctx.config());
+            }
+        }
+    }
+
+    /// `Simd`'s portable fallback, which an AVX2 host never reaches through
+    /// the backends, against the seed kernel on the strip-boundary shapes.
+    #[test]
+    fn unrolled_u8i8_fallback_matches_naive() {
+        for (seed, (m, k, n)) in (31u64..).step_by(2).zip(STRIP_SHAPES) {
+            let (a, b) = sample_u8i8(m, k, n, seed);
+            let mut reference = vec![0_i64; m * n];
+            naive_rows::<U8I8Gemm>(&a, &b, k, n, 0, m, &mut reference);
             let mut out = vec![0_i64; m * n];
-            ctx.gemm_u8i8(m, k, n, &a, &b, &mut out);
-            assert_eq!(out, reference, "ctx {:?}", ctx.config());
+            unrolled_rows::<U8I8Gemm>(&a, &b, k, n, 0, m, &mut out);
+            assert_eq!(out, reference, "{m}x{k}x{n}");
         }
     }
 

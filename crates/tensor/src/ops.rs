@@ -197,15 +197,19 @@ pub fn scale(a: &Tensor<f32>, s: f32) -> Tensor<f32> {
 /// output, exactly the mapping the paper uses to feed convolutions to the
 /// output-stationary systolic array.
 ///
+/// The lowering only copies elements, so it works for any element type:
+/// padded positions are filled with `T::default()` (`0.0` for `f32`, `0`
+/// for already-quantized `u8` activations).
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] if `input` is not rank 4, or
 /// [`TensorError::InvalidArgument`] for inconsistent channel/group settings.
-pub fn im2col(
-    input: &Tensor<f32>,
+pub fn im2col<T: Copy + Default>(
+    input: &Tensor<T>,
     params: &Conv2dParams,
     group: usize,
-) -> Result<Tensor<f32>, TensorError> {
+) -> Result<Tensor<T>, TensorError> {
     if input.rank() != 4 {
         return Err(TensorError::RankMismatch {
             op: "im2col",
@@ -246,41 +250,36 @@ pub fn im2col(
     let rows = n * oh * ow;
     let cols = cg * k * k;
     let src = input.as_slice();
-    let mut out = vec![0.0_f32; rows * cols];
-    // One patch buffer for the whole lowering, reused for every output row
-    // (dense and grouped paths alike) instead of filling `out` element by
-    // element: each kernel row becomes at most one contiguous copy plus
-    // zero-fill for the padded margins. Coordinates are in the padded frame,
-    // valid range is [padding, padding + dim).
-    let mut patch = vec![0.0_f32; cols];
+    let mut out = vec![T::default(); rows * cols];
+    // Each valid element is copied straight into its output row; padded
+    // positions keep the `T::default()` fill. Kernel rows are only `k`
+    // elements long, so a per-element copy beats a `memcpy` call per kernel
+    // row. Coordinates are in the padded frame, valid range is
+    // [padding, padding + dim).
     for img in 0..n {
         for oy in 0..oh {
             for ox in 0..ow {
                 let row = (img * oh + oy) * ow + ox;
+                let dst_row = &mut out[row * cols..(row + 1) * cols];
                 let x0 = ox * params.stride;
                 for ci in 0..cg {
                     let cin = c0 + ci;
                     for ky in 0..k {
                         let iy = oy * params.stride + ky;
-                        let dst = &mut patch[(ci * k + ky) * k..(ci * k + ky + 1) * k];
                         if iy < params.padding || iy - params.padding >= h {
-                            dst.fill(0.0);
                             continue;
                         }
                         let sy = iy - params.padding;
                         let src_row = &src[((img * c + cin) * h + sy) * w..][..w];
-                        // kx is valid iff padding <= x0 + kx < w + padding.
-                        let kx_lo = params.padding.saturating_sub(x0).min(k);
-                        let kx_hi = (w + params.padding).saturating_sub(x0).min(k).max(kx_lo);
-                        dst[..kx_lo].fill(0.0);
-                        if kx_lo < kx_hi {
-                            let sx = x0 + kx_lo - params.padding;
-                            dst[kx_lo..kx_hi].copy_from_slice(&src_row[sx..sx + (kx_hi - kx_lo)]);
+                        let dst = &mut dst_row[(ci * k + ky) * k..][..k];
+                        for (kx, d) in dst.iter_mut().enumerate() {
+                            let ix = x0 + kx;
+                            if ix >= params.padding && ix - params.padding < w {
+                                *d = src_row[ix - params.padding];
+                            }
                         }
-                        dst[kx_hi..].fill(0.0);
                     }
                 }
-                out[row * cols..(row + 1) * cols].copy_from_slice(&patch);
             }
         }
     }

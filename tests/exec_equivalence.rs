@@ -71,11 +71,12 @@ fn synth_layer(
 }
 
 proptest! {
-    /// `matmul_i32` is identical for Naive, Blocked, and Parallel at 1/2/8
-    /// host threads, for random shapes and sparsities.
+    /// `matmul_i32` is identical for every backend at 1/2/8 host threads,
+    /// for random shapes and sparsities. With n up to 39 the AVX2 kernel's
+    /// 16-column strips and its scalar tail both run.
     #[test]
     fn i32_gemm_is_backend_and_thread_invariant(
-        m in 1usize..20, k in 1usize..40, n in 1usize..16,
+        m in 1usize..20, k in 1usize..40, n in 1usize..40,
         seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
     ) {
         let to_i32 = |mat: Matrix<f32>| {
@@ -90,6 +91,25 @@ proptest! {
         let reference = ops::matmul_i32(&a, &b).expect("dimensions match");
         for ctx in all_contexts() {
             let out = ops::matmul_i32_with(&ctx, &a, &b).expect("dimensions match");
+            prop_assert_eq!(&out, &reference, "ctx {:?}", ctx.config());
+        }
+    }
+
+    /// The quantized-grid GEMM (u8 activations × i8 weights) is identical
+    /// for every backend at 1/2/8 host threads. With n up to 47 the AVX2
+    /// kernel's 16-, 8- and 4-column strips and its scalar remainder all run.
+    #[test]
+    fn u8i8_gemm_is_backend_and_thread_invariant(
+        m in 1usize..20, k in 1usize..40, n in 1usize..48,
+        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
+    ) {
+        let (x, w) = synth_layer(seed, m, k, n, sparsity_pct as f64 / 100.0);
+        let (a, b) = (x.values().as_slice(), w.values().as_slice());
+        let mut reference = vec![0_i64; m * n];
+        ExecContext::sequential().gemm_u8i8(m, k, n, a, b, &mut reference);
+        for ctx in all_contexts() {
+            let mut out = vec![0_i64; m * n];
+            ctx.gemm_u8i8(m, k, n, a, b, &mut out);
             prop_assert_eq!(&out, &reference, "ctx {:?}", ctx.config());
         }
     }
