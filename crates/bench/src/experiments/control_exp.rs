@@ -16,21 +16,20 @@
 //!   stealing, rebalancing hash-skewed queues.
 //!
 //! Every variant replays the *identical* seeded MMPP / diurnal trace through
-//! [`simulate_pool_controlled_stats`] (the statistics-only virtual-clock
-//! path), so each cell is bit-reproducible and the four variants differ only
-//! in controller policy. Cells land in `BENCH_control.json` (merge-by-name),
-//! and the committed file is held to the dominance criterion
+//! the statistics-only virtual-clock path of [`simulate_pool`] (no
+//! [`nbsmt_tensor::exec::ExecContext`]), so each cell is bit-reproducible
+//! and the four variants differ only in controller policy. Cells land in
+//! `BENCH_control.json` (merge-by-name), and the committed file is held to
+//! the dominance criterion
 //! [`ControlRecord::dominates_on_one_axis`]: `predictive-autoscale` must
 //! beat `reactive` on at least one of {shed rate, p99, replica-seconds} on
 //! every traffic model at 1.5× load.
 
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
-use nbsmt_serve::sim::{
-    simulate_pool_controlled_stats, simulate_pool_stats, ArrivalProcess, ServiceModel,
-};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, ServiceModel};
 
 use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::{diurnal, mmpp, pareto_sizes};
@@ -190,34 +189,20 @@ pub fn control_sweep_with(
                     // The same seeded trace for every variant of the cell:
                     // the four rows differ in controller policy only.
                     let arrivals = arrivals_for(arrival, cell_seed, rate, requests as u64);
-                    let pool = PoolConfig {
-                        replicas,
-                        route: RoutePolicy::Hashed,
-                        scheduler,
-                        adaptive,
+                    let options = PoolOptions {
+                        config: PoolConfig {
+                            replicas,
+                            route: RoutePolicy::Hashed,
+                            scheduler,
+                            adaptive,
+                        },
+                        service,
+                        control: control_for(variant, replicas, rate),
+                        ..PoolOptions::default()
                     };
-                    let outcome = match control_for(variant, replicas, rate) {
-                        Some(control) => simulate_pool_controlled_stats(
-                            &ladder[..],
-                            &fixture.inputs,
-                            &arrivals,
-                            pool,
-                            service,
-                            control,
-                            None,
-                            None,
-                        ),
-                        None => simulate_pool_stats(
-                            &ladder[..],
-                            &fixture.inputs,
-                            &arrivals,
-                            pool,
-                            service,
-                            None,
-                            None,
-                        ),
-                    }
-                    .expect("pool simulation succeeds");
+                    let outcome =
+                        simulate_pool(&ladder, None, &fixture.inputs, &arrivals, &options, None)
+                            .expect("pool simulation succeeds");
                     let m = &outcome.metrics;
                     // The record id is the merge key across runs. It
                     // includes the trace length so a CI smoke run merges in

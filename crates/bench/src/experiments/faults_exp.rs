@@ -14,8 +14,8 @@
 //!   intensity, and how much of it the adaptive ladder buys back.
 //!
 //! * **Countermeasure A/B (`live` rows).** Every schedule of the committed
-//!   [`chaos_corpus`] runs twice on the *threaded* pool
-//!   ([`ReplicaPool::start_with_faults`]): once with a bare client (no
+//!   [`chaos_corpus`] runs twice on the *threaded* free-running pool
+//!   ([`PoolDriver::FreeRunning`]): once with a bare client (no
 //!   retry, no hedge — every cancellation is a lost request) and once with
 //!   the [`FaultClient`] countermeasures (exponential-backoff retry plus
 //!   straggler hedging at 2× the wall-clock p95 of a measured fault-free
@@ -30,14 +30,14 @@
 use std::sync::Arc;
 
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::faults::{
     chaos_corpus, FaultClient, FaultConfig, FaultPlan, HedgePolicy, RetryPolicy,
 };
-use nbsmt_serve::pool::ReplicaPool;
+use nbsmt_serve::pool::{PoolDriver, ReplicaPool};
 use nbsmt_serve::session::Session;
-use nbsmt_serve::sim::simulate_pool_faulted;
+use nbsmt_serve::sim::simulate_pool;
 use nbsmt_tensor::tensor::Tensor;
 
 use crate::experiments::serve_exp::SweepFixture;
@@ -58,7 +58,8 @@ const INTENSITIES: [u64; 4] = [0, 1, 2, 4];
 pub struct FaultKnobs {
     /// Seed of the generated fault plans (`fault_seed`).
     pub fault_seed: u64,
-    /// Base per-mille crash rate, scaled by [`INTENSITIES`].
+    /// Base per-mille crash rate, scaled by each intensity multiplier
+    /// (0×, 1×, 2×, 4×).
     pub crash_per_mille: u64,
     /// Base per-mille stall rate.
     pub stall_per_mille: u64,
@@ -107,22 +108,29 @@ fn adaptive_policy() -> AdaptivePolicy {
     }
 }
 
-fn pool_config(adaptive: AdaptivePolicy) -> PoolConfig {
-    PoolConfig {
-        replicas: REPLICAS,
-        route: RoutePolicy::RoundRobin,
-        // The batch-formation window must cover a full closed-loop client
-        // round trip (response → resubmission, including the hedge path's
-        // ~1ms poll quantum), or survivor batches launch half-empty and the
-        // capacity-limited schedules lose exactly those slots.
-        scheduler: SchedulerConfig {
-            batch: BatchPolicy {
-                max_batch: 8,
-                max_wait_ns: 2_000_000,
+/// The options of every cell: [`REPLICAS`] round-robin replicas under
+/// `adaptive`, the fixture's service model, and `plan`.
+fn options(fixture: &SweepFixture, adaptive: AdaptivePolicy, plan: &FaultPlan) -> PoolOptions {
+    PoolOptions {
+        config: PoolConfig {
+            replicas: REPLICAS,
+            route: RoutePolicy::RoundRobin,
+            // The batch-formation window must cover a full closed-loop client
+            // round trip (response → resubmission, including the hedge path's
+            // ~1ms poll quantum), or survivor batches launch half-empty and the
+            // capacity-limited schedules lose exactly those slots.
+            scheduler: SchedulerConfig {
+                batch: BatchPolicy {
+                    max_batch: 8,
+                    max_wait_ns: 2_000_000,
+                },
+                queue_capacity: 16,
             },
-            queue_capacity: 16,
+            adaptive,
         },
-        adaptive,
+        service: fixture.service,
+        faults: plan.clone(),
+        control: None,
     }
 }
 
@@ -158,14 +166,13 @@ fn intensity_rows(
             ("pinned", &ladder[..1], AdaptivePolicy::pinned()),
             ("adaptive", ladder, adaptive_policy()),
         ] {
-            let outcome = simulate_pool_faulted(
+            let outcome = simulate_pool(
                 ladder_slice,
-                &ctx,
+                Some(&ctx),
                 &fixture.inputs,
                 &arrivals,
-                pool_config(policy),
-                fixture.service,
-                Some(&plan),
+                &options(fixture, policy, &plan),
+                None,
             )
             .expect("pool simulation succeeds");
             let m = &outcome.metrics;
@@ -287,14 +294,15 @@ fn live_cell(
     retry: RetryPolicy,
     hedge: Option<HedgePolicy>,
 ) -> FaultRecord {
-    let pool = ReplicaPool::start_with_faults(
+    let mut pool = ReplicaPool::new(
         ladder.to_vec(),
-        pool_config(adaptive_policy()),
+        &options(fixture, adaptive_policy(), plan),
         exec.config(),
-        plan,
-        fixture.service,
+        PoolDriver::FreeRunning,
+        false,
     )
     .expect("pool starts");
+    pool.resume();
 
     let clients = 8usize;
     let per_client = requests.div_ceil(clients);

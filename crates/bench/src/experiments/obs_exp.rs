@@ -17,9 +17,11 @@
 //! lockstep pool to.
 
 use nbsmt_serve::config::SmtConfig;
-use nbsmt_serve::config::{AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig};
+use nbsmt_serve::config::{
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig,
+};
 use nbsmt_serve::session::Session;
-use nbsmt_serve::sim::{simulate_pool_traced, ArrivalProcess, PoolSimOutcome, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome};
 use nbsmt_serve::{TraceRecorder, TraceSnapshot};
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
@@ -38,8 +40,7 @@ pub struct ObsBench {
     ctx: ExecContext,
     inputs: Vec<Tensor<f32>>,
     arrivals: ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
+    options: PoolOptions,
 }
 
 impl ObsBench {
@@ -63,7 +64,7 @@ impl ObsBench {
         let replicas = 2usize;
         let rate = fixture.dense_rate_rps() * replicas as f64 * 2.0;
         let arrivals = open_poisson(seed.wrapping_add(20), rate, requests);
-        let pool = PoolConfig {
+        let config = PoolConfig {
             replicas,
             route: RoutePolicy::RoundRobin,
             scheduler: SchedulerConfig {
@@ -85,21 +86,22 @@ impl ObsBench {
             ctx: exec.context(),
             inputs: fixture.inputs,
             arrivals,
-            pool,
-            service: fixture.service,
+            options: PoolOptions {
+                config,
+                service: fixture.service,
+                ..PoolOptions::default()
+            },
         }
     }
 
     /// One full simulation with the recorder off — the baseline cell.
     pub fn run_off(&self) -> PoolSimOutcome {
-        simulate_pool_traced(
+        simulate_pool(
             &self.ladder,
-            &self.ctx,
+            Some(&self.ctx),
             &self.inputs,
             &self.arrivals,
-            self.pool,
-            self.service,
-            None,
+            &self.options,
             None,
         )
         .expect("pool simulation succeeds")
@@ -108,14 +110,12 @@ impl ObsBench {
     /// One full simulation recording every pipeline event — the traced cell.
     pub fn run_traced(&self) -> (PoolSimOutcome, TraceSnapshot) {
         let recorder = TraceRecorder::virtual_clock();
-        let outcome = simulate_pool_traced(
+        let outcome = simulate_pool(
             &self.ladder,
-            &self.ctx,
+            Some(&self.ctx),
             &self.inputs,
             &self.arrivals,
-            self.pool,
-            self.service,
-            None,
+            &self.options,
             Some(&recorder),
         )
         .expect("pool simulation succeeds");

@@ -4,8 +4,9 @@
 //! Where `serve`/`shard` measure a few hundred real-inference requests,
 //! `scale` is the *regime* sweep: lazily generated traffic (Poisson, bursty
 //! MMPP, a diurnal envelope) with heavy-tailed bounded-Pareto request sizes,
-//! replayed through [`simulate_pool_stats`] — the statistics-only simulator
-//! path that skips model execution, so a cell of 10^6 requests runs in
+//! replayed through [`simulate_pool`] without an execution context — the
+//! statistics-only simulator path that skips model execution, so a cell of
+//! 10^6 requests runs in
 //! seconds under strictly constant memory (every unbounded collection in
 //! the outcome is capped; see `nbsmt_serve::config`). Offered load is
 //! expressed relative to the pool's *size-adjusted* aggregate dense rate:
@@ -20,9 +21,9 @@
 //! constant-memory regime in the committed baseline.
 
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
-use nbsmt_serve::sim::{simulate_pool_stats, ArrivalProcess, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, ServiceModel};
 
 use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::{diurnal, lazy_poisson, mmpp, pareto_sizes};
@@ -170,18 +171,22 @@ pub fn scale_sweep_with(
                 .wrapping_add(n)
                 .wrapping_mul(replicas as u64 | 1);
             let arrivals = arrivals_for(arrival, cell_seed, rate, n);
-            let outcome = simulate_pool_stats(
-                ladder_slice,
-                &fixture.inputs,
-                &arrivals,
-                PoolConfig {
+            let options = PoolOptions {
+                config: PoolConfig {
                     replicas,
                     route: RoutePolicy::Hashed,
                     scheduler,
                     adaptive: policy,
                 },
                 service,
+                ..PoolOptions::default()
+            };
+            let outcome = simulate_pool(
+                ladder_slice,
                 None,
+                &fixture.inputs,
+                &arrivals,
+                &options,
                 None,
             )
             .expect("pool simulation succeeds");

@@ -12,7 +12,7 @@
 //! machine at any `--threads` setting.
 
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::metrics::MetricsSnapshot;
 use nbsmt_serve::registry::ModelRegistry;
@@ -60,7 +60,7 @@ pub(crate) struct SweepFixture {
     pub(crate) registry: ModelRegistry,
     pub(crate) inputs: Vec<Tensor<f32>>,
     pub(crate) service: ServiceModel,
-    /// One dense single-request service time [ns].
+    /// One dense single-request service time in ns.
     pub(crate) dense_single_ns: u64,
 }
 
@@ -206,13 +206,18 @@ fn run_cell(
     scheduler: SchedulerConfig,
     service: ServiceModel,
 ) -> PoolSimOutcome {
-    let pool = PoolConfig {
-        replicas: 1,
-        route: RoutePolicy::RoundRobin,
-        scheduler,
-        adaptive: AdaptivePolicy::pinned(),
+    let options = PoolOptions {
+        config: PoolConfig {
+            replicas: 1,
+            route: RoutePolicy::RoundRobin,
+            scheduler,
+            adaptive: AdaptivePolicy::pinned(),
+        },
+        service,
+        ..PoolOptions::default()
     };
-    simulate_pool(&[session], ctx, inputs, arrivals, pool, service).expect("simulation succeeds")
+    simulate_pool(&[session], Some(ctx), inputs, arrivals, &options, None)
+        .expect("simulation succeeds")
 }
 
 /// One cell of the sharded serving sweep (`repro shard`).
@@ -304,20 +309,19 @@ pub fn shard_sweep_with(
                     let rate = base_rate * replicas as f64 * load_x;
                     let arrivals =
                         open_poisson(seed.wrapping_add((load_x * 10.0) as u64), rate, requests);
-                    let outcome = simulate_pool(
-                        ladder_slice,
-                        &ctx,
-                        inputs,
-                        &arrivals,
-                        PoolConfig {
+                    let options = PoolOptions {
+                        config: PoolConfig {
                             replicas,
                             route,
                             scheduler,
                             adaptive: policy,
                         },
                         service,
-                    )
-                    .expect("pool simulation succeeds");
+                        ..PoolOptions::default()
+                    };
+                    let outcome =
+                        simulate_pool(ladder_slice, Some(&ctx), inputs, &arrivals, &options, None)
+                            .expect("pool simulation succeeds");
                     let record = ServeRecord {
                         name: format!(
                             "shard_synthnet_r{replicas}_{}_{policy_label}_x{load_x:.1}_n{requests}",

@@ -255,11 +255,11 @@ pub struct ServeRecord {
     pub rejected: u64,
     /// Completed requests per second over the run.
     pub throughput_rps: f64,
-    /// Median latency [ms].
+    /// Median latency in ms.
     pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
+    /// 95th-percentile latency in ms.
     pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
+    /// 99th-percentile latency in ms.
     pub p99_ms: f64,
     /// Mean launched batch size.
     pub mean_batch: f64,
@@ -359,9 +359,9 @@ pub struct FaultRecord {
     pub failed: u64,
     /// completed / requests.
     pub availability: f64,
-    /// 95th-percentile latency [ms] (virtual for sim, wall for live).
+    /// 95th-percentile latency in ms (virtual for sim, wall for live).
     pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
+    /// 99th-percentile latency in ms.
     pub p99_ms: f64,
     /// Injected replica crashes.
     pub crashes: u64,
@@ -447,15 +447,15 @@ pub struct ControlRecord {
     pub rejected: u64,
     /// Completed requests per second of virtual time.
     pub throughput_rps: f64,
-    /// Median latency [ms].
+    /// Median latency in ms.
     pub p50_ms: f64,
-    /// 95th-percentile latency [ms].
+    /// 95th-percentile latency in ms.
     pub p95_ms: f64,
-    /// 99th-percentile latency [ms].
+    /// 99th-percentile latency in ms.
     pub p99_ms: f64,
     /// Allocated replica count of the pool (the autoscale ceiling).
     pub replicas: u64,
-    /// Integrated live-replica time over the run [s] — the resource axis
+    /// Integrated live-replica time over the run in seconds — the resource axis
     /// autoscaling optimizes. Uncontrolled cells charge every allocated
     /// replica for the whole makespan.
     pub replica_seconds: f64,

@@ -1,11 +1,12 @@
 //! Constant-memory regression test for the million-request regime.
 //!
-//! `simulate_pool_stats` promises O(1) memory in the request count: the
-//! arrival stream is a lazy generator (never a `Vec`), and every snapshot
-//! collection is hard-capped — batch log at `BATCH_LOG_CAP`, transition log
-//! at `TRANSITION_LOG_CAP`, rejection log at `REJECTION_LOG_CAP`, responses
-//! skipped entirely on the stats path (counted in `dropped_responses`), and
-//! the trace ring at its build capacity. This test drives 10^6 requests of
+//! `simulate_pool`'s statistics path (no execution context) promises O(1)
+//! memory in the request count: the arrival stream is a lazy generator
+//! (never a `Vec`), and every snapshot collection is hard-capped — batch log
+//! at `BATCH_LOG_CAP`, transition log at `TRANSITION_LOG_CAP`, rejection log
+//! at `REJECTION_LOG_CAP`, responses skipped entirely on the stats path
+//! (counted in `dropped_responses`), and the trace ring at its build
+//! capacity. This test drives 10^6 requests of
 //! bursty MMPP traffic with heavy-tailed sizes through the simulator and
 //! asserts that **every one of those collections sits exactly at its
 //! documented cap with a non-zero dropped counter** — the observable
@@ -15,11 +16,11 @@
 
 use nbsmt_bench::loadgen::{mmpp, pareto_sizes};
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
     BATCH_LOG_CAP, REJECTION_LOG_CAP, TRANSITION_LOG_CAP,
 };
 use nbsmt_serve::registry::ModelRegistry;
-use nbsmt_serve::sim::{simulate_pool_stats, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool, ServiceModel};
 use nbsmt_serve::TraceRecorder;
 use nbsmt_workloads::synthnet::quick_synthnet;
 
@@ -72,7 +73,7 @@ fn million_request_sim_keeps_every_collection_at_its_cap() {
         REQUESTS,
     );
 
-    let pool = PoolConfig {
+    let config = PoolConfig {
         replicas: 1,
         route: RoutePolicy::Hashed,
         scheduler: SchedulerConfig {
@@ -91,16 +92,13 @@ fn million_request_sim_keeps_every_collection_at_its_cap() {
     };
 
     let recorder = TraceRecorder::virtual_clock();
-    let outcome = simulate_pool_stats(
-        &ladder,
-        &inputs,
-        &arrivals,
-        pool,
+    let options = PoolOptions {
+        config,
         service,
-        None,
-        Some(&recorder),
-    )
-    .expect("stats simulation succeeds");
+        ..PoolOptions::default()
+    };
+    let outcome = simulate_pool(&ladder, None, &inputs, &arrivals, &options, Some(&recorder))
+        .expect("stats simulation succeeds");
 
     // Every request is accounted for, none is lost to the caps.
     assert_eq!(

@@ -14,17 +14,14 @@ use std::sync::Arc;
 use nbsmt_bench::loadgen::{burst, closed_loop, open_poisson};
 use nbsmt_bench::render_chrome_trace;
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
 use nbsmt_serve::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
-use nbsmt_serve::pool::{PoolSnapshot, ReplicaPool};
+use nbsmt_serve::pool::{PoolDriver, PoolSnapshot, ReplicaPool};
 use nbsmt_serve::registry::ModelRegistry;
 use nbsmt_serve::session::Session;
-use nbsmt_serve::sim::{
-    simulate_pool, simulate_pool_controlled, simulate_pool_controlled_stats, simulate_pool_faulted,
-    simulate_pool_stats, simulate_pool_traced, ArrivalProcess, PoolSimOutcome, ServiceModel,
-};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome, ServiceModel};
 use nbsmt_serve::traffic::{SizeModel, TrafficModel};
 use nbsmt_serve::TraceRecorder;
 use nbsmt_tensor::exec::{ExecConfig, ExecContext, GemmBackendKind};
@@ -75,11 +72,11 @@ fn run(
     };
     simulate_pool(
         &[session],
-        ctx,
+        Some(ctx),
         &fixture.inputs,
         arrivals,
-        pool,
-        ServiceModel::default(),
+        &options(pool),
+        None,
     )
     .expect("simulation succeeds")
 }
@@ -245,17 +242,25 @@ fn pool_config(replicas: usize, route: RoutePolicy) -> PoolConfig {
     }
 }
 
+/// `config` on the default service model, without faults or a controller.
+fn options(config: PoolConfig) -> PoolOptions {
+    PoolOptions {
+        config,
+        ..PoolOptions::default()
+    }
+}
+
 fn run_pool(fixture: &Fixture, ctx: &ExecContext, config: PoolConfig) -> PoolSimOutcome {
     // Offered rate high enough that queues build, batches coalesce, and the
     // adaptive ladder gets exercised.
     let arrivals = open_poisson(4242, 20_000.0, 72);
     simulate_pool(
         &ladder(fixture),
-        ctx,
+        Some(ctx),
         &fixture.inputs,
         &arrivals,
-        config,
-        ServiceModel::default(),
+        &options(config),
+        None,
     )
     .expect("pool simulation succeeds")
 }
@@ -351,24 +356,29 @@ fn threaded_pool_and_simulator_agree_in_lockstep() {
             RoutePolicy::Hashed,
             RoutePolicy::PowerOfTwo,
         ] {
-            let config = pool_config(replicas, route);
+            let options = options(pool_config(replicas, route));
 
             // Virtual-clock run over the burst trace.
             let sim = simulate_pool(
                 &ladder(&fixture),
-                &ExecContext::sequential(),
+                Some(&ExecContext::sequential()),
                 &fixture.inputs,
                 &burst(n),
-                config,
-                ServiceModel::default(),
+                &options,
+                None,
             )
             .expect("pool simulation succeeds");
 
             // Threaded run: start paused, submit the same burst
             // single-threaded (id i → input i), then resume.
-            let mut pool =
-                ReplicaPool::start_paused(ladder(&fixture), config, ExecConfig::default(), true)
-                    .expect("pool starts");
+            let mut pool = ReplicaPool::new(
+                ladder(&fixture),
+                &options,
+                ExecConfig::default(),
+                PoolDriver::FreeRunning,
+                true,
+            )
+            .expect("pool starts");
             let client = pool.client();
             let handles: Vec<_> = fixture
                 .inputs
@@ -450,7 +460,7 @@ fn threaded_pool_and_simulator_agree_in_lockstep() {
 }
 
 /// The trace half of the lockstep contract: with a virtual-clock recorder
-/// attached, the lockstep [`ReplicaPool`] and [`simulate_pool_traced`] must
+/// attached, the lockstep [`ReplicaPool`] and [`simulate_pool`] must
 /// export **byte-identical** Chrome traces for the same burst — every span's
 /// stage, timing, batch/mode/layer identity, and per-layer `PeStats` — for
 /// every replica count, host thread count, and GEMM backend. The canonical
@@ -460,17 +470,15 @@ fn lockstep_pool_and_simulator_emit_byte_identical_traces() {
     let fixture = fixture(97);
     let n = fixture.inputs.len();
     for replicas in [1usize, 2] {
-        let config = pool_config(replicas, RoutePolicy::RoundRobin);
+        let options = options(pool_config(replicas, RoutePolicy::RoundRobin));
 
         let sim_recorder = TraceRecorder::virtual_clock();
-        let sim = simulate_pool_traced(
+        let sim = simulate_pool(
             &ladder(&fixture),
-            &ExecContext::sequential(),
+            Some(&ExecContext::sequential()),
             &fixture.inputs,
             &burst(n),
-            config,
-            ServiceModel::default(),
-            None,
+            &options,
             Some(&sim_recorder),
         )
         .expect("traced pool simulation succeeds");
@@ -499,15 +507,9 @@ fn lockstep_pool_and_simulator_emit_byte_identical_traces() {
                 ..ExecConfig::default()
             },
         ] {
-            let mut pool = ReplicaPool::start_lockstep(
-                ladder(&fixture),
-                config,
-                exec,
-                true,
-                ServiceModel::default(),
-                &FaultPlan::none(),
-            )
-            .expect("lockstep pool starts");
+            let mut pool =
+                ReplicaPool::new(ladder(&fixture), &options, exec, PoolDriver::Lockstep, true)
+                    .expect("lockstep pool starts");
             let recorder = Arc::new(TraceRecorder::virtual_clock());
             pool.set_recorder(recorder.clone());
             let client = pool.client();
@@ -549,7 +551,7 @@ fn lockstep_pool_and_simulator_emit_byte_identical_traces() {
 fn lockstep_shedding_attribution_matches() {
     let fixture = fixture(79);
     let n = fixture.inputs.len(); // 24 requests into 2×capacity-4 queues
-    let config = PoolConfig {
+    let options = options(PoolConfig {
         scheduler: SchedulerConfig {
             batch: BatchPolicy {
                 max_batch: 4,
@@ -558,20 +560,26 @@ fn lockstep_shedding_attribution_matches() {
             queue_capacity: 4,
         },
         ..pool_config(2, RoutePolicy::RoundRobin)
-    };
+    });
     let sim = simulate_pool(
         &ladder(&fixture),
-        &ExecContext::sequential(),
+        Some(&ExecContext::sequential()),
         &fixture.inputs,
         &burst(n),
-        config,
-        ServiceModel::default(),
+        &options,
+        None,
     )
     .expect("pool simulation succeeds");
     assert!(sim.metrics.rejected > 0, "the burst must overflow");
 
-    let mut pool = ReplicaPool::start_paused(ladder(&fixture), config, ExecConfig::default(), true)
-        .expect("pool starts");
+    let mut pool = ReplicaPool::new(
+        ladder(&fixture),
+        &options,
+        ExecConfig::default(),
+        PoolDriver::FreeRunning,
+        true,
+    )
+    .expect("pool starts");
     let client = pool.client();
     let mut handles = Vec::new();
     for (i, input) in fixture.inputs.iter().enumerate() {
@@ -611,39 +619,39 @@ fn lockstep_shedding_attribution_matches() {
 // between the threaded lockstep pool and the virtual-clock simulator — on
 // any host thread count, on any GEMM backend, for any replica count.
 
-/// The whole burst through the discrete-event simulator under `plan`.
-fn faulted_sim(fixture: &Fixture, config: PoolConfig, plan: &FaultPlan) -> PoolSimOutcome {
-    simulate_pool_faulted(
+/// `config` under `plan`, on the default service model.
+fn faulted(config: PoolConfig, plan: FaultPlan) -> PoolOptions {
+    PoolOptions {
+        config,
+        faults: plan,
+        ..PoolOptions::default()
+    }
+}
+
+/// The whole burst through the discrete-event simulator under `options`.
+fn faulted_sim(fixture: &Fixture, options: &PoolOptions) -> PoolSimOutcome {
+    simulate_pool(
         &ladder(fixture),
-        &ExecContext::sequential(),
+        Some(&ExecContext::sequential()),
         &fixture.inputs,
         &burst(fixture.inputs.len()),
-        config,
-        ServiceModel::default(),
-        Some(plan),
+        options,
+        None,
     )
     .expect("faulted pool simulation succeeds")
 }
 
-/// The same burst through a lockstep [`ReplicaPool`] under `plan`,
+/// The same burst through a lockstep [`ReplicaPool`] under `options`,
 /// resolving every handle (completions keep their logit bits; cancellations
 /// and rejections drop out). Returning at all is the no-deadlock half of
 /// the contract.
 fn faulted_lockstep(
     fixture: &Fixture,
     exec: ExecConfig,
-    config: PoolConfig,
-    plan: &FaultPlan,
+    options: &PoolOptions,
 ) -> (PoolSnapshot, Vec<(u64, Vec<u32>)>) {
-    let mut pool = ReplicaPool::start_lockstep(
-        ladder(fixture),
-        config,
-        exec,
-        true,
-        ServiceModel::default(),
-        plan,
-    )
-    .expect("lockstep pool starts");
+    let mut pool = ReplicaPool::new(ladder(fixture), options, exec, PoolDriver::Lockstep, true)
+        .expect("lockstep pool starts");
     let client = pool.client();
     let handles: Vec<_> = fixture
         .inputs
@@ -741,8 +749,8 @@ fn faulted_lockstep_is_identical_across_replicas_threads_and_backends() {
     for replicas in [1usize, 2, 4] {
         let plan = FaultPlan::generate(&faults, replicas).expect("valid config");
         assert!(!plan.is_empty(), "the seeded schedule must fire faults");
-        let config = pool_config(replicas, RoutePolicy::RoundRobin);
-        let sim = faulted_sim(&fixture, config, &plan);
+        let options = faulted(pool_config(replicas, RoutePolicy::RoundRobin), plan);
+        let sim = faulted_sim(&fixture, &options);
         assert!(sim.metrics.completed > 0);
         for exec in [
             ExecConfig {
@@ -767,7 +775,7 @@ fn faulted_lockstep_is_identical_across_replicas_threads_and_backends() {
             },
         ] {
             let label = format!("{replicas} replicas, {} {}t", exec.backend, exec.threads);
-            let (snapshot, completed) = faulted_lockstep(&fixture, exec, config, &plan);
+            let (snapshot, completed) = faulted_lockstep(&fixture, exec, &options);
             assert_lockstep_matches_sim(&label, &snapshot, &completed, &sim);
         }
     }
@@ -790,7 +798,7 @@ fn p95_escalation_is_part_of_the_lockstep_contract() {
         },
         ..pool_config(2, RoutePolicy::RoundRobin)
     };
-    let quiet = faulted_sim(&fixture, frozen, &FaultPlan::none());
+    let quiet = faulted_sim(&fixture, &options(frozen));
     assert!(quiet.transitions.is_empty(), "no trigger is armed");
     let threshold = quiet.metrics.p95_ns * 2;
 
@@ -816,14 +824,15 @@ fn p95_escalation_is_part_of_the_lockstep_contract() {
             })
             .collect(),
     );
-    let sim = faulted_sim(&fixture, config, &plan);
+    let straggled = faulted(config, plan);
+    let sim = faulted_sim(&fixture, &straggled);
     assert!(
         sim.transitions.iter().any(|t| t.to > t.from),
         "the straggle-inflated virtual p95 must escalate the ladder"
     );
     // …while the fault-free trace stays below it: the trigger reads the
     // same virtual clock in both runs, so this split is deterministic.
-    let still = faulted_sim(&fixture, config, &FaultPlan::none());
+    let still = faulted_sim(&fixture, &options(config));
     assert!(still.transitions.is_empty(), "quiet p95 stays under 2×");
 
     // The threaded lockstep pool replays the p95-triggered escalations bit
@@ -834,7 +843,7 @@ fn p95_escalation_is_part_of_the_lockstep_contract() {
             ..ExecConfig::default()
         };
         let label = format!("p95 escalation, {threads}t");
-        let (snapshot, completed) = faulted_lockstep(&fixture, exec, config, &plan);
+        let (snapshot, completed) = faulted_lockstep(&fixture, exec, &straggled);
         assert_lockstep_matches_sim(&label, &snapshot, &completed, &sim);
     }
 }
@@ -874,16 +883,20 @@ fn mmpp_sized_lockstep_is_identical_across_replicas_threads_and_backends() {
         n,
     };
     for replicas in [1usize, 2, 4] {
-        let config = pool_config(replicas, RoutePolicy::Hashed);
+        let options = PoolOptions {
+            config: pool_config(replicas, RoutePolicy::Hashed),
+            service,
+            ..PoolOptions::default()
+        };
 
         // Virtual-clock reference over the generated stream.
         let sim = simulate_pool(
             &ladder(&fixture),
-            &ExecContext::sequential(),
+            Some(&ExecContext::sequential()),
             &fixture.inputs,
             &arrivals,
-            config,
-            service,
+            &options,
+            None,
         )
         .expect("pool simulation succeeds");
         assert!(sim.metrics.completed > 0);
@@ -913,15 +926,9 @@ fn mmpp_sized_lockstep_is_identical_across_replicas_threads_and_backends() {
             // replayed as timed submissions on a paused lockstep pool. The
             // MMPP key is the stream index, so request i carries input
             // i % inputs.len() exactly like the simulator's id mapping.
-            let mut pool = ReplicaPool::start_lockstep(
-                ladder(&fixture),
-                config,
-                exec,
-                true,
-                service,
-                &FaultPlan::none(),
-            )
-            .expect("lockstep pool starts");
+            let mut pool =
+                ReplicaPool::new(ladder(&fixture), &options, exec, PoolDriver::Lockstep, true)
+                    .expect("lockstep pool starts");
             let handles: Vec<_> = model
                 .generate(arrival_seed, n)
                 .enumerate()
@@ -958,7 +965,7 @@ fn mmpp_sized_lockstep_is_identical_across_replicas_threads_and_backends() {
 /// The control-plane extension of the lockstep contract: with a
 /// [`PoolController`] in the loop (predictive mode floor + autoscaling +
 /// work stealing), the threaded lockstep pool and
-/// [`simulate_pool_controlled`] must agree **bit for bit** on every
+/// [`simulate_pool`] must agree **bit for bit** on every
 /// controller decision — the control-event log (autoscale steps, steal
 /// events, predictive shifts with their timestamps), the replica-seconds
 /// integral, the control counters, and everything the base contract already
@@ -990,7 +997,6 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
         n,
     };
     for replicas in [1usize, 2, 4] {
-        let config = pool_config(replicas, RoutePolicy::Hashed);
         let control = ControlConfig {
             alpha_x1024: 512,
             window_ns: 100_000,
@@ -1010,16 +1016,20 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
             }),
         };
 
+        let options = PoolOptions {
+            config: pool_config(replicas, RoutePolicy::Hashed),
+            service,
+            control: Some(control),
+            ..PoolOptions::default()
+        };
+
         // Virtual-clock reference with the controller in the loop.
-        let sim = simulate_pool_controlled(
+        let sim = simulate_pool(
             &ladder(&fixture),
-            &ExecContext::sequential(),
+            Some(&ExecContext::sequential()),
             &fixture.inputs,
             &arrivals,
-            config,
-            service,
-            control,
-            None,
+            &options,
             None,
         )
         .expect("controlled pool simulation succeeds");
@@ -1046,16 +1056,9 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
                 ..ExecConfig::default()
             },
         ] {
-            let mut pool = ReplicaPool::start_lockstep_controlled(
-                ladder(&fixture),
-                config,
-                exec,
-                true,
-                service,
-                &FaultPlan::none(),
-                control,
-            )
-            .expect("controlled lockstep pool starts");
+            let mut pool =
+                ReplicaPool::new(ladder(&fixture), &options, exec, PoolDriver::Lockstep, true)
+                    .expect("controlled lockstep pool starts");
             let handles: Vec<_> = model
                 .generate(arrival_seed, n)
                 .enumerate()
@@ -1174,53 +1177,26 @@ fn stats_path_matches_the_full_path() {
     };
     let ladder = ladder(&fixture);
     let ctx = ExecContext::sequential();
-    let inputs = &fixture.inputs;
+    let faulted = PoolOptions {
+        config,
+        service,
+        faults: plan,
+        control: None,
+    };
+    let controlled = PoolOptions {
+        control: Some(control),
+        ..faulted.clone()
+    };
+    let run = |ctx: Option<&ExecContext>, options: &PoolOptions| {
+        simulate_pool(&ladder, ctx, &fixture.inputs, &arrivals, options, None)
+    };
     let runs = [
         (
             "controlled",
-            simulate_pool_controlled(
-                &ladder,
-                &ctx,
-                inputs,
-                &arrivals,
-                config,
-                service,
-                control,
-                Some(&plan),
-                None,
-            ),
-            simulate_pool_controlled_stats(
-                &ladder,
-                inputs,
-                &arrivals,
-                config,
-                service,
-                control,
-                Some(&plan),
-                None,
-            ),
+            run(Some(&ctx), &controlled),
+            run(None, &controlled),
         ),
-        (
-            "faulted",
-            simulate_pool_faulted(
-                &ladder,
-                &ctx,
-                inputs,
-                &arrivals,
-                config,
-                service,
-                Some(&plan),
-            ),
-            simulate_pool_stats(
-                &ladder,
-                inputs,
-                &arrivals,
-                config,
-                service,
-                Some(&plan),
-                None,
-            ),
-        ),
+        ("faulted", run(Some(&ctx), &faulted), run(None, &faulted)),
     ];
     for (label, full, stats) in runs {
         let full = full.expect("full-path simulation succeeds");

@@ -5,6 +5,10 @@ use nbsmt_core::policy::SharingPolicy;
 use nbsmt_core::ThreadCount;
 use nbsmt_tensor::validate::{ExecConfigError, Validate};
 
+use crate::control::ControlConfig;
+use crate::faults::FaultPlan;
+use crate::sim::ServiceModel;
+
 /// The NB-SMT design point a [`crate::session::Session`] executes at.
 ///
 /// `Dense` is the conventional error-free 8-bit systolic array; `NbSmt`
@@ -120,12 +124,12 @@ impl Default for BatchPolicy {
 
 /// Why a serving-side configuration is invalid.
 ///
-/// Every scheduler entry point — the [`crate::pool::ReplicaPool`]
-/// constructors and the [`crate::sim::simulate_pool`] family — validates
-/// its configuration through [`Validate`] and rejects bad values with one
-/// of these variants, so the threaded pool and the virtual-clock simulator
-/// refuse exactly the same configs (there is no clamping path a bad value
-/// can sneak through on one driver but not the other).
+/// Both scheduler entry points — [`crate::pool::ReplicaPool::new`] and
+/// [`crate::sim::simulate_pool`] — validate the one [`PoolOptions`] value
+/// they share through [`Validate`] and reject bad values with one of these
+/// variants, so the threaded pool and the virtual-clock simulator refuse
+/// exactly the same options (there is no clamping path a bad value can
+/// sneak through on one driver but not the other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `BatchPolicy::max_batch` is zero — a batch must hold a request.
@@ -208,6 +212,10 @@ pub enum ConfigError {
     /// `StealConfig::max_steal` is zero — a steal must move at least one
     /// request.
     ZeroStealMax,
+    /// A pool controller on a free-running pool: the controller lives in
+    /// the scheduling core, which only the simulator and the lockstep pool
+    /// drive.
+    ControllerNeedsLockstep,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -285,6 +293,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroStealMax => {
                 write!(f, "control config: max_steal must be at least 1")
             }
+            ConfigError::ControllerNeedsLockstep => write!(
+                f,
+                "control config: a pool controller needs the lockstep driver"
+            ),
         }
     }
 }
@@ -424,11 +436,10 @@ pub fn route_hash(key: u64) -> u64 {
 /// determinism contract: the latency feeding the p95 trigger goes through a
 /// clock abstraction — the virtual [`crate::sim::ServiceModel`] clock in the
 /// simulator *and* in the threaded pool's lockstep mode
-/// (`ReplicaPool::start_lockstep`), where the shared scheduling core records
-/// virtual latencies into the same fixed-bucket histogram. Only the
-/// free-running threaded pool (`start`/`start_paused`) measures p95 on the
-/// wall clock, so only that driver's p95 trigger timing is outside the
-/// contract.
+/// ([`crate::pool::PoolDriver::Lockstep`]), where the shared scheduling core
+/// records virtual latencies into the same fixed-bucket histogram. Only the
+/// free-running threaded pool measures p95 on the wall clock, so only that
+/// driver's p95 trigger timing is outside the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptivePolicy {
     /// Escalate one rung when the queue depth left behind a launched batch
@@ -676,6 +687,27 @@ impl Default for PoolConfig {
             adaptive: AdaptivePolicy::default(),
         }
     }
+}
+
+/// Everything both pool drivers read: the pool shape, the virtual-clock
+/// service model, the fault schedule, and the optional pool controller.
+/// [`crate::sim::simulate_pool`] and [`crate::pool::ReplicaPool::new`] take
+/// the same value, so a lockstep comparison hands both drivers the same
+/// inputs by construction. The default is a fault-free, uncontrolled
+/// [`PoolConfig::default`] pool on [`ServiceModel::default`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PoolOptions {
+    /// Replica count, routing, batching, and the adaptive ladder policy.
+    pub config: PoolConfig,
+    /// Virtual cost of a batch: the clock of the simulator and of the
+    /// lockstep pool, and the free-running pool's straggle padding.
+    pub service: ServiceModel,
+    /// Fault schedule; the empty default injects nothing.
+    pub faults: FaultPlan,
+    /// Pool controller (predictive floor, autoscaling, stealing). It runs
+    /// inside the scheduling core, so a free-running pool refuses one with
+    /// [`ConfigError::ControllerNeedsLockstep`].
+    pub control: Option<ControlConfig>,
 }
 
 /// Typed admission-control rejection returned by `submit`.

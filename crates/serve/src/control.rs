@@ -203,12 +203,12 @@ impl RateEstimator {
         self.rate_x1024
     }
 
-    /// The open window's start timestamp [ns].
+    /// The open window's start timestamp in ns.
     pub fn window_start_ns(&self) -> u64 {
         self.window_start_ns
     }
 
-    /// The configured window length [ns].
+    /// The configured window length in ns.
     pub fn window_ns(&self) -> u64 {
         self.window_ns
     }
@@ -260,7 +260,7 @@ impl RateEstimator {
 /// record bit-identical event streams on the same trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlEvent {
-    /// Virtual timestamp of the decision [ns].
+    /// Virtual timestamp of the decision in ns.
     pub at_ns: u64,
     /// What the controller decided.
     pub kind: ControlEventKind,
@@ -314,7 +314,7 @@ pub enum ControlEventKind {
 #[derive(Debug, Clone)]
 pub struct PoolController {
     cfg: ControlConfig,
-    /// Virtual cost of one single-request batch at each ladder rung [ns] —
+    /// Virtual cost of one single-request batch at each ladder rung in ns —
     /// the unit the utilization forecast is denominated in.
     rung_work_ns: Vec<u64>,
     pool_replicas: usize,

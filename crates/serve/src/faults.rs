@@ -4,20 +4,21 @@
 //! [`FaultEvent`]s — replica crashes, stalls, straggler windows, and
 //! mid-flight queue closes — generated from a [`FaultConfig`] (validated
 //! through the workspace `Validate` trait) or hand-authored via
-//! [`FaultPlan::from_events`]. The *same* plan is injected into both
-//! scheduler drivers: the threaded [`crate::pool::ReplicaPool`] (lockstep
-//! mode via `start_lockstep`, live mode via `start_with_faults`) and the
-//! discrete-event [`crate::sim::simulate_pool_faulted`]. Because every
-//! fault fires at a replica-local *batch index* rather than at a wall-clock
-//! instant, the schedule replays bit-identically under the lockstep
-//! determinism contract — every incident is a seed, and every seed is a
-//! permanent regression test ([`chaos_corpus`]).
+//! [`FaultPlan::from_events`]. The *same* plan, as the `faults` field of
+//! one [`crate::config::PoolOptions`], is injected into both scheduler
+//! drivers: the threaded [`crate::pool::ReplicaPool`] (lockstep or
+//! free-running) and the discrete-event [`crate::sim::simulate_pool`].
+//! Because every fault fires at a replica-local *batch index* rather than
+//! at a wall-clock instant, the schedule replays bit-identically under the
+//! lockstep determinism contract — every incident is a seed, and every seed
+//! is a permanent regression test ([`chaos_corpus`]).
 //!
 //! The client-side countermeasures live here too: [`FaultClient`] wraps a
-//! [`PoolClient`] with retry-with-exponential-backoff on [`SubmitError`] or
-//! replica-death cancellation, and optional request hedging — a duplicate
-//! submit after a latency-derived delay, first response wins, the loser
-//! cancelled through the existing drop-safe response handles.
+//! [`PoolClient`] with retry-with-exponential-backoff on
+//! [`SubmitError`](crate::config::SubmitError) or replica-death
+//! cancellation, and optional request hedging — a duplicate submit after a
+//! latency-derived delay, first response wins, the loser cancelled through
+//! the existing drop-safe response handles.
 
 use std::time::{Duration, Instant};
 
@@ -39,7 +40,7 @@ pub enum FaultKind {
     /// nanoseconds in the simulator and the lockstep pool, a real sleep in
     /// the live pool).
     Stall {
-        /// How long the replica is frozen [ns].
+        /// How long the replica is frozen in ns.
         duration_ns: u64,
     },
     /// The replica serves slowly for a window of batches: service time is
@@ -90,7 +91,7 @@ pub struct FaultConfig {
     pub crash_per_mille: u64,
     /// Per-mille stall probability per coordinate (≤ 1000).
     pub stall_per_mille: u64,
-    /// Stall duration [ns] (≥ 1).
+    /// Stall duration in ns (≥ 1).
     pub stall_ns: u64,
     /// Per-mille straggle-window probability per coordinate (≤ 1000).
     pub straggle_per_mille: u64,
@@ -259,7 +260,7 @@ impl FaultPlan {
 pub struct PostBatch {
     /// The replica dies now: drain the queue, hand off, never launch again.
     pub crashed: bool,
-    /// Total stall time to insert before the next launch [ns].
+    /// Total stall time to insert before the next launch in ns.
     pub stall_ns: u64,
     /// Admissions close now; queued work still drains.
     pub close_queue: bool,
@@ -524,7 +525,7 @@ pub fn chaos_corpus() -> Vec<(&'static str, FaultPlan)> {
 pub struct RetryPolicy {
     /// Re-submissions after the first attempt (0 = fail fast).
     pub max_retries: u32,
-    /// First backoff sleep [ns]; doubles each retry.
+    /// First backoff sleep in ns; doubles each retry.
     pub backoff_base_ns: u64,
 }
 
@@ -542,7 +543,7 @@ impl Default for RetryPolicy {
 /// derived key and the first response wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgePolicy {
-    /// How long to wait on the primary before hedging [ns] — typically
+    /// How long to wait on the primary before hedging in ns — typically
     /// derived from an observed or simulated p95.
     pub delay_ns: u64,
 }

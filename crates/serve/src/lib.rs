@@ -3,9 +3,7 @@
 //! The inference-serving layer of the NB-SMT / SySMT reproduction: it turns
 //! calibrated quantized models into long-lived, immutable [`Session`]s and
 //! absorbs concurrent request streams through a dynamic micro-batching
-//! scheduler with admission control — the piece that moves the repository
-//! from offline experiment reruns toward the ROADMAP's "serves heavy
-//! traffic" north star.
+//! scheduler with admission control.
 //!
 //! The pipeline is `submit → bounded queue → batcher → session → response`:
 //!
@@ -29,8 +27,9 @@
 //!   and each replica's [`config::AdaptiveState`] walks a ladder of
 //!   [`config::SmtConfig`] design points (dense → 2T → 4T) under queue-depth
 //!   or p95 pressure, shedding *accuracy* instead of *requests* under
-//!   overload. [`sim::simulate_pool`] and the pool's lockstep mode drive
-//!   one sans-IO scheduling core (`sched`), so the two agree by
+//!   overload. [`sim::simulate_pool`] and the pool's lockstep driver
+//!   ([`pool::PoolDriver::Lockstep`]) take one [`config::PoolOptions`] value
+//!   and drive one sans-IO scheduling core (`sched`), so the two agree by
 //!   construction.
 //! * [`faults`] injects seeded, deterministic failure schedules
 //!   ([`faults::FaultPlan`]: crashes, stalls, straggler windows, queue
@@ -82,7 +81,7 @@ pub mod traffic;
 
 pub use config::{
     AdaptivePolicy, AdaptiveState, BatchPolicy, ConfigError, ModeTransition, PoolConfig,
-    RoutePolicy, SchedulerConfig, ServeError, SmtConfig, SubmitError, BATCH_LOG_CAP,
+    PoolOptions, RoutePolicy, SchedulerConfig, ServeError, SmtConfig, SubmitError, BATCH_LOG_CAP,
     CONTROL_LOG_CAP, P2C_SALT, REJECTION_LOG_CAP, RESPONSE_LOG_CAP, TRANSITION_LOG_CAP,
 };
 pub use control::{
@@ -94,7 +93,7 @@ pub use faults::{
     HedgePolicy, ReplicaFaults, RetryPolicy,
 };
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
-pub use pool::{PoolBatchLog, PoolClient, PoolSnapshot, ReplicaPool, RequestResult};
+pub use pool::{PoolBatchLog, PoolClient, PoolDriver, PoolSnapshot, ReplicaPool, RequestResult};
 pub use registry::ModelRegistry;
 pub use session::{Inference, Session};
 pub use sim::{ArrivalProcess, PoolBatchRecord, PoolSimOutcome, ServiceModel};
@@ -107,8 +106,8 @@ pub use traffic::{GeneratedArrival, GeneratedArrivals, SizeModel, SplitMix64, Tr
 /// Convenience re-exports for serving code.
 pub mod prelude {
     pub use crate::config::{
-        AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, RoutePolicy, SchedulerConfig,
-        ServeError, SmtConfig, SubmitError,
+        AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, PoolOptions, RoutePolicy,
+        SchedulerConfig, ServeError, SmtConfig, SubmitError,
     };
     pub use crate::control::{
         AutoscaleConfig, ControlConfig, ControlEvent, ControlEventKind, PoolController,
@@ -118,13 +117,11 @@ pub mod prelude {
         chaos_corpus, FaultClient, FaultConfig, FaultPlan, HedgePolicy, RetryPolicy,
     };
     pub use crate::metrics::MetricsSnapshot;
-    pub use crate::pool::{PoolClient, PoolSnapshot, ReplicaPool};
+    pub use crate::pool::{PoolClient, PoolDriver, PoolSnapshot, ReplicaPool};
     pub use crate::registry::ModelRegistry;
     pub use crate::session::{Inference, Session};
     pub use crate::sim::{
-        simulate_pool, simulate_pool_controlled, simulate_pool_controlled_stats,
-        simulate_pool_faulted, simulate_pool_stats, simulate_pool_traced, ArrivalProcess,
-        PoolSimOutcome, ServiceModel,
+        simulate_pool, simulate_pool_stats, ArrivalProcess, PoolSimOutcome, ServiceModel,
     };
     pub use crate::trace::{Clock, TraceRecorder, TraceSnapshot, TraceStage};
     pub use crate::traffic::{GeneratedArrival, SizeModel, TrafficModel};

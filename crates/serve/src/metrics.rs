@@ -345,27 +345,27 @@ pub struct MetricsSnapshot {
     pub steals: u64,
     /// Queued requests moved by work stealing.
     pub stolen_requests: u64,
-    /// Median latency estimate [ns].
+    /// Median latency estimate in ns.
     pub p50_ns: u64,
-    /// 95th-percentile latency estimate [ns].
+    /// 95th-percentile latency estimate in ns.
     pub p95_ns: u64,
-    /// 99th-percentile latency estimate [ns].
+    /// 99th-percentile latency estimate in ns.
     pub p99_ns: u64,
-    /// Median queue-wait estimate [ns] (submit → batch launch).
+    /// Median queue-wait estimate in ns (submit → batch launch).
     pub queue_wait_p50_ns: u64,
-    /// 95th-percentile queue-wait estimate [ns].
+    /// 95th-percentile queue-wait estimate in ns.
     pub queue_wait_p95_ns: u64,
-    /// 99th-percentile queue-wait estimate [ns].
+    /// 99th-percentile queue-wait estimate in ns.
     pub queue_wait_p99_ns: u64,
-    /// Median service-time estimate [ns] (batch launch → response).
+    /// Median service-time estimate in ns (batch launch → response).
     pub service_p50_ns: u64,
-    /// 95th-percentile service-time estimate [ns].
+    /// 95th-percentile service-time estimate in ns.
     pub service_p95_ns: u64,
-    /// 99th-percentile service-time estimate [ns].
+    /// 99th-percentile service-time estimate in ns.
     pub service_p99_ns: u64,
     /// Completed requests per second over the observation window.
     pub throughput_rps: f64,
-    /// The observation window [ns].
+    /// The observation window in ns.
     pub elapsed_ns: u64,
 }
 

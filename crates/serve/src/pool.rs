@@ -5,41 +5,44 @@
 //! [`crate::config::AdaptivePolicy::pinned`] is the single-session server.
 //!
 //! The pool is the threaded half of the sharded serving layer; the
-//! discrete-event half is [`crate::sim::simulate_pool`]. Both use the same
-//! router arithmetic ([`RoutePolicy`], [`crate::config::route_hash`]) and
-//! the same adaptive state machine, which yields the **lockstep determinism
-//! contract**: when every request is submitted before the workers start (a
-//! paused pool resumed after a burst, or equivalently a virtual trace whose
-//! arrivals all precede the first launch), batch compositions, executed
-//! modes, mode transitions, and logits are bit-identical between the
-//! threaded pool and the simulator — for every host thread count and GEMM
-//! backend. Wall-clock quantities (latencies, throughput) are the only
-//! fields allowed to differ.
+//! discrete-event half is [`crate::sim::simulate_pool`]. Both take the same
+//! [`PoolOptions`] value and use the same router arithmetic
+//! ([`RoutePolicy`], [`crate::config::route_hash`]) and the same adaptive
+//! state machine, which yields the **lockstep determinism contract**: when
+//! every request is submitted before the workers start (a paused pool
+//! resumed after a burst, or equivalently a virtual trace whose arrivals
+//! all precede the first launch), batch compositions, executed modes, mode
+//! transitions, and logits are bit-identical between the threaded pool and
+//! the simulator — for every host thread count and GEMM backend.
+//! Wall-clock quantities (latencies, throughput) are the only fields
+//! allowed to differ.
 //!
 //! Routing is decided at submission time from the submission sequence and
 //! the per-replica queue depths alone, so a single-threaded submitter drives
-//! all four policies deterministically.
+//! all four policies deterministically. A request whose shape does not fit
+//! the ladder is answered with its own [`ServeError::BadRequest`] at submit
+//! and never reaches a queue, so it cannot fail the batch it would have
+//! joined.
 //!
-//! The pool runs in one of two modes:
+//! [`ReplicaPool::new`] builds the pool paused; [`ReplicaPool::resume`]
+//! starts the workers in one of two modes, chosen by [`PoolDriver`]:
 //!
-//! - **Free-running** ([`ReplicaPool::start`] / [`ReplicaPool::start_paused`]
-//!   / [`ReplicaPool::start_with_faults`]): each worker drains its own queue
-//!   on the wall clock. The p95 adaptive trigger observes real tail latency
-//!   here, so its *timing* is outside the lockstep contract (batch
-//!   composition and routing still replay). A [`FaultPlan`] applies for
-//!   real: crashes kill workers (queues drain through the shared handoff
-//!   rule), stalls sleep, and stragglers pad service time. This is the mode
-//!   the availability bench drives with retrying/hedging clients.
-//! - **Lockstep** ([`ReplicaPool::start_lockstep`]): the workers share the
+//! - **Free-running** ([`PoolDriver::FreeRunning`]): each worker drains its
+//!   own queue on the wall clock. The p95 adaptive trigger observes real
+//!   tail latency here, so its *timing* is outside the lockstep contract
+//!   (batch composition and routing still replay). A [`FaultPlan`] applies
+//!   for real: crashes kill workers (queues drain through the shared
+//!   handoff rule), stalls sleep, and stragglers pad service time. This is
+//!   the mode the availability bench drives with retrying/hedging clients.
+//! - **Lockstep** ([`PoolDriver::Lockstep`]): the workers share the
 //!   simulator's `sched` scheduling core behind a mutex. It owns a virtual
 //!   clock ([`ServiceModel`]) and grants batch launches in the simulator's
 //!   event order, while the granted GEMMs still execute on real threads in
-//!   parallel. Latencies are
-//!   recorded in virtual time, so **both** adaptive triggers — depth *and*
-//!   p95 — replay bit-identically against
-//!   [`crate::sim::simulate_pool_faulted`], as do fault schedules, crash
-//!   handoffs, controller decisions, and every quantile of the latency
-//!   histogram.
+//!   parallel. Latencies are recorded in virtual time, so **both** adaptive
+//!   triggers — depth *and* p95 — replay bit-identically against
+//!   [`crate::sim::simulate_pool`] with the same options, as do fault
+//!   schedules, crash handoffs, controller decisions, and every quantile of
+//!   the latency histogram. Only this mode runs a pool controller.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,13 +55,14 @@ use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
 use crate::config::{
-    AdaptiveState, ModeTransition, PoolConfig, RoutePolicy, ServeError, SubmitError, BATCH_LOG_CAP,
+    AdaptiveState, ConfigError, ModeTransition, PoolConfig, PoolOptions, RoutePolicy, ServeError,
+    SubmitError, BATCH_LOG_CAP,
 };
-use crate::control::{ControlConfig, ControlEvent};
+use crate::control::ControlEvent;
 use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::queue::{response_channel, BoundedQueue, ResponseHandle, ResponseSlot};
-use crate::sched::{Launch, Queued, SchedCore};
+use crate::sched::{check_ladder, Launch, Queued, SchedCore};
 use crate::session::{Inference, Session};
 use crate::sim::ServiceModel;
 use crate::trace::{BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
@@ -115,7 +119,7 @@ pub struct PoolSnapshot {
     /// [`crate::config::TRANSITION_LOG_CAP`], summed over replicas.
     pub dropped_transitions: u64,
     /// Every pool-controller decision in decision order — empty unless the
-    /// pool was started with [`ReplicaPool::start_lockstep_controlled`].
+    /// pool runs a controller ([`PoolOptions::control`], lockstep only).
     /// Part of the extended lockstep contract (mirrors
     /// [`crate::sim::PoolSimOutcome::control_events`]).
     pub control_events: Vec<ControlEvent>,
@@ -140,9 +144,22 @@ struct RouterCore {
     /// and drains its queue, so the router never routes into a dying
     /// replica. Always true without fault injection.
     alive: Vec<AtomicBool>,
+    /// Ladder rung 0, whose [`Session::validate_input`] checks every
+    /// submission: the constructor made every rung take its input shape.
+    rung0: Arc<Session>,
 }
 
 impl RouterCore {
+    /// A handle already answered with the shape error when `input` does not
+    /// fit the ladder, so a malformed request never enters a queue (nor
+    /// fails the batch it would have joined).
+    fn malformed(&self, input: &Tensor<f32>) -> Option<ResponseHandle<RequestResult>> {
+        let error = self.rung0.validate_input(input).err()?;
+        let (slot, handle) = response_channel();
+        slot.complete(Err(error));
+        Some(handle)
+    }
+
     /// Whether replica `i` is alive and admitting.
     fn eligible(&self, i: usize) -> bool {
         self.alive[i].load(Ordering::Acquire) && !self.queues[i].is_admissions_closed()
@@ -176,7 +193,9 @@ pub struct PoolClient {
 impl PoolClient {
     /// Routes and submits one request. `key` identifies the request: it is
     /// the hash input for [`RoutePolicy::Hashed`], and the identity under
-    /// which the batch log reports the request.
+    /// which the batch log reports the request. An `input` whose shape the
+    /// ladder does not take is not routed: its handle comes back already
+    /// answered with [`ServeError::BadRequest`].
     ///
     /// # Errors
     ///
@@ -191,6 +210,9 @@ impl PoolClient {
         key: u64,
         input: Tensor<f32>,
     ) -> Result<ResponseHandle<RequestResult>, SubmitError> {
+        if let Some(handle) = self.router.malformed(&input) {
+            return Ok(handle);
+        }
         let Some(replica) = self.router.pick(key) else {
             return Err(SubmitError::Closed);
         };
@@ -230,7 +252,19 @@ struct Replica {
     worker: Option<JoinHandle<ReplicaOutcome>>,
 }
 
-/// How the pool's workers consume their queues (see the module docs).
+/// How a [`ReplicaPool`]'s workers take their batches (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolDriver {
+    /// Wall-clock workers, each draining its own queue and applying its
+    /// slice of the fault plan for real.
+    FreeRunning,
+    /// Workers granted batches by the scheduling core the simulator drives,
+    /// in the simulator's event order on its virtual clock.
+    Lockstep,
+}
+
+/// A [`PoolDriver`] with its state.
 enum Driver {
     /// Wall-clock workers, each applying its slice of the plan for real
     /// (an empty plan injects nothing).
@@ -259,49 +293,59 @@ pub struct ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Starts a pool over `sessions` (the adaptive ladder, rung 0 first —
-    /// typically dense → 2T → 4T; a single-session ladder never switches).
-    /// Each replica builds its own [`ExecContext`] from `exec`.
+    /// Builds a pool over `sessions` (the adaptive ladder, rung 0 first —
+    /// typically dense → 2T → 4T; a single-session ladder never switches)
+    /// with every queue live but **no workers running**: submissions
+    /// accumulate in the per-replica queues until [`Self::resume`] spawns
+    /// the workers. Each replica builds its own [`ExecContext`] from `exec`.
+    ///
+    /// `options` is the value [`crate::sim::simulate_pool`] takes, and
+    /// `driver` picks how the workers consume it (see the module docs):
+    /// [`PoolDriver::FreeRunning`] injects the fault plan for real and pads
+    /// stragglers with the service model's cost, while
+    /// [`PoolDriver::Lockstep`] hands the whole plan, the service model, and
+    /// the controller to the shared scheduling core. `record_log` captures
+    /// the per-batch composition log, capped at [`BATCH_LOG_CAP`] entries
+    /// with the overflow counted in [`PoolSnapshot::dropped_batches`].
     ///
     /// # Errors
     ///
-    /// Same as [`Self::start_paused`].
-    pub fn start(
+    /// Rejects an empty ladder or rungs with different input shapes as
+    /// [`ServeError::BadRequest`]; an invalid pool, controller, or execution
+    /// configuration as [`ServeError::Config`], and so does a controller on
+    /// a free-running pool ([`ConfigError::ControllerNeedsLockstep`]).
+    pub fn new(
         sessions: Vec<Arc<Session>>,
-        config: PoolConfig,
+        options: &PoolOptions,
         exec: ExecConfig,
-    ) -> Result<ReplicaPool, ServeError> {
-        let mut pool = Self::start_paused(sessions, config, exec, false)?;
-        pool.resume();
-        Ok(pool)
-    }
-
-    /// Builds the pool with every queue live but **no workers running**:
-    /// submissions accumulate in the per-replica queues until
-    /// [`Self::resume`] spawns the workers. This is the lockstep-replay
-    /// mode — with the whole trace queued up front, batch formation is a
-    /// pure function of queue contents and the run is bit-comparable to
-    /// [`crate::sim::simulate_pool`]. `record_log` additionally captures the
-    /// per-batch composition log, capped at [`BATCH_LOG_CAP`] entries with
-    /// the overflow counted in [`PoolSnapshot::dropped_batches`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty ladder as [`ServeError::BadRequest`] and an invalid
-    /// pool or execution configuration as [`ServeError::Config`].
-    pub fn start_paused(
-        sessions: Vec<Arc<Session>>,
-        config: PoolConfig,
-        exec: ExecConfig,
+        driver: PoolDriver,
         record_log: bool,
     ) -> Result<ReplicaPool, ServeError> {
-        if sessions.is_empty() {
-            return Err(ServeError::BadRequest(
-                "replica pool needs at least one session in the ladder".into(),
-            ));
-        }
+        check_ladder(&sessions)?;
+        let config = options.config;
         config.validate()?;
-        exec.validate().map_err(crate::config::ConfigError::from)?;
+        exec.validate().map_err(ConfigError::from)?;
+        let driver = match driver {
+            PoolDriver::FreeRunning if options.control.is_some() => {
+                return Err(ConfigError::ControllerNeedsLockstep.into());
+            }
+            PoolDriver::FreeRunning => Driver::FreeRunning {
+                plan: options.faults.clone(),
+                service: options.service,
+            },
+            PoolDriver::Lockstep => {
+                let capacity = config.scheduler.queue_capacity;
+                let core = SchedCore::new(&sessions, options, capacity, record_log)?;
+                Driver::Lockstep(Arc::new(LockstepGate {
+                    state: Mutex::new(GateState {
+                        core,
+                        pending: VecDeque::new(),
+                        recorder: None,
+                    }),
+                    cv: Condvar::new(),
+                }))
+            }
+        };
         let replicas: Vec<Replica> = (0..config.replicas)
             .map(|_| Replica {
                 queue: Arc::new(BoundedQueue::new(config.scheduler.queue_capacity)),
@@ -316,6 +360,7 @@ impl ReplicaPool {
             alive: (0..config.replicas)
                 .map(|_| AtomicBool::new(true))
                 .collect(),
+            rung0: Arc::clone(&sessions[0]),
         });
         Ok(ReplicaPool {
             replicas,
@@ -324,130 +369,47 @@ impl ReplicaPool {
             config,
             exec,
             record_log,
-            driver: Driver::FreeRunning {
-                plan: FaultPlan::none(),
-                service: ServiceModel::default(),
-            },
+            driver,
             recorder: None,
             started: Instant::now(),
             running: false,
         })
     }
 
-    /// Attaches a shared [`TraceRecorder`] — call between a paused start and
+    /// A paused, fault-free, free-running pool over `config`: [`Self::new`]
+    /// in the argument form the repo benchmark (`perfbench/`) calls.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::new`].
+    pub fn start_paused(
+        sessions: Vec<Arc<Session>>,
+        config: PoolConfig,
+        exec: ExecConfig,
+        record_log: bool,
+    ) -> Result<ReplicaPool, ServeError> {
+        let options = PoolOptions {
+            config,
+            ..PoolOptions::default()
+        };
+        Self::new(
+            sessions,
+            &options,
+            exec,
+            PoolDriver::FreeRunning,
+            record_log,
+        )
+    }
+
+    /// Attaches a shared [`TraceRecorder`] — call between [`Self::new`] and
     /// [`Self::resume`]. Every executed batch then leaves the full span
     /// chain (submit, queue-wait, batch, per-layer kernels, service,
     /// respond). In lockstep mode the recorder must hold a virtual
     /// [`crate::trace::Clock`] and the emitted trace is byte-identical to
-    /// [`crate::sim::simulate_pool_traced`] on the same burst; free-running
+    /// [`crate::sim::simulate_pool`]'s on the same burst; free-running
     /// pools emit the same schema on the recorder's wall clock.
     pub fn set_recorder(&mut self, recorder: Arc<TraceRecorder>) {
         self.recorder = Some(recorder);
-    }
-
-    /// Starts a free-running pool with `plan` injected for real: crashes
-    /// kill workers (their queues drain through the shared handoff rule
-    /// onto survivors, or shed as cancellations), stalls sleep on the wall
-    /// clock, and straggle windows pad each batch with the [`ServiceModel`]
-    /// cost the factor adds. This is the availability bench's pool; for
-    /// bit-exact replay against the simulator use [`Self::start_lockstep`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::start`].
-    pub fn start_with_faults(
-        sessions: Vec<Arc<Session>>,
-        config: PoolConfig,
-        exec: ExecConfig,
-        plan: &FaultPlan,
-        service: ServiceModel,
-    ) -> Result<ReplicaPool, ServeError> {
-        let mut pool = Self::start_paused(sessions, config, exec, false)?;
-        pool.driver = Driver::FreeRunning {
-            plan: plan.clone(),
-            service,
-        };
-        pool.resume();
-        Ok(pool)
-    }
-
-    /// Builds the pool in **lockstep** mode, paused: submissions accumulate
-    /// in the real queues; [`Self::resume`] then hands the whole burst to
-    /// the shared scheduling core, which grants batch launches in the
-    /// simulator's exact event order (GEMMs still run on real threads, in
-    /// parallel, outside the core's lock). Latencies enter the histograms
-    /// in virtual [`ServiceModel`] time, so depth *and* p95 adaptive
-    /// triggers, straggle factors, stalls, crash handoffs, and every
-    /// latency quantile replay bit-identically against
-    /// [`crate::sim::simulate_pool_faulted`] with the same `plan`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::start_paused`].
-    pub fn start_lockstep(
-        sessions: Vec<Arc<Session>>,
-        config: PoolConfig,
-        exec: ExecConfig,
-        record_log: bool,
-        service: ServiceModel,
-        plan: &FaultPlan,
-    ) -> Result<ReplicaPool, ServeError> {
-        let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
-        pool.lockstep(service, plan, None)?;
-        Ok(pool)
-    }
-
-    /// [`Self::start_lockstep`] plus a pool-level
-    /// [`crate::control::PoolController`] inside the scheduling core, so
-    /// autoscale events, steal events, and predictive mode transitions
-    /// replay bit-identically against
-    /// [`crate::sim::simulate_pool_controlled`] on the same timed trace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::start_lockstep`], plus [`ServeError::Config`] when
-    /// `control` is invalid or its replica bounds exceed `config.replicas`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_lockstep_controlled(
-        sessions: Vec<Arc<Session>>,
-        config: PoolConfig,
-        exec: ExecConfig,
-        record_log: bool,
-        service: ServiceModel,
-        plan: &FaultPlan,
-        control: ControlConfig,
-    ) -> Result<ReplicaPool, ServeError> {
-        let mut pool = Self::start_paused(sessions, config, exec, record_log)?;
-        pool.lockstep(service, plan, Some(control))?;
-        Ok(pool)
-    }
-
-    /// Switches a paused pool to lockstep mode over a fresh scheduling
-    /// core.
-    fn lockstep(
-        &mut self,
-        service: ServiceModel,
-        plan: &FaultPlan,
-        control: Option<ControlConfig>,
-    ) -> Result<(), ServeError> {
-        let core = SchedCore::new(
-            &self.sessions,
-            &self.config,
-            self.config.scheduler.queue_capacity,
-            service,
-            Some(plan),
-            control,
-            self.record_log,
-        )?;
-        self.driver = Driver::Lockstep(Arc::new(LockstepGate {
-            state: Mutex::new(GateState {
-                core,
-                pending: VecDeque::new(),
-                recorder: None,
-            }),
-            cv: Condvar::new(),
-        }));
-        Ok(())
     }
 
     /// Spawns the replica workers (idempotent). In lockstep mode this is
@@ -538,8 +500,9 @@ impl ReplicaPool {
     ///
     /// Submissions must be issued in non-decreasing `at_ns` order, before
     /// [`Self::resume`]. A request shed by admission control cancels its
-    /// handle (the wait returns `None`), mirroring the simulator's
-    /// rejected-id accounting.
+    /// handle (the wait returns `Err(Cancelled)`), mirroring the simulator's
+    /// rejected-id accounting; one whose shape the ladder does not take is
+    /// answered with [`ServeError::BadRequest`] and never queued.
     ///
     /// # Errors
     ///
@@ -561,6 +524,9 @@ impl ReplicaPool {
         let mut state = gate.state.lock().expect("gate lock");
         if state.pending.back().is_some_and(|p| p.at_ns > at_ns) {
             return Err(SubmitError::Closed);
+        }
+        if let Some(handle) = self.router.malformed(&input) {
+            return Ok(handle);
         }
         let (slot, handle) = response_channel();
         state.pending.push_back(PendingSubmission {
@@ -870,7 +836,7 @@ struct GateState {
     recorder: Option<Arc<TraceRecorder>>,
 }
 
-/// The coordinator of [`ReplicaPool::start_lockstep`]. A worker asks for
+/// The coordinator of a [`PoolDriver::Lockstep`] pool. A worker asks for
 /// its next batch and blocks until its replica owns the earliest launch
 /// pool-wide; the core commits the launch under the lock and the worker
 /// runs the GEMM outside it — so determinism costs no parallelism.
@@ -969,7 +935,8 @@ fn lockstep_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdaptivePolicy, BatchPolicy, ConfigError, SchedulerConfig, SmtConfig};
+    use crate::config::{AdaptivePolicy, BatchPolicy, SchedulerConfig, SmtConfig};
+    use crate::control::{AutoscaleConfig, ControlConfig};
     use crate::faults::{FaultEvent, FaultKind};
     use crate::registry::ModelRegistry;
     use crate::sim::{simulate_pool, ArrivalProcess};
@@ -995,30 +962,58 @@ mod tests {
         (ladder, inputs)
     }
 
+    fn scheduler(max_batch: usize, max_wait_ns: u64, queue_capacity: usize) -> SchedulerConfig {
+        SchedulerConfig {
+            batch: BatchPolicy {
+                max_batch,
+                max_wait_ns,
+            },
+            queue_capacity,
+        }
+    }
+
     fn pool_config(replicas: usize, route: RoutePolicy) -> PoolConfig {
         PoolConfig {
             replicas,
             route,
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait_ns: 500_000,
-                },
-                queue_capacity: 64,
-            },
+            scheduler: scheduler(4, 500_000, 64),
             adaptive: AdaptivePolicy::default(),
         }
+    }
+
+    /// `config` on the default service model, without faults or control.
+    fn options(config: PoolConfig) -> PoolOptions {
+        PoolOptions {
+            config,
+            ..PoolOptions::default()
+        }
+    }
+
+    /// A paused pool over `options` that logs its batches.
+    fn build(
+        ladder: &[Arc<Session>],
+        options: &PoolOptions,
+        driver: PoolDriver,
+    ) -> Result<ReplicaPool, ServeError> {
+        ReplicaPool::new(
+            ladder.to_vec(),
+            options,
+            ExecConfig::default(),
+            driver,
+            true,
+        )
+    }
+
+    /// A paused, fault-free, free-running pool over `config`.
+    fn paused(ladder: &[Arc<Session>], config: PoolConfig) -> ReplicaPool {
+        build(ladder, &options(config), PoolDriver::FreeRunning).expect("config is valid")
     }
 
     #[test]
     fn pool_serves_across_replicas_end_to_end() {
         let (ladder, inputs) = ladder_fixture();
-        let pool = ReplicaPool::start(
-            ladder,
-            pool_config(2, RoutePolicy::RoundRobin),
-            ExecConfig::default(),
-        )
-        .unwrap();
+        let mut pool = paused(&ladder, pool_config(2, RoutePolicy::RoundRobin));
+        pool.resume();
         assert_eq!(pool.replicas(), 2);
         let client = pool.client();
         let handles: Vec<_> = inputs
@@ -1043,13 +1038,7 @@ mod tests {
     fn paused_pool_replays_batches_deterministically() {
         let (ladder, inputs) = ladder_fixture();
         let run = || {
-            let mut pool = ReplicaPool::start_paused(
-                ladder.clone(),
-                pool_config(2, RoutePolicy::Hashed),
-                ExecConfig::default(),
-                true,
-            )
-            .unwrap();
+            let mut pool = paused(&ladder, pool_config(2, RoutePolicy::Hashed));
             let client = pool.client();
             let handles: Vec<_> = inputs
                 .iter()
@@ -1085,17 +1074,10 @@ mod tests {
     fn least_outstanding_balances_and_full_queue_sheds() {
         let (ladder, inputs) = ladder_fixture();
         let config = PoolConfig {
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 2,
-                    max_wait_ns: 0,
-                },
-                queue_capacity: 2,
-            },
+            scheduler: scheduler(2, 0, 2),
             ..pool_config(2, RoutePolicy::LeastOutstanding)
         };
-        let mut pool =
-            ReplicaPool::start_paused(ladder, config, ExecConfig::default(), false).unwrap();
+        let mut pool = paused(&ladder, config);
         let client = pool.client();
         let mut accepted = Vec::new();
         let mut rejected = 0u64;
@@ -1128,13 +1110,7 @@ mod tests {
         let config = PoolConfig {
             replicas: 1,
             route: RoutePolicy::RoundRobin,
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 2,
-                    max_wait_ns: 0,
-                },
-                queue_capacity: 64,
-            },
+            scheduler: scheduler(2, 0, 64),
             adaptive: AdaptivePolicy {
                 depth_high: 4,
                 depth_low: 0,
@@ -1142,8 +1118,7 @@ mod tests {
                 eval_every_batches: 1,
             },
         };
-        let mut pool =
-            ReplicaPool::start_paused(ladder, config, ExecConfig::default(), true).unwrap();
+        let mut pool = paused(&ladder, config);
         let client = pool.client();
         let handles: Vec<_> = inputs
             .iter()
@@ -1172,46 +1147,139 @@ mod tests {
     #[test]
     fn empty_ladder_is_rejected() {
         assert!(matches!(
-            ReplicaPool::start(Vec::new(), PoolConfig::default(), ExecConfig::default()),
+            build(&[], &PoolOptions::default(), PoolDriver::FreeRunning),
             Err(ServeError::BadRequest(_))
         ));
     }
 
     #[test]
-    fn invalid_config_is_rejected_before_spawning() {
-        let (ladder, inputs) = ladder_fixture();
-        let config = PoolConfig {
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 0,
-                    max_wait_ns: 0,
-                },
-                queue_capacity: 8,
-            },
-            ..pool_config(1, RoutePolicy::RoundRobin)
-        };
-        // The threaded pool and the simulator refuse the same config with
-        // the same typed error.
-        assert!(matches!(
-            ReplicaPool::start_paused(ladder.clone(), config, ExecConfig::default(), false)
-                .map(|_| ()),
-            Err(ServeError::Config(ConfigError::ZeroBatch))
-        ));
+    fn ladder_rungs_must_share_one_input_shape() {
+        let trained = quick_synthnet(29).expect("training succeeds");
+        let (s, calib) = (trained.task.image_size, trained.calibration_inputs(8, 600));
+        let mut registry = ModelRegistry::new();
+        for (name, side) in [("narrow", s), ("wide", s + 4)] {
+            let calib = std::slice::from_ref(&calib);
+            registry
+                .register(name, &trained.model, calib, [1, side, side])
+                .unwrap();
+        }
+        let ladder =
+            ["narrow", "wide"].map(|name| registry.compile(name, SmtConfig::Dense).unwrap());
+        let (inputs, _) = trained.sample_requests(1, 601);
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0],
         };
-        assert!(matches!(
-            simulate_pool(
-                &ladder,
-                &ExecContext::sequential(),
-                &inputs,
-                &arrivals,
-                config,
-                ServiceModel::default(),
-            )
-            .map(|_| ()),
-            Err(ServeError::Config(ConfigError::ZeroBatch))
-        ));
+        let options = PoolOptions::default();
+        for refused in [
+            build(&ladder, &options, PoolDriver::FreeRunning).map(|_| ()),
+            build(&ladder, &options, PoolDriver::Lockstep).map(|_| ()),
+            simulate_pool(&ladder, None, &inputs, &arrivals, &options, None).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&refused, Err(ServeError::BadRequest(m)) if m.contains("input shapes")),
+                "{refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_before_spawning() {
+        let (ladder, inputs) = ladder_fixture();
+        let arrivals = ArrivalProcess::Open {
+            arrivals_ns: vec![0],
+        };
+        // One options value through the simulator and the lockstep pool:
+        // both refuse it with the same typed error.
+        let both_refuse = |options: &PoolOptions, expected: ConfigError| {
+            let sim = simulate_pool(&ladder, None, &inputs, &arrivals, options, None);
+            assert_eq!(sim.map(|_| ()), Err(ServeError::Config(expected)));
+            let pool = build(&ladder, options, PoolDriver::Lockstep).map(|_| ());
+            assert_eq!(pool, Err(ServeError::Config(expected)));
+        };
+        let zero_batch = options(PoolConfig {
+            scheduler: scheduler(0, 0, 8),
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        });
+        both_refuse(&zero_batch, ConfigError::ZeroBatch);
+        // An autoscale floor above the pool's replica count.
+        let floor_too_high = PoolOptions {
+            control: Some(ControlConfig {
+                autoscale: Some(AutoscaleConfig {
+                    min_replicas: 3,
+                    max_replicas: 3,
+                    util_high_x1024: 700,
+                    util_low_x1024: 200,
+                }),
+                ..ControlConfig::default()
+            }),
+            ..options(pool_config(2, RoutePolicy::RoundRobin))
+        };
+        let inverted = ConfigError::InvertedReplicaBounds { min: 3, max: 2 };
+        both_refuse(&floor_too_high, inverted);
+        // A valid controller on a free-running pool: refused by the
+        // constructor, which spawns no worker (only `resume` does).
+        let controlled = PoolOptions {
+            control: Some(ControlConfig::default()),
+            ..floor_too_high
+        };
+        let pool = build(&ladder, &controlled, PoolDriver::FreeRunning).map(|_| ());
+        let refused = ConfigError::ControllerNeedsLockstep;
+        assert_eq!(pool, Err(ServeError::Config(refused)));
+    }
+
+    #[test]
+    fn malformed_request_fails_alone() {
+        let (ladder, inputs) = ladder_fixture();
+        let bad = Tensor::<f32>::zeros(&[5]);
+        let options = options(PoolConfig {
+            scheduler: scheduler(4, 1_000_000, 8),
+            adaptive: AdaptivePolicy::pinned(),
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        });
+        // Four good requests, with or without a malformed one submitted
+        // among them, on both drivers and both submit paths.
+        let run = |driver: PoolDriver, virtual_time: bool, with_bad: bool| {
+            let mut pool = build(&ladder, &options, driver).expect("config is valid");
+            let client = pool.client();
+            let submit = |key: u64, input: &Tensor<f32>| {
+                if virtual_time {
+                    pool.submit_virtual(0, key, input.clone())
+                } else {
+                    client.submit(key, input.clone())
+                }
+                .expect("room")
+            };
+            let mut handles: Vec<_> = (0..3).map(|i| submit(i, &inputs[i as usize])).collect();
+            let malformed = with_bad.then(|| submit(99, &bad));
+            // Submitted after the malformed one: still routed as usual.
+            handles.push(submit(3, &inputs[3]));
+            pool.resume();
+            if let Some(handle) = malformed {
+                match handle.wait().expect("answered, not cancelled") {
+                    Err(ServeError::BadRequest(m)) => assert!(m.contains("[5]"), "{m}"),
+                    other => panic!("a malformed request must fail: {other:?}"),
+                }
+            }
+            let logit_bits = |r: Inference| r.logits.iter().map(|v| v.to_bits()).collect();
+            let results: Vec<Result<Vec<u32>, ServeError>> = handles
+                .into_iter()
+                .map(|h| h.wait().expect("not cancelled").map(logit_bits))
+                .collect();
+            let snapshot = pool.shutdown();
+            let counts = (snapshot.total.completed, snapshot.total.batches);
+            (results, counts, snapshot.batch_log)
+        };
+        for (driver, virtual_time) in [
+            (PoolDriver::FreeRunning, false),
+            (PoolDriver::Lockstep, false),
+            (PoolDriver::Lockstep, true),
+        ] {
+            let label = format!("{driver:?}, virtual {virtual_time}");
+            let clean = run(driver, virtual_time, false);
+            assert!(clean.0.iter().all(Result::is_ok), "{label}");
+            assert_eq!(clean.1, (4, 1), "{label}: one full batch");
+            assert_eq!(run(driver, virtual_time, true), clean, "{label}");
+        }
     }
 
     #[test]
@@ -1225,25 +1293,16 @@ mod tests {
             at_batch: 2,
             kind: FaultKind::Crash,
         }]);
-        let config = PoolConfig {
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 2,
-                    max_wait_ns: 1_000_000,
-                },
-                queue_capacity: 32,
-            },
-            adaptive: AdaptivePolicy::pinned(),
-            ..pool_config(1, RoutePolicy::RoundRobin)
+        let options = PoolOptions {
+            faults: plan,
+            ..options(PoolConfig {
+                scheduler: scheduler(2, 1_000_000, 32),
+                adaptive: AdaptivePolicy::pinned(),
+                ..pool_config(1, RoutePolicy::RoundRobin)
+            })
         };
-        let pool = ReplicaPool::start_with_faults(
-            ladder,
-            config,
-            ExecConfig::default(),
-            &plan,
-            ServiceModel::default(),
-        )
-        .expect("config is valid");
+        let mut pool = build(&ladder, &options, PoolDriver::FreeRunning).expect("config is valid");
+        pool.resume();
         let client = pool.client();
         let handles: Vec<_> = inputs[..16]
             .iter()
@@ -1275,12 +1334,8 @@ mod tests {
     #[test]
     fn submit_after_shutdown_is_closed() {
         let (ladder, inputs) = ladder_fixture();
-        let pool = ReplicaPool::start(
-            ladder,
-            pool_config(1, RoutePolicy::RoundRobin),
-            ExecConfig::default(),
-        )
-        .expect("config is valid");
+        let mut pool = paused(&ladder, pool_config(1, RoutePolicy::RoundRobin));
+        pool.resume();
         let client = pool.client();
         let _ = pool.shutdown();
         assert_eq!(

@@ -22,14 +22,34 @@ use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 use crate::config::{
-    AdaptiveState, ConfigError, ModeTransition, PoolConfig, RoutePolicy, BATCH_LOG_CAP,
+    AdaptiveState, ConfigError, ModeTransition, PoolOptions, RoutePolicy, ServeError, BATCH_LOG_CAP,
 };
-use crate::control::{ControlConfig, ControlEvent, ControlEventKind, PoolController};
-use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
+use crate::control::{ControlEvent, ControlEventKind, PoolController};
+use crate::faults::{pick_handoff_target, pick_replica, HandoffRecord, ReplicaFaults};
 use crate::metrics::ServeMetrics;
 use crate::session::Session;
 use crate::sim::{PoolBatchRecord, RungCost, ServiceModel};
 use crate::trace::{BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
+
+/// Checks the ladder both drivers serve: at least one rung, and every rung
+/// taking rung 0's input shape, so one [`Session::validate_input`] call
+/// decides whether a request fits whichever rung runs it.
+///
+/// # Errors
+///
+/// [`ServeError::BadRequest`] naming the problem.
+pub(crate) fn check_ladder<S: Borrow<Session>>(sessions: &[S]) -> Result<(), ServeError> {
+    let dims: Vec<[usize; 3]> = sessions.iter().map(|s| s.borrow().input_dims()).collect();
+    match dims.first() {
+        None => Err(ServeError::BadRequest(
+            "replica pool needs at least one session in the ladder".into(),
+        )),
+        Some(first) if dims.iter().any(|d| d != first) => Err(ServeError::BadRequest(format!(
+            "ladder rungs take different input shapes: {dims:?}"
+        ))),
+        Some(_) => Ok(()),
+    }
+}
 
 /// One request waiting in a replica queue.
 pub(crate) struct Queued<P> {
@@ -38,7 +58,7 @@ pub(crate) struct Queued<P> {
     /// Router/affinity key: feeds routing, the size model and handoff
     /// records.
     pub(crate) key: u64,
-    /// Virtual submission time [ns]; latency is measured from here.
+    /// Virtual submission time in ns; latency is measured from here.
     pub(crate) submit_ns: u64,
     /// Earliest virtual time the request may launch: its submission time,
     /// raised by a handoff or a steal to when it reached its new queue.
@@ -127,27 +147,26 @@ pub(crate) struct SchedCore<P> {
 }
 
 impl<P> SchedCore<P> {
-    /// A core for `pool` over the ladder `sessions` (rung 0 first), with
-    /// per-replica queues of `capacity`, virtual time from `service`, the
-    /// fault plan's per-replica cursors, and a controller when `control` is
-    /// given. `log_batches` keeps the capped batch log. The configuration
-    /// must already be validated.
+    /// A core for `options` over the ladder `sessions` (rung 0 first), with
+    /// per-replica queues of `capacity`: virtual time from the service
+    /// model, the fault plan's per-replica cursors, and a controller when
+    /// one is configured. `log_batches` keeps the capped batch log. The
+    /// pool configuration must already be validated.
     ///
     /// # Errors
     ///
     /// Any [`PoolController::new`] error.
     pub(crate) fn new<S: Borrow<Session>>(
         sessions: &[S],
-        pool: &PoolConfig,
+        options: &PoolOptions,
         capacity: usize,
-        service: ServiceModel,
-        faults: Option<&FaultPlan>,
-        control: Option<ControlConfig>,
         log_batches: bool,
     ) -> Result<SchedCore<P>, ConfigError> {
+        let (pool, service) = (&options.config, options.service);
         // The controller's utilization forecast is denominated in the same
         // virtual per-rung request cost the clock runs on.
-        let controller = control
+        let controller = options
+            .control
             .map(|cfg| {
                 let rung_work_ns = sessions
                     .iter()
@@ -164,7 +183,7 @@ impl<P> SchedCore<P> {
                 crashed: false,
                 closed: false,
                 adaptive: AdaptiveState::new(pool.adaptive, r, sessions.len()),
-                faults: faults.map(|p| p.for_replica(r)).unwrap_or_default(),
+                faults: options.faults.for_replica(r),
                 metrics: ServeMetrics::new(),
             })
             .collect();

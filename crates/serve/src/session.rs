@@ -188,29 +188,12 @@ impl Session {
         self.infer_batch_inner(ctx, inputs, None)
     }
 
-    /// [`Self::infer_batch_refs`] with per-layer kernel observability: the
-    /// returned [`LayerKernel`] records carry each engine-dispatched
-    /// layer's GEMM shape and NB-SMT [`PeStats`] (zeroed for dense
-    /// sessions, whose layers never enter the PE array). The inferences are
-    /// bit-identical to the untraced path — tracing only *reads* the stats
-    /// the kernels already compute.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::infer_batch_refs`].
-    pub fn infer_batch_traced(
-        &self,
-        ctx: &ExecContext,
-        inputs: &[&Tensor<f32>],
-    ) -> Result<(Vec<Inference>, Vec<LayerKernel>), ServeError> {
-        let mut kernels = Vec::new();
-        let inferences = self.infer_batch_inner(ctx, inputs, Some(&mut kernels))?;
-        Ok((inferences, kernels))
-    }
-
     /// The serving drivers' entry point: [`Self::infer_batch_refs`], plus
-    /// the [`Self::infer_batch_traced`] kernel records when `kernels` is
-    /// given.
+    /// per-layer kernel records when `kernels` is given. Each
+    /// [`LayerKernel`] carries an engine-dispatched layer's GEMM shape and
+    /// NB-SMT [`PeStats`] (zeroed for dense sessions, whose layers never
+    /// enter the PE array). The inferences are bit-identical either way —
+    /// recording only *reads* the stats the kernels already compute.
     pub(crate) fn infer_batch_inner(
         &self,
         ctx: &ExecContext,
@@ -508,7 +491,10 @@ mod tests {
         let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
         for (session, smt_layers) in [(&dense, false), (&smt2, true)] {
             let plain = session.infer_batch_refs(&ctx, &refs).unwrap();
-            let (traced, kernels) = session.infer_batch_traced(&ctx, &refs).unwrap();
+            let mut kernels = Vec::new();
+            let traced = session
+                .infer_batch_inner(&ctx, &refs, Some(&mut kernels))
+                .unwrap();
             assert_eq!(traced, plain, "tracing must not perturb inference");
             assert!(!kernels.is_empty(), "engine layers must be recorded");
             for (i, kernel) in kernels.iter().enumerate() {

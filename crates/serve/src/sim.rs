@@ -17,8 +17,8 @@
 //! and submit again — arrivals emerge from completions), and **generated**
 //! (a lazy, seeded [`TrafficModel`] stream — bursty MMPP, diurnal
 //! envelopes, per-user sessions — that never materializes the trace, so
-//! 10^6–10^7-request runs stay constant-memory; see [`simulate_pool_stats`]
-//! for the matching constant-memory outcome path).
+//! 10^6–10^7-request runs stay constant-memory; [`simulate_pool`] without
+//! an [`ExecContext`] is the matching constant-memory outcome path).
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -27,11 +27,13 @@ use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
-use crate::config::{ModeTransition, PoolConfig, ServeError, REJECTION_LOG_CAP, RESPONSE_LOG_CAP};
-use crate::control::{ControlConfig, ControlEvent};
+use crate::config::{
+    ModeTransition, PoolConfig, PoolOptions, ServeError, REJECTION_LOG_CAP, RESPONSE_LOG_CAP,
+};
+use crate::control::ControlEvent;
 use crate::faults::{FaultPlan, HandoffRecord};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::sched::SchedCore;
+use crate::sched::{check_ladder, SchedCore};
 use crate::session::{Inference, Session};
 use crate::trace::TraceRecorder;
 use crate::traffic::{GeneratedArrivals, SizeModel, TrafficModel};
@@ -310,9 +312,9 @@ pub struct PoolBatchRecord {
     pub replica: usize,
     /// Ladder rung the batch executed at.
     pub mode: usize,
-    /// Virtual launch time [ns].
+    /// Virtual launch time in ns.
     pub launch_ns: u64,
-    /// Virtual completion time [ns].
+    /// Virtual completion time in ns.
     pub finish_ns: u64,
     /// Request ids coalesced into this batch, in queue order.
     pub request_ids: Vec<u64>,
@@ -351,8 +353,8 @@ pub struct PoolSimOutcome {
     /// [`crate::config::TRANSITION_LOG_CAP`], summed over replicas.
     pub dropped_transitions: u64,
     /// Completions not retained in `responses` past [`RESPONSE_LOG_CAP`]
-    /// (or whose outputs were never computed, on the
-    /// [`simulate_pool_stats`] path) — `metrics.completed` still counts
+    /// (or whose outputs were never computed, on [`simulate_pool`]'s
+    /// statistics path) — `metrics.completed` still counts
     /// every one, closing the accounting at any request count.
     pub dropped_responses: u64,
     /// Sheds not retained in `rejected_ids` past [`REJECTION_LOG_CAP`] —
@@ -370,7 +372,7 @@ pub struct PoolSimOutcome {
     /// without autoscaling, the exact event-log integral with it — the cost
     /// axis autoscaling trades against sheds.
     pub replica_ns: u64,
-    /// Virtual time at which the last batch finished [ns].
+    /// Virtual time at which the last batch finished in ns.
     pub makespan_ns: u64,
 }
 
@@ -388,219 +390,70 @@ pub struct PoolSimOutcome {
 /// lowest-replica-first. Request ids double as the router keys, matching a
 /// threaded pool driven with `submit(id, …)`.
 ///
+/// Everything else comes from `options`, the value the lockstep pool takes
+/// too:
+///
+/// * **Faults.** Each replica consumes its slice of the [`FaultPlan`] at the
+///   lockstep pool's batch-lifecycle points: straggle factors scale the
+///   service time at launch; stalls, queue closes, and crashes apply after
+///   the batch's latencies and adaptive evaluation. A crash drains the
+///   replica's queue through the shared handoff rule
+///   ([`crate::faults::pick_handoff_target`]): each orphan re-enqueues on
+///   the first eligible survivor with its `ready` time at the crash instant
+///   (latency still anchored at arrival), or is shed when none qualifies.
+///   The router skips crashed and closed replicas via
+///   [`crate::faults::pick_replica`]; with every replica eligible the
+///   arithmetic is exactly the fault-free router's.
+/// * **Control.** A [`crate::control::PoolController`] observes every
+///   admitted arrival (rolling its EWMA windows and emitting predictive-shift
+///   and autoscale events at window boundaries) and evaluates work stealing
+///   after every launch. Scale-down drains the deactivated replica's queue
+///   through the crash-handoff rule, the router only considers live
+///   replicas, and every batch executes at `max(reactive mode, predictive
+///   floor)`.
+///
+/// With a `recorder`, every request leaves a submit → queue-wait → service →
+/// respond span chain and every launched batch a batch span plus per-layer
+/// kernel spans (service time split by each layer's
+/// [`nbsmt_core::pe::PeStats`] cycles via [`crate::trace::layer_intervals`],
+/// with the stats attached). All timestamps are virtual nanoseconds, so the
+/// trace is byte-identical to the lockstep pool's on the same seeded burst.
+///
+/// `ctx = None` is the constant-memory **statistics path** for
+/// million-request sweeps: the same batches, virtual latencies, metrics,
+/// handoffs, and control events bit for bit, but model outputs are not
+/// computed, `responses` stays empty, and every completion is counted in
+/// [`PoolSimOutcome::dropped_responses`]. Every retained collection is
+/// capped, so peak memory is flat in request count; a recorder then gets
+/// every span kind except the per-layer kernels, which need real execution.
+///
 /// # Errors
 ///
-/// Rejects an empty ladder, an empty input pool, or an unsorted open-loop
-/// trace as [`ServeError::BadRequest`], and an invalid `pool` as
+/// Rejects an empty ladder, rungs with different input shapes, an empty
+/// input pool, or an unsorted open-loop trace as [`ServeError::BadRequest`],
+/// and an invalid pool or controller configuration as
 /// [`ServeError::Config`]; propagates session-execution failures.
 pub fn simulate_pool<S: Borrow<Session>>(
-    sessions: &[S],
-    ctx: &ExecContext,
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_faulted(sessions, ctx, inputs, arrivals, pool, service, None)
-}
-
-/// [`simulate_pool`] with an injected [`FaultPlan`]: each replica consumes
-/// its slice of the plan at the same batch-lifecycle points as the threaded
-/// pool's lockstep mode — straggle factors scale the service time at
-/// launch; stalls, queue closes, and crashes apply after the batch's
-/// latencies and adaptive evaluation. A crash drains the replica's queue
-/// through the shared handoff rule
-/// ([`crate::faults::pick_handoff_target`]): each orphan re-enqueues on the
-/// first eligible survivor with its `ready` time at the crash instant
-/// (latency still anchored at arrival), or is shed when none qualifies. The
-/// router skips crashed and closed replicas via
-/// [`crate::faults::pick_replica`]; with every replica eligible the
-/// arithmetic is exactly the fault-free router's. `None` faults make this
-/// identical to [`simulate_pool`].
-///
-/// # Errors
-///
-/// Same as [`simulate_pool`].
-pub fn simulate_pool_faulted<S: Borrow<Session>>(
-    sessions: &[S],
-    ctx: &ExecContext,
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    faults: Option<&FaultPlan>,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_traced(sessions, ctx, inputs, arrivals, pool, service, faults, None)
-}
-
-/// [`simulate_pool_faulted`] with an optional [`TraceRecorder`]: when a
-/// recorder is supplied every request leaves a submit → queue-wait →
-/// service → respond span chain, and every launched batch a batch span plus
-/// per-layer kernel spans (service time partitioned proportionally to each
-/// layer's [`nbsmt_core::pe::PeStats`] cycles via
-/// [`crate::trace::layer_intervals`], with the stats attached). All
-/// timestamps are virtual nanoseconds, so the emitted trace is
-/// bit-identical across runs, host thread counts, and backends — and
-/// byte-identical to the lockstep [`crate::pool::ReplicaPool`]'s trace of
-/// the same seeded burst.
-///
-/// # Errors
-///
-/// Same as [`simulate_pool`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_pool_traced<S: Borrow<Session>>(
-    sessions: &[S],
-    ctx: &ExecContext,
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    faults: Option<&FaultPlan>,
-    recorder: Option<&TraceRecorder>,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_inner(
-        sessions,
-        Some(ctx),
-        inputs,
-        arrivals,
-        pool,
-        service,
-        None,
-        faults,
-        recorder,
-    )
-}
-
-/// [`simulate_pool_traced`] with a [`crate::control::PoolController`] in
-/// the loop: the controller observes every admitted arrival (rolling its
-/// EWMA windows and emitting predictive-shift / autoscale events at window
-/// boundaries) and evaluates work stealing after every batch launch.
-/// Scale-down drains the deactivated replica's queue through the
-/// crash-handoff rule, the router only considers live replicas, and every
-/// batch executes at `max(reactive mode, predictive floor)`. All decisions
-/// are pure functions of (arrival trace, config), so the event stream in
-/// [`PoolSimOutcome::control_events`] is bit-identical to the threaded
-/// lockstep pool's on the same seeded burst.
-///
-/// # Errors
-///
-/// Same as [`simulate_pool`], plus any [`ControlConfig`] validation error.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_pool_controlled<S: Borrow<Session>>(
-    sessions: &[S],
-    ctx: &ExecContext,
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    control: ControlConfig,
-    faults: Option<&FaultPlan>,
-    recorder: Option<&TraceRecorder>,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_inner(
-        sessions,
-        Some(ctx),
-        inputs,
-        arrivals,
-        pool,
-        service,
-        Some(control),
-        faults,
-        recorder,
-    )
-}
-
-/// The constant-memory statistics variant of [`simulate_pool_controlled`]:
-/// identical controller, scheduling, and fault semantics, but model outputs
-/// are not computed — the controlled counterpart of
-/// [`simulate_pool_stats`], for million-request control-plane sweeps.
-///
-/// # Errors
-///
-/// Same as [`simulate_pool_controlled`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_pool_controlled_stats<S: Borrow<Session>>(
-    sessions: &[S],
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    control: ControlConfig,
-    faults: Option<&FaultPlan>,
-    recorder: Option<&TraceRecorder>,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_inner(
-        sessions,
-        None,
-        inputs,
-        arrivals,
-        pool,
-        service,
-        Some(control),
-        faults,
-        recorder,
-    )
-}
-
-/// The constant-memory statistics path for million-request sweeps:
-/// identical scheduling, routing, adaptive, and fault semantics to
-/// [`simulate_pool_traced`] — same batches, same virtual latencies, same
-/// metrics, bit for bit — but model outputs are **not computed** (no
-/// [`ExecContext`] needed) and `responses` stays empty, with every
-/// completion counted in `dropped_responses`. All retained collections
-/// (batch log, transition log, rejected ids, trace ring when a recorder is
-/// supplied) are capped, so peak memory is flat in request count. With a
-/// recorder, per-layer kernel spans are omitted (they would require real
-/// execution); all other span kinds are recorded as usual.
-///
-/// # Errors
-///
-/// Same as [`simulate_pool`].
-pub fn simulate_pool_stats<S: Borrow<Session>>(
-    sessions: &[S],
-    inputs: &[Tensor<f32>],
-    arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    faults: Option<&FaultPlan>,
-    recorder: Option<&TraceRecorder>,
-) -> Result<PoolSimOutcome, ServeError> {
-    simulate_pool_inner(
-        sessions, None, inputs, arrivals, pool, service, None, faults, recorder,
-    )
-}
-
-/// The event loop every entry point shares: the scheduling core plus the
-/// arrival stream, with each launched batch executed inline on `ctx` (or,
-/// with `ctx == None`, not executed at all — the statistics path).
-#[allow(clippy::too_many_arguments)]
-fn simulate_pool_inner<S: Borrow<Session>>(
     sessions: &[S],
     ctx: Option<&ExecContext>,
     inputs: &[Tensor<f32>],
     arrivals: &ArrivalProcess,
-    pool: PoolConfig,
-    service: ServiceModel,
-    control: Option<ControlConfig>,
-    faults: Option<&FaultPlan>,
+    options: &PoolOptions,
     recorder: Option<&TraceRecorder>,
 ) -> Result<PoolSimOutcome, ServeError> {
-    if sessions.is_empty() {
-        return Err(ServeError::BadRequest(
-            "replica pool needs at least one session in the ladder".into(),
-        ));
-    }
+    check_ladder(sessions)?;
     if inputs.is_empty() {
         return Err(ServeError::BadRequest("empty request-input pool".into()));
     }
-    pool.validate()?;
+    options.config.validate()?;
     // Hashed routing can land an entire closed-loop client population on
     // one queue, so every queue holds at least the population.
-    let capacity = pool
+    let capacity = options
+        .config
         .scheduler
         .queue_capacity
         .max(closed_population(arrivals));
-    let mut core = SchedCore::new(sessions, &pool, capacity, service, faults, control, true)?;
+    let mut core = SchedCore::new(sessions, options, capacity, true)?;
     let mut stream = Arrivals::new(arrivals, inputs.len())?;
     let mut responses = Vec::new();
     let mut rejected_ids = Vec::new();
@@ -688,10 +541,36 @@ fn simulate_pool_inner<S: Borrow<Session>>(
     })
 }
 
+/// [`simulate_pool`]'s statistics path (`ctx = None`) without a controller,
+/// in the argument form the repo benchmark (`perfbench/`) calls.
+///
+/// # Errors
+///
+/// Same as [`simulate_pool`].
+pub fn simulate_pool_stats<S: Borrow<Session>>(
+    sessions: &[S],
+    inputs: &[Tensor<f32>],
+    arrivals: &ArrivalProcess,
+    pool: PoolConfig,
+    service: ServiceModel,
+    faults: Option<&FaultPlan>,
+    recorder: Option<&TraceRecorder>,
+) -> Result<PoolSimOutcome, ServeError> {
+    let options = PoolOptions {
+        config: pool,
+        service,
+        faults: faults.cloned().unwrap_or_default(),
+        control: None,
+    };
+    simulate_pool(sessions, None, inputs, arrivals, &options, recorder)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{route_hash, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig};
+    use crate::config::{
+        route_hash, AdaptivePolicy, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig,
+    };
     use crate::session::compile_session;
     use nbsmt_workloads::synthnet::quick_synthnet;
     use std::sync::Arc;
@@ -722,37 +601,44 @@ mod tests {
         }
     }
 
-    /// The single-session simulator: a one-replica pool pinned to `session`.
-    fn simulate_one(
-        session: &Session,
-        ctx: &ExecContext,
+    /// A pool of `replicas` pinned to rung 0, on the default service model.
+    fn pinned(replicas: usize, route: RoutePolicy, scheduler: SchedulerConfig) -> PoolOptions {
+        PoolOptions {
+            config: PoolConfig {
+                replicas,
+                route,
+                scheduler,
+                adaptive: AdaptivePolicy::pinned(),
+            },
+            ..PoolOptions::default()
+        }
+    }
+
+    /// The single-session simulator: a one-replica pinned pool.
+    fn one(scheduler: SchedulerConfig) -> PoolOptions {
+        pinned(1, RoutePolicy::RoundRobin, scheduler)
+    }
+
+    /// One full-path run on a single host thread.
+    fn run<S: Borrow<Session>>(
+        ladder: &[S],
         inputs: &[Tensor<f32>],
         arrivals: &ArrivalProcess,
-        scheduler: SchedulerConfig,
-        service: ServiceModel,
-    ) -> Result<PoolSimOutcome, ServeError> {
-        let pool = pool_cfg(1, RoutePolicy::RoundRobin, scheduler);
-        simulate_pool(&[session], ctx, inputs, arrivals, pool, service)
+        options: &PoolOptions,
+    ) -> PoolSimOutcome {
+        let ctx = ExecContext::sequential();
+        simulate_pool(ladder, Some(&ctx), inputs, arrivals, options, None).unwrap()
     }
 
     #[test]
     fn widely_spaced_arrivals_run_unbatched() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let service = ServiceModel::default();
         let gap = service.single_ns(&session) * 4;
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..6).map(|i| i * gap).collect(),
         };
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(8, 1_000, 64),
-            service,
-        )
-        .unwrap();
+        let out = run(&[&session], &inputs, &arrivals, &one(policy(8, 1_000, 64)));
         assert_eq!(out.metrics.completed, 6);
         assert_eq!(out.metrics.batches, 6, "spaced arrivals must not coalesce");
         assert!(out.rejected_ids.is_empty());
@@ -761,19 +647,15 @@ mod tests {
     #[test]
     fn simultaneous_arrivals_coalesce_to_max_batch() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0; 8],
         };
-        let out = simulate_one(
-            &session,
-            &ctx,
+        let out = run(
+            &[&session],
             &inputs,
             &arrivals,
-            policy(4, 1_000_000, 64),
-            ServiceModel::default(),
-        )
-        .unwrap();
+            &one(policy(4, 1_000_000, 64)),
+        );
         assert_eq!(out.batches.len(), 2);
         assert_eq!(out.batches[0].request_ids, vec![0, 1, 2, 3]);
         assert_eq!(out.batches[1].request_ids, vec![4, 5, 6, 7]);
@@ -782,43 +664,26 @@ mod tests {
     #[test]
     fn max_wait_closes_a_partial_batch() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
-        // Second arrival lands after the first's wait budget: two batches.
-        let arrivals = ArrivalProcess::Open {
-            arrivals_ns: vec![0, 2_000],
-        };
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(8, 1_000, 1_000),
-            ServiceModel {
+        let options = PoolOptions {
+            service: ServiceModel {
                 ns_per_mac_x1024: 0,
                 batch_overhead_ns: 10,
                 size: SizeModel::Unit,
             },
-        )
-        .unwrap();
+            ..one(policy(8, 1_000, 1_000))
+        };
+        // Second arrival lands after the first's wait budget: two batches.
+        let arrivals = ArrivalProcess::Open {
+            arrivals_ns: vec![0, 2_000],
+        };
+        let out = run(&[&session], &inputs, &arrivals, &options);
         assert_eq!(out.batches.len(), 2);
         assert_eq!(out.batches[0].launch_ns, 1_000);
         // And within the budget: one batch.
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0, 500],
         };
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(8, 1_000, 1_000),
-            ServiceModel {
-                ns_per_mac_x1024: 0,
-                batch_overhead_ns: 10,
-                size: SizeModel::Unit,
-            },
-        )
-        .unwrap();
+        let out = run(&[&session], &inputs, &arrivals, &options);
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].request_ids, vec![0, 1]);
     }
@@ -826,21 +691,12 @@ mod tests {
     #[test]
     fn overload_sheds_and_accounts_every_request() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let n = 40u64;
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..n).map(|i| i * 10).collect(),
         };
-        let service = ServiceModel::default(); // far slower than arrivals
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(2, 1_000, 4),
-            service,
-        )
-        .unwrap();
+        // The default service model is far slower than the arrivals.
+        let out = run(&[&session], &inputs, &arrivals, &one(policy(2, 1_000, 4)));
         assert!(out.metrics.rejected > 0, "overload must shed load");
         assert_eq!(out.metrics.completed + out.metrics.rejected, n);
         assert_eq!(
@@ -857,21 +713,12 @@ mod tests {
         // the population so no client is shed at t=0 and orphaned — every
         // request completes.
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Closed {
             clients: 16,
             think_ns: 1_000,
             total_requests: 48,
         };
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(4, 10_000, 4),
-            ServiceModel::default(),
-        )
-        .unwrap();
+        let out = run(&[&session], &inputs, &arrivals, &one(policy(4, 10_000, 4)));
         assert_eq!(out.metrics.completed, 48);
         assert!(out.rejected_ids.is_empty());
     }
@@ -879,21 +726,12 @@ mod tests {
     #[test]
     fn closed_loop_issues_exactly_total_requests() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Closed {
             clients: 3,
             think_ns: 1_000,
             total_requests: 12,
         };
-        let out = simulate_one(
-            &session,
-            &ctx,
-            &inputs,
-            &arrivals,
-            policy(4, 10_000, 16),
-            ServiceModel::default(),
-        )
-        .unwrap();
+        let out = run(&[&session], &inputs, &arrivals, &one(policy(4, 10_000, 16)));
         assert_eq!(out.metrics.completed, 12);
         assert!(out.rejected_ids.is_empty(), "closed loop cannot overflow");
         // No client ever has two requests in flight: at most `clients`
@@ -923,31 +761,14 @@ mod tests {
         (ladder, inputs)
     }
 
-    fn pool_cfg(replicas: usize, route: RoutePolicy, scheduler: SchedulerConfig) -> PoolConfig {
-        PoolConfig {
-            replicas,
-            route,
-            scheduler,
-            adaptive: crate::config::AdaptivePolicy::pinned(),
-        }
-    }
-
     #[test]
     fn round_robin_pool_splits_a_burst_across_replicas() {
         let (ladder, inputs) = ladder_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: vec![0; 8],
         };
-        let out = simulate_pool(
-            &ladder,
-            &ctx,
-            &inputs,
-            &arrivals,
-            pool_cfg(2, RoutePolicy::RoundRobin, policy(4, 1_000_000, 64)),
-            ServiceModel::default(),
-        )
-        .unwrap();
+        let options = pinned(2, RoutePolicy::RoundRobin, policy(4, 1_000_000, 64));
+        let out = run(&ladder, &inputs, &arrivals, &options);
         assert_eq!(out.metrics.completed, 8);
         assert_eq!(out.batches.len(), 2, "each replica coalesces its half");
         // Round-robin interleaves ids: evens on replica 0, odds on 1.
@@ -970,21 +791,13 @@ mod tests {
     #[test]
     fn hashed_routing_is_sticky_per_key() {
         let (ladder, inputs) = ladder_setup();
-        let ctx = ExecContext::sequential();
         // The same id set twice: each id must land on the same replica both
         // times (affinity), regardless of interleaving.
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..16).map(|i| i * 200_000).collect(),
         };
-        let out = simulate_pool(
-            &ladder,
-            &ctx,
-            &inputs,
-            &arrivals,
-            pool_cfg(4, RoutePolicy::Hashed, policy(2, 1_000, 64)),
-            ServiceModel::default(),
-        )
-        .unwrap();
+        let options = pinned(4, RoutePolicy::Hashed, policy(2, 1_000, 64));
+        let out = run(&ladder, &inputs, &arrivals, &options);
         for batch in &out.batches {
             for &id in &batch.request_ids {
                 assert_eq!(
@@ -999,40 +812,21 @@ mod tests {
     #[test]
     fn adaptive_pool_sheds_less_than_pinned_dense_under_overload() {
         let (ladder, inputs) = ladder_setup();
-        let ctx = ExecContext::sequential();
-        let service = ServiceModel::default();
         // Offered far beyond one dense replica's service rate.
-        let gap = service.single_ns(&ladder[0]) / 4;
+        let gap = ServiceModel::default().single_ns(&ladder[0]) / 4;
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..64).map(|i| i * gap).collect(),
         };
-        let scheduler = policy(4, 100_000, 8);
-        let pinned = simulate_pool(
-            &ladder[..1],
-            &ctx,
-            &inputs,
-            &arrivals,
-            pool_cfg(1, RoutePolicy::RoundRobin, scheduler),
-            service,
-        )
-        .unwrap();
-        let adaptive = simulate_pool(
-            &ladder,
-            &ctx,
-            &inputs,
-            &arrivals,
-            PoolConfig {
-                adaptive: crate::config::AdaptivePolicy {
-                    depth_high: 4,
-                    depth_low: 1,
-                    p95_high_ns: 0,
-                    eval_every_batches: 1,
-                },
-                ..pool_cfg(1, RoutePolicy::RoundRobin, scheduler)
-            },
-            service,
-        )
-        .unwrap();
+        let options = one(policy(4, 100_000, 8));
+        let pinned = run(&ladder[..1], &inputs, &arrivals, &options);
+        let mut options = options;
+        options.config.adaptive = AdaptivePolicy {
+            depth_high: 4,
+            depth_low: 1,
+            p95_high_ns: 0,
+            eval_every_batches: 1,
+        };
+        let adaptive = run(&ladder, &inputs, &arrivals, &options);
         assert!(
             pinned.metrics.rejected > 0,
             "dense-only must shed at 4x load"
@@ -1059,23 +853,15 @@ mod tests {
     #[test]
     fn closed_loop_pool_completes_every_request() {
         let (ladder, inputs) = ladder_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Closed {
             clients: 6,
             think_ns: 1_000,
             total_requests: 30,
         };
-        let out = simulate_pool(
-            &ladder,
-            &ctx,
-            &inputs,
-            &arrivals,
-            // Capacity 4 is below the 6-client population: the closed-loop
-            // capacity floor must still absorb every in-flight request.
-            pool_cfg(3, RoutePolicy::LeastOutstanding, policy(4, 10_000, 4)),
-            ServiceModel::default(),
-        )
-        .unwrap();
+        // Capacity 4 is below the 6-client population: the closed-loop
+        // capacity floor must still absorb every in-flight request.
+        let options = pinned(3, RoutePolicy::LeastOutstanding, policy(4, 10_000, 4));
+        let out = run(&ladder, &inputs, &arrivals, &options);
         assert_eq!(out.metrics.completed, 30);
         assert!(out.rejected_ids.is_empty(), "closed loop cannot overflow");
         let per_replica_total: u64 = out.per_replica.iter().map(|m| m.completed).sum();
@@ -1085,23 +871,12 @@ mod tests {
     #[test]
     fn simulation_is_bit_deterministic_across_runs() {
         let (session, inputs) = test_setup();
-        let ctx = ExecContext::sequential();
         let arrivals = ArrivalProcess::Open {
             arrivals_ns: (0..16).map(|i| i * 50_000).collect(),
         };
-        let run = || {
-            simulate_one(
-                &session,
-                &ctx,
-                &inputs,
-                &arrivals,
-                policy(4, 100_000, 16),
-                ServiceModel::default(),
-            )
-            .unwrap()
-        };
-        let a = run();
-        let b = run();
+        let options = one(policy(4, 100_000, 16));
+        let a = run(&[&session], &inputs, &arrivals, &options);
+        let b = run(&[&session], &inputs, &arrivals, &options);
         assert_eq!(a, b);
     }
 }

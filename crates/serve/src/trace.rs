@@ -7,12 +7,12 @@
 //! per layer) → response. Every scheduler driver emits the same schema; the
 //! only difference is where timestamps come from:
 //!
-//! * The virtual-clock simulator ([`crate::sim::simulate_pool_traced`]) and
+//! * The virtual-clock simulator ([`crate::sim::simulate_pool`]) and
 //!   the lockstep [`crate::pool::ReplicaPool`] stamp events with
 //!   [`ServiceModel`]-derived virtual nanoseconds, so the two drivers emit
 //!   **bit-identical traces** for the same seeded burst — the tracing
 //!   extension of the lockstep determinism contract.
-//! * The wall-clock server and free-running pool stamp events through
+//! * The free-running pool stamps events through
 //!   [`Clock::wall`], real elapsed nanoseconds since the recorder's epoch.
 //!
 //! Worker threads record concurrently, so insertion order is not
@@ -267,7 +267,8 @@ pub struct LayerKernel {
 /// A frozen, canonically ordered view of a recorder's contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSnapshot {
-    /// Events in canonical order (see [`TraceEvent::sort_key`] docs).
+    /// Events in canonical order: chronological, then replica, batch,
+    /// pipeline stage, layer, and request.
     pub events: Vec<TraceEvent>,
     /// Events overwritten because the ring was full.
     pub dropped: u64,

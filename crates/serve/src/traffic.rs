@@ -139,9 +139,9 @@ pub enum TrafficModel {
         calm_mrps: u64,
         /// Arrival rate in the burst state [milli-requests/s].
         burst_mrps: u64,
-        /// Mean calm-state sojourn [ns].
+        /// Mean calm-state sojourn in ns.
         mean_calm_ns: u64,
-        /// Mean burst-state sojourn [ns].
+        /// Mean burst-state sojourn in ns.
         mean_burst_ns: u64,
     },
     /// A diurnal rate envelope: non-homogeneous Poisson whose rate sweeps a
@@ -153,7 +153,7 @@ pub enum TrafficModel {
         trough_mrps: u64,
         /// Rate at the envelope's peak [milli-requests/s].
         peak_mrps: u64,
-        /// Envelope period [ns].
+        /// Envelope period in ns.
         period_ns: u64,
     },
     /// Per-user session streams: users arrive Poisson at `user_mrps`, and
@@ -166,7 +166,7 @@ pub enum TrafficModel {
         user_mrps: u64,
         /// Requests each user issues, ≥ 1.
         requests_per_user: u64,
-        /// Gap between a user's consecutive requests [ns].
+        /// Gap between a user's consecutive requests in ns.
         think_ns: u64,
     },
 }

@@ -12,7 +12,7 @@
 //!   when the replica holding the request died, closed admissions, or shed
 //!   its whole queue with no survivor.
 //! * **Bit-identical replay**: the lockstep pool agrees with itself across
-//!   runs and with [`simulate_pool_faulted`] on batch compositions, modes,
+//!   runs and with [`simulate_pool`] on batch compositions, modes,
 //!   transitions, handoff decisions, fault counters, latency quantiles, and
 //!   logits.
 //! * **Countermeasures help**: a retrying/hedging [`FaultClient`] completes
@@ -22,14 +22,14 @@
 use std::sync::Arc;
 
 use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, RoutePolicy, SchedulerConfig, SmtConfig,
+    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::faults::{chaos_corpus, FaultClient, FaultPlan, HedgePolicy, RetryPolicy};
-use nbsmt_serve::pool::{PoolSnapshot, ReplicaPool};
+use nbsmt_serve::pool::{PoolDriver, PoolSnapshot, ReplicaPool};
 use nbsmt_serve::queue::Cancelled;
 use nbsmt_serve::registry::ModelRegistry;
 use nbsmt_serve::session::Session;
-use nbsmt_serve::sim::{simulate_pool_faulted, ArrivalProcess, PoolSimOutcome, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome};
 use nbsmt_tensor::exec::{ExecConfig, ExecContext};
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_workloads::synthnet::quick_synthnet;
@@ -56,18 +56,24 @@ fn ladder_fixture() -> (Vec<Arc<Session>>, Vec<Tensor<f32>>) {
     (ladder, inputs)
 }
 
-fn pool_config() -> PoolConfig {
-    PoolConfig {
-        replicas: 2,
-        route: RoutePolicy::RoundRobin,
-        scheduler: SchedulerConfig {
-            batch: BatchPolicy {
-                max_batch: 4,
-                max_wait_ns: 500_000,
+/// The options every driver in this file runs: two replicas, the default
+/// service model, and `plan`.
+fn options(plan: &FaultPlan) -> PoolOptions {
+    PoolOptions {
+        config: PoolConfig {
+            replicas: 2,
+            route: RoutePolicy::RoundRobin,
+            scheduler: SchedulerConfig {
+                batch: BatchPolicy {
+                    max_batch: 4,
+                    max_wait_ns: 500_000,
+                },
+                queue_capacity: 64,
             },
-            queue_capacity: 64,
+            adaptive: AdaptivePolicy::default(),
         },
-        adaptive: AdaptivePolicy::default(),
+        faults: plan.clone(),
+        ..PoolOptions::default()
     }
 }
 
@@ -78,20 +84,19 @@ enum Fate {
     Rejected,
 }
 
-/// Runs the burst through a lockstep pool under `plan`, resolving every
+/// Runs the burst through a lockstep pool under `options`, resolving every
 /// handle — the test's no-deadlock assertion is that this returns at all.
 fn run_lockstep(
     ladder: &[Arc<Session>],
     inputs: &[Tensor<f32>],
-    plan: &FaultPlan,
+    options: &PoolOptions,
 ) -> (PoolSnapshot, Vec<(u64, Fate)>) {
-    let mut pool = ReplicaPool::start_lockstep(
+    let mut pool = ReplicaPool::new(
         ladder.to_vec(),
-        pool_config(),
+        options,
         ExecConfig::default(),
+        PoolDriver::Lockstep,
         true,
-        ServiceModel::default(),
-        plan,
     )
     .unwrap();
     let client = pool.client();
@@ -119,18 +124,21 @@ fn run_lockstep(
     (pool.shutdown(), fates)
 }
 
-/// The same burst through the discrete-event simulator under `plan`.
-fn run_sim(ladder: &[Arc<Session>], inputs: &[Tensor<f32>], plan: &FaultPlan) -> PoolSimOutcome {
-    simulate_pool_faulted(
+/// The same burst through the discrete-event simulator under `options`.
+fn run_sim(
+    ladder: &[Arc<Session>],
+    inputs: &[Tensor<f32>],
+    options: &PoolOptions,
+) -> PoolSimOutcome {
+    simulate_pool(
         ladder,
-        &ExecContext::new(ExecConfig::default()),
+        Some(&ExecContext::new(ExecConfig::default())),
         inputs,
         &ArrivalProcess::Open {
             arrivals_ns: vec![0; inputs.len()],
         },
-        pool_config(),
-        ServiceModel::default(),
-        Some(plan),
+        options,
+        None,
     )
     .unwrap()
 }
@@ -187,8 +195,9 @@ fn assert_permits_reconcile(name: &str, snapshot: &PoolSnapshot, fates: &[(u64, 
 fn corpus_replays_bit_identically_and_matches_the_simulator() {
     let (ladder, inputs) = ladder_fixture();
     for (name, plan) in chaos_corpus() {
-        let (snap_a, fates_a) = run_lockstep(&ladder, &inputs, &plan);
-        let (snap_b, _) = run_lockstep(&ladder, &inputs, &plan);
+        let options = options(&plan);
+        let (snap_a, fates_a) = run_lockstep(&ladder, &inputs, &options);
+        let (snap_b, _) = run_lockstep(&ladder, &inputs, &options);
         assert_permits_reconcile(name, &snap_a, &fates_a);
 
         // Lockstep self-agreement: the wall clock is the only divergence.
@@ -201,7 +210,7 @@ fn corpus_replays_bit_identically_and_matches_the_simulator() {
 
         // Simulator agreement: compositions, modes, handoffs, counters, and
         // the *virtual* latency quantiles all match bit for bit.
-        let sim = run_sim(&ladder, &inputs, &plan);
+        let sim = run_sim(&ladder, &inputs, &options);
         let sim_log: Vec<(usize, usize, Vec<u64>, usize)> = sim
             .batches
             .iter()
@@ -259,7 +268,7 @@ fn crash_during_drain_hands_every_orphan_to_the_survivor() {
     let (ladder, inputs) = ladder_fixture();
     let plan = &chaos_corpus()[0];
     assert_eq!(plan.0, "crash-during-drain");
-    let (snapshot, fates) = run_lockstep(&ladder, &inputs, &plan.1);
+    let (snapshot, fates) = run_lockstep(&ladder, &inputs, &options(&plan.1));
     assert_permits_reconcile(plan.0, &snapshot, &fates);
     assert_eq!(snapshot.total.crashes, 1);
     assert!(
@@ -292,7 +301,7 @@ fn double_crash_cascade_sheds_the_second_queue_as_cancellations() {
         .iter()
         .find(|(n, _)| *n == "double-crash-cascade")
         .unwrap();
-    let (snapshot, fates) = run_lockstep(&ladder, &inputs, plan);
+    let (snapshot, fates) = run_lockstep(&ladder, &inputs, &options(plan));
     assert_permits_reconcile(name, &snapshot, &fates);
     assert_eq!(snapshot.total.crashes, 2, "both replicas must die");
     let (_, cancelled, _) = count(&fates);
@@ -324,7 +333,7 @@ fn closed_survivor_sheds_rather_than_bypassing_admission_control() {
         .iter()
         .find(|(n, _)| *n == "closed-survivor-sheds")
         .unwrap();
-    let (snapshot, fates) = run_lockstep(&ladder, &inputs, plan);
+    let (snapshot, fates) = run_lockstep(&ladder, &inputs, &options(plan));
     assert_permits_reconcile(name, &snapshot, &fates);
     assert!(
         snapshot.handoffs.iter().all(|h| h.to_replica.is_none()),
@@ -342,10 +351,10 @@ fn closed_survivor_sheds_rather_than_bypassing_admission_control() {
 fn stall_and_straggle_schedules_keep_every_request() {
     let (ladder, inputs) = ladder_fixture();
     let corpus = chaos_corpus();
-    let quiet = run_sim(&ladder, &inputs, &FaultPlan::none());
+    let quiet = run_sim(&ladder, &inputs, &options(&FaultPlan::none()));
     for name in ["stall-at-escalation", "all-replicas-straggle"] {
         let (_, plan) = corpus.iter().find(|(n, _)| *n == name).unwrap();
-        let (snapshot, fates) = run_lockstep(&ladder, &inputs, plan);
+        let (snapshot, fates) = run_lockstep(&ladder, &inputs, &options(plan));
         assert_permits_reconcile(name, &snapshot, &fates);
         assert_eq!(
             snapshot.total.completed, REQUESTS as u64,
@@ -380,14 +389,15 @@ fn live_pool_countermeasures_recover_at_least_the_baseline() {
         .find(|(n, _)| *n == "crash-with-hedge-in-flight")
         .unwrap();
     let run = |retry: RetryPolicy, hedge: Option<HedgePolicy>| -> (u64, u64) {
-        let pool = ReplicaPool::start_with_faults(
+        let mut pool = ReplicaPool::new(
             ladder.clone(),
-            pool_config(),
+            &options(plan),
             ExecConfig::default(),
-            plan,
-            ServiceModel::default(),
+            PoolDriver::FreeRunning,
+            false,
         )
         .unwrap();
+        pool.resume();
         let mut client = FaultClient::new(pool.client(), retry, hedge);
         let mut completed = 0u64;
         for (i, input) in inputs.iter().enumerate() {

@@ -28,9 +28,9 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use nbsmt_serve::{
-    AdaptivePolicy, BatchPolicy, ModelRegistry, PoolConfig, ReplicaPool, RoutePolicy,
-    SchedulerConfig, Session, SmtConfig, SubmitError, TrafficModel, BATCH_LOG_CAP, CONTROL_LOG_CAP,
-    TRANSITION_LOG_CAP,
+    AdaptivePolicy, BatchPolicy, ModelRegistry, PoolConfig, PoolDriver, PoolOptions, ReplicaPool,
+    RoutePolicy, SchedulerConfig, Session, SmtConfig, SubmitError, TrafficModel, BATCH_LOG_CAP,
+    CONTROL_LOG_CAP, TRANSITION_LOG_CAP,
 };
 use nbsmt_tensor::exec::ExecConfig;
 use nbsmt_tensor::Tensor;
@@ -79,9 +79,8 @@ fn run_stress(
     seed: u64,
 ) -> (nbsmt_serve::PoolSnapshot, u64, StressCounters) {
     let (ladder, inputs) = ladder_fixture(seed);
-    let pool = ReplicaPool::start(
-        ladder,
-        PoolConfig {
+    let options = PoolOptions {
+        config: PoolConfig {
             replicas,
             route: RoutePolicy::Hashed,
             scheduler: SchedulerConfig {
@@ -93,9 +92,17 @@ fn run_stress(
             },
             adaptive: AdaptivePolicy::default(),
         },
+        ..PoolOptions::default()
+    };
+    let mut pool = ReplicaPool::new(
+        ladder,
+        &options,
         ExecConfig::default(),
+        PoolDriver::FreeRunning,
+        false,
     )
     .expect("pool starts");
+    pool.resume();
 
     let counters = Arc::new(StressCounters {
         submit_calls: AtomicU64::new(0),

@@ -1073,7 +1073,7 @@ mod avx2 {
 }
 
 /// Runtime-detected SIMD kernels: AVX2 on x86_64 hosts that report it, the
-/// portable [`unrolled_rows`] fallback everywhere else. Integer kernels are
+/// portable `unrolled_rows` fallback everywhere else. Integer kernels are
 /// bit-exact; f32 is the declared fast-f32 tier (module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simd;

@@ -40,10 +40,10 @@ pub mod prelude {
     pub use nbsmt_quant::qtensor::{QuantMatrix, QuantTensor};
     pub use nbsmt_quant::scheme::QuantScheme;
     pub use nbsmt_serve::config::{
-        AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, RoutePolicy, SchedulerConfig,
-        SmtConfig, SubmitError,
+        AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, PoolOptions, RoutePolicy,
+        SchedulerConfig, SmtConfig, SubmitError,
     };
-    pub use nbsmt_serve::pool::{PoolClient, PoolSnapshot, ReplicaPool};
+    pub use nbsmt_serve::pool::{PoolClient, PoolDriver, PoolSnapshot, ReplicaPool};
     pub use nbsmt_serve::registry::ModelRegistry;
     pub use nbsmt_serve::session::{Inference, Session};
     pub use nbsmt_serve::sim::{
