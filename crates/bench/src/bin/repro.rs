@@ -22,9 +22,10 @@
 //!
 //! By the execution layer's determinism contract, `threads`/`backend`
 //! change wall-clock time only — every reproduced number is identical for
-//! every setting. `gemmbench`, `serve`, and `shard` write the tracked
-//! `BENCH_*.json` summaries and only run when requested explicitly (none is
-//! part of `all`, so regenerating tables never clobbers them).
+//! every setting. `serve`, `shard`, `faults`, `scale` and `control` write
+//! the tracked `BENCH_*.json` summaries and only run when requested
+//! explicitly (none is part of `all`, so regenerating tables never clobbers
+//! them).
 
 use std::env;
 use std::path::PathBuf;

@@ -1,20 +1,14 @@
-//! The `repro obs` experiment: what does end-to-end tracing cost?
+//! The `repro obs` experiment: an end-to-end check of the trace pipeline.
 //!
-//! Tracing is only trustworthy if it is cheap enough to leave on, so this
-//! experiment measures exactly that: the same seeded arrival trace is
-//! replayed through the virtual-clock pool simulator twice — once with the
-//! recorder off, once recording every submit → queue-wait → batch → kernel →
-//! service → respond event — and the wall-clock difference is the tracing
-//! overhead. Both cells execute the model for real on the host execution
-//! layer; only the recorder differs. The committed `BENCH_obs.json` tracks
-//! both timings, and the acceptance bar is recorder-on within a few percent
-//! of recorder-off.
-//!
-//! The run also doubles as an end-to-end check of the trace pipeline: the
-//! traced outcome's snapshot is exported through
-//! [`crate::trace_export::render_chrome_trace`], re-run, and asserted
-//! byte-identical — the same determinism contract the serve tests hold the
-//! lockstep pool to.
+//! One seeded arrival trace is replayed through the virtual-clock pool
+//! simulator with a recorder capturing every submit → queue-wait → batch →
+//! kernel → service → respond event; the model executes for real on the
+//! host execution layer. The snapshot is exported through
+//! [`crate::trace_export::render_chrome_trace`], the replay runs again, and
+//! the two exports must be byte-identical — the same determinism contract
+//! the serve tests hold the lockstep pool to. The recorder's host cost is
+//! measured by the repository benchmark (`perfbench --trace 1`,
+//! `trace.overhead_frac.*`), not here.
 
 use nbsmt_serve::config::SmtConfig;
 use nbsmt_serve::config::{
@@ -31,10 +25,9 @@ use crate::experiments::serve_exp::SweepFixture;
 use crate::loadgen::open_poisson;
 use crate::scale::{ExecSettings, Scale};
 
-/// A prepared tracing-overhead cell: one trained model ladder, one seeded
-/// arrival trace, one pool configuration. [`ObsBench::run_off`] and
-/// [`ObsBench::run_traced`] replay the *identical* workload, so their
-/// wall-clock difference isolates the recorder.
+/// A prepared trace-export cell: one trained model ladder, one seeded
+/// arrival trace, one pool configuration. Every [`ObsBench::run_traced`]
+/// replays the *identical* workload.
 pub struct ObsBench {
     ladder: Vec<Arc<Session>>,
     ctx: ExecContext,
@@ -94,20 +87,7 @@ impl ObsBench {
         }
     }
 
-    /// One full simulation with the recorder off — the baseline cell.
-    pub fn run_off(&self) -> PoolSimOutcome {
-        simulate_pool(
-            &self.ladder,
-            Some(&self.ctx),
-            &self.inputs,
-            &self.arrivals,
-            &self.options,
-            None,
-        )
-        .expect("pool simulation succeeds")
-    }
-
-    /// One full simulation recording every pipeline event — the traced cell.
+    /// One full simulation recording every pipeline event.
     pub fn run_traced(&self) -> (PoolSimOutcome, TraceSnapshot) {
         let recorder = TraceRecorder::virtual_clock();
         let outcome = simulate_pool(
@@ -142,7 +122,15 @@ mod tests {
             "identical seeded runs must export byte-identical traces"
         );
         // Tracing never changes what the simulation computes.
-        let off = bench.run_off();
+        let off = simulate_pool(
+            &bench.ladder,
+            Some(&bench.ctx),
+            &bench.inputs,
+            &bench.arrivals,
+            &bench.options,
+            None,
+        )
+        .expect("pool simulation succeeds");
         assert_eq!(off.metrics, outcome.metrics);
         assert_eq!(off.responses, outcome.responses);
         // Every completed request has its full submit → respond chain.

@@ -19,15 +19,6 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
-use nbsmt_core::policy::SharingPolicy;
-use nbsmt_core::ThreadCount;
-use nbsmt_quant::quantize::{quantize_activations, quantize_weights};
-use nbsmt_quant::scheme::QuantScheme;
-use nbsmt_tensor::exec::{ExecConfig, ExecContext, GemmBackendKind};
-use nbsmt_tensor::ops;
-use nbsmt_tensor::random::{SynthesisConfig, TensorSynthesizer};
-use nbsmt_tensor::tensor::Matrix;
 use nbsmt_tensor::validate::Validate;
 
 use crate::experiments::accuracy::{
@@ -45,7 +36,7 @@ use crate::experiments::zoo_exp::{
     table1_inventory,
 };
 use crate::spec::{ParamKey, RunSpec, SpecError};
-use crate::summary::{BenchRecord, Record, Summary};
+use crate::summary::{Record, Summary};
 use crate::trace_export::{render_chrome_trace, stage_summary};
 
 /// Writes a line into the sink, ignoring the (infallible in both sink
@@ -243,10 +234,11 @@ pub trait Experiment {
 }
 
 /// The name of the composite experiment that runs every paper table and
-/// figure (but never the explicit-only bench writers).
+/// figure (but never the explicit-only experiments).
 pub const ALL: &str = "all";
 
-const ALL_DESCRIPTION: &str = "every paper table and figure above (not the bench writers)";
+const ALL_DESCRIPTION: &str =
+    "every paper table and figure above (not the explicit-only experiments)";
 
 /// The order `all` executes in: the cheap zoo/hardware experiments first,
 /// then the five accuracy experiments, which share one trained SynthNet via
@@ -286,7 +278,6 @@ impl ExperimentRegistry {
         registry.register(Box::new(Fig10));
         registry.register(Box::new(Energy));
         registry.register(Box::new(Mlperf));
-        registry.register(Box::new(GemmBench));
         registry.register(Box::new(Serve));
         registry.register(Box::new(Shard));
         registry.register(Box::new(Faults));
@@ -1031,196 +1022,6 @@ impl Experiment for Mlperf {
     }
 }
 
-struct GemmBench;
-
-impl Experiment for GemmBench {
-    fn name(&self) -> &'static str {
-        "gemmbench"
-    }
-
-    fn describe(&self) -> ExperimentInfo {
-        ExperimentInfo {
-            description: "host GEMM/NB-SMT throughput → BENCH_baseline.json (explicit only)",
-            params: &[],
-            writes: Some("BENCH_baseline.json"),
-            in_all: false,
-        }
-    }
-
-    fn run(&self, spec: &RunSpec, sink: &mut SummarySink) -> Result<RunReport, ExperimentError> {
-        out!(sink, "## gemmbench — host execution layer throughput\n");
-        let dim = match spec.scale {
-            crate::Scale::Quick => 256,
-            crate::Scale::Full => 512,
-        };
-        let iters = match spec.scale {
-            crate::Scale::Quick => 5,
-            crate::Scale::Full => 10,
-        };
-        let mut records = Vec::new();
-
-        // Integer GEMM: one square problem per backend, plus the requested
-        // thread count for the parallel backend.
-        let mut synth = TensorSynthesizer::new(42);
-        let to_i32 = |t: nbsmt_tensor::tensor::Tensor<f32>, r: usize, c: usize| {
-            Matrix::from_vec(
-                t.into_vec().iter().map(|&v| (v * 127.0) as i32).collect(),
-                r,
-                c,
-            )
-            .expect("dimensions match")
-        };
-        let a = to_i32(
-            synth.tensor(&SynthesisConfig::activation(0.5, 0.5), &[dim, dim]),
-            dim,
-            dim,
-        );
-        let b = to_i32(
-            synth.tensor(&SynthesisConfig::weight(0.3, 0.0), &[dim, dim]),
-            dim,
-            dim,
-        );
-        let macs = (dim * dim * dim) as u64;
-        let mut runs: Vec<(String, ExecContext)> = vec![
-            (
-                format!("gemm_i32_{dim}_naive_1t"),
-                ExecContext::sequential(),
-            ),
-            (
-                format!("gemm_i32_{dim}_blocked_1t"),
-                ExecContext::new(ExecConfig {
-                    threads: 1,
-                    backend: GemmBackendKind::Blocked,
-                    ..ExecConfig::default()
-                }),
-            ),
-            (
-                format!("gemm_i32_{dim}_simd_1t"),
-                ExecContext::new(ExecConfig {
-                    threads: 1,
-                    backend: GemmBackendKind::Simd,
-                    ..ExecConfig::default()
-                }),
-            ),
-            (
-                format!("gemm_i32_{dim}_packed_1t"),
-                ExecContext::new(ExecConfig {
-                    threads: 1,
-                    backend: GemmBackendKind::Packed,
-                    ..ExecConfig::default()
-                }),
-            ),
-        ];
-        let parallel_ctx = ExecContext::new(ExecConfig {
-            threads: spec.exec.threads,
-            backend: GemmBackendKind::Parallel,
-            ..ExecConfig::default()
-        });
-        // Name from the context's (clamped) thread count so the id always
-        // matches the record's `threads` field.
-        runs.push((
-            format!("gemm_i32_{dim}_parallel_{}t", parallel_ctx.threads()),
-            parallel_ctx,
-        ));
-        out!(
-            sink,
-            "{:<28} {:>12} {:>12} {:>10}",
-            "Benchmark",
-            "mean [ms]",
-            "GMAC/s",
-            "threads"
-        );
-        for (name, ctx) in &runs {
-            let record = BenchRecord::measure(
-                name,
-                ctx.threads(),
-                ctx.config().backend.name(),
-                macs,
-                iters,
-                || {
-                    ops::matmul_i32_with(ctx, &a, &b).expect("dimensions match");
-                },
-            );
-            out!(
-                sink,
-                "{:<28} {:>12.2} {:>12.2} {:>10}",
-                record.name,
-                record.mean_ns / 1e6,
-                record.gmacs_per_s(),
-                record.threads
-            );
-            records.push(record);
-        }
-
-        // NB-SMT layer emulation at 2T and 4T through the configured context.
-        let (m, k, n) = (dim / 2, dim, dim / 4);
-        let qx = quantize_activations(
-            &Matrix::from_vec(
-                synth
-                    .tensor(&SynthesisConfig::activation(0.4, 0.5), &[m, k])
-                    .into_vec(),
-                m,
-                k,
-            )
-            .expect("dimensions match"),
-            &QuantScheme::activation_a8(),
-            Some((0.0, 1.0)),
-        );
-        let qw = quantize_weights(
-            &Matrix::from_vec(
-                synth
-                    .tensor(&SynthesisConfig::weight(0.12, 0.0), &[k, n])
-                    .into_vec(),
-                k,
-                n,
-            )
-            .expect("dimensions match"),
-            &QuantScheme::weight_w8(),
-        );
-        let ctx = spec.exec.context();
-        for (label, threads) in [("2t", ThreadCount::Two), ("4t", ThreadCount::Four)] {
-            let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
-                threads,
-                policy: SharingPolicy::S_A,
-                reorder: false,
-            });
-            // Two cells per design point: the event-walking oracle (the
-            // historical `nbsmt_*` cells, name-compatible with previous
-            // baselines) and the algorithmic fast path `execute_with` now
-            // dispatches to (`nbsmt_fast_*`).
-            let oracle_name = format!("nbsmt_{label}_layer_{m}x{k}x{n}_{}t", ctx.threads());
-            let fast_name = format!("nbsmt_fast_{label}_layer_{m}x{k}x{n}_{}t", ctx.threads());
-            for (name, fast) in [(&oracle_name, false), (&fast_name, true)] {
-                let record = BenchRecord::measure(
-                    name,
-                    ctx.threads(),
-                    ctx.config().backend.name(),
-                    (m * k * n) as u64,
-                    iters,
-                    || {
-                        if fast {
-                            emu.execute_with(&ctx, &qx, &qw).expect("dimensions match");
-                        } else {
-                            emu.execute_event_with(&ctx, &qx, &qw)
-                                .expect("dimensions match");
-                        }
-                    },
-                );
-                out!(
-                    sink,
-                    "{:<28} {:>12.2} {:>12.2} {:>10}",
-                    record.name,
-                    record.mean_ns / 1e6,
-                    record.gmacs_per_s(),
-                    record.threads
-                );
-                records.push(record);
-            }
-        }
-        RunReport::recorded(self, sink, records)
-    }
-}
-
 struct Serve;
 
 impl Experiment for Serve {
@@ -1510,9 +1311,9 @@ impl Experiment for Obs {
     fn describe(&self) -> ExperimentInfo {
         ExperimentInfo {
             description:
-                "tracing overhead: recorder on vs off on one seeded pool run → BENCH_obs.json (explicit only)",
+                "trace export check: a seeded pool run, replayed twice, must export byte-identical Chrome traces (explicit only)",
             params: &[ParamKey::Requests, ParamKey::Trace],
-            writes: Some("BENCH_obs.json"),
+            writes: None,
             in_all: false,
         }
     }
@@ -1531,54 +1332,15 @@ impl Experiment for Obs {
             .expect("default_spec sets requests");
         out!(
             sink,
-            "## obs — tracing overhead (recorder on vs off, {requests} requests, 2 replicas)\n"
+            "## obs — trace export check ({requests} requests, 2 replicas)\n"
         );
         out!(
             sink,
             "Training SynthNet and compiling the dense/2T/4T ladder…\n"
         );
         let bench = ObsBench::prepare(spec.scale, &spec.exec, requests, spec.seed);
-        let iters = match spec.scale {
-            crate::Scale::Quick => 5,
-            crate::Scale::Full => 10,
-        };
-        let backend = spec.exec.backend.name();
-        // One untimed pass per cell warms the allocator, the weight-pack
-        // caches, and the branch predictors — without it the first measured
-        // cell eats the cold-start cost and the overhead number is noise.
-        bench.run_off();
-        bench.run_traced();
-        let off = BenchRecord::measure(
-            &format!("obs_recorder_off_n{requests}"),
-            spec.exec.threads,
-            backend,
-            0,
-            iters,
-            || {
-                bench.run_off();
-            },
-        );
-        let on = BenchRecord::measure(
-            &format!("obs_recorder_on_n{requests}"),
-            spec.exec.threads,
-            backend,
-            0,
-            iters,
-            || {
-                bench.run_traced();
-            },
-        );
-        let (off_ns, on_ns) = (off.mean_ns, on.mean_ns);
-        let overhead = (on_ns - off_ns) / off_ns * 100.0;
-        out!(
-            sink,
-            "recorder off: {:.2} ms/run   recorder on: {:.2} ms/run   overhead: {:+.1}%",
-            off_ns / 1e6,
-            on_ns / 1e6,
-            overhead
-        );
-        // The traced replay is also the determinism check: two runs of the
-        // same seeded workload must export byte-identical Chrome traces.
+        // Two runs of the same seeded workload must export byte-identical
+        // Chrome traces.
         let (outcome, snapshot) = bench.run_traced();
         let rendered = render_chrome_trace(&snapshot);
         let (_, again) = bench.run_traced();
@@ -1604,7 +1366,9 @@ impl Experiment for Obs {
                 path.display()
             );
         }
-        RunReport::recorded(self, sink, vec![off, on])
+        let mut report = RunReport::new(self.name());
+        report.cells = 1;
+        Ok(report)
     }
 }
 
@@ -1827,25 +1591,8 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "table1",
-                "fig1",
-                "table2",
-                "fig7",
-                "table3",
-                "table4",
-                "fig8",
-                "fig9",
-                "table5",
-                "fig10",
-                "energy",
-                "mlperf",
-                "gemmbench",
-                "serve",
-                "shard",
-                "faults",
-                "obs",
-                "scale",
-                "control",
+                "table1", "fig1", "table2", "fig7", "table3", "table4", "fig8", "fig9", "table5",
+                "fig10", "energy", "mlperf", "serve", "shard", "faults", "obs", "scale", "control",
             ]
         );
         assert!(registry.contains(ALL));
@@ -1865,15 +1612,7 @@ mod tests {
                 experiment.name()
             );
         }
-        for name in [
-            "gemmbench",
-            "serve",
-            "shard",
-            "faults",
-            "obs",
-            "scale",
-            "control",
-        ] {
+        for name in ["serve", "shard", "faults", "obs", "scale", "control"] {
             assert!(!registry.get(name).expect("registered").describe().in_all);
         }
     }
@@ -1943,7 +1682,7 @@ mod tests {
             "| `faults` | `requests`, `fault_seed`, `crash_per_mille`, `stall_per_mille`, \
              `straggle_per_mille`, `hedging` | `BENCH_faults.json` | no |"
         ));
-        assert!(table.contains("| `obs` | `requests`, `trace.path` | `BENCH_obs.json` | no |"));
+        assert!(table.contains("| `obs` | `requests`, `trace.path` | — | no |"));
         assert!(table.contains(
             "| `scale` | `requests`, `replicas`, `arrival`, `size_alpha_x1024`, \
              `size_min_x1024`, `size_max_x1024` | `BENCH_scale.json` | no |"
@@ -1990,14 +1729,17 @@ mod tests {
     #[test]
     fn cheap_experiments_run_through_the_registry_into_a_capture_sink() {
         let registry = ExperimentRegistry::standard();
-        for (name, header) in [
-            ("table1", "## Table I"),
-            ("table2", "## Table II"),
-            ("mlperf", "## §V-B MLPerf"),
+        // `obs` asserts its two traced replays export byte-identical traces.
+        for (name, header, requests) in [
+            ("table1", "## Table I", None),
+            ("table2", "## Table II", None),
+            ("mlperf", "## §V-B MLPerf", None),
+            ("obs", "## obs", Some(24)),
         ] {
             let mut sink = SummarySink::capture();
             let mut spec = registry.default_spec(name).expect("registered");
             spec.exec = ExecSettings::sequential();
+            spec.requests = requests;
             let report = registry.run(&spec, &mut sink).expect("runs");
             assert_eq!(report.experiment, name);
             assert!(report.cells >= 1);

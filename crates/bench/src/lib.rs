@@ -33,5 +33,5 @@ pub use experiments::registry::{
 pub use json::Json;
 pub use scale::{ExecSettings, Scale};
 pub use spec::{ParamKey, RunSpec, SpecError};
-pub use summary::{BenchRecord, ControlRecord, FaultRecord, Record, ServeRecord, Summary};
+pub use summary::{ControlRecord, FaultRecord, Record, ServeRecord, Summary};
 pub use trace_export::{chrome_trace, render_chrome_trace, stage_summary};

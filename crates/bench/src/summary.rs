@@ -1,12 +1,10 @@
 //! Machine-readable benchmark record files.
 //!
-//! Six `BENCH_*.json` files track the repository's evidence commit over
+//! Four `BENCH_*.json` files track the repository's evidence commit over
 //! commit. Each is one [`Summary`] of one [`Record`] type:
 //!
 //! | File | Record | Written by |
 //! |---|---|---|
-//! | `BENCH_baseline.json` | [`BenchRecord`] | `repro gemmbench`: timed GEMM backends and NB-SMT layers |
-//! | `BENCH_obs.json` | [`BenchRecord`] | `repro obs`: tracing overhead, recorder on vs off |
 //! | `BENCH_serve.json` | [`ServeRecord`] | `repro serve` and `repro shard`: serving cells |
 //! | `BENCH_scale.json` | [`ServeRecord`] | `repro scale`: the scale-regime curves |
 //! | `BENCH_faults.json` | [`FaultRecord`] | `repro faults`: availability under failure |
@@ -19,7 +17,6 @@
 //! parse → render of a written file gives back the same bytes.
 
 use std::path::Path;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -134,100 +131,6 @@ fn read_existing<R: Record>(path: &Path) -> std::io::Result<Option<Summary<R>>> 
 /// Rounds to the three decimals the serving, fault and control files keep.
 fn r3(v: f64) -> f64 {
     (v * 1e3).round() / 1e3
-}
-
-/// One timed benchmark entry (`BENCH_baseline.json`, `BENCH_obs.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Benchmark id, e.g. `gemm_i32_512_parallel_8t`.
-    pub name: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Iterations measured.
-    pub iters: u64,
-    /// Worker threads the execution context used.
-    pub threads: usize,
-    /// GEMM backend name (`naive`, `blocked`, `parallel`, or `-`).
-    pub backend: String,
-    /// Work metric per iteration (MAC operations) when meaningful, else 0.
-    pub mac_ops: u64,
-}
-
-impl BenchRecord {
-    /// Times `f` for `iters` iterations (after one untimed warm-up call)
-    /// and returns the record of the mean.
-    pub fn measure<F: FnMut()>(
-        name: &str,
-        threads: usize,
-        backend: &str,
-        mac_ops: u64,
-        iters: u64,
-        mut f: F,
-    ) -> BenchRecord {
-        let iters = iters.max(1);
-        f(); // warm-up
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        BenchRecord {
-            name: name.to_string(),
-            mean_ns: start.elapsed().as_nanos() as f64 / iters as f64,
-            iters,
-            threads,
-            backend: backend.to_string(),
-            mac_ops,
-        }
-    }
-
-    /// Giga-MACs per second, or 0 when no work metric was recorded.
-    pub fn gmacs_per_s(&self) -> f64 {
-        if self.mean_ns <= 0.0 {
-            0.0
-        } else {
-            self.mac_ops as f64 / self.mean_ns
-        }
-    }
-}
-
-impl Record for BenchRecord {
-    const KEY: &'static str = "records";
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn to_json(&self) -> Json {
-        // GMAC/s derives from the mean the file keeps, so a record read
-        // back from the file renders to the same bytes.
-        let kept = BenchRecord {
-            mean_ns: (self.mean_ns * 10.0).round() / 10.0,
-            ..self.clone()
-        };
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("mean_ns", Json::Num(kept.mean_ns)),
-            ("iters", Json::Num(self.iters as f64)),
-            ("threads", Json::Num(self.threads as f64)),
-            ("backend", Json::str(&self.backend)),
-            ("mac_ops", Json::Num(self.mac_ops as f64)),
-            (
-                "gmacs_per_s",
-                Json::Num((kept.gmacs_per_s() * 1e4).round() / 1e4),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Option<BenchRecord> {
-        Some(BenchRecord {
-            name: value.get("name")?.as_str()?.to_string(),
-            mean_ns: value.get("mean_ns")?.as_f64()?,
-            iters: value.get("iters")?.as_u64()?,
-            threads: value.get("threads")?.as_u64()? as usize,
-            backend: value.get("backend")?.as_str()?.to_string(),
-            mac_ops: value.get("mac_ops")?.as_u64()?,
-        })
-    }
 }
 
 /// One serving cell (`BENCH_serve.json`, `BENCH_scale.json`): a (session
@@ -558,34 +461,8 @@ impl Record for ControlRecord {
 mod tests {
     use super::*;
 
-    #[test]
-    fn measure_records_and_json_is_well_formed() {
-        let mut counter = 0u64;
-        let record = BenchRecord::measure("noop", 2, "parallel", 100, 3, || {
-            counter += 1;
-        });
-        // 3 timed iterations + 1 warm-up.
-        assert_eq!(counter, 4);
-        assert_eq!(record.iters, 3);
-        assert_eq!(record.threads, 2);
-        assert!(record.mean_ns >= 0.0);
-        assert!(record.gmacs_per_s() >= 0.0);
-        let json = Summary {
-            records: vec![record],
-        }
-        .to_json();
-        assert!(json.contains("\"name\": \"noop\""));
-        assert!(json.contains("\"backend\": \"parallel\""));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    fn measured(names: &[&str]) -> Summary<BenchRecord> {
-        let records = names
-            .iter()
-            .map(|name| BenchRecord::measure(name, 1, "naive", 0, 1, || {}))
-            .collect();
+    fn named(names: &[&str]) -> Summary<ServeRecord> {
+        let records = names.iter().map(|&name| serve_record(name)).collect();
         Summary { records }
     }
 
@@ -594,16 +471,16 @@ mod tests {
         let path = std::env::temp_dir().join("nbsmt_bench_summary_merge_test.json");
         let _ = std::fs::remove_file(&path);
 
-        measured(&["keep_me", "replace_me"]).write(&path).unwrap();
-        let mut second = measured(&["replace_me", "new_record"]);
-        second.records[0].threads = 4;
+        named(&["keep_me", "replace_me"]).write(&path).unwrap();
+        let mut second = named(&["replace_me", "new_record"]);
+        second.records[0].replicas = 4;
         second.write(&path).unwrap();
 
         let merged =
-            Summary::<BenchRecord>::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            Summary::<ServeRecord>::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let names: Vec<&str> = merged.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["keep_me", "replace_me", "new_record"]);
-        assert_eq!(merged.records[1].threads, 4, "replaced in place");
+        assert_eq!(merged.records[1].replicas, 4, "replaced in place");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -615,7 +492,7 @@ mod tests {
         let _ = std::fs::remove_file(&backup);
         std::fs::write(&path, "this is not json").unwrap();
 
-        let summary = measured(&["x"]);
+        let summary = named(&["x"]);
         summary.write(&path).unwrap();
 
         assert_eq!(
@@ -623,7 +500,7 @@ mod tests {
             "this is not json"
         );
         assert!(
-            Summary::<BenchRecord>::parse(&std::fs::read_to_string(&path).unwrap())
+            Summary::<ServeRecord>::parse(&std::fs::read_to_string(&path).unwrap())
                 .unwrap()
                 .records
                 .iter()
@@ -651,18 +528,21 @@ mod tests {
         // Valid JSON whose second record is missing fields (schema drift):
         // parse must fail as a whole so the merging write preserves the
         // file as a backup instead of silently dropping that record.
-        let body = r#"{"records": [
-            {"name": "ok", "mean_ns": 1.0, "iters": 1, "threads": 1, "backend": "naive", "mac_ops": 0},
+        let body = r#"{"runs": [
+            {"name": "ok", "smt": "2t", "arrival": "open_poisson", "offered": 2.0,
+             "requests": 10, "completed": 9, "rejected": 1, "throughput_rps": 5.0,
+             "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0, "mean_batch": 2.5,
+             "max_queue_depth": 4},
             {"name": "from_the_future", "wall_ps": 17}
         ]}"#;
-        assert!(Summary::<BenchRecord>::parse(body).is_none());
+        assert!(Summary::<ServeRecord>::parse(body).is_none());
 
         let path = std::env::temp_dir().join("nbsmt_bench_summary_drift_test.json");
         let backup = std::env::temp_dir().join("nbsmt_bench_summary_drift_test.json.bak");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&backup);
         std::fs::write(&path, body).unwrap();
-        measured(&["x"]).write(&path).unwrap();
+        named(&["x"]).write(&path).unwrap();
         assert_eq!(std::fs::read_to_string(&backup).unwrap(), body);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&backup);
@@ -730,26 +610,6 @@ mod tests {
 
         let broken = format!(r#"{{"{}": [{{"name": "x"}}]}}"#, R::KEY);
         assert!(Summary::<R>::parse(&broken).is_none());
-    }
-
-    fn bench_record(name: &str) -> BenchRecord {
-        BenchRecord {
-            name: name.to_string(),
-            mean_ns: 1234.5,
-            iters: 5,
-            threads: 8,
-            backend: "parallel".to_string(),
-            mac_ops: 128,
-        }
-    }
-
-    #[test]
-    fn bench_summary_round_trips() {
-        let changed = BenchRecord {
-            threads: 1,
-            ..bench_record("bench_a")
-        };
-        round_trips_and_merges(bench_record("bench_a"), changed, bench_record("bench_b"));
     }
 
     fn serve_record(name: &str) -> ServeRecord {

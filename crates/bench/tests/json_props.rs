@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use nbsmt_bench::json::Json;
-use nbsmt_bench::{BenchRecord, Record, Summary};
+use nbsmt_bench::{Record, ServeRecord, Summary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,20 +102,36 @@ proptest! {
     }
 }
 
-fn record(name: &str, rng: &mut StdRng) -> BenchRecord {
-    BenchRecord {
-        name: name.to_string(),
-        // Full precision, finer than the file keeps, with small means (where
-        // rounding moves GMAC/s the most) as likely as large ones.
-        mean_ns: if rng.gen::<bool>() {
+fn record(name: &str, rng: &mut StdRng) -> ServeRecord {
+    // Full precision, finer than the file keeps, with small values (where
+    // rounding to three decimals moves them the most) as likely as large
+    // ones.
+    let mut value = || {
+        if rng.gen::<bool>() {
             rng.gen_range(0.0..10.0f64)
         } else {
             rng.gen_range(0.0..1.0e6f64)
-        },
-        iters: rng.gen_range(1..100u64),
-        threads: rng.gen_range(1..64usize),
-        backend: ["naive", "blocked", "parallel"][rng.gen_range(0..3usize)].to_string(),
-        mac_ops: rng.gen_range(0..1u64 << 40),
+        }
+    };
+    let (offered, throughput_rps, p50_ms) = (value(), value(), value());
+    let (p95_ms, p99_ms, mean_batch) = (value(), value(), value());
+    ServeRecord {
+        name: name.to_string(),
+        smt: ["dense", "2t", "4t"][rng.gen_range(0..3usize)].to_string(),
+        arrival: ["open_poisson", "closed_loop", "mmpp"][rng.gen_range(0..3usize)].to_string(),
+        offered,
+        requests: rng.gen_range(0..1u64 << 40),
+        completed: rng.gen_range(0..1u64 << 40),
+        rejected: rng.gen_range(0..1u64 << 40),
+        throughput_rps,
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        mean_batch,
+        max_queue_depth: rng.gen_range(0..100u64),
+        replicas: rng.gen_range(1..64u64),
+        route: ["-", "rr", "lo", "hash"][rng.gen_range(0..4usize)].to_string(),
+        mode_transitions: rng.gen_range(0..100u64),
     }
 }
 
@@ -145,7 +161,7 @@ proptest! {
 
         // Write → parse → write is a fixed point: a merging write of the
         // records as the file keeps them changes no byte.
-        let merged = Summary::<BenchRecord>::parse(&once).expect("written file parses");
+        let merged = Summary::<ServeRecord>::parse(&once).expect("written file parses");
         merged.write(&path).expect("third write succeeds");
         let thrice = std::fs::read_to_string(&path).expect("file exists");
         let _ = std::fs::remove_file(&path);

@@ -1,15 +1,14 @@
-//! Format pin for the six `BENCH_*.json` record files at the repo root.
+//! Format pin for the four `BENCH_*.json` record files at the repo root.
 //!
 //! Each file is read at run time, parsed under its record type, and
 //! re-rendered: the bytes must come back identical. This pins the format of
-//! every committed file, including the ones no run regenerates
-//! byte-identically (the wall-clock `BENCH_baseline.json` and
-//! `BENCH_obs.json`, and the `live` rows of `BENCH_faults.json`). Run right
-//! after `repro` has rewritten the files, it also checks that every writer
-//! emits canonical bytes, so a later merging write of an untouched record
-//! never churns the diff.
+//! every committed file, including the rows no run regenerates
+//! byte-identically (the wall-clock `live` rows of `BENCH_faults.json`).
+//! Run right after `repro` has rewritten the files, it also checks that
+//! every writer emits canonical bytes, so a later merging write of an
+//! untouched record never churns the diff.
 
-use nbsmt_bench::{BenchRecord, ControlRecord, FaultRecord, Record, ServeRecord, Summary};
+use nbsmt_bench::{ControlRecord, FaultRecord, Record, ServeRecord, Summary};
 
 fn assert_canonical<R: Record>(file: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -28,8 +27,6 @@ fn assert_canonical<R: Record>(file: &str) {
 
 #[test]
 fn committed_record_files_re_render_byte_identically() {
-    assert_canonical::<BenchRecord>("BENCH_baseline.json");
-    assert_canonical::<BenchRecord>("BENCH_obs.json");
     assert_canonical::<ServeRecord>("BENCH_serve.json");
     assert_canonical::<ServeRecord>("BENCH_scale.json");
     assert_canonical::<FaultRecord>("BENCH_faults.json");

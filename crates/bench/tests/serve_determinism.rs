@@ -129,26 +129,33 @@ fn open_loop_is_identical_across_host_thread_counts() {
 
 #[test]
 fn open_loop_is_identical_across_gemm_backends() {
+    // SynthNet has no grouped conv, so every served GEMM is u8×i8 and the
+    // logits are bit-exact under every backend, dense and NB-SMT alike.
     let fixture = fixture(37);
     let arrivals = open_poisson(99, 3_000.0, 48);
-    let reference = run(
-        &fixture,
-        SmtConfig::sysmt_2t(),
-        &ExecContext::sequential(),
-        &arrivals,
-    );
-    for backend in [
-        GemmBackendKind::Naive,
-        GemmBackendKind::Blocked,
-        GemmBackendKind::Parallel,
-    ] {
-        let ctx = ExecContext::new(ExecConfig {
-            threads: 4,
-            backend,
-            ..ExecConfig::default()
-        });
-        let outcome = run(&fixture, SmtConfig::sysmt_2t(), &ctx, &arrivals);
-        assert_eq!(outcome, reference, "backend {backend} diverged");
+    for smt in [SmtConfig::Dense, SmtConfig::sysmt_2t()] {
+        let reference = run(&fixture, smt, &ExecContext::sequential(), &arrivals);
+        for backend in [
+            GemmBackendKind::Naive,
+            GemmBackendKind::Blocked,
+            GemmBackendKind::Parallel,
+            GemmBackendKind::Simd,
+            GemmBackendKind::Packed,
+        ] {
+            let ctx = ExecContext::new(ExecConfig {
+                threads: 4,
+                backend,
+                ..ExecConfig::default()
+            });
+            let outcome = run(&fixture, smt, &ctx, &arrivals);
+            let label = smt.label();
+            assert_eq!(outcome, reference, "{label} backend {backend} diverged");
+            assert_eq!(
+                logit_bits(&outcome),
+                logit_bits(&reference),
+                "{label} logits must be bit-identical under backend {backend}"
+            );
+        }
     }
 }
 

@@ -49,7 +49,7 @@ use nbsmt_quant::quantize::dequantize_accumulators;
 use nbsmt_quant::reduce::{
     fits_nibble_signed, fits_nibble_unsigned, round_to_nibble_signed, round_to_nibble_unsigned,
 };
-use nbsmt_tensor::exec::{ExecContext, PackedRhs};
+use nbsmt_tensor::exec::ExecContext;
 
 use crate::pe::PeStats;
 use crate::policy::{SharingPolicy, WidthMode};
@@ -139,8 +139,7 @@ fn for_each_bit(mut word: u64, wi: usize, mut f: impl FnMut(usize)) {
 
 /// Emulates output rows `row_start .. row_start + nrows` through the fast
 /// path. `base` must be a 1-thread context (the caller already owns the
-/// row-tile fan-out); `pack` optionally supplies pre-packed weights for the
-/// base GEMM.
+/// row-tile fan-out).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rows_fast(
     base: &ExecContext,
@@ -149,7 +148,6 @@ pub(crate) fn rows_fast(
     policy: SharingPolicy,
     x: &QuantMatrix,
     w: &QuantWeightMatrix,
-    pack: Option<&PackedRhs<i8>>,
     row_start: usize,
     nrows: usize,
     out: &mut [f32],
@@ -161,10 +159,7 @@ pub(crate) fn rows_fast(
     // Exact base product through the configured integer kernel.
     let mut acc = vec![0i64; nrows * n];
     let a_rows = &xv[row_start * k..(row_start + nrows) * k];
-    match pack {
-        Some(pack) => base.gemm_u8i8_prepacked(nrows, a_rows, pack, &mut acc),
-        None => base.gemm_u8i8(nrows, k, n, a_rows, wv, &mut acc),
-    }
+    base.gemm_u8i8(nrows, k, n, a_rows, wv, &mut acc);
 
     let mut stats = PeStats::default();
     match threads {

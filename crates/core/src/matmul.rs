@@ -27,10 +27,8 @@ use serde::{Deserialize, Serialize};
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
 use nbsmt_sparsity::reorder::ColumnOrder;
 use nbsmt_tensor::error::TensorError;
-use nbsmt_tensor::exec::ExecContext;
+use nbsmt_tensor::exec::{ExecConfig, ExecContext};
 use nbsmt_tensor::tensor::Matrix;
-
-use nbsmt_tensor::exec::{ExecConfig, GemmBackendKind, PackedRhs};
 
 use crate::fastpath;
 use crate::pe::{PeStats, SmtPe2, SmtPe4, ThreadInput};
@@ -142,26 +140,6 @@ impl NbSmtMatmul {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<NbSmtOutput, TensorError> {
-        self.execute_with_prepacked(ctx, x, w, None)
-    }
-
-    /// [`Self::execute_with`] with an optional pre-packed weight matrix for
-    /// the base GEMM (see [`PackedRhs::pack`]); the serve stack caches one
-    /// pack per layer per session. The pack is only consulted when K-dim
-    /// reordering is inactive — reordering permutes the weight rows per
-    /// call, so a cached pack cannot represent them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when the reduction
-    /// dimensions differ or the pack's dimensions disagree with `w`.
-    pub fn execute_with_prepacked(
-        &self,
-        ctx: &ExecContext,
-        x: &QuantMatrix,
-        w: &QuantWeightMatrix,
-        pack: Option<&PackedRhs<i8>>,
-    ) -> Result<NbSmtOutput, TensorError> {
         if x.cols() != w.rows() {
             return Err(TensorError::DimensionMismatch {
                 op: "nbsmt matmul",
@@ -169,21 +147,11 @@ impl NbSmtMatmul {
                 rhs: vec![w.rows(), w.cols()],
             });
         }
-        if let Some(pack) = pack {
-            if pack.k() != w.rows() || pack.n() != w.cols() {
-                return Err(TensorError::DimensionMismatch {
-                    op: "nbsmt matmul (prepacked)",
-                    lhs: vec![w.rows(), w.cols()],
-                    rhs: vec![pack.k(), pack.n()],
-                });
-            }
-        }
 
         // Optional statistical reordering of the K dimension (activations'
-        // columns and the matching weight rows). A reorder invalidates any
-        // caller-supplied pack: the weight rows are permuted per call.
+        // columns and the matching weight rows).
         let (x_owned, w_owned);
-        let (x, w, pack) = if self.config.reorder && self.config.threads.count() > 1 {
+        let (x, w) = if self.config.reorder && self.config.threads.count() > 1 {
             let order = ColumnOrder::from_permutation(
                 nbsmt_sparsity::reorder::reorder_for_threads(x, self.config.threads.count())
                     .as_slice()
@@ -191,20 +159,9 @@ impl NbSmtMatmul {
             );
             x_owned = order.apply_to_activation(x);
             w_owned = order.apply_to_weights(w);
-            (&x_owned, &w_owned, None)
+            (&x_owned, &w_owned)
         } else {
-            (x, w, pack)
-        };
-
-        // With the packing backend but no caller-supplied pack, pack once
-        // here rather than once per row tile inside the base GEMM.
-        let local_pack;
-        let pack = match pack {
-            None if ctx.config().backend == GemmBackendKind::Packed => {
-                local_pack = PackedRhs::pack(w.rows(), w.cols(), w.values().as_slice());
-                Some(&local_pack)
-            }
-            other => other,
+            (x, w)
         };
 
         let tables = fastpath::WeightTables::new(w);
@@ -226,7 +183,6 @@ impl NbSmtMatmul {
                 self.config.policy,
                 x,
                 w,
-                pack,
                 row_start,
                 nrows,
                 chunk,
@@ -797,7 +753,6 @@ mod tests {
             reorder: false,
         });
         let reference = emu.execute(&x, &w).unwrap();
-        let pack = PackedRhs::pack(w.rows(), w.cols(), w.values().as_slice());
         for backend in [
             GemmBackendKind::Naive,
             GemmBackendKind::Blocked,
@@ -814,17 +769,8 @@ mod tests {
                 });
                 let out = emu.execute_with(&ctx, &x, &w).unwrap();
                 assert_eq!(out, reference, "backend={backend} threads={threads}");
-                let packed = emu
-                    .execute_with_prepacked(&ctx, &x, &w, Some(&pack))
-                    .unwrap();
-                assert_eq!(packed, reference, "prepacked backend={backend}");
             }
         }
-        // A mismatched pack is rejected.
-        let stale = PackedRhs::pack(2, 2, &[0i8; 4]);
-        assert!(emu
-            .execute_with_prepacked(&ExecContext::sequential(), &x, &w, Some(&stale))
-            .is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Quantization and dequantization of floating-point matrices.
 
 use nbsmt_tensor::error::TensorError;
-use nbsmt_tensor::exec::{ExecContext, PackedRhs};
+use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Matrix;
 
 use crate::observer::{AbsMaxObserver, MinMaxObserver};
@@ -191,38 +191,6 @@ pub fn quantized_matmul_with(
     Matrix::from_vec(out, m, n)
 }
 
-/// [`quantized_matmul_with`] against a weight matrix that was packed once
-/// with [`PackedRhs::pack`]: the integer GEMM streams the cached panels
-/// instead of re-reading (or re-packing) the row-major weights on every
-/// call. `w` still supplies the per-kernel dequantization scales and must be
-/// the matrix the pack was built from; results are bit-identical to the
-/// unpacked entry point under every backend.
-///
-/// # Errors
-///
-/// Returns [`TensorError::DimensionMismatch`] when the reduction dimensions
-/// differ or the pack's dimensions disagree with `w`.
-pub fn quantized_matmul_prepacked(
-    ctx: &ExecContext,
-    x: &QuantMatrix,
-    w: &QuantWeightMatrix,
-    pack: &PackedRhs<i8>,
-) -> Result<Matrix<f32>, TensorError> {
-    if x.cols() != w.rows() || pack.k() != w.rows() || pack.n() != w.cols() {
-        return Err(TensorError::DimensionMismatch {
-            op: "quantized_matmul_prepacked",
-            lhs: vec![x.rows(), x.cols()],
-            rhs: vec![pack.k(), pack.n()],
-        });
-    }
-    let (m, n) = (x.rows(), w.cols());
-    let mut acc = vec![0_i64; m * n];
-    ctx.gemm_u8i8_prepacked(m, x.values().as_slice(), pack, &mut acc);
-    let mut out = vec![0.0_f32; m * n];
-    dequantize_accumulators(&acc, x.scale(), w.scales(), &mut out);
-    Matrix::from_vec(out, m, n)
-}
-
 /// Further quantizes an already-quantized activation matrix to the requested
 /// bit width *without recalibration*, exactly as the SySMT PEs do on the fly:
 /// 8-bit values are rounded to the nearest multiple of 16 and truncated to
@@ -332,22 +300,6 @@ mod tests {
         let qx = QuantMatrix::zeros(2, 3, 1.0);
         let qw = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(4, 2), 1.0);
         assert!(quantized_matmul(&qx, &qw).is_err());
-    }
-
-    #[test]
-    fn quantized_matmul_prepacked_is_bit_identical() {
-        let x = mat(&[0.0, 1.0, 2.0, 0.5, 1.5, 2.5], 2, 3);
-        let w = mat(&[0.1, -0.2, 0.3, 0.4, -0.5, 0.6], 3, 2);
-        let qx = quantize_activations(&x, &QuantScheme::activation_a8(), None);
-        let qw = quantize_weights(&w, &QuantScheme::weight_w8());
-        let pack = PackedRhs::pack(qw.rows(), qw.cols(), qw.values().as_slice());
-        let ctx = ExecContext::sequential();
-        let unpacked = quantized_matmul_with(&ctx, &qx, &qw).unwrap();
-        let packed = quantized_matmul_prepacked(&ctx, &qx, &qw, &pack).unwrap();
-        assert_eq!(unpacked, packed);
-        // A pack whose dimensions disagree with the weights is rejected.
-        let stale = PackedRhs::pack(2, 2, &[0i8; 4]);
-        assert!(quantized_matmul_prepacked(&ctx, &qx, &qw, &stale).is_err());
     }
 
     #[test]

@@ -126,9 +126,10 @@ pub struct PoolSnapshot {
     /// Controller decisions applied but not retained past
     /// [`crate::config::CONTROL_LOG_CAP`].
     pub dropped_control_events: u64,
-    /// Total live-replica nanoseconds: `replicas × wall elapsed` for
-    /// free-running pools, virtual (`replicas × makespan`, or the
-    /// controller's event-log integral) in lockstep mode — mirrors
+    /// Total live-replica nanoseconds: `replicas × wall elapsed` (from the
+    /// first resume to the last worker's exit) for free-running pools,
+    /// virtual (`replicas × makespan`, or the controller's event-log
+    /// integral) in lockstep mode — mirrors
     /// [`crate::sim::PoolSimOutcome::replica_ns`].
     pub replica_ns: u64,
 }
@@ -288,7 +289,9 @@ pub struct ReplicaPool {
     record_log: bool,
     driver: Driver,
     recorder: Option<Arc<TraceRecorder>>,
-    started: Instant,
+    /// When the first [`Self::resume`] spawned the workers: the start of
+    /// the wall-clock window [`Self::shutdown`] reports.
+    started: Option<Instant>,
     running: bool,
 }
 
@@ -371,7 +374,7 @@ impl ReplicaPool {
             record_log,
             driver,
             recorder: None,
-            started: Instant::now(),
+            started: None,
             running: false,
         })
     }
@@ -423,6 +426,7 @@ impl ReplicaPool {
             return;
         }
         self.running = true;
+        self.started = Some(Instant::now());
         if let Driver::Lockstep(gate) = &self.driver {
             let mut state = gate.state.lock().expect("gate lock");
             state.recorder = self.recorder.clone();
@@ -548,13 +552,15 @@ impl ReplicaPool {
 
     /// Stops accepting work, drains every queue, joins the workers, and
     /// returns the final pool snapshot. A pool shut down while paused
-    /// resumes first so queued work still completes.
+    /// resumes first so queued work still completes. The wall-clock window
+    /// (`elapsed_ns`, and a free-running pool's `replica_ns`) runs from the
+    /// first [`Self::resume`] until the last worker has exited, so it holds
+    /// no paused time and the whole drain.
     pub fn shutdown(mut self) -> PoolSnapshot {
         self.resume();
         for replica in &self.replicas {
             replica.queue.close();
         }
-        let elapsed = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let outcomes: Vec<ReplicaOutcome> = self
             .replicas
             .iter_mut()
@@ -567,6 +573,12 @@ impl ReplicaPool {
                     .expect("replica worker exits cleanly")
             })
             .collect();
+        let elapsed = self
+            .started
+            .expect("resume() started the clock")
+            .elapsed()
+            .as_nanos()
+            .min(u128::from(u64::MAX)) as u64;
         let mut snapshot = PoolSnapshot {
             total: ServeMetrics::new().snapshot(elapsed),
             per_replica: Vec::new(),
@@ -1342,5 +1354,41 @@ mod tests {
             client.submit(0, inputs[0].clone()).map(|_| ()),
             Err(SubmitError::Closed)
         );
+    }
+
+    #[test]
+    fn wall_clock_window_skips_the_pause_and_covers_the_drain() {
+        let (ladder, inputs) = ladder_fixture();
+        let config = PoolConfig {
+            adaptive: AdaptivePolicy::pinned(),
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        };
+        let pool = paused(&ladder[..1], config);
+        std::thread::sleep(Duration::from_millis(300));
+        let client = pool.client();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| client.submit(i as u64, input.clone()).expect("room"))
+            .collect();
+        // The whole burst is still queued: shutdown resumes, drains and
+        // joins, and the reported window is that span alone.
+        let called = Instant::now();
+        let snapshot = pool.shutdown();
+        let wall = called.elapsed().as_nanos() as u64;
+        for handle in handles {
+            handle.wait().expect("not cancelled").expect("no error");
+        }
+        assert_eq!(snapshot.total.completed, inputs.len() as u64);
+        let elapsed = snapshot.total.elapsed_ns;
+        assert!(
+            elapsed <= wall,
+            "window {elapsed} ns counts more than the {wall} ns shutdown took"
+        );
+        assert!(
+            2 * elapsed >= wall,
+            "window {elapsed} ns misses most of the {wall} ns drain"
+        );
+        assert_eq!(snapshot.replica_ns, elapsed, "one replica for the window");
     }
 }

@@ -13,8 +13,6 @@
 //! thread count and GEMM backend, which is what makes the serving path
 //! replayable.
 
-use std::sync::{Arc, OnceLock};
-
 use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_core::pe::PeStats;
 use nbsmt_core::policy::SharingPolicy;
@@ -23,8 +21,7 @@ use nbsmt_nn::model::Model;
 use nbsmt_nn::quantized::{GemmEngine, QuantizedModel, ReferenceEngine};
 use nbsmt_nn::NnError;
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
-use nbsmt_quant::quantize::quantized_matmul_prepacked;
-use nbsmt_tensor::exec::{ExecContext, GemmBackendKind, PackedRhs};
+use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::{Matrix, Tensor};
 
 use crate::config::{ServeError, SmtConfig};
@@ -51,39 +48,6 @@ pub struct Session {
     /// MAC operations one sample costs on the dense array (service-model
     /// input for the virtual clock).
     macs_per_sample: u64,
-    /// Lazily packed per-layer weight panels for the [`Packed`] GEMM
-    /// backend (see [`PackedRhs`]). Shared by all clones of the session, so
-    /// each layer's weights are packed once per session lifetime no matter
-    /// how many `infer_batch` calls or scheduler workers touch it.
-    ///
-    /// [`Packed`]: GemmBackendKind::Packed
-    packs: PackCache,
-}
-
-/// One `OnceLock` slot per compute layer, behind an `Arc` so session clones
-/// share the cache. Each layer's weights are quantized once, when the model
-/// is calibrated, and never change, so a pack built on any batch stays
-/// valid for the session's lifetime.
-#[derive(Debug, Clone)]
-struct PackCache {
-    layers: Arc<Vec<OnceLock<PackedRhs<i8>>>>,
-}
-
-impl PackCache {
-    fn new(layer_count: usize) -> Self {
-        PackCache {
-            layers: Arc::new((0..layer_count).map(|_| OnceLock::new()).collect()),
-        }
-    }
-
-    /// The cached pack for `layer_index`, packing `w` on first use. Returns
-    /// `None` for out-of-range indices (grouped-conv layers bypass the
-    /// engine and are never packed).
-    fn get_or_pack(&self, layer_index: usize, w: &QuantWeightMatrix) -> Option<&PackedRhs<i8>> {
-        self.layers.get(layer_index).map(|slot| {
-            slot.get_or_init(|| PackedRhs::pack(w.rows(), w.cols(), w.values().as_slice()))
-        })
-    }
 }
 
 impl Session {
@@ -103,14 +67,12 @@ impl Session {
     ) -> Result<Self, ServeError> {
         let [c, h, w] = input_dims;
         let macs_per_sample = quantized.model().mac_ops(c, h, w)?;
-        let packs = PackCache::new(quantized.compute_layer_count());
         Ok(Session {
             name: name.into(),
             smt,
             quantized,
             input_dims,
             macs_per_sample,
-            packs,
         })
     }
 
@@ -215,7 +177,6 @@ impl Session {
         let logits = match self.smt {
             SmtConfig::Dense => {
                 let mut engine = ServeDenseEngine {
-                    packs: &self.packs,
                     kernels: kernels.as_deref_mut(),
                 };
                 self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
@@ -231,7 +192,6 @@ impl Session {
                     policy,
                     reorder,
                     first_layer_1t,
-                    packs: &self.packs,
                     kernels,
                 };
                 self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
@@ -266,11 +226,8 @@ impl Session {
 }
 
 /// The dense serving engine: [`ReferenceEngine`] arithmetic, plus the
-/// session's weight-pack cache when the context selects the `Packed` GEMM
-/// backend. Integer kernels are bit-exact across backends, so the logits are
-/// identical either way — the pack only removes the per-call packing cost.
+/// per-layer kernel records of the traced path.
 struct ServeDenseEngine<'s> {
-    packs: &'s PackCache,
     /// Per-layer kernel records collected by the traced inference path
     /// (dense layers never enter the PE array, so their stats are zeroed).
     kernels: Option<&'s mut Vec<LayerKernel>>,
@@ -292,11 +249,6 @@ impl GemmEngine for ServeDenseEngine<'_> {
                 stats: PeStats::default(),
             });
         }
-        if ctx.config().backend == GemmBackendKind::Packed {
-            if let Some(pack) = self.packs.get_or_pack(layer_index, w) {
-                return Ok(quantized_matmul_prepacked(ctx, x, w, pack)?);
-            }
-        }
         ReferenceEngine.gemm(ctx, layer_index, x, w)
     }
 }
@@ -304,16 +256,12 @@ impl GemmEngine for ServeDenseEngine<'_> {
 /// The serving-side NB-SMT [`GemmEngine`]: identical arithmetic to the
 /// offline `nbsmt-bench` engine but without its error-metric bookkeeping —
 /// serving never re-runs the error-free reference alongside each layer, so a
-/// batch costs one NB-SMT pass, not two. Under the `Packed` backend the
-/// session's cached weight panels feed the fast path's base GEMM, except
-/// when similarity reordering is active (reordering permutes the weight rows
-/// per batch, which would invalidate a cached pack).
+/// batch costs one NB-SMT pass, not two.
 struct ServeNbSmtEngine<'s> {
     threads: ThreadCount,
     policy: SharingPolicy,
     reorder: bool,
     first_layer_1t: bool,
-    packs: &'s PackCache,
     /// Per-layer kernel records collected by the traced inference path —
     /// the squeeze/collision counters the NB-SMT kernels already compute,
     /// surfaced instead of discarded.
@@ -333,20 +281,12 @@ impl GemmEngine for ServeNbSmtEngine<'_> {
         } else {
             self.threads
         };
-        let reorder = self.reorder && threads.count() > 1;
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads,
             policy: self.policy,
-            reorder,
+            reorder: self.reorder && threads.count() > 1,
         });
-        let pack = if !reorder && ctx.config().backend == GemmBackendKind::Packed {
-            self.packs.get_or_pack(layer_index, w)
-        } else {
-            None
-        };
-        let out = emu
-            .execute_with_prepacked(ctx, x, w, pack)
-            .map_err(NnError::from)?;
+        let out = emu.execute_with(ctx, x, w).map_err(NnError::from)?;
         if let Some(kernels) = self.kernels.as_deref_mut() {
             kernels.push(LayerKernel {
                 layer: layer_index,
@@ -435,34 +375,6 @@ mod tests {
                 let bb: Vec<u32> = b.logits.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(ab, bb, "logits must be bit-identical across host threads");
             }
-        }
-    }
-
-    #[test]
-    fn packed_backend_reuses_cache_and_matches_sequential_bitwise() {
-        use nbsmt_tensor::exec::ExecConfig;
-        let (dense, smt2, inputs) = session_pair();
-        let seq = ExecContext::sequential();
-        let packed_ctx = ExecContext::new(ExecConfig {
-            backend: GemmBackendKind::Packed,
-            ..*seq.config()
-        });
-        for session in [&dense, &smt2] {
-            let reference = session.infer_batch(&seq, &inputs).unwrap();
-            // Two rounds: the first populates the session's pack cache, the
-            // second must reuse it and still match bit-for-bit.
-            for round in 0..2 {
-                let packed = session.infer_batch(&packed_ctx, &inputs).unwrap();
-                for (a, b) in packed.iter().zip(reference.iter()) {
-                    let ab: Vec<u32> = a.logits.iter().map(|v| v.to_bits()).collect();
-                    let bb: Vec<u32> = b.logits.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        ab, bb,
-                        "packed-backend logits must be bit-identical (round {round})"
-                    );
-                }
-            }
-            assert!(session.packs.layers.iter().any(|slot| slot.get().is_some()));
         }
     }
 

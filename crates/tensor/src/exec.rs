@@ -11,8 +11,8 @@
 //!   (row-tile fan-out over the pool: [`Simd`]'s u8×i8 kernel, the blocked
 //!   kernel for f32 and i32), [`Simd`]
 //!   (runtime-detected AVX2 intrinsics with a portable unrolled fallback),
-//!   or [`Packed`] (B packed into column panels + register-blocked
-//!   microkernel; see [`PackedRhs`] for the reusable-pack entry point).
+//!   or [`Packed`] (B packed into column panels on every call +
+//!   register-blocked microkernel).
 //! * **Worker pool** (`threads`): scoped `std::thread` workers over a
 //!   deterministic, contiguous partition of the tile space.
 //!
@@ -251,25 +251,6 @@ impl ExecContext {
         check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
         out.fill(0);
         self.backend().gemm_u8i8(self, m, k, n, a, b, out);
-    }
-
-    /// Quantized-grid GEMM against a pre-packed right-hand side.
-    ///
-    /// The caller packs `b` once with [`PackedRhs::pack`] and amortises the
-    /// pack across calls (the serve stack caches one pack per layer per
-    /// session). Results are bit-identical to [`Self::gemm_u8i8`] on the
-    /// original `b` under every backend — the microkernel preserves the
-    /// ascending-`k`, zero-skip accumulation order per element — so callers
-    /// may switch between the packed and unpacked entry points freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with `m` and the pack's dimensions.
-    pub fn gemm_u8i8_prepacked(&self, m: usize, a: &[u8], b: &PackedRhs<i8>, out: &mut [i64]) {
-        let (k, n) = (b.k(), b.n());
-        check_gemm_dims(m, k, n, a.len(), k * n, out.len());
-        out.fill(0);
-        packed_rows::<U8I8Gemm>(a, b, k, n, 0, m, out);
     }
 
     /// Maps `f` over tile indices `0..count` using the worker pool and
@@ -1133,19 +1114,15 @@ impl GemmBackend for Simd {
 }
 
 /// Columns per packed panel (the microkernel's register-block width).
-pub const PACK_NR: usize = 16;
+const PACK_NR: usize = 16;
 
 /// The B matrix of a GEMM re-laid into column panels of [`PACK_NR`]: panel
 /// `pj` holds columns `pj*NR .. pj*NR+NR` contiguously per reduction step
 /// (`k × NR`, zero-padded in the last panel), so the microkernel streams B
-/// linearly regardless of `n`.
-///
-/// Packing is a pure, deterministic relayout — computing through a pack is
-/// bit-identical to the unpacked kernels for every element type. Build one
-/// with [`PackedRhs::pack`] and reuse it across calls; the serve stack
-/// caches one pack per layer for the lifetime of a serving session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedRhs<T> {
+/// linearly regardless of `n`. Packing is a pure, deterministic relayout —
+/// computing through a pack is bit-identical to the unpacked kernels for
+/// every element type.
+struct PackedRhs<T> {
     k: usize,
     n: usize,
     data: Vec<T>,
@@ -1153,17 +1130,7 @@ pub struct PackedRhs<T> {
 
 impl<T: Copy + Default> PackedRhs<T> {
     /// Packs a row-major `k × n` matrix into column panels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b.len() != k * n`.
-    pub fn pack(k: usize, n: usize, b: &[T]) -> Self {
-        assert_eq!(
-            b.len(),
-            k * n,
-            "pack: rhs is {} elements, expected {k} x {n}",
-            b.len()
-        );
+    fn pack(k: usize, n: usize, b: &[T]) -> Self {
         let panels = n.div_ceil(PACK_NR);
         let mut data = vec![T::default(); panels * k * PACK_NR];
         for pj in 0..panels {
@@ -1180,41 +1147,22 @@ impl<T: Copy + Default> PackedRhs<T> {
     }
 }
 
-impl<T> PackedRhs<T> {
-    /// Reduction dimension of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Column count of the packed matrix.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
 /// The register-blocked microkernel over packed panels: 2 rows × [`PACK_NR`]
 /// columns of accumulators live across the whole reduction, B streams
 /// linearly from the panel. Each output element still accumulates in
 /// ascending-`k` order with the shared zero-skip rule, so results are
 /// bit-exact with [`naive_rows`] for every element type including f32.
-fn packed_rows<E: GemmElems>(
-    a: &[E::Lhs],
-    pack: &PackedRhs<E::Rhs>,
-    k: usize,
-    n: usize,
-    row_start: usize,
-    nrows: usize,
-    out: &mut [E::Acc],
-) {
+fn packed_rows<E: GemmElems>(a: &[E::Lhs], pack: &PackedRhs<E::Rhs>, m: usize, out: &mut [E::Acc]) {
+    let (k, n) = (pack.k, pack.n);
     let panels = n.div_ceil(PACK_NR);
     for pj in 0..panels {
         let j0 = pj * PACK_NR;
         let width = PACK_NR.min(n - j0);
         let pdata = &pack.data[pj * k * PACK_NR..(pj + 1) * k * PACK_NR];
         let mut i = 0usize;
-        while i + 2 <= nrows {
-            let ar0 = &a[(row_start + i) * k..(row_start + i) * k + k];
-            let ar1 = &a[(row_start + i + 1) * k..(row_start + i + 1) * k + k];
+        while i + 2 <= m {
+            let ar0 = &a[i * k..i * k + k];
+            let ar1 = &a[(i + 1) * k..(i + 1) * k + k];
             let mut acc = [[E::Acc::default(); PACK_NR]; 2];
             for p in 0..k {
                 let bl = &pdata[p * PACK_NR..(p + 1) * PACK_NR];
@@ -1245,8 +1193,8 @@ fn packed_rows<E: GemmElems>(
             }
             i += 2;
         }
-        if i < nrows {
-            let ar0 = &a[(row_start + i) * k..(row_start + i) * k + k];
+        if i < m {
+            let ar0 = &a[i * k..i * k + k];
             let mut acc = [E::Acc::default(); PACK_NR];
             for p in 0..k {
                 let bl = &pdata[p * PACK_NR..(p + 1) * PACK_NR];
@@ -1264,11 +1212,8 @@ fn packed_rows<E: GemmElems>(
     }
 }
 
-/// Packs B per call, then runs the register-blocked microkernel over the
-/// panels. Bit-exact for every element type. Callers that reuse the same B
-/// across many GEMMs should pack once via [`PackedRhs::pack`] and use
-/// [`ExecContext::gemm_u8i8_prepacked`] instead, which skips the per-call
-/// pack entirely.
+/// Packs B on every call, then runs the register-blocked microkernel over
+/// the panels. Bit-exact for every element type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Packed;
 
@@ -1286,8 +1231,7 @@ impl GemmBackend for Packed {
         b: &[f32],
         out: &mut [f32],
     ) {
-        let pack = PackedRhs::pack(k, n, b);
-        packed_rows::<F32Gemm>(a, &pack, k, n, 0, m, out);
+        packed_rows::<F32Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
     }
     fn gemm_i32(
         &self,
@@ -1299,8 +1243,7 @@ impl GemmBackend for Packed {
         b: &[i32],
         out: &mut [i64],
     ) {
-        let pack = PackedRhs::pack(k, n, b);
-        packed_rows::<I32Gemm>(a, &pack, k, n, 0, m, out);
+        packed_rows::<I32Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
     }
     fn gemm_u8i8(
         &self,
@@ -1312,8 +1255,7 @@ impl GemmBackend for Packed {
         b: &[i8],
         out: &mut [i64],
     ) {
-        let pack = PackedRhs::pack(k, n, b);
-        packed_rows::<U8I8Gemm>(a, &pack, k, n, 0, m, out);
+        packed_rows::<U8I8Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
     }
 }
 
@@ -1452,25 +1394,6 @@ mod tests {
                     "element {idx}: {got} vs {want} ({m}x{k}x{n})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn prepacked_u8i8_matches_unpacked() {
-        let (m, k, n) = (7, 23, 19);
-        let a: Vec<u8> = sample_i32(m, k, 9)
-            .iter()
-            .map(|&v| v.unsigned_abs() as u8)
-            .collect();
-        let b: Vec<i8> = sample_i32(k, n, 10).iter().map(|&v| v as i8).collect();
-        let mut reference = vec![0_i64; m * n];
-        ExecContext::sequential().gemm_u8i8(m, k, n, &a, &b, &mut reference);
-        let pack = PackedRhs::pack(k, n, &b);
-        assert_eq!((pack.k(), pack.n()), (k, n));
-        for ctx in all_contexts() {
-            let mut out = vec![0_i64; m * n];
-            ctx.gemm_u8i8_prepacked(m, &a, &pack, &mut out);
-            assert_eq!(out, reference, "ctx {:?}", ctx.config());
         }
     }
 

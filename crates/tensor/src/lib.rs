@@ -57,7 +57,7 @@ pub mod tensor;
 pub mod validate;
 
 pub use error::TensorError;
-pub use exec::{ExecConfig, ExecContext, GemmBackend, GemmBackendKind, PackedRhs};
+pub use exec::{ExecConfig, ExecContext, GemmBackend, GemmBackendKind};
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use validate::{ExecConfigError, Validate};
