@@ -212,9 +212,9 @@ pub enum ConfigError {
     /// `StealConfig::max_steal` is zero — a steal must move at least one
     /// request.
     ZeroStealMax,
-    /// A pool controller on a free-running pool: the controller lives in
-    /// the scheduling core, which only the simulator and the lockstep pool
-    /// drive.
+    /// A pool controller on a free-running pool: the controller prices
+    /// rungs in [`crate::sim::ServiceModel`] time, and a wall-clock pool
+    /// does not run on that time.
     ControllerNeedsLockstep,
 }
 
@@ -295,7 +295,8 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ControllerNeedsLockstep => write!(
                 f,
-                "control config: a pool controller needs the lockstep driver"
+                "control config: a pool controller needs the lockstep driver \
+                 (it prices rungs in service-model time, not wall-clock time)"
             ),
         }
     }
@@ -704,8 +705,9 @@ pub struct PoolOptions {
     pub service: ServiceModel,
     /// Fault schedule; the empty default injects nothing.
     pub faults: FaultPlan,
-    /// Pool controller (predictive floor, autoscaling, stealing). It runs
-    /// inside the scheduling core, so a free-running pool refuses one with
+    /// Pool controller (predictive floor, autoscaling, stealing). It prices
+    /// rungs in service-model time, so a free-running pool, which runs on
+    /// the wall clock, refuses one with
     /// [`ConfigError::ControllerNeedsLockstep`].
     pub control: Option<ControlConfig>,
 }

@@ -37,8 +37,8 @@ pub enum FaultKind {
     /// and it never launches again.
     Crash,
     /// The replica freezes for a fixed duration after the batch (virtual
-    /// nanoseconds in the simulator and the lockstep pool, a real sleep in
-    /// the live pool).
+    /// nanoseconds in the simulator and the lockstep pool, wall-clock
+    /// nanoseconds in the free-running pool).
     Stall {
         /// How long the replica is frozen in ns.
         duration_ns: u64,
@@ -345,13 +345,13 @@ pub struct HandoffRecord {
     pub to_replica: Option<usize>,
 }
 
-/// The pure routing decision shared by [`crate::pool::ReplicaPool`]'s router
-/// and the simulator: picks among the `eligible` replicas — `(index, queue
-/// length)` pairs in ascending index order, restricted to alive, open
-/// replicas — or returns `None` when none is eligible. With every replica
-/// eligible this reproduces the original fault-free router arithmetic
-/// exactly (round-robin `tick % n`, `route_hash(key) % n`, least-outstanding
-/// min by `(len, index)`).
+/// The pure routing decision of the scheduling core that the simulator and
+/// both [`crate::pool::ReplicaPool`] drivers run: picks among the
+/// `eligible` replicas — `(index, queue length)` pairs in ascending index
+/// order, restricted to live, uncrashed, open replicas — or returns `None`
+/// when none is eligible. With every replica eligible this reproduces the
+/// original fault-free router arithmetic exactly (round-robin `tick % n`,
+/// `route_hash(key) % n`, least-outstanding min by `(len, index)`).
 pub fn pick_replica(
     policy: RoutePolicy,
     key: u64,
@@ -387,12 +387,13 @@ pub fn pick_replica(
     Some(eligible[slot].0)
 }
 
-/// The pure handoff rule shared by both drivers: starting from the rotating
-/// `cursor`, the first replica that is not the crashed one, is eligible
-/// (alive and admitting), and has room takes the request; the cursor
-/// advances past the pick so consecutive orphans spread out. `states[i]` is
-/// `(eligible, queue length)` for replica `i`. Returns `None` — shed — when
-/// no replica qualifies.
+/// The pure handoff rule of the scheduling core, behind every crash and
+/// scale-down in the simulator and both pool drivers: starting from the
+/// rotating `cursor`, the first replica that is not the drained one, is
+/// eligible (live, uncrashed and admitting), and has room takes the
+/// request; the cursor advances past the pick so consecutive orphans spread
+/// out. `states[i]` is `(eligible, queue length)` for replica `i`. Returns
+/// `None` — shed — when no replica qualifies.
 pub fn pick_handoff_target(
     from: usize,
     cursor: &mut usize,

@@ -5,20 +5,23 @@
 //! absorbs concurrent request streams through a dynamic micro-batching
 //! scheduler with admission control.
 //!
-//! The pipeline is `submit → bounded queue → batcher → session → response`:
+//! The pipeline is `submit → scheduling core → worker → session →
+//! response`:
 //!
 //! * [`registry::ModelRegistry`] calibrates registered models once and
 //!   compiles cached, `Arc`-shared [`Session`]s per NB-SMT design point
 //!   ([`config::SmtConfig`]: dense baseline or 1T/2T/4T SySMT with a sharing
 //!   policy). Requests pick their configuration by picking their session.
-//! * [`queue::BoundedQueue`] is the admission-control point: `submit` never
-//!   blocks and rejects with a typed [`config::SubmitError`] under overload.
-//! * The scheduler (the threaded [`pool::ReplicaPool`], or the deterministic
-//!   virtual-clock [`sim::simulate_pool`]) coalesces queued requests under a
-//!   `max_batch`/`max_wait` [`config::BatchPolicy`], executes the batch on an
-//!   `ExecContext`, and completes per-request
-//!   [`queue::ResponseHandle`]s. A one-replica pool with a pinned ladder is
-//!   the single-session server.
+//! * One sans-IO scheduling core (`sched`) is the admission-control point
+//!   and the batcher of every driver: `submit` never blocks, a full queue
+//!   rejects with a typed [`config::SubmitError`], and queued requests
+//!   coalesce under a `max_batch`/`max_wait` [`config::BatchPolicy`]. The
+//!   threaded [`pool::ReplicaPool`] drives it on the wall clock
+//!   ([`pool::PoolDriver::FreeRunning`]) or on the virtual clock
+//!   ([`pool::PoolDriver::Lockstep`]), executing each batch on an
+//!   `ExecContext` and completing per-request [`queue::ResponseHandle`]s;
+//!   [`sim::simulate_pool`] drives it on the virtual clock in one thread. A
+//!   one-replica pool with a pinned ladder is the single-session server.
 //! * [`metrics::ServeMetrics`] records throughput, a fixed-bucket latency
 //!   histogram (p50/p95/p99), the batch-size distribution, queue depth, and
 //!   — for pools — per-mode batch counts and mode transitions.
@@ -27,10 +30,9 @@
 //!   and each replica's [`config::AdaptiveState`] walks a ladder of
 //!   [`config::SmtConfig`] design points (dense → 2T → 4T) under queue-depth
 //!   or p95 pressure, shedding *accuracy* instead of *requests* under
-//!   overload. [`sim::simulate_pool`] and the pool's lockstep driver
-//!   ([`pool::PoolDriver::Lockstep`]) take one [`config::PoolOptions`] value
-//!   and drive one sans-IO scheduling core (`sched`), so the two agree by
-//!   construction.
+//!   overload. The simulator and both pool drivers take one
+//!   [`config::PoolOptions`] value and run the same core, so the simulator
+//!   and the lockstep pool agree by construction.
 //! * [`faults`] injects seeded, deterministic failure schedules
 //!   ([`faults::FaultPlan`]: crashes, stalls, straggler windows, queue
 //!   closes) identically into the threaded pool and the simulator, and
@@ -44,7 +46,7 @@
 //! [`sim::ServiceModel`] instead of the wall clock, making batch
 //! compositions, virtual latencies, and metrics bit-reproducible for a
 //! seeded arrival trace — `repro serve` and the scheduler tests run on this
-//! mode, the threaded pool serves real traffic with the same policy code.
+//! mode, the free-running pool serves real traffic with the same core.
 //!
 //! ```
 //! use nbsmt_serve::prelude::*;

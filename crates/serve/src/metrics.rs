@@ -121,8 +121,6 @@ pub struct ServeMetrics {
     pub steals: u64,
     /// Queued requests moved across replicas by work stealing.
     pub stolen_requests: u64,
-    /// Sum of queue depths sampled at batch-formation time (for the mean).
-    depth_sum: u64,
 }
 
 impl ServeMetrics {
@@ -152,7 +150,6 @@ impl ServeMetrics {
         }
         self.batch_sizes[size] += 1;
         self.max_queue_depth = self.max_queue_depth.max(queue_depth_after + size);
-        self.depth_sum += (queue_depth_after + size) as u64;
     }
 
     /// Records one admission-control rejection.
@@ -247,7 +244,6 @@ impl ServeMetrics {
         self.steals += other.steals;
         self.stolen_requests += other.stolen_requests;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.depth_sum += other.depth_sum;
     }
 
     /// Number of batches launched.

@@ -1,52 +1,52 @@
 //! Multi-replica sharded serving: a deterministic router in front of N
-//! scheduler workers, each owning its own [`BoundedQueue`], its own
-//! [`ExecContext`], and an SLO-aware [`AdaptiveState`] that walks the
-//! session ladder (dense → 2T → 4T) under pressure. A one-replica pool with
+//! replica workers, each with its own [`ExecContext`] and an SLO-aware
+//! [`crate::config::AdaptiveState`] that walks the session ladder (dense →
+//! 2T → 4T) under pressure. A one-replica pool with
 //! [`crate::config::AdaptivePolicy::pinned`] is the single-session server.
 //!
-//! The pool is the threaded half of the sharded serving layer; the
-//! discrete-event half is [`crate::sim::simulate_pool`]. Both take the same
-//! [`PoolOptions`] value and use the same router arithmetic
-//! ([`RoutePolicy`], [`crate::config::route_hash`]) and the same adaptive
-//! state machine, which yields the **lockstep determinism contract**: when
-//! every request is submitted before the workers start (a paused pool
-//! resumed after a burst, or equivalently a virtual trace whose arrivals
-//! all precede the first launch), batch compositions, executed modes, mode
-//! transitions, and logits are bit-identical between the threaded pool and
-//! the simulator — for every host thread count and GEMM backend.
-//! Wall-clock quantities (latencies, throughput) are the only fields
-//! allowed to differ.
+//! The pool is the threaded driver of the scheduling core (`sched`) that
+//! [`crate::sim::simulate_pool`] drives on a virtual clock, and both take
+//! the same [`PoolOptions`] value. The core, behind one mutex, holds every
+//! queue, routes every submission, forms every batch, walks every ladder,
+//! applies every fault and keeps every counter; a worker only executes the
+//! batches it is granted, outside the lock, and answers their requests.
+//!
+//! [`ReplicaPool::new`] builds the pool paused; [`ReplicaPool::resume`]
+//! starts one worker per replica. [`PoolDriver`] picks the clock the core
+//! runs on:
+//!
+//! - **Free-running** ([`PoolDriver::FreeRunning`]): the wall clock. Each
+//!   replica launches on its own schedule — a full batch at once, a partial
+//!   batch once its oldest request has waited `max_wait`, nothing before
+//!   the replica is free — and completes the batch with the times its
+//!   worker measured. Latencies, the stage split and the p95 adaptive
+//!   trigger are wall-clock, so their *timing* is outside the lockstep
+//!   contract; a [`crate::faults::FaultPlan`] applies for real: stalls and
+//!   straggle padding delay the replica in real time, and a crash hands its
+//!   queue to the survivors. This is the pool live clients and the
+//!   availability bench drive.
+//! - **Lockstep** ([`PoolDriver::Lockstep`]): the simulator's virtual clock
+//!   ([`crate::sim::ServiceModel`]). Workers are granted launches in the
+//!   simulator's event order, each completed at its virtual finish time as
+//!   it is granted, while the GEMMs still execute on real threads in
+//!   parallel.
+//!   Batch compositions, modes, transitions, fault schedules, crash
+//!   handoffs, controller decisions, every quantile of the latency
+//!   histogram, traces and logits replay bit-identically against
+//!   [`crate::sim::simulate_pool`] with the same options — for every host
+//!   thread count and GEMM backend. Only this driver runs a pool
+//!   controller.
 //!
 //! Routing is decided at submission time from the submission sequence and
 //! the per-replica queue depths alone, so a single-threaded submitter drives
-//! all four policies deterministically. A request whose shape does not fit
-//! the ladder is answered with its own [`ServeError::BadRequest`] at submit
-//! and never reaches a queue, so it cannot fail the batch it would have
-//! joined.
-//!
-//! [`ReplicaPool::new`] builds the pool paused; [`ReplicaPool::resume`]
-//! starts the workers in one of two modes, chosen by [`PoolDriver`]:
-//!
-//! - **Free-running** ([`PoolDriver::FreeRunning`]): each worker drains its
-//!   own queue on the wall clock. The p95 adaptive trigger observes real
-//!   tail latency here, so its *timing* is outside the lockstep contract
-//!   (batch composition and routing still replay). A [`FaultPlan`] applies
-//!   for real: crashes kill workers (queues drain through the shared
-//!   handoff rule), stalls sleep, and stragglers pad service time. This is
-//!   the mode the availability bench drives with retrying/hedging clients.
-//! - **Lockstep** ([`PoolDriver::Lockstep`]): the workers share the
-//!   simulator's `sched` scheduling core behind a mutex. It owns a virtual
-//!   clock ([`ServiceModel`]) and grants batch launches in the simulator's
-//!   event order, while the granted GEMMs still execute on real threads in
-//!   parallel. Latencies are recorded in virtual time, so **both** adaptive
-//!   triggers — depth *and* p95 — replay bit-identically against
-//!   [`crate::sim::simulate_pool`] with the same options, as do fault
-//!   schedules, crash handoffs, controller decisions, and every quantile of
-//!   the latency histogram. Only this mode runs a pool controller.
+//! all four policies deterministically: a burst submitted to a paused pool
+//! forms the simulator's batches under either driver. A request whose shape
+//! does not fit the ladder is answered with its own [`ServeError::BadRequest`]
+//! at submit and never reaches a queue, so it cannot fail the batch it
+//! would have joined.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,25 +55,22 @@ use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
 use crate::config::{
-    AdaptiveState, ConfigError, ModeTransition, PoolConfig, PoolOptions, RoutePolicy, ServeError,
-    SubmitError, BATCH_LOG_CAP,
+    ConfigError, ModeTransition, PoolConfig, PoolOptions, ServeError, SubmitError,
 };
 use crate::control::ControlEvent;
-use crate::faults::{pick_handoff_target, pick_replica, FaultPlan, HandoffRecord, ReplicaFaults};
+use crate::faults::HandoffRecord;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::queue::{response_channel, BoundedQueue, ResponseHandle, ResponseSlot};
+use crate::queue::{response_channel, ResponseHandle, ResponseSlot};
 use crate::sched::{check_ladder, Launch, Queued, SchedCore};
 use crate::session::{Inference, Session};
-use crate::sim::ServiceModel;
-use crate::trace::{BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
+use crate::trace::{Clock, TraceRecorder};
 
 /// Result delivered to each request's [`ResponseHandle`].
 pub type RequestResult = Result<Inference, ServeError>;
 
+/// What a queued request carries to the worker that executes it.
 struct PooledRequest {
-    key: u64,
     input: Tensor<f32>,
-    submitted: Instant,
     slot: ResponseSlot<RequestResult>,
 }
 
@@ -111,8 +108,8 @@ pub struct PoolSnapshot {
     /// contract (mirrors [`crate::sim::PoolSimOutcome::handoffs`]).
     pub handoffs: Vec<HandoffRecord>,
     /// Batches executed but *not* retained in `batch_log` because the log
-    /// hit [`BATCH_LOG_CAP`] — the log is constant-memory, this counter
-    /// closes the accounting (mirrors
+    /// hit [`crate::config::BATCH_LOG_CAP`] — the log is constant-memory,
+    /// this counter closes the accounting (mirrors
     /// [`crate::sim::PoolSimOutcome::dropped_batches`]).
     pub dropped_batches: u64,
     /// Mode transitions applied but not retained past
@@ -134,76 +131,26 @@ pub struct PoolSnapshot {
     pub replica_ns: u64,
 }
 
-struct RouterCore {
-    policy: RoutePolicy,
-    queues: Vec<Arc<BoundedQueue<PooledRequest>>>,
-    rr: AtomicU64,
-    /// Admission-control rejections per replica, attributed to the replica
-    /// the router picked — the same accounting as the simulator's.
-    rejected: Vec<AtomicU64>,
-    /// Liveness per replica: cleared by a crashed worker *before* it closes
-    /// and drains its queue, so the router never routes into a dying
-    /// replica. Always true without fault injection.
-    alive: Vec<AtomicBool>,
-    /// Ladder rung 0, whose [`Session::validate_input`] checks every
-    /// submission: the constructor made every rung take its input shape.
-    rung0: Arc<Session>,
-}
-
-impl RouterCore {
-    /// A handle already answered with the shape error when `input` does not
-    /// fit the ladder, so a malformed request never enters a queue (nor
-    /// fails the batch it would have joined).
-    fn malformed(&self, input: &Tensor<f32>) -> Option<ResponseHandle<RequestResult>> {
-        let error = self.rung0.validate_input(input).err()?;
-        let (slot, handle) = response_channel();
-        slot.complete(Err(error));
-        Some(handle)
-    }
-
-    /// Whether replica `i` is alive and admitting.
-    fn eligible(&self, i: usize) -> bool {
-        self.alive[i].load(Ordering::Acquire) && !self.queues[i].is_admissions_closed()
-    }
-
-    /// Routes a key among the alive, admitting replicas through the shared
-    /// [`pick_replica`] arithmetic (with every replica eligible this is
-    /// exactly the fault-free router), or `None` when none is eligible.
-    fn pick(&self, key: u64) -> Option<usize> {
-        let eligible: Vec<(usize, usize)> = (0..self.queues.len())
-            .filter(|&i| self.eligible(i))
-            .map(|i| (i, self.queues[i].len()))
-            .collect();
-        // The round-robin counter ticks per routed submission regardless of
-        // the eligible-set size — the same clock the simulator advances.
-        let tick = if self.policy == RoutePolicy::RoundRobin {
-            self.rr.fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
-        };
-        pick_replica(self.policy, key, tick, &eligible)
-    }
-}
-
 /// Cheap cloneable submission handle onto a [`ReplicaPool`].
 #[derive(Clone)]
 pub struct PoolClient {
-    router: Arc<RouterCore>,
+    gate: Arc<Gate>,
 }
 
 impl PoolClient {
     /// Routes and submits one request. `key` identifies the request: it is
-    /// the hash input for [`RoutePolicy::Hashed`], and the identity under
-    /// which the batch log reports the request. An `input` whose shape the
-    /// ladder does not take is not routed: its handle comes back already
-    /// answered with [`ServeError::BadRequest`].
+    /// the hash input for [`crate::config::RoutePolicy::Hashed`], and the
+    /// identity under which the batch log reports the request. An `input`
+    /// whose shape the ladder does not take is not routed: its handle comes
+    /// back already answered with [`ServeError::BadRequest`].
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] when the routed replica's queue is at
     /// capacity (the router does not fail over — a deterministic router
     /// must not let load silently leak across replicas), and
-    /// [`SubmitError::Closed`] after shutdown began or when every replica
+    /// [`SubmitError::Closed`] once admissions closed (shutdown for a
+    /// free-running pool, resume for a lockstep one) or when every replica
     /// is crashed or has closed admissions (only possible under fault
     /// injection; not counted as an admission-control rejection).
     pub fn submit(
@@ -211,105 +158,65 @@ impl PoolClient {
         key: u64,
         input: Tensor<f32>,
     ) -> Result<ResponseHandle<RequestResult>, SubmitError> {
-        if let Some(handle) = self.router.malformed(&input) {
+        if let Some(handle) = self.gate.malformed(&input) {
             return Ok(handle);
         }
-        let Some(replica) = self.router.pick(key) else {
-            return Err(SubmitError::Closed);
-        };
         let (slot, handle) = response_channel();
-        let queued = PooledRequest {
-            key,
-            input,
-            submitted: Instant::now(),
-            slot,
-        };
-        match self.router.queues[replica].try_push(queued) {
-            Ok(()) => Ok(handle),
-            Err(e) => {
-                if matches!(e, SubmitError::QueueFull { .. }) {
-                    self.router.rejected[replica].fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
+        let mut guard = self.gate.lock();
+        let state = &mut *guard;
+        if !state.open {
+            return Err(SubmitError::Closed);
         }
+        let at_ns = state.clock.now_ns();
+        let request = PooledRequest { input, slot };
+        let rec = state.recorder.as_deref();
+        let replica = state.core.admit(key, key, at_ns, request, rec)?;
+        drop(guard);
+        self.gate.wake[replica].notify_one();
+        Ok(handle)
     }
 }
 
-/// What a free-running worker hands back at shutdown (lockstep workers
-/// return it empty: their state lives in the scheduling core).
-#[derive(Default)]
-struct ReplicaOutcome {
-    metrics: ServeMetrics,
-    transitions: Vec<ModeTransition>,
-    dropped_transitions: u64,
-    log: Vec<PoolBatchLog>,
-    dropped_batches: u64,
-    handoffs: Vec<HandoffRecord>,
-}
-
-struct Replica {
-    queue: Arc<BoundedQueue<PooledRequest>>,
-    worker: Option<JoinHandle<ReplicaOutcome>>,
-}
-
-/// How a [`ReplicaPool`]'s workers take their batches (see the module
+/// How a [`ReplicaPool`]'s scheduling core keeps time (see the module
 /// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolDriver {
-    /// Wall-clock workers, each draining its own queue and applying its
-    /// slice of the fault plan for real.
+    /// The wall clock: each replica launches on its own schedule and
+    /// applies its slice of the fault plan for real.
     FreeRunning,
-    /// Workers granted batches by the scheduling core the simulator drives,
-    /// in the simulator's event order on its virtual clock.
+    /// The simulator's virtual clock: launches are granted in the
+    /// simulator's event order.
     Lockstep,
-}
-
-/// A [`PoolDriver`] with its state.
-enum Driver {
-    /// Wall-clock workers, each applying its slice of the plan for real
-    /// (an empty plan injects nothing).
-    FreeRunning {
-        plan: FaultPlan,
-        service: ServiceModel,
-    },
-    /// Workers granted batches by the shared scheduling core.
-    Lockstep(Arc<LockstepGate>),
 }
 
 /// A running sharded serving instance: router → N replica workers, each
 /// executing batches against the shared session ladder at its own adaptive
 /// mode.
 pub struct ReplicaPool {
-    replicas: Vec<Replica>,
-    router: Arc<RouterCore>,
+    gate: Arc<Gate>,
     sessions: Arc<Vec<Arc<Session>>>,
-    config: PoolConfig,
     exec: ExecConfig,
-    record_log: bool,
-    driver: Driver,
-    recorder: Option<Arc<TraceRecorder>>,
-    /// When the first [`Self::resume`] spawned the workers: the start of
-    /// the wall-clock window [`Self::shutdown`] reports.
+    workers: Vec<JoinHandle<()>>,
+    /// When [`Self::resume`] spawned the workers: the start of the
+    /// wall-clock window [`Self::shutdown`] reports.
     started: Option<Instant>,
-    running: bool,
 }
 
 impl ReplicaPool {
     /// Builds a pool over `sessions` (the adaptive ladder, rung 0 first —
     /// typically dense → 2T → 4T; a single-session ladder never switches)
-    /// with every queue live but **no workers running**: submissions
-    /// accumulate in the per-replica queues until [`Self::resume`] spawns
-    /// the workers. Each replica builds its own [`ExecContext`] from `exec`.
+    /// that admits submissions but has **no workers running**: submissions
+    /// queue until [`Self::resume`] spawns the workers. Each replica builds
+    /// its own [`ExecContext`] from `exec`.
     ///
     /// `options` is the value [`crate::sim::simulate_pool`] takes, and
-    /// `driver` picks how the workers consume it (see the module docs):
-    /// [`PoolDriver::FreeRunning`] injects the fault plan for real and pads
-    /// stragglers with the service model's cost, while
-    /// [`PoolDriver::Lockstep`] hands the whole plan, the service model, and
-    /// the controller to the shared scheduling core. `record_log` captures
-    /// the per-batch composition log, capped at [`BATCH_LOG_CAP`] entries
-    /// with the overflow counted in [`PoolSnapshot::dropped_batches`].
+    /// `driver` picks the clock the scheduling core runs it on (see the
+    /// module docs): [`PoolDriver::FreeRunning`] applies the fault plan in
+    /// real time and pads stragglers with the service model's cost, while
+    /// [`PoolDriver::Lockstep`] runs the service model as the clock.
+    /// `record_log` captures the per-batch composition log, capped at
+    /// [`crate::config::BATCH_LOG_CAP`] entries with the overflow counted in
+    /// [`PoolSnapshot::dropped_batches`].
     ///
     /// # Errors
     ///
@@ -328,54 +235,32 @@ impl ReplicaPool {
         let config = options.config;
         config.validate()?;
         exec.validate().map_err(ConfigError::from)?;
-        let driver = match driver {
+        let clock = match driver {
             PoolDriver::FreeRunning if options.control.is_some() => {
                 return Err(ConfigError::ControllerNeedsLockstep.into());
             }
-            PoolDriver::FreeRunning => Driver::FreeRunning {
-                plan: options.faults.clone(),
-                service: options.service,
-            },
-            PoolDriver::Lockstep => {
-                let capacity = config.scheduler.queue_capacity;
-                let core = SchedCore::new(&sessions, options, capacity, record_log)?;
-                Driver::Lockstep(Arc::new(LockstepGate {
-                    state: Mutex::new(GateState {
-                        core,
-                        pending: VecDeque::new(),
-                        recorder: None,
-                    }),
-                    cv: Condvar::new(),
-                }))
-            }
+            PoolDriver::FreeRunning => Clock::wall(),
+            PoolDriver::Lockstep => Clock::virtual_clock(),
         };
-        let replicas: Vec<Replica> = (0..config.replicas)
-            .map(|_| Replica {
-                queue: Arc::new(BoundedQueue::new(config.scheduler.queue_capacity)),
-                worker: None,
-            })
-            .collect();
-        let router = Arc::new(RouterCore {
-            policy: config.route,
-            queues: replicas.iter().map(|r| Arc::clone(&r.queue)).collect(),
-            rr: AtomicU64::new(0),
-            rejected: (0..config.replicas).map(|_| AtomicU64::new(0)).collect(),
-            alive: (0..config.replicas)
-                .map(|_| AtomicBool::new(true))
-                .collect(),
+        let capacity = config.scheduler.queue_capacity;
+        let core = SchedCore::new(&sessions, options, capacity, record_log)?;
+        let gate = Gate {
+            state: Mutex::new(GateState {
+                core,
+                clock,
+                open: true,
+                pending: VecDeque::new(),
+                recorder: None,
+            }),
+            wake: (0..config.replicas).map(|_| Condvar::new()).collect(),
             rung0: Arc::clone(&sessions[0]),
-        });
+        };
         Ok(ReplicaPool {
-            replicas,
-            router,
+            gate: Arc::new(gate),
             sessions: Arc::new(sessions),
-            config,
             exec,
-            record_log,
-            driver,
-            recorder: None,
+            workers: Vec::new(),
             started: None,
-            running: false,
         })
     }
 
@@ -404,91 +289,64 @@ impl ReplicaPool {
         )
     }
 
-    /// Attaches a shared [`TraceRecorder`] — call between [`Self::new`] and
-    /// [`Self::resume`]. Every executed batch then leaves the full span
-    /// chain (submit, queue-wait, batch, per-layer kernels, service,
-    /// respond). In lockstep mode the recorder must hold a virtual
+    /// Attaches a shared [`TraceRecorder`] — call after [`Self::new`] and
+    /// before the first submission. Every executed batch then leaves the
+    /// full span chain (submit, queue-wait, batch, per-layer kernels,
+    /// service, respond). In lockstep mode the recorder must hold a virtual
     /// [`crate::trace::Clock`] and the emitted trace is byte-identical to
-    /// [`crate::sim::simulate_pool`]'s on the same burst; free-running
-    /// pools emit the same schema on the recorder's wall clock.
+    /// [`crate::sim::simulate_pool`]'s on the same burst; a free-running
+    /// pool adopts the recorder's wall clock and emits the same schema on
+    /// it.
     pub fn set_recorder(&mut self, recorder: Arc<TraceRecorder>) {
-        self.recorder = Some(recorder);
+        let mut state = self.gate.lock();
+        if !state.clock.is_virtual() && !recorder.clock().is_virtual() {
+            state.clock = *recorder.clock();
+        }
+        state.recorder = Some(recorder);
     }
 
     /// Spawns the replica workers (idempotent). In lockstep mode this is
-    /// the burst boundary: every queued submission is handed to the
-    /// scheduling core (submission order preserved, virtual arrival time 0)
-    /// and the real queues close, so late submissions get
+    /// the burst boundary: admissions close, so late submissions get
     /// [`SubmitError::Closed`] — exactly the "all requests precede the
     /// first launch" precondition of the determinism contract.
     pub fn resume(&mut self) {
-        if self.running {
+        if self.started.is_some() {
             return;
         }
-        self.running = true;
         self.started = Some(Instant::now());
-        if let Driver::Lockstep(gate) = &self.driver {
-            let mut state = gate.state.lock().expect("gate lock");
-            state.recorder = self.recorder.clone();
-            for (index, replica) in self.replicas.iter().enumerate() {
-                for req in replica.queue.drain_up_to(usize::MAX) {
-                    // The burst arrives at virtual t = 0 on the replica the
-                    // router already picked — the simulator's submit instant
-                    // for an all-at-zero arrival trace.
-                    let item = Queued {
-                        id: req.key,
-                        key: req.key,
-                        submit_ns: 0,
-                        ready_ns: 0,
-                        payload: req,
-                    };
-                    state.core.enqueue(index, item, self.recorder.as_deref());
-                }
-                replica.queue.close();
+        let recorder = {
+            let mut state = self.gate.lock();
+            if state.clock.is_virtual() {
+                state.open = false;
             }
-        }
-        for (index, replica) in self.replicas.iter_mut().enumerate() {
-            let sessions = Arc::clone(&self.sessions);
-            let exec = self.exec;
-            let recorder = self.recorder.clone();
-            let thread = std::thread::Builder::new().name(format!("nbsmt-pool-{index}"));
-            let worker = match &self.driver {
-                Driver::FreeRunning { plan, service } => {
-                    let worker = ReplicaWorker {
-                        index,
-                        queue: Arc::clone(&replica.queue),
-                        router: Arc::clone(&self.router),
-                        sessions,
-                        config: self.config,
-                        record_log: self.record_log,
-                        faults: plan.for_replica(index),
-                        service: *service,
-                        recorder,
-                    };
-                    thread.spawn(move || worker.run(&ExecContext::new(exec)))
-                }
-                Driver::Lockstep(gate) => {
-                    let gate = Arc::clone(gate);
-                    thread.spawn(move || {
+            state.recorder.clone()
+        };
+        self.workers = (0..self.replicas())
+            .map(|index| {
+                let gate = Arc::clone(&self.gate);
+                let sessions = Arc::clone(&self.sessions);
+                let recorder = recorder.clone();
+                let exec = self.exec;
+                std::thread::Builder::new()
+                    .name(format!("nbsmt-pool-{index}"))
+                    .spawn(move || {
                         let ctx = ExecContext::new(exec);
-                        lockstep_loop(index, &gate, &sessions, &ctx, recorder.as_deref())
+                        serve(index, &gate, &sessions, &ctx, recorder.as_deref());
                     })
-                }
-            }
-            .expect("spawning a replica worker succeeds");
-            replica.worker = Some(worker);
-        }
+                    .expect("spawning a replica worker succeeds")
+            })
+            .collect();
     }
 
     /// Number of replica workers.
     pub fn replicas(&self) -> usize {
-        self.replicas.len()
+        self.gate.wake.len()
     }
 
     /// A new submission handle.
     pub fn client(&self) -> PoolClient {
         PoolClient {
-            router: Arc::clone(&self.router),
+            gate: Arc::clone(&self.gate),
         }
     }
 
@@ -519,35 +377,28 @@ impl ReplicaPool {
         key: u64,
         input: Tensor<f32>,
     ) -> Result<ResponseHandle<RequestResult>, SubmitError> {
-        let Driver::Lockstep(gate) = &self.driver else {
-            return Err(SubmitError::Closed);
-        };
-        if self.running {
-            return Err(SubmitError::Closed);
-        }
-        let mut state = gate.state.lock().expect("gate lock");
-        if state.pending.back().is_some_and(|p| p.at_ns > at_ns) {
+        let mut state = self.gate.lock();
+        if !state.clock.is_virtual()
+            || !state.open
+            || state.pending.back().is_some_and(|p| p.at_ns > at_ns)
+        {
             return Err(SubmitError::Closed);
         }
-        if let Some(handle) = self.router.malformed(&input) {
+        if let Some(handle) = self.gate.malformed(&input) {
             return Ok(handle);
         }
         let (slot, handle) = response_channel();
         state.pending.push_back(PendingSubmission {
             at_ns,
-            req: PooledRequest {
-                key,
-                input,
-                submitted: Instant::now(),
-                slot,
-            },
+            key,
+            request: PooledRequest { input, slot },
         });
         Ok(handle)
     }
 
     /// Current per-replica queue depths (approximate under concurrency).
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.replicas.iter().map(|r| r.queue.len()).collect()
+        self.gate.lock().core.queue_depths()
     }
 
     /// Stops accepting work, drains every queue, joins the workers, and
@@ -558,275 +409,61 @@ impl ReplicaPool {
     /// no paused time and the whole drain.
     pub fn shutdown(mut self) -> PoolSnapshot {
         self.resume();
-        for replica in &self.replicas {
-            replica.queue.close();
+        self.gate.close();
+        for worker in self.workers.drain(..) {
+            worker.join().expect("replica worker exits cleanly");
         }
-        let outcomes: Vec<ReplicaOutcome> = self
-            .replicas
-            .iter_mut()
-            .map(|replica| {
-                replica
-                    .worker
-                    .take()
-                    .expect("worker present until shutdown")
-                    .join()
-                    .expect("replica worker exits cleanly")
-            })
-            .collect();
         let elapsed = self
             .started
             .expect("resume() started the clock")
             .elapsed()
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        let mut snapshot = PoolSnapshot {
-            total: ServeMetrics::new().snapshot(elapsed),
-            per_replica: Vec::new(),
-            transitions: Vec::new(),
-            batch_log: Vec::new(),
-            handoffs: Vec::new(),
-            dropped_batches: 0,
-            dropped_transitions: 0,
-            control_events: Vec::new(),
-            dropped_control_events: 0,
-            replica_ns: (self.replicas.len() as u64).saturating_mul(elapsed),
+        let (out, wall) = {
+            let mut state = self.gate.lock();
+            (state.core.finish(), !state.clock.is_virtual())
         };
-        let mut metrics = Vec::new();
-        match &self.driver {
-            Driver::Lockstep(gate) => {
-                // Lockstep workers only ran GEMMs: every deterministic
-                // count, and the virtual replica-ns, come from the core.
-                let out = gate.state.lock().expect("gate lock").core.finish();
-                metrics = out.metrics;
-                snapshot.transitions = out.transitions;
-                snapshot.dropped_transitions = out.dropped_transitions;
-                snapshot.batch_log = out
-                    .batches
-                    .into_iter()
-                    .map(|b| PoolBatchLog {
-                        replica: b.replica,
-                        mode: b.mode,
-                        keys: b.request_ids,
-                        queue_depth_after: b.queue_depth_after,
-                    })
-                    .collect();
-                snapshot.dropped_batches = out.dropped_batches;
-                snapshot.handoffs = out.handoffs;
-                snapshot.control_events = out.control_events;
-                snapshot.dropped_control_events = out.dropped_control_events;
-                snapshot.replica_ns = out.replica_ns;
-            }
-            Driver::FreeRunning { .. } => {
-                for outcome in outcomes {
-                    metrics.push(outcome.metrics);
-                    snapshot.transitions.extend(outcome.transitions);
-                    snapshot.dropped_transitions += outcome.dropped_transitions;
-                    snapshot.batch_log.extend(outcome.log);
-                    snapshot.dropped_batches += outcome.dropped_batches;
-                    snapshot.handoffs.extend(outcome.handoffs);
-                }
-            }
-        }
         let mut total = ServeMetrics::new();
-        for (replica, rejected) in metrics.iter_mut().zip(&self.router.rejected) {
-            replica.rejected += rejected.load(Ordering::Relaxed);
+        for replica in &out.metrics {
             total.merge(replica);
         }
-        snapshot.total = total.snapshot(elapsed);
-        snapshot.per_replica = metrics.iter().map(|m| m.snapshot(elapsed)).collect();
-        snapshot
+        let mut batch_log: Vec<PoolBatchLog> = out
+            .batches
+            .into_iter()
+            .map(|b| PoolBatchLog {
+                replica: b.replica,
+                mode: b.mode,
+                keys: b.request_ids,
+                queue_depth_after: b.queue_depth_after,
+            })
+            .collect();
+        let mut replica_ns = out.replica_ns;
+        if wall {
+            // Free-running replicas launch independently, so the log reads
+            // per replica, and the cost is the wall-clock window's.
+            batch_log.sort_by_key(|b| b.replica);
+            replica_ns = (out.metrics.len() as u64).saturating_mul(elapsed);
+        }
+        PoolSnapshot {
+            total: total.snapshot(elapsed),
+            per_replica: out.metrics.iter().map(|m| m.snapshot(elapsed)).collect(),
+            transitions: out.transitions,
+            batch_log,
+            handoffs: out.handoffs,
+            dropped_batches: out.dropped_batches,
+            dropped_transitions: out.dropped_transitions,
+            control_events: out.control_events,
+            dropped_control_events: out.dropped_control_events,
+            replica_ns,
+        }
     }
 }
 
 impl Drop for ReplicaPool {
     fn drop(&mut self) {
-        for replica in &self.replicas {
-            replica.queue.close();
-        }
-        for replica in &mut self.replicas {
-            if let Some(worker) = replica.worker.take() {
-                let _ = worker.join();
-            }
-        }
-    }
-}
-
-/// One free-running replica worker: drains its queue on the wall clock and
-/// applies its slice of the fault plan for real.
-struct ReplicaWorker {
-    index: usize,
-    queue: Arc<BoundedQueue<PooledRequest>>,
-    router: Arc<RouterCore>,
-    sessions: Arc<Vec<Arc<Session>>>,
-    config: PoolConfig,
-    record_log: bool,
-    faults: ReplicaFaults,
-    service: ServiceModel,
-    recorder: Option<Arc<TraceRecorder>>,
-}
-
-impl ReplicaWorker {
-    /// The worker loop. A batch opens at the first queued request and
-    /// closes when it fills or that request's wait budget is spent; the
-    /// 1-based batch count is the fault plan's clock. A straggle window
-    /// sleeps out the extra service time its factor implies, a stall
-    /// sleeps, a queue close half-closes admissions (queued work still
-    /// drains), and a crash ends the loop after handing the queue off.
-    fn run(self, ctx: &ExecContext) -> ReplicaOutcome {
-        let mut out = ReplicaOutcome::default();
-        let mut adaptive =
-            AdaptiveState::new(self.config.adaptive, self.index, self.sessions.len());
-        let max_batch = self.config.scheduler.batch.max_batch;
-        let max_wait = Duration::from_nanos(self.config.scheduler.batch.max_wait_ns);
-        let mut batch_index = 0u64;
-        while let Some(first) = self.queue.pop_blocking() {
-            batch_index += 1;
-            let deadline = first.submitted + max_wait;
-            let batch = self.queue.collect_batch(first, max_batch, deadline);
-            let depth_after = self.queue.len();
-            let mode = adaptive.mode();
-            out.metrics.record_batch(batch.len(), depth_after);
-            out.metrics.record_mode_batch(mode);
-            if self.record_log {
-                if out.log.len() < BATCH_LOG_CAP {
-                    out.log.push(PoolBatchLog {
-                        replica: self.index,
-                        mode,
-                        keys: batch.iter().map(|r| r.key).collect(),
-                        queue_depth_after: depth_after,
-                    });
-                } else {
-                    out.dropped_batches += 1;
-                }
-            }
-            // The straggler pads the batch with the *extra* time its factor
-            // implies over the service model's size-aware nominal cost.
-            let factor = self.faults.service_factor_x1024(batch_index);
-            let straggle_ns = if factor > 1024 {
-                let nominal = self
-                    .service
-                    .batch_ns(&self.sessions[mode], batch.iter().map(|r| r.key));
-                (nominal as u128 * (factor - 1024) as u128 / 1024).min(u128::from(u64::MAX)) as u64
-            } else {
-                0
-            };
-            self.execute(ctx, batch, batch_index, mode, &mut out.metrics);
-            if straggle_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(straggle_ns));
-            }
-            // Policy evaluation runs after the batch's latencies landed in
-            // the histogram; a switch applies from the next batch on.
-            let p95 = out.metrics.latency.quantile(0.95);
-            if adaptive.observe_batch(depth_after, p95).is_some() {
-                out.metrics.record_transition();
-            }
-            let post = self.faults.after_batch(batch_index);
-            if post.stall_ns > 0 {
-                out.metrics.record_stall();
-                std::thread::sleep(Duration::from_nanos(post.stall_ns));
-            }
-            if post.close_queue {
-                self.queue.close_admissions();
-            }
-            if post.crashed {
-                self.crash(batch_index, &mut out);
-                break;
-            }
-        }
-        out.dropped_transitions = adaptive.dropped_transitions();
-        out.transitions = adaptive.into_transitions();
-        out
-    }
-
-    /// Executes one batch, records its wall-clock latencies (and, with a
-    /// recorder, its span chain), and answers every request. A failing
-    /// batch answers each of its requests with the error; the worker keeps
-    /// serving.
-    fn execute(
-        &self,
-        ctx: &ExecContext,
-        batch: Vec<PooledRequest>,
-        batch_index: u64,
-        mode: usize,
-        metrics: &mut ServeMetrics,
-    ) {
-        let inputs: Vec<&Tensor<f32>> = batch.iter().map(|r| &r.input).collect();
-        let mut kernels = Vec::new();
-        let exec_start = Instant::now();
-        let result = self.sessions[mode].infer_batch_inner(
-            ctx,
-            &inputs,
-            self.recorder.as_ref().map(|_| &mut kernels),
-        );
-        let responses = match result {
-            Ok(responses) => responses,
-            Err(e) => {
-                for request in batch {
-                    request.slot.complete(Err(e.clone()));
-                }
-                return;
-            }
-        };
-        let done = Instant::now();
-        if let Some(rec) = &self.recorder {
-            let clock = rec.clock();
-            let start_ns = clock.instant_ns(exec_start);
-            let dur_ns = clock.instant_ns(done).saturating_sub(start_ns);
-            let submits = || batch.iter().map(|r| (r.key, clock.instant_ns(r.submitted)));
-            for (key, submit_ns) in submits() {
-                rec.record(
-                    TraceEvent::new(TraceStage::Submit, self.index, submit_ns, 0).request(key),
-                );
-            }
-            let trace = BatchTraceCtx {
-                recorder: rec,
-                replica: self.index,
-                batch_index,
-                mode,
-            };
-            trace.record_batch(start_ns, dur_ns, submits());
-            trace.record_kernels(start_ns, dur_ns, &kernels);
-        }
-        let nanos = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let service_ns = nanos(done.saturating_duration_since(exec_start));
-        for (request, response) in batch.into_iter().zip(responses) {
-            let wait_ns = nanos(exec_start.saturating_duration_since(request.submitted));
-            metrics.record_stage_split(wait_ns, service_ns);
-            metrics.record_latency(nanos(done.saturating_duration_since(request.submitted)));
-            request.slot.complete(Ok(response));
-        }
-    }
-
-    /// A crash kills the worker: it leaves the routing set *first*, so no
-    /// submission races into a queue about to drain, closes admissions,
-    /// then hands every orphan to a survivor through the shared
-    /// [`pick_handoff_target`] rule — or sheds it (dropping the slot cancels
-    /// the request, so no client ever hangs on a dead replica).
-    fn crash(&self, batch_index: u64, out: &mut ReplicaOutcome) {
-        let router = &self.router;
-        router.alive[self.index].store(false, Ordering::Release);
-        self.queue.close_admissions();
-        out.metrics.record_crash();
-        let mut cursor = (self.index + 1) % router.queues.len();
-        for orphan in self.queue.drain_up_to(usize::MAX) {
-            let states: Vec<(bool, usize)> = (0..router.queues.len())
-                .map(|i| (router.eligible(i), router.queues[i].len()))
-                .collect();
-            let key = orphan.key;
-            // A push that raced to a full or closed queue sheds too.
-            let to_replica =
-                pick_handoff_target(self.index, &mut cursor, &states, self.queue.capacity())
-                    .filter(|&t| router.queues[t].try_push(orphan).is_ok());
-            match to_replica {
-                Some(_) => out.metrics.record_handoff(),
-                None => out.metrics.record_handoff_shed(),
-            }
-            out.handoffs.push(HandoffRecord {
-                from_replica: self.index,
-                at_batch: batch_index,
-                key,
-                to_replica,
-            });
+        self.gate.close();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -834,36 +471,83 @@ impl ReplicaWorker {
 /// A virtual-time submission the lockstep core has not admitted yet.
 struct PendingSubmission {
     at_ns: u64,
-    req: PooledRequest,
+    key: u64,
+    request: PooledRequest,
 }
 
-/// The lockstep pool's shared state: the scheduling core plus the timed
-/// submissions it has not reached yet, under one mutex so each grant
-/// commits atomically in virtual-time order.
+/// The pool's shared state, under one mutex so every scheduling decision
+/// commits atomically.
 struct GateState {
     core: SchedCore<PooledRequest>,
+    /// The core's clock: virtual for a lockstep pool; the wall clock — the
+    /// recorder's, once one is attached — for a free-running pool.
+    clock: Clock,
+    /// Whether submissions are admitted: a lockstep pool closes at
+    /// [`ReplicaPool::resume`], a free-running one at shutdown.
+    open: bool,
     /// Timed arrivals from [`ReplicaPool::submit_virtual`], ascending by
     /// `at_ns`; each is admitted once no launch precedes it.
     pending: VecDeque<PendingSubmission>,
     recorder: Option<Arc<TraceRecorder>>,
 }
 
-/// The coordinator of a [`PoolDriver::Lockstep`] pool. A worker asks for
-/// its next batch and blocks until its replica owns the earliest launch
-/// pool-wide; the core commits the launch under the lock and the worker
-/// runs the GEMM outside it — so determinism costs no parallelism.
-struct LockstepGate {
+/// Where every worker takes its next batch. The core commits each launch
+/// under the lock and the worker runs the GEMM outside it, so one lock
+/// costs no parallelism.
+struct Gate {
     state: Mutex<GateState>,
-    cv: Condvar,
+    /// One condvar per replica, so a submission wakes only the worker it
+    /// was routed to.
+    wake: Vec<Condvar>,
+    /// Ladder rung 0, whose [`Session::validate_input`] checks every
+    /// submission: the constructor made every rung take its input shape.
+    rung0: Arc<Session>,
 }
 
-impl LockstepGate {
-    /// Blocks until replica `r` owns the earliest launch (ties break to the
-    /// lowest replica index, as in the simulator), commits it, and returns
-    /// the batch — or `None` when `r` has crashed or the pool has fully
-    /// drained.
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().expect("gate lock")
+    }
+
+    fn wake_all(&self) {
+        for wake in &self.wake {
+            wake.notify_all();
+        }
+    }
+
+    /// A handle already answered with the shape error when `input` does not
+    /// fit the ladder, so a malformed request never enters a queue (nor
+    /// fails the batch it would have joined).
+    fn malformed(&self, input: &Tensor<f32>) -> Option<ResponseHandle<RequestResult>> {
+        let error = self.rung0.validate_input(input).err()?;
+        let (slot, handle) = response_channel();
+        slot.complete(Err(error));
+        Some(handle)
+    }
+
+    /// Closes admissions and wakes every worker to drain and exit. On the
+    /// wall clock no request can join a partial batch any more, so none
+    /// waits out its budget.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.open = false;
+        if !state.clock.is_virtual() {
+            state.core.flush();
+        }
+        drop(state);
+        self.wake_all();
+    }
+
+    /// Blocks until replica `r` may launch, commits the launch and returns
+    /// the batch — or `None` once `r` has crashed, or admissions closed and
+    /// every queue drained. On a virtual clock `r` waits until it owns the
+    /// earliest launch pool-wide (ties break to the lowest replica, as in
+    /// the simulator), timed arrivals before that launch are admitted first,
+    /// and the launch completes at its virtual finish time right here. On
+    /// the wall clock `r` waits for its own [`SchedCore::launch_at`] and
+    /// [`Self::release`] completes the batch after its GEMM.
     fn acquire(&self, r: usize) -> Option<(Vec<Queued<PooledRequest>>, Launch)> {
-        let mut guard = self.state.lock().expect("gate lock");
+        let mut guard = self.lock();
         loop {
             let state = &mut *guard;
             if state.core.is_crashed(r) {
@@ -871,64 +555,118 @@ impl LockstepGate {
             }
             let rec = state.recorder.as_deref();
             let next = state.core.next_launch();
-            // Timed arrivals at or before the next launch are admitted
-            // first — the simulator's event interleaving.
             if state
                 .pending
                 .front()
                 .is_some_and(|p| next.is_none_or(|(at, _)| p.at_ns <= at))
             {
                 let sub = state.pending.pop_front().expect("front checked");
-                let key = sub.req.key;
                 // A shed request's dropped slot cancels its handle.
-                let _ = state.core.admit(key, key, sub.at_ns, sub.req, rec);
+                let admitted = state
+                    .core
+                    .admit(sub.key, sub.key, sub.at_ns, sub.request, rec);
+                if admitted == Err(SubmitError::Closed) {
+                    state.core.reject_unrouted();
+                }
                 // Admission may change which replica owns the earliest
                 // launch: wake everyone to recompute.
-                self.cv.notify_all();
+                self.wake_all();
                 continue;
             }
-            match next {
-                // Fully drained: release every parked worker so the pool
-                // shuts down instead of deadlocking on the last notify.
-                None => {
-                    self.cv.notify_all();
-                    return None;
-                }
-                Some((at, winner)) if winner == r => {
-                    let mut batch = Vec::new();
-                    let launch = state.core.launch(r, at, &mut batch, rec);
-                    self.cv.notify_all();
-                    return Some((batch, launch));
-                }
-                Some(_) => guard = self.cv.wait(guard).expect("gate lock"),
+            if next.is_none() && !state.open {
+                self.wake_all();
+                return None;
             }
+            let mut batch = Vec::new();
+            let timeout = if state.clock.is_virtual() {
+                match next {
+                    Some((at, winner)) if winner == r => {
+                        let launch = state.core.launch(r, at, &mut batch);
+                        state.core.complete(&launch, &batch, rec);
+                        self.wake_all();
+                        return Some((batch, launch));
+                    }
+                    _ => None,
+                }
+            } else {
+                let now = state.clock.now_ns();
+                match state.core.launch_at(r) {
+                    Some(at) if at <= now => {
+                        let launch = state.core.launch(r, now, &mut batch);
+                        return Some((batch, launch));
+                    }
+                    at => at.map(|at| Duration::from_nanos(at - now)),
+                }
+            };
+            guard = match timeout {
+                None => self.wake[r].wait(guard).expect("gate lock"),
+                Some(timeout) => {
+                    self.wake[r]
+                        .wait_timeout(guard, timeout)
+                        .expect("gate lock")
+                        .0
+                }
+            };
         }
+    }
+
+    /// Completes a wall-clock batch with the times its worker measured and
+    /// returns the launch as measured; a virtual-clock launch completed when
+    /// it was granted.
+    fn release(
+        &self,
+        launch: Launch,
+        batch: &[Queued<PooledRequest>],
+        started: Instant,
+        done: Instant,
+    ) -> Launch {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        if state.clock.is_virtual() {
+            return launch;
+        }
+        let launch = launch.measured(
+            state.clock.instant_ns(started),
+            state.clock.instant_ns(done),
+        );
+        state
+            .core
+            .complete(&launch, batch, state.recorder.as_deref());
+        // A crash hands the queue to the survivors; after close, the last
+        // batch releases every parked worker.
+        let wake_all = !state.open || state.core.is_crashed(launch.replica);
+        drop(guard);
+        if wake_all {
+            self.wake_all();
+        }
+        launch
     }
 }
 
-/// The lockstep worker loop: the core already made every scheduling
-/// decision; the worker only executes the granted batch and completes the
-/// response slots. Logits are computed for real, so they are comparable to
-/// the simulator's bit for bit; kernel spans are recorded outside the lock,
-/// and the snapshot's canonical order makes their interleaving invisible.
-fn lockstep_loop(
-    index: usize,
-    gate: &LockstepGate,
+/// Replica `r`'s worker: executes every batch the gate grants it, outside
+/// the lock, and answers its requests. Logits are computed for real, so
+/// they are comparable to the simulator's bit for bit; kernel spans are
+/// recorded outside the lock, and the snapshot's canonical order makes
+/// their interleaving invisible. A failing batch answers each of its
+/// requests with the error.
+fn serve(
+    r: usize,
+    gate: &Gate,
     sessions: &[Arc<Session>],
     ctx: &ExecContext,
     recorder: Option<&TraceRecorder>,
-) -> ReplicaOutcome {
-    while let Some((batch, launch)) = gate.acquire(index) {
+) {
+    while let Some((batch, launch)) = gate.acquire(r) {
         let inputs: Vec<&Tensor<f32>> = batch.iter().map(|q| &q.payload.input).collect();
         let mut kernels = Vec::new();
+        let started = Instant::now();
         let result =
             sessions[launch.mode].infer_batch_inner(ctx, &inputs, recorder.map(|_| &mut kernels));
+        let launch = gate.release(launch, &batch, started, Instant::now());
         match result {
             Ok(responses) => {
                 if let Some(rec) = recorder {
-                    launch
-                        .trace(rec)
-                        .record_kernels(launch.launch_ns, launch.service_ns, &kernels);
+                    launch.record_kernels(rec, &kernels);
                 }
                 for (q, response) in batch.into_iter().zip(responses) {
                     q.payload.slot.complete(Ok(response));
@@ -941,15 +679,14 @@ fn lockstep_loop(
             }
         }
     }
-    ReplicaOutcome::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdaptivePolicy, BatchPolicy, SchedulerConfig, SmtConfig};
+    use crate::config::{AdaptivePolicy, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig};
     use crate::control::{AutoscaleConfig, ControlConfig};
-    use crate::faults::{FaultEvent, FaultKind};
+    use crate::faults::{FaultEvent, FaultKind, FaultPlan};
     use crate::registry::ModelRegistry;
     use crate::sim::{simulate_pool, ArrivalProcess};
     use nbsmt_workloads::synthnet::quick_synthnet;
@@ -1089,31 +826,75 @@ mod tests {
             scheduler: scheduler(2, 0, 2),
             ..pool_config(2, RoutePolicy::LeastOutstanding)
         };
+        for driver in [PoolDriver::FreeRunning, PoolDriver::Lockstep] {
+            let mut pool = build(&ladder, &options(config), driver).expect("config is valid");
+            let client = pool.client();
+            let mut accepted = Vec::new();
+            let mut rejected = 0u64;
+            // Paused pool: 2 replicas × capacity 2 admit exactly 4; the rest
+            // shed with the typed error.
+            for (i, input) in inputs.iter().enumerate() {
+                match client.submit(i as u64, input.clone()) {
+                    Ok(h) => accepted.push(h),
+                    Err(SubmitError::QueueFull { capacity }) => {
+                        assert_eq!(capacity, 2);
+                        rejected += 1;
+                    }
+                    Err(SubmitError::Closed) => unreachable!("pool is open"),
+                }
+            }
+            assert_eq!(accepted.len(), 4);
+            assert_eq!(pool.queue_depths(), vec![2, 2], "LO must balance exactly");
+            pool.resume();
+            for handle in accepted {
+                let _ = handle.wait().expect("accepted requests complete");
+            }
+            let snapshot = pool.shutdown();
+            assert_eq!(snapshot.total.completed, 4);
+            assert_eq!(snapshot.total.rejected, rejected);
+        }
+    }
+
+    #[test]
+    fn wall_clock_partial_batch_waits_out_max_wait_and_full_batch_launches_at_once() {
+        let (ladder, inputs) = ladder_fixture();
+        let max_wait = Duration::from_millis(50);
+        let config = PoolConfig {
+            scheduler: scheduler(4, max_wait.as_nanos() as u64, 8),
+            adaptive: AdaptivePolicy::pinned(),
+            ..pool_config(1, RoutePolicy::RoundRobin)
+        };
+        // A lone request on a running pool launches only once its wait
+        // budget is spent.
+        let mut pool = paused(&ladder, config);
+        pool.resume();
+        let submitted = Instant::now();
+        let handle = pool.client().submit(0, inputs[0].clone()).expect("room");
+        handle.wait().expect("not cancelled").expect("no error");
+        assert!(
+            submitted.elapsed() >= max_wait,
+            "answered after {:?}, before the {max_wait:?} budget",
+            submitted.elapsed()
+        );
+        let lone = pool.shutdown();
+        assert_eq!(lone.batch_log.len(), 1);
+        assert_eq!(lone.batch_log[0].keys, vec![0]);
+        assert!(lone.total.p50_ns >= max_wait.as_nanos() as u64);
+
+        // Four requests queued while paused fill one batch, which launches
+        // on resume together.
         let mut pool = paused(&ladder, config);
         let client = pool.client();
-        let mut accepted = Vec::new();
-        let mut rejected = 0u64;
-        // Paused pool: 2 replicas × capacity 2 admit exactly 4; the rest
-        // shed with the typed error.
-        for (i, input) in inputs.iter().enumerate() {
-            match client.submit(i as u64, input.clone()) {
-                Ok(h) => accepted.push(h),
-                Err(SubmitError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 2);
-                    rejected += 1;
-                }
-                Err(SubmitError::Closed) => unreachable!("pool is open"),
-            }
-        }
-        assert_eq!(accepted.len(), 4);
-        assert_eq!(pool.queue_depths(), vec![2, 2], "LO must balance exactly");
+        let handles: Vec<_> = (0..4)
+            .map(|i| client.submit(i, inputs[i as usize].clone()).expect("room"))
+            .collect();
         pool.resume();
-        for handle in accepted {
-            let _ = handle.wait().expect("accepted requests complete");
+        for handle in handles {
+            handle.wait().expect("not cancelled").expect("no error");
         }
-        let snapshot = pool.shutdown();
-        assert_eq!(snapshot.total.completed, 4);
-        assert_eq!(snapshot.total.rejected, rejected);
+        let full = pool.shutdown();
+        assert_eq!(full.batch_log.len(), 1);
+        assert_eq!(full.batch_log[0].keys, vec![0, 1, 2, 3]);
     }
 
     #[test]

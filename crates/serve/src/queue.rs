@@ -1,197 +1,14 @@
-//! Bounded MPSC request queue and one-shot response handles.
+//! One-shot response handles: how a served request gets its answer.
 //!
-//! The queue is the admission-control point of the serving layer: `try_push`
-//! never blocks and rejects with a typed error when the bound is hit, so
-//! overload sheds load instead of growing memory. The scheduler side blocks
-//! on `pop_blocking` / `pop_deadline` (the deadline variant implements the
-//! `max_wait` half of the batching policy).
-//!
-//! [`response_channel`] is the one-shot completion primitive: the scheduler
-//! keeps the [`ResponseSlot`], the client keeps the [`ResponseHandle`] and
-//! blocks on `wait`. Dropping an uncompleted slot cancels the handle rather
-//! than deadlocking it.
+//! [`response_channel`] is the completion primitive: the pool keeps the
+//! [`ResponseSlot`] with the queued request, the client keeps the
+//! [`ResponseHandle`] and blocks on `wait` (or polls `try_take` /
+//! `try_wait`). Dropping an uncompleted slot — a request shed by a crash
+//! handoff or dropped with its pool — cancels the handle rather than
+//! deadlocking it. The request queues themselves live in the pool's
+//! scheduling core.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
-
-use crate::config::SubmitError;
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    admissions_closed: bool,
-}
-
-/// A bounded multi-producer single-consumer queue with typed rejection.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue bounded at `capacity` (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                admissions_closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking admission: enqueues `item` or rejects it.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] at capacity, [`SubmitError::Closed`] after
-    /// [`Self::close`].
-    pub fn try_push(&self, item: T) -> Result<(), SubmitError> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed || state.admissions_closed {
-            return Err(SubmitError::Closed);
-        }
-        if state.items.len() >= self.capacity {
-            return Err(SubmitError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until an item is available or the queue is closed *and*
-    /// drained; `None` signals shutdown.
-    pub fn pop_blocking(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Blocks until an item is available, the queue closes, or `deadline`
-    /// passes — the batching scheduler's `max_wait` primitive.
-    pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return PopResult::Item(item);
-            }
-            if state.closed {
-                return PopResult::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopResult::TimedOut;
-            }
-            let (next, timeout) = self
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock");
-            state = next;
-            if timeout.timed_out() && state.items.is_empty() {
-                return if state.closed {
-                    PopResult::Closed
-                } else {
-                    PopResult::TimedOut
-                };
-            }
-        }
-    }
-
-    /// Drains up to `max` queued items in one lock without waiting — the
-    /// scheduler claims everything already queued behind a batch's first
-    /// request this way before falling back to deadline-bounded pops.
-    pub fn drain_up_to(&self, max: usize) -> Vec<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        let take = state.items.len().min(max);
-        state.items.drain(..take).collect()
-    }
-
-    /// Collects one batch around `first`: claims everything already queued
-    /// in one lock, then blocks on `deadline` for the remainder — the
-    /// coalescing step shared by the single-session scheduler and every
-    /// replica-pool worker. Returns between 1 and `max_batch` items.
-    pub fn collect_batch(&self, first: T, max_batch: usize, deadline: Instant) -> Vec<T> {
-        let mut batch = vec![first];
-        if batch.len() < max_batch {
-            batch.extend(self.drain_up_to(max_batch - batch.len()));
-        }
-        while batch.len() < max_batch {
-            match self.pop_deadline(deadline) {
-                PopResult::Item(item) => batch.push(item),
-                PopResult::TimedOut | PopResult::Closed => break,
-            }
-        }
-        batch
-    }
-
-    /// Closes the queue: future pushes are rejected, blocked pops drain the
-    /// remaining items and then observe shutdown.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Whether [`Self::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
-    /// Closes *admissions only* — the fault-injection half-close: future
-    /// pushes are rejected with [`SubmitError::Closed`], but blocked pops
-    /// keep waiting (unlike [`Self::close`], which also signals the consumer
-    /// to shut down once drained). A crashed or quarantined replica closes
-    /// admissions first so no new request can slip in behind its drain.
-    pub fn close_admissions(&self) {
-        self.state.lock().expect("queue lock").admissions_closed = true;
-    }
-
-    /// Whether new submissions are currently rejected (full close or
-    /// admissions-only close).
-    pub fn is_admissions_closed(&self) -> bool {
-        let state = self.state.lock().expect("queue lock");
-        state.closed || state.admissions_closed
-    }
-}
-
-/// Outcome of a deadline-bounded pop.
-#[derive(Debug)]
-pub enum PopResult<T> {
-    /// An item arrived before the deadline.
-    Item(T),
-    /// The deadline passed with the queue empty.
-    TimedOut,
-    /// The queue is closed and drained.
-    Closed,
-}
 
 struct SlotState<T> {
     value: Option<T>,
@@ -333,78 +150,6 @@ pub enum TryWait<T> {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn push_pop_and_capacity_reject() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.capacity(), 2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(SubmitError::QueueFull { capacity: 2 }));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_blocking(), Some(1));
-        q.try_push(3).unwrap();
-        assert_eq!(q.drain_up_to(8), vec![2, 3]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn close_rejects_pushes_and_drains_pops() {
-        let q = BoundedQueue::new(4);
-        q.try_push(7).unwrap();
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.try_push(8), Err(SubmitError::Closed));
-        assert_eq!(q.pop_blocking(), Some(7));
-        assert_eq!(q.pop_blocking(), None);
-    }
-
-    #[test]
-    fn pop_deadline_times_out_and_receives() {
-        let q = BoundedQueue::new(4);
-        let deadline = Instant::now() + Duration::from_millis(5);
-        assert!(matches!(q.pop_deadline(deadline), PopResult::TimedOut));
-        q.try_push(1).unwrap();
-        let deadline = Instant::now() + Duration::from_millis(50);
-        assert!(matches!(q.pop_deadline(deadline), PopResult::Item(1)));
-        q.close();
-        assert!(matches!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(5)),
-            PopResult::Closed
-        ));
-    }
-
-    #[test]
-    fn cross_thread_pop_wakes() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let producer = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            producer.try_push(42).unwrap();
-        });
-        assert_eq!(q.pop_blocking(), Some(42));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn close_admissions_rejects_pushes_but_keeps_pops_alive() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.close_admissions();
-        assert!(q.is_admissions_closed());
-        assert!(!q.is_closed(), "half-close must not signal shutdown");
-        assert_eq!(q.try_push(2), Err(SubmitError::Closed));
-        // Queued work still drains…
-        assert_eq!(q.pop_blocking(), Some(1));
-        // …and a deadline pop times out (consumer stays alive) rather than
-        // observing Closed.
-        assert!(matches!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(5)),
-            PopResult::TimedOut
-        ));
-        q.close();
-        assert_eq!(q.pop_blocking(), None);
-    }
 
     #[test]
     fn try_wait_observes_ready_pending_and_cancelled() {

@@ -1,35 +1,45 @@
-//! The sans-IO scheduling core behind the simulator and the lockstep pool.
+//! The sans-IO scheduling core behind every serving driver.
 //!
-//! [`SchedCore`] holds all deterministic pool state — per-replica queues,
-//! virtual free times, batch counters, crash and close flags, adaptive
-//! ladders, fault cursors, metrics, the optional [`PoolController`], the
-//! round-robin tick, and the handoff and batch logs — and makes every
-//! scheduling decision: which replica launches next and when, where an
-//! arrival is routed or whether it is shed, what a launch commits, where a
-//! crashed or deactivated replica's queue goes, and what a steal moves. It
-//! reads no clock, takes no lock, starts no thread and runs no inference:
-//! time is an argument, and the request payload `P` is opaque to it.
+//! [`SchedCore`] holds all pool state — per-replica queues, free times,
+//! batch counters, crash and close flags, adaptive ladders, fault cursors,
+//! metrics, the optional [`PoolController`], the round-robin tick, and the
+//! handoff and batch logs — and makes every scheduling decision: when a
+//! replica launches, where an arrival is routed or whether it is shed, what
+//! a launch commits, what a finished batch changes, where a crashed or
+//! deactivated replica's queue goes, and what a steal moves. It reads no
+//! clock, takes no lock, starts no thread and runs no inference: time is an
+//! argument, and the request payload `P` is opaque to it.
 //!
-//! Two drivers feed it. [`crate::sim`] pulls arrivals from an
-//! [`crate::sim::ArrivalProcess`] and runs each launched batch inline; the
-//! lockstep [`crate::pool::ReplicaPool`] keeps the core behind a mutex and
-//! runs each granted batch on the replica's worker thread, outside the
-//! lock. Both call the same code in the same event order, so the lockstep
-//! contract — identical batches, modes, transitions, handoffs, control
-//! events, virtual latencies and traces — holds by construction.
+//! A batch passes through it twice. [`SchedCore::launch`] drains the queue,
+//! picks the rung and logs the batch; [`SchedCore::complete`] records its
+//! latencies and span, frees the replica, and runs the adaptive evaluation,
+//! the post-batch faults and the steal check.
+//!
+//! Three drivers feed it. [`crate::sim`] pulls arrivals from an
+//! [`crate::sim::ArrivalProcess`] and runs each batch inline; the
+//! [`crate::pool::ReplicaPool`] keeps the core behind a mutex and runs each
+//! granted batch on the replica's worker thread, outside the lock. On a
+//! virtual clock (the simulator and the lockstep pool) a driver calls
+//! `launch` and `complete` back to back with the [`ServiceModel`] finish
+//! time, so the lockstep contract — identical batches, modes, transitions,
+//! handoffs, control events, virtual latencies and traces — holds by
+//! construction. On the wall clock (the free-running pool) each replica
+//! launches on its own schedule and calls `complete` after its GEMM with the
+//! times it measured.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 use crate::config::{
-    AdaptiveState, ConfigError, ModeTransition, PoolOptions, RoutePolicy, ServeError, BATCH_LOG_CAP,
+    AdaptiveState, ConfigError, ModeTransition, PoolOptions, RoutePolicy, ServeError, SubmitError,
+    BATCH_LOG_CAP,
 };
 use crate::control::{ControlEvent, ControlEventKind, PoolController};
 use crate::faults::{pick_handoff_target, pick_replica, HandoffRecord, ReplicaFaults};
 use crate::metrics::ServeMetrics;
 use crate::session::Session;
 use crate::sim::{PoolBatchRecord, RungCost, ServiceModel};
-use crate::trace::{BatchTraceCtx, TraceEvent, TraceRecorder, TraceStage};
+use crate::trace::{BatchTraceCtx, LayerKernel, TraceEvent, TraceRecorder, TraceStage};
 
 /// Checks the ladder both drivers serve: at least one rung, and every rung
 /// taking rung 0's input shape, so one [`Session::validate_input`] call
@@ -57,38 +67,67 @@ pub(crate) struct Queued<P> {
     pub(crate) id: u64,
     /// Router/affinity key: feeds routing, the size model and handoff
     /// records.
-    pub(crate) key: u64,
-    /// Virtual submission time in ns; latency is measured from here.
-    pub(crate) submit_ns: u64,
-    /// Earliest virtual time the request may launch: its submission time,
-    /// raised by a handoff or a steal to when it reached its new queue.
-    pub(crate) ready_ns: u64,
+    key: u64,
+    /// Submission time in ns; latency is measured from here.
+    submit_ns: u64,
+    /// Earliest time the request may launch: its submission time, raised by
+    /// a handoff or a steal to when it reached its new queue.
+    ready_ns: u64,
     /// What the driver needs to execute and answer the request.
     pub(crate) payload: P,
 }
 
-/// One committed launch: what a driver needs to execute the batch and to
-/// place its kernel spans.
+/// One committed launch: what a driver needs to execute the batch, and what
+/// [`SchedCore::complete`] needs to finish it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Launch {
     pub(crate) replica: usize,
     /// Ladder rung the batch executes at.
     pub(crate) mode: usize,
     /// The replica's 1-based batch count, this batch included.
-    pub(crate) batch_index: u64,
-    pub(crate) launch_ns: u64,
-    pub(crate) service_ns: u64,
+    batch_index: u64,
+    /// When the batch starts serving: the launch instant on a virtual
+    /// clock, the measured GEMM start on the wall clock.
+    start_ns: u64,
+    /// When the batch is answered: `start_ns` plus the service model's
+    /// straggled cost on a virtual clock, the measured GEMM end on the wall
+    /// clock.
     pub(crate) finish_ns: u64,
+    /// When the replica is free again. A virtual clock's service time
+    /// already holds the straggle; the wall clock adds it after the answer.
+    free_ns: u64,
+    /// What the straggle factor adds to the service model's cost.
+    straggle_ns: u64,
+    /// Queue depth the drain left behind: the adaptive depth trigger.
+    depth_after: usize,
 }
 
 impl Launch {
     /// The batch's identity on `recorder`.
-    pub(crate) fn trace<'a>(&self, recorder: &'a TraceRecorder) -> BatchTraceCtx<'a> {
+    fn trace<'a>(&self, recorder: &'a TraceRecorder) -> BatchTraceCtx<'a> {
         BatchTraceCtx {
             recorder,
             replica: self.replica,
             batch_index: self.batch_index,
             mode: self.mode,
+        }
+    }
+
+    /// Records the batch's per-layer kernel spans over its service span.
+    pub(crate) fn record_kernels(&self, recorder: &TraceRecorder, kernels: &[LayerKernel]) {
+        let service_ns = self.finish_ns.saturating_sub(self.start_ns);
+        self.trace(recorder)
+            .record_kernels(self.start_ns, service_ns, kernels);
+    }
+
+    /// This launch as the wall clock saw it: served from `start_ns` to
+    /// `finish_ns`, then padded by the straggle before the replica is free.
+    pub(crate) fn measured(self, start_ns: u64, finish_ns: u64) -> Launch {
+        Launch {
+            start_ns,
+            finish_ns,
+            free_ns: finish_ns.saturating_add(self.straggle_ns),
+            ..self
         }
     }
 }
@@ -148,8 +187,8 @@ pub(crate) struct SchedCore<P> {
 
 impl<P> SchedCore<P> {
     /// A core for `options` over the ladder `sessions` (rung 0 first), with
-    /// per-replica queues of `capacity`: virtual time from the service
-    /// model, the fault plan's per-replica cursors, and a controller when
+    /// per-replica queues of `capacity`: the service model that prices each
+    /// launch, the fault plan's per-replica cursors, and a controller when
     /// one is configured. `log_batches` keeps the capped batch log. The
     /// pool configuration must already be validated.
     ///
@@ -233,42 +272,62 @@ impl<P> SchedCore<P> {
         self.replicas[r].crashed
     }
 
-    /// The earliest launch any live replica could perform from its current
-    /// queue, as `(virtual time, replica)`; ties go to the lowest replica.
-    /// A full batch launches once the replica is free and its
-    /// `max_batch`-th request is ready; a partial batch waits out the
-    /// oldest request's budget. `None` when every queue is empty.
+    /// Current queue length of every replica, in replica order.
+    pub(crate) fn queue_depths(&self) -> Vec<usize> {
+        self.replicas.iter().map(|r| r.queue.len()).collect()
+    }
+
+    /// When replica `r` launches from its current queue: a full batch once
+    /// the replica is free and its `max_batch`-th request is ready, a
+    /// partial batch once the oldest request's wait budget is spent, and
+    /// never before the replica is free. `None` when `r` has crashed or its
+    /// queue is empty.
+    pub(crate) fn launch_at(&self, r: usize) -> Option<u64> {
+        self.due(&self.replicas[r])
+    }
+
+    /// The earliest [`Self::launch_at`] pool-wide, as `(time, replica)`;
+    /// ties go to the lowest replica. `None` when every queue is empty.
     pub(crate) fn next_launch(&self) -> Option<(u64, usize)> {
         let mut next: Option<(u64, usize)> = None;
         for (r, replica) in self.replicas.iter().enumerate() {
-            if replica.crashed {
-                continue;
-            }
-            let Some(oldest) = replica.queue.front() else {
-                continue;
-            };
-            let at = if replica.queue.len() >= self.max_batch {
-                replica
-                    .t_free
-                    .max(replica.queue[self.max_batch - 1].ready_ns)
-            } else {
-                replica
-                    .t_free
-                    .max(oldest.ready_ns.saturating_add(self.max_wait_ns))
-            };
-            if next.is_none_or(|(best, _)| at < best) {
-                next = Some((at, r));
+            if let Some(at) = self.due(replica) {
+                if next.is_none_or(|(best, _)| at < best) {
+                    next = Some((at, r));
+                }
             }
         }
         next
     }
 
-    /// Admits one arrival at virtual `at_ns` (non-decreasing across calls).
-    /// The controller observes it first and its decisions apply; then the
-    /// router picks among the live, open replicas, and the pick takes the
-    /// request if its queue has room. A shed request comes back as `Err`
-    /// with its payload, counted on the picked replica, or on replica 0
-    /// when no replica is eligible.
+    /// [`Self::launch_at`] of `replica`.
+    fn due(&self, replica: &Replica<P>) -> Option<u64> {
+        if replica.crashed {
+            return None;
+        }
+        let oldest = replica.queue.front()?;
+        let ready_ns = if replica.queue.len() >= self.max_batch {
+            replica.queue[self.max_batch - 1].ready_ns
+        } else {
+            oldest.ready_ns.saturating_add(self.max_wait_ns)
+        };
+        Some(replica.t_free.max(ready_ns))
+    }
+
+    /// Stops partial batches from waiting: once no request can arrive, a
+    /// partial batch launches as soon as its replica is free.
+    pub(crate) fn flush(&mut self) {
+        self.max_wait_ns = 0;
+    }
+
+    /// Admits one arrival at `at_ns` (non-decreasing across calls) and
+    /// returns the replica that queued it. The controller observes it first
+    /// and its decisions apply; then the router picks among the live, open
+    /// replicas, and the pick takes the request if its queue has room. A
+    /// shed request's payload is dropped: [`SubmitError::QueueFull`] is
+    /// counted on the picked replica, while [`SubmitError::Closed`] — no
+    /// replica eligible — is counted only by a driver that calls
+    /// [`Self::reject_unrouted`].
     pub(crate) fn admit(
         &mut self,
         id: u64,
@@ -276,7 +335,7 @@ impl<P> SchedCore<P> {
         at_ns: u64,
         payload: P,
         rec: Option<&TraceRecorder>,
-    ) -> Result<(), P> {
+    ) -> Result<usize, SubmitError> {
         if let Some(events) = self.controller.as_mut().map(|c| c.on_arrival(at_ns)) {
             for event in events {
                 self.apply_control(event, rec);
@@ -287,54 +346,40 @@ impl<P> SchedCore<P> {
         if self.route == RoutePolicy::RoundRobin {
             self.rr += 1;
         }
-        match pick_replica(self.route, key, tick, &self.depths) {
-            Some(target) if self.replicas[target].queue.len() < self.capacity => {
-                let item = Queued {
-                    id,
-                    key,
-                    submit_ns: at_ns,
-                    ready_ns: at_ns,
-                    payload,
-                };
-                self.enqueue(target, item, rec);
-                Ok(())
-            }
-            Some(target) => {
-                self.replicas[target].metrics.record_rejected();
-                Err(payload)
-            }
-            None => {
-                self.replicas[0].metrics.record_rejected();
-                Err(payload)
-            }
+        let target =
+            pick_replica(self.route, key, tick, &self.depths).ok_or(SubmitError::Closed)?;
+        if self.replicas[target].queue.len() >= self.capacity {
+            self.replicas[target].metrics.record_rejected();
+            return Err(SubmitError::QueueFull {
+                capacity: self.capacity,
+            });
         }
-    }
-
-    /// Queues one already-routed request on `replica` and records its
-    /// submit span.
-    pub(crate) fn enqueue(&mut self, replica: usize, item: Queued<P>, rec: Option<&TraceRecorder>) {
         if let Some(rec) = rec {
-            rec.record(
-                TraceEvent::new(TraceStage::Submit, replica, item.submit_ns, 0).request(item.id),
-            );
+            rec.record(TraceEvent::new(TraceStage::Submit, target, at_ns, 0).request(id));
         }
-        self.replicas[replica].queue.push_back(item);
+        self.replicas[target].queue.push_back(Queued {
+            id,
+            key,
+            submit_ns: at_ns,
+            ready_ns: at_ns,
+            payload,
+        });
+        Ok(target)
     }
 
-    /// Commits replica `r`'s launch at virtual `at_ns`, the time
-    /// [`Self::next_launch`] named: drains up to `max_batch` requests into
-    /// the empty `batch`, picks the rung (the reactive mode raised to the
-    /// predictive floor), scales the size-aware service time by any
-    /// straggle window, records latencies and spans, logs the batch, then
-    /// runs the adaptive evaluation, the post-batch faults (a crash hands
-    /// the queue off) and the steal check, in that order.
-    pub(crate) fn launch(
-        &mut self,
-        r: usize,
-        at_ns: u64,
-        batch: &mut Vec<Queued<P>>,
-        rec: Option<&TraceRecorder>,
-    ) -> Launch {
+    /// Counts an arrival no replica was eligible for as a rejection on
+    /// replica 0 — the virtual-clock drivers' accounting.
+    pub(crate) fn reject_unrouted(&mut self) {
+        self.replicas[0].metrics.record_rejected();
+    }
+
+    /// Commits replica `r`'s launch at `at_ns`, no earlier than
+    /// [`Self::launch_at`]: drains up to `max_batch` requests into the empty
+    /// `batch`, picks the rung (the reactive mode raised to the predictive
+    /// floor), prices the batch with the service model scaled by any
+    /// straggle window, counts it and logs it. The returned launch holds
+    /// the virtual-clock times; [`Self::complete`] finishes it.
+    pub(crate) fn launch(&mut self, r: usize, at_ns: u64, batch: &mut Vec<Queued<P>>) -> Launch {
         let replica = &mut self.replicas[r];
         let batch_index = replica.batches + 1;
         let take = replica.queue.len().min(self.max_batch);
@@ -353,29 +398,7 @@ impl<P> SchedCore<P> {
         let depth_after = replica.queue.len();
         replica.metrics.record_batch(batch.len(), depth_after);
         replica.metrics.record_mode_batch(mode);
-        for q in batch.iter() {
-            replica
-                .metrics
-                .record_stage_split(at_ns.saturating_sub(q.submit_ns), service_ns);
-            replica
-                .metrics
-                .record_latency(finish_ns.saturating_sub(q.submit_ns));
-        }
-        let launch = Launch {
-            replica: r,
-            mode,
-            batch_index,
-            launch_ns: at_ns,
-            service_ns,
-            finish_ns,
-        };
-        if let Some(rec) = rec {
-            launch.trace(rec).record_batch(
-                at_ns,
-                service_ns,
-                batch.iter().map(|q| (q.id, q.submit_ns)),
-            );
-        }
+        replica.batches = batch_index;
         if let Some(log) = &mut self.batch_log {
             if log.len() < BATCH_LOG_CAP {
                 log.push(PoolBatchRecord {
@@ -390,16 +413,61 @@ impl<P> SchedCore<P> {
                 self.dropped_batches += 1;
             }
         }
-        replica.t_free = finish_ns;
-        // Both adaptive triggers read virtual state: depth from the drain,
-        // p95 from the virtual-latency histogram. A switch applies from the
+        Launch {
+            replica: r,
+            mode,
+            batch_index,
+            start_ns: at_ns,
+            finish_ns,
+            free_ns: finish_ns,
+            straggle_ns: service_ns.saturating_sub(base_ns),
+            depth_after,
+        }
+    }
+
+    /// Finishes `launch`, whose requests are `batch`: records each
+    /// request's latency and stage split and the batch's spans, frees the
+    /// replica at the launch's free time, then runs the adaptive evaluation,
+    /// the post-batch faults (a stall delays the replica, a crash hands its
+    /// queue off) and the steal check, in that order.
+    pub(crate) fn complete(
+        &mut self,
+        launch: &Launch,
+        batch: &[Queued<P>],
+        rec: Option<&TraceRecorder>,
+    ) {
+        let r = launch.replica;
+        let replica = &mut self.replicas[r];
+        let (start_ns, finish_ns) = (launch.start_ns, launch.finish_ns);
+        let service_ns = finish_ns.saturating_sub(start_ns);
+        for q in batch {
+            replica
+                .metrics
+                .record_stage_split(start_ns.saturating_sub(q.submit_ns), service_ns);
+            replica
+                .metrics
+                .record_latency(finish_ns.saturating_sub(q.submit_ns));
+        }
+        if let Some(rec) = rec {
+            launch.trace(rec).record_batch(
+                start_ns,
+                service_ns,
+                batch.iter().map(|q| (q.id, q.submit_ns)),
+            );
+        }
+        replica.t_free = launch.free_ns;
+        // The depth trigger reads the drain, the p95 trigger the latency
+        // histogram of the driver's clock. A switch applies from the
         // replica's next batch on.
         let p95 = replica.metrics.latency.quantile(0.95);
-        if replica.adaptive.observe_batch(depth_after, p95).is_some() {
+        if replica
+            .adaptive
+            .observe_batch(launch.depth_after, p95)
+            .is_some()
+        {
             replica.metrics.record_transition();
         }
-        replica.batches = batch_index;
-        let post = replica.faults.after_batch(batch_index);
+        let post = replica.faults.after_batch(launch.batch_index);
         if post.stall_ns > 0 {
             replica.t_free = replica.t_free.saturating_add(post.stall_ns);
             replica.metrics.record_stall();
@@ -413,10 +481,9 @@ impl<P> SchedCore<P> {
             replica.metrics.record_crash();
             // Orphans cannot launch on a survivor before the crash instant.
             let crash_ns = replica.t_free;
-            self.hand_off(r, batch_index, |_| crash_ns);
+            self.hand_off(r, launch.batch_index, |_| crash_ns);
         }
-        self.steal(at_ns, rec);
-        launch
+        self.steal(start_ns, rec);
     }
 
     /// Drains replica `from`'s queue onto the live survivors — the one

@@ -28,7 +28,8 @@ use nbsmt_tensor::tensor::Tensor;
 use nbsmt_tensor::validate::Validate;
 
 use crate::config::{
-    ModeTransition, PoolConfig, PoolOptions, ServeError, REJECTION_LOG_CAP, RESPONSE_LOG_CAP,
+    ModeTransition, PoolConfig, PoolOptions, ServeError, SubmitError, REJECTION_LOG_CAP,
+    RESPONSE_LOG_CAP,
 };
 use crate::control::ControlEvent;
 use crate::faults::{FaultPlan, HandoffRecord};
@@ -95,20 +96,14 @@ impl ServiceModel {
         self.batch_overhead_ns + work.min(u128::from(u64::MAX)) as u64
     }
 
-    /// Virtual service time of a batch whose requests carry the given
-    /// router keys, with each request's MACs scaled by
+    /// Virtual service time of a batch on `rung` whose requests carry the
+    /// given router keys, with each request's MACs scaled by
     /// [`ServiceModel::size`]. For [`SizeModel::Unit`] every key weighs
     /// 1024/1024 and the result is bit-identical to
     /// [`ServiceModel::service_ns`] of the same batch length — the first
     /// `/ 1024` is exact — so unit-size runs are unchanged by construction.
-    /// The scheduling core prices every launch with it, and the live pool
-    /// sizes straggler padding with it.
-    pub fn batch_ns<I: IntoIterator<Item = u64>>(&self, session: &Session, keys: I) -> u64 {
-        self.rung_batch_ns(RungCost::of(session), keys)
-    }
-
-    /// [`Self::batch_ns`] for a rung whose session is already reduced to
-    /// its cost inputs.
+    /// The scheduling core prices every launch with it; on the wall clock
+    /// the price sizes straggler padding.
     pub(crate) fn rung_batch_ns<I: IntoIterator<Item = u64>>(
         &self,
         rung: RungCost,
@@ -468,7 +463,10 @@ pub fn simulate_pool<S: Borrow<Session>>(
             if next.is_none_or(|(at, _)| arrival.time_ns <= at) {
                 stream.pending.pop_front();
                 let (id, key, at_ns) = (arrival.id, arrival.key, arrival.time_ns);
-                if core.admit(id, key, at_ns, arrival.item, recorder).is_err() {
+                if let Err(shed) = core.admit(id, key, at_ns, arrival.item, recorder) {
+                    if shed == SubmitError::Closed {
+                        core.reject_unrouted();
+                    }
                     if rejected_ids.len() < REJECTION_LOG_CAP {
                         rejected_ids.push(id);
                     } else {
@@ -482,7 +480,8 @@ pub fn simulate_pool<S: Borrow<Session>>(
             break; // no queued work and no pending arrivals
         };
         batch.clear();
-        let launch = core.launch(r, at, &mut batch, recorder);
+        let launch = core.launch(r, at, &mut batch);
+        core.complete(&launch, &batch, recorder);
         match ctx {
             Some(ctx) => {
                 let batch_inputs: Vec<&Tensor<f32>> = batch
@@ -496,9 +495,7 @@ pub fn simulate_pool<S: Borrow<Session>>(
                     recorder.map(|_| &mut kernels),
                 )?;
                 if let Some(rec) = recorder {
-                    launch
-                        .trace(rec)
-                        .record_kernels(launch.launch_ns, launch.service_ns, &kernels);
+                    launch.record_kernels(rec, &kernels);
                 }
                 for (q, inference) in batch.iter().zip(outputs) {
                     if responses.len() < RESPONSE_LOG_CAP {

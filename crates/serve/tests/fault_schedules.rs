@@ -2,7 +2,7 @@
 //! [`chaos_corpus`] is one incident class, replayed here as a permanent
 //! regression test with exact accounting.
 //!
-//! The properties under test extend `queue_stress.rs`'s permit invariants
+//! The properties under test extend `pool_stress.rs`'s permit invariants
 //! across replica death:
 //!
 //! * **Permits reconcile exactly**: submitted = completed + cancelled +

@@ -1,7 +1,8 @@
-//! Sustained stress test for the threaded [`ReplicaPool`]: ≥100k requests
-//! drawn from a seeded MMPP stream, pushed through real worker threads at
-//! full throttle (no pacing — the harshest contention profile the router
-//! and per-replica queues can see).
+//! Stress tests for the threaded [`ReplicaPool`]: many client threads
+//! hammering real worker threads, with response handles dropped mid-flight,
+//! shutdown racing the submitters, and a sustained run of ≥100k requests
+//! drawn from a seeded MMPP stream at full throttle (no pacing — the
+//! harshest contention profile the router and the scheduling core can see).
 //!
 //! The properties under test:
 //!
@@ -9,7 +10,11 @@
 //!   resolves with a result and the pool counts it) or comes back as a
 //!   typed [`SubmitError`]; attempts = completed + `QueueFull` + `Closed`,
 //!   and the pool's own `total.completed` / `total.rejected` counters
-//!   reconcile exactly with what the client threads observed.
+//!   reconcile exactly with what the client threads observed — also when a
+//!   client walks away from its handle, and when shutdown races the
+//!   submitters.
+//! * **Bound respected**: no replica ever holds more than its queue
+//!   capacity, and responses never cross between requests.
 //! * **Constant memory via log caps**: a free-running pool records no
 //!   per-batch composition log, and the snapshot's retained logs respect
 //!   [`BATCH_LOG_CAP`] / [`TRANSITION_LOG_CAP`] / [`CONTROL_LOG_CAP`] no
@@ -27,12 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
+use nbsmt_serve::queue::Cancelled;
 use nbsmt_serve::{
     AdaptivePolicy, BatchPolicy, ModelRegistry, PoolConfig, PoolDriver, PoolOptions, ReplicaPool,
     RoutePolicy, SchedulerConfig, Session, SmtConfig, SubmitError, TrafficModel, BATCH_LOG_CAP,
     CONTROL_LOG_CAP, TRANSITION_LOG_CAP,
 };
 use nbsmt_tensor::exec::ExecConfig;
+use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::Tensor;
 use nbsmt_workloads::synthnet::quick_synthnet;
 
@@ -266,5 +273,207 @@ fn pool_sustains_100k_mmpp_requests_without_leaks() {
     assert!(
         counters.queue_full.load(Ordering::Relaxed) > 0,
         "full-throttle producers must hit admission control at least once"
+    );
+}
+
+/// A running free-running pool of `replicas` pinned to rung 0, batching at
+/// most `max_batch` requests into queues of `capacity`.
+fn pinned_pool(
+    ladder: &[Arc<Session>],
+    replicas: usize,
+    max_batch: usize,
+    capacity: usize,
+) -> ReplicaPool {
+    let options = PoolOptions {
+        config: PoolConfig {
+            replicas,
+            route: RoutePolicy::RoundRobin,
+            scheduler: SchedulerConfig {
+                batch: BatchPolicy {
+                    max_batch,
+                    max_wait_ns: 200_000,
+                },
+                queue_capacity: capacity,
+            },
+            adaptive: AdaptivePolicy::pinned(),
+        },
+        ..PoolOptions::default()
+    };
+    let mut pool = ReplicaPool::new(
+        ladder.to_vec(),
+        &options,
+        ExecConfig::default(),
+        PoolDriver::FreeRunning,
+        false,
+    )
+    .expect("pool starts");
+    pool.resume();
+    pool
+}
+
+/// Many producers on one small queue, each walking away from every third
+/// handle before its response arrives: the pool still serves and counts
+/// every accepted request, sheds with typed errors at the bound, never
+/// crosses responses, and shuts down.
+#[test]
+fn producers_dropping_handles_mid_flight_lose_no_permits() {
+    const PRODUCERS: u64 = 8;
+    const ATTEMPTS_PER_PRODUCER: u64 = 120;
+    const CAPACITY: usize = 8;
+
+    let (ladder, inputs) = ladder_fixture(37);
+    let reference: Vec<Vec<u32>> = ladder[0]
+        .infer_batch(&ExecContext::sequential(), &inputs)
+        .expect("reference inference succeeds")
+        .into_iter()
+        .map(|inference| inference.logits.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    let reference = Arc::new(reference);
+    // Batches of two leave most of the 16 requests the producers can hold
+    // in flight waiting for the 8 queue slots, so the bound is hit.
+    let pool = pinned_pool(&ladder, 1, 2, CAPACITY);
+    let accepted = Arc::new(AtomicU64::new(0));
+    let queue_full = Arc::new(AtomicU64::new(0));
+    let closed = Arc::new(AtomicU64::new(0));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let client = pool.client();
+            let (inputs, reference) = (inputs.clone(), Arc::clone(&reference));
+            let (accepted, queue_full, closed) = (
+                Arc::clone(&accepted),
+                Arc::clone(&queue_full),
+                Arc::clone(&closed),
+            );
+            thread::spawn(move || {
+                let mut waited = 0u64;
+                for i in 0..ATTEMPTS_PER_PRODUCER {
+                    let index = ((p * ATTEMPTS_PER_PRODUCER + i) % inputs.len() as u64) as usize;
+                    match client.submit(p << 32 | i, inputs[index].clone()) {
+                        // The client walks away while the request is queued
+                        // or executing; the pool must not wedge on it.
+                        Ok(handle) if i % 3 == 0 => {
+                            accepted.fetch_add(1, Ordering::Relaxed);
+                            drop(handle);
+                        }
+                        Ok(handle) => {
+                            accepted.fetch_add(1, Ordering::Relaxed);
+                            let inference = handle
+                                .wait()
+                                .expect("an accepted request is answered")
+                                .expect("inference succeeds");
+                            let bits: Vec<u32> =
+                                inference.logits.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(bits, reference[index], "responses must not cross");
+                            waited += 1;
+                        }
+                        Err(SubmitError::QueueFull { capacity }) => {
+                            assert_eq!(capacity, CAPACITY);
+                            queue_full.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(SubmitError::Closed) => {
+                            closed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+                waited
+            })
+        })
+        .collect();
+    let waited: u64 = producers
+        .into_iter()
+        .map(|p| p.join().expect("producer exits cleanly"))
+        .sum();
+    // If a dropped handle could wedge the worker, this would never return
+    // (the test harness timeout is the backstop).
+    let snapshot = pool.shutdown();
+
+    let accepted = accepted.load(Ordering::Relaxed);
+    let queue_full = queue_full.load(Ordering::Relaxed);
+    let closed = closed.load(Ordering::Relaxed);
+    assert_eq!(
+        accepted + queue_full + closed,
+        PRODUCERS * ATTEMPTS_PER_PRODUCER,
+        "attempts must reconcile with typed outcomes"
+    );
+    assert_eq!(closed, 0, "admissions stay open until shutdown");
+    assert!(
+        queue_full > 0,
+        "a capacity-8 queue under 8 producers must shed"
+    );
+    assert!(waited > 0, "the happy path must actually run");
+    assert_eq!(
+        snapshot.total.completed, accepted,
+        "every accepted request is served, dropped handles included"
+    );
+    assert_eq!(snapshot.total.rejected, queue_full);
+    assert!(
+        snapshot.total.max_queue_depth <= CAPACITY,
+        "bound must hold"
+    );
+}
+
+/// Producers submitting through client clones while the pool shuts down:
+/// every submission is either answered or refused with `Closed`, nothing
+/// accepted before the close is lost, and the pool stays closed after.
+#[test]
+fn shutdown_racing_producers_reconciles_typed_errors() {
+    const PRODUCERS: usize = 6;
+    const MAX_ATTEMPTS: u64 = 1_000_000;
+
+    let (ladder, inputs) = ladder_fixture(41);
+    let pool = pinned_pool(&ladder, 2, 4, 16);
+    let client = pool.client();
+    let accepted = Arc::new(AtomicU64::new(0));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let client = pool.client();
+            let inputs = inputs.clone();
+            let accepted = Arc::clone(&accepted);
+            thread::spawn(move || {
+                // Each producer holds one request at a time, so with room
+                // for 16 per replica only the close can refuse it.
+                for i in 0..MAX_ATTEMPTS {
+                    let input = inputs[(i as usize + p) % inputs.len()].clone();
+                    match client.submit((p as u64) << 32 | i, input) {
+                        Ok(handle) => {
+                            accepted.fetch_add(1, Ordering::Relaxed);
+                            match handle.wait() {
+                                Ok(result) => {
+                                    result.expect("inference succeeds");
+                                }
+                                Err(Cancelled) => panic!("an accepted request must be answered"),
+                            }
+                        }
+                        Err(SubmitError::Closed) => return true,
+                        Err(SubmitError::QueueFull { .. }) => {
+                            panic!("one request per producer cannot fill a queue")
+                        }
+                    }
+                }
+                false
+            })
+        })
+        .collect();
+    // Shut down while every producer is still submitting.
+    while accepted.load(Ordering::Relaxed) < 4 * PRODUCERS as u64 {
+        thread::yield_now();
+    }
+    let snapshot = pool.shutdown();
+    for producer in producers {
+        assert!(
+            producer.join().expect("producer exits cleanly"),
+            "every producer ends on a Closed refusal"
+        );
+    }
+    assert_eq!(
+        snapshot.total.completed,
+        accepted.load(Ordering::Relaxed),
+        "everything accepted before the close is served"
+    );
+    assert_eq!(snapshot.total.rejected, 0);
+    assert_eq!(
+        client.submit(0, inputs[0].clone()).map(|_| ()),
+        Err(SubmitError::Closed),
+        "a shut-down pool stays closed"
     );
 }
