@@ -43,7 +43,7 @@ pub mod policy;
 pub mod sysmt;
 pub mod tuning;
 
-pub use matmul::{NbSmtMatmul, NbSmtMatmulConfig, NbSmtOutput};
+pub use matmul::{NbSmtMatmul, NbSmtMatmulConfig, NbSmtOutput, PreparedWeights};
 pub use policy::SharingPolicy;
 pub use sysmt::{SySmtArray, SySmtConfig, SySmtLayerResult};
 

@@ -14,9 +14,12 @@
 //!
 //! * [`NbSmtMatmul::execute_with`] — the algorithmic fast path (the
 //!   crate-private `fastpath` module): an exact integer base GEMM through
-//!   the execution layer's kernels plus sparse delta corrections derived
-//!   from collision bitmasks. This is the default and what serving and the
-//!   accuracy sweeps run on.
+//!   the execution layer's kernels plus the squeeze corrections, as u8×i8
+//!   GEMMs over weight-only tables at 2T and as sparse deltas from collision
+//!   bitmasks at 4T. It is [`PreparedWeights::new`] (the weight-only half)
+//!   followed by [`PreparedWeights::run`]; serving builds the former once
+//!   per layer and calls only the latter. This is the default and what
+//!   serving and the accuracy sweeps run on.
 //! * [`NbSmtMatmul::execute_event_with`] — the event-walking oracle: every
 //!   PE cycle is simulated through the lane planner and flexible
 //!   multiplier. The fast path is cross-checked against it property-test by
@@ -117,13 +120,19 @@ impl NbSmtMatmul {
 
     /// [`Self::execute`] through the given execution context, on the
     /// **algorithmic fast path**: the exact base product runs through the
-    /// context's integer GEMM kernel (SIMD/packed/blocked), collision and
-    /// squeeze structure is computed with per-tile bitmask popcount algebra,
-    /// and lossy thread-slots are applied as sparse integer deltas. The
-    /// result — output matrix and [`PeStats`] alike — is **bit-identical**
-    /// to the event-walking oracle ([`Self::execute_event_with`]) for every
-    /// configuration and thread count (cross-checked by the property suite
-    /// in `tests/exec_equivalence.rs`).
+    /// context's integer GEMM kernel, and the squeezed thread-slots are
+    /// added on top — as correction GEMMs over weight-only tables at 2T, as
+    /// sparse deltas from collision bitmasks at 4T (see the crate-private
+    /// `fastpath` module). The result — output matrix and [`PeStats`]
+    /// alike — is **bit-identical** to the event-walking oracle
+    /// ([`Self::execute_event_with`]) for every configuration and thread
+    /// count (cross-checked by the property suite in
+    /// `tests/exec_equivalence.rs`).
+    ///
+    /// This is exactly `PreparedWeights::new(config, w).run(ctx, x, w)`: it
+    /// rebuilds the weight-only tables on every call. A caller whose weights
+    /// are fixed builds a [`PreparedWeights`] once per layer and calls
+    /// [`PreparedWeights::run`] instead.
     ///
     /// Output rows are partitioned into tiles and fanned out over the
     /// context's worker pool, and each tile's [`PeStats`] are merged back
@@ -140,64 +149,7 @@ impl NbSmtMatmul {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<NbSmtOutput, TensorError> {
-        if x.cols() != w.rows() {
-            return Err(TensorError::DimensionMismatch {
-                op: "nbsmt matmul",
-                lhs: vec![x.rows(), x.cols()],
-                rhs: vec![w.rows(), w.cols()],
-            });
-        }
-
-        // Optional statistical reordering of the K dimension (activations'
-        // columns and the matching weight rows).
-        let (x_owned, w_owned);
-        let (x, w) = if self.config.reorder && self.config.threads.count() > 1 {
-            let order = ColumnOrder::from_permutation(
-                nbsmt_sparsity::reorder::reorder_for_threads(x, self.config.threads.count())
-                    .as_slice()
-                    .to_vec(),
-            );
-            x_owned = order.apply_to_activation(x);
-            w_owned = order.apply_to_weights(w);
-            (&x_owned, &w_owned)
-        } else {
-            (x, w)
-        };
-
-        let tables = fastpath::WeightTables::new(w);
-        // Each row tile runs its base GEMM inline on the worker that owns
-        // it; the caller's thread pool is already saturated by the tile
-        // fan-out.
-        let base = ExecContext::new(ExecConfig {
-            threads: 1,
-            ..*ctx.config()
-        });
-
-        let (m, n) = (x.rows(), w.cols());
-        let mut out = vec![0.0_f32; m * n];
-        let tile_stats = ctx.map_row_tiles(&mut out, m, n, |_tile, row_start, nrows, chunk| {
-            fastpath::rows_fast(
-                &base,
-                &tables,
-                self.config.threads,
-                self.config.policy,
-                x,
-                w,
-                row_start,
-                nrows,
-                chunk,
-            )
-        });
-        // Deterministic reduction: tile order, independent of which worker
-        // produced each tile.
-        let mut stats = PeStats::default();
-        for tile in &tile_stats {
-            stats.merge(tile);
-        }
-        Ok(NbSmtOutput {
-            output: Matrix::from_vec(out, m, n)?,
-            stats,
-        })
+        PreparedWeights::new(self.config, w).run(ctx, x, w)
     }
 
     /// Emulates the layer by walking **every PE event** — the oracle the
@@ -233,51 +185,19 @@ impl NbSmtMatmul {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<NbSmtOutput, TensorError> {
-        if x.cols() != w.rows() {
-            return Err(TensorError::DimensionMismatch {
-                op: "nbsmt matmul",
-                lhs: vec![x.rows(), x.cols()],
-                rhs: vec![w.rows(), w.cols()],
-            });
-        }
-
-        // Optional statistical reordering of the K dimension (activations'
-        // columns and the matching weight rows).
-        let (x_owned, w_owned);
-        let (x, w) = if self.config.reorder && self.config.threads.count() > 1 {
-            let order = ColumnOrder::from_permutation(
-                nbsmt_sparsity::reorder::reorder_for_threads(x, self.config.threads.count())
-                    .as_slice()
-                    .to_vec(),
-            );
-            x_owned = order.apply_to_activation(x);
-            w_owned = order.apply_to_weights(w);
-            (&x_owned, &w_owned)
-        } else {
-            (x, w)
-        };
-
-        let (m, n) = (x.rows(), w.cols());
-        let mut out = vec![0.0_f32; m * n];
-        let tile_stats =
-            ctx.map_row_tiles(&mut out, m, n, |_tile, row_start, nrows, chunk| match self
-                .config
-                .threads
-            {
+        check_reduction(x, w)?;
+        let reordered = reordered(&self.config, x, w);
+        let (x, w) = reordered.as_ref().map_or((x, w), |(x, w)| (x, w));
+        run_tiles(
+            ctx,
+            x.rows(),
+            w.cols(),
+            |row_start, nrows, chunk| match self.config.threads {
                 ThreadCount::One => self.rows_single(x, w, row_start, nrows, chunk),
                 ThreadCount::Two => self.rows_two(x, w, row_start, nrows, chunk),
                 ThreadCount::Four => self.rows_four(x, w, row_start, nrows, chunk),
-            });
-        // Deterministic reduction: tile order, independent of which worker
-        // produced each tile.
-        let mut stats = PeStats::default();
-        for tile in &tile_stats {
-            stats.merge(tile);
-        }
-        Ok(NbSmtOutput {
-            output: Matrix::from_vec(out, m, n)?,
-            stats,
-        })
+            },
+        )
     }
 
     /// Single-threaded (baseline) emulation of output rows
@@ -406,6 +326,153 @@ impl NbSmtMatmul {
         }
         stats
     }
+}
+
+/// The weight-only half of [`NbSmtMatmul::execute_with`] for one layer under
+/// one configuration: the tables the fast path reads, built only for the
+/// configuration's thread count — per-row nonzero counts at 1T, the
+/// correction GEMM's right-hand side and per-step counts at 2T, collision
+/// bitmasks and rounded weights at 4T. Build it once where a layer's
+/// weights are fixed (a serving session does, per compute layer, when it is
+/// compiled) and run each call with [`Self::run`].
+///
+/// Under `reorder` (with more than one thread) the permutation of the K
+/// dimension depends on the activations, so nothing is prepared and
+/// [`Self::run`] builds the tables per call from the permuted weights.
+#[derive(Debug, Clone)]
+pub struct PreparedWeights {
+    config: NbSmtMatmulConfig,
+    /// `(k, n)` of the weights the tables were built from.
+    dims: (usize, usize),
+    /// `None` under `reorder`.
+    tables: Option<fastpath::LayerTables>,
+}
+
+impl PreparedWeights {
+    /// Builds the weight-only tables of `w` for `config`.
+    pub fn new(config: NbSmtMatmulConfig, w: &QuantWeightMatrix) -> Self {
+        PreparedWeights {
+            config,
+            dims: (w.rows(), w.cols()),
+            tables: (!reorders(&config))
+                .then(|| fastpath::LayerTables::new(config.threads, config.policy, w)),
+        }
+    }
+
+    /// Emulates `X (M×K) · W (K×N)` on the prepared tables: the per-call
+    /// half of [`NbSmtMatmul::execute_with`], with the same result bit for
+    /// bit, as long as `w` is the matrix the tables were built from. Output
+    /// rows fan out over `ctx`'s row tiles, and each tile runs its GEMMs on
+    /// a 1-thread context of the same backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::DimensionMismatch`] when the reduction
+    /// dimensions differ or `w` does not have the shape the tables were
+    /// built from.
+    pub fn run(
+        &self,
+        ctx: &ExecContext,
+        x: &QuantMatrix,
+        w: &QuantWeightMatrix,
+    ) -> Result<NbSmtOutput, TensorError> {
+        check_reduction(x, w)?;
+        if (w.rows(), w.cols()) != self.dims {
+            return Err(TensorError::DimensionMismatch {
+                op: "nbsmt prepared weights",
+                lhs: vec![self.dims.0, self.dims.1],
+                rhs: vec![w.rows(), w.cols()],
+            });
+        }
+        let reordered = reordered(&self.config, x, w);
+        let (x, w) = reordered.as_ref().map_or((x, w), |(x, w)| (x, w));
+        let per_call;
+        let tables = match &self.tables {
+            Some(tables) => tables,
+            None => {
+                per_call = fastpath::LayerTables::new(self.config.threads, self.config.policy, w);
+                &per_call
+            }
+        };
+        // Each row tile runs its GEMMs inline on the worker that owns it;
+        // the caller's thread pool is already saturated by the tile fan-out.
+        let base = ExecContext::new(ExecConfig {
+            threads: 1,
+            ..*ctx.config()
+        });
+        run_tiles(ctx, x.rows(), w.cols(), |row_start, nrows, chunk| {
+            fastpath::rows_fast(
+                &base,
+                tables,
+                self.config.policy,
+                x,
+                w,
+                row_start,
+                nrows,
+                chunk,
+            )
+        })
+    }
+}
+
+/// Whether `config` permutes the K dimension before splitting it between
+/// threads (a 1-thread layer has nothing to split).
+fn reorders(config: &NbSmtMatmulConfig) -> bool {
+    config.reorder && config.threads.count() > 1
+}
+
+/// The operands under the statistical column arrangement of §IV-B (the
+/// activations' columns and the matching weight rows), or `None` when
+/// `config` does not reorder.
+fn reordered(
+    config: &NbSmtMatmulConfig,
+    x: &QuantMatrix,
+    w: &QuantWeightMatrix,
+) -> Option<(QuantMatrix, QuantWeightMatrix)> {
+    if !reorders(config) {
+        return None;
+    }
+    let order = ColumnOrder::from_permutation(
+        nbsmt_sparsity::reorder::reorder_for_threads(x, config.threads.count())
+            .as_slice()
+            .to_vec(),
+    );
+    Some((order.apply_to_activation(x), order.apply_to_weights(w)))
+}
+
+fn check_reduction(x: &QuantMatrix, w: &QuantWeightMatrix) -> Result<(), TensorError> {
+    if x.cols() == w.rows() {
+        Ok(())
+    } else {
+        Err(TensorError::DimensionMismatch {
+            op: "nbsmt matmul",
+            lhs: vec![x.rows(), x.cols()],
+            rhs: vec![w.rows(), w.cols()],
+        })
+    }
+}
+
+/// Fans the `m × n` output out over `ctx`'s row tiles, `f(row_start, nrows,
+/// chunk)` per tile, and merges the tiles' [`PeStats`] in tile order, so
+/// the result does not depend on which worker produced each tile.
+fn run_tiles(
+    ctx: &ExecContext,
+    m: usize,
+    n: usize,
+    f: impl Fn(usize, usize, &mut [f32]) -> PeStats + Sync,
+) -> Result<NbSmtOutput, TensorError> {
+    let mut out = vec![0.0_f32; m * n];
+    let tile_stats = ctx.map_row_tiles(&mut out, m, n, |_tile, row_start, nrows, chunk| {
+        f(row_start, nrows, chunk)
+    });
+    let mut stats = PeStats::default();
+    for tile in &tile_stats {
+        stats.merge(tile);
+    }
+    Ok(NbSmtOutput {
+        output: Matrix::from_vec(out, m, n)?,
+        stats,
+    })
 }
 
 /// Computes the error-free dequantized reference output of a quantized layer
@@ -684,6 +751,11 @@ mod tests {
         let w = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(4, 2), 1.0);
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig::two_threads());
         assert!(emu.execute(&x, &w).is_err());
+        // Tables prepared from one weight shape refuse another.
+        let prepared = PreparedWeights::new(NbSmtMatmulConfig::default(), &w);
+        let other = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(3, 2), 1.0);
+        let ctx = ExecContext::sequential();
+        assert!(prepared.run(&ctx, &x, &other).is_err());
     }
 
     #[test]
@@ -744,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_prepacked_and_backends_are_invariant() {
+    fn fast_path_is_backend_and_thread_invariant() {
         use nbsmt_tensor::exec::GemmBackendKind;
         let (x, w) = random_layer(15, 9, 40, 21, 0.4);
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {

@@ -13,9 +13,8 @@
 //! thread count and GEMM backend, which is what makes the serving path
 //! replayable.
 
-use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
+use nbsmt_core::matmul::{NbSmtMatmulConfig, PreparedWeights};
 use nbsmt_core::pe::PeStats;
-use nbsmt_core::policy::SharingPolicy;
 use nbsmt_core::ThreadCount;
 use nbsmt_nn::model::Model;
 use nbsmt_nn::quantized::{GemmEngine, QuantizedModel, ReferenceEngine};
@@ -43,6 +42,10 @@ pub struct Session {
     name: String,
     smt: SmtConfig,
     quantized: QuantizedModel,
+    /// The NB-SMT fast path's weight-only tables, one per compute layer in
+    /// model order, built at compile time for the thread count that layer
+    /// runs at. Empty for a dense session.
+    layers: Vec<PreparedWeights>,
     /// Expected per-sample input dimensions (channels, height, width).
     input_dims: [usize; 3],
     /// MAC operations one sample costs on the dense array (service-model
@@ -51,7 +54,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Compiles a session from a calibrated model.
+    /// Compiles a session from a calibrated model. An NB-SMT session also
+    /// prepares each compute layer's weight-only tables here, once
+    /// ([`PreparedWeights`]), so no served batch rebuilds them.
     ///
     /// `input_dims` is the per-sample `(channels, height, width)` shape every
     /// request must match.
@@ -67,10 +72,21 @@ impl Session {
     ) -> Result<Self, ServeError> {
         let [c, h, w] = input_dims;
         let macs_per_sample = quantized.model().mac_ops(c, h, w)?;
+        let layers = (0..quantized.compute_layer_count())
+            .filter_map(|index| {
+                let config = layer_config(&smt, index)?;
+                Some(
+                    quantized
+                        .quantized_weights(index)
+                        .map(|(weights, _)| PreparedWeights::new(config, &weights)),
+                )
+            })
+            .collect::<Result<_, NnError>>()?;
         Ok(Session {
             name: name.into(),
             smt,
             quantized,
+            layers,
             input_dims,
             macs_per_sample,
         })
@@ -181,17 +197,9 @@ impl Session {
                 };
                 self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
             }
-            SmtConfig::NbSmt {
-                threads,
-                policy,
-                reorder,
-                first_layer_1t,
-            } => {
+            SmtConfig::NbSmt { .. } => {
                 let mut engine = ServeNbSmtEngine {
-                    threads,
-                    policy,
-                    reorder,
-                    first_layer_1t,
+                    layers: &self.layers,
                     kernels,
                 };
                 self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
@@ -256,12 +264,11 @@ impl GemmEngine for ServeDenseEngine<'_> {
 /// The serving-side NB-SMT [`GemmEngine`]: identical arithmetic to the
 /// offline `nbsmt-bench` engine but without its error-metric bookkeeping —
 /// serving never re-runs the error-free reference alongside each layer, so a
-/// batch costs one NB-SMT pass, not two.
+/// batch costs one NB-SMT pass, not two — and with every layer's weight-only
+/// tables prepared when the session was compiled.
 struct ServeNbSmtEngine<'s> {
-    threads: ThreadCount,
-    policy: SharingPolicy,
-    reorder: bool,
-    first_layer_1t: bool,
+    /// The session's prepared layers, indexed by compute layer.
+    layers: &'s [PreparedWeights],
     /// Per-layer kernel records collected by the traced inference path —
     /// the squeeze/collision counters the NB-SMT kernels already compute,
     /// surfaced instead of discarded.
@@ -276,17 +283,9 @@ impl GemmEngine for ServeNbSmtEngine<'_> {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<Matrix<f32>, NnError> {
-        let threads = if layer_index == 0 && self.first_layer_1t {
-            ThreadCount::One
-        } else {
-            self.threads
-        };
-        let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
-            threads,
-            policy: self.policy,
-            reorder: self.reorder && threads.count() > 1,
-        });
-        let out = emu.execute_with(ctx, x, w).map_err(NnError::from)?;
+        let out = self.layers[layer_index]
+            .run(ctx, x, w)
+            .map_err(NnError::from)?;
         if let Some(kernels) = self.kernels.as_deref_mut() {
             kernels.push(LayerKernel {
                 layer: layer_index,
@@ -297,6 +296,31 @@ impl GemmEngine for ServeNbSmtEngine<'_> {
         }
         Ok(out.output)
     }
+}
+
+/// The NB-SMT configuration compute layer `index` runs at under `smt`, or
+/// `None` for a dense session: the design point's thread count, except
+/// layer 0 at one thread under `first_layer_1t`, as the paper runs it.
+fn layer_config(smt: &SmtConfig, index: usize) -> Option<NbSmtMatmulConfig> {
+    let SmtConfig::NbSmt {
+        threads,
+        policy,
+        reorder,
+        first_layer_1t,
+    } = *smt
+    else {
+        return None;
+    };
+    let threads = if index == 0 && first_layer_1t {
+        ThreadCount::One
+    } else {
+        threads
+    };
+    Some(NbSmtMatmulConfig {
+        threads,
+        policy,
+        reorder,
+    })
 }
 
 /// Builds a calibrated session directly from a trained float model —
@@ -424,6 +448,85 @@ mod tests {
                     assert_eq!(kernel.stats, Default::default(), "dense stats are zero");
                 }
             }
+        }
+    }
+
+    /// The event-walking oracle as a forward-pass engine: layer 0 at one
+    /// thread, every other layer at `threads`, S+A without reordering (the
+    /// `sysmt_2t`/`sysmt_4t` design points), recording each layer's stats.
+    struct OracleEngine {
+        threads: ThreadCount,
+        stats: Vec<PeStats>,
+    }
+
+    impl GemmEngine for OracleEngine {
+        fn gemm(
+            &mut self,
+            ctx: &ExecContext,
+            layer_index: usize,
+            x: &QuantMatrix,
+            w: &QuantWeightMatrix,
+        ) -> Result<Matrix<f32>, NnError> {
+            let threads = if layer_index == 0 {
+                ThreadCount::One
+            } else {
+                self.threads
+            };
+            let out = nbsmt_core::matmul::NbSmtMatmul::new(NbSmtMatmulConfig {
+                threads,
+                policy: nbsmt_core::policy::SharingPolicy::S_A,
+                reorder: false,
+            })
+            .execute_event_with(ctx, x, w)?;
+            self.stats.push(out.stats);
+            Ok(out.output)
+        }
+    }
+
+    #[test]
+    fn served_logits_and_layer_stats_equal_the_event_oracle() {
+        let trained = quick_synthnet(11).expect("training succeeds");
+        let calib = trained.calibration_inputs(8, 501);
+        let s = trained.task.image_size;
+        let (inputs, _) = trained.sample_requests(5, 778);
+        let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
+        let batch = Tensor::from_vec(
+            inputs.iter().flat_map(|t| t.as_slice().to_vec()).collect(),
+            &[inputs.len(), 1, s, s],
+        )
+        .unwrap();
+        for (smt, threads) in [
+            (SmtConfig::sysmt_2t(), ThreadCount::Two),
+            (SmtConfig::sysmt_4t(), ThreadCount::Four),
+        ] {
+            let session = compile_session(
+                "synthnet",
+                &trained.model,
+                std::slice::from_ref(&calib),
+                smt,
+                [1, s, s],
+            )
+            .unwrap();
+            let mut kernels = Vec::new();
+            let served = session
+                .infer_batch_inner(&ExecContext::with_threads(2), &refs, Some(&mut kernels))
+                .unwrap();
+            let mut oracle = OracleEngine {
+                threads,
+                stats: Vec::new(),
+            };
+            let logits = session
+                .quantized
+                .forward_with_ctx(&ExecContext::sequential(), &batch, &mut oracle)
+                .unwrap();
+            let served_bits: Vec<u32> = served
+                .iter()
+                .flat_map(|inference| inference.logits.iter().map(|v| v.to_bits()))
+                .collect();
+            let oracle_bits: Vec<u32> = logits.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(served_bits, oracle_bits, "{threads:?}: logits");
+            let served_stats: Vec<PeStats> = kernels.iter().map(|k| k.stats).collect();
+            assert_eq!(served_stats, oracle.stats, "{threads:?}: per-layer PeStats");
         }
     }
 

@@ -51,20 +51,27 @@ fn synth_f32(seed: u64, rows: usize, cols: usize, sparsity: f64) -> Matrix<f32> 
     Matrix::from_vec(t.into_vec(), rows, cols).expect("dimensions match")
 }
 
+/// A quantized layer: ReLU activations with `sparsity` extra zeros, and
+/// signed Laplace weights with a `pruned` fraction zeroed, so both signs of
+/// every weight code path (nibble rounding, the nibble-fit check, the AVX2
+/// sign extension) run.
 fn synth_layer(
     seed: u64,
     m: usize,
     k: usize,
     n: usize,
     sparsity: f64,
+    pruned: f64,
 ) -> (QuantMatrix, QuantWeightMatrix) {
     let x = quantize_activations(
         &synth_f32(seed, m, k, sparsity),
         &QuantScheme::activation_a8(),
         None,
     );
+    let mut synth = TensorSynthesizer::new(seed ^ 0xabcd);
+    let w = synth.tensor(&SynthesisConfig::weight(0.3, pruned), &[k, n]);
     let w = quantize_weights(
-        &synth_f32(seed ^ 0xabcd, k, n, 0.0),
+        &Matrix::from_vec(w.into_vec(), k, n).expect("dimensions match"),
         &QuantScheme::weight_w8(),
     );
     (x, w)
@@ -101,9 +108,11 @@ proptest! {
     #[test]
     fn u8i8_gemm_is_backend_and_thread_invariant(
         m in 1usize..20, k in 1usize..40, n in 1usize..48,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
+        seed in 0u64..1_000_000, sparsity_pct in 0usize..90, pruned_pct in 0usize..90,
     ) {
-        let (x, w) = synth_layer(seed, m, k, n, sparsity_pct as f64 / 100.0);
+        let (x, w) = synth_layer(
+            seed, m, k, n, sparsity_pct as f64 / 100.0, pruned_pct as f64 / 100.0,
+        );
         let (a, b) = (x.values().as_slice(), w.values().as_slice());
         let mut reference = vec![0_i64; m * n];
         ExecContext::sequential().gemm_u8i8(m, k, n, a, b, &mut reference);
@@ -183,11 +192,12 @@ proptest! {
     /// reproduces the event-walking oracle (`execute_event_with`) exactly —
     /// output matrix *and* `PeStats` — over random shapes, sparsities,
     /// sharing policies, 2T/4T, and reordering, and is invariant to the GEMM
-    /// backend computing its base product.
+    /// backend computing its base product. With n up to 47 the correction
+    /// GEMMs run the AVX2 kernel's 16-column strips too.
     #[test]
     fn fast_nbsmt_path_matches_event_oracle(
-        m in 1usize..14, k in 2usize..40, n in 1usize..12,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
+        m in 1usize..14, k in 2usize..40, n in 1usize..48,
+        seed in 0u64..1_000_000, sparsity_pct in 0usize..90, pruned_pct in 0usize..90,
         four_threads in any::<bool>(), reorder in any::<bool>(),
         policy_idx in 0usize..9,
     ) {
@@ -202,7 +212,9 @@ proptest! {
             SharingPolicy::S_AW,
             SharingPolicy::S_A_W,
         ];
-        let (x, w) = synth_layer(seed, m, k, n, sparsity_pct as f64 / 100.0);
+        let (x, w) = synth_layer(
+            seed, m, k, n, sparsity_pct as f64 / 100.0, pruned_pct as f64 / 100.0,
+        );
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: if four_threads { ThreadCount::Four } else { ThreadCount::Two },
             policy: POLICIES[policy_idx],
@@ -234,10 +246,12 @@ proptest! {
     #[test]
     fn nbsmt_output_and_stats_are_thread_invariant(
         m in 1usize..16, k in 2usize..32, n in 1usize..10,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..80,
+        seed in 0u64..1_000_000, sparsity_pct in 0usize..80, pruned_pct in 0usize..90,
         four_threads in any::<bool>(), reorder in any::<bool>(),
     ) {
-        let (x, w) = synth_layer(seed, m, k, n, sparsity_pct as f64 / 100.0);
+        let (x, w) = synth_layer(
+            seed, m, k, n, sparsity_pct as f64 / 100.0, pruned_pct as f64 / 100.0,
+        );
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: if four_threads { ThreadCount::Four } else { ThreadCount::Two },
             policy: SharingPolicy::S_A,
@@ -260,9 +274,11 @@ proptest! {
     #[test]
     fn systolic_simulation_is_thread_invariant(
         m in 1usize..12, k in 1usize..20, n in 1usize..10,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..80,
+        seed in 0u64..1_000_000, sparsity_pct in 0usize..80, pruned_pct in 0usize..90,
     ) {
-        let (x, w) = synth_layer(seed, m, k, n, sparsity_pct as f64 / 100.0);
+        let (x, w) = synth_layer(
+            seed, m, k, n, sparsity_pct as f64 / 100.0, pruned_pct as f64 / 100.0,
+        );
         let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
         let reference = array.matmul(x.values(), w.values()).expect("dimensions match");
         for threads in HOST_THREADS {
