@@ -23,8 +23,7 @@ use nbsmt_quant::scheme::QuantScheme;
 use nbsmt_serve::config::SmtConfig;
 use nbsmt_serve::registry::ModelRegistry;
 use nbsmt_systolic::array::{OutputStationaryArray, SystolicConfig};
-use nbsmt_tensor::exec::{ExecConfig, ExecContext, GemmBackendKind};
-use nbsmt_tensor::ops;
+use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::random::{SynthesisConfig, TensorSynthesizer};
 use nbsmt_tensor::tensor::Matrix;
 use nbsmt_workloads::synthnet::quick_synthnet;
@@ -122,53 +121,6 @@ fn bench_fmul(c: &mut Criterion) {
             acc
         })
     });
-    group.finish();
-}
-
-/// Benchmarks the execution-layer GEMM backends against the seed scalar
-/// path on a 512×512×512 i32 GEMM: `naive` (the seed loop through the
-/// context), `blocked` (cache-tiled), and `parallel` at 2 and 8 worker
-/// threads. The acceptance target for the layer is `parallel_512_8t` ≥ 3×
-/// the seed path on an 8-core host; all variants are bit-exact.
-fn bench_gemm_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_backends");
-    group.sample_size(10);
-    let dim = 512usize;
-    let mut synth = TensorSynthesizer::new(7);
-    let to_i32 = |t: nbsmt_tensor::tensor::Tensor<f32>| {
-        Matrix::from_vec(
-            t.into_vec().iter().map(|&v| (v * 127.0) as i32).collect(),
-            dim,
-            dim,
-        )
-        .unwrap()
-    };
-    let a = to_i32(synth.tensor(&SynthesisConfig::activation(0.5, 0.5), &[dim, dim]));
-    let b = to_i32(synth.tensor(&SynthesisConfig::weight(0.3, 0.0), &[dim, dim]));
-
-    group.bench_function("seed_scalar_512", |bch| {
-        bch.iter(|| ops::matmul_i32(&a, &b).unwrap())
-    });
-    let ctx_for = |threads: usize, backend: GemmBackendKind| {
-        ExecContext::new(ExecConfig {
-            threads,
-            backend,
-            ..ExecConfig::default()
-        })
-    };
-    for (name, threads, backend) in [
-        ("naive_512", 1, GemmBackendKind::Naive),
-        ("blocked_512_1t", 1, GemmBackendKind::Blocked),
-        ("simd_512_1t", 1, GemmBackendKind::Simd),
-        ("packed_512_1t", 1, GemmBackendKind::Packed),
-        ("parallel_512_2t", 2, GemmBackendKind::Parallel),
-        ("parallel_512_8t", 8, GemmBackendKind::Parallel),
-    ] {
-        let ctx = ctx_for(threads, backend);
-        group.bench_function(name, |bch| {
-            bch.iter(|| ops::matmul_i32_with(&ctx, &a, &b).unwrap())
-        });
-    }
     group.finish();
 }
 
@@ -343,7 +295,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_fmul, bench_gemm_backends, bench_nbsmt_parallel_layer, bench_nbsmt_fast_path,
-        bench_datapaths, bench_zoo_experiments, bench_accuracy_experiments, bench_serve_throughput
+    targets = bench_fmul, bench_nbsmt_parallel_layer, bench_nbsmt_fast_path, bench_datapaths,
+        bench_zoo_experiments, bench_accuracy_experiments, bench_serve_throughput
 }
 criterion_main!(benches);

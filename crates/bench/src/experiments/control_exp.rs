@@ -29,10 +29,11 @@ use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
-use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, ServiceModel};
+use nbsmt_serve::sim::{simulate_pool, ServiceModel};
 
+use crate::experiments::scale_exp::arrivals_for;
 use crate::experiments::serve_exp::SweepFixture;
-use crate::loadgen::{diurnal, mmpp, pareto_sizes};
+use crate::loadgen::pareto_sizes;
 use crate::scale::Scale;
 use crate::summary::ControlRecord;
 
@@ -59,31 +60,6 @@ pub const VARIANTS: [&str; 4] = [
 pub struct ControlKnobs {
     /// Traffic-model filter: `mmpp`, `diurnal`, or `all`.
     pub arrival: String,
-}
-
-/// The seeded arrival trace for one cell: `n` arrivals at a long-run mean of
-/// `rate_rps`, shaped by `arrival` — the same MMPP/diurnal construction the
-/// scale sweep uses, so the two summaries stress comparable regimes.
-fn arrivals_for(arrival: &str, seed: u64, rate_rps: f64, n: u64) -> ArrivalProcess {
-    match arrival {
-        "mmpp" => {
-            let burst_rps = rate_rps * 2.5;
-            let mean_burst_ns = ((64.0 / burst_rps) * 1e9).max(1.0) as u64;
-            mmpp(
-                seed,
-                rate_rps * 0.5,
-                burst_rps,
-                mean_burst_ns.saturating_mul(3),
-                mean_burst_ns,
-                n,
-            )
-        }
-        "diurnal" => {
-            let period_ns = ((n as f64 / rate_rps) * 1e9 / 4.0).max(1.0) as u64;
-            diurnal(seed, rate_rps * 0.5, rate_rps * 1.5, period_ns, n)
-        }
-        other => panic!("unknown traffic model '{other}'"),
-    }
 }
 
 /// The [`ControlConfig`] for one (variant, replicas, rate) cell, or `None`

@@ -63,7 +63,10 @@ pub struct ScaleKnobs {
 ///   and a mean burst spans ~64 requests.
 /// * `diurnal` — triangle envelope from 0.5× to 1.5× the target (mean
 ///   1.0×), with four "days" per trace.
-fn arrivals_for(arrival: &str, seed: u64, rate_rps: f64, n: u64) -> ArrivalProcess {
+///
+/// The control sweep builds its MMPP and diurnal traces here too, so the
+/// two summaries stress comparable regimes.
+pub(crate) fn arrivals_for(arrival: &str, seed: u64, rate_rps: f64, n: u64) -> ArrivalProcess {
     match arrival {
         "poisson" => lazy_poisson(seed, rate_rps, n),
         "mmpp" => {

@@ -274,7 +274,6 @@ impl OutputStationaryArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbsmt_tensor::ops::matmul_i32;
 
     fn x_mat(data: Vec<u8>, rows: usize, cols: usize) -> Matrix<u8> {
         Matrix::from_vec(data, rows, cols).unwrap()
@@ -285,19 +284,10 @@ mod tests {
     }
 
     fn reference(x: &Matrix<u8>, w: &Matrix<i8>) -> Matrix<i64> {
-        let xi = Matrix::from_vec(
-            x.as_slice().iter().map(|&v| v as i32).collect(),
-            x.rows(),
-            x.cols(),
-        )
-        .unwrap();
-        let wi = Matrix::from_vec(
-            w.as_slice().iter().map(|&v| v as i32).collect(),
-            w.rows(),
-            w.cols(),
-        )
-        .unwrap();
-        matmul_i32(&xi, &wi).unwrap()
+        let (m, k, n) = (x.rows(), x.cols(), w.cols());
+        let mut out = vec![0_i64; m * n];
+        ExecContext::sequential().gemm_u8i8(m, k, n, x.as_slice(), w.as_slice(), &mut out);
+        Matrix::from_vec(out, m, n).unwrap()
     }
 
     #[test]

@@ -1,49 +1,39 @@
-//! Workspace-wide execution layer: a deterministic thread pool and tiled
-//! GEMM backends behind one [`ExecContext`].
+//! Workspace-wide execution layer: a deterministic thread pool and the
+//! quantized GEMM kernels behind one [`ExecContext`].
 //!
-//! Every hot loop nest in the reproduction — the dense f32/i32 GEMMs, the
-//! error-free quantized reference matmul, the functional NB-SMT emulation,
-//! and the cycle-level systolic walker — runs through this module. The
-//! context owns two orthogonal decisions:
+//! Every GEMM the SySMT datapath performs multiplies unsigned 8-bit
+//! activations by signed 8-bit weights, and every such product in the
+//! reproduction — the error-free quantized reference matmul, the served
+//! forward pass, the base and correction products of the functional NB-SMT
+//! emulation — runs through [`ExecContext::gemm_u8i8`]. The NB-SMT emulation
+//! and the cycle-level systolic walker also fan their tiles out over the
+//! context's pool. The context owns two orthogonal decisions:
 //!
-//! * **Kernel choice** ([`GemmBackend`]): [`Naive`] (the seed scalar loop),
-//!   [`Blocked`] (cache-tiled over row and reduction blocks), [`Parallel`]
-//!   (row-tile fan-out over the pool: [`Simd`]'s u8×i8 kernel, the blocked
-//!   kernel for f32 and i32), [`Simd`]
-//!   (runtime-detected AVX2 intrinsics with a portable unrolled fallback),
-//!   or [`Packed`] (B packed into column panels on every call +
-//!   register-blocked microkernel).
+//! * **Kernel choice** ([`GemmBackendKind`]): `Naive` (the seed scalar
+//!   loop), `Blocked` (cache-tiled over reduction blocks), `Parallel`
+//!   (row-tile fan-out over the pool, running `Simd`'s kernel on each
+//!   tile), `Simd` (runtime-detected AVX2 intrinsics with a portable
+//!   unrolled fallback), or `Packed` (B packed into column panels on every
+//!   call + register-blocked microkernel).
 //! * **Worker pool** (`threads`): scoped `std::thread` workers over a
 //!   deterministic, contiguous partition of the tile space.
 //!
+//! Float GEMMs (training, calibration, every float layer) do not come here:
+//! [`crate::ops::matmul`] runs the seed f32 loop on the calling thread.
+//!
 //! # Determinism contract
 //!
-//! Integer results (`i32`, `u8×i8`) are **bit-exact across backends and
-//! invariant to thread count**:
+//! Every result is **bit-exact across backends and invariant to thread
+//! count**:
 //!
 //! * Work is partitioned into *row tiles* (or output tiles for the systolic
 //!   walker). Each tile's computation is independent and identical to the
 //!   sequential kernel's for those rows; per-element accumulation always
 //!   visits the reduction dimension in ascending order, with the same
-//!   zero-skip rule in every kernel.
+//!   zero-skip rule in every kernel, and accumulates exactly in i64.
 //! * Per-tile side results (PE statistics, cycle counts) are returned to the
 //!   caller **in tile order** regardless of which worker produced them, and
 //!   callers reduce them in that order.
-//!
-//! For **f32** the same bit-exact guarantee holds for every backend *except*
-//! [`Simd`]: its AVX2 kernel keeps several lane accumulators per output
-//! element (and fuses multiply-add where FMA is available), which reassociates
-//! the reduction. [`Simd`] f32 is the explicitly declared **fast-f32 tier**:
-//! per element, results agree with the scalar reference to within
-//! `1e-5 × Σₚ|aₚ·bₚ|` (tolerance relative to the ℓ1 magnitude of the
-//! reduction, which stays meaningful under cancellation; enforced by
-//! `tests/exec_equivalence.rs`), and remain deterministic for a fixed host
-//! CPU. All integer kernels — including
-//! [`Simd`]'s, whose lane loops preserve the ascending-`k` order per element
-//! exactly — stay on the bit-exact tier.
-//!
-//! Any future backend (wider SIMD, distributed) slots in by implementing
-//! [`GemmBackend`] and honouring the same contract.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,17 +42,19 @@ use serde::{Deserialize, Serialize};
 pub enum GemmBackendKind {
     /// The seed scalar loop nest (row-major `i, p, j` with zero-skip).
     Naive,
-    /// Cache-tiled kernel: row blocks × reduction blocks, ascending.
+    /// Cache-tiled kernel: ascending reduction blocks of `tile_k`.
     Blocked,
-    /// Row-tile fan-out over the worker pool: [`Simd`]'s bit-exact u8×i8
-    /// kernel for the quantized GEMM, the blocked kernel for f32 and i32.
+    /// Row-tile fan-out over the worker pool, running the [`Simd`] kernel
+    /// on each tile (one call over the whole matrix at one thread).
+    ///
+    /// [`Simd`]: GemmBackendKind::Simd
     #[default]
     Parallel,
-    /// Runtime-detected AVX2 kernels (bit-exact integers, fast-f32 tier)
-    /// with a portable unrolled fallback on other hosts.
+    /// Runtime-detected AVX2 kernel with a portable unrolled fallback on
+    /// other hosts.
     Simd,
-    /// Packs B into column panels, then runs a register-blocked microkernel
-    /// over the panels. Bit-exact for every element type.
+    /// Packs B into column panels on every call, then runs a
+    /// register-blocked microkernel over the panels.
     Packed,
 }
 
@@ -104,10 +96,10 @@ pub struct ExecConfig {
     /// Number of worker threads the pool may use (`>= 1`). One means all
     /// work runs inline on the calling thread.
     pub threads: usize,
-    /// Rows per work tile: the unit of parallel fan-out and the row-block
-    /// size of the [`Blocked`] kernel.
+    /// Rows per work tile: the unit of parallel fan-out.
     pub tile_rows: usize,
-    /// Reduction-dimension block size of the [`Blocked`] kernel.
+    /// Reduction-dimension block size of the
+    /// [`Blocked`](GemmBackendKind::Blocked) kernel.
     pub tile_k: usize,
     /// Which GEMM kernel to dispatch to.
     pub backend: GemmBackendKind,
@@ -181,8 +173,9 @@ impl ExecContext {
         ExecContext { config }
     }
 
-    /// The sequential context (1 thread, [`Naive`] kernel): bit-for-bit the
-    /// seed behaviour, used by all no-context compatibility wrappers.
+    /// The sequential context (1 thread, the seed scalar kernel):
+    /// bit-for-bit the seed behaviour, used by all no-context compatibility
+    /// wrappers.
     pub fn sequential() -> Self {
         ExecContext::new(ExecConfig::sequential())
     }
@@ -207,42 +200,10 @@ impl ExecContext {
         self.config.threads
     }
 
-    /// The GEMM backend this context dispatches to.
-    pub fn backend(&self) -> &'static dyn GemmBackend {
-        match self.config.backend {
-            GemmBackendKind::Naive => &Naive,
-            GemmBackendKind::Blocked => &Blocked,
-            GemmBackendKind::Parallel => &Parallel,
-            GemmBackendKind::Simd => &Simd,
-            GemmBackendKind::Packed => &Packed,
-        }
-    }
-
-    /// `C = A × B` on f32 with the configured backend. Slices are row-major;
-    /// `out` must hold `m * n` elements and is fully overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with the dimensions.
-    pub fn gemm_f32(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
-        out.fill(0.0);
-        self.backend().gemm_f32(self, m, k, n, a, b, out);
-    }
-
-    /// `C = A × B` on i32 operands accumulating into i64.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths disagree with the dimensions.
-    pub fn gemm_i32(&self, m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
-        check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
-        out.fill(0);
-        self.backend().gemm_i32(self, m, k, n, a, b, out);
-    }
-
     /// `C = A × B` on the quantized grid (u8 activations × i8 weights,
-    /// i64 accumulators) — the hardware's exact integer arithmetic.
+    /// i64 accumulators) — the hardware's exact integer arithmetic — with
+    /// the configured backend. Slices are row-major; `out` must hold
+    /// `m * n` elements and is fully overwritten.
     ///
     /// # Panics
     ///
@@ -250,7 +211,21 @@ impl ExecContext {
     pub fn gemm_u8i8(&self, m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
         check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
         out.fill(0);
-        self.backend().gemm_u8i8(self, m, k, n, a, b, out);
+        match self.config.backend {
+            GemmBackendKind::Naive => naive_rows(m, k, n, a, b, out),
+            GemmBackendKind::Blocked => blocked_rows(m, k, n, a, b, self.config.tile_k, out),
+            // At one worker, one call over the whole matrix: no per-tile
+            // overhead on a 1-core host.
+            GemmBackendKind::Parallel if self.threads() <= 1 => simd_gemm(m, k, n, a, b, out),
+            GemmBackendKind::Parallel => {
+                self.for_each_row_tile(out, m, n, |_tile, row_start, nrows, chunk| {
+                    let rows = &a[row_start * k..(row_start + nrows) * k];
+                    simd_gemm(nrows, k, n, rows, b, chunk);
+                })
+            }
+            GemmBackendKind::Simd => simd_gemm(m, k, n, a, b, out),
+            GemmBackendKind::Packed => packed_rows(a, &PackedRhs::pack(k, n, b), m, out),
+        }
     }
 
     /// Maps `f` over tile indices `0..count` using the worker pool and
@@ -395,166 +370,42 @@ fn check_gemm_dims(m: usize, k: usize, n: usize, a: usize, b: usize, out: usize)
     );
 }
 
-/// A GEMM kernel family usable through an [`ExecContext`].
-///
-/// Implementations must honour the determinism contract: for identical
-/// inputs the output must be bit-identical to [`Naive`]'s, for every thread
-/// count. The supplied context carries the worker pool and tile sizes.
-// A GEMM signature is irreducibly (dims, lhs, rhs, out) + context.
-#[allow(clippy::too_many_arguments)]
-pub trait GemmBackend: Sync {
-    /// The backend's canonical name.
-    fn name(&self) -> &'static str;
-
-    /// f32 GEMM; `out` arrives zero-initialised.
-    fn gemm_f32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    );
-
-    /// i32 GEMM with i64 accumulation; `out` arrives zero-initialised.
-    fn gemm_i32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    );
-
-    /// Quantized-grid GEMM (u8 × i8 → i64); `out` arrives zero-initialised.
-    fn gemm_u8i8(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    );
-}
-
-/// Element-type triple shared by the generic kernels, so each backend is
-/// written once and stamped out for f32, i32, and the quantized u8×i8 grid.
-trait GemmElems {
-    /// Left operand element.
-    type Lhs: Copy + Send + Sync;
-    /// Right operand element.
-    type Rhs: Copy + Send + Sync;
-    /// Accumulator element. `Default` is the additive zero for every
-    /// instantiation (`0.0f32`, `0i64`), which the register-blocked
-    /// microkernel relies on to seed its accumulator block.
-    type Acc: Copy + Send + Default;
-
-    /// The zero-skip rule every kernel applies identically (part of the
-    /// bit-exactness contract: skipping `0 × b` must match the seed loop).
-    fn is_zero(a: Self::Lhs) -> bool;
-    /// One multiply-accumulate.
-    fn mac(acc: &mut Self::Acc, a: Self::Lhs, b: Self::Rhs);
-}
-
-struct F32Gemm;
-impl GemmElems for F32Gemm {
-    type Lhs = f32;
-    type Rhs = f32;
-    type Acc = f32;
-    fn is_zero(a: f32) -> bool {
-        a == 0.0
-    }
-    fn mac(acc: &mut f32, a: f32, b: f32) {
-        *acc += a * b;
-    }
-}
-
-struct I32Gemm;
-impl GemmElems for I32Gemm {
-    type Lhs = i32;
-    type Rhs = i32;
-    type Acc = i64;
-    fn is_zero(a: i32) -> bool {
-        a == 0
-    }
-    fn mac(acc: &mut i64, a: i32, b: i32) {
-        *acc += a as i64 * b as i64;
-    }
-}
-
-struct U8I8Gemm;
-impl GemmElems for U8I8Gemm {
-    type Lhs = u8;
-    type Rhs = i8;
-    type Acc = i64;
-    fn is_zero(a: u8) -> bool {
-        a == 0
-    }
-    fn mac(acc: &mut i64, a: u8, b: i8) {
-        *acc += a as i64 * b as i64;
-    }
-}
-
-/// The seed scalar kernel over a row range: `i, p (zero-skip), j` with the
+/// The seed scalar kernel over `m` rows: `i, p (zero-skip), j` with the
 /// reduction dimension ascending — the per-element accumulation order every
 /// other kernel must reproduce.
-fn naive_rows<E: GemmElems>(
-    a: &[E::Lhs],
-    b: &[E::Rhs],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    nrows: usize,
-    out: &mut [E::Acc],
-) {
-    for i in 0..nrows {
-        let arow = &a[(row_start + i) * k..(row_start + i + 1) * k];
+fn naive_rows(m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         for (p, &aval) in arow.iter().enumerate() {
-            if E::is_zero(aval) {
+            if aval == 0 {
                 continue;
             }
             let brow = &b[p * n..(p + 1) * n];
             for (o, &bval) in orow.iter_mut().zip(brow.iter()) {
-                E::mac(o, aval, bval);
+                *o += aval as i64 * bval as i64;
             }
         }
     }
 }
 
-/// The cache-tiled kernel over a row range: ascending reduction blocks of
+/// The cache-tiled kernel over `m` rows: ascending reduction blocks of
 /// `tile_k`, so the `tile_k × n` panel of `b` stays hot across the block's
 /// rows. Per-element accumulation order is identical to [`naive_rows`].
-#[allow(clippy::too_many_arguments)]
-fn blocked_rows<E: GemmElems>(
-    a: &[E::Lhs],
-    b: &[E::Rhs],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    nrows: usize,
-    tile_k: usize,
-    out: &mut [E::Acc],
-) {
+fn blocked_rows(m: usize, k: usize, n: usize, a: &[u8], b: &[i8], tile_k: usize, out: &mut [i64]) {
     let mut kb = 0usize;
     while kb < k {
         let kend = (kb + tile_k).min(k);
-        for i in 0..nrows {
-            let arow = &a[(row_start + i) * k..(row_start + i + 1) * k];
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
             let orow = &mut out[i * n..(i + 1) * n];
             for (p, &aval) in arow.iter().enumerate().take(kend).skip(kb) {
-                if E::is_zero(aval) {
+                if aval == 0 {
                     continue;
                 }
                 let brow = &b[p * n..(p + 1) * n];
                 for (o, &bval) in orow.iter_mut().zip(brow.iter()) {
-                    E::mac(o, aval, bval);
+                    *o += aval as i64 * bval as i64;
                 }
             }
         }
@@ -562,259 +413,64 @@ fn blocked_rows<E: GemmElems>(
     }
 }
 
-fn parallel_gemm<E: GemmElems>(
-    ctx: &ExecContext,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[E::Lhs],
-    b: &[E::Rhs],
-    out: &mut [E::Acc],
-) {
-    let tile_k = ctx.config().tile_k;
-    if ctx.threads() <= 1 {
-        // One worker: skip the row-tile fan-out entirely and run the blocked
-        // kernel over the whole row range, so a 1-core host pays no per-tile
-        // overhead and re-reads the `tile_k × n` panel of `b` once per block
-        // instead of once per tile. Bit-identical by the determinism
-        // contract (same per-element accumulation order).
-        blocked_rows::<E>(a, b, k, n, 0, m, tile_k, out);
+/// The `Simd` kernel: AVX2 on x86_64 hosts that report it, the portable
+/// [`unrolled_rows`] fallback everywhere else.
+fn simd_gemm(m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::try_gemm_u8i8(m, k, n, a, b, out) {
         return;
     }
-    ctx.for_each_row_tile(out, m, n, |_tile, row_start, nrows, chunk| {
-        blocked_rows::<E>(a, b, k, n, row_start, nrows, tile_k, chunk);
-    });
+    unrolled_rows(m, k, n, a, b, out);
 }
 
-/// The seed scalar loop nest, run inline on the calling thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Naive;
-
-impl GemmBackend for Naive {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-    fn gemm_f32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        naive_rows::<F32Gemm>(a, b, k, n, 0, m, out);
-    }
-    fn gemm_i32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) {
-        naive_rows::<I32Gemm>(a, b, k, n, 0, m, out);
-    }
-    fn gemm_u8i8(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    ) {
-        naive_rows::<U8I8Gemm>(a, b, k, n, 0, m, out);
-    }
-}
-
-/// The cache-tiled kernel, run inline on the calling thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Blocked;
-
-impl GemmBackend for Blocked {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-    fn gemm_f32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        blocked_rows::<F32Gemm>(a, b, k, n, 0, m, ctx.config().tile_k, out);
-    }
-    fn gemm_i32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) {
-        blocked_rows::<I32Gemm>(a, b, k, n, 0, m, ctx.config().tile_k, out);
-    }
-    fn gemm_u8i8(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    ) {
-        blocked_rows::<U8I8Gemm>(a, b, k, n, 0, m, ctx.config().tile_k, out);
-    }
-}
-
-/// Row-tile fan-out over the context's worker pool. The quantized u8×i8
-/// GEMM runs [`Simd`]'s bit-exact kernel on each tile; f32 and i32 run the
-/// blocked kernel ([`Simd`] f32 is not bit-exact, and i32 is not served).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Parallel;
-
-impl GemmBackend for Parallel {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-    fn gemm_f32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        parallel_gemm::<F32Gemm>(ctx, m, k, n, a, b, out);
-    }
-    fn gemm_i32(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) {
-        parallel_gemm::<I32Gemm>(ctx, m, k, n, a, b, out);
-    }
-    fn gemm_u8i8(
-        &self,
-        ctx: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    ) {
-        // The served quantized GEMM: `Simd`'s bit-exact integer kernel on
-        // each row tile (on the whole matrix at one thread), which beats the
-        // blocked scalar kernel at every served shape.
-        if ctx.threads() <= 1 {
-            Simd.gemm_u8i8(ctx, m, k, n, a, b, out);
-            return;
-        }
-        ctx.for_each_row_tile(out, m, n, |_tile, row_start, nrows, chunk| {
-            let rows = &a[row_start * k..(row_start + nrows) * k];
-            Simd.gemm_u8i8(ctx, nrows, k, n, rows, b, chunk);
-        });
-    }
-}
-
-/// The portable fallback for [`Simd`]: the naive loop order with the `j`
-/// loop hand-unrolled 4-wide so the compiler keeps four independent
+/// The portable fallback of the `Simd` kernel: the naive loop order with
+/// the `j` loop hand-unrolled 4-wide so the compiler keeps four independent
 /// accumulator chains. Per-element accumulation order (ascending `p`,
-/// zero-skip) is identical to [`naive_rows`], so this stays on the bit-exact
-/// tier for every element type including f32.
-fn unrolled_rows<E: GemmElems>(
-    a: &[E::Lhs],
-    b: &[E::Rhs],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    nrows: usize,
-    out: &mut [E::Acc],
-) {
-    for i in 0..nrows {
-        let arow = &a[(row_start + i) * k..(row_start + i + 1) * k];
+/// zero-skip) is identical to [`naive_rows`].
+fn unrolled_rows(m: usize, k: usize, n: usize, a: &[u8], b: &[i8], out: &mut [i64]) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         for (p, &aval) in arow.iter().enumerate() {
-            if E::is_zero(aval) {
+            if aval == 0 {
                 continue;
             }
             let brow = &b[p * n..(p + 1) * n];
             let mut j = 0usize;
             while j + 4 <= n {
-                E::mac(&mut orow[j], aval, brow[j]);
-                E::mac(&mut orow[j + 1], aval, brow[j + 1]);
-                E::mac(&mut orow[j + 2], aval, brow[j + 2]);
-                E::mac(&mut orow[j + 3], aval, brow[j + 3]);
+                orow[j] += aval as i64 * brow[j] as i64;
+                orow[j + 1] += aval as i64 * brow[j + 1] as i64;
+                orow[j + 2] += aval as i64 * brow[j + 2] as i64;
+                orow[j + 3] += aval as i64 * brow[j + 3] as i64;
                 j += 4;
             }
             while j < n {
-                E::mac(&mut orow[j], aval, brow[j]);
+                orow[j] += aval as i64 * brow[j] as i64;
                 j += 1;
             }
         }
     }
 }
 
-/// AVX2 kernels behind the [`Simd`] backend. Only compiled on x86_64. Each
-/// safe `try_` entry checks `is_x86_feature_detected!("avx2")` (and `"fma"`
-/// for the fused f32 path) and that the slice lengths match the dimensions
-/// before entering, which is the entire safety obligation of the `unsafe`
-/// functions here: they read `b` through raw pointers within `k × n`.
+/// The AVX2 kernel behind the `Simd` backend. Only compiled on x86_64. The
+/// safe `try_gemm_u8i8` entry checks `is_x86_feature_detected!("avx2")` and
+/// that the slice lengths match the dimensions before entering, which is
+/// the entire safety obligation of the `unsafe` functions here: they read
+/// `b` through raw pointers within `k × n`.
 ///
-/// Integer kernels broadcast one `a` element per reduction step and run a
-/// strip of output columns in 64-bit lanes: `_mm256_cvtepi32_epi64` /
-/// `_mm256_cvtepi8_epi64` sign-extend the `b` strip, then
-/// `_mm256_mul_epi32` (signed low-32 × low-32 → 64) accumulates exactly.
-/// Each output element still sees the reduction in ascending-`k` order with
-/// the shared zero-skip rule, so integer results are bit-exact with
-/// [`naive_rows`]. The f32 kernel instead keeps 4 ymm accumulators per
-/// column strip and fuses multiply-add when FMA is available — the declared
-/// fast-f32 tier (see the module docs).
+/// The kernel broadcasts one `a` element per reduction step and runs a strip
+/// of output columns in 64-bit lanes: `_mm256_cvtepi8_epi64` sign-extends
+/// the `b` strip, then `_mm256_mul_epi32` (signed low-32 × low-32 → 64)
+/// accumulates exactly. Each output element still sees the reduction in
+/// ascending-`k` order with the shared zero-skip rule, so results are
+/// bit-exact with [`naive_rows`].
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// Runs the AVX2 i32 kernel if the host supports it; `false` means the
-    /// caller must take the portable fallback.
-    pub fn try_gemm_i32(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return false;
-        }
-        super::check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
-        // SAFETY: avx2 verified at runtime and slice lengths checked just
-        // above.
-        unsafe { gemm_i32(m, k, n, a, b, out) };
-        true
-    }
-
-    /// Runs the AVX2 u8×i8 kernel if the host supports it.
+    /// Runs the AVX2 u8×i8 kernel if the host supports it; `false` means
+    /// the caller must take the portable fallback.
     pub fn try_gemm_u8i8(
         m: usize,
         k: usize,
@@ -831,81 +487,6 @@ mod avx2 {
         // above.
         unsafe { gemm_u8i8(m, k, n, a, b, out) };
         true
-    }
-
-    /// Runs the AVX2 f32 kernel (fused multiply-add where the host has FMA)
-    /// if the host supports it.
-    pub fn try_gemm_f32(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return false;
-        }
-        super::check_gemm_dims(m, k, n, a.len(), b.len(), out.len());
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: avx2 + fma verified at runtime and slice lengths
-            // checked just above.
-            unsafe { gemm_f32_fma(m, k, n, a, b, out) };
-        } else {
-            // SAFETY: avx2 verified at runtime and slice lengths checked
-            // just above.
-            unsafe { gemm_f32(m, k, n, a, b, out) };
-        }
-        true
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemm_i32(m: usize, k: usize, n: usize, a: &[i32], b: &[i32], out: &mut [i64]) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut j = 0usize;
-            while j + 16 <= n {
-                let mut acc0 = _mm256_setzero_si256();
-                let mut acc1 = _mm256_setzero_si256();
-                let mut acc2 = _mm256_setzero_si256();
-                let mut acc3 = _mm256_setzero_si256();
-                for (p, &aval) in arow.iter().enumerate() {
-                    if aval == 0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_epi64x(aval as i64);
-                    let bp = b.as_ptr().add(p * n + j);
-                    let b01 = _mm256_loadu_si256(bp as *const __m256i);
-                    let b23 = _mm256_loadu_si256(bp.add(8) as *const __m256i);
-                    let vb0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(b01));
-                    let vb1 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(b01));
-                    let vb2 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(b23));
-                    let vb3 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(b23));
-                    acc0 = _mm256_add_epi64(acc0, _mm256_mul_epi32(va, vb0));
-                    acc1 = _mm256_add_epi64(acc1, _mm256_mul_epi32(va, vb1));
-                    acc2 = _mm256_add_epi64(acc2, _mm256_mul_epi32(va, vb2));
-                    acc3 = _mm256_add_epi64(acc3, _mm256_mul_epi32(va, vb3));
-                }
-                let op = orow.as_mut_ptr().add(j);
-                _mm256_storeu_si256(op as *mut __m256i, acc0);
-                _mm256_storeu_si256(op.add(4) as *mut __m256i, acc1);
-                _mm256_storeu_si256(op.add(8) as *mut __m256i, acc2);
-                _mm256_storeu_si256(op.add(12) as *mut __m256i, acc3);
-                j += 16;
-            }
-            // Scalar tail: same ascending-k, zero-skip order per element.
-            for jj in j..n {
-                let mut acc = 0i64;
-                for (p, &aval) in arow.iter().enumerate() {
-                    if aval == 0 {
-                        continue;
-                    }
-                    acc += aval as i64 * b[p * n + jj] as i64;
-                }
-                orow[jj] = acc;
-            }
-        }
     }
 
     /// Strips of 16, then 8, then 4 output columns, each kept in 64-bit
@@ -978,139 +559,6 @@ mod avx2 {
             _mm256_storeu_si256(out.add(4 * l) as *mut __m256i, *acc);
         }
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn gemm_f32_fma(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        gemm_f32_impl::<true>(m, k, n, a, b, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemm_f32(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        gemm_f32_impl::<false>(m, k, n, a, b, out);
-    }
-
-    /// Shared f32 strip kernel; `FMA` selects fused multiply-add. Inlined
-    /// into the two `#[target_feature]` wrappers above so each gets compiled
-    /// with its own feature set.
-    #[inline(always)]
-    unsafe fn gemm_f32_impl<const FMA: bool>(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut j = 0usize;
-            while j + 32 <= n {
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                for (p, &aval) in arow.iter().enumerate() {
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_ps(aval);
-                    let bp = b.as_ptr().add(p * n + j);
-                    let vb0 = _mm256_loadu_ps(bp);
-                    let vb1 = _mm256_loadu_ps(bp.add(8));
-                    let vb2 = _mm256_loadu_ps(bp.add(16));
-                    let vb3 = _mm256_loadu_ps(bp.add(24));
-                    if FMA {
-                        acc0 = _mm256_fmadd_ps(va, vb0, acc0);
-                        acc1 = _mm256_fmadd_ps(va, vb1, acc1);
-                        acc2 = _mm256_fmadd_ps(va, vb2, acc2);
-                        acc3 = _mm256_fmadd_ps(va, vb3, acc3);
-                    } else {
-                        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, vb0));
-                        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, vb1));
-                        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, vb2));
-                        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, vb3));
-                    }
-                }
-                let op = orow.as_mut_ptr().add(j);
-                _mm256_storeu_ps(op, acc0);
-                _mm256_storeu_ps(op.add(8), acc1);
-                _mm256_storeu_ps(op.add(16), acc2);
-                _mm256_storeu_ps(op.add(24), acc3);
-                j += 32;
-            }
-            for jj in j..n {
-                let mut acc = 0.0f32;
-                for (p, &aval) in arow.iter().enumerate() {
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    acc += aval * b[p * n + jj];
-                }
-                orow[jj] = acc;
-            }
-        }
-    }
-}
-
-/// Runtime-detected SIMD kernels: AVX2 on x86_64 hosts that report it, the
-/// portable `unrolled_rows` fallback everywhere else. Integer kernels are
-/// bit-exact; f32 is the declared fast-f32 tier (module docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Simd;
-
-impl GemmBackend for Simd {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-    fn gemm_f32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::try_gemm_f32(m, k, n, a, b, out) {
-            return;
-        }
-        unrolled_rows::<F32Gemm>(a, b, k, n, 0, m, out);
-    }
-    fn gemm_i32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::try_gemm_i32(m, k, n, a, b, out) {
-            return;
-        }
-        unrolled_rows::<I32Gemm>(a, b, k, n, 0, m, out);
-    }
-    fn gemm_u8i8(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if avx2::try_gemm_u8i8(m, k, n, a, b, out) {
-            return;
-        }
-        unrolled_rows::<U8I8Gemm>(a, b, k, n, 0, m, out);
-    }
 }
 
 /// Columns per packed panel (the microkernel's register-block width).
@@ -1120,19 +568,18 @@ const PACK_NR: usize = 16;
 /// `pj` holds columns `pj*NR .. pj*NR+NR` contiguously per reduction step
 /// (`k × NR`, zero-padded in the last panel), so the microkernel streams B
 /// linearly regardless of `n`. Packing is a pure, deterministic relayout —
-/// computing through a pack is bit-identical to the unpacked kernels for
-/// every element type.
-struct PackedRhs<T> {
+/// computing through a pack is bit-identical to the unpacked kernels.
+struct PackedRhs {
     k: usize,
     n: usize,
-    data: Vec<T>,
+    data: Vec<i8>,
 }
 
-impl<T: Copy + Default> PackedRhs<T> {
+impl PackedRhs {
     /// Packs a row-major `k × n` matrix into column panels.
-    fn pack(k: usize, n: usize, b: &[T]) -> Self {
+    fn pack(k: usize, n: usize, b: &[i8]) -> Self {
         let panels = n.div_ceil(PACK_NR);
-        let mut data = vec![T::default(); panels * k * PACK_NR];
+        let mut data = vec![0; panels * k * PACK_NR];
         for pj in 0..panels {
             let j0 = pj * PACK_NR;
             let width = PACK_NR.min(n - j0);
@@ -1151,8 +598,8 @@ impl<T: Copy + Default> PackedRhs<T> {
 /// columns of accumulators live across the whole reduction, B streams
 /// linearly from the panel. Each output element still accumulates in
 /// ascending-`k` order with the shared zero-skip rule, so results are
-/// bit-exact with [`naive_rows`] for every element type including f32.
-fn packed_rows<E: GemmElems>(a: &[E::Lhs], pack: &PackedRhs<E::Rhs>, m: usize, out: &mut [E::Acc]) {
+/// bit-exact with [`naive_rows`].
+fn packed_rows(a: &[u8], pack: &PackedRhs, m: usize, out: &mut [i64]) {
     let (k, n) = (pack.k, pack.n);
     let panels = n.div_ceil(PACK_NR);
     for pj in 0..panels {
@@ -1163,27 +610,27 @@ fn packed_rows<E: GemmElems>(a: &[E::Lhs], pack: &PackedRhs<E::Rhs>, m: usize, o
         while i + 2 <= m {
             let ar0 = &a[i * k..i * k + k];
             let ar1 = &a[(i + 1) * k..(i + 1) * k + k];
-            let mut acc = [[E::Acc::default(); PACK_NR]; 2];
+            let mut acc = [[0i64; PACK_NR]; 2];
             for p in 0..k {
                 let bl = &pdata[p * PACK_NR..(p + 1) * PACK_NR];
                 let a0 = ar0[p];
                 let a1 = ar1[p];
-                let z0 = E::is_zero(a0);
-                let z1 = E::is_zero(a1);
+                let z0 = a0 == 0;
+                let z1 = a1 == 0;
                 // One fused pass over the panel row when both rows are live:
                 // the common dense case loads each B lane once for two MACs.
                 if !z0 && !z1 {
                     for l in 0..PACK_NR {
-                        E::mac(&mut acc[0][l], a0, bl[l]);
-                        E::mac(&mut acc[1][l], a1, bl[l]);
+                        acc[0][l] += a0 as i64 * bl[l] as i64;
+                        acc[1][l] += a1 as i64 * bl[l] as i64;
                     }
                 } else if !z0 {
                     for l in 0..PACK_NR {
-                        E::mac(&mut acc[0][l], a0, bl[l]);
+                        acc[0][l] += a0 as i64 * bl[l] as i64;
                     }
                 } else if !z1 {
                     for l in 0..PACK_NR {
-                        E::mac(&mut acc[1][l], a1, bl[l]);
+                        acc[1][l] += a1 as i64 * bl[l] as i64;
                     }
                 }
             }
@@ -1195,13 +642,13 @@ fn packed_rows<E: GemmElems>(a: &[E::Lhs], pack: &PackedRhs<E::Rhs>, m: usize, o
         }
         if i < m {
             let ar0 = &a[i * k..i * k + k];
-            let mut acc = [E::Acc::default(); PACK_NR];
+            let mut acc = [0i64; PACK_NR];
             for p in 0..k {
                 let bl = &pdata[p * PACK_NR..(p + 1) * PACK_NR];
                 let a0 = ar0[p];
-                if !E::is_zero(a0) {
+                if a0 != 0 {
                     for l in 0..PACK_NR {
-                        E::mac(&mut acc[l], a0, bl[l]);
+                        acc[l] += a0 as i64 * bl[l] as i64;
                     }
                 }
             }
@@ -1209,53 +656,6 @@ fn packed_rows<E: GemmElems>(a: &[E::Lhs], pack: &PackedRhs<E::Rhs>, m: usize, o
                 out[i * n + j0 + l] = acc[l];
             }
         }
-    }
-}
-
-/// Packs B on every call, then runs the register-blocked microkernel over
-/// the panels. Bit-exact for every element type.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Packed;
-
-impl GemmBackend for Packed {
-    fn name(&self) -> &'static str {
-        "packed"
-    }
-    fn gemm_f32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        packed_rows::<F32Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
-    }
-    fn gemm_i32(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[i32],
-        b: &[i32],
-        out: &mut [i64],
-    ) {
-        packed_rows::<I32Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
-    }
-    fn gemm_u8i8(
-        &self,
-        _: &ExecContext,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[u8],
-        b: &[i8],
-        out: &mut [i64],
-    ) {
-        packed_rows::<U8I8Gemm>(a, &PackedRhs::pack(k, n, b), m, out);
     }
 }
 
@@ -1321,82 +721,6 @@ mod tests {
         assert_eq!(GemmBackendKind::default(), GemmBackendKind::Parallel);
     }
 
-    #[test]
-    fn i32_gemm_identical_across_backends_and_threads() {
-        let (m, k, n) = (13, 29, 11);
-        let a = sample_i32(m, k, 1);
-        let b = sample_i32(k, n, 2);
-        let mut reference = vec![0_i64; m * n];
-        ExecContext::sequential().gemm_i32(m, k, n, &a, &b, &mut reference);
-        for ctx in all_contexts() {
-            let mut out = vec![0_i64; m * n];
-            ctx.gemm_i32(m, k, n, &a, &b, &mut out);
-            assert_eq!(out, reference, "ctx {:?}", ctx.config());
-        }
-    }
-
-    #[test]
-    fn f32_gemm_bit_exact_across_backends_and_threads() {
-        let (m, k, n) = (9, 33, 7);
-        let a: Vec<f32> = sample_i32(m, k, 3)
-            .iter()
-            .map(|&v| v as f32 * 0.37)
-            .collect();
-        let b: Vec<f32> = sample_i32(k, n, 4)
-            .iter()
-            .map(|&v| v as f32 * 0.11)
-            .collect();
-        let mut reference = vec![0.0_f32; m * n];
-        ExecContext::sequential().gemm_f32(m, k, n, &a, &b, &mut reference);
-        let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
-        for ctx in all_contexts() {
-            // Simd f32 is the declared fast-f32 tier (reassociated lanes),
-            // covered by its own tolerance test below; every other backend
-            // stays bit-exact.
-            if ctx.config().backend == GemmBackendKind::Simd {
-                continue;
-            }
-            let mut out = vec![0.0_f32; m * n];
-            ctx.gemm_f32(m, k, n, &a, &b, &mut out);
-            let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, ref_bits, "ctx {:?}", ctx.config());
-        }
-    }
-
-    #[test]
-    fn simd_f32_stays_within_declared_tolerance() {
-        // Shapes chosen to exercise the 32-wide strip and the scalar tail.
-        for (m, k, n) in [(9, 33, 7), (4, 17, 40), (3, 64, 37)] {
-            let a: Vec<f32> = sample_i32(m, k, 3)
-                .iter()
-                .map(|&v| v as f32 * 0.37)
-                .collect();
-            let b: Vec<f32> = sample_i32(k, n, 4)
-                .iter()
-                .map(|&v| v as f32 * 0.11)
-                .collect();
-            let mut reference = vec![0.0_f32; m * n];
-            ExecContext::sequential().gemm_f32(m, k, n, &a, &b, &mut reference);
-            let ctx = ExecContext::new(ExecConfig {
-                backend: GemmBackendKind::Simd,
-                ..ExecConfig::sequential()
-            });
-            let mut out = vec![0.0_f32; m * n];
-            ctx.gemm_f32(m, k, n, &a, &b, &mut out);
-            for (idx, (&got, &want)) in out.iter().zip(reference.iter()).enumerate() {
-                // Declared fast-f32 tier: 1e-5 relative to the l1 magnitude
-                // of the reduction (robust under cancellation).
-                let (i, j) = (idx / n, idx % n);
-                let scale: f32 = (0..k).map(|p| (a[i * k + p] * b[p * n + j]).abs()).sum();
-                let tol = 1e-5_f32 * scale.max(1.0);
-                assert!(
-                    (got - want).abs() <= tol,
-                    "element {idx}: {got} vs {want} ({m}x{k}x{n})"
-                );
-            }
-        }
-    }
-
     /// `(m, k, n)` shapes on every boundary of the AVX2 u8×i8 column strips:
     /// n below, at and past 4, 8 and 16, and remainders of 1–3 columns after
     /// each strip width.
@@ -1452,9 +776,9 @@ mod tests {
         for (seed, (m, k, n)) in (31u64..).step_by(2).zip(STRIP_SHAPES) {
             let (a, b) = sample_u8i8(m, k, n, seed);
             let mut reference = vec![0_i64; m * n];
-            naive_rows::<U8I8Gemm>(&a, &b, k, n, 0, m, &mut reference);
+            naive_rows(m, k, n, &a, &b, &mut reference);
             let mut out = vec![0_i64; m * n];
-            unrolled_rows::<U8I8Gemm>(&a, &b, k, n, 0, m, &mut out);
+            unrolled_rows(m, k, n, &a, &b, &mut out);
             assert_eq!(out, reference, "{m}x{k}x{n}");
         }
     }
@@ -1501,10 +825,10 @@ mod tests {
     fn empty_and_degenerate_shapes() {
         let ctx = ExecContext::parallel();
         let mut out: Vec<i64> = Vec::new();
-        ctx.gemm_i32(0, 5, 3, &[], &[0; 15], &mut out);
+        ctx.gemm_u8i8(0, 5, 3, &[], &[0; 15], &mut out);
         let mut out = vec![7_i64; 4];
         // k = 0: output must be all zeros.
-        ctx.gemm_i32(2, 0, 2, &[], &[], &mut out);
+        ctx.gemm_u8i8(2, 0, 2, &[], &[], &mut out);
         assert_eq!(out, vec![0; 4]);
     }
 
@@ -1513,7 +837,7 @@ mod tests {
     fn mismatched_lengths_panic() {
         let ctx = ExecContext::sequential();
         let mut out = vec![0_i64; 4];
-        ctx.gemm_i32(2, 3, 2, &[1; 5], &[1; 6], &mut out);
+        ctx.gemm_u8i8(2, 3, 2, &[1; 5], &[1; 6], &mut out);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! * [`tensor::Tensor`] — a dense, owned, row-major tensor generic over the
 //!   element type (used with `f32`, `i32`, `u8`, `i8` throughout the
 //!   workspace),
-//! * [`ops`] — matrix multiplication, transposition, element-wise helpers and
-//!   the im2col / col2im lowering used to express convolutions as GEMMs,
+//! * [`ops`] — f32 matrix multiplication (the seed loop), transposition,
+//!   element-wise helpers and the im2col / col2im lowering used to express
+//!   convolutions as GEMMs,
 //! * [`exec`] — the workspace-wide execution layer: [`exec::ExecContext`]
-//!   (deterministic worker pool + tile configuration) and the
-//!   [`exec::GemmBackend`] kernels (`Naive`, `Blocked`, `Parallel`,
-//!   runtime-detected `Simd`, panel-packing `Packed`) every hot loop nest
-//!   runs through,
+//!   (deterministic worker pool + tile configuration) and the quantized
+//!   u8×i8 GEMM every served and emulated layer runs, on one of five
+//!   kernels picked by [`exec::GemmBackendKind`] (`Naive`, `Blocked`,
+//!   `Parallel`, runtime-detected `Simd`, panel-packing `Packed`),
 //! * [`random`] — reproducible synthesis of bell-shaped (Gaussian / Laplace)
 //!   value distributions with controllable sparsity, used to calibrate the
 //!   synthetic model zoo (see `nbsmt-workloads`),
@@ -42,9 +43,9 @@
 
 // `unsafe` is denied crate-wide. The single sanctioned exception is the
 // AVX2 kernel module in `exec`, which opts back in with a scoped
-// `#[allow(unsafe_code)]`: every unsafe function there is `#[target_feature]`
-// and only reachable through safe wrappers that verify the feature with
-// `is_x86_feature_detected!` first.
+// `#[allow(unsafe_code)]`: its unsafe u8×i8 kernel is `#[target_feature]`
+// and only reachable through a safe wrapper that verifies the feature with
+// `is_x86_feature_detected!` and the slice lengths first.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -57,7 +58,7 @@ pub mod tensor;
 pub mod validate;
 
 pub use error::TensorError;
-pub use exec::{ExecConfig, ExecContext, GemmBackend, GemmBackendKind};
+pub use exec::{ExecConfig, ExecContext, GemmBackendKind};
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use validate::{ExecConfigError, Validate};

@@ -2,8 +2,7 @@
 //! im2col lowering used to express convolutions as GEMMs.
 
 use crate::error::TensorError;
-use crate::exec::ExecContext;
-use crate::tensor::{Matrix, Tensor};
+use crate::tensor::Tensor;
 
 /// Parameters of a 2-D convolution lowered with im2col.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -72,28 +71,16 @@ impl Conv2dParams {
 
 /// Multiplies two f32 matrices stored as rank-2 tensors: `C = A × B`.
 ///
+/// Runs the seed loop on the calling thread: row by row of `A`, each
+/// nonzero `A[i, p]` in ascending `p` adds `A[i, p] · B[p, :]` into row `i`
+/// of `C`. Training, calibration and every float layer multiply through
+/// here, so this accumulation order fixes every trained weight.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] if either tensor is not rank 2 and
 /// [`TensorError::DimensionMismatch`] if the inner dimensions differ.
 pub fn matmul(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>, TensorError> {
-    matmul_with(&ExecContext::sequential(), a, b)
-}
-
-/// Multiplies two f32 matrices through the given execution context: the
-/// backend and thread count come from `ctx`, and the result is bit-identical
-/// to [`matmul`] for every configuration (see the `exec` determinism
-/// contract).
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if either tensor is not rank 2 and
-/// [`TensorError::DimensionMismatch`] if the inner dimensions differ.
-pub fn matmul_with(
-    ctx: &ExecContext,
-    a: &Tensor<f32>,
-    b: &Tensor<f32>,
-) -> Result<Tensor<f32>, TensorError> {
     check_rank2("matmul", a)?;
     check_rank2("matmul", b)?;
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
@@ -105,42 +92,22 @@ pub fn matmul_with(
             rhs: b.shape().dims().to_vec(),
         });
     }
+    let (a, b) = (a.as_slice(), b.as_slice());
     let mut out = vec![0.0_f32; m * n];
-    ctx.gemm_f32(m, k, n, a.as_slice(), b.as_slice(), &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Multiplies two integer matrices, accumulating in `i64`: `C = A × B`.
-///
-/// This mirrors the exact integer arithmetic performed by the systolic-array
-/// PEs, and is used as the error-free reference for NB-SMT emulation.
-pub fn matmul_i32(a: &Matrix<i32>, b: &Matrix<i32>) -> Result<Matrix<i64>, TensorError> {
-    matmul_i32_with(&ExecContext::sequential(), a, b)
-}
-
-/// Integer matmul through the given execution context; identical output to
-/// [`matmul_i32`] for every backend and thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::DimensionMismatch`] if the inner dimensions
-/// differ.
-pub fn matmul_i32_with(
-    ctx: &ExecContext,
-    a: &Matrix<i32>,
-    b: &Matrix<i32>,
-) -> Result<Matrix<i64>, TensorError> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::DimensionMismatch {
-            op: "matmul_i32",
-            lhs: vec![a.rows(), a.cols()],
-            rhs: vec![b.rows(), b.cols()],
-        });
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (p, &aval) in arow.iter().enumerate() {
+            if aval == 0.0 {
+                continue;
+            }
+            let brow = &b[p * n..(p + 1) * n];
+            for (o, &bval) in orow.iter_mut().zip(brow.iter()) {
+                *o += aval * bval;
+            }
+        }
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = vec![0_i64; m * n];
-    ctx.gemm_i32(m, k, n, a.as_slice(), b.as_slice(), &mut out);
-    Matrix::from_vec(out, m, n)
+    Tensor::from_vec(out, &[m, n])
 }
 
 /// Transposes a rank-2 tensor.
@@ -427,12 +394,43 @@ mod tests {
     }
 
     #[test]
-    fn matmul_i32_matches_float() {
-        let a = Matrix::from_vec(vec![1, -2, 3, 4, 0, -6], 2, 3).unwrap();
-        let b = Matrix::from_vec(vec![7, 8, -9, 10, 11, -12], 3, 2).unwrap();
-        let c = matmul_i32(&a, &b).unwrap();
-        // manual: row0 = [1*7-2*-9+3*11, 1*8-2*10+3*-12] = [7+18+33, 8-20-36]
-        assert_eq!(c.as_slice(), &[58, -48, 28 - 66, 32 + 72]);
+    fn matmul_degenerate_shapes() {
+        // k = 0: every output element is an empty sum.
+        let c = matmul(&t(&[], &[2, 0]), &t(&[], &[0, 3])).unwrap();
+        assert_eq!(c.shape().dims(), &[2, 3]);
+        assert_eq!(c.as_slice(), &[0.0; 6]);
+        // m = 0 or n = 0: an empty result of the right shape.
+        let c = matmul(&t(&[], &[0, 3]), &t(&[1.0; 6], &[3, 2])).unwrap();
+        assert_eq!(c.shape().dims(), &[0, 2]);
+        assert!(c.as_slice().is_empty());
+        let c = matmul(&t(&[1.0; 6], &[2, 3]), &t(&[], &[3, 0])).unwrap();
+        assert_eq!(c.shape().dims(), &[2, 0]);
+        assert!(c.as_slice().is_empty());
+        // The rank and inner-dimension errors name the operation and shapes.
+        assert_eq!(
+            matmul(&t(&[1.0, 2.0], &[2]), &t(&[1.0; 4], &[2, 2])),
+            Err(TensorError::RankMismatch {
+                op: "matmul",
+                expected: 2,
+                actual: 1,
+            })
+        );
+        assert_eq!(
+            matmul(&t(&[1.0; 4], &[2, 2]), &t(&[1.0; 8], &[2, 2, 2])),
+            Err(TensorError::RankMismatch {
+                op: "matmul",
+                expected: 2,
+                actual: 3,
+            })
+        );
+        assert_eq!(
+            matmul(&t(&[1.0; 6], &[2, 3]), &t(&[1.0; 4], &[2, 2])),
+            Err(TensorError::DimensionMismatch {
+                op: "matmul",
+                lhs: vec![2, 3],
+                rhs: vec![2, 2],
+            })
+        );
     }
 
     #[test]

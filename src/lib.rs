@@ -52,7 +52,7 @@ pub mod prelude {
     pub use nbsmt_serve::traffic::{SizeModel, TrafficModel};
     pub use nbsmt_sparsity::stats::UtilizationBreakdown;
     pub use nbsmt_systolic::array::{OutputStationaryArray, SystolicConfig};
-    pub use nbsmt_tensor::exec::{ExecConfig, ExecContext, GemmBackend, GemmBackendKind};
+    pub use nbsmt_tensor::exec::{ExecConfig, ExecContext, GemmBackendKind};
     pub use nbsmt_tensor::tensor::Tensor;
     pub use nbsmt_tensor::validate::{ExecConfigError, Validate};
 }

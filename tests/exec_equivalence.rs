@@ -1,8 +1,8 @@
 //! Execution-layer equivalence properties: every GEMM backend and every
-//! host thread count must produce bit-identical results — integer outputs,
-//! f32 outputs, NB-SMT outputs *including* `PeStats`, and systolic
-//! simulation outputs alike. This is the determinism contract of
-//! `tensor::exec` checked end to end over random shapes and sparsities.
+//! host thread count must produce bit-identical results — u8×i8 GEMM
+//! outputs, NB-SMT outputs *including* `PeStats`, and systolic simulation
+//! outputs alike. This is the determinism contract of `tensor::exec`
+//! checked end to end over random shapes and sparsities.
 
 use proptest::prelude::*;
 
@@ -14,7 +14,6 @@ use nbsmt_repro::quant::quantize::{quantize_activations, quantize_weights};
 use nbsmt_repro::quant::scheme::QuantScheme;
 use nbsmt_repro::systolic::array::{OutputStationaryArray, SystolicConfig};
 use nbsmt_repro::tensor::exec::{ExecConfig, ExecContext, GemmBackendKind};
-use nbsmt_repro::tensor::ops;
 use nbsmt_repro::tensor::random::{SynthesisConfig, TensorSynthesizer};
 use nbsmt_repro::tensor::tensor::Matrix;
 
@@ -78,30 +77,6 @@ fn synth_layer(
 }
 
 proptest! {
-    /// `matmul_i32` is identical for every backend at 1/2/8 host threads,
-    /// for random shapes and sparsities. With n up to 39 the AVX2 kernel's
-    /// 16-column strips and its scalar tail both run.
-    #[test]
-    fn i32_gemm_is_backend_and_thread_invariant(
-        m in 1usize..20, k in 1usize..40, n in 1usize..40,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
-    ) {
-        let to_i32 = |mat: Matrix<f32>| {
-            let (r, c) = (mat.rows(), mat.cols());
-            Matrix::from_vec(
-                mat.into_vec().iter().map(|&v| (v * 127.0) as i32).collect(),
-                r, c,
-            ).expect("dimensions match")
-        };
-        let a = to_i32(synth_f32(seed, m, k, sparsity_pct as f64 / 100.0));
-        let b = to_i32(synth_f32(seed ^ 0x55, k, n, 0.0));
-        let reference = ops::matmul_i32(&a, &b).expect("dimensions match");
-        for ctx in all_contexts() {
-            let out = ops::matmul_i32_with(&ctx, &a, &b).expect("dimensions match");
-            prop_assert_eq!(&out, &reference, "ctx {:?}", ctx.config());
-        }
-    }
-
     /// The quantized-grid GEMM (u8 activations × i8 weights) is identical
     /// for every backend at 1/2/8 host threads. With n up to 47 the AVX2
     /// kernel's 16-, 8- and 4-column strips and its scalar remainder all run.
@@ -120,71 +95,6 @@ proptest! {
             let mut out = vec![0_i64; m * n];
             ctx.gemm_u8i8(m, k, n, a, b, &mut out);
             prop_assert_eq!(&out, &reference, "ctx {:?}", ctx.config());
-        }
-    }
-
-    /// f32 GEMM is *bit*-identical across backends and thread counts (same
-    /// per-element accumulation order and zero-skip rule everywhere). The
-    /// `Simd` backend is the one exception: its f32 kernel is the declared
-    /// `fast-f32` tier (vectorized accumulation order), checked separately
-    /// below against the declared tolerance.
-    #[test]
-    fn f32_gemm_is_bit_exact_across_contexts(
-        m in 1usize..16, k in 1usize..32, n in 1usize..12,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
-    ) {
-        let a: nbsmt_repro::tensor::Tensor<f32> =
-            synth_f32(seed, m, k, sparsity_pct as f64 / 100.0).into();
-        let b: nbsmt_repro::tensor::Tensor<f32> = synth_f32(seed ^ 0x77, k, n, 0.0).into();
-        let reference = ops::matmul(&a, &b).expect("dimensions match");
-        let ref_bits: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
-        for ctx in all_contexts() {
-            if ctx.config().backend == GemmBackendKind::Simd {
-                continue;
-            }
-            let out = ops::matmul_with(&ctx, &a, &b).expect("dimensions match");
-            let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&bits, &ref_bits, "ctx {:?}", ctx.config());
-        }
-    }
-
-    /// The `Simd` f32 kernel's declared fast-f32 tier: every element agrees
-    /// with the scalar reference to within `1e-5 × Σ|aₚ·bₚ|` (tolerance
-    /// relative to the ℓ1 magnitude of the reduction, so it stays meaningful
-    /// under cancellation). This is the contract stated in `tensor::exec`.
-    #[test]
-    fn simd_f32_stays_within_declared_tolerance(
-        m in 1usize..16, k in 1usize..64, n in 1usize..40,
-        seed in 0u64..1_000_000, sparsity_pct in 0usize..90,
-    ) {
-        let a = synth_f32(seed, m, k, sparsity_pct as f64 / 100.0);
-        let b = synth_f32(seed ^ 0x77, k, n, 0.0);
-        let at: nbsmt_repro::tensor::Tensor<f32> = a.clone().into();
-        let bt: nbsmt_repro::tensor::Tensor<f32> = b.clone().into();
-        let reference = ops::matmul(&at, &bt).expect("dimensions match");
-        for threads in HOST_THREADS {
-            let ctx = ExecContext::new(ExecConfig {
-                threads,
-                tile_rows: 3,
-                tile_k: 5,
-                backend: GemmBackendKind::Simd,
-            });
-            let out = ops::matmul_with(&ctx, &at, &bt).expect("dimensions match");
-            for i in 0..m {
-                for j in 0..n {
-                    let scale: f32 = (0..k)
-                        .map(|p| (a.at(i, p) * b.at(p, j)).abs())
-                        .sum();
-                    let tol = 1e-5_f32 * scale.max(1.0);
-                    let got = out.as_slice()[i * n + j];
-                    let want = reference.as_slice()[i * n + j];
-                    prop_assert!(
-                        (got - want).abs() <= tol,
-                        "element ({}, {}): {} vs {} (tol {})",
-                        i, j, got, want, tol
-                    );
-                }
-            }
         }
     }
 
