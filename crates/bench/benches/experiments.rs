@@ -13,7 +13,7 @@ use nbsmt_bench::experiments::hw_exp::{power_testbench, table2_rows};
 use nbsmt_bench::experiments::zoo_exp::{
     energy_savings, fig1_utilization, fig8_mse_vs_sparsity, fig9_utilization_gain, table1_inventory,
 };
-use nbsmt_bench::Scale;
+use nbsmt_bench::{ExecSettings, Scale};
 use nbsmt_core::fmul::{DualLane, FlexMultiplier, FlexMultiplier4};
 use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_core::policy::SharingPolicy;
@@ -229,13 +229,13 @@ fn bench_zoo_experiments(c: &mut Criterion) {
         b.iter(|| fig1_utilization(Scale::Quick))
     });
     group.bench_function("fig8_mse_vs_sparsity", |b| {
-        b.iter(|| fig8_mse_vs_sparsity(Scale::Quick))
+        b.iter(|| fig8_mse_vs_sparsity(Scale::Quick, &ExecContext::sequential()))
     });
     group.bench_function("fig9_utilization_gain", |b| {
-        b.iter(|| fig9_utilization_gain(Scale::Quick))
+        b.iter(|| fig9_utilization_gain(Scale::Quick, &ExecContext::sequential()))
     });
     group.bench_function("energy_savings", |b| {
-        b.iter(|| energy_savings(Scale::Quick))
+        b.iter(|| energy_savings(Scale::Quick, &ExecContext::sequential()))
     });
     group.bench_function("mlperf_mobilenet", |b| b.iter(mlperf_mobilenet));
     group.finish();
@@ -245,7 +245,7 @@ fn bench_zoo_experiments(c: &mut Criterion) {
 /// SynthNet is prepared once outside the timing loop; the benches time the
 /// NB-SMT evaluation itself.
 fn bench_accuracy_experiments(c: &mut Criterion) {
-    let bench = AccuracyBench::prepare(Scale::Quick, 2024);
+    let bench = AccuracyBench::prepare(Scale::Quick, 2024, ExecSettings::sequential());
     let mut group = c.benchmark_group("accuracy_experiments");
     group.sample_size(10);
     group.bench_function("fig7_robustness", |b| b.iter(|| fig7_robustness(&bench)));

@@ -1,8 +1,9 @@
 //! `repro` — regenerates every table and figure of the NB-SMT paper.
 //!
-//! A thin driver over [`nbsmt_bench::ExperimentRegistry`]: experiments,
-//! their descriptions, defaults, and accepted parameters all live in the
-//! registry, and a run is fully described by a declarative
+//! A thin driver over the experiment registry
+//! ([`nbsmt_bench::experiments::registry`]): experiments, their
+//! descriptions, accepted parameters and defaults all live in its one
+//! table, and a run is fully described by a declarative
 //! [`nbsmt_bench::RunSpec`].
 //!
 //! ```text
@@ -15,10 +16,11 @@
 //! entire configuration (scale, seed, host execution, per-experiment
 //! parameters); `--set key=value` and the shorthand flags (`--full`,
 //! `--threads`, `--backend`, `--requests`, `--replicas`) override it, and
-//! `--dump-spec` prints the resolved spec instead of running — the way to
-//! check in a new spec file. Setting a parameter the experiment does not
-//! declare (e.g. `--requests` on `fig8`) is a typed error, never a silent
-//! no-op.
+//! `--dump-spec` prints the resolved spec (the experiment's defaults filled
+//! in) instead of running — the way to check in a new spec file. Setting a
+//! parameter the experiment does not declare (e.g. `--requests` on `fig8`)
+//! or an `arrival` it does not run is a typed error with exit status 2,
+//! never a silent no-op.
 //!
 //! By the execution layer's determinism contract, `threads`/`backend`
 //! change wall-clock time only — every reproduced number is identical for
@@ -31,7 +33,8 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nbsmt_bench::{ExperimentError, ExperimentRegistry, RunSpec, SpecError, SummarySink};
+use nbsmt_bench::experiments::registry::{self, ALL};
+use nbsmt_bench::{ExperimentError, RunSpec, SpecError, SummarySink};
 
 /// Everything that can go wrong in the driver, funneled to the single exit
 /// point in `main`.
@@ -114,25 +117,23 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let registry = ExperimentRegistry::standard();
     let options = parse_args(args)?;
 
     if options.help {
-        print!("{}", registry.help_text());
+        print!("{}", registry::help_text());
         return Ok(());
     }
     if options.list {
-        print!("{}", registry.list_text());
+        print!("{}", registry::list_text());
         return Ok(());
     }
 
-    let spec = resolve_spec(&registry, &options)?;
-
-    // Check before dumping: `--dump-spec` doubles as the spec validator
-    // (the CI spec-smoke job runs it over every committed file). Same
-    // registry.check the run path applies, so the two cannot drift.
-    registry.check(&spec).map_err(|e| match e {
-        ExperimentError::UnknownExperiment(name) => unknown_experiment_error(&registry, &name),
+    // Resolve before dumping: `--dump-spec` doubles as the spec validator
+    // (the CI spec-smoke job runs it over every committed file) and prints
+    // what the run would read. Same registry::resolve the run path applies,
+    // so the two cannot drift.
+    let spec = registry::resolve(read_spec(&options)?).map_err(|e| match e {
+        ExperimentError::UnknownExperiment(name) => unknown_experiment_error(&name),
         other => other.into(),
     })?;
 
@@ -153,46 +154,36 @@ fn run(args: &[String]) -> Result<(), CliError> {
     );
 
     let mut sink = SummarySink::stdout();
-    registry.run(&spec, &mut sink)?;
+    registry::run(&spec, &mut sink)?;
     Ok(())
 }
 
-/// Builds the effective [`RunSpec`]: experiment defaults ← spec file ←
-/// `--set`/shorthand overrides, in that order.
-fn resolve_spec(registry: &ExperimentRegistry, options: &CliOptions) -> Result<RunSpec, CliError> {
+/// The spec the command line describes: the spec file, or the named
+/// experiment (default `all`) at the global defaults, then the
+/// `--set`/shorthand overrides in order. A parameter left unset takes the
+/// experiment's default when the registry resolves the spec.
+fn read_spec(options: &CliOptions) -> Result<RunSpec, CliError> {
     let mut spec = match &options.spec_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| CliError::Io {
                 path: path.clone(),
                 message: e.to_string(),
             })?;
-            let file_spec = RunSpec::parse(&text)?;
-            if let Some(requested) = &options.experiment {
-                if *requested != file_spec.experiment {
-                    return Err(SpecError::ExperimentMismatch {
-                        spec: file_spec.experiment,
-                        requested: requested.clone(),
-                    }
-                    .into());
+            let spec = RunSpec::parse(&text)?;
+            if let Some(requested) = options
+                .experiment
+                .as_ref()
+                .filter(|r| **r != spec.experiment)
+            {
+                return Err(SpecError::ExperimentMismatch {
+                    spec: spec.experiment,
+                    requested: requested.clone(),
                 }
+                .into());
             }
-            if !registry.contains(&file_spec.experiment) {
-                return Err(unknown_experiment_error(registry, &file_spec.experiment));
-            }
-            // Re-parse over the experiment's own defaults: a minimal file
-            // ({"experiment": "shard"}) inherits every field the file
-            // doesn't mention (e.g. replicas 1,2,4) from default_spec().
-            let defaults = registry
-                .default_spec(&file_spec.experiment)
-                .expect("checked above");
-            RunSpec::parse_with_defaults(&text, defaults)?
+            spec
         }
-        None => {
-            let name = options.experiment.as_deref().unwrap_or("all");
-            registry
-                .default_spec(name)
-                .ok_or_else(|| unknown_experiment_error(registry, name))?
-        }
+        None => RunSpec::defaults(options.experiment.as_deref().unwrap_or(ALL)),
     };
     for (key, value) in &options.sets {
         spec.set(key, value)?;
@@ -200,10 +191,10 @@ fn resolve_spec(registry: &ExperimentRegistry, options: &CliOptions) -> Result<R
     Ok(spec)
 }
 
-fn unknown_experiment_error(registry: &ExperimentRegistry, name: &str) -> CliError {
+fn unknown_experiment_error(name: &str) -> CliError {
     CliError::Usage(format!(
         "unknown experiment '{name}'.\n\n{}\n(run with --list to see this at any time)",
-        registry.list_text()
+        registry::list_text()
     ))
 }
 

@@ -69,25 +69,15 @@ pub struct AccuracyBench {
 }
 
 impl AccuracyBench {
-    /// Trains and calibrates SynthNet at the given scale, evaluating on the
-    /// sequential execution context.
+    /// Trains and calibrates SynthNet at the given scale; the evaluation
+    /// runs use the host-execution settings `exec` (threads and GEMM
+    /// backend).
     ///
     /// # Panics
     ///
     /// Panics if training or calibration fails (they only fail on internal
     /// configuration errors).
-    pub fn prepare(scale: Scale, seed: u64) -> Self {
-        Self::prepare_with(scale, seed, ExecSettings::sequential())
-    }
-
-    /// [`Self::prepare`] with explicit host-execution settings (threads and
-    /// GEMM backend) for the evaluation runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if training or calibration fails (they only fail on internal
-    /// configuration errors).
-    pub fn prepare_with(scale: Scale, seed: u64, exec: ExecSettings) -> Self {
+    pub fn prepare(scale: Scale, seed: u64, exec: ExecSettings) -> Self {
         let task = SynthTaskConfig {
             classes: 6,
             image_size: 16,
@@ -218,7 +208,7 @@ impl AccuracyBench {
         // Train outside the lock: a long critical section would serialize
         // unrelated keys. Two racing first calls may both train; the entry
         // API keeps exactly one result.
-        let bench = Arc::new(Self::prepare_with(scale, seed, exec));
+        let bench = Arc::new(Self::prepare(scale, seed, exec));
         fixture_cache()
             .lock()
             .expect("fixture cache lock is never poisoned")
@@ -622,7 +612,7 @@ mod tests {
     /// fast; every test only exercises read-only evaluation paths.
     fn quick_bench() -> &'static AccuracyBench {
         static BENCH: OnceLock<AccuracyBench> = OnceLock::new();
-        BENCH.get_or_init(|| AccuracyBench::prepare(Scale::Quick, 2024))
+        BENCH.get_or_init(|| AccuracyBench::prepare(Scale::Quick, 2024, ExecSettings::sequential()))
     }
 
     #[test]

@@ -25,15 +25,11 @@
 //! beat `reactive` on at least one of {shed rate, p99, replica-seconds} on
 //! every traffic model at 1.5× load.
 
-use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
-};
 use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
-use nbsmt_serve::sim::{simulate_pool, ServiceModel};
+use nbsmt_serve::sim::simulate_pool;
 
-use crate::experiments::scale_exp::arrivals_for;
-use crate::experiments::serve_exp::SweepFixture;
-use crate::loadgen::pareto_sizes;
+use crate::experiments::scale_exp::{arrivals_for, selected, RegimePool};
+use crate::experiments::serve_exp::POOL_ESCALATION;
 use crate::scale::Scale;
 use crate::summary::ControlRecord;
 
@@ -54,13 +50,6 @@ pub const VARIANTS: [&str; 4] = [
     "predictive-autoscale",
     "predictive-steal",
 ];
-
-/// Knobs of the controller sweep beyond the universal scale/seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlKnobs {
-    /// Traffic-model filter: `mmpp`, `diurnal`, or `all`.
-    pub arrival: String,
-}
 
 /// The [`ControlConfig`] for one (variant, replicas, rate) cell, or `None`
 /// for the uncontrolled reactive baseline. The estimator window spans ~32
@@ -96,67 +85,24 @@ fn control_for(variant: &str, replicas: usize, rate_rps: f64) -> Option<ControlC
 
 /// The controller sweep: traffic model × [`VARIANTS`] × replicas ×
 /// [`LOAD_GRID`], every variant over the *identical* seeded trace per
-/// (arrival, replicas, load) group. Deterministic per
-/// `(scale, requests, replica_counts, seed, knobs)`.
+/// (arrival, replicas, load) group, on the scale sweep's pool (its
+/// request-size model, rate anchor and scheduler). `arrival` is one of
+/// [`ARRIVALS`] or `all`. Deterministic per
+/// `(scale, requests, replica_counts, seed, arrival)`.
 pub fn control_sweep_with(
     scale: Scale,
     requests: usize,
     replica_counts: &[usize],
     seed: u64,
-    knobs: &ControlKnobs,
+    arrival: &str,
 ) -> Vec<ControlRecord> {
-    let fixture = SweepFixture::prepare(scale, requests, seed);
-    let ladder = fixture
-        .registry
-        .compile_ladder(
-            "synthnet",
-            &[
-                SmtConfig::Dense,
-                SmtConfig::sysmt_2t(),
-                SmtConfig::sysmt_4t(),
-            ],
-        )
-        .expect("ladder compiles");
-    // The same heavy-tailed request-size model as the scale sweep's
-    // defaults, and the same size-adjusted aggregate-rate anchor, so a 1.5×
-    // cell here saturates the pool at the same operating point as there.
-    let size = pareto_sizes(seed.wrapping_add(1000), 1536, 1024, 8192);
-    let service = ServiceModel {
-        size,
-        ..fixture.service
-    };
-    let mean_size_x1024 = ((0..4096u64)
-        .map(|k| size.size_x1024(k) as u128)
-        .sum::<u128>()
-        / 4096)
-        .max(1) as f64;
-    let base_rate = fixture.dense_rate_rps() * 1024.0 / mean_size_x1024;
-
-    let scheduler = SchedulerConfig {
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait_ns: 2_000_000,
-        },
-        queue_capacity: 16,
-    };
-    let adaptive = AdaptivePolicy {
-        depth_high: 4,
-        depth_low: 1,
-        p95_high_ns: 0,
-        eval_every_batches: 1,
-    };
-    let selected: Vec<&'static str> = ARRIVALS
-        .iter()
-        .copied()
-        .filter(|a| knobs.arrival == "all" || knobs.arrival == *a)
-        .collect();
-
+    let pool = RegimePool::prepare(scale, requests, seed);
     let mut rows = Vec::new();
-    for &arrival in &selected {
+    for arrival in selected(&ARRIVALS, arrival) {
         for &replicas in replica_counts {
             let replicas = replicas.max(1);
             for load_x in LOAD_GRID {
-                let rate = base_rate * replicas as f64 * load_x;
+                let rate = pool.base_rate * replicas as f64 * load_x;
                 let cell_seed = seed
                     .wrapping_add((load_x * 10.0) as u64)
                     .wrapping_add(requests as u64)
@@ -165,20 +111,20 @@ pub fn control_sweep_with(
                     // The same seeded trace for every variant of the cell:
                     // the four rows differ in controller policy only.
                     let arrivals = arrivals_for(arrival, cell_seed, rate, requests as u64);
-                    let options = PoolOptions {
-                        config: PoolConfig {
-                            replicas,
-                            route: RoutePolicy::Hashed,
-                            scheduler,
-                            adaptive,
-                        },
-                        service,
-                        control: control_for(variant, replicas, rate),
-                        ..PoolOptions::default()
-                    };
-                    let outcome =
-                        simulate_pool(&ladder, None, &fixture.inputs, &arrivals, &options, None)
-                            .expect("pool simulation succeeds");
+                    let options = pool.options(
+                        replicas,
+                        POOL_ESCALATION,
+                        control_for(variant, replicas, rate),
+                    );
+                    let outcome = simulate_pool(
+                        &pool.ladder,
+                        None,
+                        &pool.fixture.inputs,
+                        &arrivals,
+                        &options,
+                        None,
+                    )
+                    .expect("pool simulation succeeds");
                     let m = &outcome.metrics;
                     // The record id is the merge key across runs. It
                     // includes the trace length so a CI smoke run merges in
@@ -219,12 +165,6 @@ mod tests {
     use super::*;
     use crate::summary::Summary;
 
-    fn knobs() -> ControlKnobs {
-        ControlKnobs {
-            arrival: "all".to_string(),
-        }
-    }
-
     fn cell<'a>(
         rows: &'a [ControlRecord],
         arrival: &str,
@@ -238,7 +178,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_is_deterministic() {
-        let rows = control_sweep_with(Scale::Quick, 96, &[2], 2024, &knobs());
+        let rows = control_sweep_with(Scale::Quick, 96, &[2], 2024, "all");
         // 2 arrivals × 2 loads × 4 variants × 1 replica count.
         assert_eq!(rows.len(), 16);
         for row in &rows {
@@ -251,15 +191,13 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
-        let again = control_sweep_with(Scale::Quick, 96, &[2], 2024, &knobs());
+        let again = control_sweep_with(Scale::Quick, 96, &[2], 2024, "all");
         assert_eq!(rows, again);
     }
 
     #[test]
     fn arrival_filter_restricts_the_grid() {
-        let mut only = knobs();
-        only.arrival = "diurnal".to_string();
-        let rows = control_sweep_with(Scale::Quick, 64, &[2], 7, &only);
+        let rows = control_sweep_with(Scale::Quick, 64, &[2], 7, "diurnal");
         // 1 arrival × 2 loads × 4 variants.
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().all(|r| r.arrival == "diurnal"));
@@ -267,7 +205,7 @@ mod tests {
 
     #[test]
     fn controllers_intervene_and_autoscale_dominates_reactive() {
-        let rows = control_sweep_with(Scale::Quick, 2_000, &[4], 2024, &knobs());
+        let rows = control_sweep_with(Scale::Quick, 2_000, &[4], 2024, "all");
         for arrival in ARRIVALS {
             // The predictive floor moves on bursty traffic…
             assert!(
@@ -310,10 +248,8 @@ mod tests {
 
     #[test]
     fn control_summary_round_trips_records() {
-        let mut only = knobs();
-        only.arrival = "mmpp".to_string();
         let summary = Summary {
-            records: control_sweep_with(Scale::Quick, 48, &[2], 13, &only),
+            records: control_sweep_with(Scale::Quick, 48, &[2], 13, "mmpp"),
         };
         let parsed = Summary::<ControlRecord>::parse(&summary.to_json()).expect("summary parses");
         assert_eq!(parsed.to_json(), summary.to_json());

@@ -4,7 +4,7 @@
 //! dense/2T/4T ladder as the `serve`/`shard` sweeps):
 //!
 //! * **Intensity sweep (`sim` rows).** A seeded [`FaultConfig`] is scaled to
-//!   0×/1×/2×/4× the spec's per-mille failure rates, a [`FaultPlan`] is
+//!   0×/1×/2×/4× the base per-mille failure rates, a [`FaultPlan`] is
 //!   generated per intensity, and each plan replays through the
 //!   deterministic virtual-clock simulator with the design point pinned
 //!   dense and with the adaptive dense→2T→4T ladder. These rows — the
@@ -29,9 +29,7 @@
 
 use std::sync::Arc;
 
-use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
-};
+use nbsmt_serve::config::{AdaptivePolicy, PoolConfig, PoolOptions, RoutePolicy};
 use nbsmt_serve::faults::{
     chaos_corpus, FaultClient, FaultConfig, FaultPlan, HedgePolicy, RetryPolicy,
 };
@@ -40,7 +38,7 @@ use nbsmt_serve::session::Session;
 use nbsmt_serve::sim::simulate_pool;
 use nbsmt_tensor::tensor::Tensor;
 
-use crate::experiments::serve_exp::SweepFixture;
+use crate::experiments::serve_exp::{SweepFixture, POOL_ESCALATION, POOL_SCHEDULER};
 use crate::loadgen::open_poisson;
 use crate::scale::{ExecSettings, Scale};
 use crate::summary::FaultRecord;
@@ -50,24 +48,17 @@ use crate::summary::FaultRecord;
 /// pool shape so its rows are comparable.
 const REPLICAS: usize = 2;
 
-/// Intensity multipliers applied to the spec's per-mille failure rates.
+/// Intensity multipliers applied to the base per-mille failure rates.
 const INTENSITIES: [u64; 4] = [0, 1, 2, 4];
 
-/// Knobs of the sweep that come from the [`crate::spec::RunSpec`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultKnobs {
-    /// Seed of the generated fault plans (`fault_seed`).
-    pub fault_seed: u64,
-    /// Base per-mille crash rate, scaled by each intensity multiplier
-    /// (0×, 1×, 2×, 4×).
-    pub crash_per_mille: u64,
-    /// Base per-mille stall rate.
-    pub stall_per_mille: u64,
-    /// Base per-mille straggle rate.
-    pub straggle_per_mille: u64,
-    /// Whether the countermeasure cells hedge (`false` = retry only).
-    pub hedging: bool,
-}
+/// Seed of the generated fault plans.
+const FAULT_SEED: u64 = 7;
+
+/// Base per-mille crash, stall and straggle rates of the generated plans,
+/// each scaled by every intensity multiplier.
+const CRASH_PER_MILLE: u64 = 30;
+const STALL_PER_MILLE: u64 = 60;
+const STRAGGLE_PER_MILLE: u64 = 90;
 
 /// The faults sweep at the given scale and host-execution settings: the
 /// deterministic intensity family plus the live countermeasure A/B over the
@@ -77,35 +68,12 @@ pub fn faults_sweep_with(
     exec: &ExecSettings,
     requests: usize,
     seed: u64,
-    knobs: FaultKnobs,
 ) -> Vec<FaultRecord> {
     let fixture = SweepFixture::prepare(scale, requests, seed);
-    let ladder = fixture
-        .registry
-        .compile_ladder(
-            "synthnet",
-            &[
-                SmtConfig::Dense,
-                SmtConfig::sysmt_2t(),
-                SmtConfig::sysmt_4t(),
-            ],
-        )
-        .expect("ladder compiles");
-
-    let mut rows = intensity_rows(&fixture, &ladder, exec, requests, seed, knobs);
-    rows.extend(corpus_rows(&fixture, &ladder, exec, requests, knobs));
+    let ladder = fixture.ladder();
+    let mut rows = intensity_rows(&fixture, &ladder, exec, requests, seed);
+    rows.extend(corpus_rows(&fixture, &ladder, exec, requests));
     rows
-}
-
-/// Escalate on queue depth well before admission control engages — the same
-/// trigger shape as the shard sweep's.
-fn adaptive_policy() -> AdaptivePolicy {
-    AdaptivePolicy {
-        depth_high: 4,
-        depth_low: 1,
-        p95_high_ns: 0,
-        eval_every_batches: 1,
-    }
 }
 
 /// The options of every cell: [`REPLICAS`] round-robin replicas under
@@ -115,17 +83,11 @@ fn options(fixture: &SweepFixture, adaptive: AdaptivePolicy, plan: &FaultPlan) -
         config: PoolConfig {
             replicas: REPLICAS,
             route: RoutePolicy::RoundRobin,
-            // The batch-formation window must cover a full closed-loop client
-            // round trip (response → resubmission, including the hedge path's
-            // ~1ms poll quantum), or survivor batches launch half-empty and the
-            // capacity-limited schedules lose exactly those slots.
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait_ns: 2_000_000,
-                },
-                queue_capacity: 16,
-            },
+            // The 2 ms batch-formation window must cover a full closed-loop
+            // client round trip (response → resubmission, including the hedge
+            // path's ~1ms poll quantum), or survivor batches launch half-empty
+            // and the capacity-limited schedules lose exactly those slots.
+            scheduler: POOL_SCHEDULER,
             adaptive,
         },
         service: fixture.service,
@@ -142,7 +104,6 @@ fn intensity_rows(
     exec: &ExecSettings,
     requests: usize,
     seed: u64,
-    knobs: FaultKnobs,
 ) -> Vec<FaultRecord> {
     let ctx = exec.context();
     // 1.2× the aggregate dense rate: loaded enough that stalls and
@@ -154,17 +115,17 @@ fn intensity_rows(
     let mut rows = Vec::new();
     for intensity in INTENSITIES {
         let config = FaultConfig {
-            seed: knobs.fault_seed,
+            seed: FAULT_SEED,
             horizon_batches: 64,
-            crash_per_mille: (knobs.crash_per_mille * intensity).min(1000),
-            stall_per_mille: (knobs.stall_per_mille * intensity).min(1000),
-            straggle_per_mille: (knobs.straggle_per_mille * intensity).min(1000),
+            crash_per_mille: (CRASH_PER_MILLE * intensity).min(1000),
+            stall_per_mille: (STALL_PER_MILLE * intensity).min(1000),
+            straggle_per_mille: (STRAGGLE_PER_MILLE * intensity).min(1000),
             ..FaultConfig::default()
         };
         let plan = FaultPlan::generate(&config, REPLICAS).expect("scaled rates stay per-mille");
         for (policy_label, ladder_slice, policy) in [
             ("pinned", &ladder[..1], AdaptivePolicy::pinned()),
-            ("adaptive", ladder, adaptive_policy()),
+            ("adaptive", ladder, POOL_ESCALATION),
         ] {
             let outcome = simulate_pool(
                 ladder_slice,
@@ -202,19 +163,13 @@ fn intensity_rows(
 }
 
 /// The live countermeasure A/B: every corpus schedule on the threaded pool,
-/// bare client vs retry(+hedge).
+/// bare client vs retry+hedge.
 fn corpus_rows(
     fixture: &SweepFixture,
     ladder: &[Arc<Session>],
     exec: &ExecSettings,
     requests: usize,
-    knobs: FaultKnobs,
 ) -> Vec<FaultRecord> {
-    let cm_label: &'static str = if knobs.hedging {
-        "retry+hedge"
-    } else {
-        "retry"
-    };
     let mut rows = Vec::new();
     // One fault-free reference cell calibrates the hedge delay: hedging at
     // 2× the *healthy* wall-clock tail fires only on requests that are
@@ -262,7 +217,7 @@ fn corpus_rows(
             requests,
             name,
             &plan,
-            cm_label,
+            "retry+hedge",
             // A small base backoff: long sleeps would starve batch
             // formation on the survivor and shrink the very batches the
             // retries are trying to ride in on.
@@ -270,7 +225,7 @@ fn corpus_rows(
                 max_retries: 6,
                 backoff_base_ns: 20_000,
             },
-            knobs.hedging.then_some(HedgePolicy {
+            Some(HedgePolicy {
                 delay_ns: hedge_delay_ns,
             }),
         );
@@ -296,7 +251,7 @@ fn live_cell(
 ) -> FaultRecord {
     let mut pool = ReplicaPool::new(
         ladder.to_vec(),
-        &options(fixture, adaptive_policy(), plan),
+        &options(fixture, POOL_ESCALATION, plan),
         exec.config(),
         PoolDriver::FreeRunning,
         false,
@@ -354,32 +309,12 @@ fn live_cell(
 mod tests {
     use super::*;
 
-    fn knobs() -> FaultKnobs {
-        FaultKnobs {
-            fault_seed: 2024,
-            crash_per_mille: 30,
-            stall_per_mille: 60,
-            straggle_per_mille: 90,
-            hedging: true,
-        }
-    }
-
     #[test]
     fn intensity_family_is_deterministic_and_degrades_monotonically_in_spirit() {
         let exec = ExecSettings::sequential();
         let fixture = SweepFixture::prepare(Scale::Quick, 48, 2024);
-        let ladder = fixture
-            .registry
-            .compile_ladder(
-                "synthnet",
-                &[
-                    SmtConfig::Dense,
-                    SmtConfig::sysmt_2t(),
-                    SmtConfig::sysmt_4t(),
-                ],
-            )
-            .expect("ladder compiles");
-        let rows = intensity_rows(&fixture, &ladder, &exec, 48, 2024, knobs());
+        let ladder = fixture.ladder();
+        let rows = intensity_rows(&fixture, &ladder, &exec, 48, 2024);
         // 4 intensities × {pinned, adaptive}.
         assert_eq!(rows.len(), 8);
         for row in &rows {
@@ -392,7 +327,7 @@ mod tests {
             assert_eq!((row.crashes, row.handoffs), (0, 0));
         }
         // Bit-identical on a re-run: the family is fully virtual-clocked.
-        let again = intensity_rows(&fixture, &ladder, &exec, 48, 2024, knobs());
+        let again = intensity_rows(&fixture, &ladder, &exec, 48, 2024);
         assert_eq!(rows, again);
         // Record names are unique merge keys.
         let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
@@ -404,7 +339,7 @@ mod tests {
     #[test]
     fn countermeasures_recover_at_least_the_bare_client_on_every_schedule() {
         let exec = ExecSettings::sequential();
-        let rows = faults_sweep_with(Scale::Quick, &exec, 48, 2024, knobs());
+        let rows = faults_sweep_with(Scale::Quick, &exec, 48, 2024);
         let live: Vec<&FaultRecord> = rows.iter().filter(|r| r.mode == "live").collect();
         // The fault-free reference cell plus 6 corpus schedules ×
         // {none, retry+hedge}.

@@ -1,8 +1,7 @@
 //! Experiment implementations, one function per table / figure of the paper.
 //!
-//! The mapping between paper artefacts and functions is documented in
-//! ARCHITECTURE.md (the experiment-harness table); results are recorded in
-//! EXPERIMENTS.md.
+//! [`registry`] declares every experiment in one table; ARCHITECTURE.md's
+//! experiment-harness table is generated from it.
 
 pub mod accuracy;
 pub mod control_exp;

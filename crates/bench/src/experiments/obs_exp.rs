@@ -10,10 +10,7 @@
 //! measured by the repository benchmark (`perfbench --trace 1`,
 //! `trace.overhead_frac.*`), not here.
 
-use nbsmt_serve::config::SmtConfig;
-use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig,
-};
+use nbsmt_serve::config::{PoolConfig, PoolOptions, RoutePolicy};
 use nbsmt_serve::session::Session;
 use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome};
 use nbsmt_serve::{TraceRecorder, TraceSnapshot};
@@ -21,7 +18,7 @@ use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
 use std::sync::Arc;
 
-use crate::experiments::serve_exp::SweepFixture;
+use crate::experiments::serve_exp::{SweepFixture, POOL_ESCALATION, POOL_SCHEDULER};
 use crate::loadgen::open_poisson;
 use crate::scale::{ExecSettings, Scale};
 
@@ -43,36 +40,15 @@ impl ObsBench {
     /// ladder climbs and the trace contains mode transitions worth seeing.
     pub fn prepare(scale: Scale, exec: &ExecSettings, requests: usize, seed: u64) -> ObsBench {
         let fixture = SweepFixture::prepare(scale, requests, seed);
-        let ladder = fixture
-            .registry
-            .compile_ladder(
-                "synthnet",
-                &[
-                    SmtConfig::Dense,
-                    SmtConfig::sysmt_2t(),
-                    SmtConfig::sysmt_4t(),
-                ],
-            )
-            .expect("ladder compiles");
+        let ladder = fixture.ladder();
         let replicas = 2usize;
         let rate = fixture.dense_rate_rps() * replicas as f64 * 2.0;
         let arrivals = open_poisson(seed.wrapping_add(20), rate, requests);
         let config = PoolConfig {
             replicas,
             route: RoutePolicy::RoundRobin,
-            scheduler: SchedulerConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait_ns: 2_000_000,
-                },
-                queue_capacity: 16,
-            },
-            adaptive: AdaptivePolicy {
-                depth_high: 4,
-                depth_low: 1,
-                p95_high_ns: 0,
-                eval_every_batches: 1,
-            },
+            scheduler: POOL_SCHEDULER,
+            adaptive: POOL_ESCALATION,
         };
         ObsBench {
             ladder,

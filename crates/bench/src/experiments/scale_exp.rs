@@ -20,12 +20,14 @@
 //! (MMPP × adaptive × the largest replica count) that pins the
 //! constant-memory regime in the committed baseline.
 
-use nbsmt_serve::config::{
-    AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
-};
+use std::sync::Arc;
+
+use nbsmt_serve::config::{AdaptivePolicy, PoolConfig, PoolOptions, RoutePolicy};
+use nbsmt_serve::control::ControlConfig;
+use nbsmt_serve::session::Session;
 use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, ServiceModel};
 
-use crate::experiments::serve_exp::SweepFixture;
+use crate::experiments::serve_exp::{SweepFixture, POOL_ESCALATION, POOL_SCHEDULER};
 use crate::loadgen::{diurnal, lazy_poisson, mmpp, pareto_sizes};
 use crate::scale::Scale;
 use crate::summary::ServeRecord;
@@ -39,20 +41,97 @@ pub const LOAD_GRID: [f64; 3] = [0.6, 1.0, 1.5];
 /// The traffic models the sweep covers, in presentation order.
 pub const ARRIVALS: [&str; 3] = ["poisson", "mmpp", "diurnal"];
 
+/// The bounded-Pareto request-size model of the scale and control sweeps,
+/// in x1024 fixed point: shape 1.5, sizes from 1× to 8× the model's
+/// per-request MACs.
+const SIZE_ALPHA_X1024: u64 = 1536;
+const SIZE_MIN_X1024: u64 = 1024;
+const SIZE_MAX_X1024: u64 = 8192;
+
 /// Knobs of the scale sweep beyond the universal scale/seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleKnobs {
     /// Traffic-model filter: `poisson`, `mmpp`, `diurnal`, or `all`.
     pub arrival: String,
-    /// Bounded-Pareto request-size shape, x1024.
-    pub size_alpha_x1024: u64,
-    /// Smallest request size, x1024.
-    pub size_min_x1024: u64,
-    /// Largest request size, x1024.
-    pub size_max_x1024: u64,
     /// Length of the anchor cell ([`ANCHOR_REQUESTS`] in the registry;
     /// tests shrink it so the quick suites stay quick).
     pub anchor_requests: u64,
+}
+
+/// The pool both regime sweeps (`scale` and `control`) run on: the serving
+/// fixture and its dense/2T/4T ladder, a service model with heavy-tailed
+/// request sizes, and the offered-load anchor, so that a 1.5× cell of
+/// either sweep saturates the pool at the same operating point.
+pub(crate) struct RegimePool {
+    pub(crate) fixture: SweepFixture,
+    pub(crate) ladder: Vec<Arc<Session>>,
+    service: ServiceModel,
+    /// One dense replica's single-request rate, deflated by the mean request
+    /// size, in requests/s.
+    pub(crate) base_rate: f64,
+}
+
+impl RegimePool {
+    pub(crate) fn prepare(scale: Scale, requests: usize, seed: u64) -> RegimePool {
+        let fixture = SweepFixture::prepare(scale, requests, seed);
+        let ladder = fixture.ladder();
+        let size = pareto_sizes(
+            seed.wrapping_add(1000),
+            SIZE_ALPHA_X1024,
+            SIZE_MIN_X1024,
+            SIZE_MAX_X1024,
+        );
+        // The offered-load anchor: one dense session's single-request rate,
+        // deflated by the mean Pareto request size (estimated over a fixed
+        // key range — sizes are a pure function of (seed, key), so this is
+        // exact for the keys the trace actually uses and deterministic
+        // everywhere).
+        let mean_size_x1024 = ((0..4096u64)
+            .map(|k| size.size_x1024(k) as u128)
+            .sum::<u128>()
+            / 4096)
+            .max(1) as f64;
+        RegimePool {
+            base_rate: fixture.dense_rate_rps() * 1024.0 / mean_size_x1024,
+            service: ServiceModel {
+                size,
+                ..fixture.service
+            },
+            fixture,
+            ladder,
+        }
+    }
+
+    /// The options of one cell: `replicas` hash-routed replicas on the
+    /// replica-pool scheduler under `adaptive`, with an optional controller.
+    pub(crate) fn options(
+        &self,
+        replicas: usize,
+        adaptive: AdaptivePolicy,
+        control: Option<ControlConfig>,
+    ) -> PoolOptions {
+        PoolOptions {
+            config: PoolConfig {
+                replicas,
+                route: RoutePolicy::Hashed,
+                scheduler: POOL_SCHEDULER,
+                adaptive,
+            },
+            service: self.service,
+            control,
+            ..PoolOptions::default()
+        }
+    }
+}
+
+/// The traffic models of `models` an `arrival` value selects: the one it
+/// names, or every one for `all`.
+pub(crate) fn selected(models: &[&'static str], arrival: &str) -> Vec<&'static str> {
+    models
+        .iter()
+        .copied()
+        .filter(|model| arrival == "all" || arrival == *model)
+        .collect()
 }
 
 /// Builds the lazily generated [`ArrivalProcess`] for one cell: `n`
@@ -106,90 +185,31 @@ pub fn scale_sweep_with(
     seed: u64,
     knobs: &ScaleKnobs,
 ) -> Vec<ServeRecord> {
-    let fixture = SweepFixture::prepare(scale, requests, seed);
-    let ladder = fixture
-        .registry
-        .compile_ladder(
-            "synthnet",
-            &[
-                SmtConfig::Dense,
-                SmtConfig::sysmt_2t(),
-                SmtConfig::sysmt_4t(),
-            ],
-        )
-        .expect("ladder compiles");
-    let size = pareto_sizes(
-        seed.wrapping_add(1000),
-        knobs.size_alpha_x1024,
-        knobs.size_min_x1024,
-        knobs.size_max_x1024,
-    );
-    let service = ServiceModel {
-        size,
-        ..fixture.service
-    };
-    // The offered-load anchor: one dense session's single-request rate,
-    // deflated by the mean Pareto request size (estimated over a fixed key
-    // range — sizes are a pure function of (seed, key), so this is exact
-    // for the keys the trace actually uses and deterministic everywhere).
-    let mean_size_x1024 = ((0..4096u64)
-        .map(|k| size.size_x1024(k) as u128)
-        .sum::<u128>()
-        / 4096)
-        .max(1) as f64;
-    let base_rate = fixture.dense_rate_rps() * 1024.0 / mean_size_x1024;
-
-    // Same shedding-focused scheduler and escalation policy as the shard
+    // The same replica-pool scheduler and escalation policy as the shard
     // sweep, so the two summaries describe the same pool at different
     // scales.
-    let scheduler = SchedulerConfig {
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait_ns: 2_000_000,
-        },
-        queue_capacity: 16,
-    };
-    let adaptive = AdaptivePolicy {
-        depth_high: 4,
-        depth_low: 1,
-        p95_high_ns: 0,
-        eval_every_batches: 1,
-    };
-    let selected: Vec<&'static str> = ARRIVALS
-        .iter()
-        .copied()
-        .filter(|a| knobs.arrival == "all" || knobs.arrival == *a)
-        .collect();
+    let pool = RegimePool::prepare(scale, requests, seed);
+    let models = selected(&ARRIVALS, &knobs.arrival);
 
     let mut rows = Vec::new();
     let mut run_cell =
         |arrival: &'static str, policy_label, replicas: usize, load_x: f64, n: u64| {
             let (ladder_slice, policy) = match policy_label {
-                "dense" => (&ladder[..1], AdaptivePolicy::pinned()),
-                _ => (&ladder[..], adaptive),
+                "dense" => (&pool.ladder[..1], AdaptivePolicy::pinned()),
+                _ => (&pool.ladder[..], POOL_ESCALATION),
             };
-            let rate = base_rate * replicas as f64 * load_x;
+            let rate = pool.base_rate * replicas as f64 * load_x;
             let cell_seed = seed
                 .wrapping_add((load_x * 10.0) as u64)
                 .wrapping_add(n)
                 .wrapping_mul(replicas as u64 | 1);
             let arrivals = arrivals_for(arrival, cell_seed, rate, n);
-            let options = PoolOptions {
-                config: PoolConfig {
-                    replicas,
-                    route: RoutePolicy::Hashed,
-                    scheduler,
-                    adaptive: policy,
-                },
-                service,
-                ..PoolOptions::default()
-            };
             let outcome = simulate_pool(
                 ladder_slice,
                 None,
-                &fixture.inputs,
+                &pool.fixture.inputs,
                 &arrivals,
-                &options,
+                &pool.options(replicas, policy, None),
                 None,
             )
             .expect("pool simulation succeeds");
@@ -211,7 +231,7 @@ pub fn scale_sweep_with(
             });
         };
 
-    for &arrival in &selected {
+    for &arrival in &models {
         for &replicas in replica_counts {
             let replicas = replicas.max(1);
             for policy_label in ["dense", "adaptive"] {
@@ -223,7 +243,7 @@ pub fn scale_sweep_with(
     }
     // The million-request anchor: the burstiest model on the adaptive
     // ladder at the largest replica count, at the knee of the load grid.
-    if selected.contains(&"mmpp") && knobs.anchor_requests > 0 {
+    if models.contains(&"mmpp") && knobs.anchor_requests > 0 {
         let replicas = replica_counts.iter().copied().max().unwrap_or(1).max(1);
         run_cell("mmpp", "adaptive", replicas, 1.0, knobs.anchor_requests);
     }
@@ -238,9 +258,6 @@ mod tests {
     fn knobs() -> ScaleKnobs {
         ScaleKnobs {
             arrival: "all".to_string(),
-            size_alpha_x1024: 1536,
-            size_min_x1024: 1024,
-            size_max_x1024: 8192,
             anchor_requests: 2_000,
         }
     }

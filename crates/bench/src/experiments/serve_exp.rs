@@ -11,11 +11,14 @@
 //! `BENCH_serve.json` it feeds — is therefore bit-reproducible on any
 //! machine at any `--threads` setting.
 
+use std::sync::Arc;
+
 use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
 use nbsmt_serve::metrics::MetricsSnapshot;
 use nbsmt_serve::registry::ModelRegistry;
+use nbsmt_serve::session::Session;
 use nbsmt_serve::sim::{simulate_pool, ArrivalProcess, PoolSimOutcome, ServiceModel};
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_workloads::synthnet::{train_synthnet, SynthTaskConfig};
@@ -49,6 +52,30 @@ impl ServeRecord {
         }
     }
 }
+
+/// The scheduler of every replica-pool experiment (`shard`, `faults`, `obs`,
+/// `scale`, `control`): a tighter per-replica queue than the unsharded sweep's, since
+/// those cells are about *shedding* behaviour under overload, and a deep
+/// queue would need a very long trace before admission control engages at
+/// all.
+pub(crate) const POOL_SCHEDULER: SchedulerConfig = SchedulerConfig {
+    batch: BatchPolicy {
+        max_batch: 8,
+        max_wait_ns: 2_000_000,
+    },
+    queue_capacity: 16,
+};
+
+/// The escalation policy of every adaptive replica-pool cell: with
+/// max_batch 8 draining a 16-deep queue, a post-drain depth of 4 means the
+/// queue was at 12 of 16 — escalate *before* admission control starts
+/// shedding, not after.
+pub(crate) const POOL_ESCALATION: AdaptivePolicy = AdaptivePolicy {
+    depth_high: 4,
+    depth_low: 1,
+    p95_high_ns: 0,
+    eval_every_batches: 1,
+};
 
 /// The shared substrate of both serving sweeps: one trained, calibrated
 /// SynthNet, the request-input pool, the virtual-clock service model, and
@@ -103,6 +130,20 @@ impl SweepFixture {
     /// One dense session's single-request service rate [requests/s].
     pub(crate) fn dense_rate_rps(&self) -> f64 {
         1e9 / self.dense_single_ns as f64
+    }
+
+    /// The dense → 2T → 4T session ladder of the replica-pool experiments.
+    pub(crate) fn ladder(&self) -> Vec<Arc<Session>> {
+        self.registry
+            .compile_ladder(
+                "synthnet",
+                &[
+                    SmtConfig::Dense,
+                    SmtConfig::sysmt_2t(),
+                    SmtConfig::sysmt_4t(),
+                ],
+            )
+            .expect("ladder compiles")
     }
 }
 
@@ -248,41 +289,10 @@ pub fn shard_sweep_with(
     seed: u64,
 ) -> Vec<ShardRow> {
     let fixture = SweepFixture::prepare(scale, requests, seed);
-    let ladder = fixture
-        .registry
-        .compile_ladder(
-            "synthnet",
-            &[
-                SmtConfig::Dense,
-                SmtConfig::sysmt_2t(),
-                SmtConfig::sysmt_4t(),
-            ],
-        )
-        .expect("ladder compiles");
+    let ladder = fixture.ladder();
     let (inputs, service) = (&fixture.inputs, fixture.service);
-
     let ctx = exec.context();
-    // Tighter per-replica queue than the unsharded sweep: the shard cells
-    // are about *shedding* behaviour under overload, and a deep queue would
-    // need a very long trace before admission control engages at all.
-    let scheduler = SchedulerConfig {
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait_ns: 2_000_000,
-        },
-        queue_capacity: 16,
-    };
     let base_rate = fixture.dense_rate_rps();
-
-    // Trigger well before the queue is full: with max_batch 8 draining a
-    // 16-deep queue, a post-drain depth of 4 means the queue was at 12 of
-    // 16 — escalate *before* admission control starts shedding, not after.
-    let adaptive = AdaptivePolicy {
-        depth_high: 4,
-        depth_low: 1,
-        p95_high_ns: 0,
-        eval_every_batches: 1,
-    };
     let routes = [
         RoutePolicy::RoundRobin,
         RoutePolicy::LeastOutstanding,
@@ -295,7 +305,7 @@ pub fn shard_sweep_with(
         for route in routes {
             for (policy_label, ladder_slice, policy) in [
                 ("dense", &ladder[..1], AdaptivePolicy::pinned()),
-                ("adaptive", &ladder[..], adaptive),
+                ("adaptive", &ladder[..], POOL_ESCALATION),
             ] {
                 // 2.0× the aggregate dense rate everywhere (the overload
                 // point); the comfortable 0.5× point only on round-robin —
@@ -313,7 +323,7 @@ pub fn shard_sweep_with(
                         config: PoolConfig {
                             replicas,
                             route,
-                            scheduler,
+                            scheduler: POOL_SCHEDULER,
                             adaptive: policy,
                         },
                         service,

@@ -107,14 +107,9 @@ pub struct Fig8Point {
     pub mse_with_reorder: f64,
 }
 
-/// Runs the Fig. 8 experiment on the GoogLeNet-proxy layers.
-pub fn fig8_mse_vs_sparsity(scale: Scale) -> Vec<Fig8Point> {
-    fig8_mse_vs_sparsity_with(scale, &ExecContext::sequential())
-}
-
-/// [`fig8_mse_vs_sparsity`] on an explicit execution context (the numbers
-/// are identical for every context; only wall-clock time changes).
-pub fn fig8_mse_vs_sparsity_with(scale: Scale, ctx: &ExecContext) -> Vec<Fig8Point> {
+/// Runs the Fig. 8 experiment on the GoogLeNet-proxy layers, on `ctx` (the
+/// numbers are identical for every context; only wall-clock time changes).
+pub fn fig8_mse_vs_sparsity(scale: Scale, ctx: &ExecContext) -> Vec<Fig8Point> {
     let model = nbsmt_workloads::zoo::googlenet();
     let options = SynthesisOptions {
         max_rows: scale.max_rows(),
@@ -169,13 +164,8 @@ pub struct Fig9Point {
     pub analytic_gain: f64,
 }
 
-/// Runs the Fig. 9 experiment on the GoogLeNet-proxy layers.
-pub fn fig9_utilization_gain(scale: Scale) -> Vec<Fig9Point> {
-    fig9_utilization_gain_with(scale, &ExecContext::sequential())
-}
-
-/// [`fig9_utilization_gain`] on an explicit execution context.
-pub fn fig9_utilization_gain_with(scale: Scale, ctx: &ExecContext) -> Vec<Fig9Point> {
+/// Runs the Fig. 9 experiment on the GoogLeNet-proxy layers, on `ctx`.
+pub fn fig9_utilization_gain(scale: Scale, ctx: &ExecContext) -> Vec<Fig9Point> {
     let model = nbsmt_workloads::zoo::googlenet();
     let options = SynthesisOptions {
         max_rows: scale.max_rows(),
@@ -229,13 +219,8 @@ pub struct EnergyRow {
     pub saving_4t: f64,
 }
 
-/// Runs the §V-A energy estimate for every Table I model.
-pub fn energy_savings(scale: Scale) -> Vec<EnergyRow> {
-    energy_savings_with(scale, &ExecContext::sequential())
-}
-
-/// [`energy_savings`] on an explicit execution context.
-pub fn energy_savings_with(scale: Scale, ctx: &ExecContext) -> Vec<EnergyRow> {
+/// Runs the §V-A energy estimate for every Table I model, on `ctx`.
+pub fn energy_savings(scale: Scale, ctx: &ExecContext) -> Vec<EnergyRow> {
     let options = SynthesisOptions {
         max_rows: scale.max_rows(),
         max_cols: scale.max_cols(),
@@ -320,7 +305,7 @@ mod tests {
 
     #[test]
     fn fig8_reordering_reduces_mse() {
-        let points = fig8_mse_vs_sparsity(Scale::Quick);
+        let points = fig8_mse_vs_sparsity(Scale::Quick, &ExecContext::sequential());
         assert!(!points.is_empty());
         let without: f64 = points.iter().map(|p| p.mse_without_reorder).sum();
         let with: f64 = points.iter().map(|p| p.mse_with_reorder).sum();
@@ -332,7 +317,7 @@ mod tests {
 
     #[test]
     fn fig9_gain_is_between_one_and_two_and_tracks_eq8() {
-        let points = fig9_utilization_gain(Scale::Quick);
+        let points = fig9_utilization_gain(Scale::Quick, &ExecContext::sequential());
         assert!(!points.is_empty());
         for p in &points {
             assert!(p.gain_without_reorder >= 0.95, "{p:?}");
@@ -353,7 +338,7 @@ mod tests {
 
     #[test]
     fn energy_savings_are_positive_and_in_band() {
-        let rows = energy_savings(Scale::Quick);
+        let rows = energy_savings(Scale::Quick, &ExecContext::sequential());
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert!(

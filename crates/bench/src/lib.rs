@@ -1,12 +1,13 @@
 //! # nbsmt-bench
 //!
 //! The benchmark harness of the NB-SMT / SySMT reproduction: every table
-//! and figure of the paper as a first-class [`Experiment`] in the
-//! [`ExperimentRegistry`], driven by a declarative [`RunSpec`]
-//! (JSON-committable, bit-exact round-tripping, typed validation), plus the
-//! [`engine::NbSmtEngine`] bridge that plugs the NB-SMT emulation into
-//! quantized model execution and the `repro` binary — a thin driver over
-//! the registry.
+//! and figure of the paper as one [`Experiment`] row of the registry's
+//! static [`EXPERIMENTS`] table (name, description, summary file, accepted
+//! parameters with their defaults, run function), driven by a declarative
+//! [`RunSpec`] (JSON-committable, bit-exact round-tripping, typed
+//! validation), plus the [`engine::NbSmtEngine`] bridge that plugs the
+//! NB-SMT emulation into quantized model execution and the `repro` binary —
+//! a thin driver over [`experiments::registry`].
 //!
 //! Run `cargo run -p nbsmt-bench --release --bin repro -- all` to regenerate
 //! every table and figure, pass an individual experiment id (`fig1`,
@@ -28,7 +29,7 @@ pub mod trace_export;
 
 pub use engine::{NbSmtEngine, NbSmtEngineConfig};
 pub use experiments::registry::{
-    Experiment, ExperimentError, ExperimentInfo, ExperimentRegistry, RunReport, SummarySink,
+    Experiment, ExperimentError, Param, RunReport, SummarySink, EXPERIMENTS,
 };
 pub use json::Json;
 pub use scale::{ExecSettings, Scale};

@@ -5,17 +5,19 @@
 //!
 //! * **Round trip**: `RunSpec::parse(&spec.render()) == spec`, bit-exact,
 //!   for arbitrary valid specs (seeds up to 2^53−1, every scale/backend,
-//!   optional params present or absent).
+//!   each per-experiment key present or absent).
 //! * **Validation**: bad values — zero thread counts, zero queue
 //!   capacities, inverted adaptive thresholds, zero tile sizes — are typed
 //!   errors through the workspace-wide `Validate` trait, never clamps.
 //! * **Golden `--list`**: the binary's experiment list is generated from
-//!   the registry, so the two can never drift apart.
+//!   the registry table, so the two can never drift apart; so are `--help`
+//!   and the ARCHITECTURE.md experiment table.
 
 use proptest::prelude::*;
 
+use nbsmt_bench::experiments::registry::{self, ALL, EXPERIMENTS};
 use nbsmt_bench::spec::MAX_SPEC_INT;
-use nbsmt_bench::{ExperimentRegistry, ParamKey, RunSpec, Scale, SpecError};
+use nbsmt_bench::{ExperimentError, Param, ParamKey, RunSpec, Scale, SpecError};
 use nbsmt_serve::config::{AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, SchedulerConfig};
 use nbsmt_serve::faults::FaultConfig;
 use nbsmt_tensor::exec::{ExecConfig, GemmBackendKind};
@@ -23,13 +25,27 @@ use nbsmt_tensor::validate::{ExecConfigError, Validate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Every `arrival` value some experiment runs, plus `all`, from the
+/// registry table.
+fn arrival_values() -> Vec<&'static str> {
+    let mut values = vec!["all"];
+    for param in EXPERIMENTS.iter().flat_map(|e| e.params) {
+        if let Param::Arrival(models) = param {
+            values.extend(models.iter());
+        }
+    }
+    values.sort_unstable();
+    values.dedup();
+    values
+}
+
 /// Grows an arbitrary *valid* spec from a seed: every experiment name the
 /// registry knows (plus free-form names — round-tripping does not require
 /// registration), both scales, all backends, seeds across the full
-/// JSON-exact range, optional params in all four presence combinations.
+/// JSON-exact range, and each of the four per-experiment keys present or
+/// absent — `arrival` over every value some experiment runs.
 fn gen_spec(rng: &mut StdRng) -> RunSpec {
-    let registry = ExperimentRegistry::standard();
-    let names: Vec<String> = registry.iter().map(|e| e.name().to_string()).collect();
+    let names: Vec<String> = EXPERIMENTS.iter().map(|e| e.name.to_string()).collect();
     let experiment = match rng.gen_range(0..names.len() + 2) {
         i if i < names.len() => names[i].clone(),
         i if i == names.len() => "all".to_string(),
@@ -62,24 +78,8 @@ fn gen_spec(rng: &mut StdRng) -> RunSpec {
         spec.replicas = Some((0..n).map(|_| rng.gen_range(1..64)).collect());
     }
     if rng.gen::<u64>() & 1 == 0 {
-        spec.fault_seed = Some(match rng.gen_range(0..3) {
-            0 => rng.gen_range(0..1024),
-            1 => MAX_SPEC_INT - rng.gen_range(0..1024u64),
-            _ => rng.gen_range(0..MAX_SPEC_INT),
-        });
-    }
-    // Per-mille rates cover both ends of their valid 0..=1000 range.
-    if rng.gen::<u64>() & 1 == 0 {
-        spec.crash_per_mille = Some(rng.gen_range(0..=1000));
-    }
-    if rng.gen::<u64>() & 1 == 0 {
-        spec.stall_per_mille = Some(rng.gen_range(0..=1000));
-    }
-    if rng.gen::<u64>() & 1 == 0 {
-        spec.straggle_per_mille = Some(rng.gen_range(0..=1000));
-    }
-    if rng.gen::<u64>() & 1 == 0 {
-        spec.hedging = Some(rng.gen::<u64>() & 1 == 0);
+        let values = arrival_values();
+        spec.arrival = Some(values[rng.gen_range(0..values.len())].to_string());
     }
     if rng.gen::<u64>() & 1 == 0 {
         // Paths with separators, dots, and spaces must survive the JSON
@@ -124,11 +124,8 @@ proptest! {
 
 #[test]
 fn default_specs_of_every_experiment_round_trip() {
-    let registry = ExperimentRegistry::standard();
-    let mut names: Vec<String> = registry.iter().map(|e| e.name().to_string()).collect();
-    names.push("all".to_string());
-    for name in names {
-        let spec = registry.default_spec(&name).expect("registered");
+    for name in EXPERIMENTS.iter().map(|e| e.name).chain([ALL]) {
+        let spec = registry::resolve(RunSpec::defaults(name)).expect("known experiment");
         assert_eq!(spec.validate(), Ok(()), "{name} default must be valid");
         let back = RunSpec::parse(&spec.render()).expect("default spec parses");
         assert_eq!(back, spec, "{name} default must round-trip");
@@ -199,8 +196,7 @@ fn validation_rejects_inverted_adaptive_thresholds() {
 }
 
 /// Bad fault-schedule values are typed [`ConfigError`]s through the same
-/// `Validate` trait — and the spec layer rejects them before a generator
-/// ever sees them, with the same shape of error the other knobs get.
+/// `Validate` trait.
 #[test]
 fn validation_rejects_bad_fault_configs() {
     let hot = FaultConfig {
@@ -234,13 +230,6 @@ fn validation_rejects_bad_fault_configs() {
         speedup.validate(),
         Err(ConfigError::StraggleFactorBelowUnit { factor_x1024: 512 })
     );
-    // The spec layer applies the same bounds as typed spec errors.
-    let mut spec = RunSpec::defaults("faults");
-    spec.crash_per_mille = Some(1001);
-    assert!(matches!(spec.validate(), Err(SpecError::Bad { .. })));
-    let mut spec = RunSpec::defaults("faults");
-    spec.fault_seed = Some(MAX_SPEC_INT + 1);
-    assert!(matches!(spec.validate(), Err(SpecError::Bad { .. })));
 }
 
 #[test]
@@ -280,29 +269,34 @@ fn spec_validation_rejects_zero_and_oversized_values() {
 
 #[test]
 fn undeclared_params_are_typed_errors_per_experiment() {
-    let registry = ExperimentRegistry::standard();
-    // Every paper experiment rejects both serving params; serve rejects
-    // replicas; shard accepts both.
-    for experiment in registry.iter() {
-        let accepted = experiment.describe().params;
-        let mut with_requests = experiment.default_spec();
-        with_requests.requests = Some(64);
-        let requests_ok = with_requests.check_params(accepted).is_ok();
-        assert_eq!(
-            requests_ok,
-            accepted.contains(&ParamKey::Requests),
-            "{}: requests acceptance must match describe()",
-            experiment.name()
-        );
-        let mut with_replicas = experiment.default_spec();
-        with_replicas.replicas = Some(vec![2]);
-        let replicas_ok = with_replicas.check_params(accepted).is_ok();
-        assert_eq!(
-            replicas_ok,
-            accepted.contains(&ParamKey::Replicas),
-            "{}: replicas acceptance must match describe()",
-            experiment.name()
-        );
+    // Every key against every experiment and `all`: a spec setting it
+    // resolves iff the experiment's row declares it, and is otherwise
+    // refused by name.
+    let rows = EXPERIMENTS.iter().map(|e| (e.name, e.params));
+    for (name, params) in rows.chain([(ALL, &[][..])]) {
+        for key in ParamKey::ALL {
+            let mut spec = RunSpec::defaults(name);
+            let value = if key == ParamKey::Arrival { "all" } else { "1" };
+            spec.set(key.name(), value).expect("a settable key");
+            let declared = params.iter().any(|param| param.key() == key);
+            match registry::resolve(spec) {
+                Ok(_) => assert!(declared, "{name} accepted the undeclared '{}'", key.name()),
+                Err(e) => {
+                    assert!(
+                        !declared,
+                        "{name} refused its declared '{}': {e}",
+                        key.name()
+                    );
+                    assert_eq!(
+                        e,
+                        ExperimentError::Spec(SpecError::KeyNotAccepted {
+                            experiment: name.to_string(),
+                            key: key.name(),
+                        })
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -316,15 +310,14 @@ fn repro_list_output_matches_the_registry() {
         .expect("repro binary runs");
     assert!(output.status.success(), "--list must exit 0");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
-    let expected = ExperimentRegistry::standard().list_text();
     assert_eq!(
-        stdout, expected,
+        stdout,
+        registry::list_text(),
         "--list must be generated from the registry"
     );
     // And every registered experiment appears by name.
-    let registry = ExperimentRegistry::standard();
-    for experiment in registry.iter() {
-        assert!(stdout.contains(experiment.name()));
+    for experiment in EXPERIMENTS {
+        assert!(stdout.contains(experiment.name));
     }
 }
 
@@ -336,7 +329,7 @@ fn repro_help_mentions_spec_flags_and_experiments() {
         .expect("repro binary runs");
     assert!(output.status.success(), "--help must exit 0");
     let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
-    assert_eq!(stdout, ExperimentRegistry::standard().help_text());
+    assert_eq!(stdout, registry::help_text());
     for flag in ["--spec", "--set", "--dump-spec", "--list"] {
         assert!(stdout.contains(flag), "help must document {flag}");
     }
@@ -388,23 +381,91 @@ fn repro_rejects_undeclared_params_with_exit_2() {
     assert!(stderr.contains("Known experiments:"));
 }
 
+/// `control` runs no Poisson cells: the value is refused before any
+/// training, with the usage exit status.
+#[test]
+fn repro_refuses_an_arrival_the_experiment_does_not_run_with_exit_2() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["control", "--set", "arrival=poisson", "--dump-spec"])
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "nothing is dumped");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 output");
+    assert!(
+        stderr.contains("'poisson' is not one of mmpp, diurnal, all"),
+        "stderr was: {stderr}"
+    );
+}
+
+/// The fault-schedule and request-size knobs are constants of their
+/// sweeps: naming one, from `--set` or from a spec file, exits 2.
+#[test]
+fn repro_refuses_removed_keys_with_exit_2() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for key in [
+        "fault_seed",
+        "crash_per_mille",
+        "stall_per_mille",
+        "straggle_per_mille",
+        "hedging",
+        "size_alpha_x1024",
+        "size_min_x1024",
+        "size_max_x1024",
+    ] {
+        let experiment = if key.starts_with("size") {
+            "scale"
+        } else {
+            "faults"
+        };
+        let set = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([experiment, "--set", &format!("{key}=7"), "--dump-spec"])
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(set.status.code(), Some(2), "--set {key}");
+        let stderr = String::from_utf8(set.stderr).expect("utf-8 output");
+        assert!(
+            stderr.contains(&format!("unknown spec key '{key}'")),
+            "{stderr}"
+        );
+
+        let path = dir.join(format!("removed_{key}.json"));
+        std::fs::write(
+            &path,
+            format!(r#"{{"experiment": "{experiment}", "{key}": 7}}"#),
+        )
+        .expect("spec file writes");
+        let file = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--spec")
+            .arg(&path)
+            .arg("--dump-spec")
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(file.status.code(), Some(2), "spec file with {key}");
+        let stderr = String::from_utf8(file.stderr).expect("utf-8 output");
+        assert!(
+            stderr.contains(&format!("unknown field '{key}'")),
+            "{stderr}"
+        );
+    }
+}
+
 /// The ARCHITECTURE.md experiment-harness table is the registry's generated
 /// markdown, verbatim — editing one without the other fails here.
 #[test]
 fn architecture_doc_table_is_generated_from_the_registry() {
     let doc_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ARCHITECTURE.md");
     let doc = std::fs::read_to_string(doc_path).expect("ARCHITECTURE.md exists");
-    let table = ExperimentRegistry::standard().markdown_table();
+    let table = registry::markdown_table();
     assert!(
         doc.contains(&table),
         "ARCHITECTURE.md experiment table is stale; regenerate it with \
-         ExperimentRegistry::markdown_table():\n{table}"
+         registry::markdown_table():\n{table}"
     );
 }
 
 #[test]
 fn every_committed_example_spec_parses_and_is_accepted() {
-    let registry = ExperimentRegistry::standard();
     let specs_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
     let mut found = 0;
     for entry in std::fs::read_dir(&specs_dir).expect("examples/specs/ exists") {
@@ -416,20 +477,11 @@ fn every_committed_example_spec_parses_and_is_accepted() {
         let text = std::fs::read_to_string(&path).expect("spec file reads");
         let spec = RunSpec::parse(&text)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        assert_eq!(spec.validate(), Ok(()), "{} must be valid", path.display());
-        assert!(
-            registry.contains(&spec.experiment),
-            "{} names unknown experiment '{}'",
-            path.display(),
-            spec.experiment
-        );
-        let accepted = registry.accepted_params(&spec.experiment).expect("known");
-        assert_eq!(
-            spec.check_params(accepted),
-            Ok(()),
-            "{} sets undeclared params",
-            path.display()
-        );
+        let resolved = registry::resolve(spec)
+            .unwrap_or_else(|e| panic!("{} is not accepted: {e}", path.display()));
+        // What `--dump-spec` prints for the file resolves to itself.
+        let dumped = RunSpec::parse(&resolved.render()).expect("a dump parses");
+        assert_eq!(registry::resolve(dumped), Ok(resolved));
     }
     assert!(
         found >= 5,
