@@ -1,9 +1,9 @@
-//! Hardware-table experiments: Table II (design parameters) and the
-//! utilization-sweep power testbench backing it.
+//! Hardware-table experiment: Table II (design parameters), with its 80 %
+//! power column recomputed from the fitted power model.
 
 use serde::{Deserialize, Serialize};
 
-use nbsmt_hw::power::{power_model, utilization_sweep, TestbenchRow};
+use nbsmt_hw::power::power_model;
 use nbsmt_hw::table2::{design_parameters, DesignPoint};
 
 /// One row of the regenerated Table II.
@@ -46,12 +46,6 @@ pub fn table2_rows() -> Vec<Table2Row> {
         .collect()
 }
 
-/// Runs the synthetic power testbench sweep (the data behind the §V-A power
-/// discussion).
-pub fn power_testbench(steps: usize) -> Vec<TestbenchRow> {
-    utilization_sweep(steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,16 +63,5 @@ mod tests {
         let t4 = &rows[2];
         assert!((t4.power_mw_at_80 - 723.0).abs() < 1e-6);
         assert!((t4.throughput_gmacs - 1024.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_testbench_has_monotone_columns() {
-        let rows = power_testbench(20);
-        assert_eq!(rows.len(), 21);
-        for w in rows.windows(2) {
-            assert!(w[1].baseline_mw >= w[0].baseline_mw);
-            assert!(w[1].sysmt2_mw >= w[0].sysmt2_mw);
-            assert!(w[1].sysmt4_mw >= w[0].sysmt4_mw);
-        }
     }
 }

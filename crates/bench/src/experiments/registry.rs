@@ -36,7 +36,7 @@ use crate::experiments::serve_exp::{serve_sweep_with, shard_sweep_with, ShardRow
 use crate::experiments::zoo_exp::{
     energy_savings, fig1_utilization, fig8_mse_vs_sparsity, fig9_utilization_gain, table1_inventory,
 };
-use crate::spec::{known_keys, ParamKey, RunSpec, SpecError};
+use crate::spec::{backend_names, known_keys, ParamKey, RunSpec, SpecError};
 use crate::summary::{Record, Summary};
 use crate::trace_export::{render_chrome_trace, stage_summary};
 
@@ -509,7 +509,7 @@ pub fn help_text() -> String {
          \x20 --dump-spec          print the resolved spec as JSON and exit without running\n\
          \x20 --full               shorthand for --set scale=full\n\
          \x20 --threads <n>        shorthand for --set threads=<n>\n\
-         \x20 --backend <name>     shorthand for --set backend=<name> (naive, blocked, parallel, simd, packed)\n\
+         \x20 --backend <name>     shorthand for --set backend=<name> ({})\n\
          \x20 --requests <n>       shorthand for --set requests=<n>\n\
          \x20 --replicas <list>    shorthand for --set replicas=<n[,n...]>\n\
          \x20 --list               list the experiments and exit\n\
@@ -518,7 +518,8 @@ pub fn help_text() -> String {
          A spec sets only the parameters its experiment declares; setting any\n\
          other key (e.g. --requests on fig8) is an error, not a silent no-op.\n\
          \n",
-        known_keys()
+        known_keys(),
+        backend_names()
     );
     text.push_str(&list_text());
     text
@@ -1258,6 +1259,7 @@ fn run_control(
 mod tests {
     use super::*;
     use crate::scale::ExecSettings;
+    use nbsmt_tensor::exec::GemmBackendKind;
 
     #[test]
     fn standard_registry_contains_every_experiment_once() {
@@ -1364,6 +1366,9 @@ mod tests {
         assert!(help.contains("--dump-spec"));
         assert!(help.contains(&known_keys()));
         assert!(help.contains("Known experiments:"));
+        for kind in GemmBackendKind::ALL {
+            assert!(help.contains(kind.name()), "--help omits {kind}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Run `cargo run -p nbsmt-bench --release --bin repro -- all` to regenerate
 //! every table and figure, pass an individual experiment id (`fig1`,
 //! `table3`, …), or replay a committed spec with `-- --spec
-//! examples/specs/serve_small.json`. Criterion benches under `benches/`
-//! time the same experiment kernels.
+//! examples/specs/serve_small.json`. Host wall-clock time is measured by
+//! the repository benchmark, `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,13 @@
 //! Experiment scale and host-execution control.
 //!
 //! Every experiment can run at a reduced scale (for unit tests and quick
-//! smoke runs) or at full scale (for the published numbers in
-//! EXPERIMENTS.md). The scale only affects sample counts — never the code
-//! paths being exercised. Orthogonally, [`ExecSettings`] carries the host
-//! execution configuration (worker threads + GEMM backend, from the
-//! `repro` CLI's `--threads` / `--backend` flags) into the experiments;
-//! by the execution-layer determinism contract it affects wall-clock time
-//! only, never the numbers produced.
+//! smoke runs) or at full scale (`repro --full`). The scale only affects
+//! sample counts — never the code paths being exercised. Orthogonally,
+//! [`ExecSettings`] carries the host execution configuration (worker
+//! threads + GEMM backend, from the `repro` CLI's `--threads` /
+//! `--backend` flags) into the experiments; by the execution-layer
+//! determinism contract it affects wall-clock time only, never the numbers
+//! produced.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,11 +16,11 @@ use nbsmt_tensor::exec::{available_threads, ExecConfig, ExecContext, GemmBackend
 /// How much work an experiment performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Scale {
-    /// Small sample counts: seconds per experiment, used by tests and
-    /// Criterion benches.
+    /// Small sample counts: seconds per experiment, used by tests and by
+    /// `repro` unless `--full` is given.
     #[default]
     Quick,
-    /// The sample counts used to produce EXPERIMENTS.md.
+    /// The full sample counts (`repro --full`).
     Full,
 }
 

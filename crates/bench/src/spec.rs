@@ -86,6 +86,12 @@ pub fn known_keys() -> String {
         .join(", ")
 }
 
+/// Every [`GemmBackendKind`] name, comma-separated. `--help` and the
+/// bad-backend [`SpecError`] print it.
+pub(crate) fn backend_names() -> String {
+    GemmBackendKind::ALL.map(|kind| kind.name()).join(", ")
+}
+
 /// One fully-specified experiment run. See the module docs for the JSON
 /// round-trip and validation contracts.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,12 +354,8 @@ fn scale_named(name: &str) -> Result<Scale, SpecError> {
 }
 
 fn backend_named(field: &str, name: &str) -> Result<GemmBackendKind, SpecError> {
-    GemmBackendKind::parse(name).ok_or_else(|| {
-        SpecError::bad(
-            field,
-            format!("'{name}' is not one of naive, blocked, parallel, simd, packed"),
-        )
-    })
+    GemmBackendKind::parse(name)
+        .ok_or_else(|| SpecError::bad(field, format!("'{name}' is not one of {}", backend_names())))
 }
 
 /// The fields of the object-valued key `field` (`exec`, `trace`).
@@ -642,6 +644,14 @@ mod tests {
             Err(SpecError::Json(_))
         ));
         assert_eq!(RunSpec::parse("[1, 2]"), Err(SpecError::NotAnObject));
+        // A bad backend names every backend there is.
+        let err = RunSpec::parse(r#"{"experiment": "fig8", "exec": {"backend": "avx512"}}"#)
+            .expect_err("unknown backend");
+        assert!(matches!(err, SpecError::Bad { .. }));
+        let text = err.to_string();
+        for kind in GemmBackendKind::ALL {
+            assert!(text.contains(kind.name()), "{text}");
+        }
     }
 
     #[test]

@@ -135,13 +135,7 @@ fn open_loop_is_identical_across_gemm_backends() {
     let arrivals = open_poisson(99, 3_000.0, 48);
     for smt in [SmtConfig::Dense, SmtConfig::sysmt_2t()] {
         let reference = run(&fixture, smt, &ExecContext::sequential(), &arrivals);
-        for backend in [
-            GemmBackendKind::Naive,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Parallel,
-            GemmBackendKind::Simd,
-            GemmBackendKind::Packed,
-        ] {
+        for backend in GemmBackendKind::ALL {
             let ctx = ExecContext::new(ExecConfig {
                 threads: 4,
                 backend,

@@ -63,13 +63,7 @@ fn gen_spec(rng: &mut StdRng) -> RunSpec {
         _ => rng.gen_range(0..MAX_SPEC_INT),
     };
     spec.exec.threads = rng.gen_range(1..=64);
-    spec.exec.backend = [
-        GemmBackendKind::Naive,
-        GemmBackendKind::Blocked,
-        GemmBackendKind::Parallel,
-        GemmBackendKind::Simd,
-        GemmBackendKind::Packed,
-    ][rng.gen_range(0..5usize)];
+    spec.exec.backend = GemmBackendKind::ALL[rng.gen_range(0..GemmBackendKind::ALL.len())];
     if rng.gen::<u64>() & 1 == 0 {
         spec.requests = Some(rng.gen_range(1..100_000));
     }

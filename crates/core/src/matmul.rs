@@ -825,13 +825,7 @@ mod tests {
             reorder: false,
         });
         let reference = emu.execute(&x, &w).unwrap();
-        for backend in [
-            GemmBackendKind::Naive,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Parallel,
-            GemmBackendKind::Simd,
-            GemmBackendKind::Packed,
-        ] {
+        for backend in GemmBackendKind::ALL {
             for threads in [1usize, 3] {
                 let ctx = ExecContext::new(ExecConfig {
                     threads,

@@ -106,15 +106,6 @@ pub fn model_speedup(layers: &[LayerSchedule]) -> f64 {
     }
 }
 
-/// A single (sparsity, measured-gain) point for the Fig. 9 scatter plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationPoint {
-    /// Activation sparsity of the layer.
-    pub sparsity: f64,
-    /// Measured utilization improvement of the NB-SMT array over baseline.
-    pub gain: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -112,17 +112,6 @@ impl PeStats {
             self.reduced_thread_slots as f64 / self.active_thread_slots as f64
         }
     }
-
-    /// Fraction of busy cycles in which more threads demanded the MAC than
-    /// it serves at full precision — the squeeze pressure a serving trace
-    /// attaches to each kernel span.
-    pub fn collision_rate(&self) -> f64 {
-        if self.busy_cycles == 0 {
-            0.0
-        } else {
-            self.collision_cycles as f64 / self.busy_cycles as f64
-        }
-    }
 }
 
 /// Result of one PE cycle: the per-thread integer contributions (already

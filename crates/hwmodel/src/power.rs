@@ -156,4 +156,15 @@ mod tests {
             assert!(r.sysmt4_mw >= r.sysmt2_mw);
         }
     }
+
+    #[test]
+    fn power_testbench_has_monotone_columns() {
+        let rows = utilization_sweep(20);
+        assert_eq!(rows.len(), 21);
+        for w in rows.windows(2) {
+            assert!(w[1].baseline_mw >= w[0].baseline_mw);
+            assert!(w[1].sysmt2_mw >= w[0].sysmt2_mw);
+            assert!(w[1].sysmt4_mw >= w[0].sysmt4_mw);
+        }
+    }
 }

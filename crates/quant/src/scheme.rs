@@ -92,22 +92,6 @@ impl QuantScheme {
         }
     }
 
-    /// 4-bit activation scheme (A4 operating point of Fig. 7).
-    pub fn activation_a4() -> Self {
-        QuantScheme {
-            bits: BitWidth::Four,
-            ..Self::activation_a8()
-        }
-    }
-
-    /// 4-bit weight scheme (W4 operating point of Fig. 7).
-    pub fn weight_w4() -> Self {
-        QuantScheme {
-            bits: BitWidth::Four,
-            ..Self::weight_w8()
-        }
-    }
-
     /// Highest representable quantized magnitude (as f32), used to map the
     /// observed dynamic range onto the integer grid.
     pub fn q_max(&self) -> f32 {

@@ -314,11 +314,6 @@ impl TraceRecorder {
         TraceRecorder::new(Clock::virtual_clock(), DEFAULT_TRACE_CAPACITY)
     }
 
-    /// A wall-clock recorder (epoch = now) at the default capacity.
-    pub fn wall_clock() -> TraceRecorder {
-        TraceRecorder::new(Clock::wall(), DEFAULT_TRACE_CAPACITY)
-    }
-
     /// The recorder's clock.
     pub fn clock(&self) -> &Clock {
         &self.clock

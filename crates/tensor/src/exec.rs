@@ -59,17 +59,22 @@ pub enum GemmBackendKind {
 }
 
 impl GemmBackendKind {
-    /// Parses a CLI-style backend name (`naive`, `blocked`, `parallel`,
-    /// `simd`, `packed`).
+    /// Every backend, in declaration order. Parsing, the harness's help and
+    /// error text, and the cross-backend tests all read this one list.
+    pub const ALL: [GemmBackendKind; 5] = [
+        GemmBackendKind::Naive,
+        GemmBackendKind::Blocked,
+        GemmBackendKind::Parallel,
+        GemmBackendKind::Simd,
+        GemmBackendKind::Packed,
+    ];
+
+    /// Parses a CLI-style backend name: the [`name`](Self::name) of one of
+    /// [`ALL`](Self::ALL), in any ASCII case.
     pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "naive" => Some(GemmBackendKind::Naive),
-            "blocked" => Some(GemmBackendKind::Blocked),
-            "parallel" => Some(GemmBackendKind::Parallel),
-            "simd" => Some(GemmBackendKind::Simd),
-            "packed" => Some(GemmBackendKind::Packed),
-            _ => None,
-        }
+        Self::ALL
+            .into_iter()
+            .find(|kind| kind.name().eq_ignore_ascii_case(name))
     }
 
     /// The canonical lower-case name.
@@ -683,13 +688,7 @@ mod tests {
 
     fn all_contexts() -> Vec<ExecContext> {
         let mut ctxs = vec![ExecContext::sequential()];
-        for backend in [
-            GemmBackendKind::Naive,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Parallel,
-            GemmBackendKind::Simd,
-            GemmBackendKind::Packed,
-        ] {
+        for backend in GemmBackendKind::ALL {
             for threads in [1usize, 2, 8] {
                 ctxs.push(ExecContext::new(ExecConfig {
                     threads,
@@ -704,19 +703,11 @@ mod tests {
 
     #[test]
     fn backend_kind_parse_round_trips() {
-        for kind in [
-            GemmBackendKind::Naive,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Parallel,
-            GemmBackendKind::Simd,
-            GemmBackendKind::Packed,
-        ] {
+        for kind in GemmBackendKind::ALL {
             assert_eq!(GemmBackendKind::parse(kind.name()), Some(kind));
+            let upper = kind.name().to_ascii_uppercase();
+            assert_eq!(GemmBackendKind::parse(&upper), Some(kind));
         }
-        assert_eq!(
-            GemmBackendKind::parse("NAIVE"),
-            Some(GemmBackendKind::Naive)
-        );
         assert_eq!(GemmBackendKind::parse("avx512"), None);
         assert_eq!(GemmBackendKind::default(), GemmBackendKind::Parallel);
     }

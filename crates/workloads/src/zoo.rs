@@ -132,11 +132,6 @@ impl ModelSpec {
             .sum()
     }
 
-    /// Total MAC operations per image.
-    pub fn total_mac_ops(&self) -> u64 {
-        self.conv_mac_ops() + self.fc_mac_ops()
-    }
-
     /// The layers NB-SMT executes (the paper leaves the first convolution and
     /// the fully connected layers intact).
     pub fn nbsmt_layers(&self) -> Vec<&LayerSpec> {

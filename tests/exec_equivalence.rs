@@ -25,13 +25,7 @@ const HOST_THREADS: [usize; 3] = [1, 2, 8];
 /// so that even tiny matrices split across several tiles and workers.
 fn all_contexts() -> Vec<ExecContext> {
     let mut ctxs = Vec::new();
-    for backend in [
-        GemmBackendKind::Naive,
-        GemmBackendKind::Blocked,
-        GemmBackendKind::Parallel,
-        GemmBackendKind::Simd,
-        GemmBackendKind::Packed,
-    ] {
+    for backend in GemmBackendKind::ALL {
         for threads in HOST_THREADS {
             ctxs.push(ExecContext::new(ExecConfig {
                 threads,
@@ -133,13 +127,7 @@ proptest! {
         let oracle = emu
             .execute_event_with(&ExecContext::sequential(), &x, &w)
             .expect("dimensions match");
-        for backend in [
-            GemmBackendKind::Naive,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Parallel,
-            GemmBackendKind::Simd,
-            GemmBackendKind::Packed,
-        ] {
+        for backend in GemmBackendKind::ALL {
             let ctx = ExecContext::new(ExecConfig {
                 threads: 1,
                 tile_rows: 4,
