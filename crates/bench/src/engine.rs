@@ -4,13 +4,16 @@
 //! The quantized executor delegates every conv/linear GEMM to a
 //! [`GemmEngine`]; [`NbSmtEngine`] implements that trait with the functional
 //! NB-SMT matmul, applying a per-layer thread assignment so experiments can
-//! slow selected layers down (Table V, Fig. 10, MLPerf) and leave the first
-//! convolution / fully connected layers at one thread as the paper does.
+//! slow selected layers down (Table V, Fig. 10) and leave the first
+//! convolution / fully connected layers at one thread as the paper does
+//! ([`paper_assignment`]).
 
 use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_core::pe::PeStats;
 use nbsmt_core::policy::SharingPolicy;
+use nbsmt_core::tuning::ThreadAssignment;
 use nbsmt_core::ThreadCount;
+use nbsmt_nn::model::{Layer, Model};
 use nbsmt_nn::quantized::GemmEngine;
 use nbsmt_nn::NnError;
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
@@ -20,43 +23,26 @@ use nbsmt_tensor::tensor::Matrix;
 /// Per-layer NB-SMT execution settings used by [`NbSmtEngine`].
 #[derive(Debug, Clone)]
 pub struct NbSmtEngineConfig {
-    /// Default thread count for compute layers without an explicit override.
-    pub default_threads: ThreadCount,
+    /// Thread count of every compute layer, indexed by compute-layer index.
+    pub threads: ThreadAssignment,
     /// Sharing policy.
     pub policy: SharingPolicy,
     /// Whether the statistical reordering of §IV-B is applied.
     pub reorder: bool,
-    /// Explicit per-layer thread overrides, indexed by compute-layer index.
-    pub per_layer_threads: Vec<Option<ThreadCount>>,
 }
 
-impl NbSmtEngineConfig {
-    /// Uniform configuration: every compute layer runs with `threads`.
-    pub fn uniform(threads: ThreadCount, policy: SharingPolicy, reorder: bool) -> Self {
-        NbSmtEngineConfig {
-            default_threads: threads,
-            policy,
-            reorder,
-            per_layer_threads: Vec::new(),
+/// The paper's per-layer threads for `model` (§V): the first convolution and
+/// the fully connected (linear) layers run at one thread, every other compute
+/// layer at `threads`. Every accuracy experiment starts from this assignment.
+pub fn paper_assignment(model: &Model, threads: ThreadCount) -> ThreadAssignment {
+    let mut assignment = ThreadAssignment::uniform(model.compute_layer_count(), threads);
+    let compute_layers = model.layers().iter().filter(|l| l.is_compute_layer());
+    for (i, layer) in compute_layers.enumerate() {
+        if i == 0 || matches!(layer, Layer::Linear(_)) {
+            assignment.set(i, ThreadCount::One);
         }
     }
-
-    /// Sets an explicit thread count for one compute layer.
-    pub fn with_layer_threads(mut self, layer: usize, threads: ThreadCount) -> Self {
-        if self.per_layer_threads.len() <= layer {
-            self.per_layer_threads.resize(layer + 1, None);
-        }
-        self.per_layer_threads[layer] = Some(threads);
-        self
-    }
-
-    fn threads_for(&self, layer: usize) -> ThreadCount {
-        self.per_layer_threads
-            .get(layer)
-            .copied()
-            .flatten()
-            .unwrap_or(self.default_threads)
-    }
+    assignment
 }
 
 /// A [`GemmEngine`] that executes every layer under NB-SMT and records
@@ -118,7 +104,8 @@ impl GemmEngine for NbSmtEngine {
         w: &QuantWeightMatrix,
     ) -> Result<Matrix<f32>, NnError> {
         self.ensure_layer(layer_index);
-        let threads = self.config.threads_for(layer_index);
+        let threads = ThreadCount::from_count(self.config.threads.threads_for(layer_index))
+            .expect("a ThreadAssignment holds 1, 2 or 4 threads per layer");
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads,
             policy: self.config.policy,
@@ -151,17 +138,6 @@ mod tests {
     use nbsmt_workloads::synthnet::{generate_dataset, quick_synthnet};
 
     #[test]
-    fn config_per_layer_overrides() {
-        let cfg = NbSmtEngineConfig::uniform(ThreadCount::Four, SharingPolicy::S_A, true)
-            .with_layer_threads(2, ThreadCount::Two)
-            .with_layer_threads(0, ThreadCount::One);
-        assert_eq!(cfg.threads_for(0), ThreadCount::One);
-        assert_eq!(cfg.threads_for(1), ThreadCount::Four);
-        assert_eq!(cfg.threads_for(2), ThreadCount::Two);
-        assert_eq!(cfg.threads_for(99), ThreadCount::Four);
-    }
-
-    #[test]
     fn nbsmt_engine_runs_synthnet_with_small_accuracy_loss() {
         let trained = quick_synthnet(7).expect("training succeeds");
         let calib = generate_dataset(&trained.task, 4, 999);
@@ -173,11 +149,15 @@ mod tests {
             .accuracy_with(&test_images, &test_labels, &mut ReferenceEngine)
             .unwrap();
 
-        let mut engine = NbSmtEngine::new(
-            NbSmtEngineConfig::uniform(ThreadCount::Two, SharingPolicy::S_A, true)
-                // The paper leaves the first convolution at one thread.
-                .with_layer_threads(0, ThreadCount::One),
-        );
+        // The paper leaves the first convolution and the FC layer at one
+        // thread.
+        let threads = paper_assignment(&trained.model, ThreadCount::Two);
+        assert_eq!(threads.iter().collect::<Vec<_>>(), vec![1, 2, 2, 1]);
+        let mut engine = NbSmtEngine::new(NbSmtEngineConfig {
+            threads,
+            policy: SharingPolicy::S_A,
+            reorder: true,
+        });
         let nbsmt_acc = q
             .accuracy_with(&test_images, &test_labels, &mut engine)
             .unwrap();

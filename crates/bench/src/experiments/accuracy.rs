@@ -15,15 +15,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use nbsmt_core::policy::SharingPolicy;
-use nbsmt_core::tuning::{
-    assignment_speedup, rank_layers_by_mse, LayerProfile as TuningProfile, ThreadAssignment,
-};
+use nbsmt_core::tuning::{tuning_sweep, LayerProfile as TuningProfile, ThreadAssignment};
 use nbsmt_core::ThreadCount;
 use nbsmt_nn::model::{Layer, Model};
 use nbsmt_nn::quantized::{QuantizedModel, ReducedPrecisionEngine, ReferenceEngine};
-use nbsmt_nn::train::Dataset;
+use nbsmt_nn::train::{train, Dataset, SgdConfig};
 use nbsmt_quant::scheme::OperatingPoint;
-use nbsmt_sparsity::prune::prune_to_sparsity;
+use nbsmt_sparsity::prune::{prune_to_sparsity, PruneMask};
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Tensor;
 use nbsmt_workloads::synthnet::{
@@ -31,7 +29,7 @@ use nbsmt_workloads::synthnet::{
 };
 use nbsmt_workloads::zoo::{mobilenet_v1, LayerKind};
 
-use crate::engine::{NbSmtEngine, NbSmtEngineConfig};
+use crate::engine::{paper_assignment, NbSmtEngine, NbSmtEngineConfig};
 use crate::scale::{ExecSettings, Scale};
 
 /// Process-wide cache of trained accuracy fixtures, keyed by
@@ -216,33 +214,6 @@ impl AccuracyBench {
             .or_insert(bench)
             .clone()
     }
-
-    /// Per-compute-layer MAC counts of the model (for speedup accounting).
-    pub fn layer_mac_ops(&self) -> Vec<u64> {
-        let mut macs = Vec::new();
-        let dims = self.test_images.shape().dims();
-        let (mut h, mut w) = (dims[2], dims[3]);
-        for layer in self.trained.model.layers() {
-            match layer {
-                Layer::Conv2d(conv) => {
-                    macs.push(conv.mac_ops(h, w));
-                    h = conv.params.output_size(h);
-                    w = conv.params.output_size(w);
-                }
-                Layer::Linear(lin) => macs.push(lin.mac_ops()),
-                Layer::MaxPool2(_) => {
-                    h /= 2;
-                    w /= 2;
-                }
-                Layer::GlobalAvgPool(_) => {
-                    h = 1;
-                    w = 1;
-                }
-                _ => {}
-            }
-        }
-        macs
-    }
 }
 
 /// One row of the Fig. 7 robustness experiment.
@@ -297,8 +268,11 @@ pub fn table3_policies(bench: &AccuracyBench) -> Vec<Table3Row> {
         },
     ];
     for (name, policy) in SharingPolicy::table3_activation_family() {
-        let config = NbSmtEngineConfig::uniform(ThreadCount::Two, policy, false)
-            .with_layer_threads(0, ThreadCount::One);
+        let config = NbSmtEngineConfig {
+            threads: paper_assignment(&bench.trained.model, ThreadCount::Two),
+            policy,
+            reorder: false,
+        };
         let (acc, _) = bench.nbsmt_accuracy(config);
         rows.push(Table3Row {
             policy: name.to_string(),
@@ -321,10 +295,8 @@ pub struct Table4Row {
 /// Runs the Table IV comparison: a 2T SySMT (with reordering) against the
 /// whole-model post-training quantization comparators.
 pub fn table4_comparison(bench: &AccuracyBench) -> Vec<Table4Row> {
-    let (sysmt_acc, _) = bench.nbsmt_accuracy(
-        NbSmtEngineConfig::uniform(ThreadCount::Two, SharingPolicy::S_A, true)
-            .with_layer_threads(0, ThreadCount::One),
-    );
+    let threads = paper_assignment(&bench.trained.model, ThreadCount::Two);
+    let (sysmt_acc, _) = bench.nbsmt_accuracy(s_a_reorder(threads));
     vec![
         Table4Row {
             method: "FP32".into(),
@@ -363,61 +335,48 @@ pub struct Table5Row {
 /// Runs the Table V experiment: a 4T SySMT with 0, 1, and 2 of the
 /// highest-MSE layers slowed down to 2T.
 pub fn table5_slowdown(bench: &AccuracyBench) -> Vec<Table5Row> {
-    // First pass at uniform 4T to record per-layer MSE.
-    let (acc_4t, engine) = bench.nbsmt_accuracy(
-        NbSmtEngineConfig::uniform(ThreadCount::Four, SharingPolicy::S_A, true)
-            .with_layer_threads(0, ThreadCount::One),
-    );
-    let macs = bench.layer_mac_ops();
-    // Speedup accounting covers the NB-SMT-executed layers only: the paper
-    // leaves the first convolution and the fully connected layers intact and
-    // reports the speedup of the layers that run under NB-SMT.
-    let profiles: Vec<TuningProfile> = macs
-        .iter()
+    let base = paper_assignment(&bench.trained.model, ThreadCount::Four);
+    let profiles = tuning_profiles(bench, &base);
+    tuning_sweep(&profiles, &base, ThreadCount::Two, 2)
+        .into_iter()
+        .map(|point| Table5Row {
+            layers_at_2t: point.slowed_layers,
+            accuracy: bench.nbsmt_accuracy(s_a_reorder(point.assignment)).0,
+            speedup: point.speedup,
+        })
+        .collect()
+}
+
+/// The S+A, reordered NB-SMT configuration of Table IV and the §V-B tuning.
+fn s_a_reorder(threads: ThreadAssignment) -> NbSmtEngineConfig {
+    NbSmtEngineConfig {
+        threads,
+        policy: SharingPolicy::S_A,
+        reorder: true,
+    }
+}
+
+/// Each compute layer's tuning profile under `base`: its MSE from one pass
+/// over the test split, and its MACs. Speedup accounting covers the layers
+/// `base` runs under NB-SMT only: the paper leaves the first convolution and
+/// the fully connected layers at one thread and reports the speedup of the
+/// layers that run under NB-SMT.
+fn tuning_profiles(bench: &AccuracyBench, base: &ThreadAssignment) -> Vec<TuningProfile> {
+    let (_, engine) = bench.nbsmt_accuracy(s_a_reorder(base.clone()));
+    let dims = bench.test_images.shape().dims();
+    let macs = bench
+        .trained
+        .model
+        .compute_layer_macs(dims[1], dims[2], dims[3])
+        .expect("the test images fit the model");
+    macs.iter()
         .enumerate()
         .map(|(i, &mac_ops)| TuningProfile {
             index: i,
-            mac_ops: if i == 0 || i + 1 == macs.len() {
-                0
-            } else {
-                mac_ops
-            },
+            mac_ops: if base.threads_for(i) == 1 { 0 } else { mac_ops },
             mse: engine.layer_mse(i),
         })
-        .collect();
-    let ranked = rank_layers_by_mse(&profiles);
-
-    let mut rows = Vec::new();
-    for slow_count in 0..=2usize {
-        let mut assignment = ThreadAssignment::uniform(profiles.len(), ThreadCount::Four);
-        // The first convolution always runs at one thread in the paper.
-        assignment.set(0, 1);
-        let mut config = NbSmtEngineConfig::uniform(ThreadCount::Four, SharingPolicy::S_A, true)
-            .with_layer_threads(0, ThreadCount::One);
-        let mut slowed = 0usize;
-        for &layer in &ranked {
-            if slowed == slow_count {
-                break;
-            }
-            if layer == 0 {
-                continue;
-            }
-            assignment.set(layer, 2);
-            config = config.with_layer_threads(layer, ThreadCount::Two);
-            slowed += 1;
-        }
-        let accuracy = if slow_count == 0 {
-            acc_4t
-        } else {
-            bench.nbsmt_accuracy(config).0
-        };
-        rows.push(Table5Row {
-            layers_at_2t: slow_count,
-            accuracy,
-            speedup: assignment_speedup(&profiles, &assignment),
-        });
-    }
-    rows
+        .collect()
 }
 
 /// One point of the Fig. 10 pruning sweep.
@@ -436,24 +395,9 @@ pub struct Fig10Point {
 /// Runs the Fig. 10 experiment: for each pruning level, prune + retrain the
 /// model, then sweep the number of layers slowed to 2T under a 4T SySMT.
 pub fn fig10_pruning(bench: &AccuracyBench, scale: Scale) -> Vec<Fig10Point> {
-    let prune_levels = [0.0, 0.2, 0.4, 0.6];
-    let max_slowdowns = 2usize;
     let mut points = Vec::new();
-    for &level in &prune_levels {
-        // Prune a copy of the trained model and retrain briefly.
-        let mut model = bench.trained.model.clone();
-        if level > 0.0 {
-            prune_model(&mut model, level);
-            let config = nbsmt_nn::train::SgdConfig {
-                learning_rate: 0.03,
-                batch_size: 16,
-                epochs: scale.epochs() / 2,
-            };
-            let masks = collect_masks(&model);
-            let _ = nbsmt_nn::train::train(&mut model, &bench.trained.train, &config, |m| {
-                reapply_masks(m, &masks);
-            });
-        }
+    for level in [0.0, 0.2, 0.4, 0.6] {
+        let model = prune_and_retrain(&bench.trained, level, scale);
         let pruned_bench = AccuracyBench::from_model(
             &model,
             &bench.trained.test,
@@ -461,102 +405,56 @@ pub fn fig10_pruning(bench: &AccuracyBench, scale: Scale) -> Vec<Fig10Point> {
             1234,
             bench.exec.clone(),
         );
-        // 4T pass to rank layers by MSE.
-        let (_, engine) = pruned_bench.nbsmt_accuracy(
-            NbSmtEngineConfig::uniform(ThreadCount::Four, SharingPolicy::S_A, true)
-                .with_layer_threads(0, ThreadCount::One),
-        );
-        let macs = pruned_bench.layer_mac_ops();
-        // As in Table V, speedup covers the NB-SMT-executed layers only.
-        let profiles: Vec<TuningProfile> = macs
-            .iter()
-            .enumerate()
-            .map(|(i, &mac_ops)| TuningProfile {
-                index: i,
-                mac_ops: if i == 0 || i + 1 == macs.len() {
-                    0
-                } else {
-                    mac_ops
-                },
-                mse: engine.layer_mse(i),
-            })
-            .collect();
-        let ranked = rank_layers_by_mse(&profiles);
-        for slow_count in 0..=max_slowdowns {
-            let mut assignment = ThreadAssignment::uniform(profiles.len(), ThreadCount::Four);
-            assignment.set(0, 1);
-            let mut config =
-                NbSmtEngineConfig::uniform(ThreadCount::Four, SharingPolicy::S_A, true)
-                    .with_layer_threads(0, ThreadCount::One);
-            let mut slowed = 0usize;
-            for &layer in &ranked {
-                if slowed == slow_count {
-                    break;
-                }
-                if layer == 0 {
-                    continue;
-                }
-                assignment.set(layer, 2);
-                config = config.with_layer_threads(layer, ThreadCount::Two);
-                slowed += 1;
-            }
-            let (accuracy, _) = pruned_bench.nbsmt_accuracy(config);
+        let base = paper_assignment(&model, ThreadCount::Four);
+        let profiles = tuning_profiles(&pruned_bench, &base);
+        for point in tuning_sweep(&profiles, &base, ThreadCount::Two, 2) {
             points.push(Fig10Point {
                 pruned: level,
-                layers_at_2t: slow_count,
-                accuracy,
-                speedup: assignment_speedup(&profiles, &assignment),
+                layers_at_2t: point.slowed_layers,
+                accuracy: pruned_bench.nbsmt_accuracy(s_a_reorder(point.assignment)).0,
+                speedup: point.speedup,
             });
         }
     }
     points
 }
 
-fn prune_model(model: &mut Model, fraction: f64) {
-    for layer in model.layers_mut() {
-        match layer {
-            Layer::Conv2d(conv) => {
-                prune_to_sparsity(conv.weight.as_mut_slice(), fraction);
-            }
-            Layer::Linear(lin) => {
-                prune_to_sparsity(lin.weight.as_mut_slice(), fraction);
-            }
-            _ => {}
-        }
+/// Prunes `fraction` of every compute layer's weights by magnitude and
+/// retrains a copy of the model briefly, re-applying each layer's
+/// [`PruneMask`] after every SGD step so pruned weights stay at zero. A zero
+/// `fraction` returns the trained model unchanged.
+fn prune_and_retrain(trained: &TrainedSynthNet, fraction: f64, scale: Scale) -> Model {
+    let mut model = trained.model.clone();
+    if fraction == 0.0 {
+        return model;
     }
-}
-
-fn collect_masks(model: &Model) -> Vec<Vec<bool>> {
-    model
-        .layers()
-        .iter()
-        .map(|layer| match layer {
-            Layer::Conv2d(conv) => conv.weight.as_slice().iter().map(|&v| v != 0.0).collect(),
-            Layer::Linear(lin) => lin.weight.as_slice().iter().map(|&v| v != 0.0).collect(),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-fn reapply_masks(model: &mut Model, masks: &[Vec<bool>]) {
-    for (layer, mask) in model.layers_mut().iter_mut().zip(masks.iter()) {
-        match layer {
-            Layer::Conv2d(conv) => {
-                for (w, &keep) in conv.weight.as_mut_slice().iter_mut().zip(mask.iter()) {
-                    if !keep {
-                        *w = 0.0;
-                    }
-                }
-            }
-            Layer::Linear(lin) => {
-                for (w, &keep) in lin.weight.as_mut_slice().iter_mut().zip(mask.iter()) {
-                    if !keep {
-                        *w = 0.0;
-                    }
-                }
-            }
-            _ => {}
+    let masks: Vec<PruneMask> = model
+        .layers_mut()
+        .iter_mut()
+        .filter_map(compute_weights)
+        .map(|weights| prune_to_sparsity(weights, fraction))
+        .collect();
+    let config = SgdConfig {
+        learning_rate: 0.03,
+        batch_size: 16,
+        epochs: scale.epochs() / 2,
+    };
+    train(&mut model, &trained.train, &config, |m| {
+        let layers = m.layers_mut().iter_mut().filter_map(compute_weights);
+        for (weights, mask) in layers.zip(&masks) {
+            mask.apply(weights);
         }
+    })
+    .expect("retraining the pruned SynthNet succeeds");
+    model
+}
+
+/// The weights of a compute (conv or linear) layer.
+fn compute_weights(layer: &mut Layer) -> Option<&mut [f32]> {
+    match layer {
+        Layer::Conv2d(conv) => Some(conv.weight.as_mut_slice()),
+        Layer::Linear(lin) => Some(lin.weight.as_mut_slice()),
+        _ => None,
     }
 }
 
@@ -680,11 +578,39 @@ mod tests {
             (rows[0].speedup - 4.0).abs() < 0.5,
             "uniform 4T speedup ~4x"
         );
-        // Speedup decreases as layers are slowed.
-        assert!(rows[1].speedup <= rows[0].speedup + 1e-9);
-        assert!(rows[2].speedup <= rows[1].speedup + 1e-9);
+        // Speedup falls strictly with each slowed layer: only layers that run
+        // under NB-SMT are slowed, and each of them counts in the speedup.
+        assert!(rows[1].speedup < rows[0].speedup);
+        assert!(rows[2].speedup < rows[1].speedup);
         // Accuracy does not collapse when layers are slowed down.
         assert!(rows[2].accuracy + 0.2 >= rows[0].accuracy);
+    }
+
+    #[test]
+    fn fig10_retraining_keeps_pruned_weights_at_zero() {
+        let bench = quick_bench();
+        let mut pruned = bench.trained.model.clone();
+        for weights in pruned.layers_mut().iter_mut().filter_map(compute_weights) {
+            prune_to_sparsity(weights, 0.4);
+        }
+        let mut retrained = prune_and_retrain(&bench.trained, 0.4, Scale::Quick);
+        assert_ne!(retrained, pruned, "retraining moves the surviving weights");
+        let layers = retrained
+            .layers_mut()
+            .iter_mut()
+            .filter_map(compute_weights);
+        let pruned_layers = pruned.layers_mut().iter_mut().filter_map(compute_weights);
+        let mut checked = 0;
+        for (weights, pruned_weights) in layers.zip(pruned_layers) {
+            let zeros = weights.iter().filter(|&&w| w == 0.0).count();
+            let target = (0.4 * weights.len() as f64).round() as usize;
+            assert!(zeros >= target, "{zeros} zeros, expected at least {target}");
+            for (w, p) in weights.iter().zip(pruned_weights.iter()) {
+                assert!(*p != 0.0 || *w == 0.0, "a pruned weight came back");
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, bench.trained.model.compute_layer_count());
     }
 
     #[test]

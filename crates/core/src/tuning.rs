@@ -6,7 +6,10 @@
 //! layers with two threads (Table V), or a 2-threaded model may run them
 //! with one thread (the GoogLeNet and MLPerf operating points). Layers are
 //! ranked by recorded MSE; ties are broken towards the beginning of the
-//! network, exactly as described in the paper.
+//! network, exactly as described in the paper. Tuning starts from a base
+//! assignment and only slows layers the base runs faster than the slow
+//! thread count, so a layer the base keeps at one thread stays there.
+//! [`tuning_sweep`] is the rule the Table V and Fig. 10 experiments run.
 
 use serde::{Deserialize, Serialize};
 
@@ -62,8 +65,8 @@ impl ThreadAssignment {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn set(&mut self, i: usize, threads: usize) {
-        self.threads[i] = threads;
+    pub fn set(&mut self, i: usize, threads: ThreadCount) {
+        self.threads[i] = threads.count();
     }
 
     /// Iterates over the per-layer thread counts.
@@ -91,19 +94,21 @@ pub fn rank_layers_by_mse(profiles: &[LayerProfile]) -> Vec<usize> {
     order
 }
 
-/// Builds the Table V style operating point: all layers run with
-/// `fast` threads except the `slowdown_count` highest-MSE layers, which run
-/// with `slow` threads.
+/// Builds the Table V style operating point: every layer keeps its `base`
+/// thread count except the `slowdown_count` highest-MSE layers among those
+/// `base` runs faster than `slow`, which run with `slow` threads.
 pub fn slow_down_top_mse_layers(
     profiles: &[LayerProfile],
-    fast: ThreadCount,
+    base: &ThreadAssignment,
     slow: ThreadCount,
     slowdown_count: usize,
 ) -> ThreadAssignment {
-    let mut assignment = ThreadAssignment::uniform(profiles.len(), fast);
-    let ranked = rank_layers_by_mse(profiles);
-    for &layer in ranked.iter().take(slowdown_count) {
-        assignment.set(layer, slow.count());
+    let mut assignment = base.clone();
+    let faster = rank_layers_by_mse(profiles)
+        .into_iter()
+        .filter(|&layer| base.threads_for(layer) > slow.count());
+    for layer in faster.take(slowdown_count) {
+        assignment.set(layer, slow);
     }
     assignment
 }
@@ -138,18 +143,19 @@ pub struct TuningPoint {
     pub assignment: ThreadAssignment,
 }
 
-/// Sweeps the number of slowed-down layers from 0 to `max_slowdowns`,
-/// producing one [`TuningPoint`] per step (the x-axis of Fig. 10).
+/// Sweeps the number of slowed-down layers from 0 to `max_slowdowns` (at
+/// most the number of layers `base` runs faster than `slow`), producing one
+/// [`TuningPoint`] per step (the x-axis of Fig. 10), starting from `base`.
 pub fn tuning_sweep(
     profiles: &[LayerProfile],
-    fast: ThreadCount,
+    base: &ThreadAssignment,
     slow: ThreadCount,
     max_slowdowns: usize,
 ) -> Vec<TuningPoint> {
-    let max_slowdowns = max_slowdowns.min(profiles.len());
+    let max_slowdowns = max_slowdowns.min(base.iter().filter(|&t| t > slow.count()).count());
     (0..=max_slowdowns)
         .map(|count| {
-            let assignment = slow_down_top_mse_layers(profiles, fast, slow, count);
+            let assignment = slow_down_top_mse_layers(profiles, base, slow, count);
             TuningPoint {
                 slowed_layers: count,
                 speedup: assignment_speedup(profiles, &assignment),
@@ -202,9 +208,13 @@ mod tests {
         assert_eq!(a.slowed_layers(4), 0);
     }
 
+    fn uniform_4t() -> ThreadAssignment {
+        ThreadAssignment::uniform(4, ThreadCount::Four)
+    }
+
     #[test]
     fn slow_down_top_mse_layers_picks_highest() {
-        let a = slow_down_top_mse_layers(&profiles(), ThreadCount::Four, ThreadCount::Two, 2);
+        let a = slow_down_top_mse_layers(&profiles(), &uniform_4t(), ThreadCount::Two, 2);
         assert_eq!(a.threads_for(1), 2);
         assert_eq!(a.threads_for(2), 2);
         assert_eq!(a.threads_for(0), 4);
@@ -215,7 +225,7 @@ mod tests {
     #[test]
     fn assignment_speedup_matches_manual_computation() {
         let p = profiles();
-        let a = slow_down_top_mse_layers(&p, ThreadCount::Four, ThreadCount::Two, 1);
+        let a = slow_down_top_mse_layers(&p, &uniform_4t(), ThreadCount::Two, 1);
         // Layer 1 (400 macs) at 2T, the rest at 4T:
         // total = 1000, scaled = 100/4 + 400/2 + 300/4 + 200/4 = 25+200+75+50 = 350
         let s = assignment_speedup(&p, &a);
@@ -225,7 +235,7 @@ mod tests {
     #[test]
     fn sweep_speedup_is_monotonically_decreasing() {
         let p = profiles();
-        let sweep = tuning_sweep(&p, ThreadCount::Four, ThreadCount::Two, 4);
+        let sweep = tuning_sweep(&p, &uniform_4t(), ThreadCount::Two, 4);
         assert_eq!(sweep.len(), 5);
         assert!((sweep[0].speedup - 4.0).abs() < 1e-9);
         for w in sweep.windows(2) {
@@ -238,8 +248,26 @@ mod tests {
     #[test]
     fn sweep_is_clamped_to_layer_count() {
         let p = profiles();
-        let sweep = tuning_sweep(&p, ThreadCount::Four, ThreadCount::Two, 100);
+        let sweep = tuning_sweep(&p, &uniform_4t(), ThreadCount::Two, 100);
         assert_eq!(sweep.len(), p.len() + 1);
+    }
+
+    #[test]
+    fn layers_the_base_runs_at_the_slow_count_or_below_are_never_picked() {
+        // Layer 1 has the highest MSE but already runs at one thread.
+        let p = profiles();
+        let mut base = uniform_4t();
+        base.set(1, ThreadCount::One);
+        let a = slow_down_top_mse_layers(&p, &base, ThreadCount::Two, 2);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![2, 1, 2, 4]);
+        // Only three layers can slow down, so the sweep has four points.
+        let sweep = tuning_sweep(&p, &base, ThreadCount::Two, 100);
+        assert_eq!(sweep.len(), 4);
+        assert_eq!(sweep[0].assignment, base);
+        assert_eq!(
+            sweep[3].assignment.iter().collect::<Vec<_>>(),
+            vec![2, 1, 2, 2]
+        );
     }
 
     #[test]

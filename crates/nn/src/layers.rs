@@ -1,4 +1,4 @@
-//! Layers: convolution, linear, activation, pooling, normalization.
+//! Layers: convolution, linear, activation, max pooling, flattening.
 //!
 //! Every layer provides a forward pass on 4-D activation tensors
 //! (`[N, C, H, W]`) or flattened feature tensors (`[N, F]`), and the layers
@@ -377,167 +377,6 @@ impl MaxPool2 {
     }
 }
 
-/// Global average pooling over the spatial dimensions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GlobalAvgPool;
-
-impl GlobalAvgPool {
-    /// Forward pass: `[N, C, H, W]` → `[N, C]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-rank-4 inputs.
-    pub fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let dims = input.shape().dims();
-        if dims.len() != 4 {
-            return Err(NnError::ShapeMismatch {
-                layer: "global_avg_pool".into(),
-                detail: format!("expected rank-4 input, got {dims:?}"),
-            });
-        }
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let src = input.as_slice();
-        let mut out = vec![0.0_f32; n * c];
-        let hw = (h * w) as f32;
-        for img in 0..n {
-            for ch in 0..c {
-                let mut acc = 0.0;
-                for p in 0..h * w {
-                    acc += src[(img * c + ch) * h * w + p];
-                }
-                out[img * c + ch] = acc / hw;
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, c])?)
-    }
-
-    /// Backward pass: spreads each gradient uniformly over the spatial
-    /// positions.
-    pub fn backward(&self, input_shape: &[usize], grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let (n, c, h, w) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
-        let mut gin = Tensor::<f32>::zeros(input_shape);
-        let g = gin.as_mut_slice();
-        let go = grad_out.as_slice();
-        let hw = (h * w) as f32;
-        for img in 0..n {
-            for ch in 0..c {
-                let v = go[img * c + ch] / hw;
-                for p in 0..h * w {
-                    g[(img * c + ch) * h * w + p] = v;
-                }
-            }
-        }
-        gin
-    }
-}
-
-/// Batch normalization over channels (inference-style, with running
-/// statistics that can be recalibrated from data as the paper does before
-/// quantization).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchNorm2d {
-    /// Number of channels.
-    pub channels: usize,
-    /// Learned scale per channel.
-    pub gamma: Vec<f32>,
-    /// Learned shift per channel.
-    pub beta: Vec<f32>,
-    /// Running mean per channel.
-    pub running_mean: Vec<f32>,
-    /// Running variance per channel.
-    pub running_var: Vec<f32>,
-    /// Numerical stability constant.
-    pub eps: f32,
-}
-
-impl BatchNorm2d {
-    /// Creates an identity batch-norm layer (unit scale, zero shift).
-    pub fn new(channels: usize) -> Self {
-        BatchNorm2d {
-            channels,
-            gamma: vec![1.0; channels],
-            beta: vec![0.0; channels],
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            eps: 1e-5,
-        }
-    }
-
-    /// Forward pass using the running statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-rank-4 inputs or channel mismatches.
-    pub fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.channels {
-            return Err(NnError::ShapeMismatch {
-                layer: "batchnorm2d".into(),
-                detail: format!("expected [N, {}, H, W], got {dims:?}", self.channels),
-            });
-        }
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let src = input.as_slice();
-        let mut out = vec![0.0_f32; src.len()];
-        for img in 0..n {
-            for ch in 0..c {
-                let scale = self.gamma[ch] / (self.running_var[ch] + self.eps).sqrt();
-                let shift = self.beta[ch] - self.running_mean[ch] * scale;
-                for p in 0..h * w {
-                    let idx = (img * c + ch) * h * w + p;
-                    out[idx] = src[idx] * scale + shift;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, dims)?)
-    }
-
-    /// Recalibrates the running mean and variance from a batch of data, the
-    /// "batch-norm recalibration" step the paper performs during its quick
-    /// statistics-gathering phase.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-rank-4 inputs or channel mismatches.
-    pub fn recalibrate(&mut self, input: &Tensor<f32>) -> Result<(), NnError> {
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.channels {
-            return Err(NnError::ShapeMismatch {
-                layer: "batchnorm2d".into(),
-                detail: format!("expected [N, {}, H, W], got {dims:?}", self.channels),
-            });
-        }
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let src = input.as_slice();
-        let count = (n * h * w) as f32;
-        for ch in 0..c {
-            let mut mean = 0.0f32;
-            for img in 0..n {
-                for p in 0..h * w {
-                    mean += src[(img * c + ch) * h * w + p];
-                }
-            }
-            mean /= count;
-            let mut var = 0.0f32;
-            for img in 0..n {
-                for p in 0..h * w {
-                    let d = src[(img * c + ch) * h * w + p] - mean;
-                    var += d * d;
-                }
-            }
-            var /= count;
-            self.running_mean[ch] = mean;
-            self.running_var[ch] = var;
-        }
-        Ok(())
-    }
-}
-
 /// Flattens a `[N, C, H, W]` tensor into `[N, C*H*W]`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Flatten;
@@ -718,45 +557,6 @@ mod tests {
         assert_eq!(grad.as_slice().iter().filter(|&&v| v == 1.0).count(), 4);
         assert_eq!(grad.get(&[0, 0, 1, 1]).unwrap(), &1.0);
         assert!(p.forward(&Tensor::<f32>::zeros(&[2, 2])).is_err());
-    }
-
-    #[test]
-    fn global_avg_pool_forward_backward() {
-        let p = GlobalAvgPool;
-        let input = Tensor::from_vec((1..=8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap();
-        let out = p.forward(&input).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2]);
-        assert!((out.as_slice()[0] - 2.5).abs() < 1e-6);
-        assert!((out.as_slice()[1] - 6.5).abs() < 1e-6);
-        let grad = p.backward(
-            &[1, 2, 2, 2],
-            &Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap(),
-        );
-        assert!(grad.as_slice()[..4].iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        assert!(grad.as_slice()[4..].iter().all(|&v| (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn batchnorm_identity_and_recalibration() {
-        let mut bn = BatchNorm2d::new(2);
-        let input = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
-            &[1, 2, 2, 2],
-        )
-        .unwrap();
-        // Identity parameters and unit variance: output ~ input.
-        let out = bn.forward(&input).unwrap();
-        for (a, b) in out.as_slice().iter().zip(input.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
-        }
-        // After recalibration, each channel is normalized to zero mean.
-        bn.recalibrate(&input).unwrap();
-        let out = bn.forward(&input).unwrap();
-        let ch0_mean: f32 = out.as_slice()[..4].iter().sum::<f32>() / 4.0;
-        let ch1_mean: f32 = out.as_slice()[4..].iter().sum::<f32>() / 4.0;
-        assert!(ch0_mean.abs() < 1e-4);
-        assert!(ch1_mean.abs() < 1e-4);
-        assert!(bn.forward(&Tensor::<f32>::zeros(&[1, 3, 2, 2])).is_err());
     }
 
     #[test]

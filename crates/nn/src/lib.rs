@@ -7,10 +7,9 @@
 //! convolutions are lowered to matrix multiplications; we substitute a
 //! from-scratch framework that provides the same pipeline end to end:
 //!
-//! * [`layers`] — convolution (dense and depthwise), linear, ReLU, max /
-//!   global-average pooling, batch normalization (with recalibration), and
-//!   flattening, each with a forward pass and (for trainable layers) a
-//!   backward pass,
+//! * [`layers`] — convolution (dense and depthwise), linear, ReLU, 2×2 max
+//!   pooling, and flattening, each with a forward pass and (for trainable
+//!   layers) a backward pass,
 //! * [`model`] — sequential model container, forward execution, accuracy,
 //! * [`train`] — softmax cross-entropy, backpropagation, minibatch SGD (used
 //!   by the pruning retraining loop),

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use nbsmt_tensor::tensor::Tensor;
 
 use crate::error::NnError;
-use crate::layers::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2, Relu};
+use crate::layers::{Conv2d, Flatten, Linear, MaxPool2, Relu};
 
 /// A layer of a sequential model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,10 +18,6 @@ pub enum Layer {
     Relu(Relu),
     /// 2×2 max pooling.
     MaxPool2(MaxPool2),
-    /// Global average pooling.
-    GlobalAvgPool(GlobalAvgPool),
-    /// Batch normalization.
-    BatchNorm2d(BatchNorm2d),
     /// Flatten to `[N, F]`.
     Flatten(Flatten),
 }
@@ -34,8 +30,6 @@ impl Layer {
             Layer::Linear(_) => "linear",
             Layer::Relu(_) => "relu",
             Layer::MaxPool2(_) => "maxpool2",
-            Layer::GlobalAvgPool(_) => "global_avg_pool",
-            Layer::BatchNorm2d(_) => "batchnorm2d",
             Layer::Flatten(_) => "flatten",
         }
     }
@@ -177,31 +171,40 @@ impl Model {
     ///
     /// Returns an error if layer shapes do not chain correctly.
     pub fn mac_ops(&self, channels: usize, h: usize, w: usize) -> Result<u64, NnError> {
-        let mut total = 0u64;
+        Ok(self.compute_layer_macs(channels, h, w)?.iter().sum())
+    }
+
+    /// MAC operations of each compute (conv/linear) layer, in order, for one
+    /// input of spatial size `h × w` with `channels` input channels.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if layer shapes do not chain correctly.
+    pub fn compute_layer_macs(
+        &self,
+        channels: usize,
+        h: usize,
+        w: usize,
+    ) -> Result<Vec<u64>, NnError> {
+        let mut macs = Vec::with_capacity(self.compute_layer_count());
         let (mut _c, mut ch, mut cw) = (channels, h, w);
         for layer in &self.layers {
             match layer {
                 Layer::Conv2d(conv) => {
-                    total += conv.mac_ops(ch, cw);
+                    macs.push(conv.mac_ops(ch, cw));
                     ch = conv.params.output_size(ch);
                     cw = conv.params.output_size(cw);
                     _c = conv.params.out_channels;
                 }
-                Layer::Linear(lin) => {
-                    total += lin.mac_ops();
-                }
+                Layer::Linear(lin) => macs.push(lin.mac_ops()),
                 Layer::MaxPool2(_) => {
                     ch /= 2;
                     cw /= 2;
                 }
-                Layer::GlobalAvgPool(_) => {
-                    ch = 1;
-                    cw = 1;
-                }
-                _ => {}
+                Layer::Relu(_) | Layer::Flatten(_) => {}
             }
         }
-        Ok(total)
+        Ok(macs)
     }
 }
 
@@ -212,8 +215,6 @@ pub(crate) fn forward_layer(layer: &Layer, x: &Tensor<f32>) -> Result<Tensor<f32
         Layer::Linear(l) => l.forward(x),
         Layer::Relu(l) => Ok(l.forward(x)),
         Layer::MaxPool2(l) => Ok(l.forward(x)?.0),
-        Layer::GlobalAvgPool(l) => l.forward(x),
-        Layer::BatchNorm2d(l) => l.forward(x),
         Layer::Flatten(l) => l.forward(x),
     }
 }
@@ -278,6 +279,7 @@ mod tests {
         // conv: 8*8 output positions * 4 filters * 9 * 1 channel = 2304
         // linear: 64 * 3 = 192
         assert_eq!(m.mac_ops(1, 8, 8).unwrap(), 2304 + 192);
+        assert_eq!(m.compute_layer_macs(1, 8, 8).unwrap(), vec![2304, 192]);
     }
 
     #[test]

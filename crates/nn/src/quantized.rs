@@ -4,8 +4,8 @@
 //! multiplication and replacing that multiplication with the NB-SMT
 //! emulation. This module mirrors that flow: a trained floating-point
 //! [`Model`] is calibrated (per-layer activation ranges, per-kernel weight
-//! scales, batch-norm recalibration) and then executed layer by layer with
-//! the conv/linear GEMMs delegated to a [`GemmEngine`]. The engine is the
+//! scales) and then executed layer by layer with the conv/linear GEMMs
+//! delegated to a [`GemmEngine`]. The engine is the
 //! integration point for `nbsmt-core`: the reference engine reproduces the
 //! error-free 8-bit baseline, while an NB-SMT engine injects exactly the
 //! error the hardware would.
@@ -115,8 +115,7 @@ pub struct QuantizedModel {
 
 impl QuantizedModel {
     /// Calibrates a trained model on a batch of representative inputs: the
-    /// paper's "quick statistics gathering run" (averaged min/max per layer,
-    /// batch-norm recalibration happens on the float model beforehand).
+    /// paper's "quick statistics gathering run" (averaged min/max per layer).
     /// Each compute layer's weights and activation scale are quantized and
     /// fixed here, once.
     ///
@@ -205,7 +204,7 @@ impl QuantizedModel {
     /// Executes the quantized model on a batch of inputs with the given GEMM
     /// engine, returning the output logits.
     ///
-    /// Non-compute layers (ReLU, pooling, batch norm, flatten) run in floating
+    /// Non-compute layers (ReLU, pooling, flatten) run in floating
     /// point between the quantized GEMMs, exactly as the paper's PyTorch
     /// simulation does.
     ///

@@ -68,7 +68,7 @@ pub struct Gradients {
 /// # Errors
 ///
 /// Propagates layer shape errors; returns an error for layers that do not
-/// support a backward pass (grouped convolutions, batch norm).
+/// support a backward pass (grouped convolutions).
 pub fn backward(
     model: &Model,
     input: &Tensor<f32>,
@@ -98,18 +98,9 @@ pub fn backward(
                 x = out;
                 saved_argmax.push(Some(argmax));
             }
-            Layer::GlobalAvgPool(l) => {
-                x = l.forward(&x)?;
-                saved_argmax.push(None);
-            }
             Layer::Flatten(l) => {
                 x = l.forward(&x)?;
                 saved_argmax.push(None);
-            }
-            Layer::BatchNorm2d(_) => {
-                return Err(NnError::InvalidConfig(
-                    "training through batch norm is not supported; use plain conv models".into(),
-                ))
             }
         }
     }
@@ -142,13 +133,9 @@ pub fn backward(
                 let argmax = saved_argmax[idx].as_ref().expect("argmax saved in forward");
                 grad = l.backward(layer_input.shape().dims(), argmax, &grad);
             }
-            Layer::GlobalAvgPool(l) => {
-                grad = l.backward(layer_input.shape().dims(), &grad);
-            }
             Layer::Flatten(l) => {
                 grad = l.backward(layer_input.shape().dims(), &grad)?;
             }
-            Layer::BatchNorm2d(_) => unreachable!("rejected in the forward pass"),
         }
     }
     grads.per_layer.reverse();
@@ -261,7 +248,7 @@ pub struct EpochRecord {
 
 /// Trains the model with minibatch SGD.
 ///
-/// `post_step` is called after every parameter update; the pruning schedule
+/// `post_step` is called after every parameter update; pruned retraining
 /// uses it to re-apply pruning masks so pruned weights stay at zero.
 ///
 /// # Errors

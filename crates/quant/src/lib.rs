@@ -8,35 +8,34 @@
 //! on-the-fly 4-bit precision reduction inside the SySMT processing elements
 //! when threads collide. This crate provides all of those pieces:
 //!
-//! * [`scheme`] — bit widths, signedness, granularity, operating points
+//! * [`scheme`] — bit widths, signedness, operating points
 //!   (A8W8 / A4W8 / A8W4 / A4W4),
 //! * [`observer`] — averaging min/max calibration observers,
 //! * [`quantize`] — quantize / dequantize / integer matmul / whole-matrix
-//!   further reduction (Fig. 7),
-//! * [`qtensor`] — quantized activation & weight containers,
-//! * [`reduce`] — the bit-level nibble rounding/truncation primitives used by
-//!   the PEs (§III-C),
-//! * [`aciq`] — the analytic-clipping comparator quantizer standing in for
-//!   ACIQ/LBQ in Table IV (see ARCHITECTURE.md, substitution 3).
+//!   further reduction (Fig. 7, and the static min-max A4W8 / A4W4
+//!   comparators of Table IV),
+//! * [`qtensor`] — quantized activation & weight matrices,
+//! * [`reduce`] — the bit-level nibble fit checks and rounding used by the
+//!   PEs (§III-C).
 //!
 //! ```
-//! use nbsmt_quant::reduce::{reduce_unsigned, NibbleSelect};
+//! use nbsmt_quant::reduce::{fits_nibble_unsigned, round_to_nibble_unsigned};
 //!
-//! // 46 does not fit in 4 bits: it is rounded to 3*16=48 and truncated.
-//! let r = reduce_unsigned(46);
-//! assert_eq!(r.nibble, 3);
-//! assert_eq!(r.select, NibbleSelect::Msb);
+//! // 9 fits in 4 bits, so a squeezed thread keeps it exactly.
+//! assert!(fits_nibble_unsigned(9));
+//! // 46 does not: it is rounded to 3*16=48 and its MSB nibble 3 is kept.
+//! assert!(!fits_nibble_unsigned(46));
+//! assert_eq!(round_to_nibble_unsigned(46), 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aciq;
 pub mod observer;
 pub mod qtensor;
 pub mod quantize;
 pub mod reduce;
 pub mod scheme;
 
-pub use qtensor::{QuantMatrix, QuantTensor, QuantWeightMatrix};
+pub use qtensor::{QuantMatrix, QuantWeightMatrix};
 pub use scheme::{BitWidth, OperatingPoint, QuantScheme};

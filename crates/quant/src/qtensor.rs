@@ -1,4 +1,4 @@
-//! Quantized tensor and matrix containers.
+//! Quantized matrix containers: the operands of every quantized GEMM.
 //!
 //! Activations are carried as unsigned 8-bit integers with a single per-layer
 //! scale; weights are carried as signed 8-bit integers with one scale per
@@ -191,61 +191,6 @@ impl QuantWeightMatrix {
     }
 }
 
-/// A quantized 4-D activation tensor `[N, C, H, W]` with a per-layer scale.
-///
-/// Used between layers by the quantized inference engine in `nbsmt-nn`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantTensor {
-    /// Integer values in row-major `[N, C, H, W]` order.
-    pub values: Vec<u8>,
-    /// Tensor dimensions.
-    pub dims: Vec<usize>,
-    /// Per-layer scale.
-    pub scale: f32,
-}
-
-impl QuantTensor {
-    /// Creates a quantized tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] when the buffer length does
-    /// not match the dimensions.
-    pub fn new(values: Vec<u8>, dims: &[usize], scale: f32) -> Result<Self, TensorError> {
-        let expected: usize = dims.iter().product();
-        if values.len() != expected {
-            return Err(TensorError::ShapeDataMismatch {
-                expected,
-                actual: values.len(),
-            });
-        }
-        Ok(QuantTensor {
-            values,
-            dims: dims.to_vec(),
-            scale,
-        })
-    }
-
-    /// Number of elements.
-    pub fn numel(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Dequantizes every element into an `f32` buffer.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.values.iter().map(|&v| v as f32 * self.scale).collect()
-    }
-
-    /// Fraction of exactly-zero entries.
-    pub fn sparsity(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let zeros = self.values.iter().filter(|&&v| v == 0).count();
-        zeros as f64 / self.values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,14 +235,5 @@ mod tests {
         let q = QuantWeightMatrix::with_uniform_scale(m, 1.0);
         assert!((q.sparsity() - 2.0 / 6.0).abs() < 1e-12);
         assert!((q.narrow_fraction() - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quant_tensor_round_trip() {
-        let t = QuantTensor::new(vec![0, 1, 2, 3], &[1, 1, 2, 2], 2.0).unwrap();
-        assert_eq!(t.numel(), 4);
-        assert_eq!(t.dequantize(), vec![0.0, 2.0, 4.0, 6.0]);
-        assert!((t.sparsity() - 0.25).abs() < 1e-12);
-        assert!(QuantTensor::new(vec![0, 1], &[3], 1.0).is_err());
     }
 }

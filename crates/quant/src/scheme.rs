@@ -1,10 +1,13 @@
-//! Quantization schemes: symmetric unsigned activations, symmetric signed
-//! weights, per-tensor or per-channel (per-kernel) scales.
+//! Quantization schemes: symmetric unsigned activations and symmetric signed
+//! weights.
 //!
 //! This mirrors the paper's setup (§V-A): "models are quantized with a simple
 //! 8-bit uniform min-max quantization, using symmetric unsigned quantization
 //! for activations and symmetric signed quantization for weights. Activations
-//! are quantized per layer, whereas weights are quantized per kernel."
+//! are quantized per layer, whereas weights are quantized per kernel." The
+//! scale granularity follows from the quantizer called:
+//! `quantize::quantize_activations` fits one scale per tensor and
+//! `quantize::quantize_weights` one scale per kernel (column).
 
 use serde::{Deserialize, Serialize};
 
@@ -53,15 +56,6 @@ pub enum Signedness {
     Signed,
 }
 
-/// Scale granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Granularity {
-    /// One scale for the whole tensor (per layer, used for activations).
-    PerTensor,
-    /// One scale per output channel / kernel (used for weights).
-    PerChannel,
-}
-
 /// A complete quantization scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct QuantScheme {
@@ -69,8 +63,6 @@ pub struct QuantScheme {
     pub bits: BitWidth,
     /// Signedness of the integer representation.
     pub signedness: Signedness,
-    /// Scale granularity.
-    pub granularity: Granularity,
 }
 
 impl QuantScheme {
@@ -79,7 +71,6 @@ impl QuantScheme {
         QuantScheme {
             bits: BitWidth::Eight,
             signedness: Signedness::Unsigned,
-            granularity: Granularity::PerTensor,
         }
     }
 
@@ -88,7 +79,6 @@ impl QuantScheme {
         QuantScheme {
             bits: BitWidth::Eight,
             signedness: Signedness::Signed,
-            granularity: Granularity::PerChannel,
         }
     }
 
@@ -182,12 +172,10 @@ mod tests {
     fn paper_schemes() {
         let a = QuantScheme::activation_a8();
         assert_eq!(a.signedness, Signedness::Unsigned);
-        assert_eq!(a.granularity, Granularity::PerTensor);
         assert_eq!(a.q_max(), 255.0);
 
         let w = QuantScheme::weight_w8();
         assert_eq!(w.signedness, Signedness::Signed);
-        assert_eq!(w.granularity, Granularity::PerChannel);
         assert_eq!(w.q_max(), 127.0);
     }
 

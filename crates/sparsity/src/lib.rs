@@ -6,7 +6,7 @@
 //! * [`stats`] — MAC-utilization classification (Fig. 1's idle / partially
 //!   utilized / fully utilized breakdown), activation data-width statistics,
 //!   and per-column statistics used by the reordering pass,
-//! * [`prune`] — magnitude-based iterative weight pruning (Fig. 10),
+//! * [`prune`] — magnitude-based weight pruning and its masks (Fig. 10),
 //! * [`reorder`] — the per-layer column reordering of §IV-B that pairs
 //!   demanding activation columns with light ones to avoid thread collisions.
 //!
@@ -25,6 +25,6 @@ pub mod prune;
 pub mod reorder;
 pub mod stats;
 
-pub use prune::{magnitude_mask, PruneMask, PruneSchedule};
+pub use prune::{magnitude_mask, PruneMask};
 pub use reorder::{reorder_for_threads, reorder_for_two_threads, ColumnOrder};
 pub use stats::{activation_stats, layer_utilization, MacClass, UtilizationBreakdown};

@@ -3,8 +3,10 @@
 //! The paper's 4-threaded evaluation (Fig. 10) prunes ResNet-18 with "simple
 //! magnitude-based pruning that iteratively prunes a certain percentage of
 //! the model weights followed by retraining". This module provides the
-//! pruning operator (global and per-tensor), an iterative schedule, and
-//! masks that keep pruned weights at zero across retraining steps.
+//! pruning operator and the mask it returns. The Fig. 10 experiment prunes
+//! each compute layer with [`prune_to_sparsity`] and re-applies the returned
+//! [`PruneMask`] after every SGD step, so pruned weights stay at zero while
+//! the model retrains.
 
 use serde::{Deserialize, Serialize};
 
@@ -69,18 +71,6 @@ impl PruneMask {
             }
         }
     }
-
-    /// Intersects with another mask (a weight survives only if both keep it).
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    pub fn intersect(&mut self, other: &PruneMask) {
-        assert_eq!(self.keep.len(), other.keep.len(), "mask length mismatch");
-        for (a, &b) in self.keep.iter_mut().zip(other.keep.iter()) {
-            *a = *a && b;
-        }
-    }
 }
 
 /// Computes a magnitude-pruning mask that removes the `fraction` smallest-
@@ -117,61 +107,6 @@ pub fn prune_to_sparsity(weights: &mut [f32], fraction: f64) -> PruneMask {
     let mask = magnitude_mask(weights, fraction);
     mask.apply(weights);
     mask
-}
-
-/// An iterative pruning schedule: the target sparsity is reached over
-/// `steps` equal-sized increments, with a retraining callback after every
-/// step (mirroring the iterative prune-retrain loop of Han et al. that the
-/// paper cites).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PruneSchedule {
-    /// Final fraction of weights to prune.
-    pub target_sparsity: f64,
-    /// Number of prune/retrain iterations.
-    pub steps: usize,
-}
-
-impl PruneSchedule {
-    /// Creates a schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `steps == 0`.
-    pub fn new(target_sparsity: f64, steps: usize) -> Self {
-        assert!(steps > 0, "schedule must have at least one step");
-        PruneSchedule {
-            target_sparsity: target_sparsity.clamp(0.0, 1.0),
-            steps,
-        }
-    }
-
-    /// Sparsity targeted after step `i` (1-based internally; `i` ranges over
-    /// `0..steps`).
-    pub fn sparsity_at(&self, i: usize) -> f64 {
-        let step = (i + 1).min(self.steps) as f64;
-        self.target_sparsity * step / self.steps as f64
-    }
-
-    /// Runs the schedule over a weight buffer.
-    ///
-    /// After each pruning increment, `retrain` is called with the mutable
-    /// weights and the current mask; it may adjust the surviving weights
-    /// (the mask is re-applied afterwards so pruned weights stay zero).
-    /// Returns the final mask.
-    pub fn run<F>(&self, weights: &mut [f32], mut retrain: F) -> PruneMask
-    where
-        F: FnMut(&mut [f32], &PruneMask, usize),
-    {
-        let mut mask = PruneMask::keep_all(weights.len());
-        for step in 0..self.steps {
-            let step_mask = magnitude_mask(weights, self.sparsity_at(step));
-            mask.intersect(&step_mask);
-            mask.apply(weights);
-            retrain(weights, &mask, step);
-            mask.apply(weights);
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -231,51 +166,5 @@ mod tests {
         let mut w = vec![1.0, 2.0];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mask.apply(&mut w)));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn schedule_reaches_target_monotonically() {
-        let sched = PruneSchedule::new(0.6, 3);
-        assert!((sched.sparsity_at(0) - 0.2).abs() < 1e-12);
-        assert!((sched.sparsity_at(1) - 0.4).abs() < 1e-12);
-        assert!((sched.sparsity_at(2) - 0.6).abs() < 1e-12);
-
-        let mut w: Vec<f32> = (1..=100).map(|v| v as f32 / 100.0).collect();
-        let mut steps_seen = 0;
-        let mask = sched.run(&mut w, |weights, mask, step| {
-            steps_seen += 1;
-            assert_eq!(step + 1, steps_seen);
-            // "Retraining" nudges surviving weights; pruned ones stay zero
-            // because the mask is re-applied afterwards.
-            for (i, v) in weights.iter_mut().enumerate() {
-                if mask.is_kept(i) {
-                    *v += 0.001;
-                }
-            }
-        });
-        assert_eq!(steps_seen, 3);
-        assert!((mask.pruned_fraction() - 0.6).abs() < 1e-9);
-        let zeros = w.iter().filter(|&&v| v == 0.0).count();
-        assert_eq!(zeros, 60);
-    }
-
-    #[test]
-    fn schedule_retraining_cannot_resurrect_pruned_weights() {
-        let sched = PruneSchedule::new(0.5, 2);
-        let mut w: Vec<f32> = (1..=10).map(|v| v as f32).collect();
-        sched.run(&mut w, |weights, _mask, _step| {
-            // Adversarial retrain callback writes into every slot.
-            for v in weights.iter_mut() {
-                *v += 100.0;
-            }
-        });
-        let zeros = w.iter().filter(|&&v| v == 0.0).count();
-        assert_eq!(zeros, 5, "pruned weights must remain zero after retraining");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn schedule_zero_steps_panics() {
-        PruneSchedule::new(0.5, 0);
     }
 }

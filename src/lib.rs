@@ -37,7 +37,7 @@ pub mod prelude {
     pub use nbsmt_core::ThreadCount;
     pub use nbsmt_hw::energy::EnergyModel;
     pub use nbsmt_nn::model::Model;
-    pub use nbsmt_quant::qtensor::{QuantMatrix, QuantTensor};
+    pub use nbsmt_quant::qtensor::QuantMatrix;
     pub use nbsmt_quant::scheme::QuantScheme;
     pub use nbsmt_serve::config::{
         AdaptivePolicy, BatchPolicy, ConfigError, PoolConfig, PoolOptions, RoutePolicy,

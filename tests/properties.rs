@@ -7,7 +7,7 @@ use nbsmt_repro::core::fmul::{FlexMultiplier, FlexMultiplier4};
 use nbsmt_repro::core::pe::{SmtPe2, SmtPe4, ThreadInput, ThreadOutcome};
 use nbsmt_repro::core::policy::SharingPolicy;
 use nbsmt_repro::quant::reduce::{
-    reconstruct_signed, reconstruct_unsigned, reduce_signed, reduce_unsigned,
+    fits_nibble_signed, fits_nibble_unsigned, round_to_nibble_signed, round_to_nibble_unsigned,
 };
 
 proptest! {
@@ -19,20 +19,30 @@ proptest! {
         prop_assert_eq!(FlexMultiplier4::new().mul_single(x, w), x as i32 * w as i32);
     }
 
-    /// Precision reduction is lossless exactly when the value fits a nibble
-    /// or is a multiple of 16, and the reconstruction error is bounded by 8
-    /// (half the rounding step) otherwise.
+    /// Precision reduction (keep a value that fits a nibble, else round it
+    /// to a multiple of 16 and keep the MSB nibble) is lossless when the
+    /// value fits a nibble or is a multiple of 16. Otherwise the error is
+    /// half the rounding step, 8, except where the nibble clamps at the top
+    /// of the range: at most 15 for activations and 16 for weights.
     #[test]
     fn reduction_error_bounds(x in any::<u8>(), w in any::<i8>()) {
-        let rx = reduce_unsigned(x);
-        let err_x = (x as i32 - reconstruct_unsigned(rx) as i32).abs();
+        let reduced_x = if fits_nibble_unsigned(x) {
+            x as i32
+        } else {
+            round_to_nibble_unsigned(x) as i32 * 16
+        };
+        let err_x = (x as i32 - reduced_x).abs();
         if x < 16 || x.is_multiple_of(16) {
             prop_assert_eq!(err_x, 0);
         }
         prop_assert!(err_x <= 15, "x={} err={}", x, err_x);
 
-        let rw = reduce_signed(w);
-        let err_w = (w as i32 - reconstruct_signed(rw) as i32).abs();
+        let reduced_w = if fits_nibble_signed(w) {
+            w as i32
+        } else {
+            round_to_nibble_signed(w) as i32 * 16
+        };
+        let err_w = (w as i32 - reduced_w).abs();
         if (-8..=7).contains(&w) || w % 16 == 0 {
             prop_assert_eq!(err_w, 0);
         }
