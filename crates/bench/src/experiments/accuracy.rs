@@ -14,12 +14,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use nbsmt_core::metrics::{model_speedup, LayerSchedule};
 use nbsmt_core::policy::SharingPolicy;
 use nbsmt_core::tuning::{tuning_sweep, LayerProfile as TuningProfile, ThreadAssignment};
 use nbsmt_core::ThreadCount;
 use nbsmt_nn::model::{Layer, Model};
 use nbsmt_nn::quantized::{QuantizedModel, ReducedPrecisionEngine, ReferenceEngine};
-use nbsmt_nn::train::{train, Dataset, SgdConfig};
+use nbsmt_nn::train::{train, SgdConfig};
 use nbsmt_quant::scheme::OperatingPoint;
 use nbsmt_sparsity::prune::{prune_to_sparsity, PruneMask};
 use nbsmt_tensor::exec::ExecContext;
@@ -54,6 +55,9 @@ fn fixture_key(scale: Scale, seed: u64, exec: &ExecSettings) -> String {
 pub struct AccuracyBench {
     /// The trained model and data splits.
     pub trained: TrainedSynthNet,
+    /// The images `quantized` was calibrated on; Fig. 10 recalibrates each
+    /// pruned model on the same batch.
+    pub calib_images: Tensor<f32>,
     /// The calibrated quantized model.
     pub quantized: QuantizedModel,
     /// Evaluation images.
@@ -91,45 +95,17 @@ impl AccuracyBench {
         .expect("SynthNet training succeeds");
         let calib = generate_dataset(&task, 8, seed.wrapping_add(77));
         let (calib_images, _) = calib.batch(0, calib.len());
-        let quantized = QuantizedModel::calibrate(&trained.model, &[calib_images])
-            .expect("calibration succeeds");
+        let quantized =
+            QuantizedModel::calibrate(&trained.model, std::slice::from_ref(&calib_images))
+                .expect("calibration succeeds");
         let (test_images, test_labels) = trained.test.batch(0, trained.test.len());
         AccuracyBench {
             trained,
+            calib_images,
             quantized,
             test_images,
             test_labels,
             exec: exec.context(),
-        }
-    }
-
-    /// Builds the same bench around an externally trained model (used by the
-    /// pruning sweep, which retrains its own copies), inheriting the given
-    /// execution context.
-    pub fn from_model(
-        model: &Model,
-        test: &Dataset,
-        task: &SynthTaskConfig,
-        seed: u64,
-        exec: ExecContext,
-    ) -> Self {
-        let calib = generate_dataset(task, 8, seed.wrapping_add(77));
-        let (calib_images, _) = calib.batch(0, calib.len());
-        let quantized =
-            QuantizedModel::calibrate(model, &[calib_images]).expect("calibration succeeds");
-        let (test_images, test_labels) = test.batch(0, test.len());
-        AccuracyBench {
-            trained: TrainedSynthNet {
-                model: model.clone(),
-                train: test.clone(),
-                test: test.clone(),
-                history: Vec::new(),
-                task: *task,
-            },
-            quantized,
-            test_images,
-            test_labels,
-            exec,
         }
     }
 
@@ -395,28 +371,40 @@ pub struct Fig10Point {
 /// Runs the Fig. 10 experiment: for each pruning level, prune + retrain the
 /// model, then sweep the number of layers slowed to 2T under a 4T SySMT.
 pub fn fig10_pruning(bench: &AccuracyBench, scale: Scale) -> Vec<Fig10Point> {
-    let mut points = Vec::new();
-    for level in [0.0, 0.2, 0.4, 0.6] {
-        let model = prune_and_retrain(&bench.trained, level, scale);
-        let pruned_bench = AccuracyBench::from_model(
-            &model,
-            &bench.trained.test,
-            &bench.trained.task,
-            1234,
-            bench.exec.clone(),
-        );
-        let base = paper_assignment(&model, ThreadCount::Four);
-        let profiles = tuning_profiles(&pruned_bench, &base);
-        for point in tuning_sweep(&profiles, &base, ThreadCount::Two, 2) {
-            points.push(Fig10Point {
-                pruned: level,
-                layers_at_2t: point.slowed_layers,
-                accuracy: pruned_bench.nbsmt_accuracy(s_a_reorder(point.assignment)).0,
-                speedup: point.speedup,
-            });
-        }
-    }
-    points
+    [0.0, 0.2, 0.4, 0.6]
+        .into_iter()
+        .flat_map(|level| fig10_level(bench, level, scale))
+        .collect()
+}
+
+/// One pruning level of Fig. 10. The pruned model is recalibrated on the
+/// bench's calibration batch and evaluated on its test split, so the 0%
+/// level is Table V's model.
+fn fig10_level(bench: &AccuracyBench, level: f64, scale: Scale) -> Vec<Fig10Point> {
+    let model = prune_and_retrain(&bench.trained, level, scale);
+    let pruned_bench = AccuracyBench {
+        quantized: QuantizedModel::calibrate(&model, std::slice::from_ref(&bench.calib_images))
+            .expect("calibration succeeds"),
+        trained: TrainedSynthNet {
+            model,
+            ..bench.trained.clone()
+        },
+        calib_images: bench.calib_images.clone(),
+        test_images: bench.test_images.clone(),
+        test_labels: bench.test_labels.clone(),
+        exec: bench.exec.clone(),
+    };
+    let base = paper_assignment(&pruned_bench.trained.model, ThreadCount::Four);
+    let profiles = tuning_profiles(&pruned_bench, &base);
+    tuning_sweep(&profiles, &base, ThreadCount::Two, 2)
+        .into_iter()
+        .map(|point| Fig10Point {
+            pruned: level,
+            layers_at_2t: point.slowed_layers,
+            accuracy: pruned_bench.nbsmt_accuracy(s_a_reorder(point.assignment)).0,
+            speedup: point.speedup,
+        })
+        .collect()
 }
 
 /// Prunes `fraction` of every compute layer's weights by magnitude and
@@ -475,28 +463,31 @@ pub struct MlperfRow {
 /// one thread.
 pub fn mlperf_mobilenet() -> MlperfRow {
     let model = mobilenet_v1();
-    let mut total = 0u64;
-    let mut scaled = 0.0f64;
-    let mut at_2t = 0u64;
-    for (i, layer) in model.layers.iter().enumerate() {
-        let macs = layer.mac_ops();
-        total += macs;
-        let threads = if i == 0
-            || layer.kind == LayerKind::Depthwise
-            || layer.kind == LayerKind::FullyConnected
-        {
-            1
-        } else {
-            2
-        };
-        if threads == 2 {
-            at_2t += macs;
-        }
-        scaled += macs as f64 / threads as f64;
-    }
+    let schedule: Vec<LayerSchedule> = model
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| LayerSchedule {
+            mac_ops: layer.mac_ops(),
+            threads: if i == 0
+                || layer.kind == LayerKind::Depthwise
+                || layer.kind == LayerKind::FullyConnected
+            {
+                1
+            } else {
+                2
+            },
+        })
+        .collect();
+    let total: u64 = schedule.iter().map(|l| l.mac_ops).sum();
+    let at_2t: u64 = schedule
+        .iter()
+        .filter(|l| l.threads == 2)
+        .map(|l| l.mac_ops)
+        .sum();
     MlperfRow {
         model: model.name,
-        speedup: total as f64 / scaled,
+        speedup: model_speedup(&schedule),
         fraction_at_2t: at_2t as f64 / total as f64,
     }
 }
@@ -584,6 +575,21 @@ mod tests {
         assert!(rows[2].speedup < rows[1].speedup);
         // Accuracy does not collapse when layers are slowed down.
         assert!(rows[2].accuracy + 0.2 >= rows[0].accuracy);
+    }
+
+    #[test]
+    fn fig10_unpruned_level_is_table5() {
+        let bench = quick_bench();
+        let table5 = table5_slowdown(bench);
+        let fig10 = fig10_level(bench, 0.0, Scale::Quick);
+        assert_eq!(fig10.len(), table5.len());
+        for (point, row) in fig10.iter().zip(&table5) {
+            assert_eq!(point.pruned, 0.0);
+            assert_eq!(
+                (point.layers_at_2t, point.accuracy, point.speedup),
+                (row.layers_at_2t, row.accuracy, row.speedup)
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! beat `reactive` on at least one of {shed rate, p99, replica-seconds} on
 //! every traffic model at 1.5× load.
 
-use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
+use nbsmt_serve::control::ControlConfig;
 use nbsmt_serve::sim::simulate_pool;
 
 use crate::experiments::scale_exp::{arrivals_for, selected, RegimePool};
@@ -51,35 +51,18 @@ pub const VARIANTS: [&str; 4] = [
     "predictive-steal",
 ];
 
-/// The [`ControlConfig`] for one (variant, replicas, rate) cell, or `None`
-/// for the uncontrolled reactive baseline. The estimator window spans ~32
-/// mean inter-arrivals so an MMPP burst (≈64 requests) moves the forecast
-/// within a burst, not one burst late.
-fn control_for(variant: &str, replicas: usize, rate_rps: f64) -> Option<ControlConfig> {
+/// The [`ControlConfig`] for one (variant, rate) cell, or `None` for the
+/// uncontrolled reactive baseline. The estimator window spans ~32 mean
+/// inter-arrivals so an MMPP burst (≈64 requests) moves the forecast within
+/// a burst, not one burst late.
+fn control_for(variant: &str, rate_rps: f64) -> Option<ControlConfig> {
     if variant == "reactive" {
         return None;
     }
-    let window_ns = (((32.0 / rate_rps) * 1e9).max(1.0) as u64).max(1);
-    let predictive = Some(PredictiveConfig {
-        util_high_x1024: 600,
-        util_low_x1024: 200,
-    });
-    let autoscale = (variant == "predictive-autoscale").then(|| AutoscaleConfig {
-        min_replicas: (replicas / 4).max(1),
-        max_replicas: replicas,
-        util_high_x1024: 700,
-        util_low_x1024: 350,
-    });
-    let steal = (variant == "predictive-steal").then_some(StealConfig {
-        imbalance_threshold: 4,
-        max_steal: 4,
-    });
     Some(ControlConfig {
-        alpha_x1024: 512,
-        window_ns,
-        predictive,
-        autoscale,
-        steal,
+        window_ns: (((32.0 / rate_rps) * 1e9).max(1.0) as u64).max(1),
+        autoscale: variant == "predictive-autoscale",
+        steal: variant == "predictive-steal",
     })
 }
 
@@ -111,11 +94,8 @@ pub fn control_sweep_with(
                     // The same seeded trace for every variant of the cell:
                     // the four rows differ in controller policy only.
                     let arrivals = arrivals_for(arrival, cell_seed, rate, requests as u64);
-                    let options = pool.options(
-                        replicas,
-                        POOL_ESCALATION,
-                        control_for(variant, replicas, rate),
-                    );
+                    let options =
+                        pool.options(replicas, POOL_ESCALATION, control_for(variant, rate));
                     let outcome = simulate_pool(
                         &pool.ladder,
                         None,

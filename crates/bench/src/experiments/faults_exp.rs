@@ -116,11 +116,9 @@ fn intensity_rows(
     for intensity in INTENSITIES {
         let config = FaultConfig {
             seed: FAULT_SEED,
-            horizon_batches: 64,
             crash_per_mille: (CRASH_PER_MILLE * intensity).min(1000),
             stall_per_mille: (STALL_PER_MILLE * intensity).min(1000),
             straggle_per_mille: (STRAGGLE_PER_MILLE * intensity).min(1000),
-            ..FaultConfig::default()
         };
         let plan = FaultPlan::generate(&config, REPLICAS).expect("scaled rates stay per-mille");
         for (policy_label, ladder_slice, policy) in [
@@ -308,6 +306,7 @@ fn live_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::{Record, Summary};
 
     #[test]
     fn intensity_family_is_deterministic_and_degrades_monotonically_in_spirit() {
@@ -334,6 +333,24 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), rows.len());
+        // This is the committed configuration (n48, seed 2024, Quick): every
+        // row renders exactly as its `_sim_` record in BENCH_faults.json.
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_faults.json is committed");
+        let committed = Summary::<FaultRecord>::parse(&text).expect("BENCH_faults.json parses");
+        for row in &rows {
+            let record = committed
+                .records
+                .iter()
+                .find(|r| r.name == row.name)
+                .unwrap_or_else(|| panic!("{} is committed", row.name));
+            assert_eq!(
+                row.to_json().render(),
+                record.to_json().render(),
+                "{} drifted from BENCH_faults.json",
+                row.name
+            );
+        }
     }
 
     #[test]

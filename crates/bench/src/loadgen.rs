@@ -9,11 +9,10 @@
 //! * **Closed loop** — N clients submit, wait for the response, think, and
 //!   submit again. Models a fixed client population; load self-regulates to
 //!   the server's throughput.
-//! * **Generated** — a lazy, seeded [`TrafficModel`] stream (bursty MMPP, a
-//!   diurnal rate envelope, per-user session streams): the
-//!   million-request regime, where materializing a trace `Vec` is exactly
-//!   what we must not do. Built by [`lazy_poisson`], [`mmpp`], [`diurnal`],
-//!   and [`sessions`].
+//! * **Generated** — a lazy, seeded [`TrafficModel`] stream (Poisson, bursty
+//!   MMPP, or a diurnal rate envelope): the million-request regime, where
+//!   materializing a trace `Vec` is exactly what we must not do. Built by
+//!   [`lazy_poisson`], [`mmpp`] and [`diurnal`].
 //!
 //! Everything is fully determined by its seed. The materializing Poisson
 //! sampler draws from the workspace's seeded `StdRng` shim; the lazy
@@ -146,28 +145,6 @@ pub fn diurnal(
     }
 }
 
-/// Builds a per-user session-stream [`ArrivalProcess`]: users arrive
-/// Poisson at `users_per_s`, each issuing `requests_per_user` requests
-/// spaced `think_ns` apart. The emitted router key is the **user id**, so
-/// hashed routing pins each session to one replica.
-pub fn sessions(
-    seed: u64,
-    users_per_s: f64,
-    requests_per_user: u64,
-    think_ns: u64,
-    n: u64,
-) -> ArrivalProcess {
-    ArrivalProcess::Generated {
-        model: TrafficModel::Sessions {
-            user_mrps: to_mrps(users_per_s),
-            requests_per_user,
-            think_ns,
-        },
-        seed,
-        n,
-    }
-}
-
 /// Builds the heavy-tailed request-size model: bounded Pareto on
 /// `[min_x1024, max_x1024]` (x1024 fixed point; 1024 = 1.0× the model's
 /// per-request MACs) with shape `alpha_x1024 / 1024`. Sizes are a pure
@@ -248,7 +225,6 @@ mod tests {
             lazy_poisson(3, 2500.0, 100),
             mmpp(3, 500.0, 8000.0, 4_000_000, 1_000_000, 100),
             diurnal(3, 200.0, 4000.0, 60_000_000, 100),
-            sessions(3, 1000.0, 4, 250_000, 100),
         ];
         for case in cases {
             let ArrivalProcess::Generated { model, seed, n } = case else {

@@ -11,9 +11,12 @@
 //! traffic model at 1.5× offered load, judged by the same
 //! `ControlRecord::dominates_on_one_axis` rule as the sweep's unit test —
 //! and re-running at a different scale *merges by record name* instead of
-//! clobbering the committed curves.
+//! clobbering the committed curves. One slice of the grid, the MMPP cells
+//! at 8 replicas, is regenerated and must render byte for byte as
+//! committed, so a drifted controller constant fails here.
 
-use nbsmt_bench::{ControlRecord, Summary};
+use nbsmt_bench::experiments::control_exp::control_sweep_with;
+use nbsmt_bench::{ControlRecord, Record, Scale, Summary};
 
 fn committed() -> Summary<ControlRecord> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_control.json");
@@ -177,6 +180,28 @@ fn predictive_autoscale_dominates_reactive_at_overload_in_the_committed_curves()
                 "{arrival}/r{replicas}: autoscaling must not cost replica-seconds"
             );
         }
+    }
+}
+
+#[test]
+fn regenerated_mmpp_cells_match_the_committed_records() {
+    // `repro control` at its defaults (Quick, seed 2024, 20k requests per
+    // cell), restricted to the MMPP traffic model and 8 replicas.
+    let rows = control_sweep_with(Scale::Quick, 20_000, &[8], 2024, "mmpp");
+    assert_eq!(rows.len(), 8, "2 loads × 4 variants");
+    let summary = committed();
+    for row in &rows {
+        let record = summary
+            .records
+            .iter()
+            .find(|r| r.name == row.name)
+            .unwrap_or_else(|| panic!("{} is committed", row.name));
+        assert_eq!(
+            row.to_json().render(),
+            record.to_json().render(),
+            "{} drifted from BENCH_control.json",
+            row.name
+        );
     }
 }
 

@@ -16,7 +16,7 @@
 //!    `[min, max]` bounds for every key, are a pure function of
 //!    `(seed, key)`, and move when the size seed moves.
 
-use nbsmt_bench::loadgen::{diurnal, lazy_poisson, mmpp, pareto_sizes, sessions};
+use nbsmt_bench::loadgen::{diurnal, lazy_poisson, mmpp, pareto_sizes};
 use nbsmt_serve::sim::ArrivalProcess;
 use nbsmt_serve::traffic::{GeneratedArrival, TrafficModel};
 
@@ -54,7 +54,6 @@ fn every_model_streams_monotone_exact_length_per_seed() {
         generated(lazy_poisson(0, 4_000.0, 2_000)),
         generated(mmpp(0, 800.0, 12_000.0, 3_000_000, 1_000_000, 2_000)),
         generated(diurnal(0, 500.0, 6_000.0, 40_000_000, 2_000)),
-        generated(sessions(0, 1_500.0, 5, 200_000, 2_000)),
     ];
     for (model, _, n) in cases {
         for seed in [1u64, 7, 0xdead_beef, u64::MAX] {
@@ -180,25 +179,4 @@ fn heavier_tails_mean_larger_average_sizes() {
         "heavier tail must raise the mean: {heavy:.1} !> {light:.1}"
     );
     assert!(light > 1_024.0 && heavy < 32_768.0);
-}
-
-#[test]
-fn session_streams_key_by_user_for_affinity_routing() {
-    // Sessions emit the user id as the router key: keys repeat (a session's
-    // requests share one key, so hashed routing pins them to a replica) and
-    // each key appears at most requests_per_user times.
-    let (model, seed, n) = generated(sessions(5, 2_000.0, 4, 150_000, 4_000));
-    let mut per_user = std::collections::HashMap::new();
-    for arrival in model.generate(seed, n) {
-        *per_user.entry(arrival.key).or_insert(0u64) += 1;
-    }
-    assert!(
-        per_user.values().any(|&c| c > 1),
-        "session keys must repeat"
-    );
-    assert!(
-        per_user.values().all(|&c| c <= 4),
-        "at most 4 requests/user"
-    );
-    assert_eq!(per_user.values().sum::<u64>(), n);
 }

@@ -16,7 +16,7 @@ use nbsmt_bench::render_chrome_trace;
 use nbsmt_serve::config::{
     AdaptivePolicy, BatchPolicy, PoolConfig, PoolOptions, RoutePolicy, SchedulerConfig, SmtConfig,
 };
-use nbsmt_serve::control::{AutoscaleConfig, ControlConfig, PredictiveConfig, StealConfig};
+use nbsmt_serve::control::ControlConfig;
 use nbsmt_serve::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
 use nbsmt_serve::pool::{PoolDriver, PoolSnapshot, ReplicaPool};
 use nbsmt_serve::registry::ModelRegistry;
@@ -282,7 +282,6 @@ fn sharded_sim_is_identical_across_host_thread_counts_and_replicas() {
             RoutePolicy::RoundRobin,
             RoutePolicy::LeastOutstanding,
             RoutePolicy::Hashed,
-            RoutePolicy::PowerOfTwo,
         ] {
             let config = pool_config(replicas, route);
             let reference = run_pool(&fixture, &ExecContext::sequential(), config);
@@ -355,7 +354,6 @@ fn threaded_pool_and_simulator_agree_in_lockstep() {
             RoutePolicy::RoundRobin,
             RoutePolicy::LeastOutstanding,
             RoutePolicy::Hashed,
-            RoutePolicy::PowerOfTwo,
         ] {
             let options = options(pool_config(replicas, route));
 
@@ -732,20 +730,15 @@ fn assert_lockstep_matches_sim(
 /// The tentpole determinism matrix: one seeded mixed-fault schedule per
 /// replica count, replayed on every host shape. The generated plan scales
 /// with the replica count (per-(replica, batch) coordinate draws), so each
-/// pool size sees its own crashes, stalls, straggles, and closes.
+/// pool size sees its own crashes, stalls, and straggles.
 #[test]
 fn faulted_lockstep_is_identical_across_replicas_threads_and_backends() {
     let fixture = fixture(83);
     let faults = FaultConfig {
         seed: 9,
-        horizon_batches: 12,
         crash_per_mille: 40,
         stall_per_mille: 60,
-        stall_ns: 2_000_000,
         straggle_per_mille: 80,
-        straggle_factor_x1024: 4096,
-        straggle_window_batches: 3,
-        close_per_mille: 20,
     };
     for replicas in [1usize, 2, 4] {
         let plan = FaultPlan::generate(&faults, replicas).expect("valid config");
@@ -997,26 +990,12 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
         seed: arrival_seed,
         n,
     };
+    let control = ControlConfig {
+        window_ns: 100_000,
+        autoscale: true,
+        steal: true,
+    };
     for replicas in [1usize, 2, 4] {
-        let control = ControlConfig {
-            alpha_x1024: 512,
-            window_ns: 100_000,
-            predictive: Some(PredictiveConfig {
-                util_high_x1024: 900,
-                util_low_x1024: 300,
-            }),
-            autoscale: Some(AutoscaleConfig {
-                min_replicas: 1,
-                max_replicas: replicas,
-                util_high_x1024: 700,
-                util_low_x1024: 200,
-            }),
-            steal: Some(StealConfig {
-                imbalance_threshold: 2,
-                max_steal: 2,
-            }),
-        };
-
         let options = PoolOptions {
             config: pool_config(replicas, RoutePolicy::Hashed),
             service,
@@ -1122,9 +1101,9 @@ fn controlled_lockstep_is_identical_across_replicas_threads_and_backends() {
 
 /// The statistics paths promise the full path's batches, virtual latencies,
 /// and metrics bit for bit, with model outputs left uncomputed. One seeded
-/// MMPP trace with bounded-Pareto sizes and a generated fault plan runs
-/// through both paths, with and without a controller that autoscales and
-/// steals.
+/// MMPP trace with bounded-Pareto sizes and a generated fault plan, plus
+/// one hand-placed queue close, runs through both paths, with and without a
+/// controller that autoscales and steals.
 #[test]
 fn stats_path_matches_the_full_path() {
     let fixture = fixture(107);
@@ -1151,30 +1130,22 @@ fn stats_path_matches_the_full_path() {
     };
     let faults = FaultConfig {
         seed: 13,
-        horizon_batches: 24,
         crash_per_mille: 20,
         stall_per_mille: 60,
-        stall_ns: 500_000,
         straggle_per_mille: 60,
-        straggle_factor_x1024: 3072,
-        straggle_window_batches: 3,
-        close_per_mille: 10,
     };
-    let plan = FaultPlan::generate(&faults, replicas).expect("valid fault config");
+    // Generated plans never close a queue, so the close is placed by hand.
+    let generated = FaultPlan::generate(&faults, replicas).expect("valid fault config");
+    let close = FaultEvent {
+        replica: 2,
+        at_batch: 12,
+        kind: FaultKind::CloseQueue,
+    };
+    let plan = FaultPlan::from_events([generated.events(), &[close]].concat());
     let control = ControlConfig {
-        alpha_x1024: 512,
         window_ns: 100_000,
-        predictive: None,
-        autoscale: Some(AutoscaleConfig {
-            min_replicas: 1,
-            max_replicas: replicas,
-            util_high_x1024: 700,
-            util_low_x1024: 200,
-        }),
-        steal: Some(StealConfig {
-            imbalance_threshold: 2,
-            max_steal: 2,
-        }),
+        autoscale: true,
+        steal: true,
     };
     let ladder = ladder(&fixture);
     let ctx = ExecContext::sequential();
@@ -1206,6 +1177,10 @@ fn stats_path_matches_the_full_path() {
         assert!(
             full.metrics.crashes + full.metrics.stalls > 0,
             "{label}: the fault plan must fire"
+        );
+        assert!(
+            full.batches.iter().filter(|b| b.replica == 2).count() >= 12,
+            "{label}: replica 2 reaches its queue close"
         );
         assert_eq!(stats.batches, full.batches, "{label}: batches");
         assert_eq!(stats.transitions, full.transitions, "{label}: transitions");

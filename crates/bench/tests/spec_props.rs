@@ -194,35 +194,14 @@ fn validation_rejects_inverted_adaptive_thresholds() {
 #[test]
 fn validation_rejects_bad_fault_configs() {
     let hot = FaultConfig {
+        seed: 2024,
         crash_per_mille: 1001,
-        ..FaultConfig::default()
+        stall_per_mille: 0,
+        straggle_per_mille: 0,
     };
     assert_eq!(
         hot.validate(),
         Err(ConfigError::FaultRateOutOfRange { rate: 1001 })
-    );
-    let no_horizon = FaultConfig {
-        horizon_batches: 0,
-        ..FaultConfig::default()
-    };
-    assert_eq!(no_horizon.validate(), Err(ConfigError::ZeroFaultHorizon));
-    let frozen_forever = FaultConfig {
-        stall_per_mille: 1,
-        stall_ns: 0,
-        ..FaultConfig::default()
-    };
-    assert_eq!(
-        frozen_forever.validate(),
-        Err(ConfigError::ZeroStallDuration)
-    );
-    let speedup = FaultConfig {
-        straggle_per_mille: 1,
-        straggle_factor_x1024: 512,
-        ..FaultConfig::default()
-    };
-    assert_eq!(
-        speedup.validate(),
-        Err(ConfigError::StraggleFactorBelowUnit { factor_x1024: 512 })
     );
 }
 

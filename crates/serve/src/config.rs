@@ -164,54 +164,9 @@ pub enum ConfigError {
         /// The offending per-mille rate.
         rate: u64,
     },
-    /// `FaultConfig::horizon_batches` is zero — the plan could never fire.
-    ZeroFaultHorizon,
-    /// `FaultConfig::stall_ns` is zero — a stall must freeze the replica
-    /// for some time.
-    ZeroStallDuration,
-    /// `FaultConfig::straggle_window_batches` is zero — a straggle window
-    /// must cover at least one batch.
-    ZeroStraggleWindow,
-    /// `FaultConfig::straggle_factor_x1024` is below 1024 — a straggler
-    /// cannot be faster than 1×.
-    StraggleFactorBelowUnit {
-        /// The offending ×1024-scaled factor.
-        factor_x1024: u64,
-    },
     /// `ControlConfig::window_ns` is zero — the rate estimator needs a
     /// window to count arrivals over.
     ZeroControlWindow,
-    /// `ControlConfig::alpha_x1024` is outside `1..=1024` — the EWMA weight
-    /// must be a positive fraction of unity.
-    ControlAlphaOutOfRange {
-        /// The offending ×1024-scaled smoothing weight.
-        alpha_x1024: u64,
-    },
-    /// A controller utilization band has `low > high` — the hysteresis band
-    /// is inverted and the controller would thrash every window.
-    InvertedUtilBand {
-        /// The configured de-escalation threshold (×1024).
-        low_x1024: u64,
-        /// The configured escalation threshold (×1024).
-        high_x1024: u64,
-    },
-    /// `AutoscaleConfig::min_replicas` is zero — a pool cannot scale below
-    /// one live replica.
-    ZeroMinReplicas,
-    /// `AutoscaleConfig::min_replicas` exceeds `max_replicas` — the scaling
-    /// range is empty.
-    InvertedReplicaBounds {
-        /// The configured floor.
-        min: usize,
-        /// The configured ceiling.
-        max: usize,
-    },
-    /// `StealConfig::imbalance_threshold` is zero — every launch would
-    /// trigger a steal.
-    ZeroStealThreshold,
-    /// `StealConfig::max_steal` is zero — a steal must move at least one
-    /// request.
-    ZeroStealMax,
     /// A pool controller on a free-running pool: the controller prices
     /// rungs in [`crate::sim::ServiceModel`] time, and a wall-clock pool
     /// does not run on that time.
@@ -250,48 +205,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::FaultRateOutOfRange { rate } => {
                 write!(f, "fault config: per-mille rate {rate} exceeds 1000")
             }
-            ConfigError::ZeroFaultHorizon => {
-                write!(f, "fault config: horizon_batches must be at least 1")
-            }
-            ConfigError::ZeroStallDuration => {
-                write!(f, "fault config: stall_ns must be at least 1")
-            }
-            ConfigError::ZeroStraggleWindow => write!(
-                f,
-                "fault config: straggle_window_batches must be at least 1"
-            ),
-            ConfigError::StraggleFactorBelowUnit { factor_x1024 } => write!(
-                f,
-                "fault config: straggle_factor_x1024 {factor_x1024} is below \
-                 1024 (a straggler cannot run faster than 1x)"
-            ),
             ConfigError::ZeroControlWindow => {
                 write!(f, "control config: window_ns must be at least 1")
-            }
-            ConfigError::ControlAlphaOutOfRange { alpha_x1024 } => write!(
-                f,
-                "control config: alpha_x1024 {alpha_x1024} is outside 1..=1024"
-            ),
-            ConfigError::InvertedUtilBand {
-                low_x1024,
-                high_x1024,
-            } => write!(
-                f,
-                "control config: util_low_x1024 {low_x1024} exceeds \
-                 util_high_x1024 {high_x1024} (inverted hysteresis band)"
-            ),
-            ConfigError::ZeroMinReplicas => {
-                write!(f, "control config: min_replicas must be at least 1")
-            }
-            ConfigError::InvertedReplicaBounds { min, max } => write!(
-                f,
-                "control config: min_replicas {min} exceeds max_replicas {max}"
-            ),
-            ConfigError::ZeroStealThreshold => {
-                write!(f, "control config: imbalance_threshold must be at least 1")
-            }
-            ConfigError::ZeroStealMax => {
-                write!(f, "control config: max_steal must be at least 1")
             }
             ConfigError::ControllerNeedsLockstep => write!(
                 f,
@@ -377,40 +292,15 @@ pub enum RoutePolicy {
     /// A stable integer hash of the request key — the affinity policy: the
     /// same key always lands on the same replica.
     Hashed,
-    /// Power-of-two-choices: two seeded hash probes of the eligible set
-    /// (both pure functions of the key), pick the one with the shallower
-    /// queue; ties break to the lower replica index. Balances like
-    /// [`RoutePolicy::LeastOutstanding`] without scanning every queue, and
-    /// stays a pure function of (key, queue depths), so it replays.
-    PowerOfTwo,
 }
 
-/// The documented salt for [`RoutePolicy::PowerOfTwo`]'s second hash probe:
-/// the splitmix64 increment, so the two probes are independent mixes of the
-/// same key. Changing it would silently re-route every key — it is part of
-/// the determinism contract.
-pub const P2C_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
 impl RoutePolicy {
-    /// Short label used in record names and CLI flags (`rr`, `lo`, `hash`,
-    /// `p2c`).
+    /// Short label used in record names (`rr`, `lo`, `hash`).
     pub fn label(&self) -> &'static str {
         match self {
             RoutePolicy::RoundRobin => "rr",
             RoutePolicy::LeastOutstanding => "lo",
             RoutePolicy::Hashed => "hash",
-            RoutePolicy::PowerOfTwo => "p2c",
-        }
-    }
-
-    /// Parses a label produced by [`Self::label`].
-    pub fn parse(s: &str) -> Option<RoutePolicy> {
-        match s {
-            "rr" | "roundrobin" => Some(RoutePolicy::RoundRobin),
-            "lo" | "leastoutstanding" => Some(RoutePolicy::LeastOutstanding),
-            "hash" | "hashed" => Some(RoutePolicy::Hashed),
-            "p2c" | "poweroftwo" => Some(RoutePolicy::PowerOfTwo),
-            _ => None,
         }
     }
 }
@@ -870,15 +760,14 @@ mod tests {
 
     #[test]
     fn route_policy_labels_round_trip_and_hash_is_stable() {
-        for policy in [
+        // The labels are the record-name tokens of the shard sweep.
+        let labels = [
             RoutePolicy::RoundRobin,
             RoutePolicy::LeastOutstanding,
             RoutePolicy::Hashed,
-            RoutePolicy::PowerOfTwo,
-        ] {
-            assert_eq!(RoutePolicy::parse(policy.label()), Some(policy));
-        }
-        assert_eq!(RoutePolicy::parse("nope"), None);
+        ]
+        .map(|policy| policy.label());
+        assert_eq!(labels, ["rr", "lo", "hash"]);
         // splitmix64 reference values — the hash must never drift, or hashed
         // routing stops replaying across versions.
         assert_eq!(route_hash(0), 0xe220_a839_7b1d_cdaf);

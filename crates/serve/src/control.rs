@@ -15,16 +15,21 @@
 //!   controller computes the pool's utilization at each NB-SMT rung and
 //!   raises a *floor* under every replica's reactive mode before the queues
 //!   back up. The reactive ladder stays active as the fallback: the executed
-//!   rung is `max(reactive mode, predictive floor)`.
-//! * **Autoscaling** — the live replica count scales up/down within
-//!   `[min_replicas, max_replicas]` against a target utilization band.
+//!   rung is `max(reactive mode, predictive floor)`. Every controller runs
+//!   the floor.
+//! * **Autoscaling** (optional) — the live replica count scales up/down
+//!   within `max(1, pool/4)..=pool` against a target utilization band.
 //!   Scale-down drains the victim's queue through the crash-handoff rule
 //!   ([`crate::faults::pick_handoff_target`]), so permits reconcile exactly
 //!   as they do for crashes.
-//! * **Work stealing** — after each batch launch the controller may move a
-//!   bounded number of not-yet-batched requests from the deepest to the
-//!   shallowest live queue ([`StealConfig`]), taming routing skew that
+//! * **Work stealing** (optional) — after each batch launch the controller
+//!   may move a bounded number of not-yet-batched requests from the deepest
+//!   to the shallowest live queue, taming routing skew that
 //!   [`crate::config::RoutePolicy::Hashed`] affinity can produce.
+//!
+//! The smoothing weight, both utilization bands and the steal bounds are
+//! constants of this module; a [`ControlConfig`] picks only the estimator
+//! window and which optional mechanisms run.
 //!
 //! **Determinism.** Every decision is a pure function of (arrival trace,
 //! configuration): windows roll on arrival timestamps, utilization is
@@ -38,82 +43,49 @@
 use crate::config::{ConfigError, CONTROL_LOG_CAP};
 use nbsmt_tensor::validate::Validate;
 
-/// Predictive mode-switching band: the controller raises the ladder floor
-/// while forecast utilization at the current floor exceeds `util_high_x1024`
-/// and lowers it one rung when the rung below would sit at or under
-/// `util_low_x1024` (hysteresis, exactly like the reactive depth band).
-///
-/// Utilization is ×1024 fixed point: 1024 = 100% of the live replicas busy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictiveConfig {
-    /// Escalate the floor while forecast utilization exceeds this (×1024).
-    pub util_high_x1024: u64,
-    /// De-escalate one rung when the rung below fits under this (×1024).
-    pub util_low_x1024: u64,
-}
+/// EWMA smoothing weight of the controller's [`RateEstimator`], ×1024: each
+/// closed window's count weighs one half.
+pub const ALPHA_X1024: u64 = 512;
 
-/// Autoscaling band: the live replica count steps up while forecast
-/// utilization exceeds `util_high_x1024` (at most one replica per estimator
-/// window) and steps down when one fewer replica would still sit at or
-/// under `util_low_x1024`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoscaleConfig {
-    /// Fewest live replicas the controller may scale down to (≥ 1).
-    pub min_replicas: usize,
-    /// Most live replicas the controller may scale up to (capped at the
-    /// pool's allocated replica count).
-    pub max_replicas: usize,
-    /// Scale up while forecast utilization exceeds this (×1024).
-    pub util_high_x1024: u64,
-    /// Scale down when `live - 1` replicas would fit under this (×1024).
-    pub util_low_x1024: u64,
-}
+/// Predictive floor band, ×1024 utilization (1024 = every live replica
+/// busy): the floor rises to the lowest rung whose forecast utilization is
+/// at most [`FLOOR_HIGH_X1024`], and falls one rung per window once the
+/// rung below would sit at or under [`FLOOR_LOW_X1024`] (hysteresis, like
+/// the reactive depth band).
+pub const FLOOR_HIGH_X1024: u64 = 600;
 
-/// Bounded work stealing: after each batch launch, if the deepest live
-/// queue exceeds the shallowest by at least `imbalance_threshold`, up to
-/// `max_steal` not-yet-batched requests move from the deep queue's tail to
-/// the shallow one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealConfig {
-    /// Minimum depth difference (deepest − shallowest) that triggers a
-    /// steal (≥ 1).
-    pub imbalance_threshold: usize,
-    /// Most requests one steal may move (≥ 1).
-    pub max_steal: usize,
-}
+/// Lower edge of the predictive floor band; see [`FLOOR_HIGH_X1024`].
+pub const FLOOR_LOW_X1024: u64 = 200;
 
-/// Full controller configuration: the shared EWMA estimator plus the three
-/// independently optional mechanisms. With all three `None` the controller
-/// is a pure observer (it still estimates the rate and accounts
-/// replica-seconds, but never intervenes).
+/// Autoscale band, ×1024 utilization: the live replica count steps up while
+/// forecast utilization at the floor exceeds [`SCALE_HIGH_X1024`] (at most
+/// one replica per window) and steps down when one fewer replica would sit
+/// at or under [`SCALE_LOW_X1024`], within `max(1, pool/4)..=pool`.
+pub const SCALE_HIGH_X1024: u64 = 700;
+
+/// Lower edge of the autoscale band; see [`SCALE_HIGH_X1024`].
+pub const SCALE_LOW_X1024: u64 = 350;
+
+/// Work stealing triggers when the deepest live queue exceeds the
+/// shallowest by at least this many requests.
+pub const STEAL_THRESHOLD: usize = 4;
+
+/// Most requests one steal moves.
+pub const STEAL_MAX: usize = 4;
+
+/// Controller configuration: the estimator window plus the two optional
+/// mechanisms. The predictive floor always runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlConfig {
-    /// EWMA smoothing weight ×1024, in `1..=1024` (1024 = no smoothing:
-    /// each window replaces the estimate).
-    pub alpha_x1024: u64,
     /// Estimator window length in nanoseconds (≥ 1). Windows roll on
     /// arrival timestamps, so the estimator — like everything else in the
     /// contract — is clocked by the trace, not the host.
     pub window_ns: u64,
-    /// Predictive mode switching, or `None` to leave the ladder fully
-    /// reactive.
-    pub predictive: Option<PredictiveConfig>,
-    /// Replica autoscaling, or `None` to keep every replica live.
-    pub autoscale: Option<AutoscaleConfig>,
-    /// Bounded work stealing, or `None` to never rebalance queues.
-    pub steal: Option<StealConfig>,
-}
-
-impl Default for ControlConfig {
-    fn default() -> Self {
-        ControlConfig {
-            alpha_x1024: 256,
-            window_ns: 4_000_000, // 4 ms
-            predictive: None,
-            autoscale: None,
-            steal: None,
-        }
-    }
+    /// Scale the live replica count within `max(1, pool/4)..=pool`, or keep
+    /// every replica live.
+    pub autoscale: bool,
+    /// Rebalance queues by bounded work stealing after each batch launch.
+    pub steal: bool,
 }
 
 impl Validate for ControlConfig {
@@ -122,46 +94,6 @@ impl Validate for ControlConfig {
     fn validate(&self) -> Result<(), ConfigError> {
         if self.window_ns == 0 {
             return Err(ConfigError::ZeroControlWindow);
-        }
-        if self.alpha_x1024 == 0 || self.alpha_x1024 > 1024 {
-            return Err(ConfigError::ControlAlphaOutOfRange {
-                alpha_x1024: self.alpha_x1024,
-            });
-        }
-        for band in [
-            self.predictive
-                .map(|p| (p.util_low_x1024, p.util_high_x1024)),
-            self.autoscale
-                .map(|a| (a.util_low_x1024, a.util_high_x1024)),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            if band.0 > band.1 {
-                return Err(ConfigError::InvertedUtilBand {
-                    low_x1024: band.0,
-                    high_x1024: band.1,
-                });
-            }
-        }
-        if let Some(a) = self.autoscale {
-            if a.min_replicas == 0 {
-                return Err(ConfigError::ZeroMinReplicas);
-            }
-            if a.min_replicas > a.max_replicas {
-                return Err(ConfigError::InvertedReplicaBounds {
-                    min: a.min_replicas,
-                    max: a.max_replicas,
-                });
-            }
-        }
-        if let Some(s) = self.steal {
-            if s.imbalance_threshold == 0 {
-                return Err(ConfigError::ZeroStealThreshold);
-            }
-            if s.max_steal == 0 {
-                return Err(ConfigError::ZeroStealMax);
-            }
         }
         Ok(())
     }
@@ -186,8 +118,8 @@ pub struct RateEstimator {
 }
 
 impl RateEstimator {
-    /// A fresh estimator (rate 0) with the given smoothing weight and
-    /// window, both as validated by [`ControlConfig`].
+    /// A fresh estimator (rate 0) with the given smoothing weight (×1024,
+    /// clamped to `1..=1024`) and window (at least 1 ns).
     pub fn new(alpha_x1024: u64, window_ns: u64) -> RateEstimator {
         RateEstimator {
             alpha_x1024: alpha_x1024.clamp(1, 1024),
@@ -333,15 +265,12 @@ impl PoolController {
     /// nanoseconds (must be non-empty; derive it from
     /// [`crate::sim::ServiceModel::single_ns`] per session).
     ///
-    /// The live count starts at `min(max_replicas, pool_replicas)` (or the
-    /// full pool without autoscaling) — the controller scales *down* into
-    /// lulls rather than starting cold.
+    /// The live count starts at the full pool — the controller scales
+    /// *down* into lulls rather than starting cold.
     ///
     /// # Errors
     ///
-    /// Any [`ControlConfig`] validation error, plus
-    /// [`ConfigError::InvertedReplicaBounds`] when `min_replicas` exceeds
-    /// the pool's allocated replica count (the effective ceiling).
+    /// Any [`ControlConfig`] validation error.
     pub fn new(
         cfg: ControlConfig,
         rung_work_ns: Vec<u64>,
@@ -352,25 +281,13 @@ impl PoolController {
             !rung_work_ns.is_empty(),
             "controller needs at least one ladder rung"
         );
-        let live = match cfg.autoscale {
-            Some(a) => {
-                if a.min_replicas > pool_replicas {
-                    return Err(ConfigError::InvertedReplicaBounds {
-                        min: a.min_replicas,
-                        max: pool_replicas,
-                    });
-                }
-                a.max_replicas.min(pool_replicas)
-            }
-            None => pool_replicas,
-        };
         Ok(PoolController {
-            estimator: RateEstimator::new(cfg.alpha_x1024, cfg.window_ns),
+            estimator: RateEstimator::new(ALPHA_X1024, cfg.window_ns),
             cfg,
             rung_work_ns,
             pool_replicas,
             floor: 0,
-            live,
+            live: pool_replicas,
             events: Vec::new(),
             dropped_events: 0,
             replica_ns: 0,
@@ -451,39 +368,36 @@ impl PoolController {
     /// then at most one autoscale step.
     fn evaluate(&mut self, at_ns: u64, out: &mut Vec<ControlEvent>) {
         let rate = self.estimator.rate_x1024;
-        if let Some(p) = self.cfg.predictive {
-            let rungs = self.rung_work_ns.len();
-            let target = (0..rungs)
-                .find(|&m| self.util_x1024(rate, self.live, m) <= p.util_high_x1024)
-                .unwrap_or(rungs - 1);
-            if target > self.floor {
-                let ev = self.push_event(
-                    at_ns,
-                    ControlEventKind::PredictiveShift {
-                        from: self.floor,
-                        to: target,
-                    },
-                );
-                out.push(ev);
-                self.floor = target;
-            } else if target < self.floor
-                && self.util_x1024(rate, self.live, self.floor - 1) <= p.util_low_x1024
-            {
-                let ev = self.push_event(
-                    at_ns,
-                    ControlEventKind::PredictiveShift {
-                        from: self.floor,
-                        to: self.floor - 1,
-                    },
-                );
-                out.push(ev);
-                self.floor -= 1;
-            }
+        let rungs = self.rung_work_ns.len();
+        let target = (0..rungs)
+            .find(|&m| self.util_x1024(rate, self.live, m) <= FLOOR_HIGH_X1024)
+            .unwrap_or(rungs - 1);
+        if target > self.floor {
+            let ev = self.push_event(
+                at_ns,
+                ControlEventKind::PredictiveShift {
+                    from: self.floor,
+                    to: target,
+                },
+            );
+            out.push(ev);
+            self.floor = target;
+        } else if target < self.floor
+            && self.util_x1024(rate, self.live, self.floor - 1) <= FLOOR_LOW_X1024
+        {
+            let ev = self.push_event(
+                at_ns,
+                ControlEventKind::PredictiveShift {
+                    from: self.floor,
+                    to: self.floor - 1,
+                },
+            );
+            out.push(ev);
+            self.floor -= 1;
         }
-        if let Some(a) = self.cfg.autoscale {
-            let ceiling = a.max_replicas.min(self.pool_replicas);
-            if self.live < ceiling
-                && self.util_x1024(rate, self.live, self.floor) > a.util_high_x1024
+        if self.cfg.autoscale {
+            if self.live < self.pool_replicas
+                && self.util_x1024(rate, self.live, self.floor) > SCALE_HIGH_X1024
             {
                 let ev = self.push_event(
                     at_ns,
@@ -494,8 +408,8 @@ impl PoolController {
                 );
                 out.push(ev);
                 self.set_live(at_ns, self.live + 1);
-            } else if self.live > a.min_replicas
-                && self.util_x1024(rate, self.live - 1, self.floor) <= a.util_low_x1024
+            } else if self.live > (self.pool_replicas / 4).max(1)
+                && self.util_x1024(rate, self.live - 1, self.floor) <= SCALE_LOW_X1024
             {
                 let ev = self.push_event(
                     at_ns,
@@ -544,17 +458,17 @@ impl PoolController {
     /// admitting replica in ascending index order; `capacity` bounds the
     /// thief's queue. Returns the steal event to apply — move `moved`
     /// requests from the tail of `from`'s queue to the tail of `to`'s — or
-    /// `None` when balanced. Deepest and shallowest tie-break to the lowest
-    /// index; the transfer size is half the imbalance, clamped to
-    /// `max_steal` and the thief's free capacity.
+    /// `None` when balanced or when stealing is off. Deepest and shallowest
+    /// tie-break to the lowest index; a steal needs an imbalance of at least
+    /// [`STEAL_THRESHOLD`], and moves half of it, clamped to [`STEAL_MAX`]
+    /// and the thief's free capacity.
     pub fn steal_check(
         &mut self,
         at_ns: u64,
         depths: &[(usize, usize)],
         capacity: usize,
     ) -> Option<ControlEvent> {
-        let s = self.cfg.steal?;
-        if depths.len() < 2 {
+        if !self.cfg.steal || depths.len() < 2 {
             return None;
         }
         let mut deep = depths[0];
@@ -568,12 +482,11 @@ impl PoolController {
             }
         }
         let diff = deep.1 - shallow.1;
-        if diff < s.imbalance_threshold {
+        if diff < STEAL_THRESHOLD {
             return None;
         }
         let moved = (diff / 2)
-            .max(1)
-            .min(s.max_steal)
+            .clamp(1, STEAL_MAX)
             .min(capacity.saturating_sub(shallow.1));
         if moved == 0 {
             return None;
@@ -603,107 +516,26 @@ impl PoolController {
 mod tests {
     use super::*;
 
-    fn predictive_cfg() -> ControlConfig {
+    /// A 1000 ns estimator window with the given optional mechanisms.
+    fn cfg(autoscale: bool, steal: bool) -> ControlConfig {
         ControlConfig {
-            alpha_x1024: 512,
             window_ns: 1_000,
-            predictive: Some(PredictiveConfig {
-                util_high_x1024: 900,
-                util_low_x1024: 500,
-            }),
-            autoscale: None,
-            steal: None,
+            autoscale,
+            steal,
         }
     }
 
     #[test]
     fn config_validation_catches_every_bad_field() {
-        assert_eq!(ControlConfig::default().validate(), Ok(()));
+        assert_eq!(cfg(true, true).validate(), Ok(()));
         let zero_window = ControlConfig {
             window_ns: 0,
-            ..ControlConfig::default()
+            ..cfg(true, true)
         };
         assert_eq!(zero_window.validate(), Err(ConfigError::ZeroControlWindow));
-        for alpha in [0u64, 1025] {
-            let bad = ControlConfig {
-                alpha_x1024: alpha,
-                ..ControlConfig::default()
-            };
-            assert_eq!(
-                bad.validate(),
-                Err(ConfigError::ControlAlphaOutOfRange { alpha_x1024: alpha })
-            );
-        }
-        let inverted = ControlConfig {
-            predictive: Some(PredictiveConfig {
-                util_high_x1024: 100,
-                util_low_x1024: 200,
-            }),
-            ..ControlConfig::default()
-        };
         assert_eq!(
-            inverted.validate(),
-            Err(ConfigError::InvertedUtilBand {
-                low_x1024: 200,
-                high_x1024: 100
-            })
-        );
-        let zero_min = ControlConfig {
-            autoscale: Some(AutoscaleConfig {
-                min_replicas: 0,
-                max_replicas: 4,
-                util_high_x1024: 900,
-                util_low_x1024: 400,
-            }),
-            ..ControlConfig::default()
-        };
-        assert_eq!(zero_min.validate(), Err(ConfigError::ZeroMinReplicas));
-        let inverted_bounds = ControlConfig {
-            autoscale: Some(AutoscaleConfig {
-                min_replicas: 8,
-                max_replicas: 4,
-                util_high_x1024: 900,
-                util_low_x1024: 400,
-            }),
-            ..ControlConfig::default()
-        };
-        assert_eq!(
-            inverted_bounds.validate(),
-            Err(ConfigError::InvertedReplicaBounds { min: 8, max: 4 })
-        );
-        let zero_threshold = ControlConfig {
-            steal: Some(StealConfig {
-                imbalance_threshold: 0,
-                max_steal: 2,
-            }),
-            ..ControlConfig::default()
-        };
-        assert_eq!(
-            zero_threshold.validate(),
-            Err(ConfigError::ZeroStealThreshold)
-        );
-        let zero_steal = ControlConfig {
-            steal: Some(StealConfig {
-                imbalance_threshold: 4,
-                max_steal: 0,
-            }),
-            ..ControlConfig::default()
-        };
-        assert_eq!(zero_steal.validate(), Err(ConfigError::ZeroStealMax));
-        // min_replicas above the pool's allocation is rejected at
-        // construction, where the effective ceiling is known.
-        let cfg = ControlConfig {
-            autoscale: Some(AutoscaleConfig {
-                min_replicas: 4,
-                max_replicas: 8,
-                util_high_x1024: 900,
-                util_low_x1024: 400,
-            }),
-            ..ControlConfig::default()
-        };
-        assert_eq!(
-            PoolController::new(cfg, vec![100], 2).err(),
-            Some(ConfigError::InvertedReplicaBounds { min: 4, max: 2 })
+            PoolController::new(zero_window, vec![100], 2).err(),
+            Some(ConfigError::ZeroControlWindow)
         );
     }
 
@@ -765,10 +597,11 @@ mod tests {
     fn predictive_floor_rises_before_queues_and_falls_with_hysteresis() {
         // Rung costs 1000/500/250 ns vs a 1000 ns window: one replica
         // saturates at 1 req/window dense, 2 at 2T, 4 at 4T.
-        let mut ctrl = PoolController::new(predictive_cfg(), vec![1_000, 500, 250], 1).unwrap();
+        let mut ctrl = PoolController::new(cfg(false, false), vec![1_000, 500, 250], 1).unwrap();
         assert_eq!(ctrl.effective_mode(0), 0);
-        // 3 arrivals/window sustained: dense util 3.0, 2T util 1.5, 4T 0.75
-        // — the floor must climb to rung 2 from the forecast alone.
+        // 3 arrivals/window sustained: dense util 3.0, 2T util 1.5, 4T 0.75,
+        // all above the 600/1024 high mark — the floor must climb to the top
+        // rung from the forecast alone.
         let mut t = 0u64;
         for w in 0..40u64 {
             for k in 0..3u64 {
@@ -780,7 +613,8 @@ mod tests {
         assert_eq!(ctrl.effective_mode(0), 2, "floor overrides reactive");
         assert_eq!(ctrl.effective_mode(1), 2);
         // Load vanishes: the floor steps down one rung per window only once
-        // the rung below clears util_low (hysteresis), ending at 0.
+        // the rung below clears the 200/1024 low mark (hysteresis), ending
+        // at 0.
         ctrl.on_arrival(t + 200_000);
         assert_eq!(ctrl.floor(), 0, "events: {:?}", ctrl.events());
         let shifts: Vec<_> = ctrl
@@ -800,51 +634,46 @@ mod tests {
 
     #[test]
     fn autoscale_steps_within_bounds_and_accounts_replica_seconds() {
-        let cfg = ControlConfig {
-            alpha_x1024: 1024, // no smoothing: each window replaces the rate
-            window_ns: 1_000,
-            predictive: None,
-            autoscale: Some(AutoscaleConfig {
-                min_replicas: 1,
-                max_replicas: 4,
-                util_high_x1024: 900,
-                util_low_x1024: 600,
-            }),
-            steal: None,
-        };
-        let mut ctrl = PoolController::new(cfg, vec![1_000], 4).unwrap();
-        assert_eq!(ctrl.live(), 4, "starts at the ceiling");
-        // One arrival per window: util at 3 replicas is ~0.33 ≤ 0.586 —
-        // scale down one step per window until... util at live-1 replicas
-        // must fit under util_low: at live=2, util(1) = 1.0 > 0.586, so the
-        // controller settles at 2, never at min.
+        // One rung, so the floor never moves and only autoscaling acts. A
+        // pool of 8 scales within max(1, 8/4) = 2 ..= 8.
+        let mut ctrl = PoolController::new(cfg(true, false), vec![1_000], 8).unwrap();
+        assert_eq!(ctrl.live(), 8, "starts at the ceiling");
+        // One arrival per window: the forecast climbs toward 1 request per
+        // window, and the pool steps down one replica per window while
+        // `live - 1` replicas would sit under the 350/1024 low mark. It
+        // settles at 3, where two replicas would run at ~0.5.
         for w in 0..20u64 {
             ctrl.on_arrival(w * 1_000);
         }
-        assert_eq!(ctrl.live(), 2, "events: {:?}", ctrl.events());
+        assert_eq!(ctrl.live(), 3, "events: {:?}", ctrl.events());
         let downs = ctrl
             .events()
             .iter()
             .filter(|e| matches!(e.kind, ControlEventKind::ScaleDown { .. }))
             .count();
-        assert_eq!(downs, 2);
-        // Burst of 8/window: util at 2 replicas is 4.0 > 0.879 — scale up
-        // one per window back to the ceiling of 4.
+        assert_eq!(downs, 5);
+        // Burst of 8/window: utilization stays above the 700/1024 high mark
+        // all the way up, so the pool scales up one per window back to the
+        // ceiling of 8.
         for w in 20..40u64 {
             for k in 0..8u64 {
                 ctrl.on_arrival(w * 1_000 + k * 100);
             }
         }
-        assert_eq!(ctrl.live(), 4, "events: {:?}", ctrl.events());
-        // Replica-seconds: strictly fewer than always-4, more than
+        assert_eq!(ctrl.live(), 8, "events: {:?}", ctrl.events());
+        // A long lull: the forecast decays and the pool scales down one per
+        // window, stopping at the floor of 2.
+        ctrl.on_arrival(60_000);
+        assert_eq!(ctrl.live(), 2, "events: {:?}", ctrl.events());
+        // Replica-seconds: strictly fewer than always-8, more than
         // always-2, and exact at the event boundaries.
-        let makespan = 40_000;
+        let makespan = 60_000;
         let total = ctrl.finalize_replica_ns(makespan);
-        assert!(total < 4 * makespan, "scaling down must save capacity");
+        assert!(total < 8 * makespan, "scaling down must save capacity");
         assert!(total > 2 * makespan);
         // Recompute from the event log — the account must reconcile.
         let mut expect = 0u64;
-        let mut live = 4u64;
+        let mut live = 8u64;
         let mut last = 0u64;
         for e in ctrl.events() {
             if let ControlEventKind::ScaleUp { to, .. } | ControlEventKind::ScaleDown { to, .. } =
@@ -861,20 +690,13 @@ mod tests {
 
     #[test]
     fn steal_targets_deepest_to_shallowest_with_bounds() {
-        let cfg = ControlConfig {
-            steal: Some(StealConfig {
-                imbalance_threshold: 4,
-                max_steal: 3,
-            }),
-            ..ControlConfig::default()
-        };
-        let mut ctrl = PoolController::new(cfg, vec![1_000], 4).unwrap();
+        let mut ctrl = PoolController::new(cfg(false, true), vec![1_000], 4).unwrap();
         // Balanced: no steal.
         assert_eq!(
             ctrl.steal_check(10, &[(0, 3), (1, 2), (2, 3), (3, 1)], 64),
             None
         );
-        // Imbalanced: half the diff, capped at max_steal.
+        // Imbalanced: half the diff, capped at STEAL_MAX.
         let ev = ctrl
             .steal_check(20, &[(0, 12), (1, 2), (2, 3), (3, 9)], 64)
             .expect("imbalance 10 triggers");
@@ -883,13 +705,13 @@ mod tests {
             ControlEventKind::Steal {
                 from: 0,
                 to: 1,
-                moved: 3
+                moved: STEAL_MAX
             }
         );
         assert_eq!(ev.at_ns, 20);
         // Ties break to the lowest index on both ends.
         let ev = ctrl
-            .steal_check(30, &[(0, 9), (1, 1), (2, 9), (3, 1)], 64)
+            .steal_check(30, &[(0, 7), (1, 1), (2, 7), (3, 1)], 64)
             .expect("triggers");
         assert_eq!(
             ev.kind,
@@ -902,8 +724,8 @@ mod tests {
         // The thief's free capacity clamps the transfer; zero room → no
         // steal at all.
         let ev = ctrl
-            .steal_check(40, &[(0, 12), (1, 62)], 64)
-            .expect("imbalance 50 triggers");
+            .steal_check(40, &[(0, 61), (1, 70)], 64)
+            .expect("imbalance 9 triggers");
         assert_eq!(
             ev.kind,
             ControlEventKind::Steal {
@@ -915,38 +737,26 @@ mod tests {
         assert_eq!(ctrl.steal_check(50, &[(0, 64), (1, 70)], 64), None);
         // A single live replica can never steal.
         assert_eq!(ctrl.steal_check(60, &[(0, 99)], 64), None);
-        // Without a steal config the check is inert.
-        let mut off = PoolController::new(ControlConfig::default(), vec![1_000], 4).unwrap();
+        // With stealing off the check is inert.
+        let mut off = PoolController::new(cfg(true, false), vec![1_000], 4).unwrap();
         assert_eq!(off.steal_check(70, &[(0, 99), (1, 0)], 64), None);
     }
 
     #[test]
     fn event_log_caps_retention_but_not_behavior() {
-        // Alternate one window hot, one cold with no smoothing: the floor
-        // flips every window, two events per flip cycle, far past the cap.
-        let cfg = ControlConfig {
-            alpha_x1024: 1024,
-            window_ns: 1_000,
-            predictive: Some(PredictiveConfig {
-                util_high_x1024: 1024,
-                util_low_x1024: 1024,
-            }),
-            autoscale: None,
-            steal: None,
-        };
-        let mut ctrl = PoolController::new(cfg, vec![1_000, 500], 1).unwrap();
-        let windows = CONTROL_LOG_CAP as u64 * 2 + 64;
+        // Every fourth window holds 2 arrivals and the three after it none:
+        // the forecast jumps to ~1 request per window (dense utilization
+        // above the 600/1024 high mark, so the floor rises) and halves
+        // through the quiet windows until dense fits under the 200/1024 low
+        // mark (so the floor falls) — two shifts per period, far past the
+        // cap.
+        let mut ctrl = PoolController::new(cfg(false, false), vec![1_000, 500], 1).unwrap();
+        let periods = CONTROL_LOG_CAP as u64 / 2 + 64;
         let mut flips = 0u64;
-        for w in 0..windows {
-            if w % 2 == 0 {
-                // Hot window: 3 arrivals → dense util 3.0 > 1.0.
-                for k in 0..3u64 {
-                    ctrl.on_arrival(w * 1_000 + k * 100);
-                }
-            } else {
-                // Cold window: 1 arrival → dense util ≤ 1.0 at next roll.
+        for p in 0..periods {
+            for k in 0..2u64 {
                 flips += ctrl
-                    .on_arrival(w * 1_000)
+                    .on_arrival(p * 4_000 + k * 100)
                     .iter()
                     .filter(|e| matches!(e.kind, ControlEventKind::PredictiveShift { .. }))
                     .count() as u64;
@@ -954,25 +764,12 @@ mod tests {
         }
         assert_eq!(ctrl.events().len(), CONTROL_LOG_CAP);
         assert!(ctrl.dropped_events() > 0, "flips observed: {flips}");
-        assert!(flips > 0, "floor kept flipping past the cap");
+        assert!(
+            flips > CONTROL_LOG_CAP as u64,
+            "the floor kept flipping past the cap: {flips}"
+        );
         let (events, dropped) = ctrl.into_events();
         assert_eq!(events.len(), CONTROL_LOG_CAP);
         assert!(dropped > 0);
-    }
-
-    #[test]
-    fn observer_controller_never_intervenes() {
-        let mut ctrl = PoolController::new(ControlConfig::default(), vec![1_000, 500], 8).unwrap();
-        for w in 0..100u64 {
-            for k in 0..50u64 {
-                assert!(ctrl.on_arrival(w * 4_000_000 + k).is_empty());
-            }
-        }
-        assert_eq!(ctrl.live(), 8);
-        assert_eq!(ctrl.floor(), 0);
-        assert_eq!(ctrl.effective_mode(1), 1);
-        assert!(ctrl.events().is_empty());
-        // Replica-seconds still account: full fleet for the whole run.
-        assert_eq!(ctrl.finalize_replica_ns(1_000_000), 8_000_000);
     }
 }

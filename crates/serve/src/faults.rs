@@ -3,11 +3,12 @@
 //! A [`FaultPlan`] is a seeded, fully deterministic schedule of
 //! [`FaultEvent`]s — replica crashes, stalls, straggler windows, and
 //! mid-flight queue closes — generated from a [`FaultConfig`] (validated
-//! through the workspace `Validate` trait) or hand-authored via
-//! [`FaultPlan::from_events`]. The *same* plan, as the `faults` field of
-//! one [`crate::config::PoolOptions`], is injected into both scheduler
-//! drivers: the threaded [`crate::pool::ReplicaPool`] (lockstep or
-//! free-running) and the discrete-event [`crate::sim::simulate_pool`].
+//! through the workspace `Validate` trait; crashes, stalls and straggles
+//! only) or hand-authored via [`FaultPlan::from_events`]. The *same* plan,
+//! as the `faults` field of one [`crate::config::PoolOptions`], is
+//! injected into both scheduler drivers: the threaded
+//! [`crate::pool::ReplicaPool`] (lockstep or free-running) and the
+//! discrete-event [`crate::sim::simulate_pool`].
 //! Because every fault fires at a replica-local *batch index* rather than
 //! at a wall-clock instant, the schedule replays bit-identically under the
 //! lockstep determinism contract — every incident is a seed, and every seed
@@ -71,6 +72,20 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// Batch horizon of a generated plan: events are drawn for each replica's
+/// batch indices `1..=HORIZON_BATCHES`.
+pub const HORIZON_BATCHES: u64 = 64;
+
+/// How long a generated [`FaultKind::Stall`] freezes its replica, in ns.
+pub const STALL_NS: u64 = 200_000;
+
+/// Service-time multiplier of a generated [`FaultKind::Straggle`], ×1024
+/// (4096 = 4× slower).
+pub const STRAGGLE_FACTOR_X1024: u64 = 4096;
+
+/// Batches a generated [`FaultKind::Straggle`] window covers.
+pub const STRAGGLE_WINDOW_BATCHES: u64 = 4;
+
 /// Seeded fault-schedule generator configuration, validated through the
 /// workspace [`Validate`] trait — both scheduler drivers and the bench
 /// spec layer reject the same bad values with the same typed
@@ -79,44 +94,21 @@ pub struct FaultEvent {
 /// Rates are per-mille probabilities (0–1000) drawn independently per
 /// `(replica, batch)` coordinate from a splitmix64 stream of `seed`; at most
 /// one event is generated per coordinate, and a crash ends generation for
-/// its replica.
+/// its replica. The horizon ([`HORIZON_BATCHES`]) and the shape of each
+/// stall ([`STALL_NS`]) and straggle ([`STRAGGLE_FACTOR_X1024`],
+/// [`STRAGGLE_WINDOW_BATCHES`]) are constants. Generated plans never close
+/// a queue: a [`FaultKind::CloseQueue`] comes only from a hand-authored
+/// plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed of the deterministic event stream.
     pub seed: u64,
-    /// Batch horizon per replica: events are generated for batch indices
-    /// `1..=horizon_batches` (≥ 1).
-    pub horizon_batches: u64,
     /// Per-mille crash probability per (replica, batch) coordinate (≤ 1000).
     pub crash_per_mille: u64,
     /// Per-mille stall probability per coordinate (≤ 1000).
     pub stall_per_mille: u64,
-    /// Stall duration in ns (≥ 1).
-    pub stall_ns: u64,
     /// Per-mille straggle-window probability per coordinate (≤ 1000).
     pub straggle_per_mille: u64,
-    /// Straggle service-time multiplier, scaled by 1024 (≥ 1024 = 1×).
-    pub straggle_factor_x1024: u64,
-    /// Straggle window length in batches (≥ 1).
-    pub straggle_window_batches: u64,
-    /// Per-mille queue-close probability per coordinate (≤ 1000).
-    pub close_per_mille: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 2024,
-            horizon_batches: 32,
-            crash_per_mille: 0,
-            stall_per_mille: 0,
-            stall_ns: 200_000,
-            straggle_per_mille: 0,
-            straggle_factor_x1024: 4096,
-            straggle_window_batches: 4,
-            close_per_mille: 0,
-        }
-    }
 }
 
 impl Validate for FaultConfig {
@@ -127,25 +119,10 @@ impl Validate for FaultConfig {
             self.crash_per_mille,
             self.stall_per_mille,
             self.straggle_per_mille,
-            self.close_per_mille,
         ] {
             if rate > 1000 {
                 return Err(ConfigError::FaultRateOutOfRange { rate });
             }
-        }
-        if self.horizon_batches == 0 {
-            return Err(ConfigError::ZeroFaultHorizon);
-        }
-        if self.stall_ns == 0 {
-            return Err(ConfigError::ZeroStallDuration);
-        }
-        if self.straggle_window_batches == 0 {
-            return Err(ConfigError::ZeroStraggleWindow);
-        }
-        if self.straggle_factor_x1024 < 1024 {
-            return Err(ConfigError::StraggleFactorBelowUnit {
-                factor_x1024: self.straggle_factor_x1024,
-            });
         }
         Ok(())
     }
@@ -181,24 +158,21 @@ impl FaultPlan {
         let crash_lt = config.crash_per_mille;
         let stall_lt = crash_lt + config.stall_per_mille;
         let straggle_lt = stall_lt + config.straggle_per_mille;
-        let close_lt = straggle_lt + config.close_per_mille;
         let mut events = Vec::new();
         for replica in 0..replicas {
-            for at_batch in 1..=config.horizon_batches {
+            for at_batch in 1..=HORIZON_BATCHES {
                 let draw = fault_draw(config.seed, replica, at_batch);
                 let kind = if draw < crash_lt {
                     Some(FaultKind::Crash)
                 } else if draw < stall_lt {
                     Some(FaultKind::Stall {
-                        duration_ns: config.stall_ns,
+                        duration_ns: STALL_NS,
                     })
                 } else if draw < straggle_lt {
                     Some(FaultKind::Straggle {
-                        factor_x1024: config.straggle_factor_x1024,
-                        window_batches: config.straggle_window_batches,
+                        factor_x1024: STRAGGLE_FACTOR_X1024,
+                        window_batches: STRAGGLE_WINDOW_BATCHES,
                     })
-                } else if draw < close_lt {
-                    Some(FaultKind::CloseQueue)
                 } else {
                     None
                 };
@@ -371,18 +345,6 @@ pub fn pick_replica(
             .min_by_key(|(_, &(index, len))| (len, index))
             .map(|(slot, _)| slot)
             .expect("eligible is non-empty"),
-        RoutePolicy::PowerOfTwo => {
-            // Two independent seeded probes of the eligible set; the
-            // shallower queue wins, ties break to the lower slot (hence the
-            // lower replica index — eligible is in ascending index order).
-            let a = (crate::config::route_hash(key) % n) as usize;
-            let b = (crate::config::route_hash(key ^ crate::config::P2C_SALT) % n) as usize;
-            if (eligible[b].1, b) < (eligible[a].1, a) {
-                b
-            } else {
-                a
-            }
-        }
     };
     Some(eligible[slot].0)
 }
@@ -692,29 +654,27 @@ impl FaultClient {
 mod tests {
     use super::*;
 
-    fn rates(crash: u64, stall: u64, straggle: u64, close: u64) -> FaultConfig {
+    fn rates(crash: u64, stall: u64, straggle: u64) -> FaultConfig {
         FaultConfig {
             seed: 7,
             crash_per_mille: crash,
             stall_per_mille: stall,
             straggle_per_mille: straggle,
-            close_per_mille: close,
-            ..FaultConfig::default()
         }
     }
 
     #[test]
     fn same_seed_generates_the_identical_plan() {
-        let config = rates(40, 80, 120, 20);
+        let config = rates(40, 80, 120);
         let a = FaultPlan::generate(&config, 4).unwrap();
         let b = FaultPlan::generate(&config, 4).unwrap();
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "these rates over a 32-batch horizon fire");
+        assert!(!a.is_empty(), "these rates over a 64-batch horizon fire");
         // A different seed changes the schedule.
         let other = FaultPlan::generate(&FaultConfig { seed: 8, ..config }, 4).unwrap();
         assert_ne!(a, other);
         // Zero rates generate nothing.
-        let quiet = FaultPlan::generate(&rates(0, 0, 0, 0), 4).unwrap();
+        let quiet = FaultPlan::generate(&rates(0, 0, 0), 4).unwrap();
         assert!(quiet.is_empty());
     }
 
@@ -722,8 +682,7 @@ mod tests {
     fn generation_stops_at_a_crash_per_replica() {
         let config = FaultConfig {
             seed: 3,
-            crash_per_mille: 1000, // every coordinate crashes
-            ..FaultConfig::default()
+            ..rates(1000, 0, 0) // every coordinate crashes
         };
         let plan = FaultPlan::generate(&config, 3).unwrap();
         // Exactly one event per replica: the batch-1 crash ends its stream.
@@ -737,45 +696,13 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected_with_typed_errors() {
-        assert_eq!(FaultConfig::default().validate(), Ok(()));
+        assert_eq!(rates(1000, 1000, 1000).validate(), Ok(()));
         assert_eq!(
-            rates(1001, 0, 0, 0).validate(),
+            rates(1001, 0, 0).validate(),
             Err(ConfigError::FaultRateOutOfRange { rate: 1001 })
         );
-        assert_eq!(
-            FaultConfig {
-                horizon_batches: 0,
-                ..FaultConfig::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroFaultHorizon)
-        );
-        assert_eq!(
-            FaultConfig {
-                stall_ns: 0,
-                ..FaultConfig::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroStallDuration)
-        );
-        assert_eq!(
-            FaultConfig {
-                straggle_window_batches: 0,
-                ..FaultConfig::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroStraggleWindow)
-        );
-        assert_eq!(
-            FaultConfig {
-                straggle_factor_x1024: 512,
-                ..FaultConfig::default()
-            }
-            .validate(),
-            Err(ConfigError::StraggleFactorBelowUnit { factor_x1024: 512 })
-        );
         // generate() is an entry point too: it must refuse the same values.
-        assert!(FaultPlan::generate(&rates(0, 2000, 0, 0), 2).is_err());
+        assert!(FaultPlan::generate(&rates(0, 2000, 0), 2).is_err());
     }
 
     #[test]
@@ -840,17 +767,6 @@ mod tests {
             pick_replica(RoutePolicy::LeastOutstanding, 0, 0, &all),
             Some(1)
         );
-        // Power of two: the shallower of the two seeded probes, ties to the
-        // lower slot.
-        for key in 0..16u64 {
-            let a = (crate::config::route_hash(key) % 4) as usize;
-            let b = (crate::config::route_hash(key ^ crate::config::P2C_SALT) % 4) as usize;
-            let want = if (all[b].1, b) < (all[a].1, a) { b } else { a };
-            assert_eq!(
-                pick_replica(RoutePolicy::PowerOfTwo, key, 0, &all),
-                Some(want)
-            );
-        }
         // Restricting eligibility re-indexes the slot arithmetic.
         let survivors = vec![(1, 2), (3, 9)];
         assert_eq!(

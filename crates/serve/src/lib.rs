@@ -84,12 +84,9 @@ pub mod traffic;
 pub use config::{
     AdaptivePolicy, AdaptiveState, BatchPolicy, ConfigError, ModeTransition, PoolConfig,
     PoolOptions, RoutePolicy, SchedulerConfig, ServeError, SmtConfig, SubmitError, BATCH_LOG_CAP,
-    CONTROL_LOG_CAP, P2C_SALT, REJECTION_LOG_CAP, RESPONSE_LOG_CAP, TRANSITION_LOG_CAP,
+    CONTROL_LOG_CAP, REJECTION_LOG_CAP, RESPONSE_LOG_CAP, TRANSITION_LOG_CAP,
 };
-pub use control::{
-    AutoscaleConfig, ControlConfig, ControlEvent, ControlEventKind, PoolController,
-    PredictiveConfig, RateEstimator, StealConfig,
-};
+pub use control::{ControlConfig, ControlEvent, ControlEventKind, PoolController, RateEstimator};
 pub use faults::{
     FaultClient, FaultClientStats, FaultConfig, FaultEvent, FaultKind, FaultPlan, HandoffRecord,
     HedgePolicy, ReplicaFaults, RetryPolicy,
@@ -112,8 +109,7 @@ pub mod prelude {
         SchedulerConfig, ServeError, SmtConfig, SubmitError,
     };
     pub use crate::control::{
-        AutoscaleConfig, ControlConfig, ControlEvent, ControlEventKind, PoolController,
-        PredictiveConfig, RateEstimator, StealConfig,
+        ControlConfig, ControlEvent, ControlEventKind, PoolController, RateEstimator,
     };
     pub use crate::faults::{
         chaos_corpus, FaultClient, FaultConfig, FaultPlan, HedgePolicy, RetryPolicy,

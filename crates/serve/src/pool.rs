@@ -685,7 +685,7 @@ fn serve(
 mod tests {
     use super::*;
     use crate::config::{AdaptivePolicy, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig};
-    use crate::control::{AutoscaleConfig, ControlConfig};
+    use crate::control::ControlConfig;
     use crate::faults::{FaultEvent, FaultKind, FaultPlan};
     use crate::registry::ModelRegistry;
     use crate::sim::{simulate_pool, ArrivalProcess};
@@ -994,26 +994,25 @@ mod tests {
             ..pool_config(1, RoutePolicy::RoundRobin)
         });
         both_refuse(&zero_batch, ConfigError::ZeroBatch);
-        // An autoscale floor above the pool's replica count.
-        let floor_too_high = PoolOptions {
-            control: Some(ControlConfig {
-                autoscale: Some(AutoscaleConfig {
-                    min_replicas: 3,
-                    max_replicas: 3,
-                    util_high_x1024: 700,
-                    util_low_x1024: 200,
-                }),
-                ..ControlConfig::default()
-            }),
+        // A controller whose rate estimator has no window.
+        let control = ControlConfig {
+            window_ns: 0,
+            autoscale: true,
+            steal: true,
+        };
+        let no_window = PoolOptions {
+            control: Some(control),
             ..options(pool_config(2, RoutePolicy::RoundRobin))
         };
-        let inverted = ConfigError::InvertedReplicaBounds { min: 3, max: 2 };
-        both_refuse(&floor_too_high, inverted);
+        both_refuse(&no_window, ConfigError::ZeroControlWindow);
         // A valid controller on a free-running pool: refused by the
         // constructor, which spawns no worker (only `resume` does).
         let controlled = PoolOptions {
-            control: Some(ControlConfig::default()),
-            ..floor_too_high
+            control: Some(ControlConfig {
+                window_ns: 4_000_000,
+                ..control
+            }),
+            ..no_window
         };
         let pool = build(&ladder, &controlled, PoolDriver::FreeRunning).map(|_| ());
         let refused = ConfigError::ControllerNeedsLockstep;

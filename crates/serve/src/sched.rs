@@ -546,7 +546,7 @@ impl<P> SchedCore<P> {
         }
     }
 
-    /// The controller's post-launch steal check: up to `max_steal`
+    /// The controller's post-launch steal check: up to `STEAL_MAX`
     /// not-yet-batched requests move from the tail of the deepest live queue
     /// to the shallowest, ready no earlier than the steal instant (latency
     /// stays anchored at submission).

@@ -15,8 +15,8 @@
 //! generator: **open loop** (a pre-generated arrival trace, e.g. Poisson),
 //! **closed loop** (N clients that submit, wait for the response, think,
 //! and submit again — arrivals emerge from completions), and **generated**
-//! (a lazy, seeded [`TrafficModel`] stream — bursty MMPP, diurnal
-//! envelopes, per-user sessions — that never materializes the trace, so
+//! (a lazy, seeded [`TrafficModel`] stream — Poisson, bursty MMPP or a
+//! diurnal envelope — that never materializes the trace, so
 //! 10^6–10^7-request runs stay constant-memory; [`simulate_pool`] without
 //! an [`ExecContext`] is the matching constant-memory outcome path).
 
@@ -153,8 +153,7 @@ pub enum ArrivalProcess {
     /// arrival at a time — the trace never materializes, so 10^7-request
     /// runs cost O(1) arrival memory. Request `i` uses input
     /// `i % inputs.len()` exactly like [`ArrivalProcess::Open`]; the
-    /// stream's key (the user id under [`TrafficModel::Sessions`], the
-    /// request index otherwise) feeds the router and the
+    /// stream's key, the request index, feeds the router and the
     /// [`SizeModel`].
     Generated {
         /// The traffic model to stream.

@@ -6,7 +6,7 @@
 //! launches. This module provides the lazy alternative: a [`TrafficModel`]
 //! is a small integer-parameter description of an arrival process, and
 //! [`GeneratedArrivals`] streams its `(time, key)` pairs one at a time in
-//! O(1) memory (O(active sessions) for [`TrafficModel::Sessions`]).
+//! O(1) memory. The key is the request's index in the stream.
 //!
 //! Determinism is the whole point, so nothing here touches the platform's
 //! `libm`: exponential and power draws go through pure-Rust `ln`/`exp`
@@ -24,9 +24,6 @@
 //! structurally independent of the arrival stream, so reseeding arrivals
 //! never perturbs sizes and vice versa, and the threaded pool can recompute
 //! the identical size from a submitted key in lockstep with the simulator.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Splitmix64: the stream RNG behind every generator in this module. Small,
 /// seedable, and identical on every platform.
@@ -156,24 +153,11 @@ pub enum TrafficModel {
         /// Envelope period in ns.
         period_ns: u64,
     },
-    /// Per-user session streams: users arrive Poisson at `user_mrps`, and
-    /// each issues `requests_per_user` requests spaced `think_ns` apart.
-    /// The emitted key is the **user id**, so hashed routing keeps a
-    /// session on one replica (affinity) while other policies see the same
-    /// interleaved stream.
-    Sessions {
-        /// User (session) arrival rate [milli-users/s].
-        user_mrps: u64,
-        /// Requests each user issues, ≥ 1.
-        requests_per_user: u64,
-        /// Gap between a user's consecutive requests in ns.
-        think_ns: u64,
-    },
 }
 
 impl TrafficModel {
-    /// Rejects zero rates/periods/request counts that would stall the
-    /// generator forever, as a human-readable message (the sim layer wraps
+    /// Rejects zero rates and periods that would stall the generator
+    /// forever, as a human-readable message (the sim layer wraps
     /// it in [`crate::config::ServeError::BadRequest`]).
     pub fn check(&self) -> Result<(), String> {
         match *self {
@@ -193,30 +177,17 @@ impl TrafficModel {
             } if trough_mrps == 0 || peak_mrps < trough_mrps || period_ns == 0 => {
                 Err("diurnal needs 0 < trough <= peak and a positive period".into())
             }
-            TrafficModel::Sessions {
-                user_mrps,
-                requests_per_user,
-                ..
-            } if user_mrps == 0 || requests_per_user == 0 => {
-                Err("sessions need a positive user rate and >= 1 request/user".into())
-            }
             _ => Ok(()),
         }
     }
 
     /// A lazy stream of the first `n` arrivals under this model with the
-    /// given seed. O(1) memory (O(active sessions) for
-    /// [`TrafficModel::Sessions`]) — 10^7 arrivals never materialize.
+    /// given seed. O(1) memory — 10^7 arrivals never materialize.
     pub fn generate(self, seed: u64, n: u64) -> GeneratedArrivals {
         let mut rng = SplitMix64::new(seed);
-        let (state_end, next_user_t) = match self {
-            TrafficModel::Mmpp { mean_calm_ns, .. } => {
-                (exp_draw(&mut rng, mean_calm_ns as f64), 0.0)
-            }
-            TrafficModel::Sessions { user_mrps, .. } => {
-                (0.0, exp_draw(&mut rng, mean_gap_ns(user_mrps)))
-            }
-            _ => (0.0, 0.0),
+        let state_end = match self {
+            TrafficModel::Mmpp { mean_calm_ns, .. } => exp_draw(&mut rng, mean_calm_ns as f64),
+            _ => 0.0,
         };
         GeneratedArrivals {
             model: self,
@@ -227,15 +198,12 @@ impl TrafficModel {
             state: 0,
             state_end,
             occupancy: [0.0; 2],
-            sessions: BinaryHeap::new(),
-            next_user_t,
         }
     }
 }
 
 /// One generated arrival: a virtual timestamp and the routing key the
-/// request should carry (the user id for [`TrafficModel::Sessions`], the
-/// request index otherwise).
+/// request should carry, which is its index in the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneratedArrival {
     /// Arrival time [virtual ns], non-decreasing across the stream.
@@ -259,9 +227,6 @@ pub struct GeneratedArrivals {
     state: usize,
     state_end: f64,
     occupancy: [f64; 2],
-    /// Active sessions: `Reverse((next_request_ns, user, remaining))`.
-    sessions: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    next_user_t: f64,
 }
 
 impl GeneratedArrivals {
@@ -272,14 +237,20 @@ impl GeneratedArrivals {
         [self.occupancy[0] as u64, self.occupancy[1] as u64]
     }
 
-    fn next_poisson(&mut self, rate_mrps: u64) -> GeneratedArrival {
-        self.t += exp_draw(&mut self.rng, mean_gap_ns(rate_mrps));
+    /// The arrival at the current virtual time, keyed by its index in the
+    /// stream.
+    fn emit(&mut self) -> GeneratedArrival {
         let key = self.next_key;
         self.next_key += 1;
         GeneratedArrival {
             time_ns: self.t as u64,
             key,
         }
+    }
+
+    fn next_poisson(&mut self, rate_mrps: u64) -> GeneratedArrival {
+        self.t += exp_draw(&mut self.rng, mean_gap_ns(rate_mrps));
+        self.emit()
     }
 
     fn next_mmpp(
@@ -299,12 +270,7 @@ impl GeneratedArrivals {
             if self.t + gap <= self.state_end {
                 self.occupancy[self.state] += gap;
                 self.t += gap;
-                let key = self.next_key;
-                self.next_key += 1;
-                return GeneratedArrival {
-                    time_ns: self.t as u64,
-                    key,
-                };
+                return self.emit();
             }
             // Crossed the sojourn boundary: advance to it, flip state, draw
             // the next sojourn, and redraw the gap — exponential arrivals
@@ -338,42 +304,8 @@ impl GeneratedArrivals {
             let weight = 1.0 - (2.0 * phase - 1.0).abs();
             let rate = trough + (peak - trough) * weight;
             if self.rng.next_f64() * peak <= rate {
-                let key = self.next_key;
-                self.next_key += 1;
-                return GeneratedArrival {
-                    time_ns: self.t as u64,
-                    key,
-                };
+                return self.emit();
             }
-        }
-    }
-
-    fn next_session(
-        &mut self,
-        user_mrps: u64,
-        requests_per_user: u64,
-        think_ns: u64,
-    ) -> GeneratedArrival {
-        loop {
-            // Spawn users lazily: only when the next user would arrive
-            // before (or at) every queued session request, so the heap
-            // holds active sessions, never the whole population.
-            let head = self.sessions.peek().map(|Reverse((t, _, _))| *t);
-            let user_due = self.next_user_t as u64;
-            if head.is_none_or(|t| user_due <= t) {
-                let user = self.next_key;
-                self.next_key += 1;
-                self.sessions
-                    .push(Reverse((user_due, user, requests_per_user)));
-                self.next_user_t += exp_draw(&mut self.rng, mean_gap_ns(user_mrps));
-                continue;
-            }
-            let Reverse((time_ns, user, left)) = self.sessions.pop().expect("head checked");
-            if left > 1 {
-                self.sessions
-                    .push(Reverse((time_ns.saturating_add(think_ns), user, left - 1)));
-            }
-            return GeneratedArrival { time_ns, key: user };
         }
     }
 }
@@ -399,11 +331,6 @@ impl Iterator for GeneratedArrivals {
                 peak_mrps,
                 period_ns,
             } => self.next_diurnal(trough_mrps, peak_mrps, period_ns),
-            TrafficModel::Sessions {
-                user_mrps,
-                requests_per_user,
-                think_ns,
-            } => self.next_session(user_mrps, requests_per_user, think_ns),
         })
     }
 }
@@ -516,11 +443,6 @@ mod tests {
                 peak_mrps: 8_000_000,
                 period_ns: 50_000_000,
             },
-            TrafficModel::Sessions {
-                user_mrps: 1_000_000,
-                requests_per_user: 4,
-                think_ns: 150_000,
-            },
         ];
         for model in models {
             assert_eq!(model.check(), Ok(()));
@@ -529,28 +451,16 @@ mod tests {
             assert_eq!(a, b, "{model:?} must be deterministic per seed");
             assert_eq!(a.len(), 500);
             assert!(
+                a.iter().enumerate().all(|(i, x)| x.key == i as u64),
+                "{model:?} keys every arrival by its index"
+            );
+            assert!(
                 a.windows(2).all(|w| w[0].time_ns <= w[1].time_ns),
                 "{model:?} stream must be monotone non-decreasing"
             );
             let c: Vec<GeneratedArrival> = model.generate(43, 500).collect();
             assert_ne!(a, c, "{model:?} must vary with the seed");
         }
-    }
-
-    #[test]
-    fn session_streams_reuse_user_keys() {
-        let model = TrafficModel::Sessions {
-            user_mrps: 2_000_000,
-            requests_per_user: 3,
-            think_ns: 100_000,
-        };
-        let arrivals: Vec<GeneratedArrival> = model.generate(7, 300).collect();
-        let mut per_user = std::collections::HashMap::new();
-        for a in &arrivals {
-            *per_user.entry(a.key).or_insert(0u64) += 1;
-        }
-        assert!(per_user.values().any(|&n| n > 1), "keys must repeat");
-        assert!(per_user.values().all(|&n| n <= 3));
     }
 
     #[test]
@@ -568,13 +478,6 @@ mod tests {
             trough_mrps: 5,
             peak_mrps: 4,
             period_ns: 1
-        }
-        .check()
-        .is_err());
-        assert!(TrafficModel::Sessions {
-            user_mrps: 1,
-            requests_per_user: 0,
-            think_ns: 0
         }
         .check()
         .is_err());

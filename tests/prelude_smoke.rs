@@ -120,7 +120,7 @@ fn prelude_covers_the_serving_layer() {
 
     // The sharded serving layer resolves through the prelude too: router
     // and adaptive policies are pure config/arithmetic, so they run here.
-    assert_eq!(RoutePolicy::parse("rr"), Some(RoutePolicy::RoundRobin));
+    assert_eq!(RoutePolicy::RoundRobin.label(), "rr");
     assert_eq!(RoutePolicy::Hashed.label(), "hash");
     let pool = PoolConfig {
         replicas: 0,
