@@ -17,6 +17,7 @@ use nbsmt_nn::model::{Layer, Model};
 use nbsmt_nn::quantized::GemmEngine;
 use nbsmt_nn::NnError;
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
+use nbsmt_quant::quantize::quantized_matmul_with;
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Matrix;
 
@@ -117,8 +118,7 @@ impl GemmEngine for NbSmtEngine {
         self.layer_stats[layer_index].merge(&out.stats);
         // Record the squared error against the error-free reference so the
         // tuning experiments can rank layers by MSE.
-        let reference =
-            nbsmt_core::matmul::reference_output_with(ctx, x, w).map_err(NnError::from)?;
+        let reference = quantized_matmul_with(ctx, x, w).map_err(NnError::from)?;
         let mut sq = 0.0f64;
         for (a, b) in out.output.as_slice().iter().zip(reference.as_slice()) {
             let d = (*a - *b) as f64;
@@ -139,6 +139,7 @@ mod tests {
 
     #[test]
     fn nbsmt_engine_runs_synthnet_with_small_accuracy_loss() {
+        let ctx = ExecContext::sequential();
         let trained = quick_synthnet(7).expect("training succeeds");
         let calib = generate_dataset(&trained.task, 4, 999);
         let (calib_images, _) = calib.batch(0, calib.len());
@@ -146,7 +147,7 @@ mod tests {
         let (test_images, test_labels) = trained.test.batch(0, trained.test.len());
 
         let baseline_acc = q
-            .accuracy_with(&test_images, &test_labels, &mut ReferenceEngine)
+            .accuracy_with_ctx(&ctx, &test_images, &test_labels, &mut ReferenceEngine)
             .unwrap();
 
         // The paper leaves the first convolution and the FC layer at one
@@ -159,7 +160,7 @@ mod tests {
             reorder: true,
         });
         let nbsmt_acc = q
-            .accuracy_with(&test_images, &test_labels, &mut engine)
+            .accuracy_with_ctx(&ctx, &test_images, &test_labels, &mut engine)
             .unwrap();
         assert!(
             baseline_acc - nbsmt_acc <= 0.1,

@@ -4,12 +4,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use nbsmt_core::matmul::{reference_output_with, NbSmtMatmul, NbSmtMatmulConfig};
+use nbsmt_core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_core::metrics::{analytic_utilization_gain_2t, layer_error};
 use nbsmt_core::policy::SharingPolicy;
 use nbsmt_core::ThreadCount;
 use nbsmt_hw::energy::{compare_energy, LayerEnergyInput};
 use nbsmt_hw::table2::DesignPoint;
+use nbsmt_quant::quantize::quantized_matmul_with;
 use nbsmt_sparsity::stats::{layer_utilization, UtilizationBreakdown};
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_workloads::calib::{synthesize_model, SynthesisOptions};
@@ -122,7 +123,7 @@ pub fn fig8_mse_vs_sparsity(scale: Scale, ctx: &ExecContext) -> Vec<Fig8Point> {
         .iter()
         .step_by(if scale == Scale::Quick { 6 } else { 1 })
     {
-        let reference = match reference_output_with(ctx, &layer.activations, &layer.weights) {
+        let reference = match quantized_matmul_with(ctx, &layer.activations, &layer.weights) {
             Ok(r) => r,
             Err(_) => continue,
         };

@@ -59,15 +59,6 @@ impl NbSmtMatmulConfig {
             reorder: true,
         }
     }
-
-    /// The paper's default 4-threaded configuration.
-    pub fn four_threads() -> Self {
-        NbSmtMatmulConfig {
-            threads: ThreadCount::Four,
-            policy: SharingPolicy::S_A,
-            reorder: true,
-        }
-    }
 }
 
 impl Default for NbSmtMatmulConfig {
@@ -104,26 +95,12 @@ impl NbSmtMatmul {
     }
 
     /// Emulates `X (M×K) · W (K×N)` under NB-SMT and returns the dequantized
-    /// output together with PE statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when the reduction
-    /// dimensions differ.
-    pub fn execute(
-        &self,
-        x: &QuantMatrix,
-        w: &QuantWeightMatrix,
-    ) -> Result<NbSmtOutput, TensorError> {
-        self.execute_with(&ExecContext::sequential(), x, w)
-    }
-
-    /// [`Self::execute`] through the given execution context, on the
-    /// **algorithmic fast path**: the exact base product runs through the
-    /// context's integer GEMM kernel, and the squeezed thread-slots are
-    /// added on top — as correction GEMMs over weight-only tables at 2T, as
-    /// sparse deltas from collision bitmasks at 4T (see the crate-private
-    /// `fastpath` module). The result — output matrix and [`PeStats`]
+    /// output together with PE statistics, on the **algorithmic fast path**:
+    /// the exact base product runs through the context's integer GEMM
+    /// kernel, and the squeezed thread-slots are added on top — as
+    /// correction GEMMs over weight-only tables at 2T, as sparse deltas from
+    /// collision bitmasks at 4T (see the crate-private `fastpath` module).
+    /// The result — output matrix and [`PeStats`]
     /// alike — is **bit-identical** to the event-walking oracle
     /// ([`Self::execute_event_with`]) for every configuration and thread
     /// count (cross-checked by the property suite in
@@ -153,27 +130,12 @@ impl NbSmtMatmul {
     }
 
     /// Emulates the layer by walking **every PE event** — the oracle the
-    /// fast path is cross-checked against. Sequential; see
-    /// [`Self::execute_event_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when the reduction
-    /// dimensions differ.
-    pub fn execute_event(
-        &self,
-        x: &QuantMatrix,
-        w: &QuantWeightMatrix,
-    ) -> Result<NbSmtOutput, TensorError> {
-        self.execute_event_with(&ExecContext::sequential(), x, w)
-    }
-
-    /// [`Self::execute_event`] through the given execution context: for
-    /// every output element and reduction step, the shared PE's full cycle
-    /// logic runs — lane planning, flexible-multiplier products, outcome
-    /// classification. Bit-identical to [`Self::execute_with`] but priced at
-    /// one PE-event dispatch per MAC; kept as the oracle for the fast path
-    /// and for microarchitecture-level inspection.
+    /// fast path is cross-checked against: for every output element and
+    /// reduction step, the shared PE's full cycle logic runs — lane
+    /// planning, flexible-multiplier products, outcome classification.
+    /// Bit-identical to [`Self::execute_with`] but priced at one PE-event
+    /// dispatch per MAC; kept as the oracle for the fast path and for
+    /// microarchitecture-level inspection.
     ///
     /// # Errors
     ///
@@ -475,37 +437,10 @@ fn run_tiles(
     })
 }
 
-/// Computes the error-free dequantized reference output of a quantized layer
-/// (what the conventional systolic array produces).
-///
-/// # Errors
-///
-/// Returns [`TensorError::DimensionMismatch`] when the reduction dimensions
-/// differ.
-pub fn reference_output(
-    x: &QuantMatrix,
-    w: &QuantWeightMatrix,
-) -> Result<Matrix<f32>, TensorError> {
-    nbsmt_quant::quantize::quantized_matmul(x, w)
-}
-
-/// [`reference_output`] through the given execution context.
-///
-/// # Errors
-///
-/// Returns [`TensorError::DimensionMismatch`] when the reduction dimensions
-/// differ.
-pub fn reference_output_with(
-    ctx: &ExecContext,
-    x: &QuantMatrix,
-    w: &QuantWeightMatrix,
-) -> Result<Matrix<f32>, TensorError> {
-    nbsmt_quant::quantize::quantized_matmul_with(ctx, x, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbsmt_quant::quantize::quantized_matmul_with;
     use nbsmt_tensor::random::{SynthesisConfig, TensorSynthesizer};
 
     /// Builds a random quantized layer for testing.
@@ -547,14 +482,15 @@ mod tests {
 
     #[test]
     fn single_thread_matches_reference_exactly() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(1, 12, 30, 8, 0.5);
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::One,
             policy: SharingPolicy::S_A,
             reorder: false,
         });
-        let out = emu.execute(&x, &w).unwrap();
-        let reference = reference_output(&x, &w).unwrap();
+        let out = emu.execute_with(&ctx, &x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         for (a, b) in out.output.as_slice().iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -564,6 +500,7 @@ mod tests {
     #[test]
     fn two_threads_with_all_narrow_values_is_exact() {
         // When every activation fits in 4 bits there are no lossy reductions.
+        let ctx = ExecContext::sequential();
         let m = 6;
         let k = 20;
         let n = 5;
@@ -585,8 +522,8 @@ mod tests {
             policy: SharingPolicy::S_A,
             reorder: false,
         });
-        let out = emu.execute(&x, &w).unwrap();
-        let reference = reference_output(&x, &w).unwrap();
+        let out = emu.execute_with(&ctx, &x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         for (a, b) in out.output.as_slice().iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -595,14 +532,15 @@ mod tests {
 
     #[test]
     fn two_threads_error_is_small_relative_to_signal() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(2, 16, 64, 12, 0.5);
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::Two,
             policy: SharingPolicy::S_A,
             reorder: false,
         });
-        let out = emu.execute(&x, &w).unwrap();
-        let reference = reference_output(&x, &w).unwrap();
+        let out = emu.execute_with(&ctx, &x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         let rel = relative_mse(&out.output, &reference);
         assert!(rel < 0.02, "relative MSE {rel} too large for 2T");
         assert!(out.stats.cycles > 0);
@@ -611,15 +549,16 @@ mod tests {
 
     #[test]
     fn four_threads_error_is_larger_than_two_threads() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(3, 16, 64, 12, 0.4);
-        let reference = reference_output(&x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         let rel2 = {
             let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
                 threads: ThreadCount::Two,
                 policy: SharingPolicy::S_A,
                 reorder: false,
             });
-            relative_mse(&emu.execute(&x, &w).unwrap().output, &reference)
+            relative_mse(&emu.execute_with(&ctx, &x, &w).unwrap().output, &reference)
         };
         let rel4 = {
             let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
@@ -627,7 +566,7 @@ mod tests {
                 policy: SharingPolicy::S_A,
                 reorder: false,
             });
-            relative_mse(&emu.execute(&x, &w).unwrap().output, &reference)
+            relative_mse(&emu.execute_with(&ctx, &x, &w).unwrap().output, &reference)
         };
         assert!(
             rel4 >= rel2,
@@ -638,15 +577,16 @@ mod tests {
 
     #[test]
     fn sparsity_policy_reduces_error_versus_naive() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(4, 12, 48, 10, 0.6);
-        let reference = reference_output(&x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         let run = |policy: SharingPolicy| {
             let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
                 threads: ThreadCount::Two,
                 policy,
                 reorder: false,
             });
-            relative_mse(&emu.execute(&x, &w).unwrap().output, &reference)
+            relative_mse(&emu.execute_with(&ctx, &x, &w).unwrap().output, &reference)
         };
         let naive = run(SharingPolicy::NAIVE);
         let s = run(SharingPolicy::S);
@@ -661,20 +601,21 @@ mod tests {
         // per-instance MSE can wobble a few percent either way, so the claim
         // is checked as an aggregate over several layers (mirroring how the
         // cross-crate policy-ordering test aggregates over a model).
+        let ctx = ExecContext::sequential();
         let mut mse_plain_total = 0.0f64;
         let mut mse_reorder_total = 0.0f64;
         let mut reduced_plain_total = 0u64;
         let mut reduced_reorder_total = 0u64;
         for seed in 5..10 {
             let (x, w) = random_layer(seed, 20, 64, 10, 0.55);
-            let reference = reference_output(&x, &w).unwrap();
+            let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
             let run = |reorder: bool| {
                 let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
                     threads: ThreadCount::Two,
                     policy: SharingPolicy::S_A,
                     reorder,
                 });
-                let out = emu.execute(&x, &w).unwrap();
+                let out = emu.execute_with(&ctx, &x, &w).unwrap();
                 (relative_mse(&out.output, &reference), out.stats)
             };
             let (mse_plain, stats_plain) = run(false);
@@ -699,27 +640,28 @@ mod tests {
 
     #[test]
     fn cycle_count_is_half_for_two_threads() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(6, 8, 40, 6, 0.5);
         let one = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::One,
             policy: SharingPolicy::S_A,
             reorder: false,
         })
-        .execute(&x, &w)
+        .execute_with(&ctx, &x, &w)
         .unwrap();
         let two = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::Two,
             policy: SharingPolicy::S_A,
             reorder: false,
         })
-        .execute(&x, &w)
+        .execute_with(&ctx, &x, &w)
         .unwrap();
         let four = NbSmtMatmul::new(NbSmtMatmulConfig {
             threads: ThreadCount::Four,
             policy: SharingPolicy::S_A,
             reorder: false,
         })
-        .execute(&x, &w)
+        .execute_with(&ctx, &x, &w)
         .unwrap();
         assert_eq!(one.stats.cycles, 8 * 6 * 40);
         assert_eq!(two.stats.cycles, 8 * 6 * 20);
@@ -728,6 +670,7 @@ mod tests {
 
     #[test]
     fn utilization_improves_with_thread_count() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(7, 10, 60, 8, 0.6);
         let util = |threads: ThreadCount| {
             NbSmtMatmul::new(NbSmtMatmulConfig {
@@ -735,7 +678,7 @@ mod tests {
                 policy: SharingPolicy::S_A,
                 reorder: false,
             })
-            .execute(&x, &w)
+            .execute_with(&ctx, &x, &w)
             .unwrap()
             .stats
             .utilization()
@@ -749,12 +692,12 @@ mod tests {
     fn dimension_mismatch_is_rejected() {
         let x = QuantMatrix::zeros(2, 3, 1.0);
         let w = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(4, 2), 1.0);
+        let ctx = ExecContext::sequential();
         let emu = NbSmtMatmul::new(NbSmtMatmulConfig::two_threads());
-        assert!(emu.execute(&x, &w).is_err());
+        assert!(emu.execute_with(&ctx, &x, &w).is_err());
         // Tables prepared from one weight shape refuse another.
         let prepared = PreparedWeights::new(NbSmtMatmulConfig::default(), &w);
         let other = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(3, 2), 1.0);
-        let ctx = ExecContext::sequential();
         assert!(prepared.run(&ctx, &x, &other).is_err());
     }
 
@@ -763,6 +706,7 @@ mod tests {
         // The fast path must reproduce the event walker bit for bit —
         // output matrix AND every PeStats field — across thread counts,
         // policies (S on/off × every width mode), shapes, and sparsity.
+        let ctx = ExecContext::sequential();
         let policies = [
             SharingPolicy::NAIVE,
             SharingPolicy::S,
@@ -787,8 +731,8 @@ mod tests {
                         policy,
                         reorder: false,
                     });
-                    let fast = emu.execute(&x, &w).unwrap();
-                    let event = emu.execute_event(&x, &w).unwrap();
+                    let fast = emu.execute_with(&ctx, &x, &w).unwrap();
+                    let event = emu.execute_event_with(&ctx, &x, &w).unwrap();
                     assert_eq!(
                         fast,
                         event,
@@ -802,6 +746,7 @@ mod tests {
 
     #[test]
     fn fast_path_matches_event_oracle_with_reorder() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(14, 10, 24, 8, 0.5);
         for threads in [ThreadCount::Two, ThreadCount::Four] {
             let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
@@ -809,8 +754,8 @@ mod tests {
                 policy: SharingPolicy::S_A,
                 reorder: true,
             });
-            let fast = emu.execute(&x, &w).unwrap();
-            let event = emu.execute_event(&x, &w).unwrap();
+            let fast = emu.execute_with(&ctx, &x, &w).unwrap();
+            let event = emu.execute_event_with(&ctx, &x, &w).unwrap();
             assert_eq!(fast, event, "threads={threads:?}");
         }
     }
@@ -824,7 +769,9 @@ mod tests {
             policy: SharingPolicy::S_A,
             reorder: false,
         });
-        let reference = emu.execute(&x, &w).unwrap();
+        let reference = emu
+            .execute_with(&ExecContext::sequential(), &x, &w)
+            .unwrap();
         for backend in GemmBackendKind::ALL {
             for threads in [1usize, 3] {
                 let ctx = ExecContext::new(ExecConfig {
@@ -843,15 +790,16 @@ mod tests {
     fn odd_reduction_dimension_is_padded_correctly() {
         // K = 7 is not divisible by 2 or 4; padding threads with zeros must
         // not change the result versus the reference beyond reduction error.
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(8, 4, 7, 3, 0.0);
-        let reference = reference_output(&x, &w).unwrap();
+        let reference = quantized_matmul_with(&ctx, &x, &w).unwrap();
         for threads in [ThreadCount::Two, ThreadCount::Four] {
             let emu = NbSmtMatmul::new(NbSmtMatmulConfig {
                 threads,
                 policy: SharingPolicy::S_A,
                 reorder: false,
             });
-            let out = emu.execute(&x, &w).unwrap();
+            let out = emu.execute_with(&ctx, &x, &w).unwrap();
             let rel = relative_mse(&out.output, &reference);
             assert!(rel < 0.05, "threads={threads:?} rel={rel}");
         }

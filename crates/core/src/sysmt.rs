@@ -8,19 +8,20 @@
 //! finishes in exactly `1/T` of the baseline streaming cycles.
 //!
 //! This module provides both the array-level simulation (cycle counts,
-//! utilization improvement over the baseline array — Fig. 9) and convenience
-//! wrappers that execute a whole layer and report error metrics (Fig. 8).
+//! utilization improvement over the baseline array — Fig. 9) and whole-layer
+//! execution that reports error metrics (Fig. 8).
 
 use serde::{Deserialize, Serialize};
 
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
+use nbsmt_quant::quantize::quantized_matmul_with;
 use nbsmt_systolic::array::{OutputStationaryArray, SystolicConfig};
 use nbsmt_systolic::schedule::TilingPlan;
 use nbsmt_tensor::error::TensorError;
 use nbsmt_tensor::exec::ExecContext;
 use nbsmt_tensor::tensor::Matrix;
 
-use crate::matmul::{reference_output_with, NbSmtMatmul, NbSmtMatmulConfig};
+use crate::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use crate::metrics::{layer_error, LayerError};
 use crate::pe::PeStats;
 use crate::policy::SharingPolicy;
@@ -148,23 +149,9 @@ impl SySmtArray {
     /// Executes one layer (`X (M×K) · W (K×N)`) on the array: the numeric
     /// output is produced by the NB-SMT emulation, cycle counts come from the
     /// tiling plan, and utilization is compared against the conventional
-    /// array on the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when the reduction
-    /// dimensions differ.
-    pub fn execute_layer(
-        &self,
-        x: &QuantMatrix,
-        w: &QuantWeightMatrix,
-    ) -> Result<SySmtLayerResult, TensorError> {
-        self.execute_layer_with(&ExecContext::sequential(), x, w)
-    }
-
-    /// [`Self::execute_layer`] through the given execution context: both the
-    /// NB-SMT emulation and the error-free reference run on the context's
-    /// worker pool, with identical results for every thread count.
+    /// array on the same inputs. Both the NB-SMT emulation and the error-free
+    /// reference run on `ctx`'s worker pool, with identical results for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -185,7 +172,7 @@ impl SySmtArray {
             reorder: self.config.reorder,
         });
         let nbsmt = emu.execute_with(ctx, x, w)?;
-        let reference = reference_output_with(ctx, x, w)?;
+        let reference = quantized_matmul_with(ctx, x, w)?;
         let error = layer_error(&nbsmt.output, &reference);
 
         // Baseline utilization from the conventional array estimator.
@@ -270,6 +257,7 @@ mod tests {
 
     #[test]
     fn execute_layer_reports_speedup_and_low_error() {
+        let ctx = ExecContext::sequential();
         let (x, w) = random_layer(11, 24, 96, 16, 0.55);
         let array = SySmtArray::new(SySmtConfig {
             grid: SystolicConfig::new(8, 8),
@@ -277,7 +265,7 @@ mod tests {
             policy: SharingPolicy::S_A,
             reorder: true,
         });
-        let r = array.execute_layer(&x, &w).unwrap();
+        let r = array.execute_layer_with(&ctx, &x, &w).unwrap();
         assert!(r.speedup() > 1.5, "speedup {}", r.speedup());
         assert!(
             r.error.relative_mse < 0.02,
@@ -292,6 +280,7 @@ mod tests {
     fn utilization_gain_tracks_sparsity() {
         // Sparser activations leave more idle baseline slots, so the gain of
         // 2 threads is larger (Fig. 9's upward trend).
+        let ctx = ExecContext::sequential();
         let array = SySmtArray::new(SySmtConfig {
             grid: SystolicConfig::new(8, 8),
             threads: ThreadCount::Two,
@@ -300,8 +289,10 @@ mod tests {
         });
         let (x_dense, w_dense) = random_layer(21, 16, 64, 8, 0.05);
         let (x_sparse, w_sparse) = random_layer(22, 16, 64, 8, 0.7);
-        let dense = array.execute_layer(&x_dense, &w_dense).unwrap();
-        let sparse = array.execute_layer(&x_sparse, &w_sparse).unwrap();
+        let dense = array.execute_layer_with(&ctx, &x_dense, &w_dense).unwrap();
+        let sparse = array
+            .execute_layer_with(&ctx, &x_sparse, &w_sparse)
+            .unwrap();
         assert!(
             sparse.utilization_gain() > dense.utilization_gain(),
             "sparse gain {} should exceed dense gain {}",
@@ -312,9 +303,10 @@ mod tests {
 
     #[test]
     fn execute_layer_rejects_mismatched_dimensions() {
+        let ctx = ExecContext::sequential();
         let x = QuantMatrix::zeros(4, 6, 1.0);
         let w = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(5, 3), 1.0);
         let array = SySmtArray::new(SySmtConfig::paper_2t());
-        assert!(array.execute_layer(&x, &w).is_err());
+        assert!(array.execute_layer_with(&ctx, &x, &w).is_err());
     }
 }

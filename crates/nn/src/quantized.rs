@@ -206,23 +206,10 @@ impl QuantizedModel {
     ///
     /// Non-compute layers (ReLU, pooling, flatten) run in floating
     /// point between the quantized GEMMs, exactly as the paper's PyTorch
-    /// simulation does.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer and engine errors.
-    pub fn forward_with<E: GemmEngine>(
-        &self,
-        input: &Tensor<f32>,
-        engine: &mut E,
-    ) -> Result<Tensor<f32>, NnError> {
-        self.forward_with_ctx(&ExecContext::sequential(), input, engine)
-    }
-
-    /// [`Self::forward_with`] on an explicit execution context: every
-    /// layer's GEMM is handed to the engine together with `ctx`, so the
-    /// backend and worker pool are decided once per run rather than per
-    /// engine. Results are identical for every context configuration.
+    /// simulation does. Every layer's GEMM is handed to the engine together
+    /// with `ctx`, so the backend and worker pool are decided once per run
+    /// rather than per engine. Results are identical for every context
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -253,21 +240,8 @@ impl QuantizedModel {
         Ok(x)
     }
 
-    /// Classification accuracy of the quantized model under the given engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer and engine errors.
-    pub fn accuracy_with<E: GemmEngine>(
-        &self,
-        images: &Tensor<f32>,
-        labels: &[usize],
-        engine: &mut E,
-    ) -> Result<f64, NnError> {
-        self.accuracy_with_ctx(&ExecContext::sequential(), images, labels, engine)
-    }
-
-    /// [`Self::accuracy_with`] on an explicit execution context.
+    /// Classification accuracy of the quantized model under the given engine,
+    /// on an explicit execution context.
     ///
     /// # Errors
     ///
@@ -472,12 +446,15 @@ mod tests {
 
     #[test]
     fn reference_engine_tracks_float_model_closely() {
+        let ctx = ExecContext::sequential();
         let m = small_model(3);
         let calib = inputs(4, 8);
         let q = QuantizedModel::calibrate(&m, &[calib]).unwrap();
         let test = inputs(5, 6);
         let float_out = m.forward(&test).unwrap();
-        let quant_out = q.forward_with(&test, &mut ReferenceEngine).unwrap();
+        let quant_out = q
+            .forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
+            .unwrap();
         assert_eq!(float_out.shape().dims(), quant_out.shape().dims());
         // 8-bit quantization error should be small relative to the logits:
         // bounded worst case, and small on average.
@@ -495,11 +472,15 @@ mod tests {
 
     #[test]
     fn argmax_agreement_between_float_and_quantized() {
+        let ctx = ExecContext::sequential();
         let m = small_model(7);
         let q = QuantizedModel::calibrate(&m, &[inputs(8, 8)]).unwrap();
         let test = inputs(9, 16);
         let float_preds = Model::argmax(&m.forward(&test).unwrap());
-        let quant_preds = Model::argmax(&q.forward_with(&test, &mut ReferenceEngine).unwrap());
+        let quant_preds = Model::argmax(
+            &q.forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
+                .unwrap(),
+        );
         let agree = float_preds
             .iter()
             .zip(quant_preds.iter())
@@ -514,14 +495,17 @@ mod tests {
 
     #[test]
     fn reduced_precision_engine_degrades_gracefully() {
+        let ctx = ExecContext::sequential();
         let m = small_model(11);
         let q = QuantizedModel::calibrate(&m, &[inputs(12, 8)]).unwrap();
         let test = inputs(13, 8);
-        let baseline = q.forward_with(&test, &mut ReferenceEngine).unwrap();
+        let baseline = q
+            .forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
+            .unwrap();
         let mut a4 = ReducedPrecisionEngine {
             point: OperatingPoint::A4W8,
         };
-        let reduced = q.forward_with(&test, &mut a4).unwrap();
+        let reduced = q.forward_with_ctx(&ctx, &test, &mut a4).unwrap();
         // Outputs differ (precision was reduced) but stay in the same ballpark.
         let mut total_dev = 0.0_f64;
         for (a, b) in reduced.as_slice().iter().zip(baseline.as_slice()) {
@@ -540,13 +524,16 @@ mod tests {
 
     #[test]
     fn a4w4_is_noisier_than_a4w8() {
+        let ctx = ExecContext::sequential();
         let m = small_model(17);
         let q = QuantizedModel::calibrate(&m, &[inputs(18, 8)]).unwrap();
         let test = inputs(19, 8);
-        let baseline = q.forward_with(&test, &mut ReferenceEngine).unwrap();
+        let baseline = q
+            .forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
+            .unwrap();
         let dev = |point: OperatingPoint| {
             let mut engine = ReducedPrecisionEngine { point };
-            let out = q.forward_with(&test, &mut engine).unwrap();
+            let out = q.forward_with_ctx(&ctx, &test, &mut engine).unwrap();
             out.as_slice()
                 .iter()
                 .zip(baseline.as_slice())
@@ -786,15 +773,17 @@ mod tests {
 
     #[test]
     fn accuracy_with_engine_runs() {
+        let ctx = ExecContext::sequential();
         let m = small_model(31);
         let q = QuantizedModel::calibrate(&m, &[inputs(32, 4)]).unwrap();
         let test = inputs(33, 5);
         let acc = q
-            .accuracy_with(&test, &[0, 1, 2, 0, 1], &mut ReferenceEngine)
+            .accuracy_with_ctx(&ctx, &test, &[0, 1, 2, 0, 1], &mut ReferenceEngine)
             .unwrap();
         assert!((0.0..=1.0).contains(&acc));
         assert_eq!(
-            q.accuracy_with(&test, &[], &mut ReferenceEngine).unwrap(),
+            q.accuracy_with_ctx(&ctx, &test, &[], &mut ReferenceEngine)
+                .unwrap(),
             0.0
         );
     }

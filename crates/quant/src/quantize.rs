@@ -142,23 +142,10 @@ pub fn dequantize_accumulators(acc: &[i64], x_scale: f32, w_scales: &[f32], out:
 /// activation scale and the corresponding kernel scale.
 ///
 /// This is the error-free reference output used to measure the MSE that
-/// NB-SMT contributes (Fig. 8).
-///
-/// # Errors
-///
-/// Returns [`TensorError::DimensionMismatch`] when the reduction dimensions
-/// differ.
-pub fn quantized_matmul(
-    x: &QuantMatrix,
-    w: &QuantWeightMatrix,
-) -> Result<Matrix<f32>, TensorError> {
-    quantized_matmul_with(&ExecContext::sequential(), x, w)
-}
-
-/// [`quantized_matmul`] through the given execution context: the integer
-/// GEMM runs on the configured backend/thread pool and the result is
-/// identical for every configuration (integer accumulation is exact, and
-/// dequantization applies the same per-element scaling).
+/// NB-SMT contributes (Fig. 8), and what the conventional systolic array
+/// produces. The integer GEMM runs on `ctx`'s backend and thread pool, and
+/// the result is identical for every configuration (integer accumulation is
+/// exact, and dequantization applies the same per-element scaling).
 ///
 /// # Errors
 ///
@@ -282,7 +269,8 @@ mod tests {
         let w = mat(&[0.1, -0.2, 0.3, 0.4, -0.5, 0.6], 3, 2);
         let qx = quantize_activations(&x, &QuantScheme::activation_a8(), None);
         let qw = quantize_weights(&w, &QuantScheme::weight_w8());
-        let qy = quantized_matmul(&qx, &qw).unwrap();
+        let ctx = ExecContext::sequential();
+        let qy = quantized_matmul_with(&ctx, &qx, &qw).unwrap();
         // Float reference.
         for i in 0..2 {
             for j in 0..2 {
@@ -299,7 +287,8 @@ mod tests {
     fn quantized_matmul_rejects_mismatch() {
         let qx = QuantMatrix::zeros(2, 3, 1.0);
         let qw = QuantWeightMatrix::with_uniform_scale(Matrix::zeros(4, 2), 1.0);
-        assert!(quantized_matmul(&qx, &qw).is_err());
+        let ctx = ExecContext::sequential();
+        assert!(quantized_matmul_with(&ctx, &qx, &qw).is_err());
     }
 
     #[test]

@@ -59,8 +59,9 @@
 //! let session = registry.compile("synthnet", SmtConfig::sysmt_2t()).unwrap();
 //!
 //! let (inputs, _) = trained.sample_requests(4, 100);
+//! let refs: Vec<_> = inputs.iter().collect();
 //! let out = session
-//!     .infer_batch(&ExecContext::sequential(), &inputs)
+//!     .infer_batch_refs(&ExecContext::sequential(), &refs)
 //!     .unwrap();
 //! assert_eq!(out.len(), 4);
 //! ```

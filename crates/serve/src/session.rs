@@ -135,24 +135,9 @@ impl Session {
 
     /// Executes one coalesced batch: stacks `inputs` along the leading
     /// dimension, runs the quantized model once on `ctx`, and returns one
-    /// [`Inference`] per input, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] when any input's shape mismatches
-    /// and propagates model-execution failures.
-    pub fn infer_batch(
-        &self,
-        ctx: &ExecContext,
-        inputs: &[Tensor<f32>],
-    ) -> Result<Vec<Inference>, ServeError> {
-        let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
-        self.infer_batch_refs(ctx, &refs)
-    }
-
-    /// [`Self::infer_batch`] over borrowed inputs — the hot serving path:
-    /// the scheduler and the simulator hand in references so each request
-    /// tensor is copied exactly once, into the stacked batch.
+    /// [`Inference`] per input, in input order. The inputs are borrowed — the
+    /// scheduler and the simulator hand in references so each request tensor
+    /// is copied exactly once, into the stacked batch.
     ///
     /// # Errors
     ///
@@ -176,7 +161,7 @@ impl Session {
         &self,
         ctx: &ExecContext,
         inputs: &[&Tensor<f32>],
-        mut kernels: Option<&mut Vec<LayerKernel>>,
+        kernels: Option<&mut Vec<LayerKernel>>,
     ) -> Result<Vec<Inference>, ServeError> {
         if inputs.is_empty() {
             return Ok(Vec::new());
@@ -190,21 +175,11 @@ impl Session {
         }
         let batch = Tensor::from_vec(data, &[inputs.len(), c, h, w])
             .map_err(|e| ServeError::Model(e.to_string()))?;
-        let logits = match self.smt {
-            SmtConfig::Dense => {
-                let mut engine = ServeDenseEngine {
-                    kernels: kernels.as_deref_mut(),
-                };
-                self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
-            }
-            SmtConfig::NbSmt { .. } => {
-                let mut engine = ServeNbSmtEngine {
-                    layers: &self.layers,
-                    kernels,
-                };
-                self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?
-            }
+        let mut engine = ServeEngine {
+            layers: &self.layers,
+            kernels,
         };
+        let logits = self.quantized.forward_with_ctx(ctx, &batch, &mut engine)?;
         let dims = logits.shape().dims();
         let classes = dims[dims.len() - 1];
         let rows = logits.numel() / classes;
@@ -214,60 +189,27 @@ impl Session {
                 inputs.len()
             )));
         }
-        let slice = logits.as_slice();
-        Ok((0..rows)
-            .map(|r| {
-                let row = &slice[r * classes..(r + 1) * classes];
-                let predicted = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                Inference {
-                    logits: row.to_vec(),
-                    predicted,
-                }
+        Ok(logits
+            .as_slice()
+            .chunks_exact(classes)
+            .zip(Model::argmax(&logits))
+            .map(|(row, predicted)| Inference {
+                logits: row.to_vec(),
+                predicted,
             })
             .collect())
     }
 }
 
-/// The dense serving engine: [`ReferenceEngine`] arithmetic, plus the
-/// per-layer kernel records of the traced path.
-struct ServeDenseEngine<'s> {
-    /// Per-layer kernel records collected by the traced inference path
-    /// (dense layers never enter the PE array, so their stats are zeroed).
-    kernels: Option<&'s mut Vec<LayerKernel>>,
-}
-
-impl GemmEngine for ServeDenseEngine<'_> {
-    fn gemm(
-        &mut self,
-        ctx: &ExecContext,
-        layer_index: usize,
-        x: &QuantMatrix,
-        w: &QuantWeightMatrix,
-    ) -> Result<Matrix<f32>, NnError> {
-        if let Some(kernels) = self.kernels.as_deref_mut() {
-            kernels.push(LayerKernel {
-                layer: layer_index,
-                rows: x.rows(),
-                cols: w.cols(),
-                stats: PeStats::default(),
-            });
-        }
-        ReferenceEngine.gemm(ctx, layer_index, x, w)
-    }
-}
-
-/// The serving-side NB-SMT [`GemmEngine`]: identical arithmetic to the
-/// offline `nbsmt-bench` engine but without its error-metric bookkeeping —
-/// serving never re-runs the error-free reference alongside each layer, so a
-/// batch costs one NB-SMT pass, not two — and with every layer's weight-only
-/// tables prepared when the session was compiled.
-struct ServeNbSmtEngine<'s> {
-    /// The session's prepared layers, indexed by compute layer.
+/// The serving [`GemmEngine`]: each compute layer runs on the weight-only
+/// tables the session prepared for it. A dense session prepares none, so its
+/// layers run [`ReferenceEngine`] arithmetic and record zeroed [`PeStats`]
+/// (they never enter the PE array). Unlike the offline `nbsmt-bench` engine
+/// it keeps no error metrics — serving never re-runs the error-free reference
+/// alongside an NB-SMT layer, so a batch costs one pass, not two.
+struct ServeEngine<'s> {
+    /// The session's prepared layers, indexed by compute layer; empty for a
+    /// dense session.
     layers: &'s [PreparedWeights],
     /// Per-layer kernel records collected by the traced inference path —
     /// the squeeze/collision counters the NB-SMT kernels already compute,
@@ -275,7 +217,7 @@ struct ServeNbSmtEngine<'s> {
     kernels: Option<&'s mut Vec<LayerKernel>>,
 }
 
-impl GemmEngine for ServeNbSmtEngine<'_> {
+impl GemmEngine for ServeEngine<'_> {
     fn gemm(
         &mut self,
         ctx: &ExecContext,
@@ -283,18 +225,25 @@ impl GemmEngine for ServeNbSmtEngine<'_> {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<Matrix<f32>, NnError> {
-        let out = self.layers[layer_index]
-            .run(ctx, x, w)
-            .map_err(NnError::from)?;
+        let (output, stats) = match self.layers.get(layer_index) {
+            Some(layer) => {
+                let out = layer.run(ctx, x, w)?;
+                (out.output, out.stats)
+            }
+            None => (
+                ReferenceEngine.gemm(ctx, layer_index, x, w)?,
+                PeStats::default(),
+            ),
+        };
         if let Some(kernels) = self.kernels.as_deref_mut() {
             kernels.push(LayerKernel {
                 layer: layer_index,
                 rows: x.rows(),
                 cols: w.cols(),
-                stats: out.stats,
+                stats,
             });
         }
-        Ok(out.output)
+        Ok(output)
     }
 }
 
@@ -323,91 +272,86 @@ fn layer_config(smt: &SmtConfig, index: usize) -> Option<NbSmtMatmulConfig> {
     })
 }
 
-/// Builds a calibrated session directly from a trained float model —
-/// convenience used by tests and the registry.
-///
-/// # Errors
-///
-/// Propagates calibration failures.
-pub fn compile_session(
-    name: impl Into<String>,
-    model: &Model,
-    calibration_inputs: &[Tensor<f32>],
-    smt: SmtConfig,
-    input_dims: [usize; 3],
-) -> Result<Session, ServeError> {
-    let quantized = QuantizedModel::calibrate(model, calibration_inputs)?;
-    Session::new(name, quantized, smt, input_dims)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ModelRegistry;
     use nbsmt_workloads::synthnet::quick_synthnet;
+    use std::sync::Arc;
 
-    fn session_pair() -> (Session, Session, Vec<Tensor<f32>>) {
+    /// SynthNet (training seed 11, calibration seed 501) compiled at each
+    /// design point of `ladder`, and six requests.
+    fn synthnet_sessions(ladder: &[SmtConfig]) -> (Vec<Arc<Session>>, Vec<Tensor<f32>>) {
         let trained = quick_synthnet(11).expect("training succeeds");
-        let calib = trained.calibration_inputs(8, 501);
-        let s = trained.task.image_size;
-        let dense = compile_session(
-            "synthnet",
-            &trained.model,
-            std::slice::from_ref(&calib),
-            SmtConfig::Dense,
-            [1, s, s],
-        )
-        .unwrap();
-        let smt2 = compile_session(
-            "synthnet",
-            &trained.model,
-            &[calib],
-            SmtConfig::sysmt_2t(),
-            [1, s, s],
-        )
-        .unwrap();
+        let mut registry = ModelRegistry::new();
+        registry
+            .register_synthnet("synthnet", &trained, 501)
+            .unwrap();
         let (inputs, _) = trained.sample_requests(6, 777);
-        (dense, smt2, inputs)
+        (registry.compile_ladder("synthnet", ladder).unwrap(), inputs)
+    }
+
+    /// The bit patterns of every logit of `inferences`, in order.
+    fn logit_bits(inferences: &[Inference]) -> Vec<u32> {
+        inferences
+            .iter()
+            .flat_map(|inference| inference.logits.iter().map(|v| v.to_bits()))
+            .collect()
     }
 
     #[test]
     fn batch_matches_singles_bitwise() {
-        let (dense, _, inputs) = session_pair();
         let ctx = ExecContext::sequential();
-        let batched = dense.infer_batch(&ctx, &inputs).unwrap();
-        assert_eq!(batched.len(), inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let single = dense
-                .infer_batch(&ctx, std::slice::from_ref(input))
-                .unwrap();
-            assert_eq!(single.len(), 1);
-            assert_eq!(single[0].predicted, batched[i].predicted);
-        }
-    }
-
-    #[test]
-    fn outputs_invariant_across_host_threads() {
-        let (_, smt2, inputs) = session_pair();
-        let reference = smt2
-            .infer_batch(&ExecContext::sequential(), &inputs)
-            .unwrap();
-        for threads in [2usize, 8] {
-            let out = smt2
-                .infer_batch(&ExecContext::with_threads(threads), &inputs)
-                .unwrap();
-            for (a, b) in out.iter().zip(reference.iter()) {
-                let ab: Vec<u32> = a.logits.iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = b.logits.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ab, bb, "logits must be bit-identical across host threads");
+        let (sessions, inputs) = synthnet_sessions(&[
+            SmtConfig::Dense,
+            SmtConfig::sysmt_2t(),
+            SmtConfig::sysmt_4t(),
+        ]);
+        let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
+        for session in &sessions {
+            let label = session.smt().label();
+            let batched = session.infer_batch_refs(&ctx, &refs).unwrap();
+            assert_eq!(batched.len(), inputs.len());
+            for (input, batched) in inputs.iter().zip(&batched) {
+                let single = session.infer_batch_refs(&ctx, &[input]).unwrap();
+                assert_eq!(single.len(), 1);
+                assert_eq!(single[0].predicted, batched.predicted, "{label}");
+                assert_eq!(
+                    logit_bits(&single),
+                    logit_bits(std::slice::from_ref(batched)),
+                    "{label}: a request's logits must not depend on its batch"
+                );
             }
         }
     }
 
     #[test]
+    fn outputs_invariant_across_host_threads() {
+        let (sessions, inputs) = synthnet_sessions(&[SmtConfig::sysmt_2t()]);
+        let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
+        let smt2 = &sessions[0];
+        let reference = smt2
+            .infer_batch_refs(&ExecContext::sequential(), &refs)
+            .unwrap();
+        for threads in [2usize, 8] {
+            let out = smt2
+                .infer_batch_refs(&ExecContext::with_threads(threads), &refs)
+                .unwrap();
+            assert_eq!(
+                logit_bits(&out),
+                logit_bits(&reference),
+                "logits must be bit-identical across host threads"
+            );
+        }
+    }
+
+    #[test]
     fn smt_session_differs_from_dense_but_mostly_agrees() {
-        let (dense, smt2, inputs) = session_pair();
         let ctx = ExecContext::sequential();
-        let d = dense.infer_batch(&ctx, &inputs).unwrap();
-        let s = smt2.infer_batch(&ctx, &inputs).unwrap();
+        let (sessions, inputs) = synthnet_sessions(&[SmtConfig::Dense, SmtConfig::sysmt_2t()]);
+        let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
+        let d = sessions[0].infer_batch_refs(&ctx, &refs).unwrap();
+        let s = sessions[1].infer_batch_refs(&ctx, &refs).unwrap();
         let agree = d
             .iter()
             .zip(s.iter())
@@ -422,10 +366,10 @@ mod tests {
 
     #[test]
     fn traced_inference_matches_untraced_and_surfaces_pe_stats() {
-        let (dense, smt2, inputs) = session_pair();
         let ctx = ExecContext::sequential();
+        let (sessions, inputs) = synthnet_sessions(&[SmtConfig::Dense, SmtConfig::sysmt_2t()]);
         let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
-        for (session, smt_layers) in [(&dense, false), (&smt2, true)] {
+        for (session, smt_layers) in sessions.iter().zip([false, true]) {
             let plain = session.infer_batch_refs(&ctx, &refs).unwrap();
             let mut kernels = Vec::new();
             let traced = session
@@ -486,7 +430,10 @@ mod tests {
     #[test]
     fn served_logits_and_layer_stats_equal_the_event_oracle() {
         let trained = quick_synthnet(11).expect("training succeeds");
-        let calib = trained.calibration_inputs(8, 501);
+        let mut registry = ModelRegistry::new();
+        registry
+            .register_synthnet("synthnet", &trained, 501)
+            .unwrap();
         let s = trained.task.image_size;
         let (inputs, _) = trained.sample_requests(5, 778);
         let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
@@ -499,14 +446,7 @@ mod tests {
             (SmtConfig::sysmt_2t(), ThreadCount::Two),
             (SmtConfig::sysmt_4t(), ThreadCount::Four),
         ] {
-            let session = compile_session(
-                "synthnet",
-                &trained.model,
-                std::slice::from_ref(&calib),
-                smt,
-                [1, s, s],
-            )
-            .unwrap();
+            let session = registry.compile("synthnet", smt).unwrap();
             let mut kernels = Vec::new();
             let served = session
                 .infer_batch_inner(&ExecContext::with_threads(2), &refs, Some(&mut kernels))
@@ -519,12 +459,8 @@ mod tests {
                 .quantized
                 .forward_with_ctx(&ExecContext::sequential(), &batch, &mut oracle)
                 .unwrap();
-            let served_bits: Vec<u32> = served
-                .iter()
-                .flat_map(|inference| inference.logits.iter().map(|v| v.to_bits()))
-                .collect();
             let oracle_bits: Vec<u32> = logits.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(served_bits, oracle_bits, "{threads:?}: logits");
+            assert_eq!(logit_bits(&served), oracle_bits, "{threads:?}: logits");
             let served_stats: Vec<PeStats> = kernels.iter().map(|k| k.stats).collect();
             assert_eq!(served_stats, oracle.stats, "{threads:?}: per-layer PeStats");
         }
@@ -532,12 +468,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes_and_empty_batch_is_empty() {
-        let (dense, _, _) = session_pair();
         let ctx = ExecContext::sequential();
-        assert!(dense.infer_batch(&ctx, &[]).unwrap().is_empty());
+        let (sessions, _) = synthnet_sessions(&[SmtConfig::Dense]);
+        let dense = &sessions[0];
+        assert!(dense.infer_batch_refs(&ctx, &[]).unwrap().is_empty());
         let bad = Tensor::<f32>::zeros(&[1, 1, 3, 3]);
         assert!(matches!(
-            dense.infer_batch(&ctx, &[bad]),
+            dense.infer_batch_refs(&ctx, &[&bad]),
             Err(ServeError::BadRequest(_))
         ));
         assert!(dense.macs_per_sample() > 0);

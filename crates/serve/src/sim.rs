@@ -567,7 +567,7 @@ mod tests {
     use crate::config::{
         route_hash, AdaptivePolicy, BatchPolicy, RoutePolicy, SchedulerConfig, SmtConfig,
     };
-    use crate::session::compile_session;
+    use nbsmt_nn::quantized::QuantizedModel;
     use nbsmt_workloads::synthnet::quick_synthnet;
     use std::sync::Arc;
 
@@ -575,14 +575,9 @@ mod tests {
         let trained = quick_synthnet(23).expect("training succeeds");
         let calib = trained.calibration_inputs(8, 301);
         let s = trained.task.image_size;
-        let session = compile_session(
-            "synthnet",
-            &trained.model,
-            &[calib],
-            SmtConfig::sysmt_2t(),
-            [1, s, s],
-        )
-        .unwrap();
+        let quantized = QuantizedModel::calibrate(&trained.model, &[calib]).unwrap();
+        let session =
+            Session::new("synthnet", quantized, SmtConfig::sysmt_2t(), [1, s, s]).unwrap();
         let (inputs, _) = trained.sample_requests(8, 302);
         (session, inputs)
     }

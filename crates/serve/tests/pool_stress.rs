@@ -322,8 +322,9 @@ fn producers_dropping_handles_mid_flight_lose_no_permits() {
     const CAPACITY: usize = 8;
 
     let (ladder, inputs) = ladder_fixture(37);
+    let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
     let reference: Vec<Vec<u32>> = ladder[0]
-        .infer_batch(&ExecContext::sequential(), &inputs)
+        .infer_batch_refs(&ExecContext::sequential(), &refs)
         .expect("reference inference succeeds")
         .into_iter()
         .map(|inference| inference.logits.iter().map(|v| v.to_bits()).collect())

@@ -203,6 +203,7 @@ pub fn reorder_for_threads(calibration: &QuantMatrix, threads: usize) -> ColumnO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbsmt_tensor::exec::ExecContext;
 
     fn qx(data: Vec<u8>, rows: usize, cols: usize) -> QuantMatrix {
         QuantMatrix::new(Matrix::from_vec(data, rows, cols).unwrap(), 1.0)
@@ -254,8 +255,9 @@ mod tests {
         let ord = reorder_for_two_threads(&x);
         let xr = ord.apply_to_activation(&x);
         let wr = ord.apply_to_weights(&w);
-        let y0 = nbsmt_quant::quantize::quantized_matmul(&x, &w).unwrap();
-        let y1 = nbsmt_quant::quantize::quantized_matmul(&xr, &wr).unwrap();
+        let ctx = ExecContext::sequential();
+        let y0 = nbsmt_quant::quantize::quantized_matmul_with(&ctx, &x, &w).unwrap();
+        let y1 = nbsmt_quant::quantize::quantized_matmul_with(&ctx, &xr, &wr).unwrap();
         for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }

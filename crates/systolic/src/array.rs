@@ -119,20 +119,10 @@ impl OutputStationaryArray {
     /// Executes the matmul `X (M×K) · W (K×N)` tile by tile, cycle by cycle.
     ///
     /// `X` carries unsigned 8-bit activations and `W` signed 8-bit weights,
-    /// exactly as in the paper's quantized setup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when `X.cols() != W.rows()`.
-    pub fn matmul(&self, x: &Matrix<u8>, w: &Matrix<i8>) -> Result<SimOutput, TensorError> {
-        self.matmul_with(&ExecContext::sequential(), x, w)
-    }
-
-    /// [`Self::matmul`] through the given execution context: output tiles
-    /// are simulated concurrently on the context's worker pool (each tile
-    /// walks its own PE grid cycle by cycle), outputs are drained and
-    /// statistics merged **in tile order**, so the result is identical for
-    /// every thread count.
+    /// exactly as in the paper's quantized setup. Output tiles are simulated
+    /// concurrently on `ctx`'s worker pool (each tile walks its own PE grid
+    /// cycle by cycle), outputs are drained and statistics merged **in tile
+    /// order**, so the result is identical for every thread count.
     ///
     /// # Errors
     ///
@@ -229,7 +219,7 @@ impl OutputStationaryArray {
 
     /// Estimates cycles and utilization without streaming every PE slot,
     /// using the tiling plan for cycles and the exact operand-pair census for
-    /// utilization. Produces the same [`SimStats`] totals as [`Self::matmul`]
+    /// utilization. Produces the same [`SimStats`] totals as [`Self::matmul_with`]
     /// but in `O(M·K·N)` without per-cycle overhead; used for large layers.
     ///
     /// # Errors
@@ -292,16 +282,18 @@ mod tests {
 
     #[test]
     fn small_matmul_matches_reference() {
+        let ctx = ExecContext::sequential();
         let x = x_mat(vec![1, 2, 3, 4, 5, 6], 2, 3);
         let w = w_mat(vec![7, -8, 9, 10, -11, 12], 3, 2);
         let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
-        let out = array.matmul(&x, &w).unwrap();
+        let out = array.matmul_with(&ctx, &x, &w).unwrap();
         assert_eq!(out.output, reference(&x, &w));
     }
 
     #[test]
     fn tiled_matmul_matches_reference() {
         // Bigger than the array in both output dimensions.
+        let ctx = ExecContext::sequential();
         let (m, k, n) = (9, 11, 7);
         let x_data: Vec<u8> = (0..m * k).map(|i| ((i * 37 + 11) % 251) as u8).collect();
         let w_data: Vec<i8> = (0..k * n)
@@ -310,18 +302,19 @@ mod tests {
         let x = x_mat(x_data, m, k);
         let w = w_mat(w_data, k, n);
         let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
-        let out = array.matmul(&x, &w).unwrap();
+        let out = array.matmul_with(&ctx, &x, &w).unwrap();
         assert_eq!(out.output, reference(&x, &w));
         assert_eq!(out.stats.tiles, 3 * 2);
     }
 
     #[test]
     fn cycle_count_matches_plan() {
+        let ctx = ExecContext::sequential();
         let x = x_mat(vec![1; 8 * 10], 8, 10);
         let w = w_mat(vec![1; 10 * 8], 10, 8);
         let cfg = SystolicConfig::new(4, 4);
         let array = OutputStationaryArray::new(cfg);
-        let out = array.matmul(&x, &w).unwrap();
+        let out = array.matmul_with(&ctx, &x, &w).unwrap();
         let plan = TilingPlan::new(8, 10, 8, 4, 4);
         assert_eq!(out.stats.cycles, plan.total_cycles());
     }
@@ -329,6 +322,7 @@ mod tests {
     #[test]
     fn utilization_reflects_sparsity() {
         // Half the activations are zero -> utilization around 0.5.
+        let ctx = ExecContext::sequential();
         let (m, k, n) = (8, 32, 8);
         let x_data: Vec<u8> = (0..m * k)
             .map(|i| if i % 2 == 0 { 0 } else { 100 })
@@ -337,22 +331,24 @@ mod tests {
         let x = x_mat(x_data, m, k);
         let w = w_mat(w_data, k, n);
         let array = OutputStationaryArray::new(SystolicConfig::new(8, 8));
-        let out = array.matmul(&x, &w).unwrap();
+        let out = array.matmul_with(&ctx, &x, &w).unwrap();
         assert!((out.stats.utilization() - 0.5).abs() < 0.01);
     }
 
     #[test]
     fn dense_inputs_fully_utilize() {
+        let ctx = ExecContext::sequential();
         let x = x_mat(vec![9; 4 * 6], 4, 6);
         let w = w_mat(vec![3; 6 * 4], 6, 4);
         let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
-        let out = array.matmul(&x, &w).unwrap();
+        let out = array.matmul_with(&ctx, &x, &w).unwrap();
         assert!((out.stats.utilization() - 1.0).abs() < 1e-12);
         assert_eq!(out.stats.mac_ops, 4 * 6 * 4);
     }
 
     #[test]
     fn estimate_matches_cycle_level_stats() {
+        let ctx = ExecContext::sequential();
         let (m, k, n) = (10, 14, 9);
         let x_data: Vec<u8> = (0..m * k).map(|i| ((i * 29) % 200) as u8).collect();
         let w_data: Vec<i8> = (0..k * n)
@@ -368,7 +364,7 @@ mod tests {
         let w = w_mat(w_data, k, n);
         let cfg = SystolicConfig::new(4, 4);
         let array = OutputStationaryArray::new(cfg);
-        let exact = array.matmul(&x, &w).unwrap();
+        let exact = array.matmul_with(&ctx, &x, &w).unwrap();
         let est = array.estimate(&x, &w).unwrap();
         assert_eq!(est.cycles, exact.stats.cycles);
         assert_eq!(est.pe_busy_cycles, exact.stats.pe_busy_cycles);
@@ -377,10 +373,11 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_rejected() {
+        let ctx = ExecContext::sequential();
         let x = x_mat(vec![1; 4], 2, 2);
         let w = w_mat(vec![1; 3], 3, 1);
         let array = OutputStationaryArray::new(SystolicConfig::new(2, 2));
-        assert!(array.matmul(&x, &w).is_err());
+        assert!(array.matmul_with(&ctx, &x, &w).is_err());
         assert!(array.estimate(&x, &w).is_err());
     }
 

@@ -15,13 +15,14 @@
 //!
 //! ```
 //! use nbsmt_systolic::array::{OutputStationaryArray, SystolicConfig};
+//! use nbsmt_tensor::exec::ExecContext;
 //! use nbsmt_tensor::tensor::Matrix;
 //!
 //! # fn main() -> Result<(), nbsmt_tensor::error::TensorError> {
 //! let x = Matrix::from_vec(vec![1u8, 2, 3, 4], 2, 2)?;
 //! let w = Matrix::from_vec(vec![5i8, 6, 7, 8], 2, 2)?;
-//! let mut array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
-//! let out = array.matmul(&x, &w)?;
+//! let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
+//! let out = array.matmul_with(&ExecContext::sequential(), &x, &w)?;
 //! assert_eq!(*out.output.at(0, 0), 1 * 5 + 2 * 7);
 //! # Ok(())
 //! # }

@@ -24,6 +24,8 @@ use nbsmt_repro::tensor::tensor::Matrix;
 struct SimpleNbSmtEngine {
     threads: ThreadCount,
     policy: SharingPolicy,
+    /// Index of the last compute layer: the fully connected classifier.
+    fc_layer: usize,
 }
 
 impl GemmEngine for SimpleNbSmtEngine {
@@ -34,8 +36,9 @@ impl GemmEngine for SimpleNbSmtEngine {
         x: &QuantMatrix,
         w: &QuantWeightMatrix,
     ) -> Result<Matrix<f32>, NnError> {
-        // The paper leaves the first convolution at one thread.
-        let threads = if layer_index == 0 {
+        // The paper leaves the first convolution and the FC layer at one
+        // thread.
+        let threads = if layer_index == 0 || layer_index == self.fc_layer {
             ThreadCount::One
         } else {
             self.threads
@@ -66,8 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (calib_images, _) = calib.batch(0, calib.len());
     let quantized = QuantizedModel::calibrate(&trained.model, &[calib_images])?;
     let (test_images, test_labels) = trained.test.batch(0, trained.test.len());
+    let fc_layer = quantized.compute_layer_count() - 1;
 
-    let baseline = quantized.accuracy_with(&test_images, &test_labels, &mut ReferenceEngine)?;
+    let ctx = ExecContext::sequential();
+    let baseline =
+        quantized.accuracy_with_ctx(&ctx, &test_images, &test_labels, &mut ReferenceEngine)?;
     println!("A8W8 (conventional SA) accuracy: {:.2}%", baseline * 100.0);
 
     for (label, threads, policy) in [
@@ -76,8 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("2T, S+Aw   ", ThreadCount::Two, SharingPolicy::S_AW),
         ("4T, S+A    ", ThreadCount::Four, SharingPolicy::S_A),
     ] {
-        let mut engine = SimpleNbSmtEngine { threads, policy };
-        let acc = quantized.accuracy_with(&test_images, &test_labels, &mut engine)?;
+        let mut engine = SimpleNbSmtEngine {
+            threads,
+            policy,
+            fc_layer,
+        };
+        let acc = quantized.accuracy_with_ctx(&ctx, &test_images, &test_labels, &mut engine)?;
         println!(
             "{label} accuracy: {:.2}%  (drop {:+.2} pts)",
             acc * 100.0,

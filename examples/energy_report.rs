@@ -12,10 +12,12 @@ use nbsmt_repro::core::ThreadCount;
 use nbsmt_repro::hw::energy::{compare_energy, EnergyModel, LayerEnergyInput};
 use nbsmt_repro::hw::table2::DesignPoint;
 use nbsmt_repro::sparsity::stats::layer_utilization;
+use nbsmt_repro::tensor::exec::ExecContext;
 use nbsmt_repro::workloads::calib::{synthesize_model, SynthesisOptions};
 use nbsmt_repro::workloads::zoo::table1_models;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = ExecContext::sequential();
     let options = SynthesisOptions {
         max_rows: 64,
         max_cols: 32,
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     policy: SharingPolicy::S_A,
                     reorder: true,
                 })
-                .execute(&layer.activations, &layer.weights)
+                .execute_with(&ctx, &layer.activations, &layer.weights)
                 .map(|o| o.stats.utilization())
                 .unwrap_or(base_util)
             };

@@ -7,14 +7,17 @@
 //! cargo run --release --example pruning_speedup
 //! ```
 
-use nbsmt_repro::core::matmul::{reference_output, NbSmtMatmul, NbSmtMatmulConfig};
+use nbsmt_repro::core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_repro::core::metrics::{layer_error, model_speedup, LayerSchedule};
 use nbsmt_repro::core::policy::SharingPolicy;
 use nbsmt_repro::core::ThreadCount;
+use nbsmt_repro::quant::quantize::quantized_matmul_with;
+use nbsmt_repro::tensor::exec::ExecContext;
 use nbsmt_repro::workloads::calib::{synthesize_model, SynthesisOptions};
 use nbsmt_repro::workloads::zoo::resnet18;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = ExecContext::sequential();
     let model = resnet18();
     println!(
         "ResNet-18 proxy: {} NB-SMT layers, {:.2} GMAC/image",
@@ -40,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 policy: SharingPolicy::S_A,
                 reorder: true,
             });
-            let out = emu.execute(&layer.activations, &layer.weights)?;
-            let reference = reference_output(&layer.activations, &layer.weights)?;
+            let out = emu.execute_with(&ctx, &layer.activations, &layer.weights)?;
+            let reference = quantized_matmul_with(&ctx, &layer.activations, &layer.weights)?;
             total_mse += layer_error(&out.output, &reference).relative_mse;
             total_reduction_rate += out.stats.reduction_rate();
             sampled += 1;

@@ -11,6 +11,8 @@ use nbsmt_repro::tensor::random::{SynthesisConfig, TensorSynthesizer};
 use nbsmt_repro::tensor::tensor::Matrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = ExecContext::sequential();
+
     // 1. Synthesize one realistic layer: post-ReLU activations with ~60%
     //    zeros, bell-shaped weights.
     let (m, k, n) = (96, 192, 48);
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Baseline: the conventional 16x16 output-stationary systolic array.
     let baseline = OutputStationaryArray::new(SystolicConfig::paper_16x16());
-    let base = baseline.matmul(qx.values(), qw.values())?;
+    let base = baseline.matmul_with(&ctx, qx.values(), qw.values())?;
     println!(
         "Conventional SA : {} cycles, {:.1}% MAC utilization",
         base.stats.cycles,
@@ -48,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. SySMT: the same layer with 2 threads sharing each PE.
     let sysmt = SySmtArray::new(SySmtConfig::paper_2t());
-    let result = sysmt.execute_layer(&qx, &qw)?;
+    let result = sysmt.execute_layer_with(&ctx, &qx, &qw)?;
     println!(
         "2T SySMT        : {} cycles ({:.2}x speedup), {:.1}% utilization ({:.2}x gain)",
         result.cycles,
@@ -67,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy: SharingPolicy::S_A,
         reorder: true,
     });
-    let four = emu.execute(&qx, &qw)?;
+    let four = emu.execute_with(&ctx, &qx, &qw)?;
     println!(
         "4T NB-SMT       : {:.1}% of active thread slots were precision-reduced",
         four.stats.reduction_rate() * 100.0

@@ -155,7 +155,9 @@ proptest! {
             policy: SharingPolicy::S_A,
             reorder,
         });
-        let reference = emu.execute(&x, &w).expect("dimensions match");
+        let reference = emu
+            .execute_with(&ExecContext::sequential(), &x, &w)
+            .expect("dimensions match");
         for threads in HOST_THREADS {
             let ctx = ExecContext::new(ExecConfig {
                 threads,
@@ -178,7 +180,9 @@ proptest! {
             seed, m, k, n, sparsity_pct as f64 / 100.0, pruned_pct as f64 / 100.0,
         );
         let array = OutputStationaryArray::new(SystolicConfig::new(4, 4));
-        let reference = array.matmul(x.values(), w.values()).expect("dimensions match");
+        let reference = array
+            .matmul_with(&ExecContext::sequential(), x.values(), w.values())
+            .expect("dimensions match");
         for threads in HOST_THREADS {
             let ctx = ExecContext::with_threads(threads);
             let out = array

@@ -2,7 +2,7 @@
 //! workloads → quantization → systolic array / NB-SMT emulation → metrics and
 //! hardware model — through the umbrella crate's public API.
 
-use nbsmt_repro::core::matmul::{reference_output, NbSmtMatmul, NbSmtMatmulConfig};
+use nbsmt_repro::core::matmul::{NbSmtMatmul, NbSmtMatmulConfig};
 use nbsmt_repro::core::metrics::layer_error;
 use nbsmt_repro::core::policy::SharingPolicy;
 use nbsmt_repro::core::sysmt::{SySmtArray, SySmtConfig};
@@ -10,10 +10,11 @@ use nbsmt_repro::core::ThreadCount;
 use nbsmt_repro::hw::energy::{compare_energy, LayerEnergyInput};
 use nbsmt_repro::hw::table2::DesignPoint;
 use nbsmt_repro::nn::quantized::{QuantizedModel, ReferenceEngine};
-use nbsmt_repro::quant::quantize::{quantize_activations, quantize_weights};
+use nbsmt_repro::quant::quantize::{quantize_activations, quantize_weights, quantized_matmul_with};
 use nbsmt_repro::quant::scheme::QuantScheme;
 use nbsmt_repro::sparsity::stats::layer_utilization;
 use nbsmt_repro::systolic::array::{OutputStationaryArray, SystolicConfig};
+use nbsmt_repro::tensor::exec::ExecContext;
 use nbsmt_repro::tensor::random::{SynthesisConfig, TensorSynthesizer};
 use nbsmt_repro::tensor::tensor::Matrix;
 use nbsmt_repro::workloads::calib::{synthesize_model, SynthesisOptions};
@@ -49,10 +50,11 @@ fn random_quant_layer(
 fn systolic_array_and_quantized_matmul_agree() {
     // The cycle-level systolic array, the fast estimator, and the integer
     // reference matmul must all agree on the numbers.
+    let ctx = ExecContext::sequential();
     let (qx, qw) = random_quant_layer(1, 24, 48, 16);
     let array = OutputStationaryArray::new(SystolicConfig::new(8, 8));
-    let sim = array.matmul(qx.values(), qw.values()).unwrap();
-    let reference = reference_output(&qx, &qw).unwrap();
+    let sim = array.matmul_with(&ctx, qx.values(), qw.values()).unwrap();
+    let reference = quantized_matmul_with(&ctx, &qx, &qw).unwrap();
     for i in 0..qx.rows() {
         for j in 0..qw.cols() {
             let dequant = *sim.output.at(i, j) as f32 * qx.scale() * qw.scale(j);
@@ -67,6 +69,7 @@ fn systolic_array_and_quantized_matmul_agree() {
 fn sysmt_layer_execution_reproduces_headline_claims() {
     // 2T SySMT: ~2x cycle speedup with small error; 4T: larger speedup and
     // larger (but bounded) error.
+    let ctx = ExecContext::sequential();
     let (qx, qw) = random_quant_layer(2, 64, 256, 32);
     let two = SySmtArray::new(SySmtConfig {
         grid: SystolicConfig::new(16, 16),
@@ -78,8 +81,8 @@ fn sysmt_layer_execution_reproduces_headline_claims() {
         threads: ThreadCount::Four,
         ..*two.config()
     });
-    let r2 = two.execute_layer(&qx, &qw).unwrap();
-    let r4 = four.execute_layer(&qx, &qw).unwrap();
+    let r2 = two.execute_layer_with(&ctx, &qx, &qw).unwrap();
+    let r4 = four.execute_layer_with(&ctx, &qx, &qw).unwrap();
     assert!(r2.speedup() > 1.7, "2T speedup {}", r2.speedup());
     assert!(r4.speedup() > r2.speedup(), "4T must be faster than 2T");
     assert!(
@@ -98,6 +101,7 @@ fn sysmt_layer_execution_reproduces_headline_claims() {
 fn policy_ordering_holds_on_calibrated_zoo_layers() {
     // On GoogLeNet-proxy layers, S+A produces no more error than S alone,
     // which produces no more error than the naive always-reduce policy.
+    let ctx = ExecContext::sequential();
     let model = googlenet();
     let layers = synthesize_model(
         &model,
@@ -109,7 +113,7 @@ fn policy_ordering_holds_on_calibrated_zoo_layers() {
     );
     let mut totals = [0.0f64; 3];
     for layer in layers.iter().step_by(8) {
-        let reference = reference_output(&layer.activations, &layer.weights).unwrap();
+        let reference = quantized_matmul_with(&ctx, &layer.activations, &layer.weights).unwrap();
         for (slot, policy) in [SharingPolicy::NAIVE, SharingPolicy::S, SharingPolicy::S_A]
             .iter()
             .enumerate()
@@ -119,7 +123,9 @@ fn policy_ordering_holds_on_calibrated_zoo_layers() {
                 policy: *policy,
                 reorder: false,
             });
-            let out = emu.execute(&layer.activations, &layer.weights).unwrap();
+            let out = emu
+                .execute_with(&ctx, &layer.activations, &layer.weights)
+                .unwrap();
             totals[slot] += layer_error(&out.output, &reference).mse;
         }
     }
@@ -141,20 +147,21 @@ fn policy_ordering_holds_on_calibrated_zoo_layers() {
 fn end_to_end_quantized_model_under_nbsmt_keeps_accuracy() {
     // Train SynthNet quickly, calibrate, and check that 2T NB-SMT execution
     // stays close to the 8-bit baseline end to end.
+    let ctx = ExecContext::sequential();
     let trained = quick_synthnet(31).expect("training succeeds");
     let calib = generate_dataset(&trained.task, 4, 123);
     let (calib_images, _) = calib.batch(0, calib.len());
     let quantized = QuantizedModel::calibrate(&trained.model, &[calib_images]).unwrap();
     let (images, labels) = trained.test.batch(0, trained.test.len());
     let baseline = quantized
-        .accuracy_with(&images, &labels, &mut ReferenceEngine)
+        .accuracy_with_ctx(&ctx, &images, &labels, &mut ReferenceEngine)
         .unwrap();
 
     struct TwoThreadEngine;
     impl nbsmt_repro::nn::quantized::GemmEngine for TwoThreadEngine {
         fn gemm(
             &mut self,
-            ctx: &nbsmt_repro::tensor::exec::ExecContext,
+            ctx: &ExecContext,
             layer_index: usize,
             x: &nbsmt_repro::quant::qtensor::QuantMatrix,
             w: &nbsmt_repro::quant::qtensor::QuantWeightMatrix,
@@ -176,7 +183,7 @@ fn end_to_end_quantized_model_under_nbsmt_keeps_accuracy() {
         }
     }
     let nbsmt = quantized
-        .accuracy_with(&images, &labels, &mut TwoThreadEngine)
+        .accuracy_with_ctx(&ctx, &images, &labels, &mut TwoThreadEngine)
         .unwrap();
     assert!(
         baseline - nbsmt <= 0.12,
@@ -187,6 +194,7 @@ fn end_to_end_quantized_model_under_nbsmt_keeps_accuracy() {
 #[test]
 fn zoo_models_feed_energy_model_with_sane_savings() {
     // The smallest zoo model end to end through utilization and Eq. 6.
+    let ctx = ExecContext::sequential();
     let model = resnet18();
     let layers = synthesize_model(
         &model,
@@ -206,7 +214,7 @@ fn zoo_models_feed_energy_model_with_sane_savings() {
             reorder: true,
         });
         let util2 = emu
-            .execute(&layer.activations, &layer.weights)
+            .execute_with(&ctx, &layer.activations, &layer.weights)
             .unwrap()
             .stats
             .utilization();
