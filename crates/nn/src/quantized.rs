@@ -9,6 +9,19 @@
 //! integration point for `nbsmt-core`: the reference engine reproduces the
 //! error-free 8-bit baseline, while an NB-SMT engine injects exactly the
 //! error the hardware would.
+//!
+//! Between two quantized layers the activations stay in bytes, as in the
+//! output pipeline of gemmlowp and TFLite (Jacob et al., CVPR 2018). Each
+//! GEMM's epilogue adds the bias, applies the ReLU and 2×2 max-pool the
+//! model places before the next layer, and quantizes at that layer's frozen
+//! scale straight into its zero-padded NCHW u8 input, which
+//! [`ops::im2col_padded`] lowers with one fixed-length copy per kernel row.
+//! The logits are the float layers' bit for bit: the bias addition runs per
+//! element as before, a ReLU before a u8 consumer is the quantizer's lower
+//! clamp, the quantizer never decreases as its input grows (so pooling
+//! commutes with it), and zero padding quantizes to 0.
+
+use std::borrow::Cow;
 
 use nbsmt_quant::observer::MinMaxObserver;
 use nbsmt_quant::qtensor::{QuantMatrix, QuantWeightMatrix};
@@ -23,7 +36,6 @@ use nbsmt_tensor::ops::{self, Conv2dParams};
 use nbsmt_tensor::tensor::{Matrix, Tensor};
 
 use crate::error::NnError;
-use crate::layers::{Conv2d, Linear};
 use crate::model::{forward_layer, Layer, Model};
 
 /// A matrix-multiplication engine used to execute quantized compute layers.
@@ -88,6 +100,20 @@ impl GemmEngine for ReducedPrecisionEngine {
     }
 }
 
+/// Where a quantized compute layer's GEMM output goes, fixed at
+/// calibration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Epilogue {
+    /// Bias added, out as f32 NCHW (`[N, F]` for a linear layer), and the
+    /// layers after it run in float: the run of float layers ends at a
+    /// grouped conv or at the logits.
+    Float,
+    /// Bias added, 2×2 max-pooled when `pool`, and quantized into the next
+    /// compute layer's u8 input frame; the `folded` ReLU / MaxPool2 /
+    /// Flatten layers in between never run.
+    Fused { pool: bool, folded: usize },
+}
+
 /// The frozen operands of one compute layer, fixed at calibration: the
 /// weights are static (SySMT preloads them, §III–IV) and so is the
 /// calibrated activation range, so neither is re-derived per forward pass.
@@ -101,6 +127,177 @@ struct LayerPlan {
     weights: QuantWeightMatrix,
     /// The conv geometry, `None` for a linear layer.
     conv: Option<Conv2dParams>,
+    epilogue: Epilogue,
+}
+
+impl LayerPlan {
+    /// The layer kind, for errors.
+    fn kind(&self) -> &'static str {
+        if self.conv.is_some() {
+            "conv2d"
+        } else {
+            "linear"
+        }
+    }
+
+    /// Quantizes a float input (`[N, C, H, W]` for a conv, `[N, F]` for a
+    /// linear layer) element by element into this layer's frame: a conv's
+    /// zero frame ([`ops::frame_map`]), the input's shape for a linear layer.
+    fn quantize_input(&self, x: &Tensor<f32>, q_max: f32) -> Result<Tensor<u8>, NnError> {
+        let quantize = |v| quantize_activation(v, self.input_scale, q_max);
+        match (&self.conv, x.rank()) {
+            (Some(p), _) => Ok(ops::frame_map(x, p, 0, quantize)?),
+            (None, 2) => Ok(x.map(|&v| quantize(v))),
+            (None, rank) => Err(NnError::ShapeMismatch {
+                layer: self.kind().into(),
+                detail: format!("expected a rank-2 input, got rank {rank}"),
+            }),
+        }
+    }
+
+    /// The epilogue that feeds this layer from the one before it: one pass
+    /// over the producer's GEMM rows that adds the bias, takes the max over
+    /// each 2×2 window when `pool` (the windows and order of
+    /// [`crate::layers::MaxPool2`]), quantizes at this layer's scale and
+    /// writes the byte into this layer's frame.
+    fn quantize_rows(&self, out: &GemmRows<'_>, pool: bool, q_max: f32) -> Tensor<u8> {
+        let [n, oc, oh, ow] = out.dims;
+        let side = if pool { 2 } else { 1 };
+        let (ph, pw) = (oh / side, ow / side);
+        // A conv's zero frame, its input `padding` in; a linear layer reads
+        // the unpadded bytes as `[N, OC·PH·PW]`.
+        let (dims, pad) = match &self.conv {
+            Some(p) => (p.frame_dims([n, oc, ph, pw]), p.padding),
+            None => ([n, oc, ph, pw], 0),
+        };
+        let [_, _, fh, fw] = dims;
+        let mut frame = vec![0u8; dims.iter().product()];
+        let mut max = vec![0.0_f32; oc];
+        let mut bytes = vec![0u8; oc];
+        for img in 0..n {
+            for py in 0..ph {
+                for px in 0..pw {
+                    max.fill(f32::NEG_INFINITY);
+                    for dy in 0..side {
+                        for dx in 0..side {
+                            let pixel = (img * oh + py * side + dy) * ow + px * side + dx;
+                            let row = &out.rows[pixel * oc..][..oc];
+                            for ((m, &v), &b) in max.iter_mut().zip(row).zip(out.bias) {
+                                let y = v + b;
+                                // A select, not a conditional store, so the
+                                // loop vectorizes.
+                                *m = if y > *m { y } else { *m };
+                            }
+                        }
+                    }
+                    for (q, &m) in bytes.iter_mut().zip(&max) {
+                        *q = quantize_activation(m, self.input_scale, q_max);
+                    }
+                    let at = (img * oc * fh + py + pad) * fw + px + pad;
+                    for (o, &q) in bytes.iter().enumerate() {
+                        frame[at + o * fh * fw] = q;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(frame, &dims).expect("the frame holds N·C·FH·FW bytes")
+    }
+
+    /// The layer's GEMM activations, lowered from its frame: a conv's
+    /// through [`ops::im2col_padded`], a linear layer's read as `[N, F]`.
+    /// Also returns the output's `[N, OH, OW]` (`[N, 1, 1]` for a linear
+    /// layer).
+    fn lower(&self, frame: Tensor<u8>) -> Result<(QuantMatrix, [usize; 3]), NnError> {
+        let dims = frame.shape().dims();
+        let n = dims[0];
+        let (cols, out) = match &self.conv {
+            Some(p) => {
+                let cols = ops::im2col_padded(&frame, p)?;
+                let side = |f: usize| (f - p.kernel) / p.stride + 1;
+                (cols, [n, side(dims[2]), side(dims[3])])
+            }
+            None => {
+                let features = dims[1..].iter().product();
+                (frame.reshape(&[n, features])?, [n, 1, 1])
+            }
+        };
+        let cols: Matrix<u8> = cols.try_into()?;
+        if cols.cols() != self.weights.rows() {
+            return Err(NnError::ShapeMismatch {
+                layer: self.kind().into(),
+                detail: format!(
+                    "{} input features for {} weight rows",
+                    cols.cols(),
+                    self.weights.rows()
+                ),
+            });
+        }
+        Ok((QuantMatrix::new(cols, self.input_scale), out))
+    }
+}
+
+/// A layer's dequantized GEMM rows `[N·OH·OW, OC]` and its bias: what both
+/// epilogues read.
+struct GemmRows<'a> {
+    rows: &'a [f32],
+    bias: &'a [f32],
+    /// The output's `[N, OC, OH, OW]` (`OH = OW = 1` for a linear layer).
+    dims: [usize; 4],
+}
+
+impl GemmRows<'_> {
+    /// The float epilogue: each output channel's bias added while the rows
+    /// scatter into NCHW (the same float additions as a bias pass followed
+    /// by `ops::col2im`).
+    fn to_float(&self) -> Vec<f32> {
+        let [n, oc, oh, ow] = self.dims;
+        let plane = oh * ow;
+        let mut out = vec![0.0_f32; self.rows.len()];
+        for img in 0..n {
+            for pix in 0..plane {
+                let row = &self.rows[(img * plane + pix) * oc..][..oc];
+                for (o, (&v, &b)) in row.iter().zip(self.bias).enumerate() {
+                    out[(img * oc + o) * plane + pix] = v + b;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Whether a layer's GEMM runs on quantized operands: a linear layer or a
+/// dense conv (grouped convs run in float).
+fn runs_quantized(layer: &Layer) -> bool {
+    match layer {
+        Layer::Conv2d(conv) => conv.params.groups == 1,
+        Layer::Linear(_) => true,
+        _ => false,
+    }
+}
+
+/// The epilogue of compute layer `run[0]`: fused when it runs quantized and
+/// the ReLU / MaxPool2 / Flatten layers after it, with at most one MaxPool2
+/// (on a 4-D map), end at another layer that runs quantized and takes the
+/// run's output rank.
+fn epilogue(run: &[Layer]) -> Epilogue {
+    if !runs_quantized(&run[0]) {
+        return Epilogue::Float;
+    }
+    let mut four_d = matches!(run[0], Layer::Conv2d(_));
+    let mut pool = false;
+    for (folded, layer) in run[1..].iter().enumerate() {
+        match layer {
+            Layer::Relu(_) => {}
+            Layer::MaxPool2(_) if four_d && !pool => pool = true,
+            Layer::Flatten(_) => four_d = false,
+            Layer::Conv2d(conv) if four_d && conv.params.groups == 1 => {
+                return Epilogue::Fused { pool, folded }
+            }
+            Layer::Linear(_) if !four_d => return Epilogue::Fused { pool, folded },
+            _ => break,
+        }
+    }
+    Epilogue::Float
 }
 
 /// A quantized view of a trained model, ready to execute with any
@@ -117,7 +314,7 @@ impl QuantizedModel {
     /// Calibrates a trained model on a batch of representative inputs: the
     /// paper's "quick statistics gathering run" (averaged min/max per layer).
     /// Each compute layer's weights and activation scale are quantized and
-    /// fixed here, once.
+    /// fixed here, once, and so is which float layers its epilogue absorbs.
     ///
     /// # Errors
     ///
@@ -146,13 +343,14 @@ impl QuantizedModel {
         }
         let activation_scheme = QuantScheme::activation_a8();
         let weight_scheme = QuantScheme::weight_w8();
-        let compute_layers = model.layers().iter().filter(|l| l.is_compute_layer());
+        let layers = model.layers();
+        let compute_layers = (0..layers.len()).filter(|&i| layers[i].is_compute_layer());
         let plans = observers
             .iter()
             .zip(compute_layers)
-            .map(|(observer, layer)| {
+            .map(|(observer, i)| {
                 let (lo, hi) = observer.averaged_range();
-                let (wmat, conv) = match layer {
+                let (wmat, conv) = match &layers[i] {
                     Layer::Conv2d(conv) => (
                         ops::filters_to_matrix(&conv.weight, &conv.params, 0)?,
                         Some(conv.params),
@@ -164,6 +362,7 @@ impl QuantizedModel {
                     input_scale: activation_scheme.scale_for_range(lo, hi),
                     weights: quantize_weights(&wmat.try_into()?, &weight_scheme),
                     conv,
+                    epilogue: epilogue(&layers[i..]),
                 })
             })
             .collect::<Result<_, NnError>>()?;
@@ -204,12 +403,20 @@ impl QuantizedModel {
     /// Executes the quantized model on a batch of inputs with the given GEMM
     /// engine, returning the output logits.
     ///
-    /// Non-compute layers (ReLU, pooling, flatten) run in floating
-    /// point between the quantized GEMMs, exactly as the paper's PyTorch
-    /// simulation does. Every layer's GEMM is handed to the engine together
-    /// with `ctx`, so the backend and worker pool are decided once per run
-    /// rather than per engine. Results are identical for every context
-    /// configuration.
+    /// The request batch is quantized once, into the first layer's
+    /// zero-padded u8 input. From there each quantized layer lowers its u8
+    /// input, hands the GEMM to the engine together with `ctx` (so the
+    /// backend and worker pool are decided once per run rather than per
+    /// engine), and runs its epilogue on the engine's dequantized rows:
+    /// when only ReLU, one 2×2 max-pool and flattening stand between it and
+    /// the next quantized layer, the epilogue adds the bias, pools and
+    /// quantizes at the next layer's frozen scale straight into that layer's
+    /// u8 input. Otherwise (a grouped conv or the logits come next, or two
+    /// pools stand in between) it writes f32 with the bias added, and the
+    /// layers that follow run in floating point, as the paper's PyTorch
+    /// simulation runs them. The logits are bit-identical to running every ReLU, pool
+    /// and flatten in float between quantizing GEMMs (see the module
+    /// documentation), and identical for every context configuration.
     ///
     /// # Errors
     ///
@@ -220,24 +427,68 @@ impl QuantizedModel {
         input: &Tensor<f32>,
         engine: &mut E,
     ) -> Result<Tensor<f32>, NnError> {
-        let mut x = input.clone();
+        let q_max = self.activation_scheme.q_max();
+        let layers = self.model.layers();
+        let mut x = Cow::Borrowed(input);
+        // The next compute layer's u8 input, when an epilogue wrote it.
+        let mut frame = None;
         let mut compute_idx = 0usize;
-        for layer in self.model.layers() {
-            match layer {
+        let mut next = 0usize;
+        while let Some(layer) = layers.get(next) {
+            next += 1;
+            let bias = match layer {
+                Layer::Conv2d(conv) if conv.params.groups == 1 => &conv.bias,
+                Layer::Linear(lin) => &lin.bias,
+                // Depthwise/grouped convolutions are executed in float; the
+                // paper likewise runs MobileNet's depthwise convolutions at
+                // one thread.
                 Layer::Conv2d(conv) => {
-                    x = self.run_conv(ctx, conv, &x, compute_idx, engine)?;
+                    x = Cow::Owned(conv.forward(&x)?);
                     compute_idx += 1;
-                }
-                Layer::Linear(lin) => {
-                    x = self.run_linear(ctx, lin, &x, compute_idx, engine)?;
-                    compute_idx += 1;
+                    continue;
                 }
                 other => {
-                    x = forward_layer(other, &x)?;
+                    x = Cow::Owned(forward_layer(other, &x)?);
+                    continue;
+                }
+            };
+            let plan = &self.plans[compute_idx];
+            let input = match frame.take() {
+                Some(frame) => frame,
+                None => plan.quantize_input(&x, q_max)?,
+            };
+            let (qx, [n, oh, ow]) = plan.lower(input)?;
+            let gemm = engine.gemm(ctx, compute_idx, &qx, &plan.weights)?;
+            let oc = plan.weights.cols();
+            let expected = n * oh * ow * oc;
+            if gemm.as_slice().len() != expected {
+                return Err(TensorError::ShapeDataMismatch {
+                    expected,
+                    actual: gemm.as_slice().len(),
+                }
+                .into());
+            }
+            let out = GemmRows {
+                rows: gemm.as_slice(),
+                bias,
+                dims: [n, oc, oh, ow],
+            };
+            compute_idx += 1;
+            match plan.epilogue {
+                Epilogue::Fused { pool, folded } => {
+                    frame = Some(self.plans[compute_idx].quantize_rows(&out, pool, q_max));
+                    next += folded;
+                }
+                Epilogue::Float => {
+                    let dims: &[usize] = match plan.conv {
+                        Some(_) => &out.dims,
+                        None => &out.dims[..2],
+                    };
+                    x = Cow::Owned(Tensor::from_vec(out.to_float(), dims)?);
                 }
             }
         }
-        Ok(x)
+        Ok(x.into_owned())
     }
 
     /// Classification accuracy of the quantized model under the given engine,
@@ -268,9 +519,10 @@ impl QuantizedModel {
 
     /// Collects the quantized `(X, W)` GEMM operands of every compute layer
     /// for one input batch. This is the layer-trace interface used by the
-    /// per-layer MSE and utilization experiments (Figs. 8 and 9). The
-    /// activations are lowered exactly as the forward pass lowers them, and
-    /// the weights are the ones fixed at calibration.
+    /// per-layer MSE and utilization experiments (Figs. 8 and 9). Each
+    /// layer's float input is quantized into its u8 frame and lowered
+    /// exactly as the forward pass lowers it (group 0 of a grouped conv),
+    /// and the weights are the ones fixed at calibration.
     ///
     /// # Errors
     ///
@@ -279,139 +531,26 @@ impl QuantizedModel {
         &self,
         input: &Tensor<f32>,
     ) -> Result<Vec<(QuantMatrix, QuantWeightMatrix)>, NnError> {
-        let mut traces = Vec::new();
+        let q_max = self.activation_scheme.q_max();
+        let mut traces = Vec::with_capacity(self.plans.len());
         let mut x = input.clone();
-        let mut compute_idx = 0usize;
+        let mut plans = self.plans.iter();
         for layer in self.model.layers() {
-            match layer {
-                Layer::Conv2d(conv) => {
-                    let plan = &self.plans[compute_idx];
-                    let qx = self.conv_activations(conv, plan.input_scale, &x)?;
-                    traces.push((qx, plan.weights.clone()));
-                    x = conv.forward(&x)?;
-                    compute_idx += 1;
-                }
-                Layer::Linear(lin) => {
-                    let plan = &self.plans[compute_idx];
-                    let qx = self.linear_activations(plan.input_scale, &x)?;
-                    traces.push((qx, plan.weights.clone()));
-                    x = lin.forward(&x)?;
-                    compute_idx += 1;
-                }
-                other => {
-                    x = forward_layer(other, &x)?;
-                }
+            if layer.is_compute_layer() {
+                let plan = plans.next().expect("one plan per compute layer");
+                let (qx, _) = plan.lower(plan.quantize_input(&x, q_max)?)?;
+                traces.push((qx, plan.weights.clone()));
             }
+            x = forward_layer(layer, &x)?;
         }
         Ok(traces)
-    }
-
-    /// Quantizes every element of `input` at `scale` with the shared
-    /// per-element rule.
-    fn quantize_input(&self, input: &Tensor<f32>, scale: f32) -> Tensor<u8> {
-        let q_max = self.activation_scheme.q_max();
-        input.map(|&v| quantize_activation(v, scale, q_max))
-    }
-
-    /// A conv layer's GEMM activations: the NCHW input quantized once, then
-    /// lowered (group 0) as bytes. Quantization is element-wise and maps the
-    /// padding value 0.0 to 0, so this equals lowering in f32 and then
-    /// quantizing the im2col matrix, with each input element quantized once
-    /// instead of once per kernel window that covers it.
-    fn conv_activations(
-        &self,
-        conv: &Conv2d,
-        scale: f32,
-        input: &Tensor<f32>,
-    ) -> Result<QuantMatrix, NnError> {
-        let cols = ops::im2col(&self.quantize_input(input, scale), &conv.params, 0)?;
-        Ok(QuantMatrix::new(cols.try_into()?, scale))
-    }
-
-    /// A linear layer's GEMM activations: the `[N, F]` input quantized
-    /// directly.
-    fn linear_activations(&self, scale: f32, input: &Tensor<f32>) -> Result<QuantMatrix, NnError> {
-        Ok(QuantMatrix::new(
-            self.quantize_input(input, scale).try_into()?,
-            scale,
-        ))
-    }
-
-    fn run_conv<E: GemmEngine>(
-        &self,
-        ctx: &ExecContext,
-        conv: &Conv2d,
-        input: &Tensor<f32>,
-        compute_idx: usize,
-        engine: &mut E,
-    ) -> Result<Tensor<f32>, NnError> {
-        if conv.params.groups != 1 {
-            // Depthwise/grouped convolutions are executed in float; the paper
-            // likewise runs MobileNet's depthwise convolutions at one thread.
-            return conv.forward(input);
-        }
-        let plan = &self.plans[compute_idx];
-        let qx = self.conv_activations(conv, plan.input_scale, input)?;
-        let gemm = engine.gemm(ctx, compute_idx, &qx, &plan.weights)?;
-        let dims = input.shape().dims();
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let (oc, oh, ow) = (
-            conv.params.out_channels,
-            conv.params.output_size(h),
-            conv.params.output_size(w),
-        );
-        let plane = oh * ow;
-        let expected = n * plane * oc;
-        if gemm.as_slice().len() != expected {
-            return Err(TensorError::ShapeDataMismatch {
-                expected,
-                actual: gemm.as_slice().len(),
-            }
-            .into());
-        }
-        // One pass: add each output channel's bias while scattering the
-        // `[N*OH*OW, OC]` GEMM rows into NCHW (the same float additions as
-        // a bias pass followed by `ops::col2im`).
-        let src = gemm.as_slice();
-        let mut out = vec![0.0_f32; expected];
-        for img in 0..n {
-            for pix in 0..plane {
-                let row = &src[(img * plane + pix) * oc..][..oc];
-                for (o, (&v, &b)) in row.iter().zip(&conv.bias).enumerate() {
-                    out[(img * oc + o) * plane + pix] = v + b;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
-    }
-
-    fn run_linear<E: GemmEngine>(
-        &self,
-        ctx: &ExecContext,
-        lin: &Linear,
-        input: &Tensor<f32>,
-        compute_idx: usize,
-        engine: &mut E,
-    ) -> Result<Tensor<f32>, NnError> {
-        let plan = &self.plans[compute_idx];
-        let qx = self.linear_activations(plan.input_scale, input)?;
-        let gemm = engine.gemm(ctx, compute_idx, &qx, &plan.weights)?;
-        let mut out: Tensor<f32> = gemm.into();
-        let s = out.as_mut_slice();
-        let n = input.shape().dim(0);
-        for r in 0..n {
-            for c in 0..lin.out_features {
-                s[r * lin.out_features + c] += lin.bias[c];
-            }
-        }
-        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Flatten, MaxPool2, Relu};
+    use crate::layers::{Conv2d, Flatten, Linear, MaxPool2, Relu};
     use nbsmt_quant::quantize::quantize_activations;
     use nbsmt_tensor::random::{SynthesisConfig, TensorSynthesizer};
 
@@ -593,10 +732,13 @@ mod tests {
     }
 
     /// Models spanning kernels 1/3/5, strides 1/2, padding 0/1/2 and input
-    /// channels 1/3/8, each ending in a linear layer; the second keeps a
-    /// grouped (depthwise) conv, which runs in float. Every bias is nonzero
-    /// and differs per channel. Returns each model with its per-sample
-    /// input dims.
+    /// channels 1/2/3/8, each ending in a linear layer; the second keeps a
+    /// grouped (depthwise) conv, which runs in float. The last three pool:
+    /// SynthNet's shape, a pool before its ReLU, and odd pre-pool maps
+    /// (11×11 and 5×5, so the pool drops the last row and column), the last
+    /// pooled twice in a row, which its epilogue does not absorb. Every
+    /// bias is nonzero and differs per channel. Returns each model with its
+    /// per-sample input dims.
     fn lowering_models() -> Vec<(Model, [usize; 3])> {
         let mut synth = TensorSynthesizer::new(41);
         let mut conv = |params: Conv2dParams| Layer::Conv2d(Conv2d::new(params, &mut synth));
@@ -624,7 +766,45 @@ mod tests {
         a.push(Layer::Linear(Linear::new(150, 3, &mut synth)));
         b.push(Layer::Linear(Linear::new(36, 5, &mut synth)));
         c.push(Layer::Linear(Linear::new(18, 2, &mut synth)));
-        let mut models = vec![(a, [1, 9, 9]), (b, [3, 8, 8]), (c, [8, 7, 7])];
+        let mut conv = |params: Conv2dParams| Layer::Conv2d(Conv2d::new(params, &mut synth));
+        let mut d = Model::new("synthnet-shape");
+        d.push(conv(Conv2dParams::new(1, 4, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(conv(Conv2dParams::new(4, 6, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(conv(Conv2dParams::new(6, 5, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::Flatten(Flatten));
+        let mut e = Model::new("pool-before-relu");
+        e.push(conv(Conv2dParams::new(3, 5, 3, 1, 1)))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(Layer::Relu(Relu))
+            .push(conv(Conv2dParams::new(5, 4, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::Flatten(Flatten));
+        let mut f = Model::new("odd-pool");
+        f.push(conv(Conv2dParams::new(2, 4, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(conv(Conv2dParams::new(4, 3, 3, 1, 1)))
+            .push(Layer::Relu(Relu))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(Layer::MaxPool2(MaxPool2))
+            .push(Layer::Flatten(Flatten));
+        // Flattened feature counts: 5·2·2, 4·3·3 and 3·1·1.
+        d.push(Layer::Linear(Linear::new(20, 3, &mut synth)));
+        e.push(Layer::Linear(Linear::new(36, 4, &mut synth)));
+        f.push(Layer::Linear(Linear::new(3, 2, &mut synth)));
+        let mut models = vec![
+            (a, [1, 9, 9]),
+            (b, [3, 8, 8]),
+            (c, [8, 7, 7]),
+            (d, [1, 8, 8]),
+            (e, [3, 6, 6]),
+            (f, [2, 11, 11]),
+        ];
         for (m, _) in &mut models {
             for layer in m.layers_mut() {
                 let bias = match layer {
@@ -679,10 +859,16 @@ mod tests {
         )
     }
 
-    /// The quantized forward pass built from the oracle operands: the seed
-    /// integer kernel, an element-wise dequantization, a bias pass, then
-    /// `ops::col2im` for conv layers; grouped convs in float.
-    fn oracle_forward(m: &Model, ranges: &[(f32, f32)], input: &Tensor<f32>) -> Tensor<f32> {
+    /// The quantized forward pass built from the oracle operands: `engine`'s
+    /// GEMM ([`SeedKernel`] for the error-free one), a bias pass, then
+    /// `ops::col2im` for conv layers; grouped convs, ReLU, pooling and
+    /// flattening in float.
+    fn oracle_forward(
+        m: &Model,
+        ranges: &[(f32, f32)],
+        input: &Tensor<f32>,
+        engine: &mut dyn GemmEngine,
+    ) -> Tensor<f32> {
         let mut x = input.clone();
         let mut compute_idx = 0usize;
         for layer in m.layers() {
@@ -693,22 +879,22 @@ mod tests {
                 }
                 Layer::Conv2d(_) | Layer::Linear(_) => {
                     let (qx, qw) = oracle_operands(layer, &x, ranges[compute_idx]);
+                    let ctx = ExecContext::sequential();
+                    let y = engine.gemm(&ctx, compute_idx, &qx, &qw).unwrap();
                     compute_idx += 1;
-                    let (rows, k, oc) = (qx.rows(), qx.cols(), qw.cols());
-                    let mut acc = vec![0_i64; rows * oc];
-                    let (a, b) = (qx.values().as_slice(), qw.values().as_slice());
-                    ExecContext::sequential().gemm_u8i8(rows, k, oc, a, b, &mut acc);
+                    let (rows, oc) = (qx.rows(), qw.cols());
                     let bias = match layer {
                         Layer::Conv2d(conv) => &conv.bias,
                         Layer::Linear(lin) => &lin.bias,
                         _ => unreachable!(),
                     };
-                    let dequantized = acc
+                    let biased = y
+                        .as_slice()
                         .iter()
                         .enumerate()
-                        .map(|(i, &v)| v as f32 * qx.scale() * qw.scale(i % oc) + bias[i % oc])
+                        .map(|(i, &v)| v + bias[i % oc])
                         .collect();
-                    let y = Tensor::from_vec(dequantized, &[rows, oc]).unwrap();
+                    let y = Tensor::from_vec(biased, &[rows, oc]).unwrap();
                     match layer {
                         Layer::Conv2d(conv) => {
                             let dims = x.shape().dims();
@@ -760,14 +946,98 @@ mod tests {
                 assert_eq!(got.1, q.quantized_weights(i).unwrap().0);
             }
 
-            // Logits, on the sequential context and the default one.
-            let want = bits(&oracle_forward(&m, &ranges, &test));
-            for ctx in [ExecContext::sequential(), ExecContext::default()] {
-                let got = q
-                    .forward_with_ctx(&ctx, &test, &mut ReferenceEngine)
-                    .unwrap();
-                assert_eq!(bits(&got), want, "{} logits on {:?}", m.name, ctx.config());
-            }
+            // Logits: the error-free engine against the seed kernel, and a
+            // lossy engine against itself.
+            let want = oracle_forward(&m, &ranges, &test, &mut SeedKernel);
+            assert_logits_match(&q, &test, &mut ReferenceEngine, &want, &m.name);
+            let mut a4w4 = ReducedPrecisionEngine {
+                point: OperatingPoint::A4W4,
+            };
+            let want = oracle_forward(&m, &ranges, &test, &mut a4w4);
+            assert_logits_match(&q, &test, &mut a4w4, &want, &m.name);
+        }
+    }
+
+    /// The seed integer kernel and an element-wise dequantization: the
+    /// oracle's error-free GEMM, independent of `quantized_matmul_with`.
+    struct SeedKernel;
+
+    impl GemmEngine for SeedKernel {
+        fn gemm(
+            &mut self,
+            _ctx: &ExecContext,
+            _layer_index: usize,
+            x: &QuantMatrix,
+            w: &QuantWeightMatrix,
+        ) -> Result<Matrix<f32>, NnError> {
+            let (rows, k, oc) = (x.rows(), x.cols(), w.cols());
+            let mut acc = vec![0_i64; rows * oc];
+            let (a, b) = (x.values().as_slice(), w.values().as_slice());
+            ExecContext::sequential().gemm_u8i8(rows, k, oc, a, b, &mut acc);
+            let dequantized = acc
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| v as f32 * x.scale() * w.scale(i % oc))
+                .collect();
+            Ok(Matrix::from_vec(dequantized, rows, oc)?)
+        }
+    }
+
+    /// Asserts that `q`'s logits under `engine`, on the sequential context
+    /// and the default one, equal `want` bit for bit.
+    fn assert_logits_match<E: GemmEngine>(
+        q: &QuantizedModel,
+        test: &Tensor<f32>,
+        engine: &mut E,
+        want: &Tensor<f32>,
+        name: &str,
+    ) {
+        for ctx in [ExecContext::sequential(), ExecContext::default()] {
+            let got = q.forward_with_ctx(&ctx, test, engine).unwrap();
+            assert_eq!(
+                bits(&got),
+                bits(want),
+                "{name} logits on {:?}",
+                ctx.config()
+            );
+        }
+    }
+
+    #[test]
+    fn epilogues_absorb_the_float_layers_between_quantized_layers() {
+        let fused = |pool, folded| Epilogue::Fused { pool, folded };
+        let want = [
+            vec![fused(false, 1), fused(false, 2), Epilogue::Float],
+            // The run into the depthwise conv stays in float.
+            vec![
+                fused(false, 1),
+                Epilogue::Float,
+                Epilogue::Float,
+                Epilogue::Float,
+            ],
+            vec![
+                fused(false, 1),
+                fused(false, 1),
+                fused(false, 1),
+                Epilogue::Float,
+            ],
+            vec![
+                fused(true, 2),
+                fused(true, 2),
+                fused(false, 2),
+                Epilogue::Float,
+            ],
+            vec![fused(true, 2), fused(false, 2), Epilogue::Float],
+            // Two pools in one run: the second run stays in float.
+            vec![fused(true, 2), Epilogue::Float, Epilogue::Float],
+        ];
+        for ((m, _), want) in lowering_models().iter().zip(want) {
+            let layers = m.layers();
+            let got: Vec<_> = (0..layers.len())
+                .filter(|&i| layers[i].is_compute_layer())
+                .map(|i| epilogue(&layers[i..]))
+                .collect();
+            assert_eq!(got, want, "{}", m.name);
         }
     }
 

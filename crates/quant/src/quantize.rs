@@ -46,9 +46,32 @@ pub fn quantize_activations(
 /// conv layers) use this same function, so their bytes match the matrix
 /// path's by construction. `0.0` always maps to `0`, which is what lets a
 /// lowering pad with zero bytes instead of quantized zeros.
+///
+/// The result equals `(v / scale).round().clamp(0.0, q_max) as u8` for
+/// every `f32` input (NaN, ±inf and −0 included) when `q_max` is a whole
+/// number, as [`QuantScheme::q_max`] is. That rests on the argument below;
+/// the tests check it on all 2^32 inputs at scale 0.0123 for A8's and A4's
+/// `q_max` (an ignored test), and on edge cases at four scales. The body is
+/// branch-free and calls no libm function (`f32::round` is a `roundf` call
+/// on x86-64 without SSE4.1) and no float-to-integer conversion, so loops
+/// over it vectorize:
+/// - it clamps before rounding, which commutes with rounding for a whole
+///   `q_max`; NaN fails both comparisons and lands on 0, where the
+///   reference's `NaN as u8` lands;
+/// - adding 2^23 rounds a value in `[0, 2^23)` to the nearest whole number,
+///   ties to even, exactly, and leaves that number in the sum's low
+///   mantissa bits; a tie it rounded down leaves a remainder of exactly one
+///   half, and gets one more;
+/// - the final `min` saturates at 255 as the reference's `as u8` does.
 #[inline]
 pub fn quantize_activation(v: f32, scale: f32, q_max: f32) -> u8 {
-    (v / scale).round().clamp(0.0, q_max) as u8
+    const WHOLE: f32 = 8_388_608.0; // 2^23: the spacing of f32 above it is 1
+    let t = v / scale;
+    let c = if t > 0.0 { t } else { 0.0 };
+    let c = if c < q_max { c } else { q_max };
+    let biased = c + WHOLE;
+    let tie_down = u32::from(c - (biased - WHOLE) >= 0.5);
+    (biased.to_bits() - WHOLE.to_bits() + tie_down).min(255) as u8
 }
 
 /// Quantizes a weight matrix using the paper's per-kernel signed symmetric
@@ -247,6 +270,65 @@ mod tests {
         // Calibrated range smaller than data: values clamp to 255.
         let q = quantize_activations(&x, &QuantScheme::activation_a8(), Some((0.0, 5.0)));
         assert_eq!(*q.values().at(1, 1), 255);
+    }
+
+    /// The rounding rule `quantize_activation` must reproduce bit for bit.
+    fn libm_quantize(v: f32, scale: f32, q_max: f32) -> u8 {
+        (v / scale).round().clamp(0.0, q_max) as u8
+    }
+
+    #[test]
+    fn quantize_activation_matches_the_libm_rounding() {
+        let mut inputs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for h in 0..=255u8 {
+            let half = f32::from(h) + 0.5;
+            inputs.extend([half, half.next_down(), half.next_up()]);
+        }
+        // Negatives, including the values just past -0.5 and -1.5 that round
+        // to -0 and -1 (and clamp to 0), and the negative NaN.
+        inputs.extend([-0.5, -0.5f32.next_down(), -0.5f32.next_up(), -1.0, -1.5]);
+        inputs.extend([-1.5f32.next_up(), -1e30, f32::MIN, -f32::NAN]);
+        // Subnormals, the smallest normal, and values past A4's and A8's
+        // `q_max`.
+        inputs.extend([f32::from_bits(1), f32::from_bits(0x007f_ffff)]);
+        inputs.extend([-f32::from_bits(1), f32::MIN_POSITIVE]);
+        inputs.extend([15.5, 16.0, 255.5, 256.0, 8_388_607.5, 8_388_608.0]);
+        inputs.extend([16_777_217.0, 1e10, f32::MAX]);
+        let a4 = QuantScheme {
+            bits: BitWidth::Four,
+            ..QuantScheme::activation_a8()
+        };
+        for q_max in [QuantScheme::activation_a8().q_max(), a4.q_max()] {
+            for scale in [1.0, 0.0123, 16.0, f32::from_bits(1)] {
+                for &v in &inputs {
+                    assert_eq!(
+                        quantize_activation(v, scale, q_max),
+                        libm_quantize(v, scale, q_max),
+                        "v = {v:e} ({:#010x}), scale {scale:e}, q_max {q_max}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every one of the 2^32 bit patterns of `v` at one scale, for A8's and
+    /// A4's `q_max` (about 60 s in a release build).
+    #[test]
+    #[ignore = "sweeps 2^33 inputs; run in release"]
+    fn quantize_activation_matches_the_libm_rounding_on_every_f32() {
+        let scale = 0.0123;
+        let a4 = QuantScheme {
+            bits: BitWidth::Four,
+            ..QuantScheme::activation_a8()
+        };
+        for q_max in [QuantScheme::activation_a8().q_max(), a4.q_max()] {
+            let mismatches = (0..=u32::MAX)
+                .map(f32::from_bits)
+                .filter(|&v| quantize_activation(v, scale, q_max) != libm_quantize(v, scale, q_max))
+                .count();
+            assert_eq!(mismatches, 0, "q_max {q_max}");
+        }
     }
 
     #[test]

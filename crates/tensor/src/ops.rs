@@ -58,6 +58,17 @@ impl Conv2dParams {
         (input + 2 * self.padding).saturating_sub(self.kernel) / self.stride + 1
     }
 
+    /// The zero frame `[N, C, FH, FW]` that [`im2col_padded`] lowers an
+    /// `[N, C, H, W]` input (one group's channels) from: `padding` zeros on
+    /// every edge, each side widened to one kernel when that is smaller (the
+    /// one window [`Self::output_size`] then counts reads zeros past the
+    /// input's far edge). Input pixel `(y, x)` sits at
+    /// `(y + padding, x + padding)`.
+    pub fn frame_dims(&self, [n, c, h, w]: [usize; 4]) -> [usize; 4] {
+        let side = |input: usize| (input + 2 * self.padding).max(self.kernel);
+        [n, c, side(h), side(w)]
+    }
+
     /// Number of multiply-accumulate operations for an input of spatial size
     /// `h × w` (per image).
     pub fn mac_ops(&self, h: usize, w: usize) -> u64 {
@@ -166,7 +177,9 @@ pub fn scale(a: &Tensor<f32>, s: f32) -> Tensor<f32> {
 ///
 /// The lowering only copies elements, so it works for any element type:
 /// padded positions are filled with `T::default()` (`0.0` for `f32`, `0`
-/// for already-quantized `u8` activations).
+/// for already-quantized `u8` activations). It copies the group's channels
+/// into their zero frame ([`frame_map`]) and lowers that with
+/// [`im2col_padded`].
 ///
 /// # Errors
 ///
@@ -177,6 +190,131 @@ pub fn im2col<T: Copy + Default>(
     params: &Conv2dParams,
     group: usize,
 ) -> Result<Tensor<T>, TensorError> {
+    im2col_padded(&frame_map(input, params, group, |v| v)?, params)
+}
+
+/// Copies group `group`'s channels of an NCHW tensor `[N, C, H, W]` into
+/// their zero frame ([`Conv2dParams::frame_dims`]), mapping each element
+/// through `f`; the padding holds `U::default()`. [`im2col`] frames with the
+/// identity, the quantized forward with its activation quantizer.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `input` is not rank 4, or
+/// [`TensorError::InvalidArgument`] for inconsistent channel/group settings.
+pub fn frame_map<T: Copy, U: Copy + Default>(
+    input: &Tensor<T>,
+    params: &Conv2dParams,
+    group: usize,
+    f: impl Fn(T) -> U,
+) -> Result<Tensor<U>, TensorError> {
+    let [n, c, h, w] = check_lowering(input, params, group)?;
+    if c != params.in_channels {
+        return Err(TensorError::InvalidArgument(format!(
+            "input channels {} do not match conv params {}",
+            c, params.in_channels
+        )));
+    }
+    let dims @ [_, cg, fh, fw] = params.frame_dims([n, c / params.groups, h, w]);
+    let (src, pad) = (input.as_slice(), params.padding);
+    let mut frame = vec![U::default(); dims.iter().product()];
+    for img in 0..n {
+        for ci in 0..cg {
+            let plane = img * c + group * cg + ci;
+            for y in 0..h {
+                let dst = &mut frame[((img * cg + ci) * fh + y + pad) * fw + pad..][..w];
+                for (d, &v) in dst.iter_mut().zip(&src[(plane * h + y) * w..][..w]) {
+                    *d = f(v);
+                }
+            }
+        }
+    }
+    Tensor::from_vec(frame, &dims)
+}
+
+/// Lowers one group's zero frame `[N, C/groups, FH, FW]` (the group's
+/// channels already inside their `padding`, [`Conv2dParams::frame_dims`])
+/// into the im2col matrix `[N * OH * OW, C/groups * K * K]`, the matrix
+/// [`im2col`] gives for the unframed input.
+///
+/// Every window lies inside the frame, so each kernel row is one `K`-element
+/// copy with no padding test.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `frame` is not rank 4, or
+/// [`TensorError::InvalidArgument`] for inconsistent channel/group settings
+/// or a frame side narrower than the kernel.
+pub fn im2col_padded<T: Copy + Default>(
+    frame: &Tensor<T>,
+    params: &Conv2dParams,
+) -> Result<Tensor<T>, TensorError> {
+    let [n, cg, fh, fw] = check_lowering(frame, params, 0)?;
+    let k = params.kernel;
+    if cg != params.in_channels / params.groups {
+        return Err(TensorError::InvalidArgument(format!(
+            "frame channels {cg} do not match the {} of one conv group",
+            params.in_channels / params.groups
+        )));
+    }
+    if fh < k || fw < k {
+        return Err(TensorError::InvalidArgument(format!(
+            "frame {fh}x{fw} is narrower than the {k}x{k} kernel"
+        )));
+    }
+    let out = [(fh - k) / params.stride + 1, (fw - k) / params.stride + 1];
+    let (src, dims, s) = (frame.as_slice(), [n, cg, fh, fw], params.stride);
+    // SynthNet's convs are all 3×3. A literal kernel size lets each
+    // `copy_from_slice` compile to fixed moves instead of a `memcpy` call
+    // per kernel row.
+    let cols = match k {
+        3 => lower_windows(src, dims, s, out, 3),
+        _ => lower_windows(src, dims, s, out, k),
+    };
+    Tensor::from_vec(cols, &[n * out[0] * out[1], cg * k * k])
+}
+
+/// Copies each `k`×`k` window of the frame `src` (`[N, CG, FH, FW]`;
+/// windows `stride` apart, `[OH, OW]` of them) into its row of the
+/// `[N * OH * OW, CG * k * k]` output, one kernel row at a time.
+#[inline(always)]
+fn lower_windows<T: Copy + Default>(
+    src: &[T],
+    [n, cg, fh, fw]: [usize; 4],
+    stride: usize,
+    [oh, ow]: [usize; 2],
+    k: usize,
+) -> Vec<T> {
+    let mut out = vec![T::default(); n * oh * ow * cg * k * k];
+    // The output rows, cut into their kernel rows in write order.
+    let mut kernel_rows = out.chunks_exact_mut(k);
+    for img in 0..n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let corner = oy * stride * fw + ox * stride;
+                for ci in 0..cg {
+                    let first = (img * cg + ci) * fh * fw + corner;
+                    let window = &src[first..first + (k - 1) * fw + k];
+                    for ky in 0..k {
+                        kernel_rows
+                            .next()
+                            .expect("the output holds cg * k kernel rows per window")
+                            .copy_from_slice(&window[ky * fw..ky * fw + k]);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Checks `params` and `group` for a lowering from `input` and returns the
+/// input's `[N, C, H, W]`.
+fn check_lowering<T>(
+    input: &Tensor<T>,
+    params: &Conv2dParams,
+    group: usize,
+) -> Result<[usize; 4], TensorError> {
     if input.rank() != 4 {
         return Err(TensorError::RankMismatch {
             op: "im2col",
@@ -202,55 +340,7 @@ pub fn im2col<T: Copy + Default>(
         ));
     }
     let dims = input.shape().dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    if c != params.in_channels {
-        return Err(TensorError::InvalidArgument(format!(
-            "input channels {} do not match conv params {}",
-            c, params.in_channels
-        )));
-    }
-    let cg = params.in_channels / params.groups;
-    let c0 = group * cg;
-    let oh = params.output_size(h);
-    let ow = params.output_size(w);
-    let k = params.kernel;
-    let rows = n * oh * ow;
-    let cols = cg * k * k;
-    let src = input.as_slice();
-    let mut out = vec![T::default(); rows * cols];
-    // Each valid element is copied straight into its output row; padded
-    // positions keep the `T::default()` fill. Kernel rows are only `k`
-    // elements long, so a per-element copy beats a `memcpy` call per kernel
-    // row. Coordinates are in the padded frame, valid range is
-    // [padding, padding + dim).
-    for img in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (img * oh + oy) * ow + ox;
-                let dst_row = &mut out[row * cols..(row + 1) * cols];
-                let x0 = ox * params.stride;
-                for ci in 0..cg {
-                    let cin = c0 + ci;
-                    for ky in 0..k {
-                        let iy = oy * params.stride + ky;
-                        if iy < params.padding || iy - params.padding >= h {
-                            continue;
-                        }
-                        let sy = iy - params.padding;
-                        let src_row = &src[((img * c + cin) * h + sy) * w..][..w];
-                        let dst = &mut dst_row[(ci * k + ky) * k..][..k];
-                        for (kx, d) in dst.iter_mut().enumerate() {
-                            let ix = x0 + kx;
-                            if ix >= params.padding && ix - params.padding < w {
-                                *d = src_row[ix - params.padding];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[rows, cols])
+    Ok([dims[0], dims[1], dims[2], dims[3]])
 }
 
 /// Reshapes a filter tensor `[OC, C/groups, K, K]` into the GEMM weight
@@ -543,6 +633,140 @@ mod tests {
         };
         let ok_input = Tensor::from_vec(vec![0.0; 2 * 16], &[1, 2, 4, 4]).unwrap();
         assert!(im2col(&ok_input, &zero_stride, 0).is_err());
+    }
+
+    /// The per-element lowering `im2col` ran before it lowered a zero frame:
+    /// every in-bounds element copied into its window's row, padded
+    /// positions left at `T::default()`. The reference for the property
+    /// below.
+    fn im2col_reference<T: Copy + Default>(
+        input: &Tensor<T>,
+        params: &Conv2dParams,
+        group: usize,
+    ) -> Tensor<T> {
+        let dims = input.shape().dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let cg = params.in_channels / params.groups;
+        let c0 = group * cg;
+        let oh = params.output_size(h);
+        let ow = params.output_size(w);
+        let k = params.kernel;
+        let rows = n * oh * ow;
+        let cols = cg * k * k;
+        let src = input.as_slice();
+        let mut out = vec![T::default(); rows * cols];
+        for img in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = (img * oh + oy) * ow + ox;
+                    let dst_row = &mut out[row * cols..(row + 1) * cols];
+                    let x0 = ox * params.stride;
+                    for ci in 0..cg {
+                        let cin = c0 + ci;
+                        for ky in 0..k {
+                            let iy = oy * params.stride + ky;
+                            if iy < params.padding || iy - params.padding >= h {
+                                continue;
+                            }
+                            let sy = iy - params.padding;
+                            let src_row = &src[((img * c + cin) * h + sy) * w..][..w];
+                            let dst = &mut dst_row[(ci * k + ky) * k..][..k];
+                            for (kx, d) in dst.iter_mut().enumerate() {
+                                let ix = x0 + kx;
+                                if ix >= params.padding && ix - params.padding < w {
+                                    *d = src_row[ix - params.padding];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[rows, cols]).unwrap()
+    }
+
+    /// Property: `im2col` (a zero frame lowered by `im2col_padded`) equals
+    /// the per-element reference for u8 and f32 tensors, over random kernel
+    /// 1–5, stride 1–3, padding 0–2, channel counts, groups and every
+    /// group, including inputs smaller than the kernel.
+    #[test]
+    fn framed_lowering_matches_the_per_element_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x12_2c01);
+        for case in 0..400 {
+            let groups = rng.gen_range(1..=3usize);
+            let params = Conv2dParams {
+                in_channels: groups * rng.gen_range(1..=3usize),
+                out_channels: groups,
+                kernel: rng.gen_range(1..=5usize),
+                stride: rng.gen_range(1..=3usize),
+                padding: rng.gen_range(0..=2usize),
+                groups,
+            };
+            let dims = [
+                rng.gen_range(1..=3usize),
+                params.in_channels,
+                rng.gen_range(1..=9usize),
+                rng.gen_range(1..=9usize),
+            ];
+            let numel = dims.iter().product();
+            let bytes: Vec<u8> = (0..numel).map(|_| rng.gen_range(1..=255u8)).collect();
+            let floats: Vec<f32> = bytes.iter().map(|&b| f32::from(b) - 100.5).collect();
+            let bytes = Tensor::from_vec(bytes, &dims).unwrap();
+            let floats = Tensor::from_vec(floats, &dims).unwrap();
+            for group in 0..groups {
+                let what = format!("case {case}: {params:?} on {dims:?}, group {group}");
+                assert_eq!(
+                    im2col(&bytes, &params, group).unwrap(),
+                    im2col_reference(&bytes, &params, group),
+                    "u8 {what}"
+                );
+                assert_eq!(
+                    im2col(&floats, &params, group).unwrap(),
+                    im2col_reference(&floats, &params, group),
+                    "f32 {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frame_map_frames_one_group_inside_its_padding() {
+        // Two groups of two channels; group 1 holds channels 2 and 3.
+        let params = Conv2dParams {
+            groups: 2,
+            ..Conv2dParams::new(4, 2, 3, 1, 1)
+        };
+        let input = Tensor::from_vec((1..=16).collect::<Vec<u8>>(), &[1, 4, 2, 2]).unwrap();
+        let frame = frame_map(&input, &params, 1, |v| u16::from(v) * 10).unwrap();
+        assert_eq!(frame.shape().dims(), &[1, 2, 4, 4]);
+        #[rustfmt::skip]
+        let expected: Vec<u16> = vec![
+            0, 0, 0, 0,  0, 90, 100, 0,  0, 110, 120, 0,  0, 0, 0, 0,
+            0, 0, 0, 0,  0, 130, 140, 0,  0, 150, 160, 0,  0, 0, 0, 0,
+        ];
+        assert_eq!(frame.as_slice(), &expected[..]);
+        // An input narrower than the kernel gets a frame one kernel wide.
+        let tiny = Tensor::from_vec(vec![7u8], &[1, 1, 1, 1]).unwrap();
+        let wide = Conv2dParams::new(1, 1, 5, 1, 1);
+        assert_eq!(wide.frame_dims([1, 1, 1, 1]), [1, 1, 5, 5]);
+        let frame = frame_map(&tiny, &wide, 0, |v| v).unwrap();
+        assert_eq!(frame.as_slice().iter().filter(|&&v| v == 7).count(), 1);
+        assert_eq!(frame.as_slice()[6], 7);
+        assert!(frame_map(&input, &params, 2, |v| v).is_err());
+    }
+
+    #[test]
+    fn framed_lowering_rejects_a_frame_narrower_than_the_kernel() {
+        let params = Conv2dParams::new(1, 1, 3, 1, 0);
+        let narrow = Tensor::from_vec(vec![0u8; 6], &[1, 1, 3, 2]).unwrap();
+        assert!(im2col_padded(&narrow, &params).is_err());
+        let fits = Tensor::from_vec(vec![0u8; 9], &[1, 1, 3, 3]).unwrap();
+        assert_eq!(
+            im2col_padded(&fits, &params).unwrap().shape().dims(),
+            &[1, 9]
+        );
     }
 
     #[test]
